@@ -1,7 +1,8 @@
 // Transient engine benchmarks: curve-evaluation throughput vs grid size
-// (the stepping scheme makes a G-point curve cost ~one horizon of matvecs,
-// not G of them) and the TransientSolver workspace-reuse win (the second
-// curve on the same CTMC skips the generator + uniformized-matrix build).
+// (one Poisson expansion makes a G-point curve cost exactly one horizon of
+// matvecs, not G of them) and the TransientSolver workspace-reuse win (the
+// second curve on the same CTMC skips the generator + uniformized-matrix
+// build).
 //
 // The workspace-reuse claim is ASSERTED on every run, not just printed: the
 // prepared solver must beat the fresh-solver path (best-of-N wall time) and
@@ -91,10 +92,9 @@ void print_grid_scaling() {
     std::printf("%12zu %14.4f %12zu %22.4f\n", points, best * 1e3, matvecs,
                 best * 1e6 / static_cast<double>(points));
   }
-  std::printf("\nReading: the stepped evaluation re-anchors at each grid point, so the\n"
-              "matvec total grows far sub-linearly with grid density (each step pays a\n"
-              "Poisson window over its own short dt) — dense curves cost a fraction of\n"
-              "per-point re-evaluation from t=0.\n\n");
+  std::printf("\nReading: one Poisson expansion over the 24 h window serves every grid\n"
+              "point, so the matvec total is the same for every grid density — only the\n"
+              "per-term weighting into the grid points grows with it.\n\n");
 }
 
 // The asserted workspace-reuse study: fresh solver (generator + uniformized

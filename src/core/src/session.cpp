@@ -451,13 +451,6 @@ std::vector<EvalReport> Session::evaluate_transient_batch(
   avail::TransientCoaOptions options;
   options.uniformization = engine.uniformization;
   options.reachability = engine.reachability;
-  if (engine.parallel && options.uniformization.reduction_threads <= 1) {
-    // The batch solve is one job, so run_batch's design fan-out never covers
-    // it — give the panel reductions the engine's thread budget instead.
-    const unsigned hw = std::thread::hardware_concurrency();
-    options.uniformization.reduction_threads =
-        engine.threads != 0 ? engine.threads : (hw != 0 ? hw : 1);
-  }
   const std::vector<avail::CoaCurveEvaluation> evals = avail::transient_coa_batch(
       design, agg.rates, grid, waves, options, &workspaces_for_this_thread().transient);
 

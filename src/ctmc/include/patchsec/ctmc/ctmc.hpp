@@ -28,7 +28,8 @@ struct RateTransition {
 };
 
 /// Finite CTMC.  States are created first (optionally labeled), then
-/// transitions added; the generator is assembled lazily and cached.
+/// transitions added.  The transition list is the only stored form:
+/// generator() assembles a fresh CSR matrix on every call.
 class Ctmc {
  public:
   Ctmc() = default;
@@ -74,8 +75,9 @@ class Ctmc {
       const std::vector<double>& rewards,
       const linalg::SteadyStateOptions& options = {}) const;
 
-  /// Total exit rate of a state (sum of outgoing rates).
-  [[nodiscard]] double exit_rate(StateIndex s) const;
+  /// Total exit rate of every state (sum of outgoing rates, added in
+  /// transition order), in one pass over the transition list.
+  [[nodiscard]] std::vector<double> exit_rates() const;
 
   /// States reachable from `start` following positive-rate transitions.
   [[nodiscard]] std::vector<bool> reachable_from(StateIndex start) const;

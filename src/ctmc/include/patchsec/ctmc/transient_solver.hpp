@@ -26,12 +26,13 @@
 ///    refreshes values in place (no allocation) — the schedule-sweep path,
 ///    where only rates change between cadences;
 ///  * all per-evaluation scratch (the power-iterate vectors, the Poisson
-///    weight window) lives in the workspace, so evaluating a whole curve
-///    performs no per-time-point allocations once warm;
-///  * reward_curve() steps between ascending grid points — pi(t_j) is
-///    advanced from pi(t_{j-1}) with a fresh Poisson window over
-///    Lambda * (t_j - t_{j-1}) — so a G-point curve costs O(Lambda * t_G)
-///    matrix-vector products in total, not O(G * Lambda * t_G).
+///    weight windows, the per-point reward sums) lives in the workspace, so
+///    evaluating a whole curve allocates no scratch once warm;
+///  * reward_curve() expands ONE Poisson series over the whole grid: each
+///    term's reward dot d_k = r . pi(0) P^k feeds every grid point whose
+///    window over Lambda * t_j holds k, so a G-point curve costs exactly the
+///    right_point(Lambda * t_G) sweeps of distribution_at(t_G) — independent
+///    of G — and pi(t_j) is never materialized.
 ///
 /// A TransientSolver is NOT thread-safe; hold one per thread
 /// (core::Session keeps one per worker thread, like StationarySolver).
@@ -61,18 +62,12 @@ struct TransientOptions {
               ///< the reference trajectory (and the portable worst case).
   };
   Kernel kernel = Kernel::kAuto;
-
-  /// Worker threads for the per-grid-point reward reductions over a panel in
-  /// reward_curve_multi (1 = serial).  Each panel column's dot product is
-  /// computed whole, in fixed state order, by exactly one thread — results
-  /// are bit-identical for every thread count.
-  std::size_t reduction_threads = 1;
 };
 
 /// How the last evaluation went: the uniformization constant, the Fox-Glynn
 /// window, and the work performed.  Counters accumulate over every
-/// evaluation since the last prepare() (a stepped curve adds each step's
-/// window), so they measure the full cost of a curve.
+/// evaluation since the last prepare(); a curve's window is that of its last
+/// grid point t_G, and its sweeps are that window's right_point.
 struct TransientDiagnostics {
   double uniformization_rate = 0.0;  ///< Lambda.
   std::size_t left_point = 0;        ///< Fox-Glynn left truncation of the last window.
@@ -121,9 +116,12 @@ class TransientSolver {
                                           const std::vector<double>& rewards, double t);
 
   /// The reward curve r . pi(t_j) over an ascending (non-negative,
-  /// non-decreasing) time grid, stepping between points; `values` is resized
-  /// to the grid.  Returns the accumulated reward int_0^{t_back} r . pi(s) ds
-  /// — both measures ride the same vector iterations.
+  /// non-decreasing) time grid; `values` is resized to the grid.  Returns the
+  /// accumulated reward int_0^{t_back} r . pi(s) ds.  Both measures ride one
+  /// expansion of the t_back window: every term's reward dot is weighted into
+  /// each grid point whose own window holds it, so the sweep count does not
+  /// grow with the grid.  `initial` is divided by its mass (throws
+  /// std::domain_error when that is not positive and finite).
   double reward_curve(const std::vector<double>& initial, const std::vector<double>& rewards,
                       const std::vector<double>& time_points, std::vector<double>& values);
 
@@ -132,10 +130,12 @@ class TransientSolver {
   /// so every expansion term costs ONE sweep over the matrix instead of B
   /// (diagnostics().matvec_count counts sweeps; rhs_count records B).
   /// `curves[b][j]` receives r . pi_b(t_j); the return value is the per-b
-  /// accumulated reward.  Agreement with B sequential reward_curve calls is
-  /// documented at ~1e-12 (the panel kernel reduces in a different
-  /// association order).  Under TransientOptions::Kernel::kScalar the call
-  /// degrades to exactly those sequential solves (the reference mode).
+  /// accumulated reward.  Each column's arithmetic is independent of B, so a
+  /// column is bit-identical to its initial solved as a width-1 panel.
+  /// Agreement with B sequential reward_curve calls is documented at ~1e-12
+  /// (the panel kernel reduces in a different association order).  Under
+  /// TransientOptions::Kernel::kScalar the call degrades to exactly those
+  /// sequential solves (the reference mode).
   std::vector<double> reward_curve_multi(const std::vector<std::vector<double>>& initials,
                                          const std::vector<double>& rewards,
                                          const std::vector<double>& time_points,
@@ -174,16 +174,17 @@ class TransientSolver {
   void step(std::vector<double>& state, const std::vector<double>* rewards, double dt,
             double* accumulated);
 
-  /// Panel counterpart of step(): advance the column-major m-wide `panel`
-  /// (element (b, s) at panel[s*m + b], every column a distribution) by dt,
-  /// adding each column's accumulated reward into accumulated[0..m).
-  void step_panel(std::vector<double>& panel, std::size_t m, const std::vector<double>& rewards,
-                  double dt, double* accumulated);
+  /// next_ = term_ * P by the historical scalar CSR pass (Kernel::kScalar).
+  void scalar_sweep();
 
-  /// out[b] = dot(panel column b, rewards), threaded per column when
-  /// options_.reduction_threads > 1 (bit-identical either way).
-  void panel_column_dots(const std::vector<double>& panel, std::size_t m,
-                         const std::vector<double>& rewards, std::vector<double>& out) const;
+  /// The single pass behind reward_curve (m = 1 through SpmvKernel::step, or
+  /// the scalar pass under kScalar) and reward_curve_multi (panel = true,
+  /// SpmvKernel::step_panel for any m).  term_ holds the column-major m-wide
+  /// initial panel on entry; on return curve_sums_[j*m + b] holds
+  /// r . pi_b(t_j) and accumulated[0..m) the per-column accumulated reward,
+  /// both divided by the initial column mass.
+  void expand_curves(std::size_t m, bool panel, const std::vector<double>& rewards,
+                     const std::vector<double>& time_points, double* accumulated);
 
   /// Compile (or value-refresh) kernel_ from the cached uniformized matrix.
   void ensure_kernel();
@@ -212,16 +213,25 @@ class TransientSolver {
   std::vector<double> accum_;
   std::vector<double> state_;
 
-  // SIMD kernel workspace over P (compiled lazily on the first kAuto step
-  // after a prepare(), so kScalar evaluations never pay the layout build)
-  // and the panel-stepping scratch.
+  // Curve scratch: every grid point's Poisson window (weights packed into
+  // grid_weights_), the per-(point, column) reward sums, the per-term column
+  // dots and the initial column masses.
+  struct GridWindow {
+    std::size_t left = 0;
+    std::size_t right = 0;
+    std::size_t offset = 0;  ///< index of weight `left` in grid_weights_.
+  };
+  std::vector<GridWindow> grid_windows_;
+  std::vector<double> grid_weights_;
+  std::vector<double> curve_sums_;
+  std::vector<double> dots_;
+  std::vector<double> column_mass_;
+
+  // SIMD kernel workspace over P (compiled lazily on the first kAuto
+  // evaluation after a prepare(), so kScalar evaluations never pay the
+  // layout build).
   linalg::SpmvKernel kernel_;
   bool kernel_fresh_ = false;
-  std::vector<double> panel_term_;
-  std::vector<double> panel_next_;
-  std::vector<double> panel_accum_;
-  std::vector<double> panel_dots_;
-  std::vector<double> panel_sums_;
 
   std::size_t builds_ = 0;
   std::size_t reuses_ = 0;

@@ -111,13 +111,10 @@ double Ctmc::expected_steady_state_reward(const std::vector<double>& rewards,
   return linalg::dot(ss.distribution, rewards);
 }
 
-double Ctmc::exit_rate(StateIndex s) const {
-  if (s >= state_count()) throw std::out_of_range("Ctmc::exit_rate");
-  double acc = 0.0;
-  for (const RateTransition& t : transitions_) {
-    if (t.from == s) acc += t.rate;
-  }
-  return acc;
+std::vector<double> Ctmc::exit_rates() const {
+  std::vector<double> rates(state_count(), 0.0);
+  for (const RateTransition& t : transitions_) rates[t.from] += t.rate;
+  return rates;
 }
 
 std::vector<bool> Ctmc::reachable_from(StateIndex start) const {

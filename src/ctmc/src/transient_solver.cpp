@@ -1,12 +1,9 @@
 #include "patchsec/ctmc/transient_solver.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
-#include <system_error>
-#include <thread>
 
 #include "patchsec/linalg/vector_ops.hpp"
 
@@ -18,6 +15,17 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/// A curve grid must be non-empty, non-negative and ascending.
+void check_grid(const std::vector<double>& time_points) {
+  if (time_points.empty()) throw std::invalid_argument("TransientSolver: empty time grid");
+  double previous = 0.0;
+  for (const double t : time_points) {
+    if (t < 0.0) throw std::invalid_argument("TransientSolver: negative time point");
+    if (t < previous) throw std::invalid_argument("TransientSolver: time grid must be ascending");
+    previous = t;
+  }
 }
 
 }  // namespace
@@ -42,7 +50,7 @@ void TransientSolver::prepare(const Ctmc& chain) {
   // stays positive (all entries of P are then non-negative — no clamping is
   // ever needed in the power iteration).
   double max_exit = 0.0;
-  for (std::size_t s = 0; s < states_; ++s) max_exit = std::max(max_exit, chain.exit_rate(s));
+  for (const double rate : chain.exit_rates()) max_exit = std::max(max_exit, rate);
   lambda_ = max_exit * 1.02;
 
   // Assemble P = I + Q/Lambda row by row.  Q rows are sorted; the diagonal
@@ -177,6 +185,21 @@ void TransientSolver::poisson_window(double m) {
   diagnostics_.poisson_mass = mass_;
 }
 
+void TransientSolver::scalar_sweep() {
+  // next_ <- term_ * P (row-vector times CSR matrix).  The zero-skip stays
+  // here deliberately: delta initial distributions keep early iterates
+  // genuinely sparse, and this loop is the historical reference trajectory
+  // (TransientOptions::Kernel::kScalar) — bit-exact across releases.
+  next_.assign(states_, 0.0);
+  for (std::size_t row = 0; row < states_; ++row) {
+    const double v = term_[row];
+    if (v == 0.0) continue;
+    for (std::size_t idx = p_row_offsets_[row]; idx < p_row_offsets_[row + 1]; ++idx) {
+      next_[p_col_indices_[idx]] += v * p_values_[idx];
+    }
+  }
+}
+
 void TransientSolver::step(std::vector<double>& state, const std::vector<double>* rewards,
                            double dt, double* accumulated) {
   if (dt <= 0.0) return;
@@ -231,19 +254,7 @@ void TransientSolver::step(std::vector<double>& state, const std::vector<double>
         *accumulated += survival * linalg::dot(term_, *rewards) / lambda_;
       }
       if (k >= right_) break;
-      // term <- term * P (row-vector times CSR matrix).  The zero-skip stays
-      // here deliberately: delta initial distributions keep early iterates
-      // genuinely sparse, and this loop is the historical reference
-      // trajectory (TransientOptions::Kernel::kScalar) — bit-exact across
-      // releases.
-      next_.assign(states_, 0.0);
-      for (std::size_t row = 0; row < states_; ++row) {
-        const double v = term_[row];
-        if (v == 0.0) continue;
-        for (std::size_t idx = p_row_offsets_[row]; idx < p_row_offsets_[row + 1]; ++idx) {
-          next_[p_col_indices_[idx]] += v * p_values_[idx];
-        }
-      }
+      scalar_sweep();
       term_.swap(next_);
       ++diagnostics_.matvec_count;
     }
@@ -254,98 +265,92 @@ void TransientSolver::step(std::vector<double>& state, const std::vector<double>
   state = accum_;
 }
 
-void TransientSolver::step_panel(std::vector<double>& panel, std::size_t m,
-                                 const std::vector<double>& rewards, double dt,
-                                 double* accumulated) {
-  if (dt <= 0.0) return;
-  if (lambda_ <= 0.0) {
-    panel_column_dots(panel, m, rewards, panel_dots_);
-    for (std::size_t b = 0; b < m; ++b) accumulated[b] += panel_dots_[b] * dt;
-    return;
+void TransientSolver::expand_curves(std::size_t m, bool panel, const std::vector<double>& rewards,
+                                    const std::vector<double>& time_points,
+                                    double* accumulated) {
+  // Column masses of the initial panel: the zero-mass check, and the divisor
+  // that makes the result a distribution's reward (exactly 1.0 — a no-op —
+  // for a delta initial).
+  column_mass_.assign(m, 0.0);
+  for (std::size_t s = 0; s < states_; ++s) {
+    for (std::size_t b = 0; b < m; ++b) column_mass_[b] += term_[s * m + b];
   }
-  poisson_window(lambda_ * dt);
+  for (const double mass : column_mass_) {
+    if (!(mass > 0.0) || !std::isfinite(mass)) {
+      throw std::domain_error("TransientSolver: initial column has no probability mass");
+    }
+  }
 
-  panel_term_ = panel;
-  panel_accum_.assign(panel.size(), 0.0);
-  panel_next_.resize(panel.size());
-  panel_dots_.resize(m);
-  double cumulative = 0.0;
+  // Every grid point's Poisson window over Lambda * t_j, from 0.  The last
+  // one computed — t_G's, the widest — stays in weights_/left_/right_ and
+  // drives both the sweep count and the accumulated-reward survival.
+  const std::size_t points = time_points.size();
+  grid_windows_.clear();
+  grid_weights_.clear();
+  for (const double t : time_points) {
+    poisson_window(lambda_ * t);
+    grid_windows_.push_back({left_, right_, grid_weights_.size()});
+    grid_weights_.insert(grid_weights_.end(), weights_.begin(), weights_.end());
+  }
+
+  const bool scalar = options_.kernel == TransientOptions::Kernel::kScalar;
+  if (scalar) {
+    diagnostics_.kernel = "csr-scalar";
+  } else {
+    ensure_kernel();
+    diagnostics_.kernel = kernel_.kernel_name();
+  }
+  diagnostics_.rhs_count = std::max(diagnostics_.rhs_count, m);
+  curve_sums_.assign(points * m, 0.0);
+  dots_.resize(m);
+  next_.resize(states_ * m);
+  std::fill_n(accumulated, m, 0.0);
+  const double* r = rewards.data();
+  double cumulative = 0.0;  // F_G(k): Poisson CDF over the t_G window
   for (std::size_t k = 0;; ++k) {
-    const double weight = k >= left_ ? weights_[k - left_] : 0.0;
+    // d_k = r . pi_0 P^k per column, from the same traversal that forms
+    // P^{k+1} (weight 0, no accumulator: pi(t_j) is never materialized).
     const bool last = k >= right_;
-    if (last) {
-      kernel_.reduce_panel(panel_term_.data(), m, weight, panel_accum_.data(), rewards.data(),
-                           panel_dots_.data());
+    if (scalar) {
+      dots_[0] = linalg::dot(term_, rewards);
+      if (!last) scalar_sweep();
+    } else if (panel) {
+      if (last) {
+        kernel_.reduce_panel(term_.data(), m, 0.0, nullptr, r, dots_.data());
+      } else {
+        kernel_.step_panel(term_.data(), next_.data(), m, 0.0, nullptr, r, dots_.data());
+      }
     } else {
-      kernel_.step_panel(panel_term_.data(), panel_next_.data(), m, weight,
-                         panel_accum_.data(), rewards.data(), panel_dots_.data());
+      dots_[0] = last ? kernel_.reduce(term_.data(), 0.0, nullptr, r)
+                      : kernel_.step(term_.data(), next_.data(), 0.0, nullptr, r);
     }
-    cumulative += weight;
-    const double survival = std::max(0.0, 1.0 - cumulative);
-    for (std::size_t b = 0; b < m; ++b) accumulated[b] += survival * panel_dots_[b] / lambda_;
+    // r . pi(t_j) = sum_k w_j(k) d_k over every window that holds k.
+    for (std::size_t j = 0; j < points; ++j) {
+      const GridWindow& window = grid_windows_[j];
+      if (k < window.left || k > window.right) continue;
+      const double weight = grid_weights_[window.offset + (k - window.left)];
+      double* sums = curve_sums_.data() + j * m;
+      for (std::size_t b = 0; b < m; ++b) sums[b] += weight * dots_[b];
+    }
+    cumulative += k >= left_ ? weights_[k - left_] : 0.0;
+    for (std::size_t b = 0; b < m; ++b) {
+      if (lambda_ > 0.0) {
+        // int_0^{t_G} Poisson(k; Lambda s) ds = (1 - F_G(k)) / Lambda.
+        const double survival = std::max(0.0, 1.0 - cumulative);
+        accumulated[b] += survival * dots_[b] / lambda_;
+      } else {
+        accumulated[b] = dots_[b] * time_points.back();  // frozen chain
+      }
+    }
     if (last) break;
-    panel_term_.swap(panel_next_);
-    ++diagnostics_.matvec_count;  // one SWEEP advances all m columns
+    term_.swap(next_);
+    ++diagnostics_.matvec_count;
   }
-  // Per-column round-off/truncation guard, the panel counterpart of
-  // linalg::normalize_probability.
-  panel_sums_.assign(m, 0.0);
-  for (std::size_t s = 0; s < states_; ++s) {
-    const double* row = panel_accum_.data() + s * m;
-    for (std::size_t b = 0; b < m; ++b) panel_sums_[b] += row[b];
-  }
-  for (std::size_t b = 0; b < m; ++b) {
-    if (!(panel_sums_[b] > 0.0)) {
-      throw std::domain_error("TransientSolver: panel column has no probability mass");
-    }
-    panel_sums_[b] = 1.0 / panel_sums_[b];
-  }
-  for (std::size_t s = 0; s < states_; ++s) {
-    double* row = panel_accum_.data() + s * m;
-    for (std::size_t b = 0; b < m; ++b) row[b] *= panel_sums_[b];
-  }
-  panel = panel_accum_;
-}
 
-void TransientSolver::panel_column_dots(const std::vector<double>& panel, std::size_t m,
-                                        const std::vector<double>& rewards,
-                                        std::vector<double>& out) const {
-  out.assign(m, 0.0);
-  const auto column_dot = [&](std::size_t b) {
-    double acc = 0.0;
-    const double* x = panel.data();
-    for (std::size_t s = 0; s < rewards.size(); ++s) acc += x[s * m + b] * rewards[s];
-    out[b] = acc;
-  };
-  const std::size_t threads =
-      std::min<std::size_t>(std::max<std::size_t>(options_.reduction_threads, 1), m);
-  if (threads <= 1) {
-    for (std::size_t b = 0; b < m; ++b) column_dot(b);
-    return;
+  for (std::size_t b = 0; b < m; ++b) {
+    accumulated[b] /= column_mass_[b];
+    for (std::size_t j = 0; j < points; ++j) curve_sums_[j * m + b] /= column_mass_[b];
   }
-  // core::Session's worker-pool shape: an atomic cursor over the columns,
-  // each column's dot computed whole (fixed state order) by exactly one
-  // thread — bit-identical results for any thread count, and trivially
-  // race-free (disjoint out[b] writes, join before any read).
-  std::atomic<std::size_t> cursor{0};
-  const auto drain = [&] {
-    for (;;) {
-      const std::size_t b = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (b >= m) return;
-      column_dot(b);
-    }
-  };
-  std::vector<std::thread> workers;
-  workers.reserve(threads - 1);
-  for (std::size_t i = 0; i + 1 < threads; ++i) {
-    try {
-      workers.emplace_back(drain);
-    } catch (const std::system_error&) {
-      break;  // thread exhaustion: the inline drain below picks up the rest
-    }
-  }
-  drain();
-  for (std::thread& w : workers) w.join();
 }
 
 std::vector<double> TransientSolver::reward_curve_multi(
@@ -361,51 +366,33 @@ std::vector<double> TransientSolver::reward_curve_multi(
   if (rewards.size() != states_) {
     throw std::invalid_argument("TransientSolver: reward size mismatch");
   }
-  if (time_points.empty()) throw std::invalid_argument("TransientSolver: empty time grid");
-  double previous = 0.0;
-  for (double t : time_points) {
-    if (t < 0.0) throw std::invalid_argument("TransientSolver: negative time point");
-    if (t < previous) throw std::invalid_argument("TransientSolver: time grid must be ascending");
-    previous = t;
-  }
+  check_grid(time_points);
 
   const std::size_t m = initials.size();
   std::vector<double> accumulated(m, 0.0);
-  curves.assign(m, std::vector<double>(time_points.size(), 0.0));
+  curves.resize(m);
 
   if (options_.kernel == TransientOptions::Kernel::kScalar) {
     // Reference mode: the panel degrades to sequential single-vector curves
     // (each one the bit-exact historical trajectory).
-    std::vector<double> values;
     for (std::size_t b = 0; b < m; ++b) {
-      accumulated[b] = reward_curve(initials[b], rewards, time_points, values);
-      curves[b] = values;
+      accumulated[b] = reward_curve(initials[b], rewards, time_points, curves[b]);
     }
     return accumulated;
   }
 
   const auto start = Clock::now();
-  ensure_kernel();
-  diagnostics_.kernel = kernel_.kernel_name();
-  diagnostics_.rhs_count = std::max(diagnostics_.rhs_count, m);
-
   // Interleave the initials into the column-major panel: element (b, s) at
-  // panel[s*m + b], so the kernel's per-entry FMA runs over contiguous RHSes.
-  panel_next_.resize(states_ * m);  // borrowed as the interleave target
+  // term_[s*m + b], so the kernel's per-entry FMA runs over contiguous RHSes.
+  term_.resize(states_ * m);
   for (std::size_t b = 0; b < m; ++b) {
-    for (std::size_t s = 0; s < states_; ++s) panel_next_[s * m + b] = initials[b][s];
+    for (std::size_t s = 0; s < states_; ++s) term_[s * m + b] = initials[b][s];
   }
-  std::vector<double> panel = std::move(panel_next_);
-  panel_next_ = std::vector<double>();
-
-  previous = 0.0;
-  for (std::size_t j = 0; j < time_points.size(); ++j) {
-    step_panel(panel, m, rewards, time_points[j] - previous, accumulated.data());
-    panel_column_dots(panel, m, rewards, panel_dots_);
-    for (std::size_t b = 0; b < m; ++b) curves[b][j] = panel_dots_[b];
-    previous = time_points[j];
+  expand_curves(m, true, rewards, time_points, accumulated.data());
+  for (std::size_t b = 0; b < m; ++b) {
+    curves[b].resize(time_points.size());
+    for (std::size_t j = 0; j < time_points.size(); ++j) curves[b][j] = curve_sums_[j * m + b];
   }
-  panel_next_ = std::move(panel);  // hand the buffer back to the workspace
   diagnostics_.wall_time_seconds += seconds_since(start);
   return accumulated;
 }
@@ -455,24 +442,12 @@ double TransientSolver::reward_curve(const std::vector<double>& initial,
   if (initial.size() != states_ || rewards.size() != states_) {
     throw std::invalid_argument("TransientSolver: initial/reward size mismatch");
   }
-  if (time_points.empty()) throw std::invalid_argument("TransientSolver: empty time grid");
+  check_grid(time_points);
   const auto start = Clock::now();
-  double previous = 0.0;
-  for (double t : time_points) {
-    if (t < 0.0) throw std::invalid_argument("TransientSolver: negative time point");
-    if (t < previous) throw std::invalid_argument("TransientSolver: time grid must be ascending");
-    previous = t;
-  }
-
-  values.resize(time_points.size());
-  state_ = initial;
+  term_ = initial;
   double accumulated = 0.0;
-  previous = 0.0;
-  for (std::size_t j = 0; j < time_points.size(); ++j) {
-    step(state_, &rewards, time_points[j] - previous, &accumulated);
-    values[j] = linalg::dot(state_, rewards);
-    previous = time_points[j];
-  }
+  expand_curves(1, false, rewards, time_points, &accumulated);
+  values.assign(curve_sums_.begin(), curve_sums_.end());
   diagnostics_.wall_time_seconds += seconds_since(start);
   return accumulated;
 }

@@ -546,10 +546,8 @@ const std::pair<std::vector<double>, std::vector<double>>& gauss_legendre_16() {
 }
 
 double max_exit_rate(const ctmc::Ctmc& chain) {
-  std::vector<double> exit(chain.state_count(), 0.0);
-  for (const ctmc::RateTransition& t : chain.transitions()) exit[t.from] += t.rate;
   double best = 0.0;
-  for (const double e : exit) best = std::max(best, e);
+  for (const double e : chain.exit_rates()) best = std::max(best, e);
   return best;
 }
 

@@ -23,9 +23,7 @@
 ///    parallel == serial is asserted in test_session),
 ///    SimulationOptions::threads (replication estimates are counter-seeded
 ///    per replication and bit-identical across thread counts — asserted in
-///    test_sim and the sim_replications_threaded8 bench row),
-///    TransientOptions::reduction_threads (panel reward reductions are
-///    bit-identical per column — asserted in test_spmv_kernel), and
+///    test_sim and the sim_replications_threaded8 bench row), and
 ///    ReachabilityOptions::reserve_markings (a capacity hint).  The kernel
 ///    selector (kAuto vs kScalar) IS hashed: the SIMD panel path reduces in
 ///    a different association order, so its curves differ from scalar ones

@@ -131,7 +131,7 @@ void append_engine_options(HashStream& h, const core::EngineOptions& engine) {
     h.u32(down);
   }
   // Uniformization truncation + kernel selector (kAuto's panel path differs
-  // from kScalar at the ulp level — reduction_threads alone is excluded).
+  // from kScalar at the ulp level).
   h.f64(engine.uniformization.epsilon);
   h.u64(engine.uniformization.max_terms);
   h.u8(static_cast<std::uint8_t>(engine.uniformization.kernel));

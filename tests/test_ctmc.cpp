@@ -75,8 +75,10 @@ TEST(Ctmc, ExitRate) {
   c.add_states(3);
   c.add_transition(0, 1, 2.0);
   c.add_transition(0, 2, 3.0);
-  EXPECT_DOUBLE_EQ(c.exit_rate(0), 5.0);
-  EXPECT_DOUBLE_EQ(c.exit_rate(1), 0.0);
+  const std::vector<double> exits = c.exit_rates();
+  ASSERT_EQ(exits.size(), 3u);
+  EXPECT_DOUBLE_EQ(exits[0], 5.0);
+  EXPECT_DOUBLE_EQ(exits[1], 0.0);
 }
 
 TEST(Ctmc, ReachabilityAndIrreducibility) {

@@ -1,7 +1,8 @@
 // Tests for the uniformization workspace (ctmc::TransientSolver): closed
 // forms, an in-test naive-uniformization oracle (the pre-workspace algorithm
 // kept verbatim as reference), Fox-Glynn window behaviour, the exact
-// accumulated-reward series, curve stepping, and workspace reuse.
+// accumulated-reward series, the single-expansion curve path and its
+// sweep/prepare guards, and workspace reuse.
 
 #include <gtest/gtest.h>
 
@@ -32,7 +33,7 @@ std::vector<double> naive_transient(const ct::Ctmc& chain, const std::vector<dou
   const std::size_t n = chain.state_count();
   if (t == 0.0) return initial;
   double max_exit = 0.0;
-  for (std::size_t s = 0; s < n; ++s) max_exit = std::max(max_exit, chain.exit_rate(s));
+  for (const double rate : chain.exit_rates()) max_exit = std::max(max_exit, rate);
   const double lambda = std::max(max_exit * 1.02, 1e-12);
   const la::CsrMatrix q = chain.generator();
   const double m = lambda * t;
@@ -168,8 +169,8 @@ TEST(TransientSolver, AccumulatedMatchesFineQuadratureOfInstantaneous) {
 }
 
 TEST(TransientSolver, CurveMatchesIndependentPointEvaluations) {
-  // Stepping through the grid must agree with evaluating each point from
-  // t = 0 — the Markov-property consistency of the curve path.
+  // The one-expansion curve must agree with evaluating each point from
+  // t = 0 on its own.
   const ct::Ctmc c = random_chain(8, 5);
   ct::TransientSolver solver;
   solver.prepare(c);
@@ -226,6 +227,84 @@ TEST(TransientSolver, MaxTermsOverflowThrows) {
   solver.prepare(c);
   std::vector<double> pi;
   EXPECT_THROW(solver.distribution_at({1.0, 0.0}, 10.0, pi), std::runtime_error);
+}
+
+TEST(TransientSolver, MaxTermsBoundsACurveLikeItsLastPoint) {
+  // One expansion of the t_G window serves the whole curve, so max_terms
+  // caps a curve exactly where it caps distribution_at(t_G), however short
+  // the gaps between its grid points.
+  ct::TransientOptions options;
+  options.max_terms = 60;
+  ct::TransientSolver solver(options);
+  solver.prepare(up_down(1.0, 1.0));
+  const auto unit_grid = [](double horizon) {
+    std::vector<double> grid;
+    for (double t = 1.0; t <= horizon; t += 1.0) grid.push_back(t);
+    return grid;
+  };
+  std::vector<double> pi;
+  std::vector<double> values;
+  EXPECT_NO_THROW(solver.distribution_at({1.0, 0.0}, 5.0, pi));
+  EXPECT_NO_THROW((void)solver.reward_curve({1.0, 0.0}, {1.0, 0.0}, unit_grid(5.0), values));
+  EXPECT_THROW(solver.distribution_at({1.0, 0.0}, 40.0, pi), std::runtime_error);
+  EXPECT_THROW((void)solver.reward_curve({1.0, 0.0}, {1.0, 0.0}, unit_grid(40.0), values),
+               std::runtime_error);
+}
+
+TEST(TransientSolver, CurveSweepsDoNotGrowWithTheGrid) {
+  // Asymptotic guard, by counter: one Poisson expansion serves the whole
+  // grid, so 2-, 16- and 161-point grids over the same horizon sweep the
+  // matrix exactly right_point(Lambda * t_G) times — the cost of
+  // distribution_at(t_G) alone.
+  const ct::Ctmc c = random_chain(9, 7);
+  std::vector<double> initial(9, 0.0);
+  initial[4] = 1.0;
+  std::vector<double> rewards(9, 0.0);
+  rewards[0] = rewards[2] = 1.0;
+  const double horizon = 24.0;
+
+  ct::TransientSolver solver;
+  solver.prepare(c);
+  std::vector<double> pi;
+  solver.distribution_at(initial, horizon, pi);
+  const std::size_t right_point = solver.diagnostics().right_point;
+  ASSERT_EQ(solver.diagnostics().matvec_count, right_point);
+  ASSERT_GT(right_point, 100u);
+
+  for (std::size_t points : {2u, 16u, 161u}) {
+    std::vector<double> grid(points);
+    for (std::size_t j = 0; j < points; ++j) {
+      grid[j] = horizon * static_cast<double>(j) / static_cast<double>(points - 1);
+    }
+    solver.prepare(c);  // resets the counters
+    std::vector<double> values;
+    (void)solver.reward_curve(initial, rewards, grid, values);
+    EXPECT_EQ(solver.diagnostics().matvec_count, right_point) << points << " points";
+    EXPECT_EQ(solver.diagnostics().right_point, right_point) << points << " points";
+
+    solver.prepare(c);
+    std::vector<std::vector<double>> curves;
+    (void)solver.reward_curve_multi({initial, initial, initial}, rewards, grid, curves);
+    EXPECT_EQ(solver.diagnostics().matvec_count, right_point) << points << "-point panel";
+  }
+}
+
+TEST(TransientSolver, PrepareIsLinearInTransitions) {
+  // Asymptotic guard: prepare() reads every exit rate off one pass over the
+  // transition list.  A per-state scan of that list would make ~5e11
+  // transition visits on this chain, far past the suite's timeout.
+  const std::size_t n = 500'000;
+  ct::Ctmc c;
+  c.reserve(n, 2 * n);
+  c.add_states(n);
+  for (std::size_t s = 0; s + 1 < n; ++s) {
+    c.add_transition(s, s + 1, 1.0);
+    c.add_transition(s + 1, s, 2.0);
+  }
+  ct::TransientSolver solver;
+  solver.prepare(c);
+  EXPECT_EQ(solver.state_count(), n);
+  EXPECT_DOUBLE_EQ(solver.diagnostics().uniformization_rate, 3.0 * 1.02);
 }
 
 TEST(TransientSolver, WorkspaceReusesStructureAcrossRateChanges) {
