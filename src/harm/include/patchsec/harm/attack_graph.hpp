@@ -5,6 +5,7 @@
 
 #include <cstddef>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace patchsec::harm {
@@ -18,27 +19,33 @@ using GraphNodeId = std::size_t;
 /// has k_dns*k_web*k_app*k_db + k_web*k_app*k_db ~ k^4 + k^3 paths (every
 /// instance combination along each role sequence is its own simple path), so
 /// a k = 50 fleet already exceeds six million paths.  The cap bounds the
-/// *materialized* paths; `truncate` picks what happens beyond it.
+/// paths a walk *delivers*; `truncate` picks what happens beyond it.
+///
+/// Only the collectors (`enumerate_attack_paths`, `Harm::attack_paths`)
+/// materialize delivered paths.  The metrics (`Harm::evaluate`) and the path
+/// classes (`aggregate_path_classes`) fold each path into their totals while
+/// one iterative DFS walks it, in O(depth) memory whatever the path count.
 struct PathEnumerationOptions {
-  /// Materialized-path bound.  With `truncate == false` exceeding it throws
+  /// Delivered-path bound.  With `truncate == false` exceeding it throws
   /// std::runtime_error (the historical behaviour); with `truncate == true`
-  /// enumeration keeps only the first `max_paths` paths in DFS order and
-  /// *counts* the remainder instead of storing them — time still grows with
-  /// the total path count, but memory and downstream metric cost are capped
-  /// and the truncation is observable, never silent.
+  /// only the first `max_paths` paths in DFS order are delivered and the
+  /// remainder is *counted* instead — time still grows with the total path
+  /// count, but collector memory and fold work are capped and the
+  /// truncation is observable, never silent.
   std::size_t max_paths = 1'000'000;
   bool truncate = false;
 };
 
 /// Diagnostics of one enumeration: how many simple paths exist and how many
-/// were dropped by the cap (materialized = enumerated - truncated).
+/// were dropped by the cap (delivered = enumerated - truncated).
 struct PathEnumerationStats {
   std::size_t enumerated = 0;  ///< total simple paths found by the DFS.
-  std::size_t truncated = 0;   ///< paths counted but not materialized.
+  std::size_t truncated = 0;   ///< paths counted but not delivered.
 };
 
 /// Directed graph with one distinguished attacker node and one or more
-/// target nodes.  Node identity is by index; names are for reporting.
+/// target nodes.  Node identity is by index; names are unique and looked up
+/// through a hash index.
 class AttackGraph {
  public:
   AttackGraph() = default;
@@ -76,6 +83,7 @@ class AttackGraph {
 
  private:
   std::vector<std::string> names_;
+  std::unordered_map<std::string, GraphNodeId> index_;  // name -> node
   std::vector<std::vector<GraphNodeId>> adjacency_;
   std::vector<GraphNodeId> targets_;
   GraphNodeId attacker_ = static_cast<GraphNodeId>(-1);

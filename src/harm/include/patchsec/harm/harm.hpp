@@ -55,7 +55,7 @@ class Harm {
   [[nodiscard]] double node_impact(GraphNodeId node) const;
   [[nodiscard]] double node_probability(GraphNodeId node) const;
 
-  /// All attack paths with per-path metrics.
+  /// All attack paths with per-path metrics, materialized in DFS order.
   [[nodiscard]] std::vector<AttackPath> attack_paths() const;
 
   /// Attack paths under an explicit enumeration cap policy; `stats`
@@ -65,7 +65,9 @@ class Harm {
 
   /// Network-level metrics.  A HARM with no attack path reports AIM = 0 and
   /// ASP = 0 (nothing reaches the target) while NoEV still counts leftover
-  /// exploitable vulnerabilities on all servers.
+  /// exploitable vulnerabilities on all servers.  The path metrics are
+  /// folded while the attack-path DFS walks, with every AT root evaluated
+  /// once per node; no path list is built.
   [[nodiscard]] SecurityMetrics evaluate() const;
 
   /// Network-level metrics under an explicit enumeration cap policy: with

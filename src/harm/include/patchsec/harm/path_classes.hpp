@@ -18,6 +18,12 @@
 /// instance paths, not label sequences), which is what lets a game's
 /// attacker allocate effort over classes while the defender moves through a
 /// design grid.
+///
+/// Cost: one walk of the attack-path DFS that folds each path into its class
+/// as it is reached.  Per graph node the label, the AT impact and the AT
+/// probability are computed once; per path the fold is O(1) — a class is
+/// keyed by a label-prefix trie node carried on the DFS stack, not by a
+/// per-path string vector.  No instance path is materialized.
 
 #include <functional>
 #include <string>
@@ -44,8 +50,10 @@ struct PathClass {
 
 /// Group the model's attack paths by the label sequence `label` assigns to
 /// their nodes (e.g. the lower-cased role name for enterprise networks) and
-/// aggregate per-class metrics.  Classes come back sorted by signature
-/// (lexicographic) so the order is canonical across designs and runs.
+/// aggregate per-class metrics.  `label` is called exactly once per graph
+/// node, the attacker included, before the walk.  Classes come back sorted
+/// by signature (lexicographic) so the order is canonical across designs
+/// and runs.
 /// `stats` (optional) reports the enumeration totals, including any paths
 /// the cap truncated — truncated paths are missing from the classes exactly
 /// as they are missing from SecurityMetrics.

@@ -1,15 +1,16 @@
 #include "patchsec/harm/attack_graph.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <stdexcept>
+
+#include "path_walk.hpp"
 
 namespace patchsec::harm {
 
 GraphNodeId AttackGraph::add_node(std::string name) {
   if (name.empty()) throw std::invalid_argument("add_node: empty name");
-  for (const std::string& existing : names_) {
-    if (existing == name) throw std::invalid_argument("add_node: duplicate name " + name);
+  if (!index_.try_emplace(name, names_.size()).second) {
+    throw std::invalid_argument("add_node: duplicate name " + name);
   }
   names_.push_back(std::move(name));
   adjacency_.emplace_back();
@@ -41,9 +42,8 @@ GraphNodeId AttackGraph::attacker() const {
 }
 
 GraphNodeId AttackGraph::node(const std::string& name) const {
-  for (GraphNodeId i = 0; i < names_.size(); ++i) {
-    if (names_[i] == name) return i;
-  }
+  const auto it = index_.find(name);
+  if (it != index_.end()) return it->second;
   throw std::out_of_range("no such graph node: " + name);
 }
 
@@ -55,50 +55,11 @@ std::vector<std::vector<GraphNodeId>> AttackGraph::enumerate_attack_paths(
 std::vector<std::vector<GraphNodeId>> AttackGraph::enumerate_attack_paths(
     const std::vector<bool>& attackable, const PathEnumerationOptions& options,
     PathEnumerationStats* stats) const {
-  if (attackable.size() != node_count()) {
-    throw std::invalid_argument("enumerate_attack_paths: attackable mask size mismatch");
-  }
-  const GraphNodeId start = attacker();
-  std::vector<bool> is_target(node_count(), false);
-  for (GraphNodeId t : targets_) is_target[t] = true;
-  if (targets_.empty()) throw std::logic_error("no target set");
-
   std::vector<std::vector<GraphNodeId>> paths;
-  std::vector<GraphNodeId> current;
-  std::vector<bool> on_path(node_count(), false);
-  PathEnumerationStats local;
-
-  const std::function<void(GraphNodeId)> dfs = [&](GraphNodeId n) {
-    if (is_target[n]) {
-      ++local.enumerated;
-      if (paths.size() >= options.max_paths) {
-        if (!options.truncate) {
-          throw std::runtime_error("attack path enumeration exceeded max_paths");
-        }
-        // Beyond the cap the DFS keeps walking (exact totals for the
-        // diagnostics) but stops materializing — time still grows with the
-        // path count, memory does not.
-        ++local.truncated;
-        return;
-      }
-      paths.push_back(current);
-      // Targets are endpoints: the paper's paths stop at the first database
-      // server reached; do not extend past a target.
-      return;
-    }
-    for (GraphNodeId next : adjacency_[n]) {
-      if (on_path[next] || !attackable[next]) continue;
-      on_path[next] = true;
-      current.push_back(next);
-      dfs(next);
-      current.pop_back();
-      on_path[next] = false;
-    }
-  };
-
-  on_path[start] = true;
-  dfs(start);
-  if (stats != nullptr) *stats = local;
+  const PathEnumerationStats totals = detail::walk_attack_paths(
+      *this, attackable, options, [](GraphNodeId, std::size_t) {},
+      [&paths](std::span<const GraphNodeId> path) { paths.emplace_back(path.begin(), path.end()); });
+  if (stats != nullptr) *stats = totals;
   return paths;
 }
 

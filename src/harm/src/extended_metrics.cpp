@@ -29,7 +29,9 @@ ExtendedMetrics evaluate_extended(const Harm& model) {
 
 std::vector<NodeCriticality> rank_node_criticality(const Harm& model) {
   const std::vector<AttackPath> paths = model.attack_paths();
-  const double total_risk = evaluate_extended(model).total_risk;
+  // evaluate_extended's total_risk, summed in the same order from this list.
+  double total_risk = 0.0;
+  for (const AttackPath& p : paths) total_risk += p.impact * p.probability;
   const AttackGraph& g = model.graph();
 
   std::vector<NodeCriticality> ranking;

@@ -1,7 +1,9 @@
 #include "patchsec/harm/harm.hpp"
 
-#include <set>
+#include <algorithm>
 #include <stdexcept>
+
+#include "path_walk.hpp"
 
 namespace patchsec::harm {
 
@@ -36,21 +38,17 @@ std::vector<AttackPath> Harm::attack_paths() const {
 
 std::vector<AttackPath> Harm::attack_paths(const PathEnumerationOptions& options,
                                            PathEnumerationStats* stats) const {
-  std::vector<bool> mask(graph_.node_count(), false);
-  for (GraphNodeId n = 0; n < graph_.node_count(); ++n) mask[n] = attackable(n);
-
+  detail::PathPrefixes prefix(*this);
   std::vector<AttackPath> out;
-  for (std::vector<GraphNodeId>& nodes : graph_.enumerate_attack_paths(mask, options, stats)) {
-    AttackPath path;
-    path.impact = 0.0;
-    path.probability = 1.0;
-    for (GraphNodeId n : nodes) {
-      path.impact += node_impact(n);
-      path.probability *= node_probability(n);
-    }
-    path.nodes = std::move(nodes);
-    out.push_back(std::move(path));
-  }
+  const PathEnumerationStats totals = detail::walk_attack_paths(
+      graph_, prefix.attackable(), options,
+      [&prefix](GraphNodeId n, std::size_t depth) { prefix.enter(n, depth); },
+      [&](std::span<const GraphNodeId> path) {
+        out.push_back(AttackPath{{path.begin(), path.end()},
+                                 prefix.impact(path.size()),
+                                 prefix.probability(path.size())});
+      });
+  if (stats != nullptr) *stats = totals;
   return out;
 }
 
@@ -58,20 +56,23 @@ SecurityMetrics Harm::evaluate() const { return evaluate(PathEnumerationOptions{
 
 SecurityMetrics Harm::evaluate(const PathEnumerationOptions& options) const {
   SecurityMetrics m;
-  PathEnumerationStats stats;
-  const std::vector<AttackPath> paths = attack_paths(options, &stats);
-  m.attack_paths = paths.size();
-  m.truncated_paths = stats.truncated;
-
+  detail::PathPrefixes prefix(*this);
   double miss_all = 1.0;  // prod (1 - asp_path)
-  std::set<GraphNodeId> entries;
-  for (const AttackPath& p : paths) {
-    m.attack_impact = std::max(m.attack_impact, p.impact);
-    miss_all *= (1.0 - p.probability);
-    if (!p.nodes.empty()) entries.insert(p.nodes.front());
-  }
-  m.attack_success_probability = paths.empty() ? 0.0 : 1.0 - miss_all;
-  m.entry_points = entries.size();
+  std::vector<bool> is_entry(graph_.node_count(), false);
+  const PathEnumerationStats stats = detail::walk_attack_paths(
+      graph_, prefix.attackable(), options,
+      [&prefix](GraphNodeId n, std::size_t depth) { prefix.enter(n, depth); },
+      [&](std::span<const GraphNodeId> path) {
+        m.attack_impact = std::max(m.attack_impact, prefix.impact(path.size()));
+        miss_all *= (1.0 - prefix.probability(path.size()));
+        if (!path.empty() && !is_entry[path.front()]) {
+          is_entry[path.front()] = true;
+          ++m.entry_points;
+        }
+      });
+  m.attack_paths = stats.enumerated - stats.truncated;
+  m.truncated_paths = stats.truncated;
+  m.attack_success_probability = m.attack_paths == 0 ? 0.0 : 1.0 - miss_all;
 
   // NoEV counts leftover exploitable vulnerabilities on *every* server in
   // the network, whether or not it still lies on a path.

@@ -1,9 +1,12 @@
 #include "patchsec/harm/path_classes.hpp"
 
 #include <algorithm>
-#include <map>
+#include <span>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
+
+#include "path_walk.hpp"
 
 namespace patchsec::harm {
 
@@ -16,33 +19,97 @@ std::string PathClass::name() const {
   return out;
 }
 
+namespace {
+
+/// A label-prefix trie edge: the trie node of a prefix plus the label id of
+/// the node that extends it.
+struct TrieEdge {
+  std::size_t parent = static_cast<std::size_t>(-1);
+  std::size_t label = 0;
+  bool operator==(const TrieEdge&) const = default;
+};
+
+struct TrieEdgeHash {
+  std::size_t operator()(const TrieEdge& e) const noexcept {
+    return e.parent * 0x9E3779B97F4A7C15ULL ^ e.label;
+  }
+};
+
+}  // namespace
+
 std::vector<PathClass> aggregate_path_classes(
     const Harm& model, const std::function<std::string(GraphNodeId)>& label,
     const PathEnumerationOptions& options, PathEnumerationStats* stats) {
   if (!label) throw std::invalid_argument("aggregate_path_classes: null label function");
+  const std::size_t nodes = model.graph().node_count();
 
-  // Keyed on the signature, so insertion order is already the canonical
-  // (lexicographic) class order.
-  std::map<std::vector<std::string>, PathClass> classes;
-  for (const AttackPath& path : model.attack_paths(options, stats)) {
-    std::vector<std::string> signature;
-    signature.reserve(path.nodes.size());
-    for (GraphNodeId n : path.nodes) signature.push_back(label(n));
-
-    PathClass& cls = classes[signature];
-    if (cls.instance_paths == 0) cls.signature = signature;
-    ++cls.instance_paths;
-    cls.max_impact = std::max(cls.max_impact, path.impact);
-    // Accumulate the miss product as 1 - success so far (members are
-    // independent alternatives of one attack strategy).
-    cls.success_probability =
-        1.0 - (1.0 - cls.success_probability) * (1.0 - path.probability);
-    cls.total_risk += path.impact * path.probability;
+  // Label every node once, interning equal labels to one id.
+  std::vector<std::string> labels;
+  std::vector<std::size_t> node_label(nodes);
+  {
+    std::unordered_map<std::string, std::size_t> ids;
+    for (GraphNodeId n = 0; n < nodes; ++n) {
+      const auto [it, inserted] = ids.try_emplace(label(n), labels.size());
+      if (inserted) labels.push_back(it->first);
+      node_label[n] = it->second;
+    }
   }
 
+  // A class is a node of the label-prefix trie (node 0 is the empty
+  // signature); trie[t] is the edge that created node t and classes[t]
+  // accumulates the paths whose labels spell it.  prefix_class[d] is the
+  // trie node of the walk's current d-node prefix, and last_edge[d] /
+  // last_child[d] memoize the depth's most recent trie step, which sibling
+  // replicas (same parent prefix, same label) all repeat.
+  std::vector<TrieEdge> trie(1);
+  std::vector<PathClass> classes(1);
+  std::unordered_map<TrieEdge, std::size_t, TrieEdgeHash> children;
+  std::vector<std::size_t> prefix_class(nodes + 1, 0);
+  std::vector<TrieEdge> last_edge(nodes + 1);
+  std::vector<std::size_t> last_child(nodes + 1, 0);
+
+  detail::PathPrefixes prefix(model);
+  const PathEnumerationStats totals = detail::walk_attack_paths(
+      model.graph(), prefix.attackable(), options,
+      [&](GraphNodeId n, std::size_t depth) {
+        prefix.enter(n, depth);
+        const TrieEdge edge{prefix_class[depth - 1], node_label[n]};
+        if (last_edge[depth] != edge) {
+          const auto [it, inserted] = children.try_emplace(edge, trie.size());
+          if (inserted) {
+            trie.push_back(edge);
+            classes.emplace_back();
+          }
+          last_edge[depth] = edge;
+          last_child[depth] = it->second;
+        }
+        prefix_class[depth] = last_child[depth];
+      },
+      [&](std::span<const GraphNodeId> path) {
+        const double impact = prefix.impact(path.size());
+        const double probability = prefix.probability(path.size());
+        PathClass& cls = classes[prefix_class[path.size()]];
+        ++cls.instance_paths;
+        cls.max_impact = std::max(cls.max_impact, impact);
+        // Accumulate the miss product as 1 - success so far (members are
+        // independent alternatives of one attack strategy).
+        cls.success_probability = 1.0 - (1.0 - cls.success_probability) * (1.0 - probability);
+        cls.total_risk += impact * probability;
+      });
+  if (stats != nullptr) *stats = totals;
+
   std::vector<PathClass> out;
-  out.reserve(classes.size());
-  for (auto& [signature, cls] : classes) out.push_back(std::move(cls));
+  for (std::size_t t = 0; t < trie.size(); ++t) {
+    if (classes[t].instance_paths == 0) continue;
+    PathClass& cls = out.emplace_back(std::move(classes[t]));
+    for (std::size_t at = t; at != 0; at = trie[at].parent) {
+      cls.signature.push_back(labels[trie[at].label]);
+    }
+    std::reverse(cls.signature.begin(), cls.signature.end());
+  }
+  // The canonical (lexicographic) class order.
+  std::sort(out.begin(), out.end(),
+            [](const PathClass& a, const PathClass& b) { return a.signature < b.signature; });
   return out;
 }
 

@@ -147,7 +147,7 @@ TEST(BenchResults, SimdRowsRecordThePanelSpeedup) {
 
 TEST(BenchResults, LumpedRowsRecordTheStateReduction) {
   const std::string text = snapshot_text();
-  for (const std::string& id : {"lumped_k50_evaluate", "lumped_k50_transient"}) {
+  for (const char* id : {"lumped_k50_evaluate", "lumped_k50_transient"}) {
     const std::string row = bench_row(text, id);
     ASSERT_FALSE(row.empty()) << id;
     const long states = field_value(row, "tangible_states");
