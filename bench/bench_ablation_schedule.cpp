@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "patchsec/avail/network_srn.hpp"
-#include "patchsec/core/evaluation.hpp"
+#include "patchsec/core/session.hpp"
 
 namespace {
 

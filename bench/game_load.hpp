@@ -8,10 +8,10 @@
 // engine) against the weekly-to-bimonthly cadence ladder, a deployment
 // budget that prices the k=6 fleet out, and an exposure bound that prices
 // lazy cadences out.  Each measured repetition solves the game TWICE on one
-// solver: the second solve re-runs every best-response sweep against the
-// warm service cache (hit rate 0.75 by construction: one cold sweep out of
-// four) and must reproduce the first equilibrium bit for bit — determinism
-// is asserted into the row's `converged` flag, not assumed.
+// solver: the second solve re-runs the grid sweep against the warm service
+// cache (hit rate 0.5 by construction: one cold sweep out of two) and must
+// reproduce the first equilibrium bit for bit — determinism is asserted into
+// the row's `converged` flag, not assumed.
 
 #pragma once
 
@@ -49,10 +49,10 @@ inline game::GameSpec k6_game_spec() {
 
 /// One equilibrium measurement: two back-to-back solves on one solver.
 struct GameOutcome {
-  bool converged = false;       ///< both solves reached a certified fixed point.
+  bool converged = false;       ///< both solves found a pure equilibrium.
   bool certified = false;       ///< both deviation-check certificates verified.
   bool deterministic = false;   ///< warm-cache re-solve reproduced the result bitwise.
-  std::size_t iterations = 0;   ///< rounds of the first solve.
+  std::size_t iterations = 0;   ///< grid sweeps of the first solve.
   std::size_t grid_cells = 0;   ///< defender strategy space size (N x M).
   std::uint64_t solves = 0;     ///< Session solves the service ran (== grid_cells when cached).
   std::uint64_t submitted = 0;  ///< grid evaluations requested across both solves.

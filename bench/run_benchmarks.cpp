@@ -574,13 +574,12 @@ int main(int argc, char** argv) {
     results.back().evals_per_second = best_batch_rate;
   }
 
-  // Game-layer row (schema v7): the k=6 attackerâdefender equilibrium
+  // Game-layer row (schema v7): the k=6 attacker–defender equilibrium
   // (bench/game_load.hpp), solved twice per repetition through one service.
-  // The warm re-solve runs every best-response sweep against the populated
-  // cache (hit rate 0.75 by construction) and must reproduce the first
-  // equilibrium bit for bit.  `converged` carries the ISSUE 10 acceptance
-  // predicates: certified fixed point + deterministic re-solve + cache hit
-  // rate >= 0.5.
+  // The warm re-solve runs the grid sweep against the populated cache (hit
+  // rate 0.5 by construction) and must reproduce the first equilibrium bit
+  // for bit.  `converged` carries the acceptance predicates: certified
+  // equilibrium + deterministic re-solve + cache hit rate >= 0.5.
   {
     namespace bg = patchsec::benchgame;
     double best_rate = 0.0;
@@ -599,7 +598,7 @@ int main(int argc, char** argv) {
     }));
     results.back().evals_per_second = best_rate;
     results.back().cache_hit_rate = hit_rate;
-    std::printf("  [game]     equilibrium in %zu rounds at hit rate %.2f\n",
+    std::printf("  [game]     equilibrium in %zu sweep(s) at hit rate %.2f\n",
                 results.back().solver_iterations, hit_rate);
   }
 

@@ -6,14 +6,14 @@
 // The defender picks a redundancy design and a patch cadence under a cost
 // budget and an exposure bound coupled to the attacker's effort allocation;
 // the attacker spreads an effort budget over the HARM attack-path classes.
-// Gauss-Seidel alternating best responses run until the strategy pair is a
-// fixed point, and the returned deviation-check certificate is REQUIRED to
-// verify here: a converged-but-uncertified equilibrium exits nonzero, so the
-// CI smoke run pins the game layer end to end.
+// The solver enumerates every pure equilibrium of the finite grid, and the
+// defender-preferred one's deviation-check certificate is REQUIRED to verify
+// here: no equilibrium, or an uncertified one, exits nonzero, so the CI smoke
+// run pins the game layer end to end.
 //
 // Usage: patch_game [--json | --csv]
-//   (no flag)  human-readable summary + trace + frontier table
-//   --json     machine-readable result (frontier, trace, certificate)
+//   (no flag)  human-readable summary + equilibria + frontier table
+//   --json     machine-readable result (equilibria, frontier, certificate)
 //   --csv      frontier as CSV (one row per grid cell)
 
 #include <cstdio>
@@ -29,11 +29,11 @@ namespace {
 void print_csv(const game::EquilibriumResult& result) {
   std::printf(
       "design,cadence_hours,coa,attack_impact,attack_success,deployment_cost,"
-      "exposure,attacker_payoff,cost_feasible,exposure_feasible,equilibrium\n");
+      "exposure,attacker_payoff,coa_gain,cost_feasible,exposure_feasible,equilibrium\n");
   for (const game::FrontierPoint& p : result.frontier) {
-    std::printf("%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d,%d\n",
+    std::printf("%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d,%d\n",
                 p.design_name.c_str(), p.cadence_hours, p.coa, p.attack_impact,
-                p.attack_success, p.deployment_cost, p.exposure, p.attacker_payoff,
+                p.attack_success, p.deployment_cost, p.exposure, p.attacker_payoff, p.coa_gain,
                 p.cost_feasible ? 1 : 0, p.exposure_feasible ? 1 : 0, p.equilibrium ? 1 : 0);
   }
 }
@@ -65,22 +65,21 @@ void print_json(const game::EquilibriumResult& result) {
   std::printf("    \"attacker_transfers_checked\": %zu\n",
               result.certificate.attacker_transfers_checked);
   std::printf("  },\n");
-  std::printf("  \"oscillation\": {\"cycle_detected\": %s, \"damping_engaged\": %s},\n",
-              result.oscillation.cycle_detected ? "true" : "false",
-              result.oscillation.damping_engaged ? "true" : "false");
   std::printf("  \"service\": {\"solves\": %llu, \"cache_hits\": %llu, \"hit_rate\": %.6f},\n",
               static_cast<unsigned long long>(result.service.solves),
               static_cast<unsigned long long>(result.service.cache.hits),
               result.cache_hit_rate());
-  std::printf("  \"trace\": [\n");
-  for (std::size_t t = 0; t < result.trace.size(); ++t) {
-    const game::IterationRecord& rec = result.trace[t];
-    std::printf("    {\"iteration\": %zu, \"design_index\": %zu, \"cadence_index\": %zu, "
-                "\"coa\": %.17g, \"attacker_payoff\": %.17g, \"exposure\": %.17g, "
-                "\"attacker_shift\": %.3e, \"damped\": %s}%s\n",
-                rec.iteration, rec.defender.design_index, rec.defender.cadence_index,
-                rec.defender_payoff, rec.attacker_payoff, rec.exposure, rec.attacker_shift,
-                rec.damped ? "true" : "false", t + 1 < result.trace.size() ? "," : "");
+  std::printf("  \"equilibria\": [\n");
+  for (std::size_t e = 0; e < result.equilibria.size(); ++e) {
+    const game::Equilibrium& eq = result.equilibria[e];
+    std::printf("    {\"design_index\": %zu, \"cadence_index\": %zu, \"attacker_weights\": [",
+                eq.defender.design_index, eq.defender.cadence_index);
+    for (std::size_t c = 0; c < eq.attacker.weights.size(); ++c) {
+      std::printf("%s%.17g", c == 0 ? "" : ", ", eq.attacker.weights[c]);
+    }
+    std::printf("], \"tie_face\": %s, \"verified\": %s}%s\n", eq.tie_face ? "true" : "false",
+                eq.certificate.verified ? "true" : "false",
+                e + 1 < result.equilibria.size() ? "," : "");
   }
   std::printf("  ],\n");
   std::printf("  \"frontier\": [\n");
@@ -88,9 +87,10 @@ void print_json(const game::EquilibriumResult& result) {
     const game::FrontierPoint& p = result.frontier[f];
     std::printf("    {\"design\": \"%s\", \"cadence_hours\": %.17g, \"coa\": %.17g, "
                 "\"attack_impact\": %.17g, \"attack_success\": %.17g, \"exposure\": %.17g, "
-                "\"attacker_payoff\": %.17g, \"feasible\": %s, \"equilibrium\": %s}%s\n",
+                "\"attacker_payoff\": %.17g, \"coa_gain\": %.17g, \"feasible\": %s, "
+                "\"equilibrium\": %s}%s\n",
                 p.design_name.c_str(), p.cadence_hours, p.coa, p.attack_impact,
-                p.attack_success, p.exposure, p.attacker_payoff,
+                p.attack_success, p.exposure, p.attacker_payoff, p.coa_gain,
                 p.cost_feasible && p.exposure_feasible ? "true" : "false",
                 p.equilibrium ? "true" : "false", f + 1 < result.frontier.size() ? "," : "");
   }
@@ -99,9 +99,8 @@ void print_json(const game::EquilibriumResult& result) {
 
 void print_human(const game::EquilibriumResult& result) {
   std::printf("=== patch-scheduling game: paper case study ===\n\n");
-  std::printf("converged : %s after %zu iterations%s\n",
-              result.converged ? "yes" : "NO", result.iterations,
-              result.oscillation.cycle_detected ? " (cycle detected, damping engaged)" : "");
+  std::printf("equilibria: %zu pure equilibri%s on the grid\n", result.equilibria.size(),
+              result.equilibria.size() == 1 ? "um" : "a");
   std::printf("defender  : %s @ every %.0f h  (COA %.6f, exposure %.4f)\n",
               result.design.name().c_str(), result.cadence_hours, result.defender_payoff,
               result.exposure);
@@ -120,21 +119,21 @@ void print_human(const game::EquilibriumResult& result) {
               static_cast<unsigned long long>(result.service.cache.hits),
               result.cache_hit_rate());
 
-  std::printf("%-28s %9s %9s %9s %9s %6s %5s\n", "design @ cadence", "COA", "AIM", "ASP",
-              "exposure", "feas", "eq");
+  std::printf("%-28s %9s %9s %9s %9s %9s %6s %5s\n", "design @ cadence", "COA", "AIM", "ASP",
+              "exposure", "COA gain", "feas", "eq");
   for (const game::FrontierPoint& p : result.frontier) {
     std::string cell = p.design_name + " @ " + std::to_string(static_cast<int>(p.cadence_hours));
-    std::printf("%-28s %9.5f %9.2f %9.5f %9.4f %6s %5s\n", cell.c_str(), p.coa,
-                p.attack_impact, p.attack_success, p.exposure,
+    std::printf("%-28s %9.5f %9.2f %9.5f %9.4f %9.2e %6s %5s\n", cell.c_str(), p.coa,
+                p.attack_impact, p.attack_success, p.exposure, p.coa_gain,
                 p.cost_feasible && p.exposure_feasible ? "yes" : "no",
                 p.equilibrium ? "<==" : "");
   }
-  std::printf("\ntrace:\n");
-  for (const game::IterationRecord& rec : result.trace) {
-    std::printf("  round %2zu: cell (%zu, %zu)  COA %.5f  attacker %.4f  shift %.2e%s%s\n",
-                rec.iteration, rec.defender.design_index, rec.defender.cadence_index,
-                rec.defender_payoff, rec.attacker_payoff, rec.attacker_shift,
-                rec.damped ? "  [damped]" : "", rec.defender_feasible ? "" : "  [infeasible]");
+  std::printf("\nequilibria (cell, attacker effort):\n");
+  for (const game::Equilibrium& eq : result.equilibria) {
+    std::printf("  (%zu, %zu)", eq.defender.design_index, eq.defender.cadence_index);
+    for (double w : eq.attacker.weights) std::printf("  %.4f", w);
+    std::printf("%s%s\n", eq.tie_face ? "  [tied attacker optimum]" : "",
+                eq.certificate.verified ? "" : "  [NOT VERIFIED]");
   }
 }
 
@@ -155,10 +154,10 @@ int main(int argc, char** argv) {
     print_human(result);
   }
 
-  // The smoke contract: the paper game must reach a fixed point whose
+  // The smoke contract: the paper game must have a pure equilibrium whose
   // deviation-check certificate verifies, every run, every thread count.
   if (!result.converged) {
-    std::fprintf(stderr, "FAIL: no equilibrium within %zu iterations\n", result.iterations);
+    std::fprintf(stderr, "FAIL: no pure equilibrium on the grid\n");
     return 1;
   }
   if (!result.certificate.verified) {

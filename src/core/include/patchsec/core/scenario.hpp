@@ -61,10 +61,9 @@ struct EngineOptions {
   linalg::SteadyStateOptions steady_state;
   /// Reachability-graph limits (tangible-state bound, vanishing depth).
   petri::ReachabilityOptions reachability;
-  /// When true a badly diverged steady-state solve throws (the historical
-  /// Evaluator behaviour); when false — the Session default — the
-  /// best-effort distribution is used and the failure is surfaced through
-  /// EvalReport diagnostics.
+  /// When true a badly diverged steady-state solve throws; when false — the
+  /// Session default — the best-effort distribution is used and the failure
+  /// is surfaced through EvalReport diagnostics.
   bool throw_on_divergence = false;
   /// Evaluate batch design spaces on multiple threads (the per-design upper
   /// layer is embarrassingly parallel; lower-layer aggregations are memoized
@@ -163,7 +162,7 @@ class Scenario {
 
   /// The paper's case study (Tables I/IV specs, the Fig. 2 three-tier
   /// policy, the monthly 720 h schedule and the five Sec. IV candidate
-  /// designs).  Replaces Evaluator::paper_case_study().
+  /// designs).
   [[nodiscard]] static Scenario paper_case_study();
 
   // --- fluent setters ------------------------------------------------------

@@ -48,7 +48,7 @@ struct SolverWorkspaces {
 };
 
 /// \brief Joint security/availability result for one redundancy design (the
-/// metric payload of the original Evaluator API; EvalReport carries one).
+/// bare metric payload; EvalReport carries one).
 struct DesignEvaluation {
   enterprise::RedundancyDesign design;
   harm::SecurityMetrics before_patch;  ///< HARM metrics with all vulnerabilities.
@@ -171,8 +171,8 @@ struct EvalReport {
   /// True iff every verified stage came back with zero findings.  Vacuously
   /// true under VerifyMode::kOff (nothing was verified).
   [[nodiscard]] bool lint_clean() const noexcept;
-  /// The metric payload alone, for APIs speaking the original Evaluator
-  /// vocabulary (decision bounds, economics, report emitters).
+  /// The metric payload alone, for APIs that take bare metrics (decision
+  /// bounds, economics, report emitters).
   [[nodiscard]] DesignEvaluation metrics() const;
 };
 

@@ -48,8 +48,7 @@
 
 namespace patchsec::ctmc {
 
-/// Truncation policy of the uniformization expansion (shared by the
-/// one-shot helpers in transient.hpp and the solver below).
+/// Truncation policy of the uniformization expansion.
 struct TransientOptions {
   double epsilon = 1e-12;             ///< truncation error bound on Poisson mass.
   std::size_t max_terms = 2'000'000;  ///< hard cap on expansion length.

@@ -1,44 +1,36 @@
 #pragma once
 /// \file best_response.hpp
-/// \brief Gauss-Seidel best-response solver for the patch-scheduling game,
-/// with a verified (not assumed) equilibrium certificate.
+/// \brief Exact pure-equilibrium enumeration for the patch-scheduling game,
+/// with a verified (not assumed) certificate per equilibrium.
 ///
-/// One solver round:
+/// The defender's strategy set is the finite design x cadence grid, so
+/// solve() needs no iteration:
 ///
-///  1. **Defender step** — sweep the FULL design x cadence grid through the
-///     EvalService (every cell submitted every round; round two onward the
-///     sweep is pure cache hits, which is both the memoization contract the
-///     tests pin and what keeps the frontier data complete), filter cells by
-///     the cost budget and the exposure bound under the attacker's *current*
-///     weights, and take the feasible COA maximizer.  Ties prefer the
-///     incumbent cell (stabilizes fixed points), then the lexicographically
-///     smallest (i, j); after persistent cycling, ties are broken by a
-///     seeded draw instead.  If no cell is feasible the defender parks on
-///     the minimum-exposure cell and the round is flagged infeasible.
-///  2. **Attacker step** — given the defender's cell, allocate the effort
-///     budget greedily over classes in descending utility (exact for a
-///     linear objective over the capped simplex { 0 <= w_c <= cap,
-///     sum w_c <= budget }), ties by canonical class order.  Once a cycle
-///     has been detected the step is damped:
-///     w <- (1 - damping) w + damping w_br.
+///  1. **Sweep** — submit every cell to the EvalService once (a warm
+///     re-solve is pure cache hits) and record its COA.
+///  2. **Attacker best response per cell** — allocate the effort budget
+///     greedily over classes in descending utility (exact for a linear
+///     objective over the capped simplex { 0 <= w_c <= cap,
+///     sum w_c <= budget }), ties by canonical class order.  The cell is
+///     flagged when that optimum is not unique: some unit of effort can move
+///     between two equal-utility classes, or into a zero-utility class with
+///     unspent budget, without changing the attacker's payoff.
+///  3. **Enumerate** — a cell is a pure equilibrium when it is within the
+///     cost budget, satisfies the exposure bound under its own attacker
+///     best response w, and no cell feasible under that same w has a COA
+///     more than tie_epsilon higher.  The coupled budget
+///     window * exposure(w) <= bound is linear in w, so this is one pass
+///     over the cached grid per cell.
 ///
-/// Convergence = the defender cell repeats AND no attacker weight moved more
-/// than weight_tolerance.  Cycle handling escalates: exact state revisit
-/// (hash of cell + weight bits) -> enable damping -> still revisiting ->
-/// seeded randomized tie-breaking -> still revisiting or out of rounds ->
-/// return converged = false with the cycle recorded in the
-/// OscillationDiagnostic.  Nothing loops forever.
-///
-/// The certificate re-derives both best responses at the fixed point from
-/// stored data: the defender check replays the feasibility filter over every
-/// grid cell and bounds the best feasible COA gain; the attacker check
-/// compares against a fresh greedy optimum AND walks all weight-transfer
-/// pairs (the KKT-style exchange argument: moving mass from a held class to
-/// a strictly-better-utility class with cap slack would improve).  Both
-/// bounds must stay within certificate_epsilon or `verified` stays false.
+/// Every equilibrium is re-checked by the deviation certificate: the
+/// defender check replays the feasibility filter over every grid cell and
+/// bounds the best feasible COA gain; the attacker check compares against a
+/// fresh greedy optimum AND walks all weight-transfer pairs (the KKT-style
+/// exchange argument: moving mass from a held class to a strictly-better-
+/// utility class with cap slack would improve).  Both bounds must stay
+/// within certificate_epsilon or `verified` stays false.
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -62,20 +54,10 @@ struct AttackerStrategy {
   std::vector<double> weights;
 };
 
-/// Per-round trace entry (the Gauss-Seidel transcript).
-struct IterationRecord {
-  std::size_t iteration = 0;  ///< 1-based round number.
-  DefenderStrategy defender;
-  double defender_payoff = 0.0;  ///< COA of the chosen cell.
-  double attacker_payoff = 0.0;  ///< sum_c w_c u_c after this round's attacker step.
-  double exposure = 0.0;         ///< coupled-constraint value at the chosen cell.
-  bool defender_feasible = true; ///< false when the round used the min-exposure fallback.
-  bool defender_changed = false; ///< cell differs from the previous round.
-  double attacker_shift = 0.0;   ///< max_c |w_c - w_c_prev| after damping.
-  bool damped = false;           ///< damping was active this round.
-};
-
-/// One grid cell of the COA/AIM decision frontier under the final weights.
+/// One grid cell of the COA/AIM decision frontier, scored against the
+/// attacker's best response at that cell.  A cell that is not an
+/// equilibrium says why: over the cost budget, over the exposure bound, or
+/// beaten by a feasible deviation worth `coa_gain`.
 struct FrontierPoint {
   std::size_t design_index = 0;
   std::size_t cadence_index = 0;
@@ -85,15 +67,18 @@ struct FrontierPoint {
   double attack_impact = 0.0;  ///< before-patch AIM of the design.
   double attack_success = 0.0; ///< before-patch ASP of the design.
   double deployment_cost = 0.0;
-  double exposure = 0.0;         ///< coupled constraint under the final weights.
-  double attacker_payoff = 0.0;  ///< attacker value of this cell under the final weights.
+  double exposure = 0.0;         ///< coupled constraint under the cell's attacker best response.
+  double attacker_payoff = 0.0;  ///< attacker's best-response value at this cell.
+  /// Largest COA gain over this cell among cells feasible under its attacker
+  /// best response (0 when none is better); above tie_epsilon = beaten.
+  double coa_gain = 0.0;
   bool cost_feasible = false;
   bool exposure_feasible = false;
-  bool equilibrium = false;  ///< this cell is the equilibrium defender strategy.
+  bool equilibrium = false;  ///< the cell is a pure equilibrium.
 };
 
-/// Deviation-check certificate: recomputed at the fixed point, never assumed
-/// from convergence.  `verified` requires both player checks to pass.
+/// Deviation-check certificate: recomputed at each equilibrium, never assumed
+/// from the enumeration.  `verified` requires both player checks to pass.
 struct DeviationCertificate {
   bool verified = false;
   bool defender_ok = false;
@@ -109,24 +94,28 @@ struct DeviationCertificate {
   std::size_t attacker_transfers_checked = 0;
 };
 
-/// What the cycle detector saw (populated whether or not damping rescued the
-/// run; `converged = false` runs carry the unresolved cycle here).
-struct OscillationDiagnostic {
-  bool cycle_detected = false;
-  std::size_t first_cycle_iteration = 0;  ///< round of the first exact state revisit.
-  std::size_t cycle_length = 0;           ///< revisit distance (rounds).
-  bool damping_engaged = false;
-  bool randomized_ties_engaged = false;
-  /// Defender cells along the detected cycle, oldest first (diagnostic only).
-  std::vector<DefenderStrategy> cycle_states;
+/// One pure equilibrium: a defender cell, the attacker's best response
+/// there, and its deviation certificate.
+struct Equilibrium {
+  DefenderStrategy defender;
+  AttackerStrategy attacker;
+  /// The attacker's optimal face at this cell is not a single point: another
+  /// allocation earns the same attacker payoff and may move the exposure.
+  bool tie_face = false;
+  DeviationCertificate certificate;
 };
 
-/// The solver's full answer: strategies, payoffs, trace, frontier,
-/// certificate, and the service counters the run generated.
+/// The solver's full answer: every pure equilibrium, the defender-preferred
+/// one spelled out, the frontier, and the service counters of the run.
 struct EquilibriumResult {
-  bool converged = false;
-  std::size_t iterations = 0;
+  bool converged = false;      ///< at least one pure equilibrium exists.
+  std::size_t iterations = 0;  ///< grid sweeps run (one per solve).
 
+  /// Every pure equilibrium, in (design, cadence) order.
+  std::vector<Equilibrium> equilibria;
+
+  /// The defender-preferred equilibrium (highest COA, ties to the lowest
+  /// (i, j)); left default-initialized when `converged` is false.
   DefenderStrategy defender;
   enterprise::RedundancyDesign design;  ///< resolved defender design.
   double cadence_hours = 0.0;           ///< resolved defender cadence.
@@ -136,11 +125,9 @@ struct EquilibriumResult {
   double defender_payoff = 0.0;  ///< equilibrium COA.
   double attacker_payoff = 0.0;  ///< equilibrium attacker value.
   double exposure = 0.0;         ///< coupled-constraint value at equilibrium.
-
-  std::vector<IterationRecord> trace;
-  std::vector<FrontierPoint> frontier;  ///< full grid under the final weights.
   DeviationCertificate certificate;
-  OscillationDiagnostic oscillation;
+
+  std::vector<FrontierPoint> frontier;  ///< full grid, (design, cadence) order.
 
   /// Service counters at the end of the run (cache hit rate, solves,
   /// coalesced — the memoization evidence).
@@ -148,7 +135,7 @@ struct EquilibriumResult {
   [[nodiscard]] double cache_hit_rate() const noexcept { return service.cache.hit_rate(); }
 };
 
-/// Alternating-best-response solver.  Owns an EvalService over the spec's
+/// Pure-equilibrium solver.  Owns an EvalService over the spec's
 /// scenario so every inner evaluation rides the content-hashed cache; the
 /// service (and through it the Session) stays inspectable after solve() for
 /// the memoization assertions.
@@ -159,9 +146,9 @@ class BestResponseSolver {
   /// universe, deployment costs, and cadence window factors.
   explicit BestResponseSolver(GameSpec spec, service::ServiceOptions options = {});
 
-  /// Run Gauss-Seidel to a fixed point (or the round budget) and certify the
-  /// result.  Deterministic for a fixed spec: independent of the service's
-  /// worker count and repeatable across runs.
+  /// Sweep the grid, enumerate every pure equilibrium and certify each.
+  /// Deterministic for a fixed spec: independent of the service's worker
+  /// count and repeatable across runs.
   [[nodiscard]] EquilibriumResult solve();
 
   [[nodiscard]] const GameSpec& spec() const noexcept { return spec_; }
@@ -189,17 +176,15 @@ class BestResponseSolver {
   /// Per-class attacker utilities at a defender cell.
   [[nodiscard]] std::vector<double> utilities_at(std::size_t design_index,
                                                  std::size_t cadence_index) const;
-  /// Exact greedy maximizer of a linear objective over the capped simplex.
-  [[nodiscard]] std::vector<double> attacker_best_response(
-      const std::vector<double>& utilities) const;
-  [[nodiscard]] DefenderStrategy defender_best_response(const std::vector<double>& weights,
-                                                        const DefenderStrategy* incumbent,
-                                                        bool randomized_ties,
-                                                        std::uint64_t draw_salt,
-                                                        bool* feasible) const;
+  /// Exact greedy maximizer of a linear objective over the capped simplex;
+  /// `tie_face` reports whether another allocation attains the same value.
+  [[nodiscard]] std::vector<double> attacker_best_response(const std::vector<double>& utilities,
+                                                           bool* tie_face = nullptr) const;
+  [[nodiscard]] bool cost_feasible(std::size_t design_index) const;
+  [[nodiscard]] bool exposure_feasible(std::size_t design_index, std::size_t cadence_index,
+                                       const std::vector<double>& weights) const;
   [[nodiscard]] DeviationCertificate certify(const DefenderStrategy& defender,
                                              const std::vector<double>& weights) const;
-  void build_frontier(EquilibriumResult& result) const;
 
   GameSpec spec_;
   service::EvalService service_;

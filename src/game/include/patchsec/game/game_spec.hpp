@@ -1,7 +1,7 @@
 #pragma once
 /// \file game_spec.hpp
-/// \brief The attacker–defender patch-scheduling game (ROADMAP item 4): what
-/// each player controls, what constrains them, and how payoffs are scored.
+/// \brief The attacker–defender patch-scheduling game: what each player
+/// controls, what constrains them, and how payoffs are scored.
 ///
 /// The paper scores *fixed* designs against *fixed* patch schedules; the
 /// adversarial version is the real capacity-planning question.  The
@@ -18,17 +18,14 @@
 /// by the patch window (a slower cadence leaves vulnerabilities exploitable
 /// longer).
 ///
-/// Solved by Gauss-Seidel alternating best responses (best_response.hpp),
-/// the method shape of the GNEP literature retrieved in PAPERS.md
-/// (Nie/Tang/Xu; Choi/Nie/Tang/Zhong): each defender step is a memoized
-/// Session/EvalService schedule sweep (N+M lower-layer solves plus cached
-/// upper-layer solves — iteration two onward is almost entirely cache hits),
-/// each attacker step a constrained greedy allocation that is exact for the
-/// linear objective over the capped simplex.
+/// The defender's strategy set is finite, so the game is solved exactly by
+/// enumeration (best_response.hpp): one memoized Session/EvalService sweep
+/// scores every cell, the attacker's best response at each cell is an exact
+/// greedy fill of its linear objective, and the coupled budget
+/// window * exposure <= bound is linear in the attacker weights, so each
+/// cell's equilibrium test is one pass over the cached grid.
 
 #include <array>
-#include <cstddef>
-#include <cstdint>
 #include <limits>
 
 #include "patchsec/core/scenario.hpp"
@@ -79,25 +76,12 @@ struct GameSpec {
   AttackerConstraints attacker;
   PayoffWeights payoff;
 
-  /// Gauss-Seidel round budget; exceeding it surfaces the oscillation
-  /// diagnostic instead of looping forever.
-  std::size_t max_iterations = 32;
-  /// Attacker-step damping factor applied once a cycle is detected:
-  /// w <- (1 - damping) * w + damping * best_response(w).  1.0 disables
-  /// damping (pure best response); the default 0.5 halves the step.
-  double damping = 0.5;
-  /// Payoff ties within this bound count as equal for tie-breaking (and for
-  /// the randomized tie-break pool once cycling persists).
+  /// Defender payoff (COA) differences within this bound count as equal:
+  /// a cell is an equilibrium unless a feasible deviation gains more.  The
+  /// same bound decides when two attacker utilities tie.
   double tie_epsilon = 1e-12;
-  /// Attacker fixed-point tolerance: converged when no weight moved by more
-  /// than this in the last (possibly damped) step.
-  double weight_tolerance = 1e-10;
-  /// Slack allowed by the deviation-check certificate (covers the damped
-  /// fixed point's residual, weight_tolerance / damping).
+  /// Slack allowed by the deviation-check certificate.
   double certificate_epsilon = 1e-9;
-  /// Seed of the randomized tie-breaking escalation (deterministic across
-  /// runs and thread counts for a fixed seed).
-  std::uint64_t seed = 0x9E3779B97F4A7C15ull;
 
   /// The paper case study as a game: the five Sec. IV designs against a
   /// weekly-to-bimonthly cadence grid, an exposure bound that binds at slow
@@ -108,7 +92,7 @@ struct GameSpec {
   /// Throws std::invalid_argument with a precise message when the spec is
   /// not solvable (delegates to Scenario::validate, then checks the game
   /// knobs: at least one design, positive budgets/caps, impact_weight in
-  /// [0, 1], damping in (0, 1], max_iterations >= 2).
+  /// [0, 1], non-negative tie_epsilon, positive certificate_epsilon).
   void validate() const;
 };
 

@@ -7,11 +7,9 @@
 #include <map>
 #include <numeric>
 #include <set>
-#include <stdexcept>
 #include <utility>
 
 #include "patchsec/enterprise/network.hpp"
-#include "patchsec/service/request_hash.hpp"
 
 namespace patchsec::game {
 
@@ -44,25 +42,6 @@ std::string join_signature(const std::vector<std::string>& signature) {
     name += label;
   }
   return name;
-}
-
-/// splitmix64: the deterministic draw behind randomized tie-breaking.
-std::uint64_t mix(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-/// Exact-bits hash of a Gauss-Seidel state (defender cell + attacker
-/// weights) for cycle detection.
-std::uint64_t state_hash(const DefenderStrategy& defender, const std::vector<double>& weights) {
-  service::HashStream h;
-  h.u64(defender.design_index);
-  h.u64(defender.cadence_index);
-  h.u64(weights.size());
-  for (double w : weights) h.f64(w);
-  return h.digest();
 }
 
 }  // namespace
@@ -181,7 +160,7 @@ double BestResponseSolver::attacker_value(std::size_t design_index, std::size_t 
 }
 
 std::vector<double> BestResponseSolver::attacker_best_response(
-    const std::vector<double>& utilities) const {
+    const std::vector<double>& utilities, bool* tie_face) const {
   // Linear objective over { 0 <= w_c <= cap, sum w_c <= budget }: fill caps
   // in descending utility until the budget runs out.  Greedy is exact here;
   // ties resolve by canonical class order (stable sort on a stable key).
@@ -190,198 +169,115 @@ std::vector<double> BestResponseSolver::attacker_best_response(
   std::stable_sort(order.begin(), order.end(), [&utilities](std::size_t a, std::size_t b) {
     return utilities[a] > utilities[b];
   });
+  const double cap = spec_.attacker.per_path_cap;
   std::vector<double> weights(utilities.size(), 0.0);
   double remaining = spec_.attacker.effort_budget;
   for (std::size_t c : order) {
     if (!(utilities[c] > 0.0) || remaining <= 0.0) break;  // zero utility earns nothing.
-    const double take = std::min(spec_.attacker.per_path_cap, remaining);
+    const double take = std::min(cap, remaining);
     weights[c] = take;
     remaining -= take;
+  }
+  if (tie_face != nullptr) {
+    // The optimal face has another point iff some edge of the capped simplex
+    // leaves the payoff unchanged: a transfer between equal-utility classes,
+    // or unspent budget placed on a zero-utility class.
+    *tie_face = false;
+    for (std::size_t b = 0; b < weights.size(); ++b) {
+      if (weights[b] >= cap - kMassEpsilon) continue;
+      if (remaining > kMassEpsilon && utilities[b] <= spec_.tie_epsilon) *tie_face = true;
+      for (std::size_t a = 0; a < weights.size(); ++a) {
+        if (a != b && weights[a] > kMassEpsilon &&
+            std::abs(utilities[a] - utilities[b]) <= spec_.tie_epsilon) {
+          *tie_face = true;
+        }
+      }
+    }
   }
   return weights;
 }
 
-DefenderStrategy BestResponseSolver::defender_best_response(const std::vector<double>& weights,
-                                                            const DefenderStrategy* incumbent,
-                                                            bool randomized_ties,
-                                                            std::uint64_t draw_salt,
-                                                            bool* feasible) const {
-  // Pass 1: best feasible COA.
-  double best_coa = -1.0;
-  bool any_feasible = false;
-  for (std::size_t i = 0; i < num_designs_; ++i) {
-    if (cost_[i] > spec_.defender.cost_budget + kFeasibilitySlack) continue;
-    for (std::size_t j = 0; j < num_cadences_; ++j) {
-      if (exposure_of(i, j, weights) > spec_.defender.exposure_bound + kFeasibilitySlack) continue;
-      any_feasible = true;
-      best_coa = std::max(best_coa, scores_[i * num_cadences_ + j].coa);
-    }
-  }
-  if (feasible != nullptr) *feasible = any_feasible;
+bool BestResponseSolver::cost_feasible(std::size_t design_index) const {
+  return cost_[design_index] <= spec_.defender.cost_budget + kFeasibilitySlack;
+}
 
-  if (!any_feasible) {
-    // Fallback: park on the minimum-exposure cell (among cost-feasible cells
-    // when any exist) so the trace stays meaningful; the round is flagged.
-    DefenderStrategy parked;
-    double least = std::numeric_limits<double>::infinity();
-    for (int cost_pass = 0; cost_pass < 2; ++cost_pass) {
-      for (std::size_t i = 0; i < num_designs_; ++i) {
-        const bool cost_ok = cost_[i] <= spec_.defender.cost_budget + kFeasibilitySlack;
-        if (cost_pass == 0 && !cost_ok) continue;
-        for (std::size_t j = 0; j < num_cadences_; ++j) {
-          const double exposure = exposure_of(i, j, weights);
-          if (exposure < least) {
-            least = exposure;
-            parked = DefenderStrategy{i, j};
-          }
-        }
-      }
-      if (std::isfinite(least)) break;  // the cost-feasible pass found a cell.
-    }
-    return parked;
-  }
-
-  // Pass 2: the tie pool — every feasible cell within tie_epsilon of the
-  // optimum, in lexicographic (i, j) order.
-  std::vector<DefenderStrategy> pool;
-  for (std::size_t i = 0; i < num_designs_; ++i) {
-    if (cost_[i] > spec_.defender.cost_budget + kFeasibilitySlack) continue;
-    for (std::size_t j = 0; j < num_cadences_; ++j) {
-      if (exposure_of(i, j, weights) > spec_.defender.exposure_bound + kFeasibilitySlack) continue;
-      if (scores_[i * num_cadences_ + j].coa >= best_coa - spec_.tie_epsilon) {
-        pool.push_back(DefenderStrategy{i, j});
-      }
-    }
-  }
-  // The incumbent wins its ties (stabilizes fixed points under oscillating
-  // attacker weights); otherwise lexicographic, or a seeded draw once the
-  // cycle detector escalated to randomized tie-breaking.
-  if (incumbent != nullptr &&
-      std::find(pool.begin(), pool.end(), *incumbent) != pool.end()) {
-    return *incumbent;
-  }
-  if (randomized_ties && pool.size() > 1) {
-    return pool[static_cast<std::size_t>(mix(spec_.seed ^ mix(draw_salt)) % pool.size())];
-  }
-  return pool.front();
+bool BestResponseSolver::exposure_feasible(std::size_t design_index, std::size_t cadence_index,
+                                           const std::vector<double>& weights) const {
+  return exposure_of(design_index, cadence_index, weights) <=
+         spec_.defender.exposure_bound + kFeasibilitySlack;
 }
 
 EquilibriumResult BestResponseSolver::solve() {
   const std::vector<enterprise::RedundancyDesign>& designs = spec_.scenario.designs();
   const std::vector<double>& cadences = spec_.scenario.patch_intervals();
-  const std::size_t num_classes = class_names_.size();
+  sweep_grid();
 
   EquilibriumResult result;
+  result.iterations = 1;
   result.class_names = class_names_;
+  result.frontier.reserve(scores_.size());
+  for (std::size_t i = 0; i < num_designs_; ++i) {
+    for (std::size_t j = 0; j < num_cadences_; ++j) {
+      const CellScore& score = scores_[i * num_cadences_ + j];
+      bool tie_face = false;
+      std::vector<double> weights = attacker_best_response(utilities_at(i, j), &tie_face);
 
-  // Initial attacker strategy: uniform spread respecting the per-class cap
-  // (deterministic, and maximally uncommitted before any best response).
-  std::vector<double> weights(num_classes, 0.0);
-  if (num_classes > 0) {
-    weights.assign(num_classes, std::min(spec_.attacker.per_path_cap,
-                                         spec_.attacker.effort_budget /
-                                             static_cast<double>(num_classes)));
-  }
-
-  DefenderStrategy defender;
-  bool have_defender = false;
-  bool damping_on = false;
-  bool randomized_ties = false;
-  bool converged = false;
-  std::map<std::uint64_t, std::size_t> visited;  // state hash -> round.
-  std::vector<DefenderStrategy> history;         // defender cell per round.
-
-  std::size_t round = 0;
-  while (round < spec_.max_iterations) {
-    ++round;
-    sweep_grid();
-
-    bool feasible = true;
-    const DefenderStrategy next =
-        defender_best_response(weights, have_defender ? &defender : nullptr, randomized_ties,
-                               static_cast<std::uint64_t>(round), &feasible);
-
-    const std::vector<double> response = attacker_best_response(
-        utilities_at(next.design_index, next.cadence_index));
-    std::vector<double> stepped(num_classes);
-    for (std::size_t c = 0; c < num_classes; ++c) {
-      stepped[c] = damping_on
-                       ? (1.0 - spec_.damping) * weights[c] + spec_.damping * response[c]
-                       : response[c];
-    }
-    double shift = 0.0;
-    for (std::size_t c = 0; c < num_classes; ++c) {
-      shift = std::max(shift, std::abs(stepped[c] - weights[c]));
-    }
-    const bool changed = !have_defender || !(next == defender);
-
-    IterationRecord record;
-    record.iteration = round;
-    record.defender = next;
-    record.defender_payoff = scores_[next.design_index * num_cadences_ + next.cadence_index].coa;
-    record.attacker_payoff = attacker_value(next.design_index, next.cadence_index, stepped);
-    record.exposure = exposure_of(next.design_index, next.cadence_index, stepped);
-    record.defender_feasible = feasible;
-    record.defender_changed = changed;
-    record.attacker_shift = shift;
-    record.damped = damping_on;
-    result.trace.push_back(record);
-    history.push_back(next);
-
-    // A stable state only counts as an equilibrium when the defender step
-    // was a genuine (feasible) best response — a parked min-exposure
-    // fallback can be stable without being an equilibrium.
-    const bool fixed_point =
-        have_defender && feasible && !changed && shift <= spec_.weight_tolerance;
-    defender = next;
-    weights = std::move(stepped);
-    have_defender = true;
-    if (fixed_point) {
-      converged = true;
-      break;
-    }
-
-    // Cycle detection on the post-round state; escalation ladder: damping,
-    // then seeded randomized tie-breaking, then give up with the diagnostic.
-    const std::uint64_t key = state_hash(defender, weights);
-    const auto [it, inserted] = visited.emplace(key, round);
-    if (!inserted) {
-      result.oscillation.cycle_detected = true;
-      if (result.oscillation.first_cycle_iteration == 0) {
-        result.oscillation.first_cycle_iteration = round;
-        result.oscillation.cycle_length = round - it->second;
-        result.oscillation.cycle_states.assign(
-            history.begin() + static_cast<std::ptrdiff_t>(it->second), history.end());
+      FrontierPoint point;
+      point.design_index = i;
+      point.cadence_index = j;
+      point.design_name = designs[i].name();
+      point.cadence_hours = cadences[j];
+      point.coa = score.coa;
+      point.attack_impact = score.attack_impact;
+      point.attack_success = score.attack_success;
+      point.deployment_cost = cost_[i];
+      point.exposure = exposure_of(i, j, weights);
+      point.attacker_payoff = attacker_value(i, j, weights);
+      point.cost_feasible = cost_feasible(i);
+      point.exposure_feasible = exposure_feasible(i, j, weights);
+      // The defender's best deviation against this cell's attacker response.
+      for (std::size_t di = 0; di < num_designs_; ++di) {
+        if (!cost_feasible(di)) continue;
+        for (std::size_t dj = 0; dj < num_cadences_; ++dj) {
+          if (!exposure_feasible(di, dj, weights)) continue;
+          point.coa_gain =
+              std::max(point.coa_gain, scores_[di * num_cadences_ + dj].coa - score.coa);
+        }
       }
-      if (!damping_on) {
-        damping_on = true;
-        result.oscillation.damping_engaged = true;
-      } else if (!randomized_ties) {
-        randomized_ties = true;
-        result.oscillation.randomized_ties_engaged = true;
-      } else {
-        break;  // both escalations exhausted: report the cycle, don't loop.
+      point.equilibrium = point.cost_feasible && point.exposure_feasible &&
+                          point.coa_gain <= spec_.tie_epsilon;
+      if (point.equilibrium) {
+        const DefenderStrategy cell{i, j};
+        DeviationCertificate certificate = certify(cell, weights);
+        result.equilibria.push_back(
+            Equilibrium{cell, AttackerStrategy{std::move(weights)}, tie_face, certificate});
       }
-      visited.clear();
-      visited.emplace(key, round);
+      result.frontier.push_back(std::move(point));
     }
   }
 
-  result.converged = converged;
-  result.iterations = round;
-  result.defender = defender;
-  result.design = designs[defender.design_index];
-  result.cadence_hours = cadences[defender.cadence_index];
-  result.attacker.weights = weights;
-  result.defender_payoff =
-      scores_[defender.design_index * num_cadences_ + defender.cadence_index].coa;
-  result.attacker_payoff =
-      attacker_value(defender.design_index, defender.cadence_index, weights);
-  result.exposure = exposure_of(defender.design_index, defender.cadence_index, weights);
-  if (converged) {
-    result.certificate = certify(defender, weights);
+  // The defender-preferred equilibrium: highest COA, ties to the lowest (i, j).
+  const Equilibrium* preferred = nullptr;
+  const FrontierPoint* preferred_point = nullptr;
+  for (const Equilibrium& eq : result.equilibria) {
+    const FrontierPoint& point =
+        result.frontier[eq.defender.design_index * num_cadences_ + eq.defender.cadence_index];
+    if (preferred == nullptr || point.coa > preferred_point->coa) {
+      preferred = &eq;
+      preferred_point = &point;
+    }
   }
-  build_frontier(result);
+  result.converged = preferred != nullptr;
+  if (result.converged) {
+    result.defender = preferred->defender;
+    result.design = designs[preferred->defender.design_index];
+    result.cadence_hours = cadences[preferred->defender.cadence_index];
+    result.attacker = preferred->attacker;
+    result.defender_payoff = preferred_point->coa;
+    result.attacker_payoff = preferred_point->attacker_payoff;
+    result.exposure = preferred_point->exposure;
+    result.certificate = preferred->certificate;
+  }
   result.service = service_.stats();
   return result;
 }
@@ -393,19 +289,18 @@ DeviationCertificate BestResponseSolver::certify(const DefenderStrategy& defende
 
   // Defender check: replay the feasibility filter over the whole grid and
   // bound the best feasible COA gain.  The held cell must itself be feasible
-  // (a min-exposure fallback never certifies).
+  // (re-derived here, not taken from the enumeration).
   const double held_coa =
       scores_[defender.design_index * num_cadences_ + defender.cadence_index].coa;
   const bool held_feasible =
-      cost_[defender.design_index] <= spec_.defender.cost_budget + kFeasibilitySlack &&
-      exposure_of(defender.design_index, defender.cadence_index, weights) <=
-          spec_.defender.exposure_bound + kFeasibilitySlack;
+      cost_feasible(defender.design_index) &&
+      exposure_feasible(defender.design_index, defender.cadence_index, weights);
   double best_gain = 0.0;
   for (std::size_t i = 0; i < num_designs_; ++i) {
-    if (cost_[i] > spec_.defender.cost_budget + kFeasibilitySlack) continue;
+    if (!cost_feasible(i)) continue;
     for (std::size_t j = 0; j < num_cadences_; ++j) {
       ++cert.defender_strategies_checked;
-      if (exposure_of(i, j, weights) > spec_.defender.exposure_bound + kFeasibilitySlack) continue;
+      if (!exposure_feasible(i, j, weights)) continue;
       best_gain = std::max(best_gain, scores_[i * num_cadences_ + j].coa - held_coa);
     }
   }
@@ -450,34 +345,6 @@ DeviationCertificate BestResponseSolver::certify(const DefenderStrategy& defende
 
   cert.verified = cert.defender_ok && cert.attacker_ok;
   return cert;
-}
-
-void BestResponseSolver::build_frontier(EquilibriumResult& result) const {
-  const std::vector<enterprise::RedundancyDesign>& designs = spec_.scenario.designs();
-  const std::vector<double>& cadences = spec_.scenario.patch_intervals();
-  result.frontier.clear();
-  result.frontier.reserve(scores_.size());
-  for (std::size_t i = 0; i < num_designs_; ++i) {
-    for (std::size_t j = 0; j < num_cadences_; ++j) {
-      const CellScore& score = scores_[i * num_cadences_ + j];
-      FrontierPoint point;
-      point.design_index = i;
-      point.cadence_index = j;
-      point.design_name = designs[i].name();
-      point.cadence_hours = cadences[j];
-      point.coa = score.coa;
-      point.attack_impact = score.attack_impact;
-      point.attack_success = score.attack_success;
-      point.deployment_cost = cost_[i];
-      point.exposure = exposure_of(i, j, result.attacker.weights);
-      point.attacker_payoff = attacker_value(i, j, result.attacker.weights);
-      point.cost_feasible = cost_[i] <= spec_.defender.cost_budget + kFeasibilitySlack;
-      point.exposure_feasible =
-          point.exposure <= spec_.defender.exposure_bound + kFeasibilitySlack;
-      point.equilibrium = result.converged && DefenderStrategy{i, j} == result.defender;
-      result.frontier.push_back(std::move(point));
-    }
-  }
 }
 
 }  // namespace patchsec::game

@@ -56,18 +56,8 @@ void GameSpec::validate() const {
   if (!(payoff.impact_weight >= 0.0 && payoff.impact_weight <= 1.0)) {
     throw std::invalid_argument("GameSpec: impact_weight must lie in [0, 1]");
   }
-  if (max_iterations < 2) {
-    throw std::invalid_argument(
-        "GameSpec: max_iterations must be >= 2 (one round cannot witness a fixed point)");
-  }
-  if (!(damping > 0.0 && damping <= 1.0)) {
-    throw std::invalid_argument("GameSpec: damping must lie in (0, 1]");
-  }
   if (!(tie_epsilon >= 0.0)) {
     throw std::invalid_argument("GameSpec: tie_epsilon must be >= 0");
-  }
-  if (!(weight_tolerance > 0.0)) {
-    throw std::invalid_argument("GameSpec: weight_tolerance must be > 0");
   }
   if (!(certificate_epsilon > 0.0)) {
     throw std::invalid_argument("GameSpec: certificate_epsilon must be > 0");

@@ -53,7 +53,8 @@
 ///                        be marked
 ///   V-REWARD-002 error   reward function throws or returns a non-finite
 ///                        value on a probe marking
-///   V-CERT-001  info     semiflow computation truncated (row cap hit);
+///   V-CERT-001  info     semiflow computation incomplete (row cap hit or
+///                        a coefficient overflowed 64 bits);
 ///                        coverage-based rules were skipped
 ///
 /// All probes evaluate the model's opaque guard/rate/reward std::functions on
@@ -94,16 +95,18 @@ struct VerifyCertificates {
   /// Minimal-support T-semiflows, each of length transition_count().
   std::vector<std::vector<long long>> t_semiflows;
   /// Per-place structural bound min_y floor(yT M0 / y[p]) over covering
-  /// semiflows; -1 when no semiflow covers the place (no certificate).
+  /// semiflows; -1 when no semiflow covers the place (no certificate).  A
+  /// semiflow whose yT M0 overflows 64 bits contributes no bound.
   std::vector<long long> place_bound;
   /// Every place covered by a P-semiflow: the state space is provably finite.
   bool structurally_bounded = false;
   /// The all-ones vector is a P-invariant: every transition preserves the
   /// total token count (must agree with StructuralReport::conservative).
   bool token_conserving = false;
-  /// The semiflow enumerations completed without hitting the row cap; when
-  /// false the corresponding coverage rules (V-BOUND-001 / V-ERGO-002) are
-  /// skipped and a V-CERT-001 info finding is emitted.
+  /// The semiflow enumerations completed without hitting the row cap or a
+  /// 64-bit overflow; when false the corresponding coverage rules
+  /// (V-BOUND-001 / V-ERGO-002) are skipped and a V-CERT-001 info finding is
+  /// emitted.
   bool p_semiflows_complete = true;
   bool t_semiflows_complete = true;
 };
@@ -138,9 +141,9 @@ struct VerifyReport {
 /// (vectors y with yT A = 0), by the Farkas / Martinez-Silva elimination.
 /// Pass the incidence matrix for P-semiflows and its transpose for
 /// T-semiflows.  `complete` (optional) is set to false when the intermediate
-/// row cap was hit, in which case an EMPTY set is returned — a truncated
-/// basis could silently miss invariants and must not be used for coverage
-/// claims.
+/// row cap was hit or a coefficient overflowed 64-bit arithmetic, in which
+/// case an EMPTY set is returned — a truncated basis could silently miss
+/// invariants and must not be used for coverage claims.
 [[nodiscard]] std::vector<std::vector<long long>> semiflows(
     const std::vector<std::vector<long long>>& matrix, std::size_t max_intermediate_rows = 4096,
     bool* complete = nullptr);

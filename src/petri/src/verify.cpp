@@ -29,6 +29,16 @@ struct FarkasRow {
   Row y;
 };
 
+/// *out = x * p + y * q; false when a product or the sum overflows, or the
+/// result is LLONG_MIN (whose negation and llabs are undefined).
+[[nodiscard]] bool checked_combination(long long x, long long p, long long y, long long q,
+                                       long long* out) {
+  long long xp = 0;
+  long long yq = 0;
+  return !__builtin_mul_overflow(x, p, &xp) && !__builtin_mul_overflow(y, q, &yq) &&
+         !__builtin_add_overflow(xp, yq, out) && *out != std::numeric_limits<long long>::min();
+}
+
 void normalize(FarkasRow& row) {
   const long long g = vector_gcd(row.a, row.y);
   if (g > 1) {
@@ -225,8 +235,17 @@ std::vector<std::vector<long long>> semiflows(const std::vector<std::vector<long
         FarkasRow combined;
         combined.a.resize(m);
         combined.y.resize(n);
-        for (std::size_t k = 0; k < m; ++k) combined.a[k] = cp * p->a[k] + cq * q->a[k];
-        for (std::size_t k = 0; k < n; ++k) combined.y[k] = cp * p->y[k] + cq * q->y[k];
+        bool exact = true;
+        for (std::size_t k = 0; k < m; ++k) {
+          exact &= checked_combination(cp, p->a[k], cq, q->a[k], &combined.a[k]);
+        }
+        for (std::size_t k = 0; k < n; ++k) {
+          exact &= checked_combination(cp, p->y[k], cq, q->y[k], &combined.y[k]);
+        }
+        if (!exact) {
+          if (complete != nullptr) *complete = false;
+          return {};  // a semiflow beyond long long: the basis is incomplete
+        }
         normalize(combined);
         next.push_back(std::move(combined));
       }
@@ -275,9 +294,12 @@ VerifyReport verify_model(const SrnModel& model,
   certs.place_bound.assign(n_p, kUnbounded);
   for (const std::vector<long long>& y : certs.p_semiflows) {
     long long weighted_initial = 0;
-    for (PlaceId p = 0; p < n_p; ++p) {
-      weighted_initial += y[p] * static_cast<long long>(s.initial[p]);
+    bool exact = true;
+    for (PlaceId p = 0; p < n_p && exact; ++p) {
+      exact = checked_combination(1, weighted_initial, y[p], static_cast<long long>(s.initial[p]),
+                                  &weighted_initial);
     }
+    if (!exact) continue;  // y^T M0 beyond long long: this semiflow yields no bound
     for (PlaceId p = 0; p < n_p; ++p) {
       if (y[p] <= 0) continue;
       const long long bound = weighted_initial / y[p];
@@ -300,9 +322,10 @@ VerifyReport verify_model(const SrnModel& model,
 
   if (!certs.p_semiflows_complete || !certs.t_semiflows_complete) {
     add_finding(report, "V-CERT-001", VerifySeverity::kInfo, "",
-                "semiflow enumeration truncated at " +
+                "semiflow enumeration incomplete (more than " +
                     std::to_string(options.max_intermediate_rows) +
-                    " intermediate rows; boundedness and T-coverage rules skipped");
+                    " intermediate rows, or a coefficient beyond 64 bits); boundedness and "
+                    "T-coverage rules skipped");
   }
 
   // Attainable per-place token ceiling: a place no transition net-produces

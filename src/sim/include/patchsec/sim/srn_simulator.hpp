@@ -124,8 +124,8 @@ class SrnSimulator {
 
   /// Transient estimate by independent replications: E[reward(marking at
   /// time t)] starting from the initial marking.  The Monte-Carlo
-  /// counterpart of uniformization (ctmc::transient_reward); CI from the
-  /// replication sample.
+  /// counterpart of uniformization (ctmc::TransientSolver::reward_at); CI
+  /// from the replication sample.
   [[nodiscard]] SimulationEstimate transient_reward(const petri::RewardFunction& reward,
                                                     double t, std::size_t replications = 2000,
                                                     std::uint64_t seed = 42) const;

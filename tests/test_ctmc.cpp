@@ -7,7 +7,7 @@
 
 #include "patchsec/ctmc/absorbing.hpp"
 #include "patchsec/ctmc/ctmc.hpp"
-#include "patchsec/ctmc/transient.hpp"
+#include "patchsec/ctmc/transient_solver.hpp"
 
 namespace ct = patchsec::ctmc;
 
@@ -102,9 +102,11 @@ TEST(Ctmc, ReachabilityAndIrreducibility) {
 TEST(Transient, TwoStateClosedForm) {
   // pi_up(t) = mu/(l+mu) + l/(l+mu) e^{-(l+mu)t} starting from up.
   const double l = 0.7, mu = 1.3;
-  const ct::Ctmc c = up_down(l, mu);
+  ct::TransientSolver solver;
+  solver.prepare(up_down(l, mu));
+  std::vector<double> pi;
   for (double t : {0.0, 0.1, 0.5, 1.0, 3.0, 10.0}) {
-    const auto pi = ct::transient_distribution(c, {1.0, 0.0}, t);
+    solver.distribution_at({1.0, 0.0}, t, pi);
     const double expected = mu / (l + mu) + l / (l + mu) * std::exp(-(l + mu) * t);
     EXPECT_NEAR(pi[0], expected, 1e-9) << "t=" << t;
     EXPECT_NEAR(pi[0] + pi[1], 1.0, 1e-12);
@@ -112,39 +114,51 @@ TEST(Transient, TwoStateClosedForm) {
 }
 
 TEST(Transient, ConvergesToSteadyState) {
-  const ct::Ctmc c = up_down(0.4, 0.6);
-  const auto pi = ct::transient_distribution(c, {0.0, 1.0}, 200.0);
+  ct::TransientSolver solver;
+  solver.prepare(up_down(0.4, 0.6));
+  std::vector<double> pi;
+  solver.distribution_at({0.0, 1.0}, 200.0, pi);
   EXPECT_NEAR(pi[0], 0.6, 1e-8);
   EXPECT_NEAR(pi[1], 0.4, 1e-8);
 }
 
 TEST(Transient, ZeroTimeReturnsInitial) {
-  const ct::Ctmc c = up_down(1.0, 1.0);
-  const auto pi = ct::transient_distribution(c, {0.25, 0.75}, 0.0);
+  ct::TransientSolver solver;
+  solver.prepare(up_down(1.0, 1.0));
+  std::vector<double> pi;
+  solver.distribution_at({0.25, 0.75}, 0.0, pi);
   EXPECT_DOUBLE_EQ(pi[0], 0.25);
 }
 
 TEST(Transient, NegativeTimeThrows) {
-  const ct::Ctmc c = up_down(1.0, 1.0);
-  EXPECT_THROW(ct::transient_distribution(c, {1.0, 0.0}, -1.0), std::invalid_argument);
+  ct::TransientSolver solver;
+  solver.prepare(up_down(1.0, 1.0));
+  std::vector<double> pi;
+  EXPECT_THROW(solver.distribution_at({1.0, 0.0}, -1.0, pi), std::invalid_argument);
 }
 
 TEST(Transient, InitialSizeMismatchThrows) {
-  const ct::Ctmc c = up_down(1.0, 1.0);
-  EXPECT_THROW(ct::transient_distribution(c, {1.0}, 1.0), std::invalid_argument);
+  ct::TransientSolver solver;
+  solver.prepare(up_down(1.0, 1.0));
+  std::vector<double> pi;
+  EXPECT_THROW(solver.distribution_at({1.0}, 1.0, pi), std::invalid_argument);
 }
 
 TEST(Transient, StiffChainStaysStochastic) {
-  const ct::Ctmc c = up_down(1e-4, 1e3);
-  const auto pi = ct::transient_distribution(c, {0.0, 1.0}, 0.01);
+  ct::TransientSolver solver;
+  solver.prepare(up_down(1e-4, 1e3));
+  std::vector<double> pi;
+  solver.distribution_at({0.0, 1.0}, 0.01, pi);
   EXPECT_NEAR(pi[0] + pi[1], 1.0, 1e-12);
   EXPECT_GT(pi[0], 0.99);  // repair rate 1e3: nearly surely up after 0.01
 }
 
 TEST(Transient, InstantaneousRewardMatchesDistribution) {
-  const ct::Ctmc c = up_down(0.5, 1.5);
-  const double r = ct::transient_reward(c, {1.0, 0.0}, {1.0, 0.0}, 0.8);
-  const auto pi = ct::transient_distribution(c, {1.0, 0.0}, 0.8);
+  ct::TransientSolver solver;
+  solver.prepare(up_down(0.5, 1.5));
+  const double r = solver.reward_at({1.0, 0.0}, {1.0, 0.0}, 0.8);
+  std::vector<double> pi;
+  solver.distribution_at({1.0, 0.0}, 0.8, pi);
   EXPECT_NEAR(r, pi[0], 1e-12);
 }
 
@@ -156,14 +170,11 @@ TEST(Transient, AccumulatedRewardIntervalAvailability) {
   c.add_states(2);
   c.add_transition(0, 1, l);
   const double t = 2.0;
-  const double up_time = ct::accumulated_reward(c, {1.0, 0.0}, {1.0, 0.0}, t, 512);
+  ct::TransientSolver solver;
+  solver.prepare(c);
+  const double up_time = solver.accumulated_reward({1.0, 0.0}, {1.0, 0.0}, t);
   const double expected = (1.0 - std::exp(-l * t)) / l;
   EXPECT_NEAR(up_time, expected, 1e-4);
-}
-
-TEST(Transient, AccumulatedRewardZeroSteps) {
-  const ct::Ctmc c = up_down(1.0, 1.0);
-  EXPECT_THROW((void)ct::accumulated_reward(c, {1.0, 0.0}, {1.0, 0.0}, 1.0, 0), std::invalid_argument);
 }
 
 // ---------- absorbing --------------------------------------------------------

@@ -5,7 +5,7 @@
 
 #include <cmath>
 
-#include "patchsec/ctmc/transient.hpp"
+#include "patchsec/ctmc/transient_solver.hpp"
 #include "patchsec/linalg/vector_ops.hpp"
 #include "patchsec/petri/reachability.hpp"
 #include "patchsec/sim/srn_simulator.hpp"
@@ -41,10 +41,15 @@ TEST(TransientEdge, UndersizedExpansionFailsLoudly) {
   c.add_transition(1, 0, 1000.0);
   ct::TransientOptions opt;
   opt.max_terms = 8;
-  EXPECT_THROW((void)ct::transient_distribution(c, {1.0, 0.0}, 10.0, opt), std::runtime_error);
+  std::vector<double> pi;
+  ct::TransientSolver undersized(opt);
+  undersized.prepare(c);
+  EXPECT_THROW(undersized.distribution_at({1.0, 0.0}, 10.0, pi), std::runtime_error);
   // With an adequate expansion the same stiff problem solves fine.
   opt.max_terms = 2'000'000;
-  const auto pi = ct::transient_distribution(c, {1.0, 0.0}, 10.0, opt);
+  ct::TransientSolver adequate(opt);
+  adequate.prepare(c);
+  adequate.distribution_at({1.0, 0.0}, 10.0, pi);
   EXPECT_NEAR(pi[0], 0.5, 1e-9);  // symmetric rates: uniform limit
   EXPECT_NEAR(pi[0] + pi[1], 1.0, 1e-12);
 }
@@ -54,7 +59,10 @@ TEST(TransientEdge, VeryLargeTimeIsSteadyState) {
   c.add_states(2);
   c.add_transition(0, 1, 0.25);
   c.add_transition(1, 0, 0.75);
-  const auto pi = ct::transient_distribution(c, {1.0, 0.0}, 1e4);
+  ct::TransientSolver solver;
+  solver.prepare(c);
+  std::vector<double> pi;
+  solver.distribution_at({1.0, 0.0}, 1e4, pi);
   EXPECT_NEAR(pi[0], 0.75, 1e-9);
 }
 

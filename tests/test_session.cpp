@@ -1,8 +1,7 @@
 // Tests for the Scenario/Session evaluation API: builder defaults and
 // validation, end-to-end EngineOptions plumbing (observable as
 // iteration-count changes reported from linalg::solve_steady_state), solver
-// diagnostics in EvalReport, schedule sweeps, parallel batches and the
-// deprecated-Evaluator shim equivalence.
+// diagnostics in EvalReport, schedule sweeps and parallel batches.
 
 #include <gtest/gtest.h>
 
@@ -16,14 +15,6 @@
 #include "patchsec/core/report.hpp"
 #include "patchsec/core/sensitivity.hpp"
 #include "patchsec/core/session.hpp"
-
-// The shim-equivalence tests below intentionally exercise the deprecated API.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#elif defined(_MSC_VER)
-#pragma warning(disable : 4996)
-#endif
-#include "patchsec/core/evaluation.hpp"
 
 namespace core = patchsec::core;
 namespace ent = patchsec::enterprise;
@@ -330,53 +321,6 @@ TEST(SessionOverloads, EscalateStarvedSolvesInsteadOfUsingThem) {
   EXPECT_THROW((void)core::evaluate_campaign(session, ent::example_network_design(),
                                              core::severity_banded_campaign()),
                std::runtime_error);
-}
-
-// ---------- deprecated shim equivalence -----------------------------------------
-
-TEST(EvaluatorShim, PaperCaseStudyNumbersIdenticalToSession) {
-  const core::Evaluator shim = core::Evaluator::paper_case_study();
-  const core::Session session(core::Scenario::paper_case_study());
-
-  const auto old_evals = shim.evaluate_all(ent::paper_designs());
-  const auto new_reports = session.evaluate_all();
-  ASSERT_EQ(old_evals.size(), new_reports.size());
-  for (std::size_t i = 0; i < old_evals.size(); ++i) {
-    EXPECT_EQ(old_evals[i].design, new_reports[i].design);
-    EXPECT_DOUBLE_EQ(old_evals[i].coa, new_reports[i].coa);
-    EXPECT_DOUBLE_EQ(old_evals[i].before_patch.attack_success_probability,
-                     new_reports[i].before_patch.attack_success_probability);
-    EXPECT_DOUBLE_EQ(old_evals[i].after_patch.attack_success_probability,
-                     new_reports[i].after_patch.attack_success_probability);
-    EXPECT_DOUBLE_EQ(old_evals[i].before_patch.attack_impact,
-                     new_reports[i].before_patch.attack_impact);
-    EXPECT_EQ(old_evals[i].after_patch.exploitable_vulnerabilities,
-              new_reports[i].after_patch.exploitable_vulnerabilities);
-    EXPECT_EQ(old_evals[i].after_patch.attack_paths, new_reports[i].after_patch.attack_paths);
-    EXPECT_EQ(old_evals[i].after_patch.entry_points, new_reports[i].after_patch.entry_points);
-  }
-
-  // Table V rates agree too.
-  const auto& old_rates = shim.aggregated_rates();
-  const auto& new_rates = session.aggregated_rates();
-  ASSERT_EQ(old_rates.size(), new_rates.size());
-  for (const auto& [role, r] : old_rates) {
-    EXPECT_DOUBLE_EQ(r.lambda_eq, new_rates.at(role).lambda_eq) << ent::to_string(role);
-    EXPECT_DOUBLE_EQ(r.mu_eq, new_rates.at(role).mu_eq) << ent::to_string(role);
-  }
-}
-
-TEST(EvaluatorShim, AccessorsForwardToTheScenario) {
-  const core::Evaluator shim = core::Evaluator::paper_case_study(168.0);
-  EXPECT_DOUBLE_EQ(shim.patch_interval_hours(), 168.0);
-  EXPECT_EQ(shim.specs().size(), 4u);
-}
-
-TEST(EvaluatorShim, StaysCopyableLikeTheOriginal) {
-  const core::Evaluator shim = core::Evaluator::paper_case_study(168.0);
-  const core::Evaluator copy = shim;  // the original Evaluator was copyable
-  EXPECT_DOUBLE_EQ(copy.patch_interval_hours(), 168.0);
-  EXPECT_EQ(&copy.aggregated_rates(), &shim.aggregated_rates());  // shared session
 }
 
 // ---------------------------------------------------------------------------

@@ -139,6 +139,57 @@ TEST(Semiflows, TruncationReturnsEmptyAndIncomplete) {
   EXPECT_TRUE(flows.empty());
 }
 
+// A chain whose arc multiplicity M grows its only P-semiflow as
+// [1, M, M^2, M^3]: at M = 2^31 the coefficients leave 64-bit range, which
+// must surface as an incomplete basis, never as a wrapped "semiflow".
+constexpr long long kHugeMultiplicity = 1LL << 31;
+
+pt::SrnModel multiplicity_chain() {
+  pt::SrnModel net;
+  const pt::PlaceId places[] = {net.add_place("P0", 1), net.add_place("P1", 0),
+                                 net.add_place("P2", 0), net.add_place("P3", 0)};
+  const char* const names[] = {"T0", "T1", "T2"};
+  for (int i = 0; i < 3; ++i) {
+    const auto t = net.add_timed_transition(names[i], 1.0);
+    net.add_input_arc(t, places[i], static_cast<pt::TokenCount>(kHugeMultiplicity));
+    net.add_output_arc(t, places[i + 1]);
+  }
+  return net;
+}
+
+TEST(Semiflows, CoefficientOverflowReturnsEmptyAndIncomplete) {
+  const long long m = kHugeMultiplicity;
+  bool complete = true;
+  const auto flows =
+      pt::semiflows({{-m, 0, 0}, {1, -m, 0}, {0, 1, -m}, {0, 0, 1}}, 4096, &complete);
+  EXPECT_FALSE(complete);
+  EXPECT_TRUE(flows.empty());
+}
+
+TEST(Semiflows, CoefficientOverflowInNetIsReportedIncomplete) {
+  const pt::VerifyReport report = pt::verify_model(multiplicity_chain());
+  EXPECT_FALSE(report.certificates.p_semiflows_complete);
+  EXPECT_TRUE(report.certificates.p_semiflows.empty());
+  EXPECT_FALSE(report.certificates.structurally_bounded);
+  EXPECT_TRUE(has_finding(report, "V-CERT-001"));
+}
+
+TEST(Semiflows, OverflowingPlaceBoundIsDropped) {
+  // A -> B taking 2^31 tokens: the semiflow [1, 2^31] is exact, but its
+  // weighted initial marking 2^31 + 2^31 * (2^32 - 1) = 2^63 is not.
+  pt::SrnModel net;
+  const auto a = net.add_place("A", static_cast<pt::TokenCount>(kHugeMultiplicity));
+  const auto b = net.add_place("B", std::numeric_limits<pt::TokenCount>::max());
+  const auto t = net.add_timed_transition("T", 1.0);
+  net.add_input_arc(t, a, static_cast<pt::TokenCount>(kHugeMultiplicity));
+  net.add_output_arc(t, b);
+  const pt::VerifyReport report = pt::verify_model(net);
+  EXPECT_TRUE(report.certificates.p_semiflows_complete);
+  ASSERT_EQ(report.certificates.p_semiflows.size(), 1u);
+  EXPECT_EQ(report.certificates.p_semiflows[0], (std::vector<long long>{1, kHugeMultiplicity}));
+  EXPECT_EQ(report.certificates.place_bound, (std::vector<long long>{-1, -1}));
+}
+
 TEST(Semiflows, RaggedMatrixRejected) {
   EXPECT_THROW((void)pt::semiflows({{1, 2}, {1}}), std::invalid_argument);
 }
