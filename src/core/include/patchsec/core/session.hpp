@@ -271,6 +271,11 @@ class Session {
     std::size_t availability_transpose_rebuilds = 0;
     std::size_t aggregation_solves = 0;           ///< lower-layer solves served.
     std::size_t aggregation_transpose_rebuilds = 0;
+    /// petri::certify_structure runs (one per distinct structure_key, plus
+    /// any a concurrent miss on the same key computed and discarded).
+    std::size_t verify_structure_builds = 0;
+    /// Verifications served from a memoized structure certificate.
+    std::size_t verify_structure_reuses = 0;
   };
   [[nodiscard]] WorkspaceCounters workspace_counters() const;
 
@@ -304,6 +309,19 @@ class Session {
   /// Throws std::invalid_argument unless patch_interval_hours > 0 (also
   /// rejects NaN, which would alias arbitrary cache keys).
   const IntervalAggregation& aggregation_for(double patch_interval_hours) const;
+
+  /// Static verification of one net as stage `stage`: the memoized
+  /// structure certificate plus this instance's probes (petri::verify_values),
+  /// thrown on under VerifyMode::kStrict.
+  [[nodiscard]] StageVerification verify_stage(
+      std::string stage, const petri::SrnModel& model,
+      const std::vector<std::pair<std::string, petri::RewardFunction>>& rewards) const;
+
+  /// verify_stage of the upper-layer network net of `design` at `rates`,
+  /// with its COA reward linted.
+  [[nodiscard]] StageVerification verify_network_stage(
+      const enterprise::RedundancyDesign& design,
+      const std::map<enterprise::ServerRole, avail::AggregatedRates>& rates) const;
 
   /// Memoized HARM security metrics for one design (thread-safe).  The HARM
   /// side is cadence-independent, so a schedule sweep pays it once per
@@ -342,6 +360,15 @@ class Session {
   /// is fixed for the Session's lifetime.  Pinned by
   /// SessionMemoizationAudit.HarmMetricsDependOnDesignCountsAlone.
   mutable std::map<std::array<unsigned, enterprise::kRoleCount>, SecurityMetricsPair> harm_cache_;
+  /// Structure certificates keyed on the FULL petri::structure_key bytes (not
+  /// a hash of them, so two structures can never share an entry).  Every
+  /// (role, cadence) server net shares one entry and every cadence of a
+  /// design's network net another: only rates differ between them.  Guarded
+  /// by cache_mutex_ with the two counters.
+  mutable std::map<std::string, std::shared_ptr<const petri::StructureCertificate>>
+      structure_cache_;
+  mutable std::size_t structure_builds_ = 0;
+  mutable std::size_t structure_reuses_ = 0;
   /// Per-thread solver workspaces (guarded by workspace_mutex_; the map is
   /// touched only to find/create a slot — the workspaces themselves are
   /// single-owner per thread and used outside the lock).

@@ -26,25 +26,6 @@ double seconds_since(Clock::time_point start) {
 
 using Job = std::pair<enterprise::RedundancyDesign, double>;
 
-// Static verification of the upper-layer network net (petri::verify), run
-// before any solve.  The NetworkSrn build itself is a handful of places and
-// transitions — no state-space exploration — so rebuilding it here for the
-// lumped path (which never materializes the flat net) costs nothing.
-StageVerification verify_network_stage(const enterprise::RedundancyDesign& design,
-                                       const std::map<enterprise::ServerRole,
-                                                      avail::AggregatedRates>& rates,
-                                       const EngineOptions& engine) {
-  const avail::NetworkSrn net = avail::build_network_srn(design, rates);
-  std::vector<std::pair<std::string, petri::RewardFunction>> rewards;
-  rewards.emplace_back("coa", net.coa_reward());
-  StageVerification stage{"network",
-                          petri::verify_model(net.model, rewards, engine.verify_options)};
-  if (engine.verify == VerifyMode::kStrict) {
-    petri::throw_on_verify_errors(stage.report, stage.stage);
-  }
-  return stage;
-}
-
 }  // namespace
 
 bool EvalReport::converged() const noexcept {
@@ -142,8 +123,13 @@ SolverWorkspaces& Session::workspaces_for_this_thread() const {
 }
 
 Session::WorkspaceCounters Session::workspace_counters() const {
-  const std::lock_guard<std::mutex> lock(workspace_mutex_);
   WorkspaceCounters counters;
+  {
+    const std::lock_guard<std::mutex> lock(cache_mutex_);
+    counters.verify_structure_builds = structure_builds_;
+    counters.verify_structure_reuses = structure_reuses_;
+  }
+  const std::lock_guard<std::mutex> lock(workspace_mutex_);
   counters.thread_slots = workspaces_.size();
   for (const auto& [tid, ws] : workspaces_) {
     counters.transient_structure_builds += ws->transient.structure_builds();
@@ -154,6 +140,49 @@ Session::WorkspaceCounters Session::workspace_counters() const {
     counters.aggregation_transpose_rebuilds += ws->aggregation.transpose_rebuilds();
   }
   return counters;
+}
+
+StageVerification Session::verify_stage(
+    std::string stage, const petri::SrnModel& model,
+    const std::vector<std::pair<std::string, petri::RewardFunction>>& rewards) const {
+  const EngineOptions& engine = scenario_.engine();
+  std::string key = petri::structure_key(model, engine.verify_options);
+  std::shared_ptr<const petri::StructureCertificate> certificate;
+  {
+    const std::lock_guard<std::mutex> lock(cache_mutex_);
+    const auto it = structure_cache_.find(key);
+    if (it != structure_cache_.end()) {
+      ++structure_reuses_;
+      certificate = it->second;
+    }
+  }
+  if (!certificate) {
+    // Same lock-free-compute pattern as aggregation_for: racing threads on
+    // the same cold structure both certify; try_emplace keeps the first.
+    auto built = std::make_shared<const petri::StructureCertificate>(
+        petri::certify_structure(model, engine.verify_options));
+    const std::lock_guard<std::mutex> lock(cache_mutex_);
+    ++structure_builds_;
+    certificate = structure_cache_.try_emplace(std::move(key), std::move(built)).first->second;
+  }
+  StageVerification verified{std::move(stage), petri::verify_values(*certificate, model, rewards,
+                                                                     engine.verify_options)};
+  if (engine.verify == VerifyMode::kStrict) {
+    petri::throw_on_verify_errors(verified.report, verified.stage);
+  }
+  return verified;
+}
+
+StageVerification Session::verify_network_stage(
+    const enterprise::RedundancyDesign& design,
+    const std::map<enterprise::ServerRole, avail::AggregatedRates>& rates) const {
+  // The NetworkSrn build is a handful of places and transitions — no
+  // state-space exploration — so rebuilding it here for the lumped path
+  // (which never materializes the flat net) costs nothing.
+  const avail::NetworkSrn net = avail::build_network_srn(design, rates);
+  std::vector<std::pair<std::string, petri::RewardFunction>> rewards;
+  rewards.emplace_back("coa", net.coa_reward());
+  return verify_stage("network", net.model, rewards);
 }
 
 const Session::IntervalAggregation& Session::aggregation_for(double patch_interval_hours) const {
@@ -175,13 +204,11 @@ const Session::IntervalAggregation& Session::aggregation_for(double patch_interv
   const VerifyMode verify = scenario_.engine().verify;
   for (const auto& [role, spec] : scenario_.specs()) {
     if (verify != VerifyMode::kOff) {
-      // Static pre-flight on the server net (incidence-matrix cost) before
-      // the reachability-based aggregation solve touches it.
-      StageVerification stage{std::string("server:") + enterprise::to_string(role),
-                              petri::verify_model(avail::build_server_srn(spec, srn_options).model,
-                                                  scenario_.engine().verify_options)};
-      if (verify == VerifyMode::kStrict) petri::throw_on_verify_errors(stage.report, stage.stage);
-      agg.verification.push_back(std::move(stage));
+      // Static pre-flight on the server net before the reachability-based
+      // aggregation solve touches it.
+      agg.verification.push_back(verify_stage(std::string("server:") + enterprise::to_string(role),
+                                              avail::build_server_srn(spec, srn_options).model,
+                                              {}));
     }
     avail::ServerAggregation server = avail::aggregate_server_detailed(
         spec, srn_options, engine, &workspaces_for_this_thread().aggregation);
@@ -312,7 +339,7 @@ EvalReport Session::evaluate(const enterprise::RedundancyDesign& design,
 
   if (scenario_.engine().verify != VerifyMode::kOff) {
     report.verification = agg.verification;
-    report.verification.push_back(verify_network_stage(design, agg.rates, scenario_.engine()));
+    report.verification.push_back(verify_network_stage(design, agg.rates));
   }
 
   if (report.backend == EvalBackend::kSimulation) {
@@ -377,7 +404,7 @@ EvalReport Session::evaluate_transient_impl(
 
   if (engine.verify != VerifyMode::kOff) {
     report.verification = agg.verification;
-    report.verification.push_back(verify_network_stage(design, agg.rates, engine));
+    report.verification.push_back(verify_network_stage(design, agg.rates));
   }
 
   if (report.backend == EvalBackend::kSimulation) {
@@ -459,7 +486,7 @@ std::vector<EvalReport> Session::evaluate_transient_batch(
   std::vector<StageVerification> verification;
   if (engine.verify != VerifyMode::kOff) {
     verification = agg.verification;
-    verification.push_back(verify_network_stage(design, agg.rates, engine));
+    verification.push_back(verify_network_stage(design, agg.rates));
   }
   const double wall = seconds_since(start);
 

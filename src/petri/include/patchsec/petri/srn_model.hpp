@@ -65,6 +65,10 @@ class SrnModel {
   TransitionId add_immediate_transition(std::string name, double weight = 1.0,
                                         unsigned priority = 1);
 
+  /// Arcs are unique per (transition, place): a repeated input or output arc
+  /// adds its multiplicity to the existing one (std::invalid_argument when
+  /// the sum overflows TokenCount), and a repeated inhibitor arc keeps the
+  /// smaller threshold.  Every consumer therefore sees one arc per place.
   void add_input_arc(TransitionId t, PlaceId p, TokenCount multiplicity = 1);
   void add_output_arc(TransitionId t, PlaceId p, TokenCount multiplicity = 1);
   void add_inhibitor_arc(TransitionId t, PlaceId p, TokenCount multiplicity = 1);

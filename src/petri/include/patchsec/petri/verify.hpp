@@ -3,9 +3,26 @@
 /// \brief Static model verification of SRNs — certificates and lint findings
 /// computed from the incidence matrix and the transition structure alone,
 /// WITHOUT exploring the state space.  This is the cheap pre-flight pass the
-/// engine runs before every solve (core::EngineOptions::verify); the
+/// engine runs on every net it solves (core::EngineOptions::verify); the
 /// reachability-based `analyze_structure` is the *dynamic oracle* these
 /// certificates are tested against (docs/TESTING.md).
+///
+/// The pass is split in two.  certify_structure() computes everything that
+/// depends only on the net's structure (arcs, kinds, priorities, guard
+/// presence, initial marking, names): the certificates below and the
+/// STRUCT/ERGO/BOUND/CERT findings.  verify_values() adds the findings that
+/// need the net's closures (V-GUARD/V-RATE/V-REWARD probes).  Nets that
+/// differ only in rates share one certificate, so core::Session certifies
+/// each structure_key() once and probes every instance — e.g. the server
+/// SRN of every (role, patch cadence) shares one certificate.  verify_model()
+/// is the two halves composed.
+///
+/// The structural pass is sparse: it reads arc lists, never a dense
+/// |P| x |T| loop.  V-ERGO-001 is one strongly-connected-component pass over
+/// the place/transition token-flow graph and V-STRUCT-003 compares only
+/// immediates that share an input place, both O(arcs) for bounded per-place
+/// fan-out; the Farkas eliminations keep their rows in flat arrays with
+/// bitset supports.  StructureWork counts the work of each.
 ///
 /// Certificates (verified against the net definition, not trusted):
 ///  * P-semiflows — minimal-support non-negative integer vectors y with
@@ -148,7 +165,75 @@ struct VerifyReport {
     const std::vector<std::vector<long long>>& matrix, std::size_t max_intermediate_rows = 4096,
     bool* complete = nullptr);
 
-/// Run the full static verification pass: certificates + every lint rule.
+/// Work counters of one structural pass — the guards that keep it linear
+/// where the math allows (test_verify grows a net family and asserts the
+/// first two scale with the arc count).
+struct StructureWork {
+  /// Token-flow graph edges visited by the V-ERGO-001 cycle pass.
+  std::size_t token_flow_edges = 0;
+  /// (immediate, consumer of one of its input places) pairs V-STRUCT-003
+  /// examined, plus checks against input-less shadowing candidates.
+  std::size_t shadow_comparisons = 0;
+  /// Positive x negative row pairs combined by the two Farkas eliminations.
+  std::size_t farkas_combinations = 0;
+};
+
+/// One nonzero incidence entry C[place][t] = out(t, place) - in(t, place).
+struct IncidenceEntry {
+  PlaceId place = 0;
+  long long delta = 0;
+};
+
+/// The rate-independent half of static verification: everything determined
+/// by structure_key()'s fields.  Immutable once built, so one certificate may
+/// serve concurrent verify_values() calls.
+struct StructureCertificate {
+  /// Column-compressed incidence: transition t's nonzero entries are
+  /// incidence[incidence_begin[t] .. incidence_begin[t + 1]), in ascending
+  /// place order.  Inhibitor arcs move no tokens and do not appear.
+  std::vector<std::size_t> incidence_begin;
+  std::vector<IncidenceEntry> incidence;
+  VerifyCertificates certificates;
+  /// Per-place token ceiling: the initial tokens of a place no transition
+  /// net-produces into, else the P-semiflow bound when the basis is complete;
+  /// -1 when nothing bounds it.  The probe markings stay inside it.
+  std::vector<long long> attainable;
+  /// Places that can never be marked (no initial tokens, no net producer),
+  /// ascending — the V-REWARD-001 toggles.
+  std::vector<PlaceId> unmarkable;
+  Marking initial;
+  /// V-CERT/V-STRUCT/V-ERGO/V-BOUND findings, in verify_model's order.
+  std::vector<VerifyFinding> findings;
+  StructureWork work;
+};
+
+/// Canonical byte serialization of every input certify_structure() reads:
+/// per place its name and initial tokens; per transition its name, kind,
+/// priority (immediates), guard presence and input/output/inhibitor arc
+/// lists in order; and options.max_intermediate_rows.  Fixed-width
+/// little-endian fields, length-prefixed strings and lists, one tag byte per
+/// section (service::request_hash's style).  Two models with equal keys have
+/// equal certificates; rates, weights, guard/reward closures and
+/// options.probe_functions are not part of it.
+[[nodiscard]] std::string structure_key(const SrnModel& model, const VerifyOptions& options = {});
+
+/// The structural pass: incidence, P/T-semiflows, place bounds, attainable
+/// ceilings and the V-CERT/V-STRUCT/V-ERGO/V-BOUND findings.
+[[nodiscard]] StructureCertificate certify_structure(const SrnModel& model,
+                                                     const VerifyOptions& options = {});
+
+/// The value pass: the certificate's certificates and findings followed by
+/// the V-GUARD/V-RATE/V-REWARD probe findings of `model` (none when
+/// options.probe_functions is off).  `model` must have the structure the
+/// certificate was built from; throws std::invalid_argument when its place
+/// or transition count differs.
+[[nodiscard]] VerifyReport verify_values(
+    const StructureCertificate& certificate, const SrnModel& model,
+    const std::vector<std::pair<std::string, RewardFunction>>& rewards,
+    const VerifyOptions& options = {});
+
+/// Run the full static verification pass: certificates + every lint rule
+/// (verify_values over certify_structure).
 [[nodiscard]] VerifyReport verify_model(const SrnModel& model, const VerifyOptions& options = {});
 
 /// As above, additionally linting reward functions (V-REWARD-*) — pass the

@@ -55,25 +55,58 @@ TransitionId SrnModel::add_immediate_transition(std::string name, double weight,
   return transitions_.size() - 1;
 }
 
+namespace {
+
+/// The arc of `arcs` on place p, or nullptr.
+Arc* find_arc(std::vector<Arc>& arcs, PlaceId p) {
+  for (Arc& a : arcs) {
+    if (a.place == p) return &a;
+  }
+  return nullptr;
+}
+
+/// Add `multiplicity` to p's arc in `arcs`, appending one when p has none:
+/// a repeated input or output arc is one arc of the summed multiplicity.
+void add_flow_arc(std::vector<Arc>& arcs, PlaceId p, TokenCount multiplicity) {
+  if (multiplicity == 0) throw std::invalid_argument("arc multiplicity must be positive");
+  Arc* existing = find_arc(arcs, p);
+  if (existing == nullptr) {
+    arcs.push_back({p, multiplicity});
+    return;
+  }
+  TokenCount sum = 0;
+  if (__builtin_add_overflow(existing->multiplicity, multiplicity, &sum)) {
+    throw std::invalid_argument("repeated arc multiplicities overflow the token count");
+  }
+  existing->multiplicity = sum;
+}
+
+}  // namespace
+
 void SrnModel::add_input_arc(TransitionId t, PlaceId p, TokenCount multiplicity) {
   check_transition(t);
   check_place(p);
-  if (multiplicity == 0) throw std::invalid_argument("arc multiplicity must be positive");
-  transitions_[t].inputs.push_back({p, multiplicity});
+  add_flow_arc(transitions_[t].inputs, p, multiplicity);
 }
 
 void SrnModel::add_output_arc(TransitionId t, PlaceId p, TokenCount multiplicity) {
   check_transition(t);
   check_place(p);
-  if (multiplicity == 0) throw std::invalid_argument("arc multiplicity must be positive");
-  transitions_[t].outputs.push_back({p, multiplicity});
+  add_flow_arc(transitions_[t].outputs, p, multiplicity);
 }
 
 void SrnModel::add_inhibitor_arc(TransitionId t, PlaceId p, TokenCount multiplicity) {
   check_transition(t);
   check_place(p);
   if (multiplicity == 0) throw std::invalid_argument("arc multiplicity must be positive");
-  transitions_[t].inhibitors.push_back({p, multiplicity});
+  // Repeated inhibitor arcs: the tightest (smallest) threshold is the only
+  // one that ever binds.
+  Arc* existing = find_arc(transitions_[t].inhibitors, p);
+  if (existing == nullptr) {
+    transitions_[t].inhibitors.push_back({p, multiplicity});
+  } else {
+    existing->multiplicity = std::min(existing->multiplicity, multiplicity);
+  }
 }
 
 void SrnModel::set_guard(TransitionId t, Guard guard) {

@@ -157,6 +157,65 @@ TEST(SrnModel, VanishingDetection) {
   EXPECT_FALSE(net.is_vanishing(m));
 }
 
+TEST(SrnModel, RepeatedInputArcsSumTheirDemand) {
+  // Two unit input arcs on a 1-token place are ONE arc demanding 2 tokens:
+  // the transition is disabled, and no marking can wrap below zero.  (Kept
+  // as two arcs, each check passed on its own while firing subtracted the
+  // sum, wrapping p to 4294967295.)
+  pt::SrnModel net;
+  const auto p = net.add_place("p", 1);
+  const auto q = net.add_place("q", 0);
+  const auto take = net.add_timed_transition("take", 1.0);
+  net.add_input_arc(take, p);
+  net.add_input_arc(take, p);
+  net.add_output_arc(take, q);
+  const auto back = net.add_timed_transition("back", 1.0);
+  net.add_input_arc(back, q);
+  net.add_output_arc(back, p);
+  net.add_output_arc(back, p);
+  const auto spin = net.add_timed_transition("spin", 1.0);
+  net.add_input_arc(spin, p);
+  net.add_output_arc(spin, p);
+
+  ASSERT_EQ(net.input_arcs(take).size(), 1u);
+  EXPECT_EQ(net.input_arcs(take)[0].multiplicity, 2u);
+  ASSERT_EQ(net.output_arcs(back).size(), 1u);
+  EXPECT_EQ(net.output_arcs(back)[0].multiplicity, 2u);
+  EXPECT_FALSE(net.is_enabled(take, net.initial_marking()));
+  EXPECT_THROW((void)net.fire(take, net.initial_marking()), std::logic_error);
+
+  const pt::ReachabilityGraph graph = pt::build_reachability_graph(net);
+  ASSERT_EQ(graph.tangible_count(), 1u);
+  for (const pt::Marking& m : graph.tangible_markings) {
+    EXPECT_EQ(m[p], 1u);
+    EXPECT_EQ(m[q], 0u);
+  }
+
+  // With the demand met the transition fires exactly once to an empty p.
+  const pt::Marking two = {2, 0};
+  EXPECT_EQ(net.fire(take, two), (pt::Marking{0, 1}));
+}
+
+TEST(SrnModel, RepeatedArcOverflowThrowsAndInhibitorsKeepTheTightest) {
+  pt::SrnModel net;
+  const auto p = net.add_place("p", 0);
+  const auto t = net.add_timed_transition("t", 1.0);
+  net.add_input_arc(t, p, 0xFFFFFFFFu);
+  EXPECT_THROW(net.add_input_arc(t, p, 1), std::invalid_argument);
+  EXPECT_EQ(net.input_arcs(t)[0].multiplicity, 0xFFFFFFFFu);  // left unchanged
+  net.add_output_arc(t, p, 0xFFFFFFFEu);
+  EXPECT_THROW(net.add_output_arc(t, p, 2), std::invalid_argument);
+  net.add_output_arc(t, p, 1);
+  EXPECT_EQ(net.output_arcs(t)[0].multiplicity, 0xFFFFFFFFu);
+
+  const auto u = net.add_timed_transition("u", 1.0);
+  net.add_inhibitor_arc(u, p, 3);
+  net.add_inhibitor_arc(u, p, 2);
+  net.add_inhibitor_arc(u, p, 5);
+  ASSERT_EQ(net.inhibitor_arcs(u).size(), 1u);
+  EXPECT_EQ(net.inhibitor_arcs(u)[0].multiplicity, 2u);
+}
+
 // ---------- reachability + vanishing elimination ------------------------------
 
 TEST(Reachability, UpDownNetMatchesClosedForm) {

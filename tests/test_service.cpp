@@ -12,10 +12,15 @@
 #include <cmath>
 #include <cstring>
 #include <future>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "patchsec/avail/network_srn.hpp"
+#include "patchsec/avail/server_srn.hpp"
 #include "patchsec/core/scenario.hpp"
+#include "patchsec/petri/verify.hpp"
 #include "patchsec/service/eval_service.hpp"
 #include "patchsec/service/request_hash.hpp"
 #include "patchsec/service/result_cache.hpp"
@@ -48,6 +53,35 @@ bool payload_bit_identical(const core::EvalReport& a, const core::EvalReport& b)
     if (!same_bits(a.transient.coa[j], b.transient.coa[j])) return false;
   }
   return same_bits(a.transient.accumulated_coa_hours, b.transient.accumulated_coa_hours);
+}
+
+/// Stage-by-stage equality of two reports' static verification: names,
+/// certificates and findings (rule, severity, subject, message, order).
+bool same_verification(const std::vector<core::StageVerification>& a,
+                       const std::vector<core::StageVerification>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t s = 0; s < a.size(); ++s) {
+    const patchsec::petri::VerifyCertificates& ca = a[s].report.certificates;
+    const patchsec::petri::VerifyCertificates& cb = b[s].report.certificates;
+    if (a[s].stage != b[s].stage || ca.p_semiflows != cb.p_semiflows ||
+        ca.t_semiflows != cb.t_semiflows || ca.place_bound != cb.place_bound ||
+        ca.structurally_bounded != cb.structurally_bounded ||
+        ca.token_conserving != cb.token_conserving ||
+        ca.p_semiflows_complete != cb.p_semiflows_complete ||
+        ca.t_semiflows_complete != cb.t_semiflows_complete) {
+      return false;
+    }
+    const auto& fa = a[s].report.findings;
+    const auto& fb = b[s].report.findings;
+    if (fa.size() != fb.size()) return false;
+    for (std::size_t f = 0; f < fa.size(); ++f) {
+      if (fa[f].rule != fb[f].rule || fa[f].severity != fb[f].severity ||
+          fa[f].subject != fb[f].subject || fa[f].message != fb[f].message) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 svc::EvalRequest steady_request(const ent::RedundancyDesign& design, double cadence = 0.0) {
@@ -401,4 +435,65 @@ TEST(EvalService, WorkspaceSlotsArePinnedPerWorker) {
   EXPECT_GE(counters.thread_slots, 1u);
   EXPECT_LE(counters.thread_slots, options.workers);
   EXPECT_GT(counters.availability_solves, 0u);
+}
+
+TEST(EvalService, ConcurrentColdCellsShareStructureCertificates) {
+  // 4 workers race over 24 cold (design, cadence) cells.  The Session's
+  // structure memo computes outside its lock, so a cold structure may be
+  // certified by every worker at once, but never more often; the reports'
+  // verification blocks must equal a serial Session's exactly.
+  const std::vector<ent::RedundancyDesign> designs = {
+      ent::RedundancyDesign{{1, 1, 1, 1}}, ent::RedundancyDesign{{2, 1, 1, 1}},
+      ent::RedundancyDesign{{1, 2, 1, 1}}, ent::RedundancyDesign{{1, 1, 2, 1}},
+      ent::RedundancyDesign{{1, 1, 1, 2}}, ent::RedundancyDesign{{2, 2, 2, 2}},
+  };
+  const std::vector<double> cadences = {168.0, 336.0, 720.0, 1440.0};
+  core::EngineOptions engine;
+  engine.lumping = true;
+  const core::Scenario scenario = core::Scenario::paper_case_study().with_engine(engine);
+
+  const core::Session serial(scenario);
+  std::vector<core::EvalReport> expected;
+  for (const double cadence : cadences) {
+    for (const ent::RedundancyDesign& design : designs) {
+      expected.push_back(serial.evaluate(design, cadence));
+    }
+  }
+  // The distinct structures, counted from the nets themselves.
+  std::set<std::string> keys;
+  for (const double cadence : cadences) {
+    patchsec::avail::ServerSrnOptions srn_options;
+    srn_options.patch_interval_hours = cadence;
+    for (const auto& entry : scenario.specs()) {
+      keys.insert(patchsec::petri::structure_key(
+          patchsec::avail::build_server_srn(entry.second, srn_options).model,
+          engine.verify_options));
+    }
+    for (const ent::RedundancyDesign& design : designs) {
+      keys.insert(patchsec::petri::structure_key(
+          patchsec::avail::build_network_srn(design, serial.aggregated_rates(cadence)).model,
+          engine.verify_options));
+    }
+  }
+  EXPECT_EQ(serial.workspace_counters().verify_structure_builds, keys.size());
+
+  svc::ServiceOptions options;
+  options.workers = 4;
+  svc::EvalService service(scenario, options);
+  std::vector<std::future<svc::ServiceReply>> futures;
+  for (const double cadence : cadences) {
+    for (const ent::RedundancyDesign& design : designs) {
+      futures.push_back(service.submit(steady_request(design, cadence)));
+    }
+  }
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    const svc::ServiceReply reply = futures[i].get();
+    EXPECT_TRUE(same_verification(reply.report.verification, expected[i].verification))
+        << "cell " << i;
+    EXPECT_TRUE(payload_bit_identical(reply.report, expected[i])) << "cell " << i;
+  }
+  const core::Session::WorkspaceCounters counters = service.session().workspace_counters();
+  EXPECT_GE(counters.verify_structure_builds, keys.size());
+  EXPECT_LE(counters.verify_structure_builds, keys.size() * options.workers);
+  EXPECT_GT(counters.verify_structure_reuses, 0u);
 }

@@ -3,12 +3,18 @@
 // (analyze_structure, ctmc irreducibility/transient-state analysis), a
 // seeded-defect corpus where every lint rule must fire on a deliberately
 // broken net, clean passes over all paper nets plus a 50-seed generated
-// sweep, and the end-to-end Session/JSON wiring.
+// sweep, the sparse structural pass against the dense oracle
+// (verify_oracle.hpp) with its structure key, work counters and Session
+// memo, and the end-to-end Session/JSON wiring.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <limits>
+#include <random>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -20,6 +26,7 @@
 #include "patchsec/petri/structural.hpp"
 #include "patchsec/petri/verify.hpp"
 #include "patchsec/testgen/scenario_generator.hpp"
+#include "verify_oracle.hpp"
 
 namespace pt = patchsec::petri;
 namespace av = patchsec::avail;
@@ -188,6 +195,40 @@ TEST(Semiflows, OverflowingPlaceBoundIsDropped) {
   ASSERT_EQ(report.certificates.p_semiflows.size(), 1u);
   EXPECT_EQ(report.certificates.p_semiflows[0], (std::vector<long long>{1, kHugeMultiplicity}));
   EXPECT_EQ(report.certificates.place_bound, (std::vector<long long>{-1, -1}));
+}
+
+TEST(Semiflows, MatchDenseOracleOnRandomAndEdgeMatrices) {
+  // The flat bitset elimination against the dense one: same vectors in the
+  // same order, same completeness.  Small random integer matrices reach
+  // equal-support and duplicate rows (the pruning's tie rules) far more
+  // often than nets do; the fixed cases overflow only in the pivot column
+  // and hit the row cap mid-step.
+  const long long big = 1LL << 32;
+  std::vector<std::pair<std::vector<std::vector<long long>>, std::size_t>> cases = {
+      {{{big, 0}, {-big, 0}}, 4096},
+      {{{1, 1}, {1, -1}, {-1, 1}, {-1, -1}, {2, 0}, {0, -2}}, 3},
+      {{}, 4096},
+      {{{0, 0, 0}}, 4096},
+  };
+  std::mt19937_64 rng(2024);
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::size_t rows = 1 + rng() % 7;
+    const std::size_t cols = 1 + rng() % 5;
+    std::vector<std::vector<long long>> matrix(rows, std::vector<long long>(cols));
+    for (auto& row : matrix) {
+      for (long long& v : row) v = static_cast<long long>(rng() % 5) - 2;
+    }
+    cases.emplace_back(std::move(matrix), trial % 10 == 0 ? 6 : 4096);
+  }
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const auto& [matrix, cap] = cases[c];
+    bool complete = false;
+    bool oracle_complete = false;
+    EXPECT_EQ(pt::semiflows(matrix, cap, &complete),
+              verify_oracle::semiflows(matrix, cap, &oracle_complete))
+        << "case " << c;
+    EXPECT_EQ(complete, oracle_complete) << "case " << c;
+  }
 }
 
 TEST(Semiflows, RaggedMatrixRejected) {
@@ -597,4 +638,520 @@ TEST(VerifyWiring, GeneratorRefusesLintDirtyNetsWhenAsked) {
   for (const core::StageVerification& stage : tg::lint_scenario(generated)) {
     EXPECT_TRUE(stage.report.clean());
   }
+}
+
+// ---------- the structural/value split against the dense oracle --------------
+
+namespace {
+
+using Rewards = std::vector<std::pair<std::string, pt::RewardFunction>>;
+
+/// prefix + decimal i (appended, not prepended to a temporary, which trips
+/// gcc 12's -Wrestrict false positive).
+std::string indexed(const std::string& prefix, std::size_t i) {
+  std::string name = prefix;
+  name += std::to_string(i);
+  return name;
+}
+
+void expect_same_findings(const std::vector<pt::VerifyFinding>& actual,
+                          const std::vector<pt::VerifyFinding>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].rule, expected[i].rule) << "finding " << i;
+    EXPECT_EQ(actual[i].severity, expected[i].severity) << "finding " << i;
+    EXPECT_EQ(actual[i].subject, expected[i].subject) << "finding " << i;
+    EXPECT_EQ(actual[i].message, expected[i].message) << "finding " << i;
+  }
+}
+
+void expect_same_certificates(const pt::VerifyCertificates& actual,
+                              const pt::VerifyCertificates& expected) {
+  EXPECT_EQ(actual.p_semiflows, expected.p_semiflows);
+  EXPECT_EQ(actual.t_semiflows, expected.t_semiflows);
+  EXPECT_EQ(actual.place_bound, expected.place_bound);
+  EXPECT_EQ(actual.structurally_bounded, expected.structurally_bounded);
+  EXPECT_EQ(actual.token_conserving, expected.token_conserving);
+  EXPECT_EQ(actual.p_semiflows_complete, expected.p_semiflows_complete);
+  EXPECT_EQ(actual.t_semiflows_complete, expected.t_semiflows_complete);
+}
+
+/// verify_model, and each of its halves, against the dense oracle: same
+/// certificates, incidence, and findings (rule, severity, subject, message,
+/// order) — the structural half equal to the oracle with probing off.
+void expect_matches_oracle(const std::string& where, const pt::SrnModel& net,
+                           const Rewards& rewards = {}, const pt::VerifyOptions& options = {}) {
+  SCOPED_TRACE(where);
+  const pt::VerifyReport oracle = verify_oracle::verify_model(net, rewards, options);
+  const pt::VerifyReport report = pt::verify_model(net, rewards, options);
+  expect_same_certificates(report.certificates, oracle.certificates);
+  expect_same_findings(report.findings, oracle.findings);
+
+  pt::VerifyOptions structural = options;
+  structural.probe_functions = false;
+  const pt::StructureCertificate cert = pt::certify_structure(net, options);
+  expect_same_certificates(cert.certificates, oracle.certificates);
+  expect_same_findings(cert.findings,
+                       verify_oracle::verify_model(net, rewards, structural).findings);
+  EXPECT_EQ(pt::incidence_matrix(net), verify_oracle::build_structure(net).incidence);
+}
+
+struct CorpusNet {
+  std::string name;
+  pt::SrnModel net;
+  Rewards rewards;
+  pt::VerifyOptions options;
+};
+
+/// The seeded-defect corpus above (one net per rule), plus the certificate
+/// edge cases: truncation, 64-bit overflow, disabled probing.
+std::vector<CorpusNet> defect_corpus() {
+  std::vector<CorpusNet> corpus;
+  const auto add = [&corpus](std::string name, const std::function<void(pt::SrnModel&)>& edit,
+                             Rewards rewards = {}, pt::VerifyOptions options = {}) {
+    pt::SrnModel net = token_ring();
+    edit(net);
+    corpus.push_back({std::move(name), std::move(net), std::move(rewards), options});
+  };
+  add("clean ring", [](pt::SrnModel&) {});
+  add("V-RATE-001", [](pt::SrnModel& net) {
+    const auto bad = net.add_timed_transition(
+        "bad", [](const pt::Marking& m) { return static_cast<double>(m[1]); });
+    net.add_input_arc(bad, net.place("A"));
+    net.add_output_arc(bad, net.place("A"));
+  });
+  add("V-RATE-002", [](pt::SrnModel& net) {
+    const auto bad = net.add_timed_transition(
+        "bad", [](const pt::Marking& m) { return static_cast<double>(m.at(99)); });
+    net.add_input_arc(bad, net.place("A"));
+    net.add_output_arc(bad, net.place("A"));
+  });
+  const auto broken_guard = [](pt::SrnModel& net) {
+    net.set_guard(net.transition("fwd"), [](const pt::Marking& m) { return m.at(99) > 0; });
+  };
+  add("V-GUARD-001", broken_guard);
+  pt::VerifyOptions no_probes;
+  no_probes.probe_functions = false;
+  add("probing disabled", broken_guard, {}, no_probes);
+  add("V-STRUCT-002", [](pt::SrnModel& net) {
+    net.add_inhibitor_arc(net.transition("fwd"), net.place("B"), 3);
+    net.add_inhibitor_arc(net.transition("fwd"), net.place("A"), 1);
+  });
+  add("V-STRUCT-003", [](pt::SrnModel& net) {
+    const auto low = net.add_immediate_transition("low", 1.0, 1);
+    net.add_input_arc(low, net.place("B"), 2);
+    net.add_input_arc(low, net.place("A"));
+    net.add_output_arc(low, net.place("A"));
+    const auto mid = net.add_immediate_transition("mid", 1.0, 3);
+    net.add_input_arc(mid, net.place("B"), 2);
+    net.add_output_arc(mid, net.place("A"));
+    const auto high = net.add_immediate_transition("high", 1.0, 5);
+    net.add_input_arc(high, net.place("B"));
+    net.add_output_arc(high, net.place("A"));
+  });
+  add("V-STRUCT-003 input-less", [](pt::SrnModel& net) {
+    const auto low = net.add_immediate_transition("low", 1.0, 1);
+    net.add_input_arc(low, net.place("B"));
+    const auto source = net.add_immediate_transition("source", 1.0, 2);
+    net.add_output_arc(source, net.place("A"));
+  });
+  add("V-STRUCT-001", [](pt::SrnModel& net) {
+    const auto greedy = net.add_timed_transition("greedy", 1.0);
+    net.add_input_arc(greedy, net.place("A"), 2);
+    net.add_output_arc(greedy, net.place("A"), 2);
+  });
+  add("V-ERGO-001", [](pt::SrnModel& net) {
+    const auto c = net.add_place("C", 0);
+    const auto drain = net.add_timed_transition("drain", 1.0);
+    net.add_input_arc(drain, net.place("B"));
+    net.add_output_arc(drain, c);
+  });
+  add("V-ERGO-002", [](pt::SrnModel& net) {
+    const auto grow = net.add_timed_transition("grow", 1.0);
+    net.add_input_arc(grow, net.place("A"));
+    net.add_output_arc(grow, net.place("B"), 2);
+  });
+  add("V-ERGO-003", [](pt::SrnModel& net) {
+    const auto c = net.add_place("C", 0);
+    const auto leak = net.add_timed_transition("leak", 0.5);
+    net.add_input_arc(leak, net.place("A"));
+    net.add_output_arc(leak, c);
+  });
+  add("V-ERGO-004", [](pt::SrnModel& net) {
+    const auto fuel = net.add_place("Fuel", 1);
+    const auto burn = net.add_timed_transition("burn", 1.0);
+    net.add_input_arc(burn, fuel);
+    net.add_input_arc(burn, net.place("A"));
+    net.add_output_arc(burn, net.place("A"));
+  });
+  add("V-BOUND-001", [](pt::SrnModel& net) {
+    const auto heap = net.add_place("Heap", 0);
+    const auto pump = net.add_timed_transition("pump", 1.0);
+    net.add_input_arc(pump, net.place("A"));
+    net.add_output_arc(pump, net.place("A"));
+    net.add_output_arc(pump, heap);
+  });
+  Rewards ghost_reward;
+  ghost_reward.emplace_back("ghost_reward",
+                            [](const pt::Marking& m) { return static_cast<double>(m[2]); });
+  add("V-REWARD-001", [](pt::SrnModel& net) { net.add_place("Ghost", 0); }, ghost_reward);
+  Rewards bad_rewards;
+  bad_rewards.emplace_back("throwing",
+                           [](const pt::Marking& m) { return static_cast<double>(m.at(99)); });
+  bad_rewards.emplace_back("infinite", [](const pt::Marking&) {
+    return std::numeric_limits<double>::infinity();
+  });
+  add("V-REWARD-002", [](pt::SrnModel&) {}, bad_rewards);
+  pt::VerifyOptions truncated;
+  truncated.max_intermediate_rows = 0;
+  add("V-CERT-001 truncated", [](pt::SrnModel&) {}, {}, truncated);
+
+  corpus.push_back({"V-CERT-001 overflow", multiplicity_chain(), {}, {}});
+  pt::SrnModel bound_overflow;
+  const auto a = bound_overflow.add_place("A", static_cast<pt::TokenCount>(kHugeMultiplicity));
+  const auto b = bound_overflow.add_place("B", std::numeric_limits<pt::TokenCount>::max());
+  const auto t = bound_overflow.add_timed_transition("T", 1.0);
+  bound_overflow.add_input_arc(t, a, static_cast<pt::TokenCount>(kHugeMultiplicity));
+  bound_overflow.add_output_arc(t, b);
+  corpus.push_back({"overflowing place bound", std::move(bound_overflow), {}, {}});
+  corpus.push_back({"empty net", pt::SrnModel{}, {}, {}});
+  return corpus;
+}
+
+/// A seeded random net: up to 7 places and 9 transitions with random arcs
+/// (multiplicities 1-3), kinds, priorities, guards, inhibitors and initial
+/// tokens — shapes the hand-built corpus does not reach (input-less and
+/// multi-input immediates, parallel shadowing candidates, dense cycles).
+pt::SrnModel random_net(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const auto draw = [&rng](unsigned n) { return static_cast<unsigned>(rng() % n); };
+  pt::SrnModel net;
+  const unsigned places = 1 + draw(7);
+  for (unsigned p = 0; p < places; ++p) net.add_place(indexed("p", p), draw(3));
+  const unsigned transitions = 1 + draw(9);
+  for (unsigned i = 0; i < transitions; ++i) {
+    const std::string name = indexed("t", i);
+    const pt::TransitionId t = draw(2) == 0
+                                   ? net.add_timed_transition(name, 1.0 + i)
+                                   : net.add_immediate_transition(name, 1.0, 1 + draw(3));
+    for (unsigned arcs = draw(4); arcs > 0; --arcs) {
+      net.add_input_arc(t, draw(places), 1 + draw(3));
+    }
+    for (unsigned arcs = draw(4); arcs > 0; --arcs) {
+      net.add_output_arc(t, draw(places), 1 + draw(3));
+    }
+    if (draw(5) == 0) net.add_inhibitor_arc(t, draw(places), 1 + draw(3));
+    if (draw(5) == 0) net.set_guard(t, [](const pt::Marking& m) { return m[0] < 4; });
+  }
+  return net;
+}
+
+}  // namespace
+
+TEST(VerifySplit, MatchesDenseOracleOnDefectCorpus) {
+  for (const CorpusNet& entry : defect_corpus()) {
+    expect_matches_oracle(entry.name, entry.net, entry.rewards, entry.options);
+  }
+}
+
+TEST(VerifySplit, MatchesDenseOracleOnAllPaperNets) {
+  const core::Scenario scenario = core::Scenario::paper_case_study();
+  const core::Session session(scenario);
+  for (const double cadence : {168.0, 720.0, 1440.0}) {
+    av::ServerSrnOptions srn_options;
+    srn_options.patch_interval_hours = cadence;
+    for (const auto& [role, spec] : scenario.specs()) {
+      expect_matches_oracle(std::string("server:") + ent::to_string(role),
+                            av::build_server_srn(spec, srn_options).model);
+    }
+    for (const ent::RedundancyDesign& design : scenario.designs()) {
+      const av::NetworkSrn net = av::build_network_srn(design, session.aggregated_rates(cadence));
+      Rewards rewards;
+      rewards.emplace_back("coa", net.coa_reward());
+      expect_matches_oracle(std::string("network ").append(design.name()), net.model, rewards);
+    }
+  }
+}
+
+TEST(VerifySplit, MatchesDenseOracleOnFiftySeedGeneratedSweep) {
+  // The nets lint_scenario verifies, seed by seed.
+  tg::ScenarioGenerator generator;
+  for (int i = 0; i < 50; ++i) {
+    const tg::GeneratedScenario generated = generator.next();
+    const std::string seed = indexed(" of seed ", generated.scenario_seed);
+    av::ServerSrnOptions srn_options;
+    srn_options.patch_interval_hours = generated.scenario.patch_interval_hours();
+    std::map<ent::ServerRole, av::AggregatedRates> unit_rates;
+    for (const auto& [role, spec] : generated.scenario.specs()) {
+      expect_matches_oracle(std::string("server:") + ent::to_string(role) + seed,
+                            av::build_server_srn(spec, srn_options).model);
+      unit_rates.emplace(role, av::AggregatedRates{1.0, 1.0, 0.5, 0.5});
+    }
+    const av::NetworkSrn net = av::build_network_srn(generated.design, unit_rates);
+    Rewards rewards;
+    rewards.emplace_back("coa", net.coa_reward());
+    expect_matches_oracle("network" + seed, net.model, rewards);
+  }
+}
+
+TEST(VerifySplit, MatchesDenseOracleOnRandomNets) {
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    expect_matches_oracle(indexed("random net ", seed), random_net(seed));
+  }
+}
+
+TEST(VerifySplit, ProbeFindingsBelongToTheInstanceNotTheStructure) {
+  // Two instances of one structure (guarded "fwd" in both); only the second
+  // instance's guard throws.  One shared certificate, so V-GUARD-001 can
+  // only come from the per-instance probes.
+  pt::SrnModel sound = token_ring();
+  sound.set_guard(sound.transition("fwd"), [](const pt::Marking& m) { return m[0] < 5; });
+  pt::SrnModel broken = token_ring();
+  broken.set_guard(broken.transition("fwd"), [](const pt::Marking& m) { return m.at(99) > 0; });
+  ASSERT_EQ(pt::structure_key(sound), pt::structure_key(broken));
+
+  const pt::StructureCertificate cert = pt::certify_structure(sound);
+  EXPECT_FALSE(has_finding(pt::verify_values(cert, sound, {}), "V-GUARD-001"));
+  const pt::VerifyReport flagged = pt::verify_values(cert, broken, {});
+  EXPECT_TRUE(has_finding(flagged, "V-GUARD-001"));
+  EXPECT_EQ(flagged.findings.size(), 1u);
+  EXPECT_FALSE(has_finding(pt::verify_values(cert, sound, {}), "V-GUARD-001"));
+  EXPECT_TRUE(cert.findings.empty());
+}
+
+TEST(VerifySplit, ValuePassRejectsACertificateOfAnotherShape) {
+  const pt::StructureCertificate cert = pt::certify_structure(token_ring());
+  pt::SrnModel larger = token_ring();
+  larger.add_place("C", 0);
+  EXPECT_THROW((void)pt::verify_values(cert, larger, {}), std::invalid_argument);
+  pt::SrnModel wider = token_ring();
+  wider.add_timed_transition("idle", 1.0);
+  EXPECT_THROW((void)pt::verify_values(cert, wider, {}), std::invalid_argument);
+}
+
+// ---------- the structure key -------------------------------------------------
+
+namespace {
+
+/// Every structural field of a small net, one knob each, plus the value-only
+/// fields the key must ignore.
+struct KeyedNet {
+  pt::TokenCount multiplicity = 1;
+  bool back_immediate = true;
+  unsigned priority = 2;
+  bool guarded = true;
+  pt::TokenCount initial = 1;
+  std::string place_name = "A";
+  std::string transition_name = "fwd";
+  bool inhibitor = true;
+  double rate = 1.0;
+  double weight = 1.0;
+  pt::TokenCount guard_threshold = 5;
+};
+
+pt::SrnModel keyed_net(const KeyedNet& k) {
+  pt::SrnModel net;
+  const auto a = net.add_place(k.place_name, k.initial);
+  const auto b = net.add_place("B", 0);
+  const auto fwd = net.add_timed_transition(k.transition_name, k.rate);
+  net.add_input_arc(fwd, a, k.multiplicity);
+  net.add_output_arc(fwd, b, k.multiplicity);
+  if (k.inhibitor) net.add_inhibitor_arc(fwd, b, 4);
+  const auto back = k.back_immediate ? net.add_immediate_transition("back", k.weight, k.priority)
+                                     : net.add_timed_transition("back", 2.0 * k.rate);
+  net.add_input_arc(back, b);
+  net.add_output_arc(back, a);
+  if (k.guarded) {
+    const pt::TokenCount threshold = k.guard_threshold;
+    net.set_guard(back, [threshold](const pt::Marking& m) { return m[0] < threshold; });
+  }
+  return net;
+}
+
+}  // namespace
+
+TEST(StructureKey, ChangesWithEveryStructuralField) {
+  const std::string base = pt::structure_key(keyed_net({}));
+  const std::vector<std::pair<std::string, std::function<void(KeyedNet&)>>> edits = {
+      {"multiplicity", [](KeyedNet& k) { k.multiplicity = 2; }},
+      {"kind", [](KeyedNet& k) { k.back_immediate = false; }},
+      {"priority", [](KeyedNet& k) { k.priority = 3; }},
+      {"guard presence", [](KeyedNet& k) { k.guarded = false; }},
+      {"initial token", [](KeyedNet& k) { k.initial = 2; }},
+      {"place name", [](KeyedNet& k) { k.place_name = "A2"; }},
+      {"transition name", [](KeyedNet& k) { k.transition_name = "fwd2"; }},
+      {"inhibitor arc", [](KeyedNet& k) { k.inhibitor = false; }},
+  };
+  std::set<std::string> keys = {base};
+  for (const auto& [field, edit] : edits) {
+    KeyedNet k;
+    edit(k);
+    EXPECT_TRUE(keys.insert(pt::structure_key(keyed_net(k))).second) << field;
+  }
+  pt::VerifyOptions rows;
+  rows.max_intermediate_rows = 17;
+  EXPECT_NE(pt::structure_key(keyed_net({}), rows), base) << "max_intermediate_rows";
+}
+
+TEST(StructureKey, IgnoresRatesWeightsGuardBodiesAndProbing) {
+  const std::string base = pt::structure_key(keyed_net({}));
+  KeyedNet values;
+  values.rate = 7.5;
+  values.weight = 3.0;
+  values.guard_threshold = 1;
+  EXPECT_EQ(pt::structure_key(keyed_net(values)), base);
+  pt::VerifyOptions no_probes;
+  no_probes.probe_functions = false;
+  EXPECT_EQ(pt::structure_key(keyed_net({}), no_probes), base);
+}
+
+TEST(StructureKey, CadenceOnlyChangesShareOneStructure) {
+  // Every (role, cadence) server net of the paper scenario is one structure;
+  // each design's network net is one structure across cadences, and
+  // distinct designs are distinct structures.
+  const core::Scenario scenario = core::Scenario::paper_case_study();
+  const core::Session session(scenario);
+  std::set<std::string> server_keys;
+  std::set<std::string> network_keys;
+  for (const double cadence : {168.0, 720.0}) {
+    av::ServerSrnOptions srn_options;
+    srn_options.patch_interval_hours = cadence;
+    for (const auto& entry : scenario.specs()) {
+      server_keys.insert(pt::structure_key(av::build_server_srn(entry.second, srn_options).model));
+    }
+    for (const ent::RedundancyDesign& design : scenario.designs()) {
+      network_keys.insert(pt::structure_key(
+          av::build_network_srn(design, session.aggregated_rates(cadence)).model));
+    }
+  }
+  EXPECT_EQ(server_keys.size(), 1u);
+  EXPECT_EQ(network_keys.size(), scenario.designs().size());
+}
+
+// ---------- work counters of the structural pass ------------------------------
+
+namespace {
+
+/// Ring of n stages: A_i --T_i (timed)--> B_i --I_i (immediate, guarded)-->
+/// A_{i+1}, plus a lower-priority immediate self-loop J_i on B_i.  Arcs grow
+/// as 7n; every place has at most two consumers.
+pt::SrnModel ring_family(std::size_t n) {
+  pt::SrnModel net;
+  std::vector<pt::PlaceId> a(n);
+  std::vector<pt::PlaceId> b(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    a[i] = net.add_place(indexed("A", i), i == 0 ? 1 : 0);
+    b[i] = net.add_place(indexed("B", i), 0);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::string suffix = std::to_string(i);
+    const auto t = net.add_timed_transition("T" + suffix, 1.0);
+    net.add_input_arc(t, a[i]);
+    net.add_output_arc(t, b[i]);
+    const auto pass = net.add_immediate_transition("I" + suffix, 1.0, 2);
+    net.add_input_arc(pass, b[i]);
+    net.add_output_arc(pass, a[(i + 1) % n]);
+    net.set_guard(pass, [](const pt::Marking&) { return true; });
+    const auto loop = net.add_immediate_transition("J" + suffix, 1.0, 1);
+    net.add_input_arc(loop, b[i]);
+    net.add_output_arc(loop, b[i]);
+  }
+  return net;
+}
+
+}  // namespace
+
+TEST(VerifyWork, TokenFlowAndShadowingWorkGrowLinearlyInArcs) {
+  // The dense oracle's rules grow cubically on this family (V-ERGO-001
+  // builds successors in O(T * P * T * arcs), V-STRUCT-003 compares every
+  // immediate pair); the sparse pass must scale with the arc count.
+  pt::StructureWork previous;
+  for (std::size_t n = 16; n <= 128; n *= 2) {
+    const pt::StructureCertificate cert = pt::certify_structure(ring_family(n));
+    const pt::StructureWork& work = cert.work;
+    EXPECT_GT(work.token_flow_edges, 0u);
+    EXPECT_GT(work.shadow_comparisons, 0u);
+    EXPECT_GT(work.farkas_combinations, 0u);
+    if (n > 16) {
+      const double edges = static_cast<double>(work.token_flow_edges) /
+                           static_cast<double>(previous.token_flow_edges);
+      const double comparisons = static_cast<double>(work.shadow_comparisons) /
+                                 static_cast<double>(previous.shadow_comparisons);
+      EXPECT_GE(edges, 1.8) << "n = " << n;
+      EXPECT_LE(edges, 2.2) << "n = " << n;
+      EXPECT_GE(comparisons, 1.8) << "n = " << n;
+      EXPECT_LE(comparisons, 2.2) << "n = " << n;
+    }
+    previous = work;
+  }
+}
+
+// ---------- the Session's structure memo --------------------------------------
+
+TEST(VerifyWiring, SessionCertifiesEachStructureOnce) {
+  // One cold serial game-grid-shaped solve: uniform designs k = 2..12 under
+  // 4 cadences, lumped.  16 server-net and 24 network-net verifications
+  // share 7 structures (one server net, one network net per design).
+  std::vector<ent::RedundancyDesign> designs;
+  for (unsigned k = 2; k <= 12; k += 2) designs.push_back(ent::RedundancyDesign{{k, k, k, k}});
+  const std::vector<double> cadences = {168.0, 336.0, 720.0, 1440.0};
+  core::EngineOptions engine;
+  engine.lumping = true;
+  engine.parallel = false;
+  const core::Scenario scenario = core::Scenario::paper_case_study()
+                                      .with_designs(designs)
+                                      .with_patch_schedule(cadences)
+                                      .with_engine(engine);
+  const core::Session session(scenario);
+  const std::vector<core::EvalReport> reports = session.evaluate_all();
+  const core::Session::WorkspaceCounters counters = session.workspace_counters();
+
+  // Count the structures independently, and check every report's stages
+  // against a direct verify_model of the same net.
+  std::set<std::string> keys;
+  std::size_t verifications = 0;
+  std::size_t next_report = 0;
+  for (const double cadence : cadences) {
+    av::ServerSrnOptions srn_options;
+    srn_options.patch_interval_hours = cadence;
+    std::vector<pt::VerifyReport> servers;
+    for (const auto& entry : scenario.specs()) {
+      const pt::SrnModel net = av::build_server_srn(entry.second, srn_options).model;
+      keys.insert(pt::structure_key(net, engine.verify_options));
+      servers.push_back(pt::verify_model(net, engine.verify_options));
+      ++verifications;
+    }
+    for (const ent::RedundancyDesign& design : designs) {
+      const av::NetworkSrn net = av::build_network_srn(design, session.aggregated_rates(cadence));
+      keys.insert(pt::structure_key(net.model, engine.verify_options));
+      ++verifications;
+      Rewards rewards;
+      rewards.emplace_back("coa", net.coa_reward());
+      const core::EvalReport& report = reports.at(next_report++);
+      ASSERT_EQ(report.verification.size(), servers.size() + 1);
+      for (std::size_t s = 0; s < servers.size(); ++s) {
+        expect_same_certificates(report.verification[s].report.certificates,
+                                 servers[s].certificates);
+        expect_same_findings(report.verification[s].report.findings, servers[s].findings);
+      }
+      const pt::VerifyReport direct = pt::verify_model(net.model, rewards, engine.verify_options);
+      expect_same_certificates(report.verification.back().report.certificates,
+                               direct.certificates);
+      expect_same_findings(report.verification.back().report.findings, direct.findings);
+    }
+  }
+  EXPECT_EQ(keys.size(), 7u);
+  EXPECT_EQ(verifications, 40u);
+  EXPECT_EQ(counters.verify_structure_builds, keys.size());
+  EXPECT_EQ(counters.verify_structure_reuses, verifications - keys.size());
+}
+
+TEST(VerifyWiring, OffModeCertifiesNothing) {
+  core::EngineOptions engine;
+  engine.verify = core::VerifyMode::kOff;
+  const core::Session session(core::Scenario::paper_case_study().with_engine(engine));
+  (void)session.evaluate(ent::example_network_design());
+  const core::Session::WorkspaceCounters counters = session.workspace_counters();
+  EXPECT_EQ(counters.verify_structure_builds, 0u);
+  EXPECT_EQ(counters.verify_structure_reuses, 0u);
 }
