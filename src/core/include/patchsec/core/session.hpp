@@ -310,6 +310,10 @@ class Session {
   /// rejects NaN, which would alias arbitrary cache keys).
   const IntervalAggregation& aggregation_for(double patch_interval_hours) const;
 
+  /// Memoized structure certificate of `model` (thread-safe; counts a build
+  /// or a reuse).
+  const petri::StructureCertificate& structure_for(const petri::SrnModel& model) const;
+
   /// Static verification of one net as stage `stage`: the memoized
   /// structure certificate plus this instance's probes (petri::verify_values),
   /// thrown on under VerifyMode::kStrict.
@@ -365,8 +369,7 @@ class Session {
   /// (role, cadence) server net shares one entry and every cadence of a
   /// design's network net another: only rates differ between them.  Guarded
   /// by cache_mutex_ with the two counters.
-  mutable std::map<std::string, std::shared_ptr<const petri::StructureCertificate>>
-      structure_cache_;
+  mutable std::map<std::string, petri::StructureCertificate> structure_cache_;
   mutable std::size_t structure_builds_ = 0;
   mutable std::size_t structure_reuses_ = 0;
   /// Per-thread solver workspaces (guarded by workspace_mutex_; the map is

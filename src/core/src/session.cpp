@@ -142,31 +142,31 @@ Session::WorkspaceCounters Session::workspace_counters() const {
   return counters;
 }
 
-StageVerification Session::verify_stage(
-    std::string stage, const petri::SrnModel& model,
-    const std::vector<std::pair<std::string, petri::RewardFunction>>& rewards) const {
-  const EngineOptions& engine = scenario_.engine();
-  std::string key = petri::structure_key(model, engine.verify_options);
-  std::shared_ptr<const petri::StructureCertificate> certificate;
+const petri::StructureCertificate& Session::structure_for(const petri::SrnModel& model) const {
+  const petri::VerifyOptions& options = scenario_.engine().verify_options;
+  std::string key = petri::structure_key(model, options);
   {
     const std::lock_guard<std::mutex> lock(cache_mutex_);
     const auto it = structure_cache_.find(key);
     if (it != structure_cache_.end()) {
       ++structure_reuses_;
-      certificate = it->second;
+      return it->second;
     }
   }
-  if (!certificate) {
-    // Same lock-free-compute pattern as aggregation_for: racing threads on
-    // the same cold structure both certify; try_emplace keeps the first.
-    auto built = std::make_shared<const petri::StructureCertificate>(
-        petri::certify_structure(model, engine.verify_options));
-    const std::lock_guard<std::mutex> lock(cache_mutex_);
-    ++structure_builds_;
-    certificate = structure_cache_.try_emplace(std::move(key), std::move(built)).first->second;
-  }
-  StageVerification verified{std::move(stage), petri::verify_values(*certificate, model, rewards,
-                                                                     engine.verify_options)};
+  // Same compute-outside-the-lock pattern as aggregation_for: racing threads
+  // on the same cold structure both certify; try_emplace keeps the first.
+  petri::StructureCertificate built = petri::certify_structure(model, options);
+  const std::lock_guard<std::mutex> lock(cache_mutex_);
+  ++structure_builds_;
+  return structure_cache_.try_emplace(std::move(key), std::move(built)).first->second;
+}
+
+StageVerification Session::verify_stage(
+    std::string stage, const petri::SrnModel& model,
+    const std::vector<std::pair<std::string, petri::RewardFunction>>& rewards) const {
+  const EngineOptions& engine = scenario_.engine();
+  StageVerification verified{std::move(stage), petri::verify_values(structure_for(model), model,
+                                                                     rewards, engine.verify_options)};
   if (engine.verify == VerifyMode::kStrict) {
     petri::throw_on_verify_errors(verified.report, verified.stage);
   }

@@ -17,12 +17,10 @@
 /// SRN of every (role, patch cadence) shares one certificate.  verify_model()
 /// is the two halves composed.
 ///
-/// The structural pass is sparse: it reads arc lists, never a dense
-/// |P| x |T| loop.  V-ERGO-001 is one strongly-connected-component pass over
-/// the place/transition token-flow graph and V-STRUCT-003 compares only
-/// immediates that share an input place, both O(arcs) for bounded per-place
-/// fan-out; the Farkas eliminations keep their rows in flat arrays with
-/// bitset supports.  StructureWork counts the work of each.
+/// The structural pass reads the incidence as column-compressed entries, and
+/// the Farkas eliminations (nearly all of its cost) keep their rows in flat
+/// arrays with bitset supports; StructureCertificate::farkas_combinations
+/// counts their work.
 ///
 /// Certificates (verified against the net definition, not trusted):
 ///  * P-semiflows — minimal-support non-negative integer vectors y with
@@ -165,19 +163,6 @@ struct VerifyReport {
     const std::vector<std::vector<long long>>& matrix, std::size_t max_intermediate_rows = 4096,
     bool* complete = nullptr);
 
-/// Work counters of one structural pass — the guards that keep it linear
-/// where the math allows (test_verify grows a net family and asserts the
-/// first two scale with the arc count).
-struct StructureWork {
-  /// Token-flow graph edges visited by the V-ERGO-001 cycle pass.
-  std::size_t token_flow_edges = 0;
-  /// (immediate, consumer of one of its input places) pairs V-STRUCT-003
-  /// examined, plus checks against input-less shadowing candidates.
-  std::size_t shadow_comparisons = 0;
-  /// Positive x negative row pairs combined by the two Farkas eliminations.
-  std::size_t farkas_combinations = 0;
-};
-
 /// One nonzero incidence entry C[place][t] = out(t, place) - in(t, place).
 struct IncidenceEntry {
   PlaceId place = 0;
@@ -204,7 +189,8 @@ struct StructureCertificate {
   Marking initial;
   /// V-CERT/V-STRUCT/V-ERGO/V-BOUND findings, in verify_model's order.
   std::vector<VerifyFinding> findings;
-  StructureWork work;
+  /// Positive x negative row pairs combined by the two Farkas eliminations.
+  std::size_t farkas_combinations = 0;
 };
 
 /// Canonical byte serialization of every input certify_structure() reads:

@@ -243,93 +243,44 @@ void build_incidence(const SrnModel& model, StructureCertificate& cert) {
   }
 }
 
-/// Compressed adjacency lists: node v's targets are
-/// target[begin[v] .. begin[v + 1]).
-struct Adjacency {
-  std::vector<std::size_t> begin;
-  std::vector<std::size_t> target;
-};
-
-/// Per-place consumers (transitions with an input arc on the place, in
-/// ascending transition order) and the multiplicity each demands.
-struct Consumers {
-  std::vector<std::size_t> begin;
-  std::vector<TransitionId> transition;
-  std::vector<TokenCount> demand;
-};
-
-Consumers build_consumers(const SrnModel& model) {
-  const std::size_t n_p = model.place_count();
-  const std::size_t n_t = model.transition_count();
-  Consumers c;
-  c.begin.assign(n_p + 1, 0);
-  for (TransitionId t = 0; t < n_t; ++t) {
-    for (const Arc& a : model.input_arcs(t)) ++c.begin[a.place + 1];
+/// Max input-arc multiplicity of t on p (0 when p is not an input).
+TokenCount input_demand(const SrnModel& model, TransitionId t, PlaceId p) {
+  TokenCount demand = 0;
+  for (const Arc& a : model.input_arcs(t)) {
+    if (a.place == p) demand = std::max(demand, a.multiplicity);
   }
-  for (PlaceId p = 0; p < n_p; ++p) c.begin[p + 1] += c.begin[p];
-  c.transition.resize(c.begin[n_p]);
-  c.demand.resize(c.begin[n_p]);
-  std::vector<std::size_t> fill(c.begin.begin(), c.begin.end() - 1);
-  for (TransitionId t = 0; t < n_t; ++t) {
-    for (const Arc& a : model.input_arcs(t)) {
-      c.transition[fill[a.place]] = t;
-      c.demand[fill[a.place]++] = a.multiplicity;
-    }
-  }
-  return c;
+  return demand;
 }
 
-/// Membership of each node in a strongly connected component of more than
-/// one node (iterative Tarjan; `edges` counts edge visits).  In the
-/// bipartite token-flow graph that is exactly "on a directed cycle".
-std::vector<bool> in_nontrivial_scc(const Adjacency& graph, std::size_t* edges) {
-  const std::size_t n = graph.begin.size() - 1;
-  constexpr std::size_t kUnvisited = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> index(n, kUnvisited);
-  std::vector<std::size_t> low(n, 0);
-  std::vector<bool> on_stack(n, false);
+/// Tarjan-free on-cycle detection for the token-flow graph: a transition is
+/// on a directed cycle iff it can reach itself.  Nets here have at most a
+/// few dozen transitions, so one BFS per transition is cheaper than it looks
+/// and has no recursion-depth hazard.
+std::vector<bool> on_cycle(const std::vector<std::vector<std::size_t>>& successors) {
+  const std::size_t n = successors.size();
   std::vector<bool> result(n, false);
-  std::vector<std::size_t> stack;
-  std::vector<std::pair<std::size_t, std::size_t>> frames;  // (node, next edge)
-  std::size_t counter = 0;
-  const auto open = [&](std::size_t v) {
-    index[v] = low[v] = counter++;
-    stack.push_back(v);
-    on_stack[v] = true;
-    frames.emplace_back(v, graph.begin[v]);
-  };
-  for (std::size_t root = 0; root < n; ++root) {
-    if (index[root] != kUnvisited) continue;
-    open(root);
-    while (!frames.empty()) {
-      const std::size_t v = frames.back().first;
-      std::size_t& next_edge = frames.back().second;
-      if (next_edge < graph.begin[v + 1]) {
-        const std::size_t w = graph.target[next_edge++];
-        ++*edges;
-        if (index[w] == kUnvisited) {
-          open(w);
-        } else if (on_stack[w]) {
-          low[v] = std::min(low[v], index[w]);
-        }
-        continue;
-      }
-      if (low[v] == index[v]) {
-        const bool nontrivial = stack.back() != v;
-        std::size_t w = kUnvisited;
-        while (w != v) {
-          w = stack.back();
-          stack.pop_back();
-          on_stack[w] = false;
-          result[w] = nontrivial;
-        }
-      }
-      frames.pop_back();
-      if (!frames.empty()) {
-        const std::size_t parent = frames.back().first;
-        low[parent] = std::min(low[parent], low[v]);
+  std::vector<bool> seen(n);
+  std::vector<std::size_t> queue;
+  for (std::size_t start = 0; start < n; ++start) {
+    std::fill(seen.begin(), seen.end(), false);
+    queue.clear();
+    for (std::size_t succ : successors[start]) {
+      if (!seen[succ]) {
+        seen[succ] = true;
+        queue.push_back(succ);
       }
     }
+    for (std::size_t head = 0; head < queue.size() && !result[start]; ++head) {
+      const std::size_t v = queue[head];
+      if (v == start) break;  // found a path back: on a cycle
+      for (std::size_t succ : successors[v]) {
+        if (!seen[succ]) {
+          seen[succ] = true;
+          queue.push_back(succ);
+        }
+      }
+    }
+    result[start] = seen[start];
   }
   return result;
 }
@@ -494,9 +445,9 @@ StructureCertificate certify_structure(const SrnModel& model, const VerifyOption
       }
     }
     certs.p_semiflows = farkas(by_place, n_p, n_t, options.max_intermediate_rows,
-                               &certs.p_semiflows_complete, &cert.work.farkas_combinations);
+                               &certs.p_semiflows_complete, &cert.farkas_combinations);
     certs.t_semiflows = farkas(by_transition, n_t, n_p, options.max_intermediate_rows,
-                               &certs.t_semiflows_complete, &cert.work.farkas_combinations);
+                               &certs.t_semiflows_complete, &cert.farkas_combinations);
   }
 
   certs.place_bound.assign(n_p, kUnbounded);
@@ -555,21 +506,16 @@ StructureCertificate certify_structure(const SrnModel& model, const VerifyOption
   // ---- structural lint rules ----------------------------------------------
   // V-STRUCT-002: input and inhibitor arcs on the same place that can never
   // be satisfied together (needs >= in and < inh <= in tokens at once).
-  {
-    std::vector<TokenCount> demand(n_p, 0);
-    for (TransitionId t = 0; t < n_t; ++t) {
-      for (const Arc& a : model.input_arcs(t)) demand[a.place] = a.multiplicity;
-      for (const Arc& inh : model.inhibitor_arcs(t)) {
-        const TokenCount need = demand[inh.place];
-        if (need > 0 && inh.multiplicity <= need) {
-          add_finding(findings, "V-STRUCT-002", VerifySeverity::kError, model.transition_name(t),
-                      "input arc needs >= " + std::to_string(need) + " tokens in " +
-                          model.place_name(inh.place) + " while the inhibitor arc needs < " +
-                          std::to_string(inh.multiplicity) + ": never enabled");
-          break;
-        }
+  for (TransitionId t = 0; t < n_t; ++t) {
+    for (const Arc& inh : model.inhibitor_arcs(t)) {
+      const TokenCount demand = input_demand(model, t, inh.place);
+      if (demand > 0 && inh.multiplicity <= demand) {
+        add_finding(findings, "V-STRUCT-002", VerifySeverity::kError, model.transition_name(t),
+                    "input arc needs >= " + std::to_string(demand) + " tokens in " +
+                        model.place_name(inh.place) + " while the inhibitor arc needs < " +
+                        std::to_string(inh.multiplicity) + ": never enabled");
+        break;
       }
-      for (const Arc& a : model.input_arcs(t)) demand[a.place] = 0;
     }
   }
 
@@ -588,64 +534,29 @@ StructureCertificate certify_structure(const SrnModel& model, const VerifyOption
     }
   }
 
-  const Consumers consumers = build_consumers(model);
-
-  // V-STRUCT-003: immediate t shadowed by a strictly-higher-priority
-  // unguarded, inhibitor-free immediate `other` that is enabled whenever t is
-  // (every input of `other` is an input of t with at least its demand): t is
-  // never in the maximal-priority enabled set.  An `other` with inputs shares
-  // one with t, so only consumers of t's input places are compared (counting
-  // each one's covered inputs); input-less candidates shadow vacuously.  The
-  // finding names the lowest-index shadowing transition.
-  {
-    std::vector<bool> immediate(n_t, false);
-    std::vector<bool> shadower(n_t, false);
-    std::vector<unsigned> priority(n_t, 0);
-    std::vector<TransitionId> inputless_shadowers;
-    for (TransitionId t = 0; t < n_t; ++t) {
-      if (model.transition_kind(t) != TransitionKind::kImmediate) continue;
-      immediate[t] = true;
-      priority[t] = model.priority(t);
-      shadower[t] = !model.has_guard(t) && model.inhibitor_arcs(t).empty();
-      if (shadower[t] && model.input_arcs(t).empty()) inputless_shadowers.push_back(t);
-    }
-    std::vector<std::size_t> covered(n_t, 0);
-    std::vector<TransitionId> candidates;
-    for (TransitionId t = 0; t < n_t; ++t) {
-      if (!immediate[t]) continue;
-      candidates.clear();
-      for (const Arc& a : model.input_arcs(t)) {
-        for (std::size_t c = consumers.begin[a.place]; c < consumers.begin[a.place + 1]; ++c) {
-          ++cert.work.shadow_comparisons;
-          const TransitionId other = consumers.transition[c];
-          if (other == t || !shadower[other] || priority[other] <= priority[t] ||
-              consumers.demand[c] > a.multiplicity) {
-            continue;
-          }
-          if (covered[other]++ == 0) candidates.push_back(other);
-        }
-      }
-      TransitionId shadowing = n_t;
-      for (const TransitionId other : candidates) {
-        if (covered[other] == model.input_arcs(other).size()) {
-          shadowing = std::min(shadowing, other);
-        }
-        covered[other] = 0;
-      }
-      for (const TransitionId other : inputless_shadowers) {
-        if (other >= shadowing) break;
-        ++cert.work.shadow_comparisons;
-        if (other != t && priority[other] > priority[t]) {
-          shadowing = other;
+  // V-STRUCT-003: immediate shadowed by a strictly-higher-priority unguarded
+  // immediate that is enabled whenever it is (subset inputs, no inhibitors):
+  // the shadowed immediate is never in the maximal-priority enabled set.
+  for (TransitionId t = 0; t < n_t; ++t) {
+    if (model.transition_kind(t) != TransitionKind::kImmediate) continue;
+    for (TransitionId other = 0; other < n_t; ++other) {
+      if (other == t || model.transition_kind(other) != TransitionKind::kImmediate) continue;
+      if (model.priority(other) <= model.priority(t)) continue;
+      if (model.has_guard(other) || !model.inhibitor_arcs(other).empty()) continue;
+      bool dominated = true;
+      for (const Arc& a : model.input_arcs(other)) {
+        if (input_demand(model, t, a.place) < a.multiplicity) {
+          dominated = false;
           break;
         }
       }
-      if (shadowing < n_t) {
+      if (dominated) {
         add_finding(findings, "V-STRUCT-003", VerifySeverity::kError, model.transition_name(t),
-                    "unreachable by construction: " + model.transition_name(shadowing) +
-                        " (priority " + std::to_string(priority[shadowing]) +
+                    "unreachable by construction: " + model.transition_name(other) +
+                        " (priority " + std::to_string(model.priority(other)) +
                         ") is unguarded, enabled whenever it is, and outranks priority " +
-                        std::to_string(priority[t]));
+                        std::to_string(model.priority(t)));
+        break;
       }
     }
   }
@@ -666,28 +577,25 @@ StructureCertificate certify_structure(const SrnModel& model, const VerifyOption
     }
   }
 
-  // V-ERGO-001: token-flow cycle membership.  t' feeds t when t' net-adds
+  // V-ERGO-001: token-flow cycle membership.  Edge t' -> t when t' net-adds
   // tokens to an input place of t.  A timed transition off every cycle can
   // fire at most finitely often (its inputs are never replenished through
   // it); transitions with no input arcs need no replenishment and are
-  // exempt.  The cycles are found on the bipartite graph t -> p (t net-adds
-  // to p), p -> t (t consumes from p): a transition lies on a transition
-  // cycle iff its strongly connected component there has another node.
+  // exempt.
   {
-    Adjacency flow;
-    flow.begin.reserve(n_t + n_p + 1);
-    flow.begin.push_back(0);
-    for (TransitionId t = 0; t < n_t; ++t) {
-      for (std::size_t e = cert.incidence_begin[t]; e < cert.incidence_begin[t + 1]; ++e) {
-        if (cert.incidence[e].delta > 0) flow.target.push_back(n_t + cert.incidence[e].place);
+    std::vector<std::vector<std::size_t>> successors(n_t);
+    for (TransitionId from = 0; from < n_t; ++from) {
+      for (std::size_t e = cert.incidence_begin[from]; e < cert.incidence_begin[from + 1]; ++e) {
+        if (cert.incidence[e].delta <= 0) continue;
+        for (TransitionId to = 0; to < n_t; ++to) {
+          if (input_demand(model, to, cert.incidence[e].place) > 0) successors[from].push_back(to);
+        }
       }
-      flow.begin.push_back(flow.target.size());
+      std::sort(successors[from].begin(), successors[from].end());
+      successors[from].erase(std::unique(successors[from].begin(), successors[from].end()),
+                             successors[from].end());
     }
-    flow.target.insert(flow.target.end(), consumers.transition.begin(), consumers.transition.end());
-    for (PlaceId p = 0; p < n_p; ++p) {
-      flow.begin.push_back(flow.begin[n_t] + consumers.begin[p + 1]);
-    }
-    const std::vector<bool> cyclic = in_nontrivial_scc(flow, &cert.work.token_flow_edges);
+    const std::vector<bool> cyclic = on_cycle(successors);
     for (TransitionId t = 0; t < n_t; ++t) {
       if (model.transition_kind(t) != TransitionKind::kTimed) continue;
       if (model.input_arcs(t).empty()) continue;
