@@ -68,7 +68,7 @@ void BM_DipShortfall(benchmark::State& state) {
   const std::map<ent::ServerRole, unsigned> one_app{{ent::ServerRole::kApp, 1}};
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        av::patch_dip_shortfall(ent::example_network_design(), rates, one_app, 24.0, 64));
+        av::patch_dip_shortfall(ent::example_network_design(), rates, one_app, 24.0));
   }
 }
 BENCHMARK(BM_DipShortfall);

@@ -104,11 +104,11 @@ struct CoaCurveEvaluation {
 
 /// Expected accumulated capacity shortfall (integral of steady-COA minus
 /// COA(t)) over [0, horizon] after the patch event — "lost server-fraction
-/// hours" of one patch wave.
+/// hours" of one patch wave.  The integral is exact: it rides the
+/// uniformization series (ctmc::TransientSolver::accumulated_reward).
 [[nodiscard]] double patch_dip_shortfall(
     const enterprise::RedundancyDesign& design,
     const std::map<enterprise::ServerRole, AggregatedRates>& rates,
-    const std::map<enterprise::ServerRole, unsigned>& initial_down, double horizon_hours,
-    std::size_t steps = 128);
+    const std::map<enterprise::ServerRole, unsigned>& initial_down, double horizon_hours);
 
 }  // namespace patchsec::avail

@@ -159,9 +159,8 @@ std::vector<CoaPoint> transient_coa_curve(
 double patch_dip_shortfall(const enterprise::RedundancyDesign& design,
                            const std::map<enterprise::ServerRole, AggregatedRates>& rates,
                            const std::map<enterprise::ServerRole, unsigned>& initial_down,
-                           double horizon_hours, std::size_t steps) {
+                           double horizon_hours) {
   if (!(horizon_hours > 0.0)) throw std::invalid_argument("patch_dip_shortfall: horizon");
-  if (steps == 0) throw std::invalid_argument("patch_dip_shortfall: steps must be positive");
 
   // One model build serves both measures: the steady-state COA comes from
   // the same chain and reward vector the transient expansion uses.

@@ -136,9 +136,9 @@ struct EngineOptions {
 
   /// The grid evaluate_transient runs on: `time_points` when set, otherwise
   /// the uniform grid described above.  Throws std::invalid_argument on an
-  /// unusable configuration (empty/descending/negative explicit grid, a
-  /// window that ends at t = 0, or a non-positive horizon / sub-2-point
-  /// derived grid).
+  /// unusable configuration (empty/descending/negative/non-finite explicit
+  /// grid, a window that ends at t = 0, or a non-positive or infinite horizon
+  /// / sub-2-point derived grid).
   [[nodiscard]] std::vector<double> transient_grid() const;
 
   /// The lowered per-solve form handed to the petri/avail layers.

@@ -1,5 +1,6 @@
 #include "patchsec/core/scenario.hpp"
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -10,6 +11,9 @@ std::vector<double> EngineOptions::transient_grid() const {
   if (!time_points.empty()) {
     double previous = 0.0;
     for (double t : time_points) {
+      if (!std::isfinite(t)) {
+        throw std::invalid_argument("EngineOptions: non-finite transient time point");
+      }
       if (t < 0.0) {
         throw std::invalid_argument("EngineOptions: negative transient time point");
       }
@@ -25,8 +29,8 @@ std::vector<double> EngineOptions::transient_grid() const {
     }
     return time_points;
   }
-  if (!(horizon_hours > 0.0)) {
-    throw std::invalid_argument("EngineOptions: horizon_hours must be > 0");
+  if (!(horizon_hours > 0.0) || !std::isfinite(horizon_hours)) {
+    throw std::invalid_argument("EngineOptions: horizon_hours must be finite and > 0");
   }
   if (transient_points < 2) {
     throw std::invalid_argument("EngineOptions: transient_points must be >= 2");

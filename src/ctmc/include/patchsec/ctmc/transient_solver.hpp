@@ -38,7 +38,6 @@
 /// (core::Session keeps one per worker thread, like StationarySolver).
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -52,15 +51,6 @@ namespace patchsec::ctmc {
 struct TransientOptions {
   double epsilon = 1e-12;             ///< truncation error bound on Poisson mass.
   std::size_t max_terms = 2'000'000;  ///< hard cap on expansion length.
-
-  /// Which inner loop drives the expansion.
-  enum class Kernel : std::uint8_t {
-    kAuto,    ///< linalg::SpmvKernel — SELL-8 layout, CPUID-dispatched
-              ///< SIMD, fused weight-accumulation/reward-reduction passes.
-    kScalar,  ///< the historical in-loop scalar CSR pass, kept bit-exact as
-              ///< the reference trajectory (and the portable worst case).
-  };
-  Kernel kernel = Kernel::kAuto;
 };
 
 /// How the last evaluation went: the uniformization constant, the Fox-Glynn
@@ -78,9 +68,8 @@ struct TransientDiagnostics {
   /// Widest panel advanced since prepare() (1 = single-vector evaluations
   /// only; 0 = nothing evaluated yet).
   std::size_t rhs_count = 0;
-  /// Inner-loop id of the last evaluation: "csr-scalar" for the historical
-  /// reference pass, or the dispatched linalg::SpmvKernel name
-  /// ("sell8-avx512" / "sell8-avx2" / "sell8-scalar").
+  /// Inner-loop id of the last evaluation: the dispatched linalg::SpmvKernel
+  /// name ("sell8-avx512" / "sell8-avx2" / "sell8-scalar").
   std::string kernel;
   double poisson_mass = 0.0;         ///< captured (pre-normalization) mass, last window.
   double wall_time_seconds = 0.0;    ///< evaluation time since prepare().
@@ -101,8 +90,8 @@ class TransientSolver {
   [[nodiscard]] std::size_t state_count() const noexcept { return states_; }
 
   /// pi(t) from `initial` (must sum to ~1), written into `out` (resized).
-  /// Throws std::invalid_argument on size mismatch / negative t and
-  /// std::logic_error when prepare() has not run.
+  /// Throws std::invalid_argument on size mismatch / negative or non-finite
+  /// t and std::logic_error when prepare() has not run.
   void distribution_at(const std::vector<double>& initial, double t, std::vector<double>& out);
 
   /// Expected instantaneous reward  r . pi(t).
@@ -114,7 +103,7 @@ class TransientSolver {
   [[nodiscard]] double accumulated_reward(const std::vector<double>& initial,
                                           const std::vector<double>& rewards, double t);
 
-  /// The reward curve r . pi(t_j) over an ascending (non-negative,
+  /// The reward curve r . pi(t_j) over an ascending (finite, non-negative,
   /// non-decreasing) time grid; `values` is resized to the grid.  Returns the
   /// accumulated reward int_0^{t_back} r . pi(s) ds.  Both measures ride one
   /// expansion of the t_back window: every term's reward dot is weighted into
@@ -132,9 +121,7 @@ class TransientSolver {
   /// accumulated reward.  Each column's arithmetic is independent of B, so a
   /// column is bit-identical to its initial solved as a width-1 panel.
   /// Agreement with B sequential reward_curve calls is documented at ~1e-12
-  /// (the panel kernel reduces in a different association order).  Under
-  /// TransientOptions::Kernel::kScalar the call degrades to exactly those
-  /// sequential solves (the reference mode).
+  /// (the panel kernel reduces in a different association order).
   std::vector<double> reward_curve_multi(const std::vector<std::vector<double>>& initials,
                                          const std::vector<double>& rewards,
                                          const std::vector<double>& time_points,
@@ -151,7 +138,7 @@ class TransientSolver {
   [[nodiscard]] std::size_t structure_reuses() const noexcept { return reuses_; }
 
   /// The SIMD kernel layer's own build/reuse counters (0 builds until the
-  /// first Kernel::kAuto evaluation — the layout compiles lazily).
+  /// first evaluation — the layout compiles lazily).
   [[nodiscard]] std::size_t kernel_structure_builds() const noexcept {
     return kernel_.structure_builds();
   }
@@ -173,15 +160,12 @@ class TransientSolver {
   void step(std::vector<double>& state, const std::vector<double>* rewards, double dt,
             double* accumulated);
 
-  /// next_ = term_ * P by the historical scalar CSR pass (Kernel::kScalar).
-  void scalar_sweep();
-
-  /// The single pass behind reward_curve (m = 1 through SpmvKernel::step, or
-  /// the scalar pass under kScalar) and reward_curve_multi (panel = true,
-  /// SpmvKernel::step_panel for any m).  term_ holds the column-major m-wide
-  /// initial panel on entry; on return curve_sums_[j*m + b] holds
-  /// r . pi_b(t_j) and accumulated[0..m) the per-column accumulated reward,
-  /// both divided by the initial column mass.
+  /// The single pass behind reward_curve (m = 1 through SpmvKernel::step)
+  /// and reward_curve_multi (panel = true, SpmvKernel::step_panel for any
+  /// m).  term_ holds the column-major m-wide initial panel on entry; on
+  /// return curve_sums_[j*m + b] holds r . pi_b(t_j) and accumulated[0..m)
+  /// the per-column accumulated reward, both divided by the initial column
+  /// mass.
   void expand_curves(std::size_t m, bool panel, const std::vector<double>& rewards,
                      const std::vector<double>& time_points, double* accumulated);
 
@@ -226,9 +210,8 @@ class TransientSolver {
   std::vector<double> dots_;
   std::vector<double> column_mass_;
 
-  // SIMD kernel workspace over P (compiled lazily on the first kAuto
-  // evaluation after a prepare(), so kScalar evaluations never pay the
-  // layout build).
+  // SIMD kernel workspace over P (compiled lazily on the first evaluation
+  // after a prepare()).
   linalg::SpmvKernel kernel_;
   bool kernel_fresh_ = false;
 

@@ -17,11 +17,13 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// A curve grid must be non-empty, non-negative and ascending.
+/// A curve grid must be non-empty, finite, non-negative and ascending (NaN
+/// fails every ordered comparison, so finiteness is checked first).
 void check_grid(const std::vector<double>& time_points) {
   if (time_points.empty()) throw std::invalid_argument("TransientSolver: empty time grid");
   double previous = 0.0;
   for (const double t : time_points) {
+    if (!std::isfinite(t)) throw std::invalid_argument("TransientSolver: non-finite time point");
     if (t < 0.0) throw std::invalid_argument("TransientSolver: negative time point");
     if (t < previous) throw std::invalid_argument("TransientSolver: time grid must be ascending");
     previous = t;
@@ -185,21 +187,6 @@ void TransientSolver::poisson_window(double m) {
   diagnostics_.poisson_mass = mass_;
 }
 
-void TransientSolver::scalar_sweep() {
-  // next_ <- term_ * P (row-vector times CSR matrix).  The zero-skip stays
-  // here deliberately: delta initial distributions keep early iterates
-  // genuinely sparse, and this loop is the historical reference trajectory
-  // (TransientOptions::Kernel::kScalar) — bit-exact across releases.
-  next_.assign(states_, 0.0);
-  for (std::size_t row = 0; row < states_; ++row) {
-    const double v = term_[row];
-    if (v == 0.0) continue;
-    for (std::size_t idx = p_row_offsets_[row]; idx < p_row_offsets_[row + 1]; ++idx) {
-      next_[p_col_indices_[idx]] += v * p_values_[idx];
-    }
-  }
-}
-
 void TransientSolver::step(std::vector<double>& state, const std::vector<double>* rewards,
                            double dt, double* accumulated) {
   if (dt <= 0.0) return;
@@ -213,51 +200,28 @@ void TransientSolver::step(std::vector<double>& state, const std::vector<double>
   term_ = state;
   accum_.assign(states_, 0.0);
   double cumulative = 0.0;  // F(k): Poisson CDF over the (normalized) window
-  const bool use_kernel = options_.kernel == TransientOptions::Kernel::kAuto;
-  if (!use_kernel) diagnostics_.kernel = "csr-scalar";
   diagnostics_.rhs_count = std::max<std::size_t>(diagnostics_.rhs_count, 1);
-  if (use_kernel) {
-    // SIMD path: one fused kernel call per expansion term performs the
-    // weight accumulation, the reward reduction AND the gather-form matvec
-    // (no zero-fill of next_, no per-row branch).
-    ensure_kernel();
-    diagnostics_.kernel = kernel_.kernel_name();
-    const double* r =
-        (accumulated != nullptr && rewards != nullptr) ? rewards->data() : nullptr;
-    next_.resize(states_);
-    for (std::size_t k = 0;; ++k) {
-      const double weight = k >= left_ ? weights_[k - left_] : 0.0;
-      const bool last = k >= right_;
-      const double dot = last ? kernel_.reduce(term_.data(), weight, accum_.data(), r)
-                              : kernel_.step(term_.data(), next_.data(), weight,
-                                             accum_.data(), r);
-      cumulative += weight;
-      if (accumulated != nullptr) {
-        // int_0^dt Poisson(k; Lambda s) ds = (1 - F(k)) / Lambda.
-        const double survival = std::max(0.0, 1.0 - cumulative);
-        *accumulated += survival * dot / lambda_;
-      }
-      if (last) break;
-      term_.swap(next_);
-      ++diagnostics_.matvec_count;
+  // One fused kernel call per expansion term performs the weight
+  // accumulation, the reward reduction AND the gather-form matvec (no
+  // zero-fill of next_, no per-row branch).
+  ensure_kernel();
+  diagnostics_.kernel = kernel_.kernel_name();
+  const double* r = (accumulated != nullptr && rewards != nullptr) ? rewards->data() : nullptr;
+  next_.resize(states_);
+  for (std::size_t k = 0;; ++k) {
+    const double weight = k >= left_ ? weights_[k - left_] : 0.0;
+    const bool last = k >= right_;
+    const double dot = last ? kernel_.reduce(term_.data(), weight, accum_.data(), r)
+                            : kernel_.step(term_.data(), next_.data(), weight, accum_.data(), r);
+    cumulative += weight;
+    if (accumulated != nullptr) {
+      // int_0^dt Poisson(k; Lambda s) ds = (1 - F(k)) / Lambda.
+      const double survival = std::max(0.0, 1.0 - cumulative);
+      *accumulated += survival * dot / lambda_;
     }
-  } else {
-    for (std::size_t k = 0;; ++k) {
-      if (k >= left_) {
-        const double weight = weights_[k - left_];
-        for (std::size_t i = 0; i < states_; ++i) accum_[i] += weight * term_[i];
-        cumulative += weight;
-      }
-      if (accumulated != nullptr) {
-        // int_0^dt Poisson(k; Lambda s) ds = (1 - F(k)) / Lambda.
-        const double survival = std::max(0.0, 1.0 - cumulative);
-        *accumulated += survival * linalg::dot(term_, *rewards) / lambda_;
-      }
-      if (k >= right_) break;
-      scalar_sweep();
-      term_.swap(next_);
-      ++diagnostics_.matvec_count;
-    }
+    if (last) break;
+    term_.swap(next_);
+    ++diagnostics_.matvec_count;
   }
   // Round-off / truncation guard: the mixture of stochastic vectors is a
   // distribution up to the discarded epsilon tail.
@@ -293,13 +257,8 @@ void TransientSolver::expand_curves(std::size_t m, bool panel, const std::vector
     grid_weights_.insert(grid_weights_.end(), weights_.begin(), weights_.end());
   }
 
-  const bool scalar = options_.kernel == TransientOptions::Kernel::kScalar;
-  if (scalar) {
-    diagnostics_.kernel = "csr-scalar";
-  } else {
-    ensure_kernel();
-    diagnostics_.kernel = kernel_.kernel_name();
-  }
+  ensure_kernel();
+  diagnostics_.kernel = kernel_.kernel_name();
   diagnostics_.rhs_count = std::max(diagnostics_.rhs_count, m);
   curve_sums_.assign(points * m, 0.0);
   dots_.resize(m);
@@ -311,10 +270,7 @@ void TransientSolver::expand_curves(std::size_t m, bool panel, const std::vector
     // d_k = r . pi_0 P^k per column, from the same traversal that forms
     // P^{k+1} (weight 0, no accumulator: pi(t_j) is never materialized).
     const bool last = k >= right_;
-    if (scalar) {
-      dots_[0] = linalg::dot(term_, rewards);
-      if (!last) scalar_sweep();
-    } else if (panel) {
+    if (panel) {
       if (last) {
         kernel_.reduce_panel(term_.data(), m, 0.0, nullptr, r, dots_.data());
       } else {
@@ -372,15 +328,6 @@ std::vector<double> TransientSolver::reward_curve_multi(
   std::vector<double> accumulated(m, 0.0);
   curves.resize(m);
 
-  if (options_.kernel == TransientOptions::Kernel::kScalar) {
-    // Reference mode: the panel degrades to sequential single-vector curves
-    // (each one the bit-exact historical trajectory).
-    for (std::size_t b = 0; b < m; ++b) {
-      accumulated[b] = reward_curve(initials[b], rewards, time_points, curves[b]);
-    }
-    return accumulated;
-  }
-
   const auto start = Clock::now();
   // Interleave the initials into the column-major panel: element (b, s) at
   // term_[s*m + b], so the kernel's per-entry FMA runs over contiguous RHSes.
@@ -403,6 +350,7 @@ void TransientSolver::distribution_at(const std::vector<double>& initial, double
   if (initial.size() != states_) {
     throw std::invalid_argument("TransientSolver: initial size mismatch");
   }
+  if (!std::isfinite(t)) throw std::invalid_argument("TransientSolver: non-finite time");
   if (t < 0.0) throw std::invalid_argument("TransientSolver: negative time");
   const auto start = Clock::now();
   out = initial;
@@ -425,6 +373,7 @@ double TransientSolver::accumulated_reward(const std::vector<double>& initial,
   if (initial.size() != states_ || rewards.size() != states_) {
     throw std::invalid_argument("TransientSolver: initial/reward size mismatch");
   }
+  if (!std::isfinite(t)) throw std::invalid_argument("TransientSolver: non-finite horizon");
   if (t < 0.0) throw std::invalid_argument("TransientSolver: negative horizon");
   const auto start = Clock::now();
   state_ = initial;

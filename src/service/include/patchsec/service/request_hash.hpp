@@ -23,11 +23,8 @@
 ///    parallel == serial is asserted in test_session),
 ///    SimulationOptions::threads (replication estimates are counter-seeded
 ///    per replication and bit-identical across thread counts — asserted in
-///    test_sim and the sim_replications_threaded8 bench row), and
-///    ReachabilityOptions::reserve_markings (a capacity hint).  The kernel
-///    selector (kAuto vs kScalar) IS hashed: the SIMD panel path reduces in
-///    a different association order, so its curves differ from scalar ones
-///    at the last-few-ulp level and must not share cache entries.
+///    test_sim and test_session), and ReachabilityOptions::reserve_markings
+///    (a capacity hint).
 ///
 /// The policy hooks of a ReachabilityPolicy are opaque std::functions, so
 /// they cannot be serialized — but their whole domain is the 4x4 role grid,

@@ -130,11 +130,9 @@ void append_engine_options(HashStream& h, const core::EngineOptions& engine) {
     h.u8(static_cast<std::uint8_t>(role));
     h.u32(down);
   }
-  // Uniformization truncation + kernel selector (kAuto's panel path differs
-  // from kScalar at the ulp level).
+  // Uniformization truncation.
   h.f64(engine.uniformization.epsilon);
   h.u64(engine.uniformization.max_terms);
-  h.u8(static_cast<std::uint8_t>(engine.uniformization.kernel));
   // HARM path-enumeration cap (truncation changes the security metrics —
   // a capped report must never share a cache entry with an exact one).
   h.u64(engine.harm_paths.max_paths);

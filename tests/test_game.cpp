@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "game_load.hpp"
 #include "patchsec/enterprise/network.hpp"
 #include "patchsec/game/best_response.hpp"
 #include "patchsec/harm/path_classes.hpp"
@@ -63,6 +62,27 @@ game::GameSpec oracle_2x2_spec() {
                       .with_patch_schedule({360.0, 720.0});
   spec.defender.cost_budget = 5.0;
   spec.defender.exposure_bound = 0.6;
+  spec.attacker.effort_budget = 1.0;
+  spec.attacker.per_path_cap = 0.6;
+  return spec;
+}
+
+/// The k=6 game: uniform k-per-tier designs k = 1..6 on the exact lumped
+/// engine against the weekly-to-bimonthly cadence ladder, a cost budget that
+/// prices the k=6 fleet out, and an exposure bound that prices the 720 h and
+/// 1440 h windows out.
+game::GameSpec k6_game_spec() {
+  std::vector<ent::RedundancyDesign> designs;
+  for (unsigned k = 1; k <= 6; ++k) designs.push_back(ent::RedundancyDesign{{k, k, k, k}});
+  core::EngineOptions engine;
+  engine.lumping = true;
+  game::GameSpec spec;
+  spec.scenario = core::Scenario::paper_case_study()
+                      .with_designs(designs)
+                      .with_patch_schedule({168.0, 360.0, 720.0, 1440.0})
+                      .with_engine(engine);
+  spec.defender.cost_budget = 20.0;    // 4k servers at unit cost: k <= 5 deployable.
+  spec.defender.exposure_bound = 0.4;
   spec.attacker.effort_budget = 1.0;
   spec.attacker.per_path_cap = 0.6;
   return spec;
@@ -373,7 +393,7 @@ TEST(Game, OracleEquilibrium2x2) {
 
 TEST(Game, RecordedFixedPointsAreEnumerated) {
   // The fixed points the Gauss-Seidel iteration converged to on the paper
-  // game, the 2x2 oracle and the benchmarks' k=6 game.  Each must be one of
+  // game, the 2x2 oracle and the k=6 game.  Each must be one of
   // the enumerated equilibria, and here it is also the defender-preferred one.
   const std::vector<double> split{0x1.3333333333333p-1, 0x1.999999999999ap-2};  // (0.6, 0.4)
   const struct {
@@ -383,7 +403,7 @@ TEST(Game, RecordedFixedPointsAreEnumerated) {
   } cases[] = {
       {"paper", game::GameSpec::paper_case_study(), {3, 1, split}},
       {"2x2", oracle_2x2_spec(), {1, 0, split}},
-      {"k6", patchsec::benchgame::k6_game_spec(), {4, 1, split}},
+      {"k6", k6_game_spec(), {4, 1, split}},
   };
   for (const auto& c : cases) {
     game::BestResponseSolver solver(c.spec);
@@ -393,6 +413,7 @@ TEST(Game, RecordedFixedPointsAreEnumerated) {
     EXPECT_EQ(result.defender,
               (game::DefenderStrategy{c.fixed_point.design_index, c.fixed_point.cadence_index}))
         << c.name;
+    EXPECT_TRUE(result.certificate.verified) << c.name;
     for (const game::Equilibrium& eq : result.equilibria) {
       EXPECT_TRUE(eq.certificate.verified) << c.name;
     }
@@ -555,49 +576,55 @@ TEST(Game, BestResponseSweepsAreMemoizedNotResolved) {
   // 2*N*M evaluations but pay for at most N*M Session solves (the service
   // cache returns the rest) and at most M * kRoleCount lower-layer
   // aggregations (the Session memoizes per cadence).
-  const game::GameSpec spec = game::GameSpec::paper_case_study();
-  const std::size_t cells =
-      spec.scenario.designs().size() * spec.scenario.patch_intervals().size();
+  for (const game::GameSpec& spec : {game::GameSpec::paper_case_study(), k6_game_spec()}) {
+    const std::size_t cells =
+        spec.scenario.designs().size() * spec.scenario.patch_intervals().size();
+    SCOPED_TRACE(cells);
 
-  game::BestResponseSolver solver(spec);
-  const game::EquilibriumResult first = solver.solve();
-  const game::EquilibriumResult second = solver.solve();  // warm re-solve.
-  ASSERT_TRUE(first.converged);
-  ASSERT_TRUE(second.converged);
-  EXPECT_EQ(first.iterations, 1u);
-  EXPECT_EQ(second.iterations, 1u);
-  EXPECT_TRUE(equilibria_bit_identical(first, second));
+    game::BestResponseSolver solver(spec);
+    const game::EquilibriumResult first = solver.solve();
+    const game::EquilibriumResult second = solver.solve();  // warm re-solve.
+    ASSERT_TRUE(first.converged);
+    ASSERT_TRUE(second.converged);
+    EXPECT_TRUE(first.certificate.verified);
+    EXPECT_TRUE(second.certificate.verified);
+    EXPECT_EQ(first.iterations, 1u);
+    EXPECT_EQ(second.iterations, 1u);
+    EXPECT_TRUE(equilibria_bit_identical(first, second));
 
-  const svc::ServiceStats stats = solver.service().stats();
-  EXPECT_EQ(stats.submitted, 2 * cells);
-  EXPECT_LE(stats.solves, cells);       // the re-sweep is served from the cache...
-  EXPECT_GE(stats.cache.hits, cells);   // ...as cache hits.
-  EXPECT_GE(stats.cache.hit_rate(), 0.5);
+    const svc::ServiceStats stats = solver.service().stats();
+    EXPECT_EQ(stats.submitted, 2 * cells);
+    EXPECT_LE(stats.solves, cells);       // the re-sweep is served from the cache...
+    EXPECT_GE(stats.cache.hits, cells);   // ...as cache hits.
+    EXPECT_GE(stats.cache.hit_rate(), 0.5);
 
-  const core::Session::WorkspaceCounters counters = solver.service().session().workspace_counters();
-  EXPECT_LE(counters.aggregation_solves,
-            spec.scenario.patch_intervals().size() * ent::kRoleCount);
-  EXPECT_LE(counters.availability_solves, cells);
+    const core::Session::WorkspaceCounters counters =
+        solver.service().session().workspace_counters();
+    EXPECT_LE(counters.aggregation_solves,
+              spec.scenario.patch_intervals().size() * ent::kRoleCount);
+    EXPECT_LE(counters.availability_solves, cells);
+  }
 }
 
 TEST(Game, DeterministicAcrossRunsAndWorkerCounts) {
-  const game::GameSpec spec = game::GameSpec::paper_case_study();
   svc::ServiceOptions solo;
   solo.workers = 1;
   svc::ServiceOptions pooled;
   pooled.workers = 4;
+  for (const game::GameSpec& spec : {game::GameSpec::paper_case_study(), k6_game_spec()}) {
+    SCOPED_TRACE(spec.scenario.designs().size());
+    game::BestResponseSolver a(spec, solo);
+    game::BestResponseSolver b(spec, solo);
+    game::BestResponseSolver c(spec, pooled);
+    const game::EquilibriumResult ra = a.solve();
+    const game::EquilibriumResult rb = b.solve();
+    const game::EquilibriumResult rc = c.solve();
 
-  game::BestResponseSolver a(spec, solo);
-  game::BestResponseSolver b(spec, solo);
-  game::BestResponseSolver c(spec, pooled);
-  const game::EquilibriumResult ra = a.solve();
-  const game::EquilibriumResult rb = b.solve();
-  const game::EquilibriumResult rc = c.solve();
-
-  ASSERT_TRUE(ra.converged);
-  EXPECT_TRUE(ra.certificate.verified);
-  EXPECT_TRUE(equilibria_bit_identical(ra, rb));
-  EXPECT_TRUE(equilibria_bit_identical(ra, rc));
+    ASSERT_TRUE(ra.converged);
+    EXPECT_TRUE(ra.certificate.verified);
+    EXPECT_TRUE(equilibria_bit_identical(ra, rb));
+    EXPECT_TRUE(equilibria_bit_identical(ra, rc));
+  }
 }
 
 TEST(Game, InfeasibleExposureBoundReportsNoEquilibrium) {

@@ -670,6 +670,7 @@ TEST(Factored, FiftyServersPerTierEvaluatesExactly) {
   const std::vector<double> grid{0.5, 2.0, 6.0, 12.0, 24.0, 2000.0};
   const av::CoaCurveEvaluation curve =
       av::transient_coa_lumped_detailed(design, rates(), grid, options);
+  EXPECT_TRUE(curve.diagnostics.converged);
   for (const av::CoaPoint& point : curve.curve) {
     EXPECT_GE(point.coa, 0.0);
     EXPECT_LE(point.coa, 1.0);

@@ -118,12 +118,6 @@ TEST(RequestHash, ResultAffectingKnobsChangeTheHash) {
   engine.backend = core::EvalBackend::kSimulation;
   EXPECT_NE(svc::hash_scenario(core::Scenario(base).with_engine(engine)), reference);
 
-  // The kernel selector IS result-affecting (panel reduction order differs
-  // from scalar at the ulp level) and must split cache entries.
-  engine = base.engine();
-  engine.uniformization.kernel = patchsec::ctmc::TransientOptions::Kernel::kScalar;
-  EXPECT_NE(svc::hash_scenario(core::Scenario(base).with_engine(engine)), reference);
-
   // A schedule change and a spec change both reach the hash.
   EXPECT_NE(svc::hash_scenario(core::Scenario(base).with_patch_interval(168.0)), reference);
   core::Scenario respecced = base;
@@ -280,6 +274,12 @@ TEST(EvalService, CachedReplyIsBitIdenticalToTheFreshSolve) {
       service.evaluate(steady_request(ent::example_network_design(), 720.0));
   EXPECT_EQ(explicit_cadence.source, svc::ReplySource::kCache);
   EXPECT_EQ(explicit_cadence.key, first.key);
+
+  // One cold solve, then two hits: the cache counters say so exactly.
+  const svc::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.solves, 1u);
+  EXPECT_EQ(stats.cache.hits, 2u);
+  EXPECT_DOUBLE_EQ(stats.cache.hit_rate(), 2.0 / 3.0);
 }
 
 TEST(EvalService, CoalescesIdenticalConcurrentRequestsIntoOneSolve) {
@@ -351,6 +351,28 @@ TEST(EvalService, GroupsSameStructureTransientJobsIntoOnePanel) {
       solo.evaluate_transient_batch(ent::example_network_design(), waves);
   for (std::size_t i = 0; i < kWaves; ++i) {
     EXPECT_TRUE(payload_bit_identical(replies[i].report, oracle[i]));
+  }
+
+  // Resubmitting the same waves is served from the cache, bit-identical to
+  // the grouped replies.
+  for (std::size_t i = 0; i < kWaves; ++i) {
+    svc::EvalRequest request = steady_request(ent::example_network_design());
+    request.kind = svc::RequestKind::kTransient;
+    request.wave.emplace(static_cast<ent::ServerRole>(i), 1u);
+    const svc::ServiceReply cached = service.evaluate(std::move(request));
+    EXPECT_EQ(cached.source, svc::ReplySource::kCache);
+    EXPECT_TRUE(payload_bit_identical(cached.report, replies[i].report));
+  }
+
+  // Each wave solved alone as a width-1 panel agrees to 1e-10.
+  for (std::size_t i = 0; i < kWaves; ++i) {
+    const core::EvalReport single =
+        solo.evaluate_transient_batch(ent::example_network_design(), {waves[i]}).front();
+    const std::vector<double>& got = replies[i].report.transient.coa;
+    ASSERT_EQ(got.size(), single.transient.coa.size());
+    for (std::size_t j = 0; j < got.size(); ++j) {
+      EXPECT_NEAR(got[j], single.transient.coa[j], 1e-10) << "wave " << i << " t" << j;
+    }
   }
 }
 

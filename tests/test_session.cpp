@@ -157,6 +157,32 @@ TEST(EngineOptions, DivergenceThrowsWhenAskedTo) {
   EXPECT_THROW((void)session.evaluate(ent::example_network_design()), std::runtime_error);
 }
 
+TEST(EngineOptions, NonFiniteTransientWindowIsRejected) {
+  // NaN slips past every ordered comparison and +inf past `> 0`.  Unchecked,
+  // either one reaches the solver and comes back as coa(t) = 0.
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    SCOPED_TRACE(bad);
+    for (const std::vector<double>& grid : {std::vector<double>{0.0, bad, 2.0},
+                                            std::vector<double>{0.0, 1.0, bad}}) {
+      core::EngineOptions engine;
+      engine.time_points = grid;
+      EXPECT_THROW((void)engine.transient_grid(), std::invalid_argument);
+      const core::Session session(core::Scenario::paper_case_study().with_engine(engine));
+      EXPECT_THROW((void)session.evaluate_transient(ent::example_network_design()),
+                   std::invalid_argument);
+      EXPECT_THROW((void)session.evaluate_transient_batch(
+                       ent::example_network_design(), {{{ent::ServerRole::kApp, 1u}}}),
+                   std::invalid_argument);
+    }
+    core::EngineOptions engine;
+    engine.horizon_hours = bad;
+    EXPECT_THROW((void)engine.transient_grid(), std::invalid_argument);
+    const core::Session session(core::Scenario::paper_case_study().with_engine(engine));
+    EXPECT_THROW((void)session.evaluate_transient(ent::example_network_design()),
+                 std::invalid_argument);
+  }
+}
+
 // ---------- EvalReport diagnostics ----------------------------------------------
 
 TEST(EvalReport, CarriesNonTrivialDiagnostics) {
@@ -179,6 +205,16 @@ TEST(EvalReport, CarriesNonTrivialDiagnostics) {
     EXPECT_TRUE(diag.converged) << ent::to_string(role);
   }
   EXPECT_GT(r.total_solver_iterations(), r.availability_diagnostics.solver_iterations);
+
+  // Uniform k-per-tier designs up to the 2,401-state k = 6 upper layer
+  // converge and solve the full (k+1)^4 product space.
+  for (const unsigned k : {2u, 4u, 6u}) {
+    const core::EvalReport uniform = session.evaluate(ent::RedundancyDesign{{k, k, k, k}});
+    const std::size_t side = k + 1;
+    EXPECT_TRUE(uniform.converged()) << "k=" << k;
+    EXPECT_EQ(uniform.availability_diagnostics.tangible_states, side * side * side * side)
+        << "k=" << k;
+  }
 }
 
 TEST(Session, ExplicitCadenceMustBePositive) {
@@ -244,18 +280,21 @@ TEST(Session, ParallelScheduleSweepMatchesSerial) {
   core::EngineOptions parallel;
   parallel.parallel = true;
   parallel.threads = 4;
-  const core::Scenario base = core::Scenario::paper_case_study().with_patch_schedule({720.0, 168.0});
+  const core::Scenario base = core::Scenario::paper_case_study().with_patch_schedule(
+      {720.0, 168.0, 336.0, 504.0, 1440.0, 2160.0});
   const core::Session serial(base);
   const core::Session threaded(core::Scenario(base).with_engine(parallel));
 
   const auto a = serial.evaluate_all();
   const auto b = threaded.evaluate_all();
-  ASSERT_EQ(a.size(), 10u);
+  ASSERT_EQ(a.size(), 30u);
   ASSERT_EQ(b.size(), a.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].design, b[i].design);
     EXPECT_DOUBLE_EQ(a[i].patch_interval_hours, b[i].patch_interval_hours);
     EXPECT_DOUBLE_EQ(a[i].coa, b[i].coa);
+    EXPECT_TRUE(a[i].converged()) << i;
+    EXPECT_TRUE(b[i].converged()) << i;
   }
 }
 

@@ -2,13 +2,14 @@
 // TransientSolver integration: scalar-oracle agreement (CsrMatrix::
 // left_multiply is the reference, per docs/ARCHITECTURE.md §12) on paper
 // nets and seeded random matrices, fused-step semantics, panel-vs-sequential
-// equivalence, the structure-reuse contract, and the threaded panel
-// reductions' bit-identity across thread counts.
+// equivalence, the structure-reuse contract, and panel-column bit-identity
+// across panel widths.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "patchsec/avail/aggregation.hpp"
@@ -17,6 +18,7 @@
 #include "patchsec/enterprise/network.hpp"
 #include "patchsec/linalg/spmv_kernel.hpp"
 #include "patchsec/petri/reachability.hpp"
+#include "transient_oracle.hpp"
 
 namespace av = patchsec::avail;
 namespace ct = patchsec::ctmc;
@@ -338,8 +340,28 @@ TEST(SpmvKernel, ErrorsOnMisuse) {
 }
 
 // ---------------------------------------------------------------------------
-// TransientSolver integration: kAuto vs the kScalar reference trajectory
+// TransientSolver integration: the kernel paths vs the scalar reference
+// (transient_oracle.hpp: plain CsrMatrix uniformization, no SIMD)
 // ---------------------------------------------------------------------------
+
+namespace {
+
+/// r . pi(t_j) per grid point and the accumulated reward over [0, t_back],
+/// both from the scalar reference.
+std::pair<std::vector<double>, double> scalar_reference_curve(const ct::Ctmc& chain,
+                                                             const std::vector<double>& initial,
+                                                             const std::vector<double>& rewards,
+                                                             const std::vector<double>& grid) {
+  std::vector<double> curve;
+  for (const double t : grid) {
+    curve.push_back(la::dot(transient_oracle::naive_transient(chain, initial, t), rewards));
+  }
+  std::vector<double> occupancy;
+  (void)transient_oracle::naive_transient(chain, initial, grid.back(), 1e-12, &occupancy);
+  return {curve, la::dot(occupancy, rewards)};
+}
+
+}  // namespace
 
 TEST(SpmvKernelTransient, AutoKernelMatchesScalarReference) {
   for (const ct::Ctmc& chain : {up_down(0.8, 2.5), birth_death(53, 0.4, 1.1)}) {
@@ -350,37 +372,23 @@ TEST(SpmvKernelTransient, AutoKernelMatchesScalarReference) {
     for (std::size_t s = 0; s < n; ++s) rewards[s] = static_cast<double>(s) / double(n);
     const std::vector<double> grid{0.1, 0.5, 1.0, 2.0, 5.0};
 
-    ct::TransientOptions scalar_options;
-    scalar_options.kernel = ct::TransientOptions::Kernel::kScalar;
-    ct::TransientSolver scalar_solver(scalar_options);
-    scalar_solver.prepare(chain);
-    std::vector<double> scalar_curve;
-    const double scalar_acc = scalar_solver.reward_curve(initial, rewards, grid, scalar_curve);
-    EXPECT_EQ(scalar_solver.diagnostics().kernel, "csr-scalar");
-    EXPECT_EQ(scalar_solver.diagnostics().rhs_count, 1u);
+    ct::TransientSolver solver;
+    solver.prepare(chain);
+    std::vector<double> curve;
+    const double acc = solver.reward_curve(initial, rewards, grid, curve);
+    EXPECT_EQ(solver.diagnostics().kernel, la::spmv_isa_name(la::spmv_dispatched_isa()));
+    EXPECT_EQ(solver.diagnostics().rhs_count, 1u);
 
-    ct::TransientSolver auto_solver;  // kAuto is the default
-    auto_solver.prepare(chain);
-    std::vector<double> auto_curve;
-    const double auto_acc = auto_solver.reward_curve(initial, rewards, grid, auto_curve);
-    EXPECT_EQ(auto_solver.diagnostics().kernel,
-              la::spmv_isa_name(la::spmv_dispatched_isa()));
-    EXPECT_EQ(auto_solver.diagnostics().rhs_count, 1u);
-    // Same matrix sweeps either way: the kernel changes arithmetic shape,
-    // never the expansion.
-    EXPECT_EQ(auto_solver.diagnostics().matvec_count,
-              scalar_solver.diagnostics().matvec_count);
-
-    expect_near_rel(auto_curve, scalar_curve, 1e-11, "kAuto vs kScalar curve");
-    EXPECT_NEAR(auto_acc, scalar_acc, 1e-11 * std::max(1.0, std::abs(scalar_acc)));
+    const auto [scalar_curve, scalar_acc] = scalar_reference_curve(chain, initial, rewards, grid);
+    expect_near_rel(curve, scalar_curve, 1e-11, "kernel vs scalar reference curve");
+    EXPECT_NEAR(acc, scalar_acc, 1e-11 * std::max(1.0, std::abs(scalar_acc)));
 
     // Distributions agree too (the normalize step sees round-off-level
     // differences only).
-    std::vector<double> pi_scalar;
-    std::vector<double> pi_auto;
-    scalar_solver.distribution_at(initial, 1.7, pi_scalar);
-    auto_solver.distribution_at(initial, 1.7, pi_auto);
-    expect_near_rel(pi_auto, pi_scalar, 1e-11, "kAuto vs kScalar distribution");
+    std::vector<double> pi;
+    solver.distribution_at(initial, 1.7, pi);
+    expect_near_rel(pi, transient_oracle::naive_transient(chain, initial, 1.7), 1e-11,
+                    "kernel vs scalar reference distribution");
   }
 }
 
@@ -418,7 +426,7 @@ TEST(SpmvKernelTransient, PanelCurveMatchesSequentialCurves) {
   }
 }
 
-TEST(SpmvKernelTransient, PanelMatchesScalarReferenceMode) {
+TEST(SpmvKernelTransient, PanelMatchesScalarReference) {
   const ct::Ctmc chain = birth_death(23, 0.9, 1.7);
   const std::size_t n = chain.state_count();
   std::vector<double> rewards(n, 1.0);
@@ -427,24 +435,17 @@ TEST(SpmvKernelTransient, PanelMatchesScalarReferenceMode) {
   std::vector<std::vector<double>> initials(3, std::vector<double>(n, 0.0));
   for (std::size_t b = 0; b < 3; ++b) initials[b][b] = 1.0;
 
-  ct::TransientSolver auto_solver;
-  auto_solver.prepare(chain);
-  std::vector<std::vector<double>> auto_curves;
-  const auto auto_accs = auto_solver.reward_curve_multi(initials, rewards, grid, auto_curves);
-
-  ct::TransientOptions scalar_options;
-  scalar_options.kernel = ct::TransientOptions::Kernel::kScalar;
-  ct::TransientSolver scalar_solver(scalar_options);
-  scalar_solver.prepare(chain);
-  std::vector<std::vector<double>> scalar_curves;
-  const auto scalar_accs =
-      scalar_solver.reward_curve_multi(initials, rewards, grid, scalar_curves);
-  EXPECT_EQ(scalar_solver.diagnostics().rhs_count, 1u);  // degraded to sequential
+  ct::TransientSolver solver;
+  solver.prepare(chain);
+  std::vector<std::vector<double>> curves;
+  const auto accs = solver.reward_curve_multi(initials, rewards, grid, curves);
+  EXPECT_EQ(solver.diagnostics().rhs_count, 3u);
 
   for (std::size_t b = 0; b < 3; ++b) {
-    expect_near_rel(auto_curves[b], scalar_curves[b], 1e-11, "panel vs scalar mode");
-    EXPECT_NEAR(auto_accs[b], scalar_accs[b],
-                1e-11 * std::max(1.0, std::abs(scalar_accs[b])));
+    const auto [scalar_curve, scalar_acc] =
+        scalar_reference_curve(chain, initials[b], rewards, grid);
+    expect_near_rel(curves[b], scalar_curve, 1e-11, "panel vs scalar reference");
+    EXPECT_NEAR(accs[b], scalar_acc, 1e-11 * std::max(1.0, std::abs(scalar_acc)));
   }
 }
 

@@ -411,6 +411,8 @@ TEST(StationarySolverWorkspace, ReusesTransposeAcrossSameStructureSolves) {
   la::StationarySolver solver;
   const la::SteadyStateResult first = solver.solve(q4);
   const la::SteadyStateResult second = solver.solve(q4);
+  EXPECT_TRUE(first.converged);
+  EXPECT_TRUE(second.converged);
   EXPECT_EQ(solver.solve_count(), 2u);
   EXPECT_EQ(solver.transpose_rebuilds(), 1u) << "identical structure must hit the cache";
   EXPECT_EQ(first.iterations, second.iterations);
@@ -423,6 +425,7 @@ TEST(StationarySolverWorkspace, ReusesTransposeAcrossSameStructureSolves) {
   const la::CsrMatrix q4_weekly = pt::build_reachability_graph(net.model).chain.generator();
   ASSERT_EQ(q4_weekly.col_indices(), q4.col_indices());
   const la::SteadyStateResult warm = solver.solve(q4_weekly);
+  EXPECT_TRUE(warm.converged);
   EXPECT_EQ(solver.transpose_rebuilds(), 1u);
   la::StationarySolver fresh;
   const la::SteadyStateResult cold = fresh.solve(q4_weekly);

@@ -73,7 +73,7 @@ TEST(TransientCoa, RedundantTierHealsFasterInitialLoss) {
 TEST(TransientCoa, ShortfallPositiveAndBoundedByDipDepth) {
   const ent::RedundancyDesign design = ent::example_network_design();
   const std::map<ent::ServerRole, unsigned> one_app{{ent::ServerRole::kApp, 1}};
-  const double shortfall = av::patch_dip_shortfall(design, rates(), one_app, 24.0, 256);
+  const double shortfall = av::patch_dip_shortfall(design, rates(), one_app, 24.0);
   EXPECT_GT(shortfall, 0.0);
   // The dip starts at depth (steady - 5/6) and shrinks: the integral over
   // 24 h is far below depth * horizon.

@@ -1,7 +1,7 @@
 // Tests for the uniformization workspace (ctmc::TransientSolver): closed
-// forms, an in-test naive-uniformization oracle (the pre-workspace algorithm
-// kept verbatim as reference), Fox-Glynn window behaviour, the exact
-// accumulated-reward series, the single-expansion curve path and its
+// forms, the naive-uniformization oracle (transient_oracle.hpp, the
+// pre-workspace algorithm kept as reference), Fox-Glynn window behaviour,
+// the exact accumulated-reward series, the single-expansion curve path and its
 // sweep/prepare guards, and workspace reuse.
 
 #include <gtest/gtest.h>
@@ -11,10 +11,10 @@
 #include <vector>
 
 #include "patchsec/ctmc/transient_solver.hpp"
-#include "patchsec/linalg/vector_ops.hpp"
+#include "transient_oracle.hpp"
 
 namespace ct = patchsec::ctmc;
-namespace la = patchsec::linalg;
+using transient_oracle::naive_transient;
 
 namespace {
 
@@ -24,40 +24,6 @@ ct::Ctmc up_down(double l, double mu) {
   c.add_transition(0, 1, l);
   c.add_transition(1, 0, mu);
   return c;
-}
-
-// The pre-workspace uniformization (accumulate Poisson terms from k = 0 in
-// log space), kept as an in-test oracle in the test_stationary_solver mold.
-std::vector<double> naive_transient(const ct::Ctmc& chain, const std::vector<double>& initial,
-                                    double t, double epsilon = 1e-12) {
-  const std::size_t n = chain.state_count();
-  if (t == 0.0) return initial;
-  double max_exit = 0.0;
-  for (const double rate : chain.exit_rates()) max_exit = std::max(max_exit, rate);
-  const double lambda = std::max(max_exit * 1.02, 1e-12);
-  const la::CsrMatrix q = chain.generator();
-  const double m = lambda * t;
-  std::vector<double> term = initial;
-  std::vector<double> piq(n);
-  std::vector<double> result(n, 0.0);
-  double log_pk = -m;
-  double mass = 0.0;
-  for (std::size_t k = 0; k <= 2'000'000; ++k) {
-    const double pk = std::exp(log_pk);
-    if (pk > 0.0) {
-      for (std::size_t i = 0; i < n; ++i) result[i] += pk * term[i];
-      mass += pk;
-    }
-    if (mass >= 1.0 - epsilon) break;
-    q.left_multiply(term, piq);
-    for (std::size_t i = 0; i < n; ++i) {
-      term[i] += piq[i] / lambda;
-      if (term[i] < 0.0) term[i] = 0.0;
-    }
-    log_pk += std::log(m) - std::log(static_cast<double>(k + 1));
-  }
-  la::normalize_probability(result);
-  return result;
 }
 
 // A randomized irreducible chain (fixed seed; ring backbone plus extra
@@ -201,6 +167,31 @@ TEST(TransientSolver, CurveValidation) {
                std::invalid_argument);
   EXPECT_THROW((void)solver.reward_curve({1.0}, {1.0, 0.0}, {1.0}, values),
                std::invalid_argument);
+}
+
+TEST(TransientSolver, NonFiniteTimesAreRejected) {
+  // NaN fails every ordered comparison and +inf passes them.  Unchecked,
+  // NaN sizes a ~2^63-term Poisson window, +inf returns the initial
+  // distribution, and a NaN grid point reads 0.
+  ct::TransientSolver solver;
+  solver.prepare(up_down(1.0, 1.0));
+  const std::vector<double> initial{1.0, 0.0};
+  const std::vector<double> rewards{1.0, 0.0};
+  std::vector<double> out;
+  std::vector<std::vector<double>> curves;
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(solver.distribution_at(initial, bad, out), std::invalid_argument);
+    EXPECT_THROW((void)solver.reward_at(initial, rewards, bad), std::invalid_argument);
+    EXPECT_THROW((void)solver.accumulated_reward(initial, rewards, bad), std::invalid_argument);
+    EXPECT_THROW((void)solver.reward_curve(initial, rewards, {0.0, bad, 2.0}, out),
+                 std::invalid_argument);
+    EXPECT_THROW((void)solver.reward_curve(initial, rewards, {0.0, 1.0, bad}, out),
+                 std::invalid_argument);
+    EXPECT_THROW((void)solver.reward_curve_multi({initial}, rewards, {bad}, curves),
+                 std::invalid_argument);
+  }
+  EXPECT_EQ(solver.diagnostics().matvec_count, 0u);  // refused before any sweep
 }
 
 TEST(TransientSolver, FoxGlynnWindowSkipsTheLeftTail) {
