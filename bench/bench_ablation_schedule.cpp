@@ -29,7 +29,9 @@ void print_schedule_sweep() {
   const auto specs = ent::paper_server_specs();
   for (const Schedule& s : schedules) {
     std::map<ent::ServerRole, av::AggregatedRates> rates;
-    for (const auto& [role, spec] : specs) rates.emplace(role, av::aggregate_server(spec, s.hours));
+    for (const auto& [role, spec] : specs) {
+      rates.emplace(role, av::aggregate_server(spec, {.patch_interval_hours = s.hours}));
+    }
     const double coa_example =
         av::capacity_oriented_availability(ent::example_network_design(), rates);
     const double coa_base =
@@ -44,7 +46,9 @@ void print_schedule_sweep() {
   std::printf("%-12s %16s\n", "schedule", "delta COA (x1e-4)");
   for (const Schedule& s : schedules) {
     std::map<ent::ServerRole, av::AggregatedRates> rates;
-    for (const auto& [role, spec] : specs) rates.emplace(role, av::aggregate_server(spec, s.hours));
+    for (const auto& [role, spec] : specs) {
+      rates.emplace(role, av::aggregate_server(spec, {.patch_interval_hours = s.hours}));
+    }
     const double base =
         av::capacity_oriented_availability(ent::RedundancyDesign{{1, 1, 1, 1}}, rates);
     const double redundant =

@@ -31,7 +31,7 @@ void print_validation() {
   std::printf("--- per-server service availability (lower-layer SRN) ---\n");
   std::printf("%-6s %12s %22s\n", "role", "analytic", "simulated (95%% CI)");
   for (const auto& [role, spec] : specs) {
-    const av::ServerSrn srn = av::build_server_srn(spec, kInterval);
+    const av::ServerSrn srn = av::build_server_srn(spec, {.patch_interval_hours = kInterval});
     const pt::SrnAnalyzer analyzer(srn.model);
     const double analytic =
         analyzer.probability([&srn](const pt::Marking& m) { return srn.service_up(m); });
@@ -50,7 +50,9 @@ void print_validation() {
 
   std::printf("\n--- network COA (upper-layer SRN, example network) ---\n");
   std::map<ent::ServerRole, av::AggregatedRates> rates;
-  for (const auto& [role, spec] : specs) rates.emplace(role, av::aggregate_server(spec, kInterval));
+  for (const auto& [role, spec] : specs) {
+    rates.emplace(role, av::aggregate_server(spec, {.patch_interval_hours = kInterval}));
+  }
   const av::NetworkSrn net = av::build_network_srn(ent::example_network_design(), rates);
   const double analytic = av::capacity_oriented_availability(ent::example_network_design(), rates);
 
@@ -67,7 +69,7 @@ void print_validation() {
 
 void BM_SimulateServerSrn(benchmark::State& state) {
   const auto spec = ent::paper_server_specs().at(ent::ServerRole::kDns);
-  const av::ServerSrn srn = av::build_server_srn(spec, 72.0);
+  const av::ServerSrn srn = av::build_server_srn(spec, {.patch_interval_hours = 72.0});
   sm::SrnSimulator simulator(srn.model);
   sm::SimulationOptions opt;
   opt.seed = 1;

@@ -29,16 +29,13 @@ struct AggregatedRates {
   [[nodiscard]] double mttr_hours() const { return 1.0 / mu_eq; }
 };
 
-/// Build the server SRN, solve its steady state and aggregate.  The
-/// closed-form sanity bound: mu_eq ~= 1 / (patch + reboot durations).
-[[nodiscard]] AggregatedRates aggregate_server(const enterprise::ServerSpec& spec,
-                                               double patch_interval_hours = 720.0);
-
-/// Aggregate under explicit policy options (campaign stages, reboot-free
-/// patches).  Throws std::domain_error when the options leave nothing to
+/// Build the server SRN under the given policy options (patch cadence,
+/// campaign stages, reboot-free patches), solve its steady state and
+/// aggregate.  The closed-form sanity bound: mu_eq ~= 1 / (patch + reboot
+/// durations).  Throws std::domain_error when the options leave nothing to
 /// patch in a cycle.
 [[nodiscard]] AggregatedRates aggregate_server(const enterprise::ServerSpec& spec,
-                                               const ServerSrnOptions& options);
+                                               const ServerSrnOptions& options = {});
 
 /// Aggregation result carrying the lower-layer solve diagnostics (state
 /// counts, solver iterations, residual, converged flag, wall time).

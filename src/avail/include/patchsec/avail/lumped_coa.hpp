@@ -1,14 +1,13 @@
 #pragma once
 /// \file lumped_coa.hpp
-/// \brief Capacity-oriented availability on the symmetry-lumped quotient:
-/// the upper-layer network model evaluated by product form over its
-/// independent per-tier birth-death chains instead of on the joint chain.
+/// \brief Capacity-oriented availability of the counting-form network net,
+/// evaluated by product form over its independent per-tier birth-death
+/// chains instead of on the joint chain.
 ///
-/// The counting-form NetworkSrn already encodes the per-tier token-count
-/// quotient of the per-server replicated model (build_network_srn_replicated
-/// + petri::lump_model reproduce it, which the lumping test layer verifies).
-/// This header adds the second exact reduction: the tiers are independent
-/// components, the Table VI COA reward is separable —
+/// The counting-form NetworkSrn is already the exact per-tier aggregate of
+/// the per-server model (tests/test_lumping.cpp checks it against a
+/// per-server net).  This header adds the product form: the tiers are
+/// independent components, the Table VI COA reward is separable —
 ///
 ///   COA = (1/N) * sum_r  E[#up_r] * prod_{q != r} P(#up_q > 0)
 ///

@@ -8,13 +8,18 @@
 //
 //   reward(m) = (sum of up servers) / (total servers)  if every tier has at
 //               least one server up, else 0.
+//
+// The counting form is the exact aggregate of a per-server model (one
+// up/down place pair and constant-rate lambda/mu transitions per server):
+// the per-server chain is strongly lumpable over per-tier up-counts.
+// tests/test_lumping.cpp checks steady state, orbit sums and transient
+// curves against that per-server net.
 
 #include <map>
 #include <vector>
 
 #include "patchsec/avail/aggregation.hpp"
 #include "patchsec/enterprise/design.hpp"
-#include "patchsec/petri/lumping.hpp"
 #include "patchsec/petri/srn_model.hpp"
 
 namespace patchsec::avail {
@@ -86,32 +91,6 @@ struct CoaEvaluation {
 
 /// COA under synchronized patching.
 [[nodiscard]] double capacity_oriented_availability_synchronized(
-    const enterprise::RedundancyDesign& design,
-    const std::map<enterprise::ServerRole, AggregatedRates>& rates);
-
-/// The fully replicated (per-server) form of the upper-layer model: one
-/// up/down place pair and one constant-rate patch/recovery transition pair
-/// PER SERVER, plus the symmetry annotation declaring the servers of each
-/// tier exchangeable.  Semantically equivalent to build_network_srn (whose
-/// marking-dependent `lambda * #Pup` rates are exactly the counting
-/// abstraction of these replicas) but with a `2^N`-sized flat state space —
-/// the oracle-side input of petri::lump_model in the lumping test layer.
-struct ReplicatedNetworkSrn {
-  petri::SrnModel model;
-  petri::SymmetrySpec symmetry;  ///< one group per deployed tier; replica i = (up_i, down_i).
-  /// Per role: one "up" / "down for patching" place per server.
-  std::map<enterprise::ServerRole, std::vector<petri::PlaceId>> up_places;
-  std::map<enterprise::ServerRole, std::vector<petri::PlaceId>> down_places;
-  enterprise::RedundancyDesign design;
-
-  /// The Table VI reward on per-server markings; symmetric under any
-  /// permutation of a tier's servers, so its lift through
-  /// LumpedNet::lift_reward is exact.
-  [[nodiscard]] petri::RewardFunction coa_reward() const;
-};
-
-/// Build the per-server replicated upper-layer SRN for a design.
-[[nodiscard]] ReplicatedNetworkSrn build_network_srn_replicated(
     const enterprise::RedundancyDesign& design,
     const std::map<enterprise::ServerRole, AggregatedRates>& rates);
 

@@ -81,14 +81,11 @@ struct ServerSrnOptions {
   double os_patch_hours_override = -1.0;
 };
 
-/// Build the Fig. 5 SRN for one server.  `patch_interval_hours` is 1/tau_p
-/// (720 h = monthly).  Throws std::invalid_argument when the spec has no
-/// critical vulnerability at all (nothing to patch: the model degenerates).
+/// Build the Fig. 5 SRN for one server under the given policy options
+/// (`options.patch_interval_hours` is 1/tau_p; 720 h = monthly).  Throws
+/// std::invalid_argument when the spec has no critical vulnerability at all
+/// (nothing to patch: the model degenerates).
 [[nodiscard]] ServerSrn build_server_srn(const enterprise::ServerSpec& spec,
-                                         double patch_interval_hours = 720.0);
-
-/// Build with explicit policy options.
-[[nodiscard]] ServerSrn build_server_srn(const enterprise::ServerSpec& spec,
-                                         const ServerSrnOptions& options);
+                                         const ServerSrnOptions& options = {});
 
 }  // namespace patchsec::avail

@@ -7,13 +7,6 @@
 namespace patchsec::avail {
 
 AggregatedRates aggregate_server(const enterprise::ServerSpec& spec,
-                                 double patch_interval_hours) {
-  ServerSrnOptions options;
-  options.patch_interval_hours = patch_interval_hours;
-  return aggregate_server(spec, options);
-}
-
-AggregatedRates aggregate_server(const enterprise::ServerSpec& spec,
                                  const ServerSrnOptions& options) {
   return aggregate_server_detailed(spec, options, petri::AnalyzerOptions{}).rates;
 }

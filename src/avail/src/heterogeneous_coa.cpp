@@ -100,7 +100,8 @@ double heterogeneous_coa(const enterprise::HeterogeneousNetwork& network,
   std::vector<InstanceRates> rates;
   rates.reserve(network.instances().size());
   for (const enterprise::ServerInstance& inst : network.instances()) {
-    rates.push_back({inst.role, aggregate_server(inst.spec, patch_interval_hours)});
+    rates.push_back(
+        {inst.role, aggregate_server(inst.spec, {.patch_interval_hours = patch_interval_hours})});
   }
   return heterogeneous_coa(rates);
 }

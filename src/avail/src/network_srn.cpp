@@ -1,6 +1,8 @@
 #include "patchsec/avail/network_srn.hpp"
 
+#include <array>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "patchsec/linalg/steady_state.hpp"
@@ -96,7 +98,8 @@ double capacity_oriented_availability(
       throw std::invalid_argument(std::string("missing spec for role ") +
                                   enterprise::to_string(role));
     }
-    rates.emplace(role, aggregate_server(it->second, patch_interval_hours));
+    rates.emplace(role,
+                  aggregate_server(it->second, {.patch_interval_hours = patch_interval_hours}));
   }
   return capacity_oriented_availability(design, rates);
 }
@@ -155,72 +158,6 @@ double capacity_oriented_availability_synchronized(
   const NetworkSrn net = build_network_srn_synchronized(design, rates);
   const petri::SrnAnalyzer analyzer(net.model);
   return analyzer.expected_reward(net.coa_reward());
-}
-
-petri::RewardFunction ReplicatedNetworkSrn::coa_reward() const {
-  std::vector<std::vector<petri::PlaceId>> tiers;
-  unsigned total = 0;
-  for (const auto& [role, places] : up_places) {
-    tiers.push_back(places);
-    total += static_cast<unsigned>(places.size());
-  }
-  if (total == 0) throw std::logic_error("coa_reward: empty design");
-  return [tiers, total](const petri::Marking& m) -> double {
-    unsigned running = 0;
-    for (const std::vector<petri::PlaceId>& tier : tiers) {
-      unsigned up = 0;
-      for (const petri::PlaceId p : tier) up += m[p];
-      if (up == 0) return 0.0;  // a whole tier is down: no service
-      running += up;
-    }
-    return static_cast<double>(running) / static_cast<double>(total);
-  };
-}
-
-ReplicatedNetworkSrn build_network_srn_replicated(
-    const enterprise::RedundancyDesign& design,
-    const std::map<enterprise::ServerRole, AggregatedRates>& rates) {
-  ReplicatedNetworkSrn net;
-  net.design = design;
-  for (enterprise::ServerRole role : kRoles) {
-    const unsigned n = design.count(role);
-    if (n == 0) continue;
-    const auto it = rates.find(role);
-    if (it == rates.end()) {
-      throw std::invalid_argument(std::string("missing aggregated rates for role ") +
-                                  enterprise::to_string(role));
-    }
-    const double lambda = it->second.lambda_eq;
-    const double mu = it->second.mu_eq;
-    if (!(lambda > 0.0) || !(mu > 0.0)) {
-      throw std::invalid_argument("aggregated rates must be positive");
-    }
-    const std::string base = enterprise::to_string(role);
-    petri::ReplicaGroup group;
-    auto& ups = net.up_places[role];
-    auto& downs = net.down_places[role];
-    for (unsigned i = 0; i < n; ++i) {
-      const std::string suffix = std::to_string(i);
-      const petri::PlaceId up = net.model.add_place("P" + base + "up" + suffix, 1);
-      const petri::PlaceId down = net.model.add_place("P" + base + "pd" + suffix, 0);
-      ups.push_back(up);
-      downs.push_back(down);
-      // Constant per-server rates: each server carries its own exponential
-      // patch clock and recovery clock (the independent-patching policy).
-      const petri::TransitionId td =
-          net.model.add_timed_transition("T" + base + "d" + suffix, lambda);
-      net.model.add_input_arc(td, up);
-      net.model.add_output_arc(td, down);
-      const petri::TransitionId tu =
-          net.model.add_timed_transition("T" + base + "up" + suffix, mu);
-      net.model.add_input_arc(tu, down);
-      net.model.add_output_arc(tu, up);
-      group.replicas.push_back({up, down});
-    }
-    net.symmetry.groups.push_back(std::move(group));
-  }
-  if (net.up_places.empty()) throw std::invalid_argument("design deploys no servers");
-  return net;
 }
 
 double coa_closed_form(const enterprise::RedundancyDesign& design,

@@ -62,12 +62,6 @@ ServerSrnParameters server_srn_parameters(const enterprise::ServerSpec& spec,
   return p;
 }
 
-ServerSrn build_server_srn(const enterprise::ServerSpec& spec, double patch_interval_hours) {
-  ServerSrnOptions options;
-  options.patch_interval_hours = patch_interval_hours;
-  return build_server_srn(spec, options);
-}
-
 ServerSrn build_server_srn(const enterprise::ServerSpec& spec, const ServerSrnOptions& options) {
   ServerSrnParameters p = server_srn_parameters(spec, options.patch_interval_hours);
   if (options.app_patch_hours_override >= 0.0) p.svc_patch = options.app_patch_hours_override;

@@ -56,8 +56,8 @@ enum class EvalBackend : std::uint8_t {
 /// facade down to linalg::solve_steady_state on every lower- and upper-layer
 /// SRN solve.
 struct EngineOptions {
-  /// Steady-state solver knobs (method, tolerance, max iterations, SOR
-  /// relaxation) passed verbatim to linalg::solve_steady_state.
+  /// Steady-state solver knobs (method, tolerance, max iterations) passed
+  /// verbatim to linalg::solve_steady_state.
   linalg::SteadyStateOptions steady_state;
   /// Reachability-graph limits (tangible-state bound, vanishing depth).
   petri::ReachabilityOptions reachability;
@@ -79,7 +79,7 @@ struct EngineOptions {
   /// replaces the network-SRN steady-state solve with Monte-Carlo
   /// replications configured by `simulation`.
   EvalBackend backend = EvalBackend::kAnalytic;
-  /// Evaluate the analytic backend on the symmetry-lumped quotient: the
+  /// Evaluate the analytic backend in product form: the counting-form
   /// upper-layer network factors into independent per-tier birth-death
   /// chains (sum-of-sizes states instead of product-of-sizes), which is
   /// exact for this model class — steady-state and transient COA agree with

@@ -461,7 +461,7 @@ std::vector<EvalReport> Session::evaluate_transient_batch(
   const EngineOptions& engine = scenario_.engine();
   if (engine.backend == EvalBackend::kSimulation || engine.lumping) {
     // These backends have no panel mode (replications resp. a per-component
-    // quotient pipeline); the batch degenerates to the sequential contract.
+    // product-form pipeline); the batch degenerates to the sequential contract.
     std::vector<EvalReport> reports;
     reports.reserve(waves.size());
     for (const auto& wave : waves) {

@@ -91,28 +91,4 @@ class Ctmc {
   std::vector<RateTransition> transitions_;
 };
 
-/// Result of a strong-lumpability check: the quotient chain plus the evidence
-/// that the partition really was lumpable.
-struct LumpabilityResult {
-  Ctmc quotient;          ///< one state per class; aggregate class-to-class rates.
-  bool lumpable = false;  ///< true when max_deviation <= tolerance.
-  /// Largest spread, over all (class I, class J != I) pairs, between the
-  /// per-member aggregate rates  r_i(J) = sum_{j in J} q_ij  for i in I.
-  /// Exactly-symmetric constructions land at round-off.
-  double max_deviation = 0.0;
-};
-
-/// Strong-lumpability certificate: verify that `partition` (state -> class,
-/// classes 0..class_count-1) is an exact lumping of `chain` — for every class
-/// J != I the aggregate rate into J must be the same from every member of I —
-/// and build the quotient chain (class-to-class rate = the member-averaged
-/// aggregate).  This check needs only the chain itself, no knowledge of how
-/// the partition was derived, so it is an independent witness for the
-/// SRN-level symmetry lumping pass (quotient-of-chain must equal
-/// chain-of-quotient).  Throws std::invalid_argument on a malformed
-/// partition (size mismatch, class id out of range, empty class).
-[[nodiscard]] LumpabilityResult lump_states(const Ctmc& chain,
-                                            const std::vector<std::size_t>& partition,
-                                            std::size_t class_count, double tolerance = 1e-9);
-
 }  // namespace patchsec::ctmc

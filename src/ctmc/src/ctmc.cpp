@@ -155,92 +155,4 @@ bool Ctmc::is_irreducible() const {
   return true;
 }
 
-LumpabilityResult lump_states(const Ctmc& chain, const std::vector<std::size_t>& partition,
-                              std::size_t class_count, double tolerance) {
-  if (partition.size() != chain.state_count()) {
-    throw std::invalid_argument("lump_states: partition size != state count");
-  }
-  if (class_count == 0) throw std::invalid_argument("lump_states: class_count must be positive");
-  std::vector<std::size_t> class_size(class_count, 0);
-  for (const std::size_t c : partition) {
-    if (c >= class_count) throw std::invalid_argument("lump_states: class id out of range");
-    ++class_size[c];
-  }
-  for (std::size_t c = 0; c < class_count; ++c) {
-    if (class_size[c] == 0) throw std::invalid_argument("lump_states: empty class");
-  }
-
-  // Aggregate rate r_i(J) = sum_{j in J} q_ij for every state i and every
-  // target class J != class(i).  Stored sparsely per state; transitions
-  // internal to a class leave the class occupancy unchanged and are excluded
-  // from the lumpability condition.
-  std::vector<std::vector<std::pair<std::size_t, double>>> row(chain.state_count());
-  for (const RateTransition& t : chain.transitions()) {
-    const std::size_t target = partition[t.to];
-    if (target == partition[t.from]) continue;
-    auto& r = row[t.from];
-    auto it = std::find_if(r.begin(), r.end(),
-                           [target](const auto& e) { return e.first == target; });
-    if (it == r.end()) {
-      r.emplace_back(target, t.rate);
-    } else {
-      it->second += t.rate;
-    }
-  }
-  for (auto& r : row) std::sort(r.begin(), r.end());
-
-  // Member-averaged class-to-class aggregates, then the largest deviation of
-  // any member from that average.
-  std::vector<std::vector<std::pair<std::size_t, double>>> mean(class_count);
-  for (StateIndex s = 0; s < chain.state_count(); ++s) {
-    auto& m = mean[partition[s]];
-    for (const auto& [target, rate] : row[s]) {
-      auto it = std::find_if(m.begin(), m.end(),
-                             [target = target](const auto& e) { return e.first == target; });
-      if (it == m.end()) {
-        m.emplace_back(target, rate);
-      } else {
-        it->second += rate;
-      }
-    }
-  }
-  for (std::size_t c = 0; c < class_count; ++c) {
-    std::sort(mean[c].begin(), mean[c].end());
-    for (auto& [target, total] : mean[c]) total /= static_cast<double>(class_size[c]);
-  }
-
-  LumpabilityResult result;
-  for (StateIndex s = 0; s < chain.state_count(); ++s) {
-    const auto& expect = mean[partition[s]];
-    const auto& have = row[s];
-    // Both lists are sorted by target class; walk them in lockstep, counting
-    // a missing entry on either side as a full-rate deviation.
-    std::size_t a = 0;
-    std::size_t b = 0;
-    while (a < expect.size() || b < have.size()) {
-      if (b == have.size() || (a < expect.size() && expect[a].first < have[b].first)) {
-        result.max_deviation = std::max(result.max_deviation, std::abs(expect[a].second));
-        ++a;
-      } else if (a == expect.size() || have[b].first < expect[a].first) {
-        result.max_deviation = std::max(result.max_deviation, std::abs(have[b].second));
-        ++b;
-      } else {
-        result.max_deviation =
-            std::max(result.max_deviation, std::abs(expect[a].second - have[b].second));
-        ++a;
-        ++b;
-      }
-    }
-  }
-  result.lumpable = result.max_deviation <= tolerance;
-
-  result.quotient.add_states(class_count);
-  for (std::size_t c = 0; c < class_count; ++c) {
-    for (const auto& [target, rate] : mean[c]) {
-      if (rate > 0.0) result.quotient.add_transition(c, target, rate);
-    }
-  }
-  return result;
-}
-
 }  // namespace patchsec::ctmc

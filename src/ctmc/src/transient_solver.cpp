@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "patchsec/linalg/vector_ops.hpp"
@@ -128,6 +129,15 @@ void TransientSolver::poisson_window(double m) {
     return;
   }
 
+  const auto overflow = [] {
+    throw std::runtime_error(
+        "uniformization: Poisson window exceeds max_terms; raise TransientOptions::max_terms "
+        "(Lambda*t is too large for the configured expansion length)");
+  };
+  // The mode cast below is undefined for m >= 2^64 (and NaN); such a window
+  // could never fit max_terms anyway.
+  if (!(m < static_cast<double>(std::numeric_limits<std::size_t>::max()))) overflow();
+
   // Expand outward from the mode with the ratio recurrences, in units of the
   // mode weight (so nothing ever under- or overflows); the mode weight
   // itself, exp(mode*ln m - m - lgamma(mode+1)) ~ 1/sqrt(2 pi m), converts
@@ -142,12 +152,6 @@ void TransientSolver::poisson_window(double m) {
   const double right_threshold = options_.epsilon / (4.0 * mode_weight);
   const double left_threshold =
       options_.epsilon / (4.0 * mode_weight * static_cast<double>(mode + 1));
-
-  const auto overflow = [] {
-    throw std::runtime_error(
-        "uniformization: Poisson window exceeds max_terms; raise TransientOptions::max_terms "
-        "(Lambda*t is too large for the configured expansion length)");
-  };
 
   left_ = mode;
   double w = 1.0;

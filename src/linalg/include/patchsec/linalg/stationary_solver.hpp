@@ -24,7 +24,7 @@
 ///    update loop itself (the old value of x[i] is in hand right before it is
 ///    overwritten), so the per-sweep `prev = x` copy, the separate diff pass
 ///    and the per-sweep renormalization are all gone.  Iterates are kept
-///    unnormalized — every Gauss-Seidel/SOR update (including the negativity
+///    unnormalized — every Gauss-Seidel update (including the negativity
 ///    clamp) is positively homogeneous, so the trajectory is the classical
 ///    one up to scale, and a lower bound on the normalized successive
 ///    difference decides convergence no later than the classical test;
@@ -82,7 +82,7 @@ class StationarySolver {
   void prepare(const CsrMatrix& q);
 
   SteadyStateResult power_iteration(const CsrMatrix& q, const SteadyStateOptions& opt);
-  SteadyStateResult gauss_seidel(const CsrMatrix& q, const SteadyStateOptions& opt, double omega,
+  SteadyStateResult gauss_seidel(const CsrMatrix& q, const SteadyStateOptions& opt,
                                  bool allow_stall_exit);
 
   SteadyStateOptions options_;

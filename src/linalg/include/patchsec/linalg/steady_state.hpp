@@ -6,7 +6,7 @@
 /// Two iterative methods are provided:
 ///  * Power iteration on the uniformized DTMC  P = I + Q / Lambda.  Robust,
 ///    always applicable, linear convergence.
-///  * Gauss-Seidel / SOR sweeps on the normal equations  Q^T x = 0, which
+///  * Gauss-Seidel sweeps on the normal equations  Q^T x = 0, which
 ///    converge much faster on the stiff generators produced by patch models
 ///    (rates spanning 1e-5 .. 1e+1 per hour).
 /// The public entry point (SteadyStateMethod::kAuto) tries Gauss-Seidel first
@@ -30,7 +30,6 @@ namespace patchsec::linalg {
 enum class SteadyStateMethod {
   kPower,        ///< Power iteration on the uniformized DTMC P = I + Q/Lambda.
   kGaussSeidel,  ///< Gauss-Seidel sweeps on Q^T x = 0.
-  kSor,          ///< Successive over-relaxation; omega from SteadyStateOptions.
   kAuto,         ///< Gauss-Seidel with power-iteration fallback (default).
 };
 
@@ -39,7 +38,6 @@ struct SteadyStateOptions {
   SteadyStateMethod method = SteadyStateMethod::kAuto;
   double tolerance = 1e-12;     ///< max-norm of successive-iterate difference.
   std::size_t max_iterations = 200000;  ///< per attempted method.
-  double sor_relaxation = 1.0;  ///< omega for kSor (1.0 == plain Gauss-Seidel).
 };
 
 /// \brief Stationary distribution plus convergence diagnostics.

@@ -155,12 +155,12 @@ SteadyStateResult StationarySolver::power_iteration(const CsrMatrix& q,
   return result;
 }
 
-// Gauss-Seidel/SOR on Q^T x = 0: x_i = omega * (-1/q_ii) * sum_{j!=i} q_ji x_j
-// + (1-omega) x_i.  The iterate is kept unnormalized (every update is
-// positively homogeneous, so the trajectory matches the classical
-// normalize-every-sweep scheme up to scale) and the convergence test runs
-// inside the sweep: with d = max_i |x_t[i] - x_{t-1}[i]| and the iterate sums
-// S_{t-1}, S_t, the normalized successive difference obeys
+// Gauss-Seidel on Q^T x = 0: x_i = (-1/q_ii) * sum_{j!=i} q_ji x_j.  The
+// iterate is kept unnormalized (every update is positively homogeneous, so
+// the trajectory matches the classical normalize-every-sweep scheme up to
+// scale) and the convergence test runs inside the sweep: with
+// d = max_i |x_t[i] - x_{t-1}[i]| and the iterate sums S_{t-1}, S_t, the
+// normalized successive difference obeys
 //   max_i |x_t[i]/S_t - x_{t-1}[i]/S_{t-1}|
 //     <= d/S_{t-1} + max_i(x_t[i]) * |1/S_t - 1/S_{t-1}|,
 // so testing that upper bound against the tolerance only ever declares
@@ -171,7 +171,7 @@ SteadyStateResult StationarySolver::power_iteration(const CsrMatrix& q,
 // is tight; the equivalence tests pin the iteration counts on the paper
 // models.
 SteadyStateResult StationarySolver::gauss_seidel(const CsrMatrix& q, const SteadyStateOptions& opt,
-                                                 double omega, bool allow_stall_exit) {
+                                                 bool allow_stall_exit) {
   const std::size_t n = q.rows();
   x_.assign(n, 1.0 / static_cast<double>(n));
   double sum_prev = 1.0;
@@ -207,8 +207,7 @@ SteadyStateResult StationarySolver::gauss_seidel(const CsrMatrix& q, const Stead
       for (std::size_t k = t_row_offsets_[i]; k < t_row_offsets_[i + 1]; ++k) {
         acc += t_values_[k] * x_[t_col_indices_[k]];  // diagonal-free rows
       }
-      const double gs = -acc / diag_[i];
-      double next = omega * gs + (1.0 - omega) * xi;
+      double next = -acc / diag_[i];
       if (next < 0.0) next = 0.0;  // round-off guard; true solution is >= 0
       d = std::max(d, std::abs(next - xi));
       x_[i] = next;
@@ -305,11 +304,9 @@ SteadyStateResult StationarySolver::solve(const CsrMatrix& generator,
     case SteadyStateMethod::kPower:
       return power_iteration(generator, options);
     case SteadyStateMethod::kGaussSeidel:
-      return gauss_seidel(generator, options, 1.0, /*allow_stall_exit=*/false);
-    case SteadyStateMethod::kSor:
-      return gauss_seidel(generator, options, options.sor_relaxation, /*allow_stall_exit=*/false);
+      return gauss_seidel(generator, options, /*allow_stall_exit=*/false);
     case SteadyStateMethod::kAuto: {
-      SteadyStateResult gs = gauss_seidel(generator, options, 1.0, /*allow_stall_exit=*/true);
+      SteadyStateResult gs = gauss_seidel(generator, options, /*allow_stall_exit=*/true);
       if (gs.converged && gs.residual < 1e-8) return gs;
       SteadyStateResult pw = power_iteration(generator, options);
       pw.stalled = gs.stalled;

@@ -1,49 +1,29 @@
 #pragma once
 /// \file lumping.hpp
-/// \brief Exact symmetry lumping for SRNs: quotient-net construction over
-/// token-count (counting-abstraction) equivalence classes, plus exact
-/// product-form analysis of nets that decompose into independent components.
+/// \brief Exact product-form analysis of SRNs that decompose into
+/// independent components.
 ///
-/// Two orthogonal, composable reductions live here; both are *exact* (the
-/// lumped answers equal the flat answers up to solver tolerance, which the
-/// oracle suite in tests/test_lumping.cpp pins to 1e-10):
+/// When the places partition into components such that every transition
+/// reads and writes a single component (`ComponentSplit`), the components
+/// evolve as independent CTMCs: both the stationary distribution and — for
+/// a deterministic initial marking — the transient distribution factorize
+/// into a product over components.  A `SeparableReward` (sum of products of
+/// per-component factors, the shape of the paper's COA reward) is then
+/// evaluated from the per-component marginals alone: the joint chain of
+/// `prod_c S_c` states is never built.  Accumulated rewards integrate the
+/// product curve by composite Gauss-Legendre quadrature with the panel count
+/// tied to the uniformization rates, so the quadrature error sits below the
+/// uniformization truncation error.  The answers equal the joint-chain
+/// answers up to solver tolerance, which tests/test_lumping.cpp pins to
+/// 1e-10.
 ///
-///  1. **Counting quotient** (`lump_model`).  A `SymmetrySpec` declares
-///     groups of exchangeable replicas — per-server submodels that are
-///     copies of one local template.  Two flat markings are equivalent when
-///     they agree on every shared place and on the *count* of replicas in
-///     each local state.  Because every replica transition moves one token
-///     between local places at a constant rate `lambda`, the aggregate rate
-///     out of a class with `c` replicas in local state `a` is
-///     `lambda * c` — the multiplicity-weighted rate — identically for every
-///     flat member of the class.  That is Kemeny-Snell strong lumpability,
-///     so the quotient CTMC is exact, and the quotient has
-///     `binom(n + L - 1, L - 1)`-many states per group instead of `L^n`.
-///     Rewards and guards are lifted through a canonical representative
-///     marking; this is exact precisely when they are symmetric under
-///     replica permutation (the annotation contract, enforced for rates and
-///     structure, and verified for rewards by the oracle tests).
-///
-///  2. **Component factorization** (`FactoredAnalyzer`).  When the places
-///     partition into components such that every transition reads and
-///     writes a single component, the components evolve as independent
-///     CTMCs: both the stationary distribution and — for a deterministic
-///     initial marking — the transient distribution factorize into a
-///     product over components.  A `SeparableReward` (sum of products of
-///     per-component factors, the shape of the paper's COA reward) is then
-///     evaluated from the per-component marginals alone: the joint chain of
-///     `prod_c S_c` states is never built.  Accumulated rewards integrate
-///     the product curve by composite Gauss-Legendre quadrature with the
-///     panel count tied to the uniformization rates, so the quadrature
-///     error sits below the uniformization truncation error.
-///
-/// The avail layer composes the two: per-server replicas lump to per-tier
-/// token counts (reduction 1), and the per-tier birth-death chains factor
-/// the network product space (reduction 2), turning the k-servers-per-tier
-/// design from `(k+1)^4` joint states into four chains of `k+1` states.
+/// The avail layer applies it to the counting-form network net (one
+/// up/down token-count pair per tier, `avail/network_srn.hpp`): the per-tier
+/// birth-death chains factor the network product space, turning the
+/// k-servers-per-tier design from `(k+1)^4` joint states into four chains of
+/// `k+1` states.
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "patchsec/ctmc/transient_solver.hpp"
@@ -52,83 +32,6 @@
 #include "patchsec/petri/srn_model.hpp"
 
 namespace patchsec::petri {
-
-/// One group of exchangeable replicas.  `replicas[i]` lists the places of
-/// replica i, slot-aligned with every other replica of the group: slot j of
-/// every replica plays the same local role (e.g. slot 0 = "up", slot 1 =
-/// "down").  Every replica must hold exactly one token in total (a
-/// single-token state machine), which replica transitions move between the
-/// replica's own slots.
-struct ReplicaGroup {
-  std::vector<std::vector<PlaceId>> replicas;
-};
-
-/// Symmetry annotation of a flat SrnModel: disjoint replica groups.  Places
-/// outside every group are shared ("passthrough") and survive unchanged into
-/// the quotient.
-struct SymmetrySpec {
-  std::vector<ReplicaGroup> groups;
-};
-
-/// The compiled counting quotient: a quotient SrnModel whose grouped places
-/// are replaced by per-slot count places, plus the projection/representative
-/// maps between flat and quotient markings and the reward lift.  Copyable;
-/// the mapping tables are shared immutably with the lifted closures.
-class LumpedNet {
- public:
-  /// The quotient net: analyze it with the ordinary explorer/solvers.
-  [[nodiscard]] const SrnModel& model() const noexcept { return *model_; }
-
-  [[nodiscard]] std::size_t flat_place_count() const noexcept;
-  [[nodiscard]] std::size_t group_count() const noexcept;
-  /// Slots (local states) of group g.
-  [[nodiscard]] std::size_t slot_count(std::size_t group) const;
-  /// Quotient place holding the replica count of (group, slot).
-  [[nodiscard]] PlaceId count_place(std::size_t group, std::size_t slot) const;
-  /// Quotient id of a flat passthrough place; throws std::invalid_argument
-  /// for grouped places (they have no single quotient image).
-  [[nodiscard]] PlaceId passthrough_place(PlaceId flat_place) const;
-
-  /// Project a flat marking onto the quotient: passthrough places copied,
-  /// grouped places summed per slot.
-  [[nodiscard]] Marking project(const Marking& flat) const;
-
-  /// Canonical flat representative of a quotient marking: replicas are
-  /// assigned to slots in index order.  Throws std::invalid_argument when
-  /// the slot counts of some group do not sum to its replica count (i.e. the
-  /// marking is not the projection of any single-token flat marking).
-  [[nodiscard]] Marking representative(const Marking& quotient) const;
-
-  /// Lift a flat reward to the quotient by evaluation at the canonical
-  /// representative.  Exact iff the flat reward is symmetric under replica
-  /// permutation within every group (the caller's contract; the oracle suite
-  /// cross-checks it for the rewards this repo ships).
-  [[nodiscard]] RewardFunction lift_reward(RewardFunction flat_reward) const;
-
- private:
-  friend LumpedNet lump_model(const SrnModel& flat, const SymmetrySpec& spec);
-  struct Mapping;
-  std::shared_ptr<const SrnModel> model_;
-  std::shared_ptr<const Mapping> mapping_;
-};
-
-/// Compile the counting quotient of `flat` under `spec`.  Exactness is
-/// enforced structurally; violations throw std::invalid_argument:
-///  * groups/replicas must be non-empty, slot-aligned and disjoint, with
-///    valid place ids and exactly one initial token per replica;
-///  * every transition touching a grouped place must be timed, guard-free,
-///    built with a constant rate, move exactly one token between two slots
-///    of a single replica (one grouped input arc and one grouped output arc,
-///    multiplicity 1, same replica), and carry no inhibitor arc on a grouped
-///    place;
-///  * replica transitions must come in complete orbits: for each signature
-///    (slots, rate, shared arcs) every replica of the group contributes the
-///    same number of members — an asymmetric net is rejected, not
-///    approximated.
-/// Transitions not touching grouped places pass through with their rates and
-/// guards evaluated at the canonical representative (exact when they do not
-/// read grouped places, or read them symmetrically).
-[[nodiscard]] LumpedNet lump_model(const SrnModel& flat, const SymmetrySpec& spec);
 
 /// A partition of the places of a net into independently evolving
 /// components (every transition must read/write/inhibit within one
@@ -202,13 +105,14 @@ class FactoredAnalyzer {
   ///   E[r] = sum_t c_t * prod_c E_{pi_c}[factor_{t,c}].
   [[nodiscard]] double expected_reward(const SeparableReward& reward) const;
 
-  /// Transient curve r(t_j) over an ascending non-negative grid, advancing
-  /// every component's distribution by uniformization from the start
-  /// marking.  Returns the accumulated reward int_0^{t_back} r(s) ds,
-  /// integrated by composite Gauss-Legendre panels sized so the quadrature
-  /// error is dominated by the uniformization tolerance.  `values` is
-  /// resized to the grid; per-component uniformization work is aggregated
-  /// into `*transient` when non-null.
+  /// Transient curve r(t_j) over an ascending, finite, non-negative grid
+  /// (std::invalid_argument otherwise), advancing every component's
+  /// distribution by uniformization from the start marking.  Returns the
+  /// accumulated reward int_0^{t_back} r(s) ds, integrated by composite
+  /// Gauss-Legendre panels sized so the quadrature error is dominated by the
+  /// uniformization tolerance.  `values` is resized to the grid;
+  /// per-component uniformization work is aggregated into `*transient` when
+  /// non-null.
   double reward_curve(const SeparableReward& reward, const std::vector<double>& grid,
                       std::vector<double>& values, const ctmc::TransientOptions& options = {},
                       ctmc::TransientDiagnostics* transient = nullptr) const;

@@ -105,10 +105,10 @@ class SrnModel {
   [[nodiscard]] const RateFunction& rate_function(TransitionId t) const;
   /// The constant rate of a timed transition built via the `double` overload
   /// of add_timed_transition, or std::nullopt when the rate is a general
-  /// marking-dependent function.  Structural passes (symmetry lumping) need
-  /// this because std::function is opaque: a replica transition can only be
-  /// folded into a count-weighted class rate when its local rate is provably
-  /// marking-independent.  Throws std::logic_error for immediates.
+  /// marking-dependent function.  Structural passes (the verifier's rate
+  /// probes) need this because std::function is opaque: only a rate that is
+  /// provably marking-independent can skip per-marking validation.  Throws
+  /// std::logic_error for immediates.
   [[nodiscard]] std::optional<double> constant_rate(TransitionId t) const;
 
   [[nodiscard]] Marking initial_marking() const;

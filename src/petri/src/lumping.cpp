@@ -3,419 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdint>
-#include <cstring>
 #include <limits>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <utility>
 
 namespace patchsec::petri {
-
-namespace {
-
-void append_u64(std::string& key, std::uint64_t v) {
-  char buf[sizeof(v)];
-  std::memcpy(buf, &v, sizeof(v));
-  key.append(buf, sizeof(v));
-}
-
-std::uint64_t rate_bits(double rate) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &rate, sizeof(bits));
-  return bits;
-}
-
-void append_arcs(std::string& key, std::vector<Arc> arcs) {
-  std::sort(arcs.begin(), arcs.end(), [](const Arc& a, const Arc& b) {
-    return a.place != b.place ? a.place < b.place : a.multiplicity < b.multiplicity;
-  });
-  append_u64(key, arcs.size());
-  for (const Arc& a : arcs) {
-    append_u64(key, a.place);
-    append_u64(key, a.multiplicity);
-  }
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// LumpedNet mapping tables
-// ---------------------------------------------------------------------------
-
-struct LumpedNet::Mapping {
-  struct PlaceInfo {
-    bool grouped = false;
-    std::size_t group = 0;
-    std::size_t replica = 0;
-    std::size_t slot = 0;
-    PlaceId quotient = 0;  // passthrough image; unused for grouped places.
-  };
-
-  std::size_t flat_places = 0;
-  std::size_t quotient_places = 0;
-  std::vector<PlaceInfo> place;                             // by flat id
-  std::vector<std::vector<std::vector<PlaceId>>> replicas;  // [group][replica][slot]
-  std::vector<std::vector<PlaceId>> count_place;            // [group][slot]
-
-  void project_into(const Marking& flat, Marking& out) const {
-    if (flat.size() != flat_places) {
-      throw std::invalid_argument("LumpedNet::project: flat marking size mismatch");
-    }
-    out.assign(quotient_places, 0);
-    for (PlaceId p = 0; p < flat_places; ++p) {
-      const PlaceInfo& info = place[p];
-      if (info.grouped) {
-        out[count_place[info.group][info.slot]] += flat[p];
-      } else {
-        out[info.quotient] = flat[p];
-      }
-    }
-  }
-
-  void reconstruct_into(const Marking& quotient, Marking& out) const {
-    if (quotient.size() != quotient_places) {
-      throw std::invalid_argument("LumpedNet::representative: quotient marking size mismatch");
-    }
-    out.assign(flat_places, 0);
-    for (PlaceId p = 0; p < flat_places; ++p) {
-      if (!place[p].grouped) out[p] = quotient[place[p].quotient];
-    }
-    // Canonical representative: replicas take slots in index order — replica
-    // 0 gets the lowest occupied slot, and so on.  Any flat member of the
-    // class would do for a symmetric reward; this one is deterministic.
-    std::vector<TokenCount> remaining;
-    for (std::size_t g = 0; g < replicas.size(); ++g) {
-      remaining.assign(count_place[g].size(), 0);
-      std::size_t total = 0;
-      for (std::size_t s = 0; s < count_place[g].size(); ++s) {
-        remaining[s] = quotient[count_place[g][s]];
-        total += remaining[s];
-      }
-      if (total != replicas[g].size()) {
-        throw std::invalid_argument(
-            "LumpedNet::representative: slot counts do not sum to the replica count");
-      }
-      std::size_t slot = 0;
-      for (const std::vector<PlaceId>& replica : replicas[g]) {
-        while (remaining[slot] == 0) ++slot;
-        out[replica[slot]] = 1;
-        --remaining[slot];
-      }
-    }
-  }
-};
-
-std::size_t LumpedNet::flat_place_count() const noexcept { return mapping_->flat_places; }
-
-std::size_t LumpedNet::group_count() const noexcept { return mapping_->replicas.size(); }
-
-std::size_t LumpedNet::slot_count(std::size_t group) const {
-  return mapping_->count_place.at(group).size();
-}
-
-PlaceId LumpedNet::count_place(std::size_t group, std::size_t slot) const {
-  return mapping_->count_place.at(group).at(slot);
-}
-
-PlaceId LumpedNet::passthrough_place(PlaceId flat_place) const {
-  if (flat_place >= mapping_->flat_places) {
-    throw std::out_of_range("LumpedNet::passthrough_place: invalid place id");
-  }
-  const auto& info = mapping_->place[flat_place];
-  if (info.grouped) {
-    throw std::invalid_argument("LumpedNet::passthrough_place: place " +
-                                std::to_string(flat_place) +
-                                " is grouped; use count_place(group, slot)");
-  }
-  return info.quotient;
-}
-
-Marking LumpedNet::project(const Marking& flat) const {
-  Marking out;
-  mapping_->project_into(flat, out);
-  return out;
-}
-
-Marking LumpedNet::representative(const Marking& quotient) const {
-  Marking out;
-  mapping_->reconstruct_into(quotient, out);
-  return out;
-}
-
-RewardFunction LumpedNet::lift_reward(RewardFunction flat_reward) const {
-  if (!flat_reward) throw std::invalid_argument("LumpedNet::lift_reward: null reward");
-  return [mapping = mapping_, reward = std::move(flat_reward)](const Marking& quotient) {
-    thread_local Marking scratch;
-    mapping->reconstruct_into(quotient, scratch);
-    return reward(scratch);
-  };
-}
-
-// ---------------------------------------------------------------------------
-// lump_model
-// ---------------------------------------------------------------------------
-
-LumpedNet lump_model(const SrnModel& flat, const SymmetrySpec& spec) {
-  auto mapping = std::make_shared<LumpedNet::Mapping>();
-  mapping->flat_places = flat.place_count();
-  mapping->place.assign(flat.place_count(), {});
-
-  // Validate the group annotation: non-empty, slot-aligned, disjoint.
-  for (std::size_t g = 0; g < spec.groups.size(); ++g) {
-    const ReplicaGroup& group = spec.groups[g];
-    if (group.replicas.empty()) {
-      throw std::invalid_argument("lump_model: group " + std::to_string(g) + " has no replicas");
-    }
-    const std::size_t slots = group.replicas.front().size();
-    if (slots == 0) {
-      throw std::invalid_argument("lump_model: group " + std::to_string(g) + " has no slots");
-    }
-    for (std::size_t r = 0; r < group.replicas.size(); ++r) {
-      const std::vector<PlaceId>& replica = group.replicas[r];
-      if (replica.size() != slots) {
-        throw std::invalid_argument("lump_model: replicas of group " + std::to_string(g) +
-                                    " are not slot-aligned");
-      }
-      for (std::size_t s = 0; s < slots; ++s) {
-        const PlaceId p = replica[s];
-        if (p >= flat.place_count()) {
-          throw std::invalid_argument("lump_model: invalid place id in group " +
-                                      std::to_string(g));
-        }
-        if (mapping->place[p].grouped) {
-          throw std::invalid_argument("lump_model: place " + flat.place_name(p) +
-                                      " appears in more than one replica tuple");
-        }
-        mapping->place[p] = {true, g, r, s, 0};
-      }
-    }
-    mapping->replicas.push_back(group.replicas);
-  }
-
-  // Single-token invariant: the count vector determines the replica-state
-  // histogram only because each replica is a one-token state machine.
-  const Marking initial = flat.initial_marking();
-  for (std::size_t g = 0; g < spec.groups.size(); ++g) {
-    for (const std::vector<PlaceId>& replica : spec.groups[g].replicas) {
-      TokenCount total = 0;
-      for (const PlaceId p : replica) total += initial[p];
-      if (total != 1) {
-        throw std::invalid_argument("lump_model: every replica of group " + std::to_string(g) +
-                                    " must hold exactly one initial token");
-      }
-    }
-  }
-
-  // Quotient places: passthrough places keep their name and initial tokens;
-  // each (group, slot) becomes one count place initialized to the number of
-  // replicas starting in that slot.
-  auto qmodel = std::make_shared<SrnModel>();
-  for (PlaceId p = 0; p < flat.place_count(); ++p) {
-    if (!mapping->place[p].grouped) {
-      mapping->place[p].quotient = qmodel->add_place(flat.place_name(p), initial[p]);
-    }
-  }
-  mapping->count_place.resize(spec.groups.size());
-  for (std::size_t g = 0; g < spec.groups.size(); ++g) {
-    const auto& replicas = spec.groups[g].replicas;
-    mapping->count_place[g].resize(replicas.front().size());
-    for (std::size_t s = 0; s < replicas.front().size(); ++s) {
-      TokenCount count = 0;
-      for (const std::vector<PlaceId>& replica : replicas) count += initial[replica[s]];
-      mapping->count_place[g][s] = qmodel->add_place("#" + flat.place_name(replicas.front()[s]),
-                                                     count);
-    }
-  }
-  mapping->quotient_places = qmodel->place_count();
-
-  // Classify transitions: an orbit per (group, slot pair, rate, shared-arc
-  // signature) for replica transitions, passthrough for the rest.
-  struct Orbit {
-    std::size_t group = 0;
-    std::size_t slot_in = 0;
-    std::size_t slot_out = 0;
-    double rate = 0.0;
-    std::vector<Arc> shared_inputs;
-    std::vector<Arc> shared_outputs;
-    std::vector<Arc> shared_inhibitors;
-    std::vector<std::size_t> members_per_replica;
-    std::string first_name;
-  };
-  std::vector<Orbit> orbits;
-  std::unordered_map<std::string, std::size_t> orbit_index;
-  std::vector<TransitionId> passthrough;
-
-  for (TransitionId t = 0; t < flat.transition_count(); ++t) {
-    struct GroupedArc {
-      std::size_t group, replica, slot;
-      TokenCount multiplicity;
-    };
-    std::vector<GroupedArc> grouped_in, grouped_out;
-    std::vector<Arc> shared_in, shared_out, shared_inh;
-    for (const Arc& a : flat.input_arcs(t)) {
-      const auto& info = mapping->place[a.place];
-      if (info.grouped) {
-        grouped_in.push_back({info.group, info.replica, info.slot, a.multiplicity});
-      } else {
-        shared_in.push_back(a);
-      }
-    }
-    for (const Arc& a : flat.output_arcs(t)) {
-      const auto& info = mapping->place[a.place];
-      if (info.grouped) {
-        grouped_out.push_back({info.group, info.replica, info.slot, a.multiplicity});
-      } else {
-        shared_out.push_back(a);
-      }
-    }
-    for (const Arc& a : flat.inhibitor_arcs(t)) {
-      if (mapping->place[a.place].grouped) {
-        throw std::invalid_argument("lump_model: transition " + flat.transition_name(t) +
-                                    " has an inhibitor arc on a grouped place");
-      }
-      shared_inh.push_back(a);
-    }
-
-    if (grouped_in.empty() && grouped_out.empty()) {
-      passthrough.push_back(t);
-      continue;
-    }
-
-    // Replica transition.  The exactness conditions: constant rate (so the
-    // class rate is rate * count), one token moved between two slots of one
-    // replica (so counts evolve as a lossless shift), no guard (guards could
-    // distinguish replicas).
-    const std::string& name = flat.transition_name(t);
-    if (flat.transition_kind(t) != TransitionKind::kTimed) {
-      throw std::invalid_argument("lump_model: immediate transition " + name +
-                                  " touches a grouped place");
-    }
-    if (flat.has_guard(t)) {
-      throw std::invalid_argument("lump_model: replica transition " + name + " has a guard");
-    }
-    const std::optional<double> rate = flat.constant_rate(t);
-    if (!rate) {
-      throw std::invalid_argument("lump_model: replica transition " + name +
-                                  " has a marking-dependent rate");
-    }
-    if (grouped_in.size() != 1 || grouped_in.front().multiplicity != 1 ||
-        grouped_out.size() != 1 || grouped_out.front().multiplicity != 1) {
-      throw std::invalid_argument("lump_model: replica transition " + name +
-                                  " must move exactly one token between two grouped places");
-    }
-    if (grouped_in.front().group != grouped_out.front().group ||
-        grouped_in.front().replica != grouped_out.front().replica) {
-      throw std::invalid_argument("lump_model: replica transition " + name +
-                                  " spans replicas or groups");
-    }
-
-    std::string key;
-    append_u64(key, grouped_in.front().group);
-    append_u64(key, grouped_in.front().slot);
-    append_u64(key, grouped_out.front().slot);
-    append_u64(key, rate_bits(*rate));
-    append_arcs(key, shared_in);
-    append_arcs(key, shared_out);
-    append_arcs(key, shared_inh);
-
-    auto [it, inserted] = orbit_index.try_emplace(key, orbits.size());
-    if (inserted) {
-      Orbit orbit;
-      orbit.group = grouped_in.front().group;
-      orbit.slot_in = grouped_in.front().slot;
-      orbit.slot_out = grouped_out.front().slot;
-      orbit.rate = *rate;
-      orbit.shared_inputs = std::move(shared_in);
-      orbit.shared_outputs = std::move(shared_out);
-      orbit.shared_inhibitors = std::move(shared_inh);
-      orbit.members_per_replica.assign(spec.groups[orbit.group].replicas.size(), 0);
-      orbit.first_name = name;
-      orbits.push_back(std::move(orbit));
-    }
-    ++orbits[it->second].members_per_replica[grouped_in.front().replica];
-  }
-
-  // Passthrough transitions survive unchanged; marking-dependent rates and
-  // guards are evaluated at the canonical representative (exact when they do
-  // not distinguish replicas — the annotation contract).
-  for (const TransitionId t : passthrough) {
-    const std::string& name = flat.transition_name(t);
-    TransitionId qt = 0;
-    if (flat.transition_kind(t) == TransitionKind::kImmediate) {
-      qt = qmodel->add_immediate_transition(name, flat.weight(t), flat.priority(t));
-    } else if (const std::optional<double> rate = flat.constant_rate(t)) {
-      qt = qmodel->add_timed_transition(name, *rate);
-    } else {
-      qt = qmodel->add_timed_transition(
-          name, [mapping, rate = flat.rate_function(t)](const Marking& quotient) {
-            thread_local Marking scratch;
-            mapping->reconstruct_into(quotient, scratch);
-            return rate(scratch);
-          });
-    }
-    for (const Arc& a : flat.input_arcs(t)) {
-      qmodel->add_input_arc(qt, mapping->place[a.place].quotient, a.multiplicity);
-    }
-    for (const Arc& a : flat.output_arcs(t)) {
-      qmodel->add_output_arc(qt, mapping->place[a.place].quotient, a.multiplicity);
-    }
-    for (const Arc& a : flat.inhibitor_arcs(t)) {
-      qmodel->add_inhibitor_arc(qt, mapping->place[a.place].quotient, a.multiplicity);
-    }
-    if (flat.has_guard(t)) {
-      qmodel->set_guard(qt, [mapping, guard = flat.guard(t)](const Marking& quotient) {
-        thread_local Marking scratch;
-        mapping->reconstruct_into(quotient, scratch);
-        return guard(scratch);
-      });
-    }
-  }
-
-  // One quotient transition per complete orbit, with the multiplicity-
-  // weighted rate  rate * #{replicas in slot_in}  (times the per-replica
-  // member count when a replica carries parallel copies).
-  for (const Orbit& orbit : orbits) {
-    const std::size_t members = orbit.members_per_replica.front();
-    for (std::size_t r = 0; r < orbit.members_per_replica.size(); ++r) {
-      if (orbit.members_per_replica[r] != members || members == 0) {
-        throw std::invalid_argument(
-            "lump_model: asymmetric orbit — transition " + orbit.first_name +
-            " has no identically-shaped counterpart in replica " + std::to_string(r));
-      }
-    }
-    const std::size_t replica_count = spec.groups[orbit.group].replicas.size();
-    const PlaceId source = mapping->count_place[orbit.group][orbit.slot_in];
-    const double unit_rate = orbit.rate * static_cast<double>(members);
-    const TransitionId qt = qmodel->add_timed_transition(
-        orbit.first_name + "[x" + std::to_string(replica_count) + "]",
-        [unit_rate, source](const Marking& m) {
-          return unit_rate * static_cast<double>(m[source]);
-        });
-    qmodel->add_input_arc(qt, source, 1);
-    qmodel->add_output_arc(qt, mapping->count_place[orbit.group][orbit.slot_out], 1);
-    for (const Arc& a : orbit.shared_inputs) {
-      qmodel->add_input_arc(qt, mapping->place[a.place].quotient, a.multiplicity);
-    }
-    for (const Arc& a : orbit.shared_outputs) {
-      qmodel->add_output_arc(qt, mapping->place[a.place].quotient, a.multiplicity);
-    }
-    for (const Arc& a : orbit.shared_inhibitors) {
-      qmodel->add_inhibitor_arc(qt, mapping->place[a.place].quotient, a.multiplicity);
-    }
-  }
-
-  LumpedNet net;
-  net.model_ = std::move(qmodel);
-  net.mapping_ = std::move(mapping);
-  return net;
-}
-
-// ---------------------------------------------------------------------------
-// Component factorization
-// ---------------------------------------------------------------------------
 
 std::vector<std::vector<TransitionId>> component_transitions(const SrnModel& model,
                                                              const ComponentSplit& split) {
@@ -626,7 +220,10 @@ double FactoredAnalyzer::reward_curve(const SeparableReward& reward,
   check_reward(reward);
   if (grid.empty()) throw std::invalid_argument("FactoredAnalyzer::reward_curve: empty grid");
   for (std::size_t j = 0; j < grid.size(); ++j) {
-    if (!(grid[j] >= 0.0) || (j > 0 && grid[j] < grid[j - 1])) {
+    if (!std::isfinite(grid[j])) {
+      throw std::invalid_argument("FactoredAnalyzer::reward_curve: non-finite time point");
+    }
+    if (grid[j] < 0.0 || (j > 0 && grid[j] < grid[j - 1])) {
       throw std::invalid_argument(
           "FactoredAnalyzer::reward_curve: grid must be ascending and non-negative");
     }
@@ -668,9 +265,9 @@ double FactoredAnalyzer::reward_curve(const SeparableReward& reward,
   for (std::size_t j = 0; j < grid.size(); ++j) {
     const double length = grid[j] - prev;
     if (length > 0.0) {
-      const std::size_t panels = std::min<std::size_t>(
-          1024, std::max<std::size_t>(
-                    1, static_cast<std::size_t>(std::ceil(rate_scale * length / 8.0))));
+      // Clamped in double: a huge span would overflow the cast.
+      const std::size_t panels = static_cast<std::size_t>(
+          std::clamp(std::ceil(rate_scale * length / 8.0), 1.0, 1024.0));
       const double h = length / static_cast<double>(panels);
       for (std::size_t panel = 0; panel < panels; ++panel) {
         const double a = prev + h * static_cast<double>(panel);

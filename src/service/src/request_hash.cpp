@@ -103,7 +103,6 @@ void append_engine_options(HashStream& h, const core::EngineOptions& engine) {
   h.u8(static_cast<std::uint8_t>(engine.steady_state.method));
   h.f64(engine.steady_state.tolerance);
   h.u64(engine.steady_state.max_iterations);
-  h.f64(engine.steady_state.sor_relaxation);
   // Reachability limits (reserve_markings is a capacity hint — excluded).
   h.u64(engine.reachability.max_tangible_markings);
   h.u64(engine.reachability.max_vanishing_depth);

@@ -34,7 +34,7 @@ enum class DifferentialMode : std::uint8_t {
   /// the grid (per-point 95% intervals would miss ~23% of correct curves on
   /// a 5-point grid).
   kTransient,
-  /// Three-way steady-state check adding the symmetry-lumped analytic engine
+  /// Three-way steady-state check adding the product-form analytic engine
   /// (core::EngineOptions::lumping) as a third axis: every scenario is scored
   /// flat-analytic, lumped-analytic AND simulated.  A case passes only when
   /// the lumped COA (a) matches the flat COA to `lumped_tolerance` — the
@@ -97,7 +97,7 @@ struct DifferentialCase {
   double worst_deviation = 0.0;     ///< |analytic - simulated| there.
 
   // --- lumped mode only -----------------------------------------------------
-  double lumped_coa = 0.0;            ///< the symmetry-lumped engine's COA.
+  double lumped_coa = 0.0;            ///< the product-form engine's COA.
   double flat_lumped_deviation = 0.0; ///< |analytic_coa - lumped_coa|.
   bool lumped_matches_flat = true;    ///< deviation within lumped_tolerance.
 };

@@ -160,8 +160,8 @@ TEST(Aggregation, ProbabilitiesArePlausible) {
 
 TEST(Aggregation, ShorterIntervalIncreasesDownProbability) {
   const auto& spec = specs().at(ent::ServerRole::kApp);
-  const av::AggregatedRates monthly = av::aggregate_server(spec, 720.0);
-  const av::AggregatedRates weekly = av::aggregate_server(spec, 168.0);
+  const av::AggregatedRates monthly = av::aggregate_server(spec, {.patch_interval_hours = 720.0});
+  const av::AggregatedRates weekly = av::aggregate_server(spec, {.patch_interval_hours = 168.0});
   EXPECT_GT(weekly.p_patch_down, monthly.p_patch_down);
   EXPECT_NEAR(weekly.lambda_eq, 1.0 / 168.0, 1e-15);
   // Recovery is a property of patch durations, not of the schedule.
@@ -181,9 +181,10 @@ TEST(Aggregation, MttrOrderingMatchesCriticality) {
 }
 
 TEST(Aggregation, InvalidIntervalThrows) {
-  EXPECT_THROW((void)av::aggregate_server(specs().at(ent::ServerRole::kDns), 0.0),
+  const ent::ServerSpec& dns = specs().at(ent::ServerRole::kDns);
+  EXPECT_THROW((void)av::aggregate_server(dns, {.patch_interval_hours = 0.0}),
                std::invalid_argument);
-  EXPECT_THROW((void)av::aggregate_server(specs().at(ent::ServerRole::kDns), -5.0),
+  EXPECT_THROW((void)av::aggregate_server(dns, {.patch_interval_hours = -5.0}),
                std::invalid_argument);
 }
 

@@ -20,7 +20,7 @@ namespace {
 ent::ServerSpec base_spec() { return ent::paper_server_specs().at(ent::ServerRole::kApp); }
 
 double service_availability(const ent::ServerSpec& spec, double interval = 720.0) {
-  const av::ServerSrn srn = av::build_server_srn(spec, interval);
+  const av::ServerSrn srn = av::build_server_srn(spec, {.patch_interval_hours = interval});
   const pt::SrnAnalyzer analyzer(srn.model);
   return analyzer.probability([&srn](const pt::Marking& m) { return srn.service_up(m); });
 }
@@ -60,7 +60,7 @@ TEST(FailureInjection, ExtremeFailureRatesKeepInvariants) {
   hellish.times.hw_mtbf = 10.0;
   hellish.times.os_mtbf = 5.0;
   hellish.times.svc_mtbf = 2.0;
-  const av::ServerSrn srn = av::build_server_srn(hellish, 48.0);
+  const av::ServerSrn srn = av::build_server_srn(hellish, {.patch_interval_hours = 48.0});
   const pt::ReachabilityGraph graph = pt::build_reachability_graph(srn.model);
   for (const pt::Marking& m : graph.tangible_markings) {
     EXPECT_EQ(m[srn.hw_up] + m[srn.hw_down], 1u);
@@ -121,7 +121,7 @@ TEST(FailureInjection, DownstreamCoaReflectsServerStress) {
 
 TEST(FailureInjection, ShortIntervalStateSpaceStaysBounded) {
   // Hourly patching is extreme but must not blow up the state space.
-  const av::ServerSrn srn = av::build_server_srn(base_spec(), 1.0);
+  const av::ServerSrn srn = av::build_server_srn(base_spec(), {.patch_interval_hours = 1.0});
   const pt::ReachabilityGraph graph = pt::build_reachability_graph(srn.model);
   EXPECT_LT(graph.tangible_count(), 200u);
 }

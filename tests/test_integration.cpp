@@ -22,7 +22,7 @@ TEST(Integration, ServerSrnSimulationMatchesAnalyticServiceUp) {
   // Shrink the patch interval to 72 h so patches happen often enough for a
   // simulation to observe many cycles in bounded time.
   const auto spec = ent::paper_server_specs().at(ent::ServerRole::kApp);
-  const av::ServerSrn srn = av::build_server_srn(spec, 72.0);
+  const av::ServerSrn srn = av::build_server_srn(spec, {.patch_interval_hours = 72.0});
 
   const pt::SrnAnalyzer analyzer(srn.model);
   const double analytic_up =
@@ -45,7 +45,7 @@ TEST(Integration, NetworkSrnSimulationMatchesAnalyticCoa) {
   // Faster-patching variant of the example network for simulation turnaround.
   std::map<ent::ServerRole, av::AggregatedRates> rates;
   for (const auto& [role, spec] : ent::paper_server_specs()) {
-    rates.emplace(role, av::aggregate_server(spec, 72.0));
+    rates.emplace(role, av::aggregate_server(spec, {.patch_interval_hours = 72.0}));
   }
   const av::NetworkSrn net = av::build_network_srn(ent::example_network_design(), rates);
   const double analytic = av::capacity_oriented_availability(ent::example_network_design(), rates);
@@ -66,7 +66,7 @@ TEST(Integration, AggregationConsistentWithDowntimeFraction) {
   // (downtime per cycle) / (cycle length) with downtime = 1/mu_eq and cycle
   // ~= interval + downtime (the clock pauses during the patch).
   for (const auto& [role, spec] : ent::paper_server_specs()) {
-    const av::AggregatedRates r = av::aggregate_server(spec, 720.0);
+    const av::AggregatedRates r = av::aggregate_server(spec, {.patch_interval_hours = 720.0});
     const double downtime = r.mttr_hours();
     const double expected_fraction = downtime / (720.0 + downtime);
     EXPECT_NEAR(r.p_patch_down, expected_fraction, expected_fraction * 0.02)

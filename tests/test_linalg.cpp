@@ -241,7 +241,6 @@ TEST_P(SteadyStateMethods, StiffRatesStillConverge) {
 INSTANTIATE_TEST_SUITE_P(AllMethods, SteadyStateMethods,
                          ::testing::Values(la::SteadyStateMethod::kPower,
                                            la::SteadyStateMethod::kGaussSeidel,
-                                           la::SteadyStateMethod::kSor,
                                            la::SteadyStateMethod::kAuto));
 
 TEST(SteadyState, SingleStateChain) {

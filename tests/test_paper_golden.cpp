@@ -7,7 +7,7 @@
 // If a deliberate modeling change moves these values, update the constants
 // in the same commit and say why in the commit message.  Tolerances are a
 // few orders of magnitude above the solver's convergence tolerance, so a
-// legitimate solver swap (Gauss-Seidel <-> power <-> SOR) stays green while
+// legitimate solver swap (Gauss-Seidel <-> power) stays green while
 // a modeling drift trips the suite.
 
 #include <gtest/gtest.h>

@@ -79,13 +79,6 @@ TEST(PatchPolicy, RebootFreeNetStaysConsistent) {
   }
 }
 
-TEST(PatchPolicy, OptionsDefaultMatchesLegacyBuilder) {
-  const av::ServerSrn a = av::build_server_srn(specs().at(ent::ServerRole::kWeb), 720.0);
-  const av::ServerSrn b =
-      av::build_server_srn(specs().at(ent::ServerRole::kWeb), av::ServerSrnOptions{});
-  EXPECT_NEAR(service_up_probability(a), service_up_probability(b), 1e-12);
-}
-
 // ---------- sensitivity -------------------------------------------------------------
 
 TEST(Sensitivity, AppTierDominatesExampleNetwork) {

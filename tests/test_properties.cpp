@@ -131,7 +131,8 @@ class PatchIntervalSweep : public ::testing::TestWithParam<double> {};
 TEST_P(PatchIntervalSweep, CoaAndDownProbabilityBehave) {
   const double interval = GetParam();
   const auto specs = ent::paper_server_specs();
-  const av::AggregatedRates r = av::aggregate_server(specs.at(ent::ServerRole::kDb), interval);
+  const av::AggregatedRates r =
+      av::aggregate_server(specs.at(ent::ServerRole::kDb), {.patch_interval_hours = interval});
   EXPECT_NEAR(r.lambda_eq, 1.0 / interval, 1e-15);
   // p_pd ~= mttr / (interval + mttr), within 3%.
   EXPECT_NEAR(r.p_patch_down, r.mttr_hours() / (interval + r.mttr_hours()),

@@ -75,8 +75,8 @@ la::SteadyStateResult ref_power_iteration(const la::CsrMatrix& q,
   return result;
 }
 
-la::SteadyStateResult ref_gauss_seidel(const la::CsrMatrix& q, const la::SteadyStateOptions& opt,
-                                       double omega) {
+la::SteadyStateResult ref_gauss_seidel(const la::CsrMatrix& q,
+                                       const la::SteadyStateOptions& opt) {
   const std::size_t n = q.rows();
   const la::CsrMatrix qt = q.transposed();
   const auto& off = qt.row_offsets();
@@ -99,8 +99,7 @@ la::SteadyStateResult ref_gauss_seidel(const la::CsrMatrix& q, const la::SteadyS
         if (j == i) continue;
         acc += val[k] * x[j];
       }
-      const double gs = -acc / diag[i];
-      x[i] = omega * gs + (1.0 - omega) * x[i];
+      x[i] = -acc / diag[i];
       if (x[i] < 0.0) x[i] = 0.0;
     }
     la::normalize_probability(x);
@@ -125,11 +124,9 @@ la::SteadyStateResult ref_solve(const la::CsrMatrix& q, const la::SteadyStateOpt
     case la::SteadyStateMethod::kPower:
       return ref_power_iteration(q, opt);
     case la::SteadyStateMethod::kGaussSeidel:
-      return ref_gauss_seidel(q, opt, 1.0);
-    case la::SteadyStateMethod::kSor:
-      return ref_gauss_seidel(q, opt, opt.sor_relaxation);
+      return ref_gauss_seidel(q, opt);
     case la::SteadyStateMethod::kAuto: {
-      la::SteadyStateResult gs = ref_gauss_seidel(q, opt, 1.0);
+      la::SteadyStateResult gs = ref_gauss_seidel(q, opt);
       if (gs.converged && gs.residual < 1e-8) return gs;
       la::SteadyStateResult pw = ref_power_iteration(q, opt);
       return (pw.residual < gs.residual) ? pw : gs;
@@ -334,7 +331,7 @@ TEST(StationarySolverEquivalence, BirthDeathOracles) {
     la::StationarySolver solver;
     for (la::SteadyStateMethod method :
          {la::SteadyStateMethod::kAuto, la::SteadyStateMethod::kGaussSeidel,
-          la::SteadyStateMethod::kPower, la::SteadyStateMethod::kSor}) {
+          la::SteadyStateMethod::kPower}) {
       la::SteadyStateOptions opt;
       opt.method = method;
       // The successive-diff stopping rule leaves ~diff/(1-rate) absolute

@@ -194,6 +194,19 @@ TEST(TransientSolver, NonFiniteTimesAreRejected) {
   EXPECT_EQ(solver.diagnostics().matvec_count, 0u);  // refused before any sweep
 }
 
+TEST(TransientSolver, HugeFiniteTimesExceedMaxTerms) {
+  // Lambda*t ~ 1e30 is finite but beyond size_t: refused as a too-long
+  // expansion before the Poisson mode is converted to an integer.
+  ct::TransientSolver solver;
+  solver.prepare(up_down(1.0, 1.0));
+  const std::vector<double> initial{1.0, 0.0};
+  std::vector<double> out;
+  EXPECT_THROW(solver.distribution_at(initial, 1e30, out), std::runtime_error);
+  EXPECT_THROW((void)solver.reward_curve(initial, {1.0, 0.0}, {0.0, 1e30}, out),
+               std::runtime_error);
+  EXPECT_EQ(solver.diagnostics().matvec_count, 0u);
+}
+
 TEST(TransientSolver, FoxGlynnWindowSkipsTheLeftTail) {
   // Lambda*t ~ 2000: the window must start far right of k = 0 and still
   // reproduce the (here: steady-state) answer.
