@@ -21,7 +21,7 @@ namespace pt = patchsec::petri;
 namespace sm = patchsec::sim;
 
 void print_validation() {
-  // A 72-hour cadence gives the simulation ~700 patch cycles per batch.
+  // A 72-hour cadence gives the simulation ~700 patch cycles per replication.
   constexpr double kInterval = 72.0;
   const auto specs = ent::paper_server_specs();
 
@@ -29,7 +29,7 @@ void print_validation() {
   std::printf("(patch interval %.0f h so the simulation sees many cycles)\n\n", kInterval);
 
   std::printf("--- per-server service availability (lower-layer SRN) ---\n");
-  std::printf("%-6s %12s %22s\n", "role", "analytic", "simulated (95%% CI)");
+  std::printf("%-6s %12s %22s\n", "role", "analytic", "simulated (95% CI)");
   for (const auto& [role, spec] : specs) {
     const av::ServerSrn srn = av::build_server_srn(spec, {.patch_interval_hours = kInterval});
     const pt::SrnAnalyzer analyzer(srn.model);
@@ -40,9 +40,9 @@ void print_validation() {
     sm::SimulationOptions opt;
     opt.seed = 7;
     opt.warmup_hours = 1000.0;
-    opt.batch_hours = 20000.0;
-    opt.batches = 8;
-    const auto est = simulator.steady_state_probability(
+    opt.horizon_hours = 20000.0;
+    opt.replications = 8;
+    const auto est = simulator.steady_state_probability_replicated(
         [&srn](const pt::Marking& m) { return srn.service_up(m); }, opt);
     std::printf("%-6s %12.6f %14.6f +/- %.6f\n", ent::to_string(role), analytic, est.mean,
                 est.half_width_95);
@@ -60,9 +60,9 @@ void print_validation() {
   sm::SimulationOptions opt;
   opt.seed = 99;
   opt.warmup_hours = 1000.0;
-  opt.batch_hours = 30000.0;
-  opt.batches = 8;
-  const auto est = simulator.steady_state_reward(net.coa_reward(), opt);
+  opt.horizon_hours = 30000.0;
+  opt.replications = 8;
+  const auto est = simulator.steady_state_reward_replicated(net.coa_reward(), opt);
   std::printf("analytic COA = %.6f   simulated = %.6f +/- %.6f\n\n", analytic, est.mean,
               est.half_width_95);
 }
@@ -74,10 +74,11 @@ void BM_SimulateServerSrn(benchmark::State& state) {
   sm::SimulationOptions opt;
   opt.seed = 1;
   opt.warmup_hours = 100.0;
-  opt.batch_hours = 1000.0;
-  opt.batches = 2;
+  opt.horizon_hours = 1000.0;
+  opt.replications = 2;
+  opt.threads = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(simulator.steady_state_probability(
+    benchmark::DoNotOptimize(simulator.steady_state_probability_replicated(
         [&srn](const pt::Marking& m) { return srn.service_up(m); }, opt));
   }
 }

@@ -104,8 +104,9 @@ struct CoaCurveEvaluation {
 
 /// Expected accumulated capacity shortfall (integral of steady-COA minus
 /// COA(t)) over [0, horizon] after the patch event — "lost server-fraction
-/// hours" of one patch wave.  The integral is exact: it rides the
-/// uniformization series (ctmc::TransientSolver::accumulated_reward).
+/// hours" of one patch wave.  The integral is exact: it is the accumulated
+/// reward of a one-point ctmc::TransientSolver::reward_curve, which rides
+/// the uniformization series.
 [[nodiscard]] double patch_dip_shortfall(
     const enterprise::RedundancyDesign& design,
     const std::map<enterprise::ServerRole, AggregatedRates>& rates,

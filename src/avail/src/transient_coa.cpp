@@ -175,7 +175,9 @@ double patch_dip_shortfall(const enterprise::RedundancyDesign& design,
 
   ctmc::TransientSolver solver;
   solver.prepare(graph.chain);
-  const double accumulated = solver.accumulated_reward(initial, rewards, horizon_hours);
+  std::vector<double> coa_at_horizon;
+  const double accumulated =
+      solver.reward_curve(initial, rewards, {horizon_hours}, coa_at_horizon);
 
   const linalg::SteadyStateResult ss = graph.chain.steady_state();
   double steady = 0.0;

@@ -69,12 +69,6 @@ class Ctmc {
   [[nodiscard]] linalg::SteadyStateResult steady_state(
       linalg::StationarySolver& workspace, const linalg::SteadyStateOptions& options) const;
 
-  /// Expected steady-state reward  sum_s pi_s * reward_s.  `rewards` must
-  /// have one entry per state.
-  [[nodiscard]] double expected_steady_state_reward(
-      const std::vector<double>& rewards,
-      const linalg::SteadyStateOptions& options = {}) const;
-
   /// Total exit rate of every state (sum of outgoing rates, added in
   /// transition order), in one pass over the transition list.
   [[nodiscard]] std::vector<double> exit_rates() const;

@@ -21,10 +21,10 @@
 /// A TransientSolver is a workspace in the linalg::StationarySolver mold:
 ///
 ///  * prepare(chain) builds the uniformized matrix ONCE; every subsequent
-///    time point, curve, or accumulated-reward evaluation on the same chain
-///    reuses it.  Re-preparing with a chain of identical sparsity structure
-///    refreshes values in place (no allocation) — the schedule-sweep path,
-///    where only rates change between cadences;
+///    distribution or curve evaluation on the same chain reuses it.
+///    Re-preparing with a chain of identical sparsity structure refreshes
+///    values in place (no allocation) — the schedule-sweep path, where only
+///    rates change between cadences;
 ///  * all per-evaluation scratch (the power-iterate vectors, the Poisson
 ///    weight windows, the per-point reward sums) lives in the workspace, so
 ///    evaluating a whole curve allocates no scratch once warm;
@@ -94,15 +94,6 @@ class TransientSolver {
   /// t and std::logic_error when prepare() has not run.
   void distribution_at(const std::vector<double>& initial, double t, std::vector<double>& out);
 
-  /// Expected instantaneous reward  r . pi(t).
-  [[nodiscard]] double reward_at(const std::vector<double>& initial,
-                                 const std::vector<double>& rewards, double t);
-
-  /// Expected accumulated reward  int_0^t r . pi(s) ds, evaluated exactly
-  /// through the uniformization series (no quadrature grid).
-  [[nodiscard]] double accumulated_reward(const std::vector<double>& initial,
-                                          const std::vector<double>& rewards, double t);
-
   /// The reward curve r . pi(t_j) over an ascending (finite, non-negative,
   /// non-decreasing) time grid; `values` is resized to the grid.  Returns the
   /// accumulated reward int_0^{t_back} r . pi(s) ds.  Both measures ride one
@@ -154,11 +145,9 @@ class TransientSolver {
   /// capturing mass >= 1 - epsilon, expanding outward from the mode.
   void poisson_window(double m);
 
-  /// Advance `state` (a distribution) to time-offset dt ahead, accumulating
-  /// r . pi into *accumulated when non-null.  `state` is replaced by the
-  /// (renormalized) advanced distribution.
-  void step(std::vector<double>& state, const std::vector<double>* rewards, double dt,
-            double* accumulated);
+  /// Advance `state` (a distribution) to time-offset dt ahead: `state` is
+  /// replaced by the (renormalized) advanced distribution.
+  void step(std::vector<double>& state, double dt);
 
   /// The single pass behind reward_curve (m = 1 through SpmvKernel::step)
   /// and reward_curve_multi (panel = true, SpmvKernel::step_panel for any
@@ -194,7 +183,6 @@ class TransientSolver {
   std::vector<double> term_;
   std::vector<double> next_;
   std::vector<double> accum_;
-  std::vector<double> state_;
 
   // Curve scratch: every grid point's Poisson window (weights packed into
   // grid_weights_), the per-(point, column) reward sums, the per-term column

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "patchsec/linalg/stationary_solver.hpp"
-#include "patchsec/linalg/vector_ops.hpp"
 
 namespace patchsec::ctmc {
 
@@ -100,15 +99,6 @@ linalg::SteadyStateResult Ctmc::steady_state(linalg::StationarySolver& workspace
                                              const linalg::SteadyStateOptions& options) const {
   if (state_count() == 0) throw std::logic_error("Ctmc::steady_state: empty chain");
   return workspace.solve(generator(), options);
-}
-
-double Ctmc::expected_steady_state_reward(const std::vector<double>& rewards,
-                                          const linalg::SteadyStateOptions& options) const {
-  if (rewards.size() != state_count()) {
-    throw std::invalid_argument("expected_steady_state_reward: reward vector size mismatch");
-  }
-  const linalg::SteadyStateResult ss = steady_state(options);
-  return linalg::dot(ss.distribution, rewards);
 }
 
 std::vector<double> Ctmc::exit_rates() const {

@@ -191,39 +191,27 @@ void TransientSolver::poisson_window(double m) {
   diagnostics_.poisson_mass = mass_;
 }
 
-void TransientSolver::step(std::vector<double>& state, const std::vector<double>* rewards,
-                           double dt, double* accumulated) {
-  if (dt <= 0.0) return;
-  if (lambda_ <= 0.0) {
-    // No transitions anywhere: the distribution is frozen.
-    if (accumulated != nullptr) *accumulated += linalg::dot(state, *rewards) * dt;
-    return;
-  }
+void TransientSolver::step(std::vector<double>& state, double dt) {
+  // A zero step, or no transitions anywhere: the distribution is frozen.
+  if (dt <= 0.0 || lambda_ <= 0.0) return;
   poisson_window(lambda_ * dt);
 
   term_ = state;
   accum_.assign(states_, 0.0);
-  double cumulative = 0.0;  // F(k): Poisson CDF over the (normalized) window
   diagnostics_.rhs_count = std::max<std::size_t>(diagnostics_.rhs_count, 1);
   // One fused kernel call per expansion term performs the weight
-  // accumulation, the reward reduction AND the gather-form matvec (no
-  // zero-fill of next_, no per-row branch).
+  // accumulation AND the gather-form matvec (no zero-fill of next_, no
+  // per-row branch).
   ensure_kernel();
   diagnostics_.kernel = kernel_.kernel_name();
-  const double* r = (accumulated != nullptr && rewards != nullptr) ? rewards->data() : nullptr;
   next_.resize(states_);
   for (std::size_t k = 0;; ++k) {
     const double weight = k >= left_ ? weights_[k - left_] : 0.0;
-    const bool last = k >= right_;
-    const double dot = last ? kernel_.reduce(term_.data(), weight, accum_.data(), r)
-                            : kernel_.step(term_.data(), next_.data(), weight, accum_.data(), r);
-    cumulative += weight;
-    if (accumulated != nullptr) {
-      // int_0^dt Poisson(k; Lambda s) ds = (1 - F(k)) / Lambda.
-      const double survival = std::max(0.0, 1.0 - cumulative);
-      *accumulated += survival * dot / lambda_;
+    if (k >= right_) {
+      (void)kernel_.reduce(term_.data(), weight, accum_.data(), nullptr);
+      break;
     }
-    if (last) break;
+    (void)kernel_.step(term_.data(), next_.data(), weight, accum_.data(), nullptr);
     term_.swap(next_);
     ++diagnostics_.matvec_count;
   }
@@ -358,33 +346,8 @@ void TransientSolver::distribution_at(const std::vector<double>& initial, double
   if (t < 0.0) throw std::invalid_argument("TransientSolver: negative time");
   const auto start = Clock::now();
   out = initial;
-  step(out, nullptr, t, nullptr);
+  step(out, t);
   diagnostics_.wall_time_seconds += seconds_since(start);
-}
-
-double TransientSolver::reward_at(const std::vector<double>& initial,
-                                  const std::vector<double>& rewards, double t) {
-  if (rewards.size() != states_) {
-    throw std::invalid_argument("TransientSolver: reward size mismatch");
-  }
-  distribution_at(initial, t, state_);
-  return linalg::dot(state_, rewards);
-}
-
-double TransientSolver::accumulated_reward(const std::vector<double>& initial,
-                                           const std::vector<double>& rewards, double t) {
-  if (!prepared()) throw std::logic_error("TransientSolver: prepare() has not run");
-  if (initial.size() != states_ || rewards.size() != states_) {
-    throw std::invalid_argument("TransientSolver: initial/reward size mismatch");
-  }
-  if (!std::isfinite(t)) throw std::invalid_argument("TransientSolver: non-finite horizon");
-  if (t < 0.0) throw std::invalid_argument("TransientSolver: negative horizon");
-  const auto start = Clock::now();
-  state_ = initial;
-  double accumulated = 0.0;
-  step(state_, &rewards, t, &accumulated);
-  diagnostics_.wall_time_seconds += seconds_since(start);
-  return accumulated;
 }
 
 double TransientSolver::reward_curve(const std::vector<double>& initial,

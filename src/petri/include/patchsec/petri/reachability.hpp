@@ -24,11 +24,6 @@ struct ReachabilityOptions {
   /// Abort when a chain of immediate firings exceeds this depth (indicates a
   /// vanishing loop, which the supported model class must not contain).
   std::size_t max_vanishing_depth = 4096;
-  /// Up-front capacity reserved for the tangible marking vector and index
-  /// (clamped to max_tangible_markings).  0 picks a small default; callers
-  /// that know their state-space size avoid rehash/regrow churn by setting
-  /// it.
-  std::size_t reserve_markings = 0;
 };
 
 /// \brief End-to-end solver configuration for one SRN analysis: reachability

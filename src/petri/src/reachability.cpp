@@ -273,9 +273,7 @@ std::size_t ReachabilityGraph::index_of(const Marking& m) const {
 ReachabilityGraph build_reachability_graph(const SrnModel& model,
                                            const ReachabilityOptions& options) {
   ReachabilityGraph graph;
-  const std::size_t reserve =
-      std::min(options.max_tangible_markings,
-               options.reserve_markings != 0 ? options.reserve_markings : std::size_t{1024});
+  const std::size_t reserve = std::min(options.max_tangible_markings, std::size_t{1024});
   graph.tangible_markings.reserve(reserve);
 
   // Fast path: the packed-u64 interner.  The general unordered_map is only

@@ -20,11 +20,10 @@
 ///    EvalReport's payload is hashed.  Scheduling-only knobs are the ONLY
 ///    exclusions, each proven result-invariant elsewhere in the tree:
 ///    EngineOptions::parallel / EngineOptions::threads (batch fan-out;
-///    parallel == serial is asserted in test_session),
+///    parallel == serial is asserted in test_session) and
 ///    SimulationOptions::threads (replication estimates are counter-seeded
 ///    per replication and bit-identical across thread counts — asserted in
-///    test_sim and test_session), and ReachabilityOptions::reserve_markings
-///    (a capacity hint).
+///    test_sim and test_session).
 ///
 /// The policy hooks of a ReachabilityPolicy are opaque std::functions, so
 /// they cannot be serialized — but their whole domain is the 4x4 role grid,

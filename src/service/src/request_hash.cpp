@@ -103,7 +103,7 @@ void append_engine_options(HashStream& h, const core::EngineOptions& engine) {
   h.u8(static_cast<std::uint8_t>(engine.steady_state.method));
   h.f64(engine.steady_state.tolerance);
   h.u64(engine.steady_state.max_iterations);
-  // Reachability limits (reserve_markings is a capacity hint — excluded).
+  // Reachability limits.
   h.u64(engine.reachability.max_tangible_markings);
   h.u64(engine.reachability.max_vanishing_depth);
   h.u8(engine.throw_on_divergence ? 1 : 0);
@@ -114,8 +114,6 @@ void append_engine_options(HashStream& h, const core::EngineOptions& engine) {
   // thread-count-invariant).
   h.u64(engine.simulation.seed);
   h.f64(engine.simulation.warmup_hours);
-  h.f64(engine.simulation.batch_hours);
-  h.u64(engine.simulation.batches);
   h.u64(engine.simulation.replications);
   h.f64(engine.simulation.horizon_hours);
   h.u64(engine.simulation.max_vanishing_depth);

@@ -6,16 +6,17 @@
 /// executed by sampling exponential firings, must agree with the analytic
 /// (reachability + steady-state) pipeline within confidence bounds.
 ///
-/// Two steady-state engines:
-///  * batch means — one long trajectory split into batches (serial);
-///  * independent replications — many short trajectories, fanned out over
-///    threads.  Each replication draws from its own counter-based RNG stream
-///    (seeded from SimulationOptions::seed and the replication index), so the
-///    estimate is bit-identical for a given seed regardless of thread count.
+/// One estimator per measure:
+///  * steady state — independent replications: many trajectories of warmup +
+///    horizon each, fanned out over threads;
+///  * transient — one replicated pass over a whole time grid
+///    (transient_reward_curve).
+/// Each replication draws from its own counter-based RNG stream (seeded from
+/// SimulationOptions::seed and the replication index), so every estimate is
+/// bit-identical for a given seed regardless of thread count.
 ///
-/// All engines run on the flattened petri::CompiledNet with reusable
-/// event-loop workspaces (PR 3's allocation-free style): once warm, firing a
-/// transition allocates nothing.
+/// Both estimators run on the flattened petri::CompiledNet with reusable
+/// event-loop workspaces: once warm, firing a transition allocates nothing.
 
 #include <cstdint>
 #include <functional>
@@ -28,31 +29,26 @@ namespace patchsec::sim {
 
 struct SimulationOptions {
   std::uint64_t seed = 42;
-  double warmup_hours = 2000.0;  ///< discarded transient prefix (batch means
-                                 ///< and replications alike).
-  // --- batch-means engine ---------------------------------------------------
-  double batch_hours = 20000.0;  ///< length of one batch-means batch.
-  std::size_t batches = 16;      ///< number of batches (>= 2).
-  // --- independent-replication engine --------------------------------------
+  double warmup_hours = 2000.0;  ///< discarded transient prefix per
+                                 ///< steady-state replication.
   std::size_t replications = 32;   ///< independent trajectories (>= 2).
   double horizon_hours = 20000.0;  ///< measured horizon per replication
                                    ///< (after the warmup).
   unsigned threads = 0;  ///< worker threads for replications; 0 = hardware
                          ///< concurrency.  Estimates do not depend on this.
-  // --- shared ---------------------------------------------------------------
   std::size_t max_vanishing_depth = 4096;  ///< immediate-chain bound.
 
   /// Throws std::invalid_argument with a precise message when any knob is
-  /// unusable: batches < 2, replications < 2, or non-positive (or NaN)
-  /// warmup_hours / batch_hours / horizon_hours.  Every engine validates its
-  /// options through this before running.
+  /// unusable: replications < 2, or warmup_hours / horizon_hours not
+  /// finite and positive (NaN and +inf included: an infinite horizon never
+  /// returns).  The steady-state estimators validate through this.
   void validate() const;
 };
 
 /// Per-run execution counters, surfaced next to the estimate (and through
 /// core::EvalReport when the simulation backend produced the report).
 struct SimDiagnostics {
-  std::size_t replications = 0;  ///< replications (or batches) aggregated.
+  std::size_t replications = 0;  ///< replications aggregated.
   double half_width_95 = 0.0;    ///< 95% CI half width of the estimate.
   std::uint64_t events_fired = 0;  ///< timed + immediate firings executed.
   double wall_time_seconds = 0.0;
@@ -78,9 +74,7 @@ struct TransientCurveEstimate {
 
 struct SimulationEstimate {
   double mean = 0.0;
-  double half_width_95 = 0.0;  ///< 95% CI half width (batch or replication sample).
-  std::size_t batches = 0;     ///< batches or replications aggregated.
-  double total_time = 0.0;     ///< simulated model-time, all trajectories.
+  double half_width_95 = 0.0;  ///< 95% CI half width of the replication sample.
   SimDiagnostics diagnostics;
 
   [[nodiscard]] double lower() const noexcept { return mean - half_width_95; }
@@ -100,16 +94,6 @@ class SrnSimulator {
  public:
   explicit SrnSimulator(const petri::SrnModel& model);
 
-  /// Batch-means estimate of the steady-state (time-averaged) reward: one
-  /// trajectory of warmup + batches * batch_hours model-time, serial.
-  [[nodiscard]] SimulationEstimate steady_state_reward(const petri::RewardFunction& reward,
-                                                       const SimulationOptions& options = {}) const;
-
-  /// Fraction of time `predicate` holds (availability-style measure).
-  [[nodiscard]] SimulationEstimate steady_state_probability(
-      const std::function<bool(const petri::Marking&)>& predicate,
-      const SimulationOptions& options = {}) const;
-
   /// Independent-replication estimate of the steady-state reward:
   /// `options.replications` trajectories of warmup + horizon_hours each, CI
   /// from the replication sample, fanned out over `options.threads` workers.
@@ -122,14 +106,6 @@ class SrnSimulator {
       const std::function<bool(const petri::Marking&)>& predicate,
       const SimulationOptions& options = {}) const;
 
-  /// Transient estimate by independent replications: E[reward(marking at
-  /// time t)] starting from the initial marking.  The Monte-Carlo
-  /// counterpart of uniformization (ctmc::TransientSolver::reward_at); CI
-  /// from the replication sample.
-  [[nodiscard]] SimulationEstimate transient_reward(const petri::RewardFunction& reward,
-                                                    double t, std::size_t replications = 2000,
-                                                    std::uint64_t seed = 42) const;
-
   /// Finite-horizon replicated estimate of the whole reward curve: each of
   /// `options.replications` trajectories runs once from time 0 (or from
   /// `start` when non-null — the patch-window entry marking) to the last
@@ -140,7 +116,7 @@ class SrnSimulator {
   /// given seed regardless of thread count.  Uses options.seed /
   /// .replications / .threads / .max_vanishing_depth; the steady-state
   /// horizon and warmup knobs are ignored.  `time_points` must be non-empty,
-  /// non-negative and ascending.
+  /// finite, non-negative and ascending (std::invalid_argument otherwise).
   [[nodiscard]] TransientCurveEstimate transient_reward_curve(
       const petri::RewardFunction& reward, const std::vector<double>& time_points,
       const SimulationOptions& options = {}, const petri::Marking* start = nullptr) const;

@@ -2,10 +2,9 @@
 /// \file student_t.hpp
 /// \brief Student-t 97.5% quantile for small-sample confidence intervals.
 ///
-/// Every CI the simulation layer reports (batch means, independent
-/// replications, transient curve points) is a t-interval: with n samples the
-/// half width is t_{0.975, n-1} * s / sqrt(n).  Small replication/batch
-/// counts need t, not z — a z-based CI under-covers (93% instead of 95% at
+/// Every CI the simulation layer reports (steady-state replications,
+/// transient curve points) is a t-interval: with n samples the half width is
+/// t_{0.975, n-1} * s / sqrt(n).  Small replication counts need t, not z — a z-based CI under-covers (93% instead of 95% at
 /// n = 16), which the differential harness would see as excess statistical
 /// misses.
 

@@ -72,11 +72,11 @@ void settle(const CompiledNet& net, EventLoopWorkspace& ws, std::mt19937_64& rng
   throw std::runtime_error("simulator: vanishing loop detected");
 }
 
-// The event-selection kernel shared by every trajectory loop (steady-state
-// advance, one-point transient, transient curve).  Splitting it here is
-// load-bearing for determinism: all loops must consume the RNG identically
-// (one exponential draw per tangible sojourn, one uniform draw per firing),
-// so the kernel lives in exactly one place.
+// The event-selection kernel shared by both trajectory loops (steady-state
+// advance, transient curve).  Splitting it here is load-bearing for
+// determinism: both loops must consume the RNG identically (one exponential
+// draw per tangible sojourn, one uniform draw per firing), so the kernel
+// lives in exactly one place.
 
 // Collect the enabled timed transitions and their checked rates into the
 // workspace; returns the total rate (0 when the marking is dead).
@@ -214,56 +214,20 @@ unsigned run_replications(std::size_t n, unsigned threads_option, const Body& bo
 }  // namespace
 
 void SimulationOptions::validate() const {
-  if (batches < 2) throw std::invalid_argument("SimulationOptions: need at least 2 batches");
-  if (!(warmup_hours > 0.0)) {
-    throw std::invalid_argument("SimulationOptions: warmup_hours must be positive");
-  }
-  if (!(batch_hours > 0.0)) {
-    throw std::invalid_argument("SimulationOptions: batch_hours must be positive");
+  // An infinite horizon never returns, and NaN fails every ordered
+  // comparison, so both hours must be finite as well as positive.
+  if (!(warmup_hours > 0.0) || !std::isfinite(warmup_hours)) {
+    throw std::invalid_argument("SimulationOptions: warmup_hours must be finite and positive");
   }
   if (replications < 2) {
     throw std::invalid_argument("SimulationOptions: need at least 2 replications");
   }
-  if (!(horizon_hours > 0.0)) {
-    throw std::invalid_argument("SimulationOptions: horizon_hours must be positive");
+  if (!(horizon_hours > 0.0) || !std::isfinite(horizon_hours)) {
+    throw std::invalid_argument("SimulationOptions: horizon_hours must be finite and positive");
   }
 }
 
 SrnSimulator::SrnSimulator(const petri::SrnModel& model) : model_(model), net_(model) {}
-
-SimulationEstimate SrnSimulator::steady_state_reward(const petri::RewardFunction& reward,
-                                                     const SimulationOptions& options) const {
-  if (!reward) throw std::invalid_argument("steady_state_reward: null reward");
-  options.validate();
-
-  const auto start = Clock::now();
-  std::mt19937_64 rng(options.seed);
-  EventLoopWorkspace ws;
-  ws.marking = model_.initial_marking();
-  settle(net_, ws, rng, options.max_vanishing_depth);
-
-  (void)advance(net_, nullptr, options.warmup_hours, ws, rng, options.max_vanishing_depth);
-
-  std::vector<double> batch_means;
-  batch_means.reserve(options.batches);
-  for (std::size_t b = 0; b < options.batches; ++b) {
-    const double reward_time =
-        advance(net_, &reward, options.batch_hours, ws, rng, options.max_vanishing_depth);
-    batch_means.push_back(reward_time / options.batch_hours);
-  }
-
-  SimulationEstimate est;
-  mean_and_half_width(batch_means, est.mean, est.half_width_95);
-  est.batches = batch_means.size();
-  est.total_time =
-      options.warmup_hours + options.batch_hours * static_cast<double>(options.batches);
-  est.diagnostics.replications = batch_means.size();
-  est.diagnostics.half_width_95 = est.half_width_95;
-  est.diagnostics.events_fired = ws.events;
-  est.diagnostics.threads_used = 1;
-  est.diagnostics.wall_time_seconds = seconds_since(start);
-  return est;
-}
 
 SimulationEstimate SrnSimulator::steady_state_reward_replicated(
     const petri::RewardFunction& reward, const SimulationOptions& options) const {
@@ -290,8 +254,6 @@ SimulationEstimate SrnSimulator::steady_state_reward_replicated(
 
   SimulationEstimate est;
   mean_and_half_width(rep_means, est.mean, est.half_width_95);
-  est.batches = n;
-  est.total_time = static_cast<double>(n) * (options.warmup_hours + options.horizon_hours);
   est.diagnostics.replications = n;
   est.diagnostics.half_width_95 = est.half_width_95;
   for (std::uint64_t e : rep_events) est.diagnostics.events_fired += e;
@@ -308,6 +270,9 @@ TransientCurveEstimate SrnSimulator::transient_reward_curve(const petri::RewardF
   if (time_points.empty()) throw std::invalid_argument("transient_reward_curve: empty time grid");
   double previous = 0.0;
   for (double t : time_points) {
+    if (!std::isfinite(t)) {
+      throw std::invalid_argument("transient_reward_curve: non-finite time point");
+    }
     if (t < 0.0) throw std::invalid_argument("transient_reward_curve: negative time point");
     if (t < previous) {
       throw std::invalid_argument("transient_reward_curve: time grid must be ascending");
@@ -393,13 +358,6 @@ TransientCurveEstimate SrnSimulator::transient_reward_curve(const petri::RewardF
   return est;
 }
 
-SimulationEstimate SrnSimulator::steady_state_probability(
-    const std::function<bool(const petri::Marking&)>& predicate,
-    const SimulationOptions& options) const {
-  if (!predicate) throw std::invalid_argument("steady_state_probability: null predicate");
-  return steady_state_reward(indicator(predicate), options);
-}
-
 SimulationEstimate SrnSimulator::steady_state_probability_replicated(
     const std::function<bool(const petri::Marking&)>& predicate,
     const SimulationOptions& options) const {
@@ -407,49 +365,6 @@ SimulationEstimate SrnSimulator::steady_state_probability_replicated(
     throw std::invalid_argument("steady_state_probability_replicated: null predicate");
   }
   return steady_state_reward_replicated(indicator(predicate), options);
-}
-
-SimulationEstimate SrnSimulator::transient_reward(const petri::RewardFunction& reward, double t,
-                                                  std::size_t replications,
-                                                  std::uint64_t seed) const {
-  if (!reward) throw std::invalid_argument("transient_reward: null reward");
-  if (t < 0.0) throw std::invalid_argument("transient_reward: negative time");
-  if (replications < 2) throw std::invalid_argument("transient_reward: need >= 2 replications");
-
-  const auto start = Clock::now();
-  constexpr std::size_t kMaxDepth = 4096;
-  std::mt19937_64 rng(seed);
-  EventLoopWorkspace ws;
-  double sum = 0.0, sum_sq = 0.0;
-  for (std::size_t rep = 0; rep < replications; ++rep) {
-    ws.marking = model_.initial_marking();
-    settle(net_, ws, rng, kMaxDepth);
-    double now = 0.0;
-    while (now < t) {
-      const double total_rate = collect_timed_rates(net_, ws);
-      if (ws.enabled.empty()) break;  // dead marking holds until t
-      std::exponential_distribution<double> dwell(total_rate);
-      now += dwell(rng);
-      if (now >= t) break;
-      fire_one(net_, ws, rng, total_rate, kMaxDepth);
-    }
-    const double value = reward(ws.marking);
-    sum += value;
-    sum_sq += value * value;
-  }
-  const double n = static_cast<double>(replications);
-  SimulationEstimate est;
-  est.mean = sum / n;
-  const double var = std::max(0.0, (sum_sq - n * est.mean * est.mean) / (n - 1.0));
-  est.half_width_95 = t_quantile_975(replications - 1) * std::sqrt(var / n);
-  est.batches = replications;
-  est.total_time = t * n;
-  est.diagnostics.replications = replications;
-  est.diagnostics.half_width_95 = est.half_width_95;
-  est.diagnostics.events_fired = ws.events;
-  est.diagnostics.threads_used = 1;
-  est.diagnostics.wall_time_seconds = seconds_since(start);
-  return est;
 }
 
 }  // namespace patchsec::sim

@@ -8,6 +8,7 @@
 #include "patchsec/ctmc/absorbing.hpp"
 #include "patchsec/ctmc/ctmc.hpp"
 #include "patchsec/ctmc/transient_solver.hpp"
+#include "transient_oracle.hpp"
 
 namespace ct = patchsec::ctmc;
 
@@ -57,17 +58,6 @@ TEST(Ctmc, SteadyStateAvailability) {
   const ct::Ctmc c = up_down(lambda, mu);
   const auto ss = c.steady_state();
   EXPECT_NEAR(ss.distribution[0], mu / (mu + lambda), 1e-10);
-}
-
-TEST(Ctmc, ExpectedRewardIsAvailability) {
-  const ct::Ctmc c = up_down(0.1, 0.9);
-  const double availability = c.expected_steady_state_reward({1.0, 0.0});
-  EXPECT_NEAR(availability, 0.9, 1e-10);
-}
-
-TEST(Ctmc, RewardSizeMismatchThrows) {
-  const ct::Ctmc c = up_down(1.0, 1.0);
-  EXPECT_THROW((void)c.expected_steady_state_reward({1.0}), std::invalid_argument);
 }
 
 TEST(Ctmc, ExitRate) {
@@ -154,12 +144,13 @@ TEST(Transient, StiffChainStaysStochastic) {
 }
 
 TEST(Transient, InstantaneousRewardMatchesDistribution) {
+  const ct::Ctmc c = up_down(0.5, 1.5);
   ct::TransientSolver solver;
-  solver.prepare(up_down(0.5, 1.5));
-  const double r = solver.reward_at({1.0, 0.0}, {1.0, 0.0}, 0.8);
-  std::vector<double> pi;
-  solver.distribution_at({1.0, 0.0}, 0.8, pi);
-  EXPECT_NEAR(r, pi[0], 1e-12);
+  solver.prepare(c);
+  std::vector<double> values;
+  (void)solver.reward_curve({1.0, 0.0}, {1.0, 0.0}, {0.8}, values);
+  const std::vector<double> pi = transient_oracle::naive_transient(c, {1.0, 0.0}, 0.8);
+  EXPECT_NEAR(values[0], pi[0], 1e-12);
 }
 
 TEST(Transient, AccumulatedRewardIntervalAvailability) {
@@ -172,7 +163,8 @@ TEST(Transient, AccumulatedRewardIntervalAvailability) {
   const double t = 2.0;
   ct::TransientSolver solver;
   solver.prepare(c);
-  const double up_time = solver.accumulated_reward({1.0, 0.0}, {1.0, 0.0}, t);
+  std::vector<double> values;
+  const double up_time = solver.reward_curve({1.0, 0.0}, {1.0, 0.0}, {t}, values);
   const double expected = (1.0 - std::exp(-l * t)) / l;
   EXPECT_NEAR(up_time, expected, 1e-4);
 }

@@ -139,9 +139,9 @@ TEST(SimulatorEdge, NonIndicatorRewardAveragesCorrectly) {
   sm::SimulationOptions opt;
   opt.seed = 5;
   opt.warmup_hours = 50.0;
-  opt.batch_hours = 2000.0;
-  opt.batches = 8;
-  const auto est = simulator.steady_state_reward(
+  opt.horizon_hours = 2000.0;
+  opt.replications = 8;
+  const auto est = simulator.steady_state_reward_replicated(
       [up](const pt::Marking& m) { return m[up] == 1 ? 3.0 : 7.0; }, opt);
   const double availability = 0.75;
   const double expected = 3.0 * availability + 7.0 * (1.0 - availability);

@@ -32,9 +32,9 @@ TEST(Integration, ServerSrnSimulationMatchesAnalyticServiceUp) {
   sm::SimulationOptions opt;
   opt.seed = 2024;
   opt.warmup_hours = 2000.0;
-  opt.batch_hours = 40000.0;
-  opt.batches = 10;
-  const auto est = simulator.steady_state_probability(
+  opt.horizon_hours = 40000.0;
+  opt.replications = 10;
+  const auto est = simulator.steady_state_probability_replicated(
       [&srn](const pt::Marking& m) { return srn.service_up(m); }, opt);
 
   EXPECT_NEAR(est.mean, analytic_up, 4.0 * std::max(est.half_width_95, 2e-4))
@@ -54,9 +54,9 @@ TEST(Integration, NetworkSrnSimulationMatchesAnalyticCoa) {
   sm::SimulationOptions opt;
   opt.seed = 31337;
   opt.warmup_hours = 2000.0;
-  opt.batch_hours = 50000.0;
-  opt.batches = 10;
-  const auto est = simulator.steady_state_reward(net.coa_reward(), opt);
+  opt.horizon_hours = 50000.0;
+  opt.replications = 10;
+  const auto est = simulator.steady_state_reward_replicated(net.coa_reward(), opt);
   EXPECT_NEAR(est.mean, analytic, 4.0 * std::max(est.half_width_95, 2e-4))
       << "analytic=" << analytic << " simulated=" << est.mean << " +/- " << est.half_width_95;
 }

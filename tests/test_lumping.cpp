@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <map>
 #include <random>
@@ -20,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "patchsec/avail/heterogeneous_coa.hpp"
 #include "patchsec/avail/lumped_coa.hpp"
 #include "patchsec/avail/network_srn.hpp"
 #include "patchsec/avail/transient_coa.hpp"
@@ -68,52 +70,32 @@ ent::RedundancyDesign uniform_design(unsigned k) {
 // Per-server oracle for the counting-form network net
 // ---------------------------------------------------------------------------
 
-// The upper layer written per server: one up/down place pair and one
-// constant-rate lambda/mu transition pair per server, so no rate depends on
-// a token count.  Its chain has 2^N states; summed over per-tier up-counts
-// it must reproduce the counting net, whose rates are lambda * #Pup and
-// mu * #Pdown.
-struct PerServerNet {
-  pt::SrnModel model;
-  std::map<ent::ServerRole, std::vector<pt::PlaceId>> up;  // one place per server
-};
-
-PerServerNet per_server_net(const ent::RedundancyDesign& design,
-                            const std::map<ent::ServerRole, unsigned>& initial_down = {}) {
-  PerServerNet net;
+// The upper layer written per server (avail::build_heterogeneous_srn with
+// every server of a tier at that tier's rates): one up/down place pair and
+// one constant-rate lambda/mu transition pair per server, so no rate
+// depends on a token count.  Its chain has 2^N states; summed over per-tier
+// up-counts it must reproduce the counting net, whose rates are
+// lambda * #Pup and mu * #Pdown.
+av::HeterogeneousNetworkSrn per_server_net(const ent::RedundancyDesign& design) {
+  std::vector<av::InstanceRates> instances;
   for (unsigned r = 0; r < ent::kRoleCount; ++r) {
     const auto role = static_cast<ent::ServerRole>(r);
-    const auto down_it = initial_down.find(role);
-    const unsigned starts_down = down_it == initial_down.end() ? 0u : down_it->second;
     for (unsigned i = 0; i < design.count(role); ++i) {
-      const std::string tag = ent::to_string(role) + std::to_string(i);
-      const bool down0 = i < starts_down;
-      const pt::PlaceId up = net.model.add_place("up" + tag, down0 ? 0 : 1);
-      const pt::PlaceId down = net.model.add_place("down" + tag, down0 ? 1 : 0);
-      const pt::TransitionId patch =
-          net.model.add_timed_transition("patch" + tag, rates().at(role).lambda_eq);
-      net.model.add_input_arc(patch, up);
-      net.model.add_output_arc(patch, down);
-      const pt::TransitionId recover =
-          net.model.add_timed_transition("recover" + tag, rates().at(role).mu_eq);
-      net.model.add_input_arc(recover, down);
-      net.model.add_output_arc(recover, up);
-      net.up[role].push_back(up);
+      instances.push_back({role, rates().at(role)});
     }
   }
-  return net;
+  return av::build_heterogeneous_srn(instances);
 }
 
 // The counting-net marking of a per-server marking: per tier, the number of
 // servers up and down.
-pt::Marking count_marking(const PerServerNet& flat, const av::NetworkSrn& counting,
-                          const pt::Marking& m) {
+pt::Marking count_marking(const av::HeterogeneousNetworkSrn& flat,
+                          const av::NetworkSrn& counting, const pt::Marking& m) {
   pt::Marking out(counting.model.place_count(), 0);
-  for (const auto& [role, places] : flat.up) {
-    pt::TokenCount up = 0;
-    for (const pt::PlaceId p : places) up += m[p];
-    out[counting.up_places.at(role)] = up;
-    out[counting.down_places.at(role)] = static_cast<pt::TokenCount>(places.size()) - up;
+  for (std::size_t i = 0; i < flat.up_places.size(); ++i) {
+    const pt::TokenCount up = m[flat.up_places[i]];
+    out[counting.up_places.at(flat.roles[i])] += up;
+    out[counting.down_places.at(flat.roles[i])] += 1 - up;
   }
   return out;
 }
@@ -122,7 +104,7 @@ pt::Marking count_marking(const PerServerNet& flat, const av::NetworkSrn& counti
 
 TEST(CountingNet, SteadyStateAndOrbitSumsMatchPerServerNet) {
   const auto design = ent::example_network_design();  // {1, 2, 2, 1}: 6 servers
-  const PerServerNet flat = per_server_net(design);
+  const av::HeterogeneousNetworkSrn flat = per_server_net(design);
   const av::NetworkSrn counting = av::build_network_srn(design, rates());
   const pt::SrnAnalyzer flat_analyzer(flat.model, tight_options());
   const pt::SrnAnalyzer counting_analyzer(counting.model, tight_options());
@@ -162,28 +144,36 @@ TEST(CountingNet, TransientCurvesMatchPerServerNet) {
   counting_solver.prepare(cg.chain);
   const std::vector<double> grid{0.5, 2.0, 6.0, 12.0, 24.0};
 
-  std::map<ent::ServerRole, unsigned> patch_wave;
-  for (unsigned role = 0; role < ent::kRoleCount; ++role) {
-    patch_wave.emplace(static_cast<ent::ServerRole>(role), 1u);
+  const av::HeterogeneousNetworkSrn flat = per_server_net(design);
+  const pt::ReachabilityGraph fg = pt::build_reachability_graph(flat.model);
+  ASSERT_EQ(fg.tangible_count(), 64u);
+  std::vector<double> flat_rewards;
+  for (const pt::Marking& m : fg.tangible_markings) {
+    flat_rewards.push_back(coa(count_marking(flat, counting, m)));
   }
-  for (const auto& initial_down : {std::map<ent::ServerRole, unsigned>{}, patch_wave}) {
-    SCOPED_TRACE(initial_down.empty() ? "all up" : "patch wave");
-    const PerServerNet flat = per_server_net(design, initial_down);
-    const pt::ReachabilityGraph fg = pt::build_reachability_graph(flat.model);
-    ASSERT_EQ(fg.tangible_count(), 64u);
-    std::vector<double> flat_rewards;
-    for (const pt::Marking& m : fg.tangible_markings) {
-      flat_rewards.push_back(coa(count_marking(flat, counting, m)));
-    }
+  cm::TransientSolver flat_solver;
+  flat_solver.prepare(fg.chain);
 
-    const pt::Marking& start = flat.model.initial_marking();
+  // The patch wave: the first server of each tier is down.  Every marking of
+  // the per-server net is reachable from all-up, so it is a state of fg.
+  const auto is_patch_wave = [&flat](const pt::Marking& m) {
+    for (std::size_t i = 0; i < flat.up_places.size(); ++i) {
+      const bool first_of_tier = i == 0 || flat.roles[i] != flat.roles[i - 1];
+      if ((m[flat.up_places[i]] == 0) != first_of_tier) return false;
+    }
+    return true;
+  };
+  const auto wave = std::find_if(fg.tangible_markings.begin(), fg.tangible_markings.end(),
+                                 is_patch_wave);
+  ASSERT_NE(wave, fg.tangible_markings.end());
+  const pt::Marking& patch_wave = *wave;
+  for (const pt::Marking& start : {flat.model.initial_marking(), patch_wave}) {
+    SCOPED_TRACE(start == patch_wave ? "patch wave" : "all up");
     std::vector<double> flat_initial(fg.tangible_count(), 0.0);
     flat_initial[fg.index_of(start)] = 1.0;
     std::vector<double> counting_initial(cg.tangible_count(), 0.0);
     counting_initial[cg.index_of(count_marking(flat, counting, start))] = 1.0;
 
-    cm::TransientSolver flat_solver;
-    flat_solver.prepare(fg.chain);
     std::vector<double> flat_curve, counting_curve;
     const double flat_acc = flat_solver.reward_curve(flat_initial, flat_rewards, grid, flat_curve);
     const double counting_acc =

@@ -74,9 +74,9 @@ TEST_P(RandomNetCrossValidation, AnalyticMatchesSimulation) {
   sm::SimulationOptions opt;
   opt.seed = static_cast<std::uint64_t>(GetParam()) + 1;
   opt.warmup_hours = 200.0;
-  opt.batch_hours = 4000.0;
-  opt.batches = 8;
-  const auto est = simulator.steady_state_probability(
+  opt.horizon_hours = 4000.0;
+  opt.replications = 8;
+  const auto est = simulator.steady_state_probability_replicated(
       [watch](const pt::Marking& m) { return m[watch] == 1; }, opt);
   EXPECT_NEAR(est.mean, analytic, 4.0 * std::max(est.half_width_95, 2e-3))
       << "analytic=" << analytic;

@@ -138,7 +138,6 @@ TEST(RequestHash, SchedulingOnlyKnobsDoNotChangeTheHash) {
   engine.parallel = true;
   engine.threads = 8;
   engine.simulation.threads = 4;
-  engine.reachability.reserve_markings = 10000;
   EXPECT_EQ(svc::hash_scenario(core::Scenario(base).with_engine(engine)), reference);
 }
 

@@ -31,54 +31,6 @@ pt::SrnModel up_down_net(double fail_rate, double repair_rate) {
 
 }  // namespace
 
-TEST(Simulator, UpDownAvailabilityWithinConfidenceInterval) {
-  const double lambda = 0.05, mu = 0.45;
-  const pt::SrnModel net = up_down_net(lambda, mu);
-  sm::SrnSimulator simulator(net);
-  sm::SimulationOptions opt;
-  opt.seed = 1234;
-  opt.warmup_hours = 100.0;
-  opt.batch_hours = 2000.0;
-  opt.batches = 16;
-  const auto est = simulator.steady_state_probability(
-      [&net](const pt::Marking& m) { return m[net.place("up")] == 1; }, opt);
-  const double expected = mu / (lambda + mu);
-  EXPECT_NEAR(est.mean, expected, 3.0 * std::max(est.half_width_95, 1e-3));
-  EXPECT_GT(est.half_width_95, 0.0);
-  EXPECT_EQ(est.batches, 16u);
-}
-
-TEST(Simulator, AgreesWithAnalyticSolverOnThreeStateNet) {
-  // Cycle a -> b -> c -> a with distinct rates.
-  pt::SrnModel net;
-  const auto a = net.add_place("a", 1);
-  const auto b = net.add_place("b", 0);
-  const auto c = net.add_place("c", 0);
-  const auto t1 = net.add_timed_transition("t1", 1.0);
-  net.add_input_arc(t1, a);
-  net.add_output_arc(t1, b);
-  const auto t2 = net.add_timed_transition("t2", 2.0);
-  net.add_input_arc(t2, b);
-  net.add_output_arc(t2, c);
-  const auto t3 = net.add_timed_transition("t3", 4.0);
-  net.add_input_arc(t3, c);
-  net.add_output_arc(t3, a);
-
-  const pt::SrnAnalyzer analyzer(net);
-  const double analytic =
-      analyzer.probability([a](const pt::Marking& m) { return m[a] == 1; });
-
-  sm::SrnSimulator simulator(net);
-  sm::SimulationOptions opt;
-  opt.seed = 99;
-  opt.warmup_hours = 50.0;
-  opt.batch_hours = 1500.0;
-  opt.batches = 12;
-  const auto est = simulator.steady_state_probability(
-      [a](const pt::Marking& m) { return m[a] == 1; }, opt);
-  EXPECT_NEAR(est.mean, analytic, 3.0 * std::max(est.half_width_95, 1e-3));
-}
-
 TEST(Simulator, ImmediateBranchWeightsRespected) {
   // src -(timed)-> mid, mid resolves 1:3 into a/b; both return to src.
   pt::SrnModel net;
@@ -106,11 +58,11 @@ TEST(Simulator, ImmediateBranchWeightsRespected) {
   sm::SimulationOptions opt;
   opt.seed = 7;
   opt.warmup_hours = 50.0;
-  opt.batch_hours = 1000.0;
-  opt.batches = 10;
-  const auto pa_est = simulator.steady_state_probability(
+  opt.horizon_hours = 1000.0;
+  opt.replications = 10;
+  const auto pa_est = simulator.steady_state_probability_replicated(
       [a](const pt::Marking& m) { return m[a] == 1; }, opt);
-  const auto pb_est = simulator.steady_state_probability(
+  const auto pb_est = simulator.steady_state_probability_replicated(
       [b](const pt::Marking& m) { return m[b] == 1; }, opt);
   EXPECT_NEAR(pb_est.mean / pa_est.mean, 3.0, 0.35);
 }
@@ -129,26 +81,11 @@ TEST(Simulator, DeadMarkingHoldsRewardForever) {
   sm::SimulationOptions opt;
   opt.seed = 3;
   opt.warmup_hours = 10.0;
-  opt.batch_hours = 100.0;
-  opt.batches = 4;
-  const auto est = simulator.steady_state_probability(
+  opt.horizon_hours = 100.0;
+  opt.replications = 4;
+  const auto est = simulator.steady_state_probability_replicated(
       [q](const pt::Marking& m) { return m[q] == 1; }, opt);
   EXPECT_GT(est.mean, 0.999);
-}
-
-TEST(Simulator, OptionValidation) {
-  const pt::SrnModel net = up_down_net(1.0, 1.0);
-  sm::SrnSimulator simulator(net);
-  sm::SimulationOptions opt;
-  opt.batches = 1;
-  EXPECT_THROW((void)simulator.steady_state_reward([](const pt::Marking&) { return 1.0; }, opt),
-               std::invalid_argument);
-  opt.batches = 4;
-  opt.batch_hours = 0.0;
-  EXPECT_THROW((void)simulator.steady_state_reward([](const pt::Marking&) { return 1.0; }, opt),
-               std::invalid_argument);
-  EXPECT_THROW((void)simulator.steady_state_reward(nullptr, {}), std::invalid_argument);
-  EXPECT_THROW((void)simulator.steady_state_probability(nullptr, {}), std::invalid_argument);
 }
 
 // Every unusable knob throws std::invalid_argument from validate() with a
@@ -166,13 +103,6 @@ TEST(SimulationOptions, ValidateRejectsEachBadKnob) {
   EXPECT_NO_THROW(opt.validate());
 
   opt = {};
-  opt.batches = 1;
-  expect_throw(opt, "batches");
-  opt = {};
-  opt.batches = 0;
-  expect_throw(opt, "batches");
-
-  opt = {};
   opt.warmup_hours = 0.0;
   expect_throw(opt, "warmup_hours");
   opt = {};
@@ -181,13 +111,9 @@ TEST(SimulationOptions, ValidateRejectsEachBadKnob) {
   opt = {};
   opt.warmup_hours = std::nan("");
   expect_throw(opt, "warmup_hours");
-
   opt = {};
-  opt.batch_hours = 0.0;
-  expect_throw(opt, "batch_hours");
-  opt = {};
-  opt.batch_hours = -1.0;
-  expect_throw(opt, "batch_hours");
+  opt.warmup_hours = HUGE_VAL;
+  expect_throw(opt, "warmup_hours");
 
   opt = {};
   opt.replications = 0;
@@ -198,6 +124,9 @@ TEST(SimulationOptions, ValidateRejectsEachBadKnob) {
 
   opt = {};
   opt.horizon_hours = 0.0;
+  expect_throw(opt, "horizon_hours");
+  opt = {};
+  opt.horizon_hours = HUGE_VAL;
   expect_throw(opt, "horizon_hours");
 }
 
@@ -230,12 +159,10 @@ TEST(ReplicationEngine, UpDownAvailabilityWithinConfidenceInterval) {
   const double expected = mu / (lambda + mu);
   EXPECT_NEAR(est.mean, expected, 3.0 * std::max(est.half_width_95, 1e-3));
   EXPECT_GT(est.half_width_95, 0.0);
-  EXPECT_EQ(est.batches, 24u);
   EXPECT_EQ(est.diagnostics.replications, 24u);
   EXPECT_GT(est.diagnostics.events_fired, 0u);
   EXPECT_GE(est.diagnostics.wall_time_seconds, 0.0);
   EXPECT_EQ(est.diagnostics.threads_used, 1u);
-  EXPECT_DOUBLE_EQ(est.total_time, 24.0 * 2200.0);
 }
 
 // The determinism contract of the tentpole: for a fixed seed the replicated
@@ -299,47 +226,6 @@ TEST(ReplicationEngine, AgreesWithAnalyticSolverOnThreeStateNet) {
   EXPECT_FALSE(est.contains(est.mean + est.half_width_95 * 1.01));
   // Rescaling the CI to a wider z admits more.
   EXPECT_TRUE(est.contains(est.mean + est.half_width_95 * 1.01, 3.0));
-}
-
-TEST(Simulator, Deterministic) {
-  const pt::SrnModel net = up_down_net(0.2, 1.0);
-  sm::SrnSimulator simulator(net);
-  sm::SimulationOptions opt;
-  opt.seed = 42;
-  opt.warmup_hours = 10.0;
-  opt.batch_hours = 200.0;
-  opt.batches = 4;
-  const auto reward = [&net](const pt::Marking& m) { return m[net.place("up")] == 1; };
-  const auto e1 = simulator.steady_state_probability(reward, opt);
-  const auto e2 = simulator.steady_state_probability(reward, opt);
-  EXPECT_DOUBLE_EQ(e1.mean, e2.mean);
-  EXPECT_DOUBLE_EQ(e1.half_width_95, e2.half_width_95);
-}
-
-TEST(Simulator, TransientReplicationsMatchUniformization) {
-  // Up/down net from a known start: P(up at t) has a closed form, and the
-  // analytic uniformization path must agree with replications.
-  const double lambda = 0.8, mu = 1.6;
-  const pt::SrnModel net = up_down_net(lambda, mu);
-  sm::SrnSimulator simulator(net);
-  const auto up_place = net.place("up");
-  const auto reward = [up_place](const pt::Marking& m) { return m[up_place] == 1 ? 1.0 : 0.0; };
-  for (double t : {0.1, 0.5, 2.0}) {
-    const double closed =
-        mu / (lambda + mu) + lambda / (lambda + mu) * std::exp(-(lambda + mu) * t);
-    const auto est = simulator.transient_reward(reward, t, 4000, 7);
-    EXPECT_NEAR(est.mean, closed, 3.0 * std::max(est.half_width_95, 1e-3)) << "t=" << t;
-  }
-}
-
-TEST(Simulator, TransientValidation) {
-  const pt::SrnModel net = up_down_net(1.0, 1.0);
-  sm::SrnSimulator simulator(net);
-  EXPECT_THROW((void)simulator.transient_reward(nullptr, 1.0), std::invalid_argument);
-  EXPECT_THROW((void)simulator.transient_reward([](const pt::Marking&) { return 1.0; }, -1.0),
-               std::invalid_argument);
-  EXPECT_THROW((void)simulator.transient_reward([](const pt::Marking&) { return 1.0; }, 1.0, 1),
-               std::invalid_argument);
 }
 
 // ---------- finite-horizon transient curve estimator -------------------------
@@ -457,6 +343,12 @@ TEST(TransientCurve, Validation) {
                std::invalid_argument);
   EXPECT_THROW((void)simulator.transient_reward_curve(reward, {-1.0}, opt),
                std::invalid_argument);
+  // Non-finite points: {1, +inf} would never return and {1, NaN} would pass
+  // the ordered checks and report the t = 1 value for the NaN point.
+  for (const double bad : {HUGE_VAL, std::nan("")}) {
+    EXPECT_THROW((void)simulator.transient_reward_curve(reward, {1.0, bad}, opt),
+                 std::invalid_argument);
+  }
   opt.replications = 1;
   EXPECT_THROW((void)simulator.transient_reward_curve(reward, {1.0}, opt),
                std::invalid_argument);

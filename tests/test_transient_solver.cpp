@@ -53,7 +53,9 @@ TEST(TransientSolver, RequiresPrepare) {
   EXPECT_FALSE(solver.prepared());
   std::vector<double> out;
   EXPECT_THROW(solver.distribution_at({1.0, 0.0}, 1.0, out), std::logic_error);
-  EXPECT_THROW((void)solver.accumulated_reward({1.0, 0.0}, {1.0, 0.0}, 1.0), std::logic_error);
+  std::vector<double> values;
+  EXPECT_THROW((void)solver.reward_curve({1.0, 0.0}, {1.0, 0.0}, {1.0}, values),
+               std::logic_error);
   ct::Ctmc empty;
   EXPECT_THROW(solver.prepare(empty), std::invalid_argument);
 }
@@ -100,9 +102,10 @@ TEST(TransientSolver, AccumulatedRewardClosedForm) {
   c.add_transition(0, 1, l);
   ct::TransientSolver solver;
   solver.prepare(c);
+  std::vector<double> values;
   for (double t : {0.5, 2.0, 9.0}) {
     const double expected = (1.0 - std::exp(-l * t)) / l;
-    EXPECT_NEAR(solver.accumulated_reward({1.0, 0.0}, {1.0, 0.0}, t), expected, 1e-10)
+    EXPECT_NEAR(solver.reward_curve({1.0, 0.0}, {1.0, 0.0}, {t}, values), expected, 1e-10)
         << "t=" << t;
   }
   // The absorbing distribution itself.
@@ -120,18 +123,24 @@ TEST(TransientSolver, AccumulatedMatchesFineQuadratureOfInstantaneous) {
   std::vector<double> rewards(7);
   for (std::size_t s = 0; s < 7; ++s) rewards[s] = static_cast<double>(s) / 7.0;
   const double t = 3.0;
-  const double exact = solver.accumulated_reward(initial, rewards, t);
-  // Trapezoid over 4096 panels of the instantaneous reward.
+  // Trapezoid over 4096 panels of the instantaneous reward, every node
+  // evaluated from t = 0 by the oracle.
   const std::size_t panels = 4096;
+  const auto oracle_reward = [&](double s) {
+    double r = 0.0;
+    const std::vector<double> pi = naive_transient(c, initial, s);
+    for (std::size_t i = 0; i < 7; ++i) r += pi[i] * rewards[i];
+    return r;
+  };
   double quad = 0.0;
-  double prev = solver.reward_at(initial, rewards, 0.0);
+  double prev = oracle_reward(0.0);
   for (std::size_t k = 1; k <= panels; ++k) {
-    const double cur =
-        solver.reward_at(initial, rewards, t * static_cast<double>(k) / panels);
+    const double cur = oracle_reward(t * static_cast<double>(k) / panels);
     quad += 0.5 * (prev + cur) * (t / panels);
     prev = cur;
   }
-  EXPECT_NEAR(exact, quad, 1e-6);
+  std::vector<double> values;
+  EXPECT_NEAR(solver.reward_curve(initial, rewards, {t}, values), quad, 1e-6);
 }
 
 TEST(TransientSolver, CurveMatchesIndependentPointEvaluations) {
@@ -148,10 +157,17 @@ TEST(TransientSolver, CurveMatchesIndependentPointEvaluations) {
   std::vector<double> values;
   const double accumulated = solver.reward_curve(initial, rewards, grid, values);
   ASSERT_EQ(values.size(), grid.size());
+  const auto dot = [&rewards](const std::vector<double>& v) {
+    double r = 0.0;
+    for (std::size_t s = 0; s < v.size(); ++s) r += v[s] * rewards[s];
+    return r;
+  };
   for (std::size_t j = 0; j < grid.size(); ++j) {
-    EXPECT_NEAR(values[j], solver.reward_at(initial, rewards, grid[j]), 1e-9) << "j=" << j;
+    EXPECT_NEAR(values[j], dot(naive_transient(c, initial, grid[j])), 1e-9) << "j=" << j;
   }
-  EXPECT_NEAR(accumulated, solver.accumulated_reward(initial, rewards, grid.back()), 1e-9);
+  std::vector<double> occupancy;
+  (void)naive_transient(c, initial, grid.back(), 1e-12, &occupancy);
+  EXPECT_NEAR(accumulated, dot(occupancy), 1e-9);
 }
 
 TEST(TransientSolver, CurveValidation) {
@@ -182,8 +198,6 @@ TEST(TransientSolver, NonFiniteTimesAreRejected) {
   for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
     SCOPED_TRACE(bad);
     EXPECT_THROW(solver.distribution_at(initial, bad, out), std::invalid_argument);
-    EXPECT_THROW((void)solver.reward_at(initial, rewards, bad), std::invalid_argument);
-    EXPECT_THROW((void)solver.accumulated_reward(initial, rewards, bad), std::invalid_argument);
     EXPECT_THROW((void)solver.reward_curve(initial, rewards, {0.0, bad, 2.0}, out),
                  std::invalid_argument);
     EXPECT_THROW((void)solver.reward_curve(initial, rewards, {0.0, 1.0, bad}, out),
@@ -345,7 +359,8 @@ TEST(TransientSolver, ZeroHorizonAndFrozenChain) {
   std::vector<double> pi;
   solver.distribution_at({0.25, 0.75}, 0.0, pi);
   EXPECT_DOUBLE_EQ(pi[0], 0.25);
-  EXPECT_DOUBLE_EQ(solver.accumulated_reward({0.25, 0.75}, {1.0, 0.0}, 0.0), 0.0);
+  std::vector<double> values;
+  EXPECT_DOUBLE_EQ(solver.reward_curve({0.25, 0.75}, {1.0, 0.0}, {0.0}, values), 0.0);
 
   // A chain with no transitions at all: pi(t) = pi(0), accumulated is linear.
   ct::Ctmc frozen;
@@ -354,6 +369,6 @@ TEST(TransientSolver, ZeroHorizonAndFrozenChain) {
   frozen_solver.prepare(frozen);
   frozen_solver.distribution_at({0.2, 0.3, 0.5}, 100.0, pi);
   EXPECT_DOUBLE_EQ(pi[1], 0.3);
-  EXPECT_NEAR(frozen_solver.accumulated_reward({0.2, 0.3, 0.5}, {1.0, 0.0, 0.0}, 10.0), 2.0,
+  EXPECT_NEAR(frozen_solver.reward_curve({0.2, 0.3, 0.5}, {1.0, 0.0, 0.0}, {10.0}, values), 2.0,
               1e-12);
 }
