@@ -114,15 +114,16 @@ struct EngineOptions {
 
   /// Attack-path enumeration cap of the HARM security side.  The simple-path
   /// count grows ~k^4 with a uniform k-per-tier design (every replica
-  /// combination along each role sequence is its own path — the scaling wall
-  /// that used to cap Session benches at k = 10 with a hard throw), so the
-  /// Session default TRUNCATES at the cap: the first `max_paths` paths (DFS
-  /// order) feed the metrics and the overflow is counted in
-  /// SecurityMetrics::truncated_paths — observable in every EvalReport, never
-  /// silent.  Set truncate = false to restore the historical throw-at-cap
-  /// behaviour; raise/lower max_paths to trade exactness for memory.  (The
-  /// bare harm::Harm::evaluate() keeps the throwing default — only the
-  /// engine-routed evaluations opt into truncation.)
+  /// combination along each role sequence is its own path), but the HARM
+  /// folds walk replica-group sequences — one per role sequence, each
+  /// counting its instance paths exactly — and the cap bounds those, so
+  /// the paper's policy (2 role sequences) is exact at any k.  The Session
+  /// default TRUNCATES at the cap: the first `max_paths` group sequences
+  /// (DFS order) feed the metrics and the instance paths of the rest are
+  /// counted in SecurityMetrics::truncated_paths — observable in every
+  /// EvalReport, never silent.  Set truncate = false to throw at the cap
+  /// instead.  (The bare harm::Harm::evaluate() keeps the throwing default
+  /// — only the engine-routed evaluations opt into truncation.)
   harm::PathEnumerationOptions harm_paths{1'000'000, true};
 
   /// Static model verification (petri::verify): runs on every lower-layer

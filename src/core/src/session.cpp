@@ -309,10 +309,11 @@ const Session::SecurityMetricsPair& Session::security_for(
   const enterprise::NetworkModel network(design, scenario_.specs(), scenario_.policy());
   const harm::Harm before = network.build_harm();
   SecurityMetricsPair metrics;
-  // Path enumeration runs under the engine's cap policy (truncating by
-  // default, with the overflow counted in SecurityMetrics::truncated_paths)
-  // so a large-k design degrades observably instead of throwing at the
-  // historical hard wall.
+  // build_harm declares one replica group per role, so evaluate walks the
+  // role sequences (2 under the paper's policy) and counts each one's
+  // instance paths exactly at any k.  The engine's cap policy bounds those
+  // sequences; truncation, counted in SecurityMetrics::truncated_paths,
+  // takes a policy with more role sequences than the cap.
   metrics.before_patch = before.evaluate(scenario_.engine().harm_paths);
   metrics.after_patch = before.after_critical_patch().evaluate(scenario_.engine().harm_paths);
 

@@ -84,9 +84,11 @@ harm::Harm NetworkModel::build_harm() const {
   }
   for (harm::GraphNodeId n : instances[policy_.target_role]) graph.add_target(n);
 
+  // The instances of a role share its tree and its role-level reachability
+  // (the policy has no same-role edges), so each role is one replica group.
   harm::Harm model(std::move(graph));
   for (ServerRole role : kOrder) {
-    for (harm::GraphNodeId n : instances[role]) model.attach_tree(n, spec(role).attack_tree);
+    if (!instances[role].empty()) model.attach_replicas(instances[role], spec(role).attack_tree);
   }
   return model;
 }

@@ -18,28 +18,33 @@ using GraphNodeId = std::size_t;
 /// tier sizes: under the paper's 3-tier policy a uniform k-per-tier design
 /// has k_dns*k_web*k_app*k_db + k_web*k_app*k_db ~ k^4 + k^3 paths (every
 /// instance combination along each role sequence is its own simple path), so
-/// a k = 50 fleet already exceeds six million paths.  The cap bounds the
-/// paths a walk *delivers*; `truncate` picks what happens beyond it.
+/// a k = 50 fleet has 6,375,000 of them.  The cap bounds the sequences a
+/// walk *visits*; `truncate` picks what happens beyond it.
 ///
-/// Only the collectors (`enumerate_attack_paths`, `Harm::attack_paths`)
-/// materialize delivered paths.  The metrics (`Harm::evaluate`) and the path
-/// classes (`aggregate_path_classes`) fold each path into their totals while
-/// one iterative DFS walks it, in O(depth) memory whatever the path count.
+/// The collectors (`enumerate_attack_paths`, `Harm::attack_paths`) walk the
+/// instance graph, so there a sequence is one simple path and the cap bounds
+/// the paths they materialize.  The folds (`Harm::evaluate`,
+/// `aggregate_path_classes`) walk the replica-group quotient (see `Harm`),
+/// where a sequence is one group sequence standing for all of its instance
+/// paths, and fold it into their totals in O(depth) memory; there the cap
+/// bounds group sequences (2 for any uniform 3-tier design) while the
+/// counts and `PathEnumerationStats` stay in instance paths.
 struct PathEnumerationOptions {
-  /// Delivered-path bound.  With `truncate == false` exceeding it throws
+  /// Visited-sequence bound.  With `truncate == false` exceeding it throws
   /// std::runtime_error (the historical behaviour); with `truncate == true`
-  /// only the first `max_paths` paths in DFS order are delivered and the
-  /// remainder is *counted* instead — time still grows with the total path
-  /// count, but collector memory and fold work are capped and the
-  /// truncation is observable, never silent.
+  /// only the first `max_paths` sequences in DFS order are delivered and
+  /// the instance paths of the remainder are *counted* instead — time still
+  /// grows with the sequence count, but collector memory and fold work are
+  /// capped and the truncation is observable, never silent.
   std::size_t max_paths = 1'000'000;
   bool truncate = false;
 };
 
-/// Diagnostics of one enumeration: how many simple paths exist and how many
-/// were dropped by the cap (delivered = enumerated - truncated).
+/// Diagnostics of one enumeration, in instance paths: how many simple paths
+/// exist and how many were dropped by the cap (delivered = enumerated -
+/// truncated).
 struct PathEnumerationStats {
-  std::size_t enumerated = 0;  ///< total simple paths found by the DFS.
+  std::size_t enumerated = 0;  ///< total simple paths found by the walk.
   std::size_t truncated = 0;   ///< paths counted but not delivered.
 };
 

@@ -19,11 +19,15 @@
 /// attacker allocate effort over classes while the defender moves through a
 /// design grid.
 ///
-/// Cost: one walk of the attack-path DFS that folds each path into its class
-/// as it is reached.  Per graph node the label, the AT impact and the AT
-/// probability are computed once; per path the fold is O(1) — a class is
-/// keyed by a label-prefix trie node carried on the DFS stack, not by a
-/// per-path string vector.  No instance path is materialized.
+/// Cost: one walk of the replica-group quotient (see `Harm`), refined by
+/// label so that every walked node has one label, which folds each group
+/// sequence into its class as it is reached, weighted by its instance-path
+/// multiplicity.  Per graph node the label is computed once; per replica
+/// group the AT impact and probability are computed once; per group
+/// sequence the fold is O(1) — a class is keyed by a label-prefix trie node
+/// carried on the DFS stack, not by a per-path string vector.  No instance
+/// path is walked or materialized: a uniform 3-tier design walks 2 group
+/// sequences at any k.
 
 #include <functional>
 #include <string>
@@ -40,7 +44,8 @@ struct PathClass {
   std::size_t instance_paths = 0;      ///< member instance paths.
   double max_impact = 0.0;             ///< worst-case member impact (AIM of the class).
   /// P(at least one member path succeeds), members independent:
-  /// 1 - prod_members (1 - p_member).
+  /// 1 - prod_members (1 - p_member), evaluated as
+  /// -expm1(sum_members log1p(-p_member)).
   double success_probability = 0.0;
   double total_risk = 0.0;  ///< sum over members of impact * probability.
 

@@ -57,8 +57,10 @@ std::vector<std::vector<GraphNodeId>> AttackGraph::enumerate_attack_paths(
     PathEnumerationStats* stats) const {
   std::vector<std::vector<GraphNodeId>> paths;
   const PathEnumerationStats totals = detail::walk_attack_paths(
-      *this, attackable, options, [](GraphNodeId, std::size_t) {},
-      [&paths](std::span<const GraphNodeId> path) { paths.emplace_back(path.begin(), path.end()); });
+      detail::instance_walk_graph(*this, attackable), options, [](GraphNodeId, std::size_t) {},
+      [&paths](std::span<const GraphNodeId> path, std::size_t /*multiplicity is 1*/) {
+        paths.emplace_back(path.begin(), path.end());
+      });
   if (stats != nullptr) *stats = totals;
   return paths;
 }

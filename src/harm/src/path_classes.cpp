@@ -1,6 +1,7 @@
 #include "patchsec/harm/path_classes.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <span>
 #include <stdexcept>
 #include <unordered_map>
@@ -58,45 +59,47 @@ std::vector<PathClass> aggregate_path_classes(
   // A class is a node of the label-prefix trie (node 0 is the empty
   // signature); trie[t] is the edge that created node t and classes[t]
   // accumulates the paths whose labels spell it.  prefix_class[d] is the
-  // trie node of the walk's current d-node prefix, and last_edge[d] /
-  // last_child[d] memoize the depth's most recent trie step, which sibling
-  // replicas (same parent prefix, same label) all repeat.
+  // trie node of the walk's current d-node prefix.  The walk runs over the
+  // replica-group quotient refined by label, so every walk node has one
+  // label: its representative's.
+  const detail::WalkGraph walk = detail::quotient_walk_graph(model, &node_label);
   std::vector<TrieEdge> trie(1);
   std::vector<PathClass> classes(1);
+  std::vector<double> log_miss(1, 0.0);  // per class: sum of m * log1p(-p)
   std::unordered_map<TrieEdge, std::size_t, TrieEdgeHash> children;
   std::vector<std::size_t> prefix_class(nodes + 1, 0);
-  std::vector<TrieEdge> last_edge(nodes + 1);
-  std::vector<std::size_t> last_child(nodes + 1, 0);
 
-  detail::PathPrefixes prefix(model);
+  detail::PathPrefixes prefix(model, walk);
   const PathEnumerationStats totals = detail::walk_attack_paths(
-      model.graph(), prefix.attackable(), options,
-      [&](GraphNodeId n, std::size_t depth) {
-        prefix.enter(n, depth);
-        const TrieEdge edge{prefix_class[depth - 1], node_label[n]};
-        if (last_edge[depth] != edge) {
-          const auto [it, inserted] = children.try_emplace(edge, trie.size());
-          if (inserted) {
-            trie.push_back(edge);
-            classes.emplace_back();
-          }
-          last_edge[depth] = edge;
-          last_child[depth] = it->second;
+      walk, options,
+      [&](GraphNodeId v, std::size_t depth) {
+        prefix.enter(v, depth);
+        const TrieEdge edge{prefix_class[depth - 1], node_label[walk.representative[v]]};
+        const auto [it, inserted] = children.try_emplace(edge, trie.size());
+        if (inserted) {
+          trie.push_back(edge);
+          classes.emplace_back();
+          log_miss.push_back(0.0);
         }
-        prefix_class[depth] = last_child[depth];
+        prefix_class[depth] = it->second;
       },
-      [&](std::span<const GraphNodeId> path) {
+      [&](std::span<const GraphNodeId> path, std::size_t multiplicity) {
         const double impact = prefix.impact(path.size());
         const double probability = prefix.probability(path.size());
-        PathClass& cls = classes[prefix_class[path.size()]];
-        ++cls.instance_paths;
+        const std::size_t c = prefix_class[path.size()];
+        PathClass& cls = classes[c];
+        const auto m = static_cast<double>(multiplicity);
+        // Cannot overflow: the walk checked the instance total it belongs to.
+        cls.instance_paths += multiplicity;
         cls.max_impact = std::max(cls.max_impact, impact);
-        // Accumulate the miss product as 1 - success so far (members are
-        // independent alternatives of one attack strategy).
-        cls.success_probability = 1.0 - (1.0 - cls.success_probability) * (1.0 - probability);
-        cls.total_risk += impact * probability;
+        // Members are independent alternatives of one attack strategy.
+        log_miss[c] += m * std::log1p(-probability);
+        cls.total_risk += m * (impact * probability);
       });
   if (stats != nullptr) *stats = totals;
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    classes[c].success_probability = -std::expm1(log_miss[c]);
+  }
 
   std::vector<PathClass> out;
   for (std::size_t t = 0; t < trie.size(); ++t) {

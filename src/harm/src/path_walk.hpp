@@ -1,12 +1,20 @@
 #pragma once
-// The one attack-path DFS of the harm library, and the per-depth impact /
-// probability prefixes HARM folds carry along it.  Every path quantity is a
-// visitor over `walk_attack_paths`: the collectors
-// (AttackGraph::enumerate_attack_paths, Harm::attack_paths) copy each path
-// out, the folds (Harm::evaluate, aggregate_path_classes) accumulate it in
-// place without materializing any path list.  Internal to the harm library.
+// The one attack-path DFS of the harm library, the two graphs it walks, and
+// the per-depth impact / probability prefixes HARM folds carry along it.
+//
+// The walk runs over a WalkGraph: nodes with successor lists and a visit
+// capacity per path.  The instance graph gives every attackable server
+// capacity 1, so a walked sequence is one simple path; the collectors
+// (AttackGraph::enumerate_attack_paths, Harm::attack_paths) walk it and copy
+// each path out.  The replica-group quotient makes each replica group one
+// node whose capacity is its member count, so a walked sequence stands for a
+// falling-factorial number of instance paths; the folds (Harm::evaluate,
+// aggregate_path_classes) walk it and accumulate each sequence in place,
+// weighted by that multiplicity, without materializing any path list.
+// Internal to the harm library.
 
 #include <cstddef>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -16,53 +24,91 @@
 
 namespace patchsec::harm::detail {
 
-/// Walks every simple attacker -> target path through `attackable` nodes
-/// (the attacker itself is exempt from the mask) in DFS order: successors in
-/// insertion order, and a path ends at the first target it reaches.  The
-/// walk is iterative, so path length is bounded by memory, not by the call
-/// stack.
+/// A graph for walk_attack_paths.  Walk node v's successors are
+/// successor[first[v] .. first[v + 1]); a path may enter v at most
+/// capacity[v] times (0: never, e.g. an unattackable server); `target`
+/// marks path endpoints; `representative[v]` is one graph node v stands
+/// for.  The start node is walked once and never re-entered.
+struct WalkGraph {
+  GraphNodeId start = 0;
+  std::vector<std::size_t> first;
+  std::vector<GraphNodeId> successor;
+  std::vector<std::size_t> capacity;
+  std::vector<bool> target;
+  std::vector<GraphNodeId> representative;
+};
+
+/// The instance graph: walk node n is graph node n, with capacity 1 where
+/// `attackable` holds (the attacker is exempt from the mask).  Throws
+/// std::invalid_argument on a mask of the wrong size and std::logic_error
+/// without an attacker or a target.
+[[nodiscard]] WalkGraph instance_walk_graph(const AttackGraph& graph,
+                                            const std::vector<bool>& attackable);
+
+/// The replica-group quotient of `model`: one walk node per replica group
+/// with a feasible tree, its capacity the member count, plus the attacker
+/// (capacity 1).  A group's successors are its first member's, mapped to
+/// their walk nodes in first-occurrence order, so on a graph of singleton
+/// groups the walk order is the instance graph's.  With `refine` (one key
+/// per graph node) members with different keys become different walk
+/// nodes; a part of a replica group is still one, so the quotient stays
+/// exact.
+[[nodiscard]] WalkGraph quotient_walk_graph(const Harm& model,
+                                            const std::vector<std::size_t>* refine);
+
+/// a * b, or 0 when it does not fit size_t (a multiplicity is never 0).
+[[nodiscard]] inline std::size_t multiply_or_zero(std::size_t a, std::size_t b) {
+  if (a == 0 || b > std::numeric_limits<std::size_t>::max() / a) return 0;
+  return a * b;
+}
+
+/// Walks every attacker -> target sequence of `graph` in DFS order:
+/// successors in list order, at most capacity[v] visits to v on one
+/// sequence, and a sequence ends at the first target it reaches.  The walk
+/// is iterative, so path length is bounded by memory, not by the call stack.
 ///
 /// `enter(node, depth)` runs when `node` becomes the `depth`-th (1-based)
-/// compromised node of the current prefix; depth 0 is the attacker's empty
-/// prefix, so a visitor can keep one prefix value per depth.  `reach(path)`
-/// runs for every path within `options.max_paths`, with `path` a view of
-/// the walk's own stack that is valid for that call only.  An attacker that
-/// is itself a target yields the single empty path.  Past the cap a path
-/// throws std::runtime_error, or with `options.truncate` is counted into
-/// `truncated`; neither callback runs once the cap is reached.
+/// node of the current prefix; depth 0 is the attacker's empty prefix, so a
+/// visitor can keep one prefix value per depth.  `reach(path, multiplicity)`
+/// runs for every sequence within `options.max_paths`, with `path` a view of
+/// the walk's own stack that is valid for that call only.  `multiplicity`
+/// is the number of instance paths the sequence stands for: entering node
+/// v for the i-th time on it multiplies it by capacity[v] - i + 1, so it is
+/// 1 on the instance graph.  An attacker that is itself a target yields the
+/// single empty path.  Past the cap a sequence throws std::runtime_error,
+/// or with `options.truncate` its multiplicity is counted into `truncated`;
+/// neither callback runs once the cap is reached.  `enumerated` counts
+/// instance paths.  Throws std::overflow_error when a multiplicity or the
+/// instance path total does not fit size_t.
 template <class Enter, class Reach>
-PathEnumerationStats walk_attack_paths(const AttackGraph& graph,
-                                       const std::vector<bool>& attackable,
+PathEnumerationStats walk_attack_paths(const WalkGraph& graph,
                                        const PathEnumerationOptions& options, Enter&& enter,
                                        Reach&& reach) {
-  if (attackable.size() != graph.node_count()) {
-    throw std::invalid_argument("enumerate_attack_paths: attackable mask size mismatch");
-  }
-  const GraphNodeId start = graph.attacker();
-  if (graph.targets().empty()) throw std::logic_error("no target set");
-  std::vector<bool> is_target(graph.node_count(), false);
-  for (GraphNodeId t : graph.targets()) is_target[t] = true;
-
   PathEnumerationStats stats;
-  const auto under_cap = [&] { return stats.enumerated - stats.truncated < options.max_paths; };
-  std::vector<GraphNodeId> path;  // compromised nodes of the current prefix
+  std::size_t delivered = 0;                 // sequences handed to `reach`
+  std::vector<GraphNodeId> path;             // walk nodes of the current prefix
+  std::vector<std::size_t> multiplicity{1};  // per depth; 0 once it overflowed
   const auto arrive = [&] {
-    if (!under_cap()) {
+    const std::size_t m = multiplicity.back();
+    if (m == 0 || stats.enumerated > std::numeric_limits<std::size_t>::max() - m) {
+      throw std::overflow_error("attack path count does not fit size_t");
+    }
+    stats.enumerated += m;
+    if (delivered >= options.max_paths) {
       if (!options.truncate) {
         throw std::runtime_error("attack path enumeration exceeded max_paths");
       }
       // Beyond the cap the walk goes on (exact totals for the diagnostics)
-      // but no visitor sees the path: time still grows with the path count,
-      // memory and fold work do not.
-      ++stats.enumerated;
-      ++stats.truncated;
+      // but no visitor sees the sequence: time still grows with the
+      // sequence count, memory and fold work do not.
+      stats.truncated += m;
       return;
     }
-    ++stats.enumerated;
-    reach(std::span<const GraphNodeId>(path));
+    ++delivered;
+    reach(std::span<const GraphNodeId>(path), m);
   };
 
-  if (is_target[start]) {
+  if (graph.target[graph.start]) {
     arrive();
     return stats;
   }
@@ -72,57 +118,58 @@ PathEnumerationStats walk_attack_paths(const AttackGraph& graph,
     GraphNodeId node;
     std::size_t next;
   };
-  std::vector<Frame> stack{{start, 0}};
-  std::vector<bool> on_path(graph.node_count(), false);
-  on_path[start] = true;
+  std::vector<Frame> stack{{graph.start, graph.first[graph.start]}};
+  std::vector<std::size_t> visits(graph.capacity.size(), 0);
+  visits[graph.start] = graph.capacity[graph.start];
   while (!stack.empty()) {
     Frame& top = stack.back();
-    const std::vector<GraphNodeId>& successors = graph.successors(top.node);
-    if (top.next == successors.size()) {
-      on_path[top.node] = false;
+    if (top.next == graph.first[top.node + 1]) {
+      --visits[top.node];
       stack.pop_back();
-      if (!stack.empty()) path.pop_back();
+      if (!stack.empty()) {
+        path.pop_back();
+        multiplicity.pop_back();
+      }
       continue;
     }
-    const GraphNodeId next = successors[top.next++];
-    if (on_path[next] || !attackable[next]) continue;
+    const GraphNodeId next = graph.successor[top.next++];
+    if (visits[next] >= graph.capacity[next]) continue;
     path.push_back(next);
-    if (under_cap()) enter(next, path.size());
-    if (is_target[next]) {
+    multiplicity.push_back(
+        multiply_or_zero(multiplicity.back(), graph.capacity[next] - visits[next]));
+    if (delivered < options.max_paths) enter(next, path.size());
+    if (graph.target[next]) {
       // Targets are endpoints: the paper's paths stop at the first database
       // server reached; do not extend past a target.
       arrive();
       path.pop_back();
+      multiplicity.pop_back();
       continue;
     }
-    on_path[next] = true;
-    stack.push_back({next, 0});
+    ++visits[next];
+    stack.push_back({next, graph.first[next]});
   }
   return stats;
 }
 
-/// Per-node AT root values, each evaluated once, and the walk's current
+/// Per-walk-node AT root values, each evaluated once, and the walk's current
 /// path-impact sum and path-probability product, one slot per depth.  The
 /// prefixes are the per-path definitions' own left folds (0.0 + i1 + i2 ...,
 /// 1.0 * p1 * p2 ...), so a path's values are bit-identical to folding its
 /// nodes in order.
 class PathPrefixes {
  public:
-  explicit PathPrefixes(const Harm& model)
-      : attackable_(model.graph().node_count(), false),
-        node_impact_(model.graph().node_count(), 0.0),
-        node_probability_(model.graph().node_count(), 0.0),
+  PathPrefixes(const Harm& model, const WalkGraph& walk)
+      : node_impact_(walk.capacity.size(), 0.0),
+        node_probability_(walk.capacity.size(), 0.0),
         impact_(model.graph().node_count() + 1, 0.0),
         probability_(model.graph().node_count() + 1, 1.0) {
-    for (GraphNodeId n = 0; n < attackable_.size(); ++n) {
-      if (!model.attackable(n)) continue;
-      attackable_[n] = true;
-      node_impact_[n] = model.node_impact(n);
-      node_probability_[n] = model.node_probability(n);
+    for (GraphNodeId v = 0; v < walk.capacity.size(); ++v) {
+      if (v == walk.start || walk.capacity[v] == 0) continue;
+      node_impact_[v] = model.node_impact(walk.representative[v]);
+      node_probability_[v] = model.node_probability(walk.representative[v]);
     }
   }
-
-  [[nodiscard]] const std::vector<bool>& attackable() const noexcept { return attackable_; }
 
   void enter(GraphNodeId node, std::size_t depth) {
     impact_[depth] = impact_[depth - 1] + node_impact_[node];
@@ -134,7 +181,6 @@ class PathPrefixes {
   [[nodiscard]] double probability(std::size_t depth) const { return probability_[depth]; }
 
  private:
-  std::vector<bool> attackable_;
   std::vector<double> node_impact_;
   std::vector<double> node_probability_;
   std::vector<double> impact_;       // impact_[0] = 0.0: the empty prefix

@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <cmath>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -206,19 +208,24 @@ TEST_F(ExampleNetworkHarm, PatchImprovesEveryMetric) {
 
 TEST(Harm, TruncatedEvaluationIsObservableLowerBound) {
   // Example network (1 DNS + 2 WEB + 2 APP + 1 DB): 2*2 + 2*2 = 8 paths.
+  // The cap counts replica-group sequences: dns-web-app-db, then web-app-db,
+  // each standing for 4 instance paths.
   const hm::Harm model = ent::example_network().build_harm();
   const hm::SecurityMetrics exact = model.evaluate();
   ASSERT_EQ(exact.attack_paths, 8u);
   EXPECT_EQ(exact.truncated_paths, 0u);
 
-  const hm::SecurityMetrics capped = model.evaluate(hm::PathEnumerationOptions{3, true});
-  EXPECT_EQ(capped.attack_paths, 3u);
-  EXPECT_EQ(capped.truncated_paths, 5u);  // exact total stays observable: 3 + 5 = 8.
+  const hm::SecurityMetrics capped = model.evaluate(hm::PathEnumerationOptions{1, true});
+  EXPECT_EQ(capped.attack_paths, 4u);
+  EXPECT_EQ(capped.truncated_paths, 4u);  // exact total stays observable: 4 + 4 = 8.
   // AIM/ASP never decrease with more paths: the capped values are lower bounds.
   EXPECT_LE(capped.attack_impact, exact.attack_impact);
   EXPECT_LE(capped.attack_success_probability, exact.attack_success_probability);
   // NoEV counts vulnerabilities on servers, not paths — unaffected by the cap.
   EXPECT_EQ(capped.exploitable_vulnerabilities, exact.exploitable_vulnerabilities);
+  // Without truncation the cap throws; at the sequence count it is exact.
+  EXPECT_THROW((void)model.evaluate(hm::PathEnumerationOptions{1, false}), std::runtime_error);
+  EXPECT_EQ(model.evaluate(hm::PathEnumerationOptions{2, false}).attack_paths, 8u);
 }
 
 TEST(Harm, PathClassesGroupByRoleSignature) {
@@ -261,4 +268,186 @@ TEST(Harm, PathClassesGroupByRoleSignature) {
               0.25 * classes[0].success_probability + 0.75 * classes[1].success_probability,
               1e-15);
   EXPECT_THROW((void)hm::weighted_exposure(classes, {1.0}), std::invalid_argument);
+}
+
+// ---------- replica groups: refusals ----------------------------------------
+
+namespace {
+
+/// attacker -> a1, a2, a3 -> t: three structurally equivalent servers.
+struct Diamond {
+  hm::GraphNodeId attacker, a1, a2, a3, t;
+  hm::AttackGraph graph;
+};
+
+Diamond diamond() {
+  Diamond d;
+  d.attacker = d.graph.add_node("attacker");
+  d.a1 = d.graph.add_node("a1");
+  d.a2 = d.graph.add_node("a2");
+  d.a3 = d.graph.add_node("a3");
+  d.t = d.graph.add_node("t");
+  d.graph.set_attacker(d.attacker);
+  d.graph.add_target(d.t);
+  for (hm::GraphNodeId a : {d.a1, d.a2, d.a3}) {
+    d.graph.add_edge(d.attacker, a);
+    d.graph.add_edge(a, d.t);
+  }
+  return d;
+}
+
+hm::AttackTree leaf_tree() { return hm::make_or_tree({vuln("v", "AV:N/AC:M/Au:N/C:P/I:N/A:N")}); }
+
+/// A chain attacker -> G1 -> ... -> G`groups` of `size`-member replica
+/// groups, the last group the targets; then `tails` singleton targets
+/// reached from the last group when `tails` > 0.
+hm::Harm chain_of_groups(std::size_t groups, std::size_t size, std::size_t tails) {
+  // Appending, not "g" + std::to_string(n): GCC 12 misreports that as
+  // -Wrestrict at -O3.
+  const auto name = [](char prefix, std::size_t n) {
+    std::string out(1, prefix);
+    out += std::to_string(n);
+    return out;
+  };
+  hm::AttackGraph g;
+  g.set_attacker(g.add_node("attacker"));
+  std::vector<std::vector<hm::GraphNodeId>> members(groups);
+  std::vector<hm::GraphNodeId> previous{g.attacker()};
+  for (std::size_t i = 0; i < groups; ++i) {
+    for (std::size_t j = 0; j < size; ++j) {
+      members[i].push_back(g.add_node(name('g', i * size + j)));
+    }
+    for (hm::GraphNodeId from : previous) {
+      for (hm::GraphNodeId to : members[i]) g.add_edge(from, to);
+    }
+    previous = members[i];
+  }
+  std::vector<hm::GraphNodeId> tail_nodes;
+  for (std::size_t i = 0; i < tails; ++i) {
+    tail_nodes.push_back(g.add_node(name('t', i)));
+    for (hm::GraphNodeId from : previous) g.add_edge(from, tail_nodes.back());
+  }
+  for (hm::GraphNodeId t : tails > 0 ? tail_nodes : previous) g.add_target(t);
+  hm::Harm model(std::move(g));
+  for (const std::vector<hm::GraphNodeId>& group : members) model.attach_replicas(group, leaf_tree());
+  for (hm::GraphNodeId t : tail_nodes) model.attach_tree(t, leaf_tree());
+  return model;
+}
+
+}  // namespace
+
+TEST(HarmReplicaGroups, EquivalentMembersShareOneTree) {
+  Diamond d = diamond();
+  hm::Harm model(std::move(d.graph));
+  model.attach_replicas(std::vector<hm::GraphNodeId>{d.a3, d.a1, d.a2}, leaf_tree());
+  model.attach_tree(d.t, leaf_tree());
+  EXPECT_EQ(model.replicas(d.a2).size(), 3u);
+  EXPECT_EQ(model.replicas(d.t).size(), 1u);
+  EXPECT_TRUE(model.replicas(d.attacker).empty());
+  EXPECT_TRUE(model.attackable(d.a1));
+  EXPECT_EQ(&model.tree(d.a1), &model.tree(d.a3));
+  const hm::SecurityMetrics m = model.evaluate();
+  EXPECT_EQ(m.attack_paths, 3u);
+  EXPECT_EQ(m.entry_points, 3u);
+  EXPECT_EQ(m.exploitable_vulnerabilities, 4u);
+  // Re-declaring the same member set replaces the shared tree.
+  model.attach_replicas(std::vector<hm::GraphNodeId>{d.a1, d.a2, d.a3}, hm::AttackTree{});
+  EXPECT_FALSE(model.attackable(d.a2));
+  EXPECT_EQ(model.evaluate().attack_paths, 0u);
+}
+
+TEST(HarmReplicaGroups, RefusesMembersWithDifferentSuccessors) {
+  Diamond d = diamond();
+  const hm::GraphNodeId extra = d.graph.add_node("extra");
+  d.graph.add_target(extra);
+  d.graph.add_edge(d.a2, extra);
+  hm::Harm model(std::move(d.graph));
+  EXPECT_THROW(model.attach_replicas(std::vector<hm::GraphNodeId>{d.a1, d.a2}, leaf_tree()),
+               std::invalid_argument);
+}
+
+TEST(HarmReplicaGroups, RefusesMembersWithDifferentPredecessors) {
+  Diamond d = diamond();
+  d.graph.add_edge(d.a3, d.a2);  // a2 has a predecessor a1 lacks
+  hm::Harm model(std::move(d.graph));
+  EXPECT_THROW(model.attach_replicas(std::vector<hm::GraphNodeId>{d.a1, d.a2}, leaf_tree()),
+               std::invalid_argument);
+}
+
+TEST(HarmReplicaGroups, RefusesMixedTargetFlags) {
+  Diamond d = diamond();
+  d.graph.add_target(d.a1);
+  hm::Harm model(std::move(d.graph));
+  EXPECT_THROW(model.attach_replicas(std::vector<hm::GraphNodeId>{d.a1, d.a2}, leaf_tree()),
+               std::invalid_argument);
+}
+
+TEST(HarmReplicaGroups, RefusesTheAttacker) {
+  Diamond d = diamond();
+  hm::Harm model(std::move(d.graph));
+  EXPECT_THROW(model.attach_replicas(std::vector<hm::GraphNodeId>{d.attacker, d.a1}, leaf_tree()),
+               std::invalid_argument);
+}
+
+TEST(HarmReplicaGroups, RefusesAnEdgeInsideTheGroup) {
+  Diamond d = diamond();
+  d.graph.add_edge(d.a1, d.a2);
+  d.graph.add_edge(d.a2, d.a1);
+  hm::Harm model(std::move(d.graph));
+  EXPECT_THROW(model.attach_replicas(std::vector<hm::GraphNodeId>{d.a1, d.a2}, leaf_tree()),
+               std::invalid_argument);
+}
+
+TEST(HarmReplicaGroups, RefusesANodeInTwoGroups) {
+  Diamond d = diamond();
+  hm::Harm model(std::move(d.graph));
+  model.attach_replicas(std::vector<hm::GraphNodeId>{d.a1, d.a2}, leaf_tree());
+  EXPECT_THROW(model.attach_replicas(std::vector<hm::GraphNodeId>{d.a2, d.a3}, leaf_tree()),
+               std::invalid_argument);
+  EXPECT_EQ(model.replicas(d.a3).size(), 0u);  // the refused declaration left no trace
+}
+
+TEST(HarmReplicaGroups, RefusesAttachTreeOnOneMemberOfALargerGroup) {
+  Diamond d = diamond();
+  hm::Harm model(std::move(d.graph));
+  model.attach_replicas(std::vector<hm::GraphNodeId>{d.a1, d.a2}, leaf_tree());
+  EXPECT_THROW(model.attach_tree(d.a1, hm::AttackTree{}), std::invalid_argument);
+  EXPECT_TRUE(model.attackable(d.a1));
+}
+
+TEST(HarmReplicaGroups, RefusesEmptyDuplicateAndUnknownMembers) {
+  Diamond d = diamond();
+  hm::Harm model(std::move(d.graph));
+  EXPECT_THROW(model.attach_replicas(std::vector<hm::GraphNodeId>{}, leaf_tree()),
+               std::invalid_argument);
+  EXPECT_THROW(model.attach_replicas(std::vector<hm::GraphNodeId>{d.a1, d.a1}, leaf_tree()),
+               std::invalid_argument);
+  EXPECT_THROW(model.attach_replicas(std::vector<hm::GraphNodeId>{d.a1, 99}, leaf_tree()),
+               std::out_of_range);
+}
+
+TEST(HarmReplicaGroups, RefusesAPathMultiplicityPastSizeT) {
+  // 16 groups of 16 in a chain: one role path standing for 16^16 = 2^64
+  // instance paths, one more than size_t holds.
+  const auto start = std::chrono::steady_clock::now();
+  const hm::Harm model = chain_of_groups(16, 16, 0);
+  EXPECT_THROW((void)model.evaluate(), std::overflow_error);
+  const auto label = [](hm::GraphNodeId) { return std::string("x"); };
+  EXPECT_THROW((void)hm::aggregate_path_classes(model, label), std::overflow_error);
+  EXPECT_THROW((void)model.evaluate(hm::PathEnumerationOptions{0, true}), std::overflow_error);
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count(), 1.0);
+  // One group fewer fits: 16^15 = 2^60.
+  EXPECT_EQ(chain_of_groups(15, 16, 0).evaluate().attack_paths, std::size_t{1} << 60);
+}
+
+TEST(HarmReplicaGroups, RefusesAPathTotalPastSizeT) {
+  // 15 groups of 16, then 16 singleton targets: 16 role paths of 2^60
+  // instance paths each, 2^64 in total; every multiplicity fits.
+  const auto start = std::chrono::steady_clock::now();
+  const hm::Harm model = chain_of_groups(15, 16, 16);
+  EXPECT_THROW((void)model.evaluate(), std::overflow_error);
+  EXPECT_THROW((void)model.evaluate(hm::PathEnumerationOptions{1, true}), std::overflow_error);
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count(), 1.0);
+  // 15 targets fit: 15 * 2^60.
+  EXPECT_EQ(chain_of_groups(15, 16, 15).evaluate().attack_paths, std::size_t{15} << 60);
 }
