@@ -6,6 +6,7 @@
 
 #include <cstdio>
 
+#include "patchsec/avail/lumped_coa.hpp"
 #include "patchsec/avail/network_srn.hpp"
 #include "patchsec/enterprise/network.hpp"
 #include "patchsec/petri/reachability.hpp"
@@ -48,7 +49,8 @@ void print_table6() {
   std::printf("  dns=0 web=1 app=1 db=1 -> reward %.5f  (paper: else 0)\n", reward(m));
 
   const double coa = av::capacity_oriented_availability(ent::example_network_design(), rates);
-  const double closed = av::coa_closed_form(ent::example_network_design(), rates);
+  const double closed =
+      av::capacity_oriented_availability_lumped_detailed(ent::example_network_design(), rates).coa;
   std::printf("\nCOA(example network) = %.5f  closed form = %.5f  (paper ~ 0.99707)\n\n", coa,
               closed);
 }
@@ -74,7 +76,8 @@ BENCHMARK(BM_CoaFromCachedRates);
 void BM_CoaClosedForm(benchmark::State& state) {
   const auto rates = aggregate_all();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(av::coa_closed_form(ent::example_network_design(), rates));
+    benchmark::DoNotOptimize(
+        av::capacity_oriented_availability_lumped_detailed(ent::example_network_design(), rates));
   }
 }
 BENCHMARK(BM_CoaClosedForm);

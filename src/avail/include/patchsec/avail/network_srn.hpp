@@ -37,8 +37,16 @@ struct NetworkSrn {
   [[nodiscard]] petri::RewardFunction coa_reward() const;
 };
 
+/// The aggregated rates of a deployed role: the one rate check shared by the
+/// flat net and the closed form (avail/lumped_coa.hpp), run before either
+/// builds or evaluates anything.  Throws std::invalid_argument when `rates`
+/// has no entry for `role`, or when lambda_eq or mu_eq is not a finite
+/// positive number or their sum overflows.
+[[nodiscard]] const AggregatedRates& tier_rates(
+    const std::map<enterprise::ServerRole, AggregatedRates>& rates, enterprise::ServerRole role);
+
 /// Build the Fig. 4 upper-layer SRN for a design from per-role aggregated
-/// rates.
+/// rates (checked by tier_rates).
 [[nodiscard]] NetworkSrn build_network_srn(
     const enterprise::RedundancyDesign& design,
     const std::map<enterprise::ServerRole, AggregatedRates>& rates);
@@ -74,11 +82,6 @@ struct CoaEvaluation {
     const enterprise::RedundancyDesign& design,
     const std::map<enterprise::ServerRole, AggregatedRates>& rates,
     const petri::AnalyzerOptions& engine, linalg::StationarySolver* workspace = nullptr);
-
-/// Closed-form cross-check using independent birth-death chains per tier
-/// (valid because tiers are independent in the upper model).
-[[nodiscard]] double coa_closed_form(const enterprise::RedundancyDesign& design,
-                                     const std::map<enterprise::ServerRole, AggregatedRates>& rates);
 
 /// Ablation variant: *synchronized* patching — a tier's servers are all
 /// patched in the same maintenance window (the whole tier goes down at rate

@@ -1,11 +1,11 @@
 #include "patchsec/avail/network_srn.hpp"
 
 #include <array>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "patchsec/linalg/steady_state.hpp"
 #include "patchsec/petri/reachability.hpp"
 
 namespace patchsec::avail {
@@ -17,6 +17,23 @@ constexpr std::array<enterprise::ServerRole, enterprise::kRoleCount> kRoles{
     enterprise::ServerRole::kDb};
 
 }  // namespace
+
+const AggregatedRates& tier_rates(const std::map<enterprise::ServerRole, AggregatedRates>& rates,
+                                  enterprise::ServerRole role) {
+  const auto it = rates.find(role);
+  if (it == rates.end()) {
+    throw std::invalid_argument(std::string("missing aggregated rates for role ") +
+                                enterprise::to_string(role));
+  }
+  const double lambda = it->second.lambda_eq;
+  const double mu = it->second.mu_eq;
+  // Negated comparisons so NaN is refused too.
+  if (!(lambda > 0.0) || !(mu > 0.0) || !std::isfinite(lambda + mu)) {
+    throw std::invalid_argument(std::string("aggregated rates for role ") +
+                                enterprise::to_string(role) + " must be finite and positive");
+  }
+  return it->second;
+}
 
 petri::RewardFunction NetworkSrn::coa_reward() const {
   // Capture plain values: (up-place id, tier size) pairs plus the total.
@@ -46,16 +63,9 @@ NetworkSrn build_network_srn(const enterprise::RedundancyDesign& design,
   for (enterprise::ServerRole role : kRoles) {
     const unsigned n = design.count(role);
     if (n == 0) continue;
-    const auto it = rates.find(role);
-    if (it == rates.end()) {
-      throw std::invalid_argument(std::string("missing aggregated rates for role ") +
-                                  enterprise::to_string(role));
-    }
-    const double lambda = it->second.lambda_eq;
-    const double mu = it->second.mu_eq;
-    if (!(lambda > 0.0) || !(mu > 0.0)) {
-      throw std::invalid_argument("aggregated rates must be positive");
-    }
+    const AggregatedRates& tier = tier_rates(rates, role);
+    const double lambda = tier.lambda_eq;
+    const double mu = tier.mu_eq;
     std::string base = enterprise::to_string(role);
     const petri::PlaceId up = net.model.add_place("P" + base + "up", n);
     const petri::PlaceId down = net.model.add_place("P" + base + "pd", 0);
@@ -127,11 +137,7 @@ NetworkSrn build_network_srn_synchronized(
   for (enterprise::ServerRole role : kRoles) {
     const unsigned n = design.count(role);
     if (n == 0) continue;
-    const auto it = rates.find(role);
-    if (it == rates.end()) {
-      throw std::invalid_argument(std::string("missing aggregated rates for role ") +
-                                  enterprise::to_string(role));
-    }
+    const AggregatedRates& tier = tier_rates(rates, role);
     std::string base = enterprise::to_string(role);
     const petri::PlaceId up = net.model.add_place("P" + base + "up", n);
     const petri::PlaceId down = net.model.add_place("P" + base + "pd", 0);
@@ -140,11 +146,11 @@ NetworkSrn build_network_srn_synchronized(
 
     // The whole tier moves at once: arc multiplicity n, constant rates.
     const petri::TransitionId td =
-        net.model.add_timed_transition("T" + base + "d", it->second.lambda_eq);
+        net.model.add_timed_transition("T" + base + "d", tier.lambda_eq);
     net.model.add_input_arc(td, up, n);
     net.model.add_output_arc(td, down, n);
     const petri::TransitionId tu =
-        net.model.add_timed_transition("T" + base + "up", it->second.mu_eq);
+        net.model.add_timed_transition("T" + base + "up", tier.mu_eq);
     net.model.add_input_arc(tu, down, n);
     net.model.add_output_arc(tu, up, n);
   }
@@ -158,47 +164,6 @@ double capacity_oriented_availability_synchronized(
   const NetworkSrn net = build_network_srn_synchronized(design, rates);
   const petri::SrnAnalyzer analyzer(net.model);
   return analyzer.expected_reward(net.coa_reward());
-}
-
-double coa_closed_form(const enterprise::RedundancyDesign& design,
-                       const std::map<enterprise::ServerRole, AggregatedRates>& rates) {
-  // Tiers are independent birth-death chains over #up = 0..n with
-  //   k -> k-1 at rate k*lambda,   k -> k+1 at rate (n-k)*mu.
-  // COA = (1/N) * sum_r E[up_r] * prod_{r' != r} P(up_{r'} > 0).
-  struct Tier {
-    double expected_up = 0.0;
-    double p_alive = 0.0;
-  };
-  std::vector<Tier> tiers;
-  unsigned total = 0;
-  for (enterprise::ServerRole role : kRoles) {
-    const unsigned n = design.count(role);
-    if (n == 0) continue;
-    const auto it = rates.find(role);
-    if (it == rates.end()) throw std::invalid_argument("coa_closed_form: missing rates");
-    std::vector<double> birth(n), death(n);
-    for (unsigned i = 0; i < n; ++i) {
-      birth[i] = static_cast<double>(n - i) * it->second.mu_eq;   // i up -> i+1 up
-      death[i] = static_cast<double>(i + 1) * it->second.lambda_eq;  // i+1 up -> i up
-    }
-    const std::vector<double> pi = linalg::birth_death_steady_state(birth, death);
-    Tier tier;
-    for (unsigned k = 0; k <= n; ++k) tier.expected_up += static_cast<double>(k) * pi[k];
-    tier.p_alive = 1.0 - pi[0];
-    tiers.push_back(tier);
-    total += n;
-  }
-  if (total == 0) throw std::invalid_argument("coa_closed_form: empty design");
-
-  double coa = 0.0;
-  for (std::size_t r = 0; r < tiers.size(); ++r) {
-    double term = tiers[r].expected_up;
-    for (std::size_t q = 0; q < tiers.size(); ++q) {
-      if (q != r) term *= tiers[q].p_alive;
-    }
-    coa += term;
-  }
-  return coa / static_cast<double>(total);
 }
 
 }  // namespace patchsec::avail

@@ -79,13 +79,13 @@ struct EngineOptions {
   /// replaces the network-SRN steady-state solve with Monte-Carlo
   /// replications configured by `simulation`.
   EvalBackend backend = EvalBackend::kAnalytic;
-  /// Evaluate the analytic backend in product form: the counting-form
-  /// upper-layer network factors into independent per-tier birth-death
-  /// chains (sum-of-sizes states instead of product-of-sizes), which is
-  /// exact for this model class — steady-state and transient COA agree with
-  /// the flat solve to solver tolerance (pinned to 1e-10 by the lumping test
-  /// layer).  Off by default; ignored by the simulation backend, which
-  /// always runs the flat net.
+  /// Evaluate the analytic backend's upper layer in closed form
+  /// (avail/lumped_coa.hpp): every server is an independent two-state chain,
+  /// so each tier's up-count is binomial and COA is a function of the
+  /// per-tier rates, at O(tiers) cost for any design size.  Exact for this
+  /// model class — steady-state and transient COA agree with the flat solve
+  /// within 1e-12 (the lumping test layer).  Off by default; ignored by the
+  /// simulation backend, which always runs the flat net.
   bool lumping = false;
   /// Replication budget, seed and thread count of the simulation backend
   /// (ignored by kAnalytic).  Under `parallel` batch evaluation the

@@ -176,9 +176,9 @@ StageVerification Session::verify_stage(
 StageVerification Session::verify_network_stage(
     const enterprise::RedundancyDesign& design,
     const std::map<enterprise::ServerRole, avail::AggregatedRates>& rates) const {
-  // The NetworkSrn build is a handful of places and transitions — no
-  // state-space exploration — so rebuilding it here for the lumped path
-  // (which never materializes the flat net) costs nothing.
+  // The lumped path never builds the net otherwise, so this build plus its
+  // reward verification is the largest per-cell cost left there; the
+  // structure certificate itself is memoized (structure_for).
   const avail::NetworkSrn net = avail::build_network_srn(design, rates);
   std::vector<std::pair<std::string, petri::RewardFunction>> rewards;
   rewards.emplace_back("coa", net.coa_reward());
@@ -358,9 +358,7 @@ EvalReport Session::evaluate(const enterprise::RedundancyDesign& design,
     report.coa_half_width_95 = est.half_width_95;
     report.simulation_diagnostics = est.diagnostics;
   } else if (scenario_.engine().lumping) {
-    // Product form over the per-tier chains; no workspace — the tier chains
-    // are tiny and structurally distinct, so a shared solver would thrash
-    // its cached structure instead of helping.
+    // Closed form over the per-tier binomials: no chain, no workspace.
     const avail::CoaEvaluation coa = avail::capacity_oriented_availability_lumped_detailed(
         design, agg.rates, scenario_.engine().analyzer_options());
     report.coa = coa.coa;
@@ -461,8 +459,8 @@ std::vector<EvalReport> Session::evaluate_transient_batch(
   }
   const EngineOptions& engine = scenario_.engine();
   if (engine.backend == EvalBackend::kSimulation || engine.lumping) {
-    // These backends have no panel mode (replications resp. a per-component
-    // product-form pipeline); the batch degenerates to the sequential contract.
+    // These backends have no panel mode (replications resp. a closed form
+    // per wave); the batch degenerates to the sequential contract.
     std::vector<EvalReport> reports;
     reports.reserve(waves.size());
     for (const auto& wave : waves) {

@@ -52,9 +52,9 @@ struct SolveDiagnostics {
   double residual = 0.0;                ///< max-norm of pi*Q at the iterate.
   bool converged = false;               ///< false when max_iterations elapsed.
   double wall_time_seconds = 0.0;       ///< graph build + solve.
-  /// Size the flat (joint) state space would have had, when the analysis ran
-  /// in product form over independent components; 0 for ordinary flat
-  /// analyses.  The lumped/flat ratio is the headline speedup of lumping.
+  /// Size the flat (joint) state space would have had, when the upper layer
+  /// was evaluated per tier instead of on the joint chain; 0 for ordinary
+  /// flat analyses.
   std::size_t flat_states = 0;
 
   /// The distribution is not usable even as a best-effort estimate: the

@@ -153,7 +153,9 @@ class EvalService {
   void run_group(std::vector<Job> jobs);
   /// Remove and return the waiters of `key` (counts coalesced joiners).
   Pending take_pending(std::uint64_t key);
-  void fulfill(std::uint64_t key, const core::EvalReport& report, double solve_seconds,
+  /// Reply to every waiter of `key`: the last one takes `report` itself,
+  /// the others a copy.
+  void fulfill(std::uint64_t key, core::EvalReport&& report, double solve_seconds,
                std::size_t batch_width, std::chrono::steady_clock::time_point claimed);
 
   core::Session session_;

@@ -187,7 +187,7 @@ void EvalService::run_group(std::vector<Job> jobs) {
   const Job& lead = jobs.front();
   try {
     if (lead.request.kind == RequestKind::kSteady) {
-      const core::EvalReport report =
+      core::EvalReport report =
           session_.evaluate(lead.request.design, lead.request.patch_interval_hours);
       const double solve_seconds = seconds_between(claimed, std::chrono::steady_clock::now());
       cache_.insert(lead.key, report);
@@ -196,12 +196,12 @@ void EvalService::run_group(std::vector<Job> jobs) {
         ++solves_;
         ++solved_jobs_;
       }
-      fulfill(lead.key, report, solve_seconds, 1, claimed);
+      fulfill(lead.key, std::move(report), solve_seconds, 1, claimed);
     } else {
       std::vector<std::map<enterprise::ServerRole, unsigned>> waves;
       waves.reserve(jobs.size());
       for (const Job& job : jobs) waves.push_back(job.request.wave);
-      const std::vector<core::EvalReport> reports = session_.evaluate_transient_batch(
+      std::vector<core::EvalReport> reports = session_.evaluate_transient_batch(
           lead.request.design, waves, lead.request.patch_interval_hours);
       const double solve_seconds = seconds_between(claimed, std::chrono::steady_clock::now());
       {
@@ -215,7 +215,7 @@ void EvalService::run_group(std::vector<Job> jobs) {
       }
       for (std::size_t i = 0; i < jobs.size(); ++i) {
         cache_.insert(jobs[i].key, reports[i]);
-        fulfill(jobs[i].key, reports[i], solve_seconds, jobs.size(), claimed);
+        fulfill(jobs[i].key, std::move(reports[i]), solve_seconds, jobs.size(), claimed);
       }
     }
   } catch (...) {
@@ -237,14 +237,18 @@ EvalService::Pending EvalService::take_pending(std::uint64_t key) {
   return pending;
 }
 
-void EvalService::fulfill(std::uint64_t key, const core::EvalReport& report,
-                          double solve_seconds, std::size_t batch_width,
+void EvalService::fulfill(std::uint64_t key, core::EvalReport&& report, double solve_seconds,
+                          std::size_t batch_width,
                           std::chrono::steady_clock::time_point claimed) {
   Pending pending = take_pending(key);
   bool first = true;
   for (Waiter& waiter : pending.waiters) {
     ServiceReply reply;
-    reply.report = report;
+    if (&waiter == &pending.waiters.back()) {
+      reply.report = std::move(report);
+    } else {
+      reply.report = report;
+    }
     reply.source = first ? ReplySource::kSolve : ReplySource::kCoalesced;
     reply.key = key;
     reply.queue_wait_seconds = seconds_between(waiter.submitted, claimed);

@@ -34,7 +34,7 @@ enum class DifferentialMode : std::uint8_t {
   /// the grid (per-point 95% intervals would miss ~23% of correct curves on
   /// a 5-point grid).
   kTransient,
-  /// Three-way steady-state check adding the product-form analytic engine
+  /// Three-way steady-state check adding the closed-form analytic engine
   /// (core::EngineOptions::lumping) as a third axis: every scenario is scored
   /// flat-analytic, lumped-analytic AND simulated.  A case passes only when
   /// the lumped COA (a) matches the flat COA to `lumped_tolerance` — the
@@ -56,9 +56,9 @@ struct DifferentialOptions {
   /// tail.
   std::vector<double> transient_grid = {0.5, 2.0, 6.0, 12.0, 24.0};
   /// Flat-vs-lumped agreement bound of the kLumped mode.  Deterministic (no
-  /// CI): both engines solve the same model exactly, differing only by
-  /// iterative-solver tolerance, so the default leaves two orders of
-  /// headroom over the 1e-12 solver target.
+  /// CI): both engines evaluate the same model exactly, differing only by
+  /// the flat engine's iterative-solver tolerance, so the default leaves two
+  /// orders of headroom over the 1e-12 solver target.
   double lumped_tolerance = 1e-9;
   GeneratorOptions generator;      ///< scenario stream configuration.
   /// Replication budget of the simulation oracle.  The per-case seed is
@@ -97,7 +97,7 @@ struct DifferentialCase {
   double worst_deviation = 0.0;     ///< |analytic - simulated| there.
 
   // --- lumped mode only -----------------------------------------------------
-  double lumped_coa = 0.0;            ///< the product-form engine's COA.
+  double lumped_coa = 0.0;            ///< the closed-form engine's COA.
   double flat_lumped_deviation = 0.0; ///< |analytic_coa - lumped_coa|.
   bool lumped_matches_flat = true;    ///< deviation within lumped_tolerance.
 };

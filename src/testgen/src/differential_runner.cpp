@@ -146,8 +146,8 @@ DifferentialCase run_case(const GeneratedScenario& generated, const Differential
   result.half_width_95 = sim_report.coa_half_width_95;
   result.lint_clean = analytic_report.lint_clean() && sim_report.lint_clean();
 
-  // Third axis (kLumped): the same scenario through the product-form
-  // analytic engine.  The lumping is exact, so this is a deterministic check
+  // Third axis (kLumped): the same scenario through the closed-form
+  // upper-layer engine.  The lumping is exact, so this is a deterministic check
   // against the flat solve PLUS the usual statistical check against the
   // simulation oracle — a lumping bug shows up in the former even when the
   // CI is wide enough to hide it.

@@ -1,12 +1,14 @@
 // Tests for the upper-layer network SRN and the capacity-oriented
 // availability measure: the Table VI reward and COA = 0.99707 for the
 // example network, the five-design COA values of Fig. 6/7, and agreement
-// between the SRN solution and the independent closed form.
+// between the SRN solution and the birth-death oracle of
+// tests/closed_form_oracle.hpp.
 
 #include <gtest/gtest.h>
 
 #include <array>
 
+#include "closed_form_oracle.hpp"
 #include "patchsec/avail/network_srn.hpp"
 #include "patchsec/enterprise/network.hpp"
 #include "patchsec/petri/reachability.hpp"
@@ -138,11 +140,11 @@ TEST(NetworkSrn, RedundancyOrderingFollowsMttr) {
 TEST(NetworkSrn, ClosedFormMatchesSrnSolution) {
   for (const auto& design : ent::paper_designs()) {
     const double srn = av::capacity_oriented_availability(design, rates());
-    const double closed = av::coa_closed_form(design, rates());
+    const double closed = closed_form_oracle::coa_closed_form(design, rates());
     EXPECT_NEAR(srn, closed, 1e-9) << design.name();
   }
   const double srn = av::capacity_oriented_availability(ent::example_network_design(), rates());
-  const double closed = av::coa_closed_form(ent::example_network_design(), rates());
+  const double closed = closed_form_oracle::coa_closed_form(ent::example_network_design(), rates());
   EXPECT_NEAR(srn, closed, 1e-9);
 }
 

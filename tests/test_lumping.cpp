@@ -6,21 +6,24 @@
 //    and constant-rate patch/recovery transitions per server): steady COA,
 //    orbit sums (per-server stationary probability summed over each per-tier
 //    up-count class) and transient curves, to 1e-10;
-//  * the product-form (component-factorized) analyzer against the joint
-//    chain on the paper designs and on randomized component nets, through a
-//    50-servers-per-tier design the flat engine could never touch
-//    (6,765,201 joint states vs 204 lumped).
+//  * the closed form of avail/lumped_coa.hpp against the flat joint chain on
+//    the paper designs (1e-12), and through a 50-servers-per-tier design the
+//    flat engine could never touch (6,765,201 joint states);
+//  * the closed form across a stiffness and size envelope (rates 1e-6..1e6
+//    per hour, k up to 1,000 per tier, t -> 0, s t -> inf, pi -> 0, pi -> 1):
+//    steady COA against the birth-death oracle of closed_form_oracle.hpp,
+//    curves against the flat oracle where it finishes, bounds everywhere.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <map>
-#include <random>
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "closed_form_oracle.hpp"
 #include "patchsec/avail/heterogeneous_coa.hpp"
 #include "patchsec/avail/lumped_coa.hpp"
 #include "patchsec/avail/network_srn.hpp"
@@ -28,7 +31,6 @@
 #include "patchsec/ctmc/ctmc.hpp"
 #include "patchsec/ctmc/transient_solver.hpp"
 #include "patchsec/enterprise/network.hpp"
-#include "patchsec/petri/lumping.hpp"
 #include "patchsec/petri/reachability.hpp"
 
 namespace av = patchsec::avail;
@@ -42,6 +44,8 @@ namespace {
 constexpr double kSteadyTol = 1e-10;
 constexpr double kCurveTol = 1e-10;
 constexpr double kAccumulatedTol = 1e-9;
+// The closed form against the flat solve and the birth-death oracle.
+constexpr double kClosedFormTol = 1e-12;
 
 const std::map<ent::ServerRole, av::AggregatedRates>& rates() {
   static const auto r = [] {
@@ -186,7 +190,7 @@ TEST(CountingNet, TransientCurvesMatchPerServerNet) {
 }
 
 // ---------------------------------------------------------------------------
-// Product form vs the joint chain
+// Closed form vs the joint chain
 // ---------------------------------------------------------------------------
 
 TEST(Factored, PaperDesignsSteadyStateMatchesFlatOracle) {
@@ -200,8 +204,8 @@ TEST(Factored, PaperDesignsSteadyStateMatchesFlatOracle) {
         av::capacity_oriented_availability_detailed(design, rates(), tight_options());
     const av::CoaEvaluation lumped =
         av::capacity_oriented_availability_lumped_detailed(design, rates(), tight_options());
-    EXPECT_NEAR(flat.coa, lumped.coa, kSteadyTol);
-    EXPECT_NEAR(av::coa_closed_form(design, rates()), lumped.coa, kSteadyTol);
+    EXPECT_NEAR(flat.coa, lumped.coa, kClosedFormTol);
+    EXPECT_NEAR(closed_form_oracle::coa_closed_form(design, rates()), lumped.coa, kClosedFormTol);
 
     std::size_t sum = 0, product = 1;
     for (unsigned n : design.counts) {
@@ -231,97 +235,12 @@ TEST(Factored, PaperDesignsTransientMatchesFlatOracle) {
         av::transient_coa_lumped_detailed(design, rates(), grid, options);
     ASSERT_EQ(flat.curve.size(), lumped.curve.size());
     for (std::size_t j = 0; j < grid.size(); ++j) {
-      EXPECT_NEAR(flat.curve[j].coa, lumped.curve[j].coa, kCurveTol) << "t=" << grid[j];
+      EXPECT_NEAR(flat.curve[j].coa, lumped.curve[j].coa, kClosedFormTol) << "t=" << grid[j];
     }
-    EXPECT_NEAR(flat.accumulated_coa_hours, lumped.accumulated_coa_hours, kAccumulatedTol);
-  }
-}
-
-TEST(Factored, RandomComponentNetsMatchJointOracle) {
-  for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    std::mt19937_64 rng(0xfeedface00c0ffeeull ^ (seed * 0x9e3779b97f4a7c15ull));
-    std::uniform_int_distribution<int> component_count(2, 3);
-    std::uniform_int_distribution<int> ring_size(2, 3);
-    std::uniform_int_distribution<pt::TokenCount> tokens(1, 2);
-    std::uniform_real_distribution<double> rate_dist(0.3, 2.5);
-    std::uniform_real_distribution<double> coeff_dist(0.5, 1.5);
-    std::uniform_int_distribution<int> factor_kind(0, 2);
-
-    pt::SrnModel model;
-    pt::ComponentSplit split;
-    const int components = component_count(rng);
-    for (int c = 0; c < components; ++c) {
-      const int ring = ring_size(rng);
-      std::vector<pt::PlaceId> places;
-      for (int s = 0; s < ring; ++s) {
-        places.push_back(model.add_place("c" + std::to_string(c) + "p" + std::to_string(s),
-                                         s == 0 ? tokens(rng) : 0));
-      }
-      for (int s = 0; s < ring; ++s) {
-        const pt::TransitionId t = model.add_timed_transition(
-            "c" + std::to_string(c) + "t" + std::to_string(s), rate_dist(rng));
-        model.add_input_arc(t, places[s]);
-        model.add_output_arc(t, places[(s + 1) % ring]);
-      }
-      split.components.push_back(places);
-    }
-
-    // Random separable reward: two sum-of-product terms with per-component
-    // factors drawn from {1, affine in a random place}.
-    pt::SeparableReward reward;
-    for (int term_index = 0; term_index < 2; ++term_index) {
-      pt::SeparableReward::Term term;
-      term.coefficient = coeff_dist(rng);
-      term.factors.resize(components);
-      for (int c = 0; c < components; ++c) {
-        if (factor_kind(rng) == 0) continue;  // constant-1 factor
-        const auto& places = split.components[c];
-        const pt::PlaceId p =
-            places[std::uniform_int_distribution<std::size_t>(0, places.size() - 1)(rng)];
-        const double offset = coeff_dist(rng);
-        const double scale = coeff_dist(rng);
-        term.factors[c] = [offset, scale, p](const pt::Marking& m) {
-          return offset + scale * static_cast<double>(m[p]);
-        };
-      }
-      reward.terms.push_back(std::move(term));
-    }
-    const pt::RewardFunction joint_reward = [&reward](const pt::Marking& m) {
-      double total = 0.0;
-      for (const auto& term : reward.terms) {
-        double product = term.coefficient;
-        for (const auto& factor : term.factors) {
-          if (factor) product *= factor(m);
-        }
-        total += product;
-      }
-      return total;
-    };
-
-    const pt::FactoredAnalyzer factored(model, split, tight_options());
-    const pt::SrnAnalyzer joint(model, tight_options());
-    EXPECT_NEAR(joint.expected_reward(joint_reward), factored.expected_reward(reward),
-                kSteadyTol);
-    EXPECT_EQ(factored.diagnostics().flat_states, joint.graph().tangible_count());
-
-    const std::vector<double> grid{0.7, 1.9, 4.2};
-    std::vector<double> joint_rewards;
-    for (const pt::Marking& m : joint.graph().tangible_markings) {
-      joint_rewards.push_back(joint_reward(m));
-    }
-    std::vector<double> joint_initial(joint.graph().tangible_count(), 0.0);
-    joint_initial[joint.graph().index_of(model.initial_marking())] = 1.0;
-    cm::TransientSolver joint_solver;
-    joint_solver.prepare(joint.graph().chain);
-    std::vector<double> joint_curve, factored_curve;
-    const double joint_acc =
-        joint_solver.reward_curve(joint_initial, joint_rewards, grid, joint_curve);
-    const double factored_acc = factored.reward_curve(reward, grid, factored_curve);
-    for (std::size_t j = 0; j < grid.size(); ++j) {
-      EXPECT_NEAR(joint_curve[j], factored_curve[j], kCurveTol) << "t=" << grid[j];
-    }
-    EXPECT_NEAR(joint_acc, factored_acc, kAccumulatedTol);
+    // Within the flat oracle's own truncation budget, epsilon * t_max.
+    EXPECT_NEAR(flat.accumulated_coa_hours, lumped.accumulated_coa_hours,
+                options.uniformization.epsilon * grid.back());
+    EXPECT_EQ(lumped.transient.matvec_count, 0u);  // nothing was uniformized
   }
 }
 
@@ -333,8 +252,7 @@ TEST(Factored, FiftyServersPerTierEvaluatesExactly) {
   EXPECT_EQ(lumped.diagnostics.flat_states, 51u * 51u * 51u * 51u);
   EXPECT_GE(lumped.diagnostics.flat_states / lumped.diagnostics.tangible_states, 100u);
   EXPECT_TRUE(lumped.diagnostics.converged);
-  // The closed form handles k = 50 independently of the lumping machinery.
-  EXPECT_NEAR(av::coa_closed_form(design, rates()), lumped.coa, kAccumulatedTol);
+  EXPECT_NEAR(closed_form_oracle::coa_closed_form(design, rates()), lumped.coa, kClosedFormTol);
   EXPECT_GT(lumped.coa, 0.9);
   EXPECT_LE(lumped.coa, 1.0);
 
@@ -355,61 +273,216 @@ TEST(Factored, FiftyServersPerTierEvaluatesExactly) {
   EXPECT_NEAR(curve.curve.back().coa, lumped.coa, 1e-6);       // t = 2000 h is steady
 }
 
-TEST(Factored, ValidationErrors) {
-  pt::SrnModel model;
-  const auto a = model.add_place("a", 1);
-  const auto b = model.add_place("b", 0);
-  const auto t = model.add_timed_transition("t", 1.0);
-  model.add_input_arc(t, a);
-  model.add_output_arc(t, b);
-  const auto back = model.add_timed_transition("back", 1.0);
-  model.add_input_arc(back, b);
-  model.add_output_arc(back, a);
 
-  {  // spanning transition
-    pt::ComponentSplit split;
-    split.components = {{a}, {b}};
-    EXPECT_THROW((void)pt::component_transitions(model, split), std::invalid_argument);
+TEST(Factored, ExtremeGridPoints) {
+  // +inf and NaN are not times.  1e300 is: the closed form has no expansion
+  // whose length grows with t, so the curve there is the steady state and
+  // the graded quadrature mesh stays O(log t) panels.
+  const auto design = ent::example_network_design();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)av::transient_coa_lumped_detailed(design, rates(), {0.0, kInf}),
+               std::invalid_argument);
+  EXPECT_THROW((void)av::transient_coa_lumped_detailed(design, rates(), {0.0, std::nan("")}),
+               std::invalid_argument);
+  EXPECT_THROW((void)av::transient_coa_lumped_detailed(design, rates(), {1.0, 0.5}),
+               std::invalid_argument);
+  EXPECT_THROW((void)av::transient_coa_lumped_detailed(design, rates(), {-1.0}),
+               std::invalid_argument);
+  EXPECT_THROW((void)av::transient_coa_lumped_detailed(design, rates(), {}),
+               std::invalid_argument);
+
+  const double steady = av::capacity_oriented_availability_lumped_detailed(design, rates()).coa;
+  const av::CoaCurveEvaluation huge =
+      av::transient_coa_lumped_detailed(design, rates(), {0.0, 1e300});
+  EXPECT_NEAR(huge.curve[1].coa, steady, kClosedFormTol);
+  EXPECT_NEAR(huge.accumulated_coa_hours / 1e300, steady, kClosedFormTol);
+}
+
+TEST(Factored, NonFiniteOrNonPositiveRatesAreRefused) {
+  // One rate check guards the flat net and the closed form: a bad rate is
+  // refused before anything is built, instead of surfacing as NaN.
+  const auto design = ent::example_network_design();
+  const std::vector<double> grid{0.0, 1.0};
+  for (const double bad : {std::numeric_limits<double>::infinity(), std::nan(""), 0.0, -1.0}) {
+    for (const bool patch_rate : {true, false}) {
+      SCOPED_TRACE(std::string(patch_rate ? "lambda_eq = " : "mu_eq = ") + std::to_string(bad));
+      auto broken = rates();
+      av::AggregatedRates& app = broken.at(ent::ServerRole::kApp);
+      (patch_rate ? app.lambda_eq : app.mu_eq) = bad;
+      EXPECT_THROW((void)av::capacity_oriented_availability_lumped_detailed(design, broken),
+                   std::invalid_argument);
+      EXPECT_THROW((void)av::transient_coa_lumped_detailed(design, broken, grid),
+                   std::invalid_argument);
+      EXPECT_THROW((void)av::build_network_srn(design, broken), std::invalid_argument);
+    }
   }
-  {  // not a partition: place missing
-    pt::ComponentSplit split;
-    split.components = {{a}};
-    EXPECT_THROW((void)pt::component_transitions(model, split), std::invalid_argument);
+  // A rate of a role the design does not deploy is never read.
+  auto unused = rates();
+  unused.at(ent::ServerRole::kDns).lambda_eq = std::nan("");
+  ent::RedundancyDesign no_dns;
+  no_dns.counts = {0, 1, 1, 1};
+  EXPECT_NO_THROW((void)av::capacity_oriented_availability_lumped_detailed(no_dns, unused));
+}
+
+// ---------------------------------------------------------------------------
+// The closed form across the stiffness and size envelope
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Patch and recovery rates per hour at the envelope's corners and between.
+const std::vector<double> kEnvelopeRates{1e-6, 1e-3, 1.0, 1e3, 1e6};
+
+/// Rate assignment (i, j) of the envelope: tier r patches at rate
+/// kEnvelopeRates[(i + r) % 5] and recovers at kEnvelopeRates[(j + 2r) % 5],
+/// so every assignment mixes stiff and slow tiers, pi -> 0 and pi -> 1.
+std::map<ent::ServerRole, av::AggregatedRates> envelope_rates(std::size_t i, std::size_t j) {
+  std::map<ent::ServerRole, av::AggregatedRates> out;
+  const std::size_t n = kEnvelopeRates.size();
+  for (unsigned r = 0; r < ent::kRoleCount; ++r) {
+    av::AggregatedRates tier;
+    tier.lambda_eq = kEnvelopeRates[(i + r) % n];
+    tier.mu_eq = kEnvelopeRates[(j + 2 * r) % n];
+    out.emplace(static_cast<ent::ServerRole>(r), tier);
   }
-  {  // not a partition: duplicate place
-    pt::ComponentSplit split;
-    split.components = {{a, b}, {b}};
-    EXPECT_THROW((void)pt::component_transitions(model, split), std::invalid_argument);
+  return out;
+}
+
+/// Waves of the envelope's transient cases.  Both take one DNS server and
+/// all but one DB server down and leave APP up; the second also takes the
+/// whole WEB tier down through a count the clamp must cut to the tier size.
+std::vector<std::map<ent::ServerRole, unsigned>> envelope_waves(
+    const ent::RedundancyDesign& design) {
+  std::map<ent::ServerRole, unsigned> partial{
+      {ent::ServerRole::kDns, 1}, {ent::ServerRole::kDb, design.count(ent::ServerRole::kDb) - 1}};
+  std::map<ent::ServerRole, unsigned> outage = partial;
+  outage.emplace(ent::ServerRole::kWeb, 1'000'000);
+  return {partial, outage};
+}
+
+/// The COA reward of a wave's marking, read off the counts.
+double wave_reward(const ent::RedundancyDesign& design,
+                   const std::map<ent::ServerRole, unsigned>& wave) {
+  unsigned total = 0, up = 0;
+  for (unsigned r = 0; r < ent::kRoleCount; ++r) {
+    const auto role = static_cast<ent::ServerRole>(r);
+    const unsigned n = design.count(role);
+    const auto it = wave.find(role);
+    const unsigned down = it == wave.end() ? 0 : std::min(it->second, n);
+    if (n > 0 && down == n) return 0.0;
+    total += n;
+    up += n - down;
   }
-  {  // immediates break the product form
-    pt::SrnModel imm = model;
-    const auto i = imm.add_immediate_transition("imm");
-    imm.add_input_arc(i, a);
-    imm.add_output_arc(i, b);
-    pt::ComponentSplit split;
-    split.components = {{a, b}};
-    EXPECT_THROW((void)pt::component_transitions(imm, split), std::invalid_argument);
-  }
-  {  // well-formed split succeeds and assigns both transitions
-    pt::ComponentSplit split;
-    split.components = {{a, b}};
-    const auto assignment = pt::component_transitions(model, split);
-    ASSERT_EQ(assignment.size(), 1u);
-    EXPECT_EQ(assignment[0].size(), 2u);
+  return static_cast<double>(up) / static_cast<double>(total);
+}
+
+/// Sum over tiers of n_r (lambda_r + mu_r): the fastest rate in COA(t).
+double rate_scale(const ent::RedundancyDesign& design,
+                  const std::map<ent::ServerRole, av::AggregatedRates>& r) {
+  double total = 0.0;
+  for (const auto& [role, tier] : r) total += design.count(role) * (tier.lambda_eq + tier.mu_eq);
+  return total;
+}
+
+}  // namespace
+
+TEST(ClosedFormEnvelope, SteadyStateMatchesBirthDeathOracle) {
+  std::vector<ent::RedundancyDesign> designs;
+  for (const unsigned k : {1u, 2u, 6u, 50u, 1000u}) designs.push_back(uniform_design(k));
+  designs.push_back(ent::RedundancyDesign{{1, 1000, 6, 50}});
+  for (const auto& design : designs) {
+    for (std::size_t i = 0; i < kEnvelopeRates.size(); ++i) {
+      for (std::size_t j = 0; j < kEnvelopeRates.size(); ++j) {
+        SCOPED_TRACE(design.name() + " rates (" + std::to_string(i) + ", " + std::to_string(j) +
+                     ")");
+        const auto r = envelope_rates(i, j);
+        const double coa = av::capacity_oriented_availability_lumped_detailed(design, r).coa;
+        EXPECT_NEAR(coa, closed_form_oracle::coa_closed_form(design, r), kClosedFormTol);
+        EXPECT_GE(coa, 0.0);
+        EXPECT_LE(coa, 1.0);
+      }
+    }
   }
 }
 
-TEST(Factored, ExtremeGridPointsAreRefused) {
-  // +inf is not a time; 1e300 is, but its uniformization window is beyond
-  // any expansion length.  Both must throw before a double too large for
-  // size_t is converted to a panel count or a Poisson mode.
-  const av::LumpedNetworkModel lumped =
-      av::build_lumped_network(ent::example_network_design(), rates());
-  const pt::FactoredAnalyzer analyzer(lumped.net.model, lumped.split, tight_options());
-  std::vector<double> values;
-  EXPECT_THROW(
-      (void)analyzer.reward_curve(lumped.coa, {0.0, std::numeric_limits<double>::infinity()},
-                                  values),
-      std::invalid_argument);
-  EXPECT_THROW((void)analyzer.reward_curve(lumped.coa, {0.0, 1e300}, values), std::runtime_error);
+TEST(ClosedFormEnvelope, CurvesMatchFlatOracleWhereItFinishes) {
+  // Times scale with 1 / Lambda so the flat uniformization stays short at
+  // every rate: the slow tiers sit in the t -> 0 corner, the fast ones run
+  // tens of e-folds.  The flat oracle runs at epsilon 1e-14, so the 1e-12
+  // budget is the closed form's.
+  const std::vector<ent::RedundancyDesign> designs{uniform_design(1),
+                                                   ent::RedundancyDesign{{2, 1, 3, 2}},
+                                                   uniform_design(6)};
+  for (const auto& design : designs) {
+    for (std::size_t i = 0; i < kEnvelopeRates.size(); ++i) {
+      for (std::size_t j = 0; j < kEnvelopeRates.size(); ++j) {
+        SCOPED_TRACE(design.name() + " rates (" + std::to_string(i) + ", " + std::to_string(j) +
+                     ")");
+        const auto r = envelope_rates(i, j);
+        const double scale = rate_scale(design, r);
+        std::vector<double> grid;
+        for (const double c : {0.0, 1e-9, 1e-3, 0.3, 3.0, 40.0}) grid.push_back(c / scale);
+        for (const auto& wave : envelope_waves(design)) {
+          SCOPED_TRACE(wave.count(ent::ServerRole::kWeb) ? "web outage" : "partial wave");
+          av::TransientCoaOptions options;
+          options.initial_down = wave;
+          options.uniformization.epsilon = 1e-14;
+          const av::CoaCurveEvaluation flat =
+              av::transient_coa_detailed(design, r, grid, options);
+          const av::CoaCurveEvaluation lumped =
+              av::transient_coa_lumped_detailed(design, r, grid, options);
+          ASSERT_EQ(lumped.curve.size(), grid.size());
+          for (std::size_t p = 0; p < grid.size(); ++p) {
+            EXPECT_NEAR(lumped.curve[p].coa, flat.curve[p].coa, kClosedFormTol) << "point " << p;
+            EXPECT_GE(lumped.curve[p].coa, 0.0);
+            EXPECT_LE(lumped.curve[p].coa, 1.0);
+          }
+          EXPECT_NEAR(lumped.accumulated_coa_hours, flat.accumulated_coa_hours,
+                      1e-12 * grid.back());
+        }
+      }
+    }
+  }
+}
+
+TEST(ClosedFormEnvelope, CurvesStayBoundedAndReachSteadyStateAtAnySize) {
+  // Beyond the flat oracle: k up to 1,000 per tier.  The curve starts at the
+  // wave's reward exactly, is continuous at t -> 0, stays in [0, 1], and
+  // reaches the steady state once s t -> inf for every tier; the accumulated
+  // COA is a capacity in [0, t_back] and averages to the steady state over
+  // a horizon of 1e300 h.
+  const std::vector<ent::RedundancyDesign> designs{uniform_design(50), uniform_design(1000),
+                                                   ent::RedundancyDesign{{1, 1000, 6, 50}}};
+  for (const auto& design : designs) {
+    for (std::size_t i = 0; i < kEnvelopeRates.size(); ++i) {
+      for (std::size_t j = 0; j < kEnvelopeRates.size(); ++j) {
+        SCOPED_TRACE(design.name() + " rates (" + std::to_string(i) + ", " + std::to_string(j) +
+                     ")");
+        const auto r = envelope_rates(i, j);
+        const double scale = rate_scale(design, r);
+        const double steady = av::capacity_oriented_availability_lumped_detailed(design, r).coa;
+        std::vector<double> grid{0.0, 1e-300, 1e-9 / scale, 1.0 / scale, 1e3, 1e9, 1e300};
+        std::sort(grid.begin(), grid.end());
+        for (const auto& wave : envelope_waves(design)) {
+          SCOPED_TRACE(wave.count(ent::ServerRole::kWeb) ? "web outage" : "partial wave");
+          av::TransientCoaOptions options;
+          options.initial_down = wave;
+          const av::CoaCurveEvaluation eval =
+              av::transient_coa_lumped_detailed(design, r, grid, options);
+          ASSERT_EQ(eval.curve.size(), grid.size());
+          EXPECT_DOUBLE_EQ(eval.curve[0].coa, wave_reward(design, wave));
+          EXPECT_NEAR(eval.curve[1].coa, eval.curve[0].coa, kClosedFormTol);
+          for (const av::CoaPoint& point : eval.curve) {
+            EXPECT_GE(point.coa, 0.0) << "t=" << point.hours;
+            EXPECT_LE(point.coa, 1.0) << "t=" << point.hours;
+          }
+          EXPECT_NEAR(eval.curve.back().coa, steady, kClosedFormTol);
+          EXPECT_GE(eval.accumulated_coa_hours, 0.0);
+          EXPECT_LE(eval.accumulated_coa_hours, grid.back());
+          EXPECT_NEAR(eval.accumulated_coa_hours / grid.back(), steady, kClosedFormTol);
+          EXPECT_EQ(eval.transient.matvec_count, 0u);
+        }
+      }
+    }
+  }
 }

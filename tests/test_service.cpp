@@ -302,7 +302,11 @@ TEST(EvalService, CoalescesIdenticalConcurrentRequestsIntoOneSolve) {
   for (const svc::ServiceReply& reply : replies) {
     solve_replies += reply.source == svc::ReplySource::kSolve ? 1 : 0;
     coalesced_replies += reply.source == svc::ReplySource::kCoalesced ? 1 : 0;
+    // The last waiter takes the solved report itself, the others copies:
+    // every reply must carry the same payload and verification stages.
     EXPECT_TRUE(payload_bit_identical(reply.report, replies.front().report));
+    EXPECT_TRUE(same_verification(reply.report.verification, replies.front().report.verification));
+    EXPECT_FALSE(reply.report.verification.empty());
   }
   EXPECT_EQ(solve_replies, 1u);
   EXPECT_EQ(coalesced_replies, kWaiters - 1);

@@ -205,8 +205,9 @@ TEST(TransientEngine, BatchedWavesMatchSequentialEvaluations) {
 }
 
 TEST(TransientEngine, BatchFallsBackSequentiallyUnderLumping) {
-  // The lumped backend has no panel mode; the batch contract degenerates to
-  // per-wave evaluation and must match it exactly (same code path).
+  // The lumped backend is a closed form with no panel mode; the batch
+  // contract degenerates to per-wave evaluation and must match it exactly
+  // (same code path).
   core::EngineOptions engine;
   engine.time_points = {0.0, 1.0, 24.0};
   engine.lumping = true;
@@ -228,7 +229,9 @@ TEST(TransientEngine, BatchFallsBackSequentiallyUnderLumping) {
     for (std::size_t j = 0; j < expected.transient.coa.size(); ++j) {
       EXPECT_DOUBLE_EQ(batch[b].transient.coa[j], expected.transient.coa[j]);
     }
-    EXPECT_EQ(batch[b].transient_diagnostics.rhs_count, 1u);  // no panel ran
+    // Neither a panel nor a single-vector uniformization ran.
+    EXPECT_EQ(batch[b].transient_diagnostics.rhs_count, 0u);
+    EXPECT_EQ(batch[b].transient_diagnostics.matvec_count, 0u);
   }
 }
 
