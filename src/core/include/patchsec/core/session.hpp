@@ -234,7 +234,8 @@ class Session {
   /// one reachability/matrix build, one matrix sweep per uniformization term
   /// for ALL waves — see each report's transient_diagnostics.rhs_count);
   /// the simulation and lumped backends evaluate the waves sequentially.
-  /// Throws std::invalid_argument on an empty wave list.
+  /// Every backend verifies once per batch: no verification stage depends
+  /// on the wave.  Throws std::invalid_argument on an empty wave list.
   [[nodiscard]] std::vector<EvalReport> evaluate_transient_batch(
       const enterprise::RedundancyDesign& design,
       const std::vector<std::map<enterprise::ServerRole, unsigned>>& waves) const;
@@ -327,6 +328,12 @@ class Session {
       const enterprise::RedundancyDesign& design,
       const std::map<enterprise::ServerRole, avail::AggregatedRates>& rates) const;
 
+  /// Every verification stage of one (design, cadence) evaluation: the
+  /// cadence's server stages plus the design's network stage.  Empty under
+  /// VerifyMode::kOff.  No stage depends on the transient entry marking.
+  [[nodiscard]] std::vector<StageVerification> verification_for(
+      const enterprise::RedundancyDesign& design, const IntervalAggregation& agg) const;
+
   /// Memoized HARM security metrics for one design (thread-safe).  The HARM
   /// side is cadence-independent, so a schedule sweep pays it once per
   /// design instead of once per (design, cadence).
@@ -339,10 +346,12 @@ class Session {
 
   /// evaluate_transient with an explicit initial marking (the public
   /// overloads pass EngineOptions::initial_down; evaluate_transient_batch's
-  /// sequential fallback passes each wave).
+  /// sequential fallback passes each wave, with the batch's verification
+  /// stages computed once in `verification`; null computes them here).
   [[nodiscard]] EvalReport evaluate_transient_impl(
       const enterprise::RedundancyDesign& design, double patch_interval_hours,
-      const std::map<enterprise::ServerRole, unsigned>& initial_down) const;
+      const std::map<enterprise::ServerRole, unsigned>& initial_down,
+      const std::vector<StageVerification>* verification = nullptr) const;
 
   /// The SolverWorkspaces of the calling thread, created on first use.  Each
   /// (Session, thread) pair owns its own slot, so two Sessions interleaving

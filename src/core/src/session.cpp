@@ -185,6 +185,14 @@ StageVerification Session::verify_network_stage(
   return verify_stage("network", net.model, rewards);
 }
 
+std::vector<StageVerification> Session::verification_for(
+    const enterprise::RedundancyDesign& design, const IntervalAggregation& agg) const {
+  if (scenario_.engine().verify == VerifyMode::kOff) return {};
+  std::vector<StageVerification> verification = agg.verification;
+  verification.push_back(verify_network_stage(design, agg.rates));
+  return verification;
+}
+
 const Session::IntervalAggregation& Session::aggregation_for(double patch_interval_hours) const {
   patch_interval_hours = canonical_interval(patch_interval_hours);
   {
@@ -337,11 +345,7 @@ EvalReport Session::evaluate(const enterprise::RedundancyDesign& design,
   report.before_patch = security.before_patch;
   report.after_patch = security.after_patch;
   report.backend = scenario_.engine().backend;
-
-  if (scenario_.engine().verify != VerifyMode::kOff) {
-    report.verification = agg.verification;
-    report.verification.push_back(verify_network_stage(design, agg.rates));
-  }
+  report.verification = verification_for(design, agg);
 
   if (report.backend == EvalBackend::kSimulation) {
     const avail::NetworkSrn net = avail::build_network_srn(design, agg.rates);
@@ -386,7 +390,8 @@ EvalReport Session::evaluate_transient(const enterprise::RedundancyDesign& desig
 
 EvalReport Session::evaluate_transient_impl(
     const enterprise::RedundancyDesign& design, double patch_interval_hours,
-    const std::map<enterprise::ServerRole, unsigned>& initial_down) const {
+    const std::map<enterprise::ServerRole, unsigned>& initial_down,
+    const std::vector<StageVerification>* verification) const {
   const auto start = Clock::now();
   const EngineOptions& engine = scenario_.engine();
   const std::vector<double> grid = engine.transient_grid();
@@ -400,11 +405,7 @@ EvalReport Session::evaluate_transient_impl(
   report.after_patch = security.after_patch;
   report.backend = engine.backend;
   report.transient.time_points_hours = grid;
-
-  if (engine.verify != VerifyMode::kOff) {
-    report.verification = agg.verification;
-    report.verification.push_back(verify_network_stage(design, agg.rates));
-  }
+  report.verification = verification != nullptr ? *verification : verification_for(design, agg);
 
   if (report.backend == EvalBackend::kSimulation) {
     const avail::NetworkSrn net = avail::build_network_srn(design, agg.rates);
@@ -460,11 +461,14 @@ std::vector<EvalReport> Session::evaluate_transient_batch(
   const EngineOptions& engine = scenario_.engine();
   if (engine.backend == EvalBackend::kSimulation || engine.lumping) {
     // These backends have no panel mode (replications resp. a closed form
-    // per wave); the batch degenerates to the sequential contract.
+    // per wave); the batch degenerates to the sequential contract, except
+    // that the wave-independent verification stages run once.
+    const std::vector<StageVerification> verification =
+        verification_for(design, aggregation_for(patch_interval_hours));
     std::vector<EvalReport> reports;
     reports.reserve(waves.size());
     for (const auto& wave : waves) {
-      reports.push_back(evaluate_transient_impl(design, patch_interval_hours, wave));
+      reports.push_back(evaluate_transient_impl(design, patch_interval_hours, wave, &verification));
     }
     return reports;
   }
@@ -482,11 +486,7 @@ std::vector<EvalReport> Session::evaluate_transient_batch(
 
   // One shared solve, B report shells around it.  The verification stages
   // are marking-independent, so every report carries the same set.
-  std::vector<StageVerification> verification;
-  if (engine.verify != VerifyMode::kOff) {
-    verification = agg.verification;
-    verification.push_back(verify_network_stage(design, agg.rates));
-  }
+  const std::vector<StageVerification> verification = verification_for(design, agg);
   const double wall = seconds_since(start);
 
   std::vector<EvalReport> reports;

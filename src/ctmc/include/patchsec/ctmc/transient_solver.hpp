@@ -21,7 +21,7 @@
 /// A TransientSolver is a workspace in the linalg::StationarySolver mold:
 ///
 ///  * prepare(chain) builds the uniformized matrix ONCE; every subsequent
-///    distribution or curve evaluation on the same chain reuses it.
+///    curve evaluation on the same chain reuses it.
 ///    Re-preparing with a chain of identical sparsity structure refreshes
 ///    values in place (no allocation) — the schedule-sweep path, where only
 ///    rates change between cadences;
@@ -31,8 +31,9 @@
 ///  * reward_curve() expands ONE Poisson series over the whole grid: each
 ///    term's reward dot d_k = r . pi(0) P^k feeds every grid point whose
 ///    window over Lambda * t_j holds k, so a G-point curve costs exactly the
-///    right_point(Lambda * t_G) sweeps of distribution_at(t_G) — independent
-///    of G — and pi(t_j) is never materialized.
+///    right_point(Lambda * t_G) sweeps of a one-point curve at t_G —
+///    independent of G — and pi(t_j) is never materialized (an indicator
+///    reward reads off one state's probability pi_i(t)).
 ///
 /// A TransientSolver is NOT thread-safe; hold one per thread
 /// (core::Session keeps one per worker thread, like StationarySolver).
@@ -89,11 +90,6 @@ class TransientSolver {
   [[nodiscard]] bool prepared() const noexcept { return states_ > 0; }
   [[nodiscard]] std::size_t state_count() const noexcept { return states_; }
 
-  /// pi(t) from `initial` (must sum to ~1), written into `out` (resized).
-  /// Throws std::invalid_argument on size mismatch / negative or non-finite
-  /// t and std::logic_error when prepare() has not run.
-  void distribution_at(const std::vector<double>& initial, double t, std::vector<double>& out);
-
   /// The reward curve r . pi(t_j) over an ascending (finite, non-negative,
   /// non-decreasing) time grid; `values` is resized to the grid.  Returns the
   /// accumulated reward int_0^{t_back} r . pi(s) ds.  Both measures ride one
@@ -145,10 +141,6 @@ class TransientSolver {
   /// capturing mass >= 1 - epsilon, expanding outward from the mode.
   void poisson_window(double m);
 
-  /// Advance `state` (a distribution) to time-offset dt ahead: `state` is
-  /// replaced by the (renormalized) advanced distribution.
-  void step(std::vector<double>& state, double dt);
-
   /// The single pass behind reward_curve (m = 1 through SpmvKernel::step)
   /// and reward_curve_multi (panel = true, SpmvKernel::step_panel for any
   /// m).  term_ holds the column-major m-wide initial panel on entry; on
@@ -182,7 +174,6 @@ class TransientSolver {
   double mass_ = 0.0;
   std::vector<double> term_;
   std::vector<double> next_;
-  std::vector<double> accum_;
 
   // Curve scratch: every grid point's Poisson window (weights packed into
   // grid_weights_), the per-(point, column) reward sums, the per-term column

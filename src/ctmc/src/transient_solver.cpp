@@ -6,8 +6,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "patchsec/linalg/vector_ops.hpp"
-
 namespace patchsec::ctmc {
 
 namespace {
@@ -191,36 +189,6 @@ void TransientSolver::poisson_window(double m) {
   diagnostics_.poisson_mass = mass_;
 }
 
-void TransientSolver::step(std::vector<double>& state, double dt) {
-  // A zero step, or no transitions anywhere: the distribution is frozen.
-  if (dt <= 0.0 || lambda_ <= 0.0) return;
-  poisson_window(lambda_ * dt);
-
-  term_ = state;
-  accum_.assign(states_, 0.0);
-  diagnostics_.rhs_count = std::max<std::size_t>(diagnostics_.rhs_count, 1);
-  // One fused kernel call per expansion term performs the weight
-  // accumulation AND the gather-form matvec (no zero-fill of next_, no
-  // per-row branch).
-  ensure_kernel();
-  diagnostics_.kernel = kernel_.kernel_name();
-  next_.resize(states_);
-  for (std::size_t k = 0;; ++k) {
-    const double weight = k >= left_ ? weights_[k - left_] : 0.0;
-    if (k >= right_) {
-      (void)kernel_.reduce(term_.data(), weight, accum_.data(), nullptr);
-      break;
-    }
-    (void)kernel_.step(term_.data(), next_.data(), weight, accum_.data(), nullptr);
-    term_.swap(next_);
-    ++diagnostics_.matvec_count;
-  }
-  // Round-off / truncation guard: the mixture of stochastic vectors is a
-  // distribution up to the discarded epsilon tail.
-  linalg::normalize_probability(accum_);
-  state = accum_;
-}
-
 void TransientSolver::expand_curves(std::size_t m, bool panel, const std::vector<double>& rewards,
                                     const std::vector<double>& time_points,
                                     double* accumulated) {
@@ -334,20 +302,6 @@ std::vector<double> TransientSolver::reward_curve_multi(
   }
   diagnostics_.wall_time_seconds += seconds_since(start);
   return accumulated;
-}
-
-void TransientSolver::distribution_at(const std::vector<double>& initial, double t,
-                                      std::vector<double>& out) {
-  if (!prepared()) throw std::logic_error("TransientSolver: prepare() has not run");
-  if (initial.size() != states_) {
-    throw std::invalid_argument("TransientSolver: initial size mismatch");
-  }
-  if (!std::isfinite(t)) throw std::invalid_argument("TransientSolver: non-finite time");
-  if (t < 0.0) throw std::invalid_argument("TransientSolver: negative time");
-  const auto start = Clock::now();
-  out = initial;
-  step(out, t);
-  diagnostics_.wall_time_seconds += seconds_since(start);
 }
 
 double TransientSolver::reward_curve(const std::vector<double>& initial,

@@ -4,8 +4,9 @@
 /// computed from the incidence matrix and the transition structure alone,
 /// WITHOUT exploring the state space.  This is the cheap pre-flight pass the
 /// engine runs on every net it solves (core::EngineOptions::verify); the
-/// reachability-based `analyze_structure` is the *dynamic oracle* these
-/// certificates are tested against (docs/TESTING.md).
+/// reachability-based `analyze_structure` of tests/structural_oracle.hpp is
+/// the *dynamic oracle* these certificates are tested against
+/// (docs/TESTING.md).
 ///
 /// The pass is split in two.  certify_structure() computes everything that
 /// depends only on the net's structure (arcs, kinds, priorities, guard
@@ -116,7 +117,8 @@ struct VerifyCertificates {
   /// Every place covered by a P-semiflow: the state space is provably finite.
   bool structurally_bounded = false;
   /// The all-ones vector is a P-invariant: every transition preserves the
-  /// total token count (must agree with StructuralReport::conservative).
+  /// total token count (must agree with the reachability oracle's
+  /// `conservative`, tests/structural_oracle.hpp).
   bool token_conserving = false;
   /// The semiflow enumerations completed without hitting the row cap or a
   /// 64-bit overflow; when false the corresponding coverage rules

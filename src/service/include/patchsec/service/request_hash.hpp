@@ -17,13 +17,16 @@
 ///    one-byte tag so a scenario with e.g. an empty design list can never
 ///    collide with one whose schedule grew by the same byte count.
 ///  * **Result-complete** — every input that can change the bits of an
-///    EvalReport's payload is hashed.  Scheduling-only knobs are the ONLY
-///    exclusions, each proven result-invariant elsewhere in the tree:
+///    EvalReport's payload is hashed.  The exclusions are scheduling-only
+///    knobs, each proven result-invariant elsewhere in the tree:
 ///    EngineOptions::parallel / EngineOptions::threads (batch fan-out;
 ///    parallel == serial is asserted in test_session) and
 ///    SimulationOptions::threads (replication estimates are counter-seeded
 ///    per replication and bit-identical across thread counts — asserted in
-///    test_sim and test_session).
+///    test_sim and test_session), plus EngineOptions::uniformization
+///    whenever the engine does not read it: only the flat analytic
+///    transient engine does, so it is hashed only for kAnalytic without
+///    `lumping` (asserted in test_service).
 ///
 /// The policy hooks of a ReachabilityPolicy are opaque std::functions, so
 /// they cannot be serialized — but their whole domain is the 4x4 role grid,

@@ -127,9 +127,12 @@ void append_engine_options(HashStream& h, const core::EngineOptions& engine) {
     h.u8(static_cast<std::uint8_t>(role));
     h.u32(down);
   }
-  // Uniformization truncation.
-  h.f64(engine.uniformization.epsilon);
-  h.u64(engine.uniformization.max_terms);
+  // Uniformization truncation: only the flat analytic transient engine reads
+  // it, so simulated and closed-form lumped scenarios share keys across it.
+  if (engine.backend == core::EvalBackend::kAnalytic && !engine.lumping) {
+    h.f64(engine.uniformization.epsilon);
+    h.u64(engine.uniformization.max_terms);
+  }
   // HARM path-enumeration cap (truncation changes the security metrics —
   // a capped report must never share a cache entry with an exact one).
   h.u64(engine.harm_paths.max_paths);

@@ -1,11 +1,10 @@
 // Tests for the CTMC layer: model construction, steady state, rewards,
-// transient uniformization and absorbing analysis against closed forms.
+// transient uniformization against closed forms.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "patchsec/ctmc/absorbing.hpp"
 #include "patchsec/ctmc/ctmc.hpp"
 #include "patchsec/ctmc/transient_solver.hpp"
 #include "transient_oracle.hpp"
@@ -94,53 +93,61 @@ TEST(Transient, TwoStateClosedForm) {
   const double l = 0.7, mu = 1.3;
   ct::TransientSolver solver;
   solver.prepare(up_down(l, mu));
-  std::vector<double> pi;
-  for (double t : {0.0, 0.1, 0.5, 1.0, 3.0, 10.0}) {
-    solver.distribution_at({1.0, 0.0}, t, pi);
+  // Indicator rewards read off pi_up(t) and pi_down(t).
+  const std::vector<double> grid{0.0, 0.1, 0.5, 1.0, 3.0, 10.0};
+  std::vector<double> up, down;
+  (void)solver.reward_curve({1.0, 0.0}, {1.0, 0.0}, grid, up);
+  (void)solver.reward_curve({1.0, 0.0}, {0.0, 1.0}, grid, down);
+  for (std::size_t j = 0; j < grid.size(); ++j) {
+    const double t = grid[j];
     const double expected = mu / (l + mu) + l / (l + mu) * std::exp(-(l + mu) * t);
-    EXPECT_NEAR(pi[0], expected, 1e-9) << "t=" << t;
-    EXPECT_NEAR(pi[0] + pi[1], 1.0, 1e-12);
+    EXPECT_NEAR(up[j], expected, 1e-9) << "t=" << t;
+    EXPECT_NEAR(up[j] + down[j], 1.0, 1e-12);
   }
 }
 
 TEST(Transient, ConvergesToSteadyState) {
   ct::TransientSolver solver;
   solver.prepare(up_down(0.4, 0.6));
-  std::vector<double> pi;
-  solver.distribution_at({0.0, 1.0}, 200.0, pi);
-  EXPECT_NEAR(pi[0], 0.6, 1e-8);
-  EXPECT_NEAR(pi[1], 0.4, 1e-8);
+  std::vector<double> up, down;
+  (void)solver.reward_curve({0.0, 1.0}, {1.0, 0.0}, {200.0}, up);
+  (void)solver.reward_curve({0.0, 1.0}, {0.0, 1.0}, {200.0}, down);
+  EXPECT_NEAR(up[0], 0.6, 1e-8);
+  EXPECT_NEAR(down[0], 0.4, 1e-8);
 }
 
 TEST(Transient, ZeroTimeReturnsInitial) {
   ct::TransientSolver solver;
   solver.prepare(up_down(1.0, 1.0));
-  std::vector<double> pi;
-  solver.distribution_at({0.25, 0.75}, 0.0, pi);
-  EXPECT_DOUBLE_EQ(pi[0], 0.25);
+  std::vector<double> up;
+  (void)solver.reward_curve({0.25, 0.75}, {1.0, 0.0}, {0.0}, up);
+  EXPECT_DOUBLE_EQ(up[0], 0.25);
 }
 
 TEST(Transient, NegativeTimeThrows) {
   ct::TransientSolver solver;
   solver.prepare(up_down(1.0, 1.0));
-  std::vector<double> pi;
-  EXPECT_THROW(solver.distribution_at({1.0, 0.0}, -1.0, pi), std::invalid_argument);
+  std::vector<double> values;
+  EXPECT_THROW((void)solver.reward_curve({1.0, 0.0}, {1.0, 0.0}, {-1.0}, values),
+               std::invalid_argument);
 }
 
 TEST(Transient, InitialSizeMismatchThrows) {
   ct::TransientSolver solver;
   solver.prepare(up_down(1.0, 1.0));
-  std::vector<double> pi;
-  EXPECT_THROW(solver.distribution_at({1.0}, 1.0, pi), std::invalid_argument);
+  std::vector<double> values;
+  EXPECT_THROW((void)solver.reward_curve({1.0}, {1.0, 0.0}, {1.0}, values),
+               std::invalid_argument);
 }
 
 TEST(Transient, StiffChainStaysStochastic) {
   ct::TransientSolver solver;
   solver.prepare(up_down(1e-4, 1e3));
-  std::vector<double> pi;
-  solver.distribution_at({0.0, 1.0}, 0.01, pi);
-  EXPECT_NEAR(pi[0] + pi[1], 1.0, 1e-12);
-  EXPECT_GT(pi[0], 0.99);  // repair rate 1e3: nearly surely up after 0.01
+  std::vector<double> up, down;
+  (void)solver.reward_curve({0.0, 1.0}, {1.0, 0.0}, {0.01}, up);
+  (void)solver.reward_curve({0.0, 1.0}, {0.0, 1.0}, {0.01}, down);
+  EXPECT_NEAR(up[0] + down[0], 1.0, 1e-12);
+  EXPECT_GT(up[0], 0.99);  // repair rate 1e3: nearly surely up after 0.01
 }
 
 TEST(Transient, InstantaneousRewardMatchesDistribution) {
@@ -167,68 +174,4 @@ TEST(Transient, AccumulatedRewardIntervalAvailability) {
   const double up_time = solver.reward_curve({1.0, 0.0}, {1.0, 0.0}, {t}, values);
   const double expected = (1.0 - std::exp(-l * t)) / l;
   EXPECT_NEAR(up_time, expected, 1e-4);
-}
-
-// ---------- absorbing --------------------------------------------------------
-
-TEST(Absorbing, SingleTransitionMtta) {
-  ct::Ctmc c;
-  c.add_states(2);
-  c.add_transition(0, 1, 0.25);  // mean 4
-  const auto a = ct::analyze_absorbing(c);
-  ASSERT_EQ(a.absorbing_states.size(), 1u);
-  EXPECT_EQ(a.absorbing_states[0], 1u);
-  EXPECT_NEAR(a.mean_time_to_absorption[0], 4.0, 1e-12);
-  EXPECT_DOUBLE_EQ(a.mean_time_to_absorption[1], 0.0);
-}
-
-TEST(Absorbing, SequentialPhasesSumMeans) {
-  // 0 ->(a) 1 ->(b) 2 ->(c) 3; MTTA(0) = 1/a + 1/b + 1/c.  This mirrors the
-  // patch pipeline: app patch, OS patch, reboots in sequence.
-  ct::Ctmc c;
-  c.add_states(4);
-  c.add_transition(0, 1, 12.0);
-  c.add_transition(1, 2, 3.0);
-  c.add_transition(2, 3, 6.0);
-  const auto a = ct::analyze_absorbing(c);
-  EXPECT_NEAR(a.mean_time_to_absorption[0], 1.0 / 12 + 1.0 / 3 + 1.0 / 6, 1e-12);
-}
-
-TEST(Absorbing, NoAbsorbingStateThrows) {
-  ct::Ctmc c = ct::Ctmc();
-  c.add_states(2);
-  c.add_transition(0, 1, 1.0);
-  c.add_transition(1, 0, 1.0);
-  EXPECT_THROW(ct::analyze_absorbing(c), std::domain_error);
-}
-
-TEST(Absorbing, UnreachableAbsorptionThrows) {
-  ct::Ctmc c;
-  c.add_states(4);
-  // 0 <-> 1 closed loop; 2 -> 3 absorbing elsewhere.
-  c.add_transition(0, 1, 1.0);
-  c.add_transition(1, 0, 1.0);
-  c.add_transition(2, 3, 1.0);
-  EXPECT_THROW(ct::analyze_absorbing(c), std::domain_error);
-}
-
-TEST(Absorbing, MeanFirstPassageUpDown) {
-  // First passage up -> down is 1/lambda.
-  const ct::Ctmc c = up_down(0.2, 5.0);
-  EXPECT_NEAR(ct::mean_first_passage_time(c, 0, {1}), 5.0, 1e-12);
-  EXPECT_DOUBLE_EQ(ct::mean_first_passage_time(c, 1, {1}), 0.0);
-}
-
-TEST(Absorbing, MeanFirstPassageBranching) {
-  // 0 -> 1 (rate 1), 0 -> 2 (rate 1); target {1,2}: MTTA = 1/2.
-  ct::Ctmc c;
-  c.add_states(3);
-  c.add_transition(0, 1, 1.0);
-  c.add_transition(0, 2, 1.0);
-  EXPECT_NEAR(ct::mean_first_passage_time(c, 0, {1, 2}), 0.5, 1e-12);
-}
-
-TEST(Absorbing, EmptyTargetsThrow) {
-  const ct::Ctmc c = up_down(1.0, 1.0);
-  EXPECT_THROW((void)ct::mean_first_passage_time(c, 0, {}), std::invalid_argument);
 }

@@ -41,17 +41,19 @@ TEST(TransientEdge, UndersizedExpansionFailsLoudly) {
   c.add_transition(1, 0, 1000.0);
   ct::TransientOptions opt;
   opt.max_terms = 8;
-  std::vector<double> pi;
+  std::vector<double> up, down;
   ct::TransientSolver undersized(opt);
   undersized.prepare(c);
-  EXPECT_THROW(undersized.distribution_at({1.0, 0.0}, 10.0, pi), std::runtime_error);
+  EXPECT_THROW((void)undersized.reward_curve({1.0, 0.0}, {1.0, 0.0}, {10.0}, up),
+               std::runtime_error);
   // With an adequate expansion the same stiff problem solves fine.
   opt.max_terms = 2'000'000;
   ct::TransientSolver adequate(opt);
   adequate.prepare(c);
-  adequate.distribution_at({1.0, 0.0}, 10.0, pi);
-  EXPECT_NEAR(pi[0], 0.5, 1e-9);  // symmetric rates: uniform limit
-  EXPECT_NEAR(pi[0] + pi[1], 1.0, 1e-12);
+  (void)adequate.reward_curve({1.0, 0.0}, {1.0, 0.0}, {10.0}, up);
+  (void)adequate.reward_curve({1.0, 0.0}, {0.0, 1.0}, {10.0}, down);
+  EXPECT_NEAR(up[0], 0.5, 1e-9);  // symmetric rates: uniform limit
+  EXPECT_NEAR(up[0] + down[0], 1.0, 1e-12);
 }
 
 TEST(TransientEdge, VeryLargeTimeIsSteadyState) {
@@ -61,9 +63,9 @@ TEST(TransientEdge, VeryLargeTimeIsSteadyState) {
   c.add_transition(1, 0, 0.75);
   ct::TransientSolver solver;
   solver.prepare(c);
-  std::vector<double> pi;
-  solver.distribution_at({1.0, 0.0}, 1e4, pi);
-  EXPECT_NEAR(pi[0], 0.75, 1e-9);
+  std::vector<double> up;
+  (void)solver.reward_curve({1.0, 0.0}, {1.0, 0.0}, {1e4}, up);
+  EXPECT_NEAR(up[0], 0.75, 1e-9);
 }
 
 TEST(PetriEdge, ArcValidation) {

@@ -1,17 +1,18 @@
 // Tests for the extended HARM metrics and the patch-prioritization ranking,
-// plus the SRN structural analyzer.
+// plus the reachability-based SRN structural analyzer (structural_oracle.hpp).
 
 #include <gtest/gtest.h>
 
 #include "patchsec/avail/server_srn.hpp"
 #include "patchsec/enterprise/network.hpp"
 #include "patchsec/harm/extended_metrics.hpp"
-#include "patchsec/petri/structural.hpp"
+#include "structural_oracle.hpp"
 
 namespace av = patchsec::avail;
 namespace ent = patchsec::enterprise;
 namespace hm = patchsec::harm;
 namespace pt = patchsec::petri;
+namespace so = structural_oracle;
 
 // ---------- extended HARM metrics -------------------------------------------------
 
@@ -89,7 +90,7 @@ TEST(Structural, ServerSrnIsConservativeAndBounded) {
   const auto specs = ent::paper_server_specs();
   for (const auto& [role, spec] : specs) {
     const av::ServerSrn srn = av::build_server_srn(spec);
-    const pt::StructuralReport report = pt::analyze_structure(srn.model);
+    const so::StructuralReport report = so::analyze_structure(srn.model);
     // 4 sub-models, one token each.
     EXPECT_EQ(report.max_total_tokens, 4u) << ent::to_string(role);
     EXPECT_TRUE(report.conservative) << ent::to_string(role);
@@ -105,7 +106,7 @@ TEST(Structural, ImpossibleGuardTransitionsAreDeadByDesign) {
   // patch.  The structural analyzer must report exactly those as dead.
   const auto specs = ent::paper_server_specs();
   const av::ServerSrn srn = av::build_server_srn(specs.at(ent::ServerRole::kDns));
-  const pt::StructuralReport report = pt::analyze_structure(srn.model);
+  const so::StructuralReport report = so::analyze_structure(srn.model);
   std::vector<std::string> dead_names;
   for (pt::TransitionId t : report.dead_transitions) {
     dead_names.push_back(srn.model.transition_name(t));
@@ -129,7 +130,7 @@ TEST(Structural, DetectsNonConservativeNet) {
   const auto merge = net.add_timed_transition("merge", 1.0);
   net.add_input_arc(merge, q, 2);
   net.add_output_arc(merge, p);
-  const pt::StructuralReport report = pt::analyze_structure(net);
+  const so::StructuralReport report = so::analyze_structure(net);
   EXPECT_FALSE(report.conservative);
   EXPECT_EQ(report.max_total_tokens, 2u);
 }
@@ -144,7 +145,7 @@ TEST(Structural, DetectsDeadTimedTransition) {
   const auto never = net.add_timed_transition("never", 1.0);
   net.add_input_arc(never, q);  // q never marked
   net.add_output_arc(never, p);
-  const pt::StructuralReport report = pt::analyze_structure(net);
+  const so::StructuralReport report = so::analyze_structure(net);
   ASSERT_EQ(report.dead_transitions.size(), 1u);
   EXPECT_EQ(report.dead_transitions[0], never);
   (void)cycle;

@@ -1,5 +1,5 @@
-// Unit and property tests for the linalg module: vector ops, CSR matrices,
-// dense LU and the steady-state solvers.
+// Unit and property tests for the linalg module: vector ops, CSR matrices
+// and the steady-state solvers.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include <random>
 
 #include "patchsec/linalg/csr_matrix.hpp"
-#include "patchsec/linalg/dense_matrix.hpp"
 #include "patchsec/linalg/steady_state.hpp"
 #include "patchsec/linalg/vector_ops.hpp"
 
@@ -137,73 +136,6 @@ TEST(CsrMatrix, RowSum) {
   const la::CsrMatrix m(2, 2, {{0, 0, -3.0}, {0, 1, 3.0}});
   EXPECT_DOUBLE_EQ(m.row_sum(0), 0.0);
   EXPECT_DOUBLE_EQ(m.row_sum(1), 0.0);
-}
-
-// ---------- dense LU ---------------------------------------------------------
-
-TEST(DenseMatrix, SolvesSmallSystem) {
-  la::DenseMatrix a(2, 2);
-  a(0, 0) = 2.0;
-  a(0, 1) = 1.0;
-  a(1, 0) = 1.0;
-  a(1, 1) = 3.0;
-  const std::vector<double> x = a.solve({5.0, 10.0});
-  EXPECT_NEAR(x[0], 1.0, 1e-12);
-  EXPECT_NEAR(x[1], 3.0, 1e-12);
-}
-
-TEST(DenseMatrix, PivotingHandlesZeroDiagonal) {
-  la::DenseMatrix a(2, 2);
-  a(0, 0) = 0.0;
-  a(0, 1) = 1.0;
-  a(1, 0) = 1.0;
-  a(1, 1) = 0.0;
-  const std::vector<double> x = a.solve({2.0, 3.0});
-  EXPECT_NEAR(x[0], 3.0, 1e-12);
-  EXPECT_NEAR(x[1], 2.0, 1e-12);
-}
-
-TEST(DenseMatrix, SingularThrows) {
-  la::DenseMatrix a(2, 2);
-  a(0, 0) = 1.0;
-  a(0, 1) = 2.0;
-  a(1, 0) = 2.0;
-  a(1, 1) = 4.0;
-  EXPECT_THROW(a.solve({1.0, 1.0}), std::domain_error);
-}
-
-TEST(DenseMatrix, NonSquareSolveThrows) {
-  la::DenseMatrix a(2, 3);
-  EXPECT_THROW(a.solve({1.0, 1.0}), std::invalid_argument);
-}
-
-TEST(DenseMatrix, IdentitySolveReturnsRhs) {
-  const la::DenseMatrix i = la::DenseMatrix::identity(3);
-  const std::vector<double> x = i.solve({7.0, -2.0, 0.5});
-  EXPECT_DOUBLE_EQ(x[0], 7.0);
-  EXPECT_DOUBLE_EQ(x[1], -2.0);
-  EXPECT_DOUBLE_EQ(x[2], 0.5);
-}
-
-TEST(DenseMatrix, RandomSystemsSolveAccurately) {
-  std::mt19937_64 rng(7);
-  std::uniform_real_distribution<double> u(-1.0, 1.0);
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::size_t n = 1 + static_cast<std::size_t>(trial % 8);
-    la::DenseMatrix a(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) a(i, j) = u(rng);
-      a(i, i) += 4.0;  // diagonally dominant: well conditioned
-    }
-    std::vector<double> x_true(n);
-    for (double& v : x_true) v = u(rng);
-    std::vector<double> b(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) b[i] += a(i, j) * x_true[j];
-    }
-    const std::vector<double> x = a.solve(b);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-9);
-  }
 }
 
 // ---------- steady-state solvers ---------------------------------------------

@@ -141,6 +141,40 @@ TEST(RequestHash, SchedulingOnlyKnobsDoNotChangeTheHash) {
   EXPECT_EQ(svc::hash_scenario(core::Scenario(base).with_engine(engine)), reference);
 }
 
+TEST(RequestHash, UniformizationKeysOnlyTheFlatTransientEngine) {
+  // Only the flat analytic transient engine reads EngineOptions::
+  // uniformization.  Lumped scenarios that differ only in epsilon share a
+  // key and reply with the same bytes; flat ones still differ.
+  core::EngineOptions tight;
+  tight.time_points = {0.0, 1.0, 24.0};
+  core::EngineOptions loose = tight;
+  loose.uniformization.epsilon = 1e-8;
+  const core::Scenario base = core::Scenario::paper_case_study();
+  EXPECT_NE(svc::hash_scenario(core::Scenario(base).with_engine(tight)),
+            svc::hash_scenario(core::Scenario(base).with_engine(loose)));
+
+  tight.lumping = loose.lumping = true;
+  const core::Scenario lumped_tight = core::Scenario(base).with_engine(tight);
+  const core::Scenario lumped_loose = core::Scenario(base).with_engine(loose);
+  EXPECT_EQ(svc::hash_scenario(lumped_tight), svc::hash_scenario(lumped_loose));
+  svc::EvalRequest request = steady_request(ent::example_network_design());
+  request.kind = svc::RequestKind::kTransient;
+  request.wave.emplace(ent::ServerRole::kWeb, 1u);
+  svc::EvalService tight_service(lumped_tight, {});
+  svc::EvalService loose_service(lumped_loose, {});
+  const svc::ServiceReply a = tight_service.evaluate(request);
+  const svc::ServiceReply b = loose_service.evaluate(request);
+  EXPECT_EQ(a.key, b.key);
+  EXPECT_TRUE(payload_bit_identical(a.report, b.report));
+  EXPECT_TRUE(same_verification(a.report.verification, b.report.verification));
+
+  // The simulation backend ignores it too.
+  tight.lumping = loose.lumping = false;
+  tight.backend = loose.backend = core::EvalBackend::kSimulation;
+  EXPECT_EQ(svc::hash_scenario(core::Scenario(base).with_engine(tight)),
+            svc::hash_scenario(core::Scenario(base).with_engine(loose)));
+}
+
 TEST(RequestHash, NegativeZeroCanonicalizesAndNanThrows) {
   svc::HashStream plus;
   plus.f64(0.0);

@@ -383,10 +383,16 @@ TEST(SpmvKernelTransient, AutoKernelMatchesScalarReference) {
     expect_near_rel(curve, scalar_curve, 1e-11, "kernel vs scalar reference curve");
     EXPECT_NEAR(acc, scalar_acc, 1e-11 * std::max(1.0, std::abs(scalar_acc)));
 
-    // Distributions agree too (the normalize step sees round-off-level
-    // differences only).
-    std::vector<double> pi;
-    solver.distribution_at(initial, 1.7, pi);
+    // Distributions agree too: an indicator reward reads off each pi_s(t).
+    std::vector<double> pi(n);
+    std::vector<double> indicator(n, 0.0);
+    std::vector<double> point;
+    for (std::size_t s = 0; s < n; ++s) {
+      indicator[s] = 1.0;
+      (void)solver.reward_curve(initial, indicator, {1.7}, point);
+      pi[s] = point[0];
+      indicator[s] = 0.0;
+    }
     expect_near_rel(pi, transient_oracle::naive_transient(chain, initial, 1.7), 1e-11,
                     "kernel vs scalar reference distribution");
   }
@@ -481,12 +487,12 @@ TEST(SpmvKernelTransient, SolverReusesKernelAcrossValueRefresh) {
   solver.prepare(up_down(0.5, 2.0));
   EXPECT_EQ(solver.kernel_structure_builds(), 0u);  // still lazy after prepare
   std::vector<double> out;
-  solver.distribution_at({1.0, 0.0}, 1.0, out);
+  (void)solver.reward_curve({1.0, 0.0}, {1.0, 0.0}, {1.0}, out);
   EXPECT_EQ(solver.kernel_structure_builds(), 1u);
   // Same structure, new rates: the solver refresh must carry the kernel's
   // value-refresh along (one layout build total).
   solver.prepare(up_down(0.7, 1.5));
-  solver.distribution_at({1.0, 0.0}, 1.0, out);
+  (void)solver.reward_curve({1.0, 0.0}, {1.0, 0.0}, {1.0}, out);
   EXPECT_EQ(solver.structure_builds(), 1u);
   EXPECT_EQ(solver.structure_reuses(), 1u);
   EXPECT_EQ(solver.kernel_structure_builds(), 1u);

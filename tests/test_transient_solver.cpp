@@ -2,7 +2,8 @@
 // forms, the naive-uniformization oracle (transient_oracle.hpp, the
 // pre-workspace algorithm kept as reference), Fox-Glynn window behaviour,
 // the exact accumulated-reward series, the single-expansion curve path and its
-// sweep/prepare guards, and workspace reuse.
+// sweep/prepare guards, and workspace reuse.  A state's probability pi_s(t)
+// is read off a one-point curve with the indicator reward of s.
 
 #include <gtest/gtest.h>
 
@@ -46,13 +47,26 @@ ct::Ctmc random_chain(std::size_t states, std::uint64_t seed) {
   return c;
 }
 
+// pi(t) state by state: one one-point curve per state's indicator reward.
+std::vector<double> distribution(ct::TransientSolver& solver, const std::vector<double>& initial,
+                                 double t) {
+  std::vector<double> pi(initial.size());
+  std::vector<double> indicator(initial.size(), 0.0);
+  std::vector<double> point;
+  for (std::size_t s = 0; s < initial.size(); ++s) {
+    indicator[s] = 1.0;
+    (void)solver.reward_curve(initial, indicator, {t}, point);
+    pi[s] = point[0];
+    indicator[s] = 0.0;
+  }
+  return pi;
+}
+
 }  // namespace
 
 TEST(TransientSolver, RequiresPrepare) {
   ct::TransientSolver solver;
   EXPECT_FALSE(solver.prepared());
-  std::vector<double> out;
-  EXPECT_THROW(solver.distribution_at({1.0, 0.0}, 1.0, out), std::logic_error);
   std::vector<double> values;
   EXPECT_THROW((void)solver.reward_curve({1.0, 0.0}, {1.0, 0.0}, {1.0}, values),
                std::logic_error);
@@ -65,9 +79,8 @@ TEST(TransientSolver, TwoStateClosedForm) {
   const ct::Ctmc c = up_down(l, mu);
   ct::TransientSolver solver;
   solver.prepare(c);
-  std::vector<double> pi;
   for (double t : {0.0, 0.1, 0.5, 1.0, 3.0, 10.0}) {
-    solver.distribution_at({1.0, 0.0}, t, pi);
+    const std::vector<double> pi = distribution(solver, {1.0, 0.0}, t);
     const double expected = mu / (l + mu) + l / (l + mu) * std::exp(-(l + mu) * t);
     EXPECT_NEAR(pi[0], expected, 1e-9) << "t=" << t;
     EXPECT_NEAR(pi[0] + pi[1], 1.0, 1e-12);
@@ -81,9 +94,8 @@ TEST(TransientSolver, MatchesNaiveOracleOnRandomChains) {
     solver.prepare(c);
     std::vector<double> initial(9, 0.0);
     initial[seed % 9] = 1.0;
-    std::vector<double> pi;
     for (double t : {0.05, 0.4, 2.0, 17.0}) {
-      solver.distribution_at(initial, t, pi);
+      const std::vector<double> pi = distribution(solver, initial, t);
       const std::vector<double> oracle = naive_transient(c, initial, t);
       for (std::size_t s = 0; s < 9; ++s) {
         EXPECT_NEAR(pi[s], oracle[s], 1e-10) << "seed=" << seed << " t=" << t << " s=" << s;
@@ -109,9 +121,8 @@ TEST(TransientSolver, AccumulatedRewardClosedForm) {
         << "t=" << t;
   }
   // The absorbing distribution itself.
-  std::vector<double> pi;
-  solver.distribution_at({1.0, 0.0}, 4.0, pi);
-  EXPECT_NEAR(pi[0], std::exp(-l * 4.0), 1e-10);
+  (void)solver.reward_curve({1.0, 0.0}, {1.0, 0.0}, {4.0}, values);
+  EXPECT_NEAR(values[0], std::exp(-l * 4.0), 1e-10);
 }
 
 TEST(TransientSolver, AccumulatedMatchesFineQuadratureOfInstantaneous) {
@@ -197,7 +208,8 @@ TEST(TransientSolver, NonFiniteTimesAreRejected) {
   std::vector<std::vector<double>> curves;
   for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
     SCOPED_TRACE(bad);
-    EXPECT_THROW(solver.distribution_at(initial, bad, out), std::invalid_argument);
+    EXPECT_THROW((void)solver.reward_curve(initial, rewards, {bad}, out),
+                 std::invalid_argument);
     EXPECT_THROW((void)solver.reward_curve(initial, rewards, {0.0, bad, 2.0}, out),
                  std::invalid_argument);
     EXPECT_THROW((void)solver.reward_curve(initial, rewards, {0.0, 1.0, bad}, out),
@@ -215,7 +227,7 @@ TEST(TransientSolver, HugeFiniteTimesExceedMaxTerms) {
   solver.prepare(up_down(1.0, 1.0));
   const std::vector<double> initial{1.0, 0.0};
   std::vector<double> out;
-  EXPECT_THROW(solver.distribution_at(initial, 1e30, out), std::runtime_error);
+  EXPECT_THROW((void)solver.reward_curve(initial, {1.0, 0.0}, {1e30}, out), std::runtime_error);
   EXPECT_THROW((void)solver.reward_curve(initial, {1.0, 0.0}, {0.0, 1e30}, out),
                std::runtime_error);
   EXPECT_EQ(solver.diagnostics().matvec_count, 0u);
@@ -227,9 +239,9 @@ TEST(TransientSolver, FoxGlynnWindowSkipsTheLeftTail) {
   const ct::Ctmc c = up_down(100.0, 100.0);
   ct::TransientSolver solver;
   solver.prepare(c);
-  std::vector<double> pi;
-  solver.distribution_at({1.0, 0.0}, 10.0, pi);
-  EXPECT_NEAR(pi[0], 0.5, 1e-9);
+  std::vector<double> up;
+  (void)solver.reward_curve({1.0, 0.0}, {1.0, 0.0}, {10.0}, up);
+  EXPECT_NEAR(up[0], 0.5, 1e-9);
   const ct::TransientDiagnostics& d = solver.diagnostics();
   EXPECT_GT(d.left_point, 0u);
   EXPECT_GT(d.right_point, d.left_point);
@@ -243,14 +255,15 @@ TEST(TransientSolver, MaxTermsOverflowThrows) {
   options.max_terms = 8;
   ct::TransientSolver solver(options);
   solver.prepare(c);
-  std::vector<double> pi;
-  EXPECT_THROW(solver.distribution_at({1.0, 0.0}, 10.0, pi), std::runtime_error);
+  std::vector<double> values;
+  EXPECT_THROW((void)solver.reward_curve({1.0, 0.0}, {1.0, 0.0}, {10.0}, values),
+               std::runtime_error);
 }
 
 TEST(TransientSolver, MaxTermsBoundsACurveLikeItsLastPoint) {
   // One expansion of the t_G window serves the whole curve, so max_terms
-  // caps a curve exactly where it caps distribution_at(t_G), however short
-  // the gaps between its grid points.
+  // caps a curve exactly where it caps a one-point curve at t_G, however
+  // short the gaps between its grid points.
   ct::TransientOptions options;
   options.max_terms = 60;
   ct::TransientSolver solver(options);
@@ -260,11 +273,11 @@ TEST(TransientSolver, MaxTermsBoundsACurveLikeItsLastPoint) {
     for (double t = 1.0; t <= horizon; t += 1.0) grid.push_back(t);
     return grid;
   };
-  std::vector<double> pi;
   std::vector<double> values;
-  EXPECT_NO_THROW(solver.distribution_at({1.0, 0.0}, 5.0, pi));
+  EXPECT_NO_THROW((void)solver.reward_curve({1.0, 0.0}, {1.0, 0.0}, {5.0}, values));
   EXPECT_NO_THROW((void)solver.reward_curve({1.0, 0.0}, {1.0, 0.0}, unit_grid(5.0), values));
-  EXPECT_THROW(solver.distribution_at({1.0, 0.0}, 40.0, pi), std::runtime_error);
+  EXPECT_THROW((void)solver.reward_curve({1.0, 0.0}, {1.0, 0.0}, {40.0}, values),
+               std::runtime_error);
   EXPECT_THROW((void)solver.reward_curve({1.0, 0.0}, {1.0, 0.0}, unit_grid(40.0), values),
                std::runtime_error);
 }
@@ -272,8 +285,8 @@ TEST(TransientSolver, MaxTermsBoundsACurveLikeItsLastPoint) {
 TEST(TransientSolver, CurveSweepsDoNotGrowWithTheGrid) {
   // Asymptotic guard, by counter: one Poisson expansion serves the whole
   // grid, so 2-, 16- and 161-point grids over the same horizon sweep the
-  // matrix exactly right_point(Lambda * t_G) times — the cost of
-  // distribution_at(t_G) alone.
+  // matrix exactly right_point(Lambda * t_G) times — the cost of a one-point
+  // curve at t_G alone.
   const ct::Ctmc c = random_chain(9, 7);
   std::vector<double> initial(9, 0.0);
   initial[4] = 1.0;
@@ -283,8 +296,8 @@ TEST(TransientSolver, CurveSweepsDoNotGrowWithTheGrid) {
 
   ct::TransientSolver solver;
   solver.prepare(c);
-  std::vector<double> pi;
-  solver.distribution_at(initial, horizon, pi);
+  std::vector<double> point;
+  (void)solver.reward_curve(initial, rewards, {horizon}, point);
   const std::size_t right_point = solver.diagnostics().right_point;
   ASSERT_EQ(solver.diagnostics().matvec_count, right_point);
   ASSERT_GT(right_point, 100u);
@@ -342,10 +355,10 @@ TEST(TransientSolver, WorkspaceReusesStructureAcrossRateChanges) {
   solver.prepare(up_down(l, mu));
   EXPECT_EQ(solver.structure_builds(), 1u);
   EXPECT_EQ(solver.structure_reuses(), 2u);
-  std::vector<double> pi;
-  solver.distribution_at({1.0, 0.0}, 0.8, pi);
+  std::vector<double> up;
+  (void)solver.reward_curve({1.0, 0.0}, {1.0, 0.0}, {0.8}, up);
   const double expected = mu / (l + mu) + l / (l + mu) * std::exp(-(l + mu) * 0.8);
-  EXPECT_NEAR(pi[0], expected, 1e-9);
+  EXPECT_NEAR(up[0], expected, 1e-9);
 
   // A different structure rebuilds.
   solver.prepare(random_chain(5, 3));
@@ -356,19 +369,17 @@ TEST(TransientSolver, ZeroHorizonAndFrozenChain) {
   const ct::Ctmc c = up_down(1.0, 1.0);
   ct::TransientSolver solver;
   solver.prepare(c);
-  std::vector<double> pi;
-  solver.distribution_at({0.25, 0.75}, 0.0, pi);
-  EXPECT_DOUBLE_EQ(pi[0], 0.25);
   std::vector<double> values;
   EXPECT_DOUBLE_EQ(solver.reward_curve({0.25, 0.75}, {1.0, 0.0}, {0.0}, values), 0.0);
+  EXPECT_DOUBLE_EQ(values[0], 0.25);
 
   // A chain with no transitions at all: pi(t) = pi(0), accumulated is linear.
   ct::Ctmc frozen;
   frozen.add_states(3);
   ct::TransientSolver frozen_solver;
   frozen_solver.prepare(frozen);
-  frozen_solver.distribution_at({0.2, 0.3, 0.5}, 100.0, pi);
-  EXPECT_DOUBLE_EQ(pi[1], 0.3);
+  (void)frozen_solver.reward_curve({0.2, 0.3, 0.5}, {0.0, 1.0, 0.0}, {100.0}, values);
+  EXPECT_DOUBLE_EQ(values[0], 0.3);
   EXPECT_NEAR(frozen_solver.reward_curve({0.2, 0.3, 0.5}, {1.0, 0.0, 0.0}, {10.0}, values), 2.0,
               1e-12);
 }

@@ -1,9 +1,9 @@
 // Tests for the static model verifier (petri::verify): certificate math
 // against the definitions AND against the reachability-based dynamic oracles
-// (analyze_structure, ctmc irreducibility/transient-state analysis), a
-// seeded-defect corpus where every lint rule must fire on a deliberately
-// broken net, clean passes over all paper nets plus a 50-seed generated
-// sweep, the sparse structural pass against the dense oracle
+// (structural_oracle.hpp's analyze_structure and transient_states, and ctmc
+// irreducibility), a seeded-defect corpus where every lint rule must fire on
+// a deliberately broken net, clean passes over all paper nets plus a 50-seed
+// generated sweep, the sparse structural pass against the dense oracle
 // (verify_oracle.hpp) with its structure key, Farkas work counter and Session
 // memo, and the end-to-end Session/JSON wiring.
 
@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <map>
 #include <random>
 #include <set>
 #include <sstream>
@@ -22,13 +23,13 @@
 #include "patchsec/avail/server_srn.hpp"
 #include "patchsec/core/report.hpp"
 #include "patchsec/core/session.hpp"
-#include "patchsec/ctmc/absorbing.hpp"
-#include "patchsec/petri/structural.hpp"
 #include "patchsec/petri/verify.hpp"
 #include "patchsec/testgen/scenario_generator.hpp"
+#include "structural_oracle.hpp"
 #include "verify_oracle.hpp"
 
 namespace pt = patchsec::petri;
+namespace so = structural_oracle;
 namespace av = patchsec::avail;
 namespace ent = patchsec::enterprise;
 namespace core = patchsec::core;
@@ -253,7 +254,7 @@ TEST(VerifyOracle, StaticBoundsMatchAnalyzeStructureOnPaperNets) {
 
   for (const pt::SrnModel& net : nets) {
     const pt::VerifyReport verify = pt::verify_model(net);
-    const pt::StructuralReport oracle = pt::analyze_structure(net);
+    const so::StructuralReport oracle = so::analyze_structure(net);
     ASSERT_TRUE(verify.certificates.p_semiflows_complete);
     EXPECT_EQ(verify.certificates.token_conserving, oracle.conservative);
     // Soundness, not completeness: the server nets DO have dynamically dead
@@ -299,8 +300,8 @@ TEST(VerifyOracle, PInvariantLawHoldsOnEveryReachableMarking) {
 TEST(VerifyOracle, AnalyzeStructureGraphOverloadMatchesRebuild) {
   const pt::SrnModel net = paper_server_net();
   const pt::ReachabilityGraph graph = pt::build_reachability_graph(net);
-  const pt::StructuralReport via_graph = pt::analyze_structure(net, graph);
-  const pt::StructuralReport rebuilt = pt::analyze_structure(net);
+  const so::StructuralReport via_graph = so::analyze_structure(net, graph);
+  const so::StructuralReport rebuilt = so::analyze_structure(net);
   EXPECT_EQ(via_graph.place_bounds, rebuilt.place_bounds);
   EXPECT_EQ(via_graph.dead_transitions, rebuilt.dead_transitions);
   EXPECT_EQ(via_graph.max_total_tokens, rebuilt.max_total_tokens);
@@ -313,7 +314,7 @@ TEST(VerifyOracle, CleanNetLowersToErgodicChain) {
   const av::NetworkSrn net = paper_network_net(ent::example_network_design());
   ASSERT_TRUE(pt::verify_model(net.model).clean());
   const pt::ReachabilityGraph graph = pt::build_reachability_graph(net.model);
-  EXPECT_TRUE(patchsec::ctmc::transient_states(graph.chain).empty());
+  EXPECT_TRUE(so::transient_states(graph.chain).empty());
   EXPECT_TRUE(graph.chain.is_irreducible());
 }
 
@@ -331,7 +332,7 @@ TEST(VerifyOracle, SinkNetIsFlaggedStaticallyAndDynamically) {
   EXPECT_TRUE(report.has_errors());
 
   const pt::ReachabilityGraph graph = pt::build_reachability_graph(net);
-  EXPECT_FALSE(patchsec::ctmc::transient_states(graph.chain).empty());
+  EXPECT_FALSE(so::transient_states(graph.chain).empty());
   EXPECT_FALSE(graph.chain.is_irreducible());
 }
 
@@ -346,7 +347,7 @@ TEST(VerifyOracle, StructurallyDeadTransitionAgreesWithOracle) {
   const pt::VerifyReport report = pt::verify_model(net);
   EXPECT_TRUE(has_finding(report, "V-STRUCT-001"));
 
-  const pt::StructuralReport oracle = pt::analyze_structure(net);
+  const so::StructuralReport oracle = so::analyze_structure(net);
   ASSERT_EQ(oracle.dead_transitions.size(), 1u);
   EXPECT_EQ(net.transition_name(oracle.dead_transitions.front()), "greedy");
 }
@@ -1109,6 +1110,41 @@ TEST(VerifyWiring, SessionCertifiesEachStructureOnce) {
   EXPECT_EQ(verifications, 40u);
   EXPECT_EQ(counters.verify_structure_builds, keys.size());
   EXPECT_EQ(counters.verify_structure_reuses, verifications - keys.size());
+}
+
+TEST(VerifyWiring, LumpedTransientBatchVerifiesOncePerBatch) {
+  // No verification stage depends on the wave, so an 8-wave lumped batch
+  // runs each stage once: every server stage and ONE network stage, each a
+  // certificate build or a memo reuse.
+  core::EngineOptions engine;
+  engine.lumping = true;
+  engine.time_points = {0.0, 1.0, 24.0};
+  const core::Scenario scenario = core::Scenario::paper_case_study().with_engine(engine);
+  using R = ent::ServerRole;
+  const std::vector<std::map<R, unsigned>> waves = {
+      {}, {{R::kDns, 1}}, {{R::kWeb, 1}}, {{R::kApp, 1}}, {{R::kDb, 1}},
+      {{R::kWeb, 1}, {R::kApp, 1}}, {{R::kDns, 1}, {R::kDb, 1}}, {{R::kWeb, 2}}};
+  const core::Session session(scenario);
+  const std::vector<core::EvalReport> batch =
+      session.evaluate_transient_batch(ent::example_network_design(), waves);
+  const core::Session::WorkspaceCounters counters = session.workspace_counters();
+
+  const core::EvalReport single =
+      core::Session(scenario).evaluate_transient(ent::example_network_design());
+  ASSERT_EQ(single.verification.size(), scenario.specs().size() + 1);
+  EXPECT_EQ(counters.verify_structure_builds + counters.verify_structure_reuses,
+            single.verification.size());
+  ASSERT_EQ(batch.size(), waves.size());
+  for (const core::EvalReport& report : batch) {
+    ASSERT_EQ(report.verification.size(), single.verification.size());
+    for (std::size_t s = 0; s < single.verification.size(); ++s) {
+      EXPECT_EQ(report.verification[s].stage, single.verification[s].stage);
+      expect_same_certificates(report.verification[s].report.certificates,
+                               single.verification[s].report.certificates);
+      expect_same_findings(report.verification[s].report.findings,
+                           single.verification[s].report.findings);
+    }
+  }
 }
 
 TEST(VerifyWiring, OffModeCertifiesNothing) {
