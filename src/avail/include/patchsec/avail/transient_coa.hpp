@@ -4,11 +4,13 @@
 // the capacity dip when patch day hits, and how fast does it heal?" — a
 // question the steady-state COA of the paper averages away.
 //
-// transient_coa_detailed() is the engine behind core::Session::
-// evaluate_transient: one reachability build and one uniformized-matrix
-// build (via a reusable ctmc::TransientSolver workspace) amortized over the
-// whole time grid, returning the COA curve, the accumulated COA (capacity
-// delivered over the window, in server-fraction hours) and diagnostics.
+// transient_coa_batch() is the engine behind core::Session::
+// evaluate_transient and evaluate_transient_batch: one reachability build
+// and one uniformized-matrix build (via a reusable ctmc::TransientSolver
+// workspace) amortized over the whole time grid and every patch wave,
+// returning per wave the COA curve, the accumulated COA (capacity delivered
+// over the window, in server-fraction hours) and diagnostics.
+// transient_coa_detailed() is its one-wave case.
 
 #include <map>
 #include <vector>
@@ -58,6 +60,8 @@ struct CoaCurveEvaluation {
 /// caller's ctmc::TransientSolver: a second curve on the same design+rates
 /// skips the uniformized-matrix rebuild (core::Session passes one per worker
 /// thread).  Throws std::invalid_argument on an empty or descending grid.
+/// The one-wave transient_coa_batch (wave `options.initial_down`): bit for
+/// bit the same curve and accumulated COA.
 [[nodiscard]] CoaCurveEvaluation transient_coa_detailed(
     const enterprise::RedundancyDesign& design,
     const std::map<enterprise::ServerRole, AggregatedRates>& rates,
@@ -76,8 +80,8 @@ struct CoaCurveEvaluation {
 /// `options.initial_down` is ignored (the waves replace it); each result's
 /// `diagnostics`/`transient` describe the SHARED batch solve (matvec_count
 /// counts sweeps; transient.rhs_count records B), so summing them across
-/// results would double-count.  Throws like transient_coa_detailed, plus
-/// std::invalid_argument on an empty wave list.
+/// results would double-count.  Throws std::invalid_argument on an empty
+/// or descending grid or an empty wave list.
 [[nodiscard]] std::vector<CoaCurveEvaluation> transient_coa_batch(
     const enterprise::RedundancyDesign& design,
     const std::map<enterprise::ServerRole, AggregatedRates>& rates,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <utility>
 
 namespace patchsec::avail {
 
@@ -30,45 +31,11 @@ CoaCurveEvaluation transient_coa_detailed(
     const std::map<enterprise::ServerRole, AggregatedRates>& rates,
     const std::vector<double>& time_points_hours, const TransientCoaOptions& options,
     ctmc::TransientSolver* workspace) {
-  if (time_points_hours.empty()) {
-    throw std::invalid_argument("transient_coa: no time points");
-  }
-  const auto start_time = Clock::now();
-
-  const NetworkSrn net = build_network_srn(design, rates);
-  const petri::ReachabilityGraph graph =
-      petri::build_reachability_graph(net.model, options.reachability);
-
-  const petri::RewardFunction reward = net.coa_reward();
-  std::vector<double> rewards;
-  rewards.reserve(graph.tangible_count());
-  for (const petri::Marking& m : graph.tangible_markings) rewards.push_back(reward(m));
-
-  std::vector<double> initial(graph.tangible_count(), 0.0);
-  initial[graph.index_of(patch_window_marking(net, options.initial_down))] = 1.0;
-
-  ctmc::TransientSolver local;
-  ctmc::TransientSolver& solver = workspace != nullptr ? *workspace : local;
-  solver.set_options(options.uniformization);
-  solver.prepare(graph.chain);
-
-  std::vector<double> values;
-  CoaCurveEvaluation result;
-  result.accumulated_coa_hours =
-      solver.reward_curve(initial, rewards, time_points_hours, values);
-  result.curve.reserve(values.size());
-  for (std::size_t j = 0; j < values.size(); ++j) {
-    result.curve.push_back({time_points_hours[j], values[j]});
-  }
-  result.transient = solver.diagnostics();
-  result.diagnostics.tangible_states = graph.tangible_count();
-  result.diagnostics.vanishing_markings = graph.vanishing_markings_seen;
-  result.diagnostics.transitions = graph.chain.transitions().size();
-  result.diagnostics.solver_iterations = result.transient.matvec_count;
-  result.diagnostics.converged = true;  // a finite sum, not a fixpoint iteration
-  result.diagnostics.wall_time_seconds =
-      std::chrono::duration<double>(Clock::now() - start_time).count();
-  return result;
+  // The one-wave batch: a width-1 panel is the single-curve solve.
+  return std::move(
+      transient_coa_batch(design, rates, time_points_hours, {options.initial_down}, options,
+                          workspace)
+          .front());
 }
 
 std::vector<CoaCurveEvaluation> transient_coa_batch(

@@ -322,17 +322,19 @@ class Session {
       std::string stage, const petri::SrnModel& model,
       const std::vector<std::pair<std::string, petri::RewardFunction>>& rewards) const;
 
-  /// verify_stage of the upper-layer network net of `design` at `rates`,
-  /// with its COA reward linted.
-  [[nodiscard]] StageVerification verify_network_stage(
-      const enterprise::RedundancyDesign& design,
-      const std::map<enterprise::ServerRole, avail::AggregatedRates>& rates) const;
+  /// verify_stage of an upper-layer network net, with its COA reward
+  /// linted.
+  [[nodiscard]] StageVerification verify_network_stage(const avail::NetworkSrn& net) const;
 
   /// Every verification stage of one (design, cadence) evaluation: the
   /// cadence's server stages plus the design's network stage.  Empty under
   /// VerifyMode::kOff.  No stage depends on the transient entry marking.
+  /// A non-null `net` is the design's network net at agg.rates, already
+  /// built by the caller (the simulated paths), and is verified in place of
+  /// a fresh build.
   [[nodiscard]] std::vector<StageVerification> verification_for(
-      const enterprise::RedundancyDesign& design, const IntervalAggregation& agg) const;
+      const enterprise::RedundancyDesign& design, const IntervalAggregation& agg,
+      const avail::NetworkSrn* net = nullptr) const;
 
   /// Memoized HARM security metrics for one design (thread-safe).  The HARM
   /// side is cadence-independent, so a schedule sweep pays it once per

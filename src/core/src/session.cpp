@@ -173,23 +173,25 @@ StageVerification Session::verify_stage(
   return verified;
 }
 
-StageVerification Session::verify_network_stage(
-    const enterprise::RedundancyDesign& design,
-    const std::map<enterprise::ServerRole, avail::AggregatedRates>& rates) const {
-  // The lumped path never builds the net otherwise, so this build plus its
-  // reward verification is the largest per-cell cost left there; the
-  // structure certificate itself is memoized (structure_for).
-  const avail::NetworkSrn net = avail::build_network_srn(design, rates);
+StageVerification Session::verify_network_stage(const avail::NetworkSrn& net) const {
   std::vector<std::pair<std::string, petri::RewardFunction>> rewards;
   rewards.emplace_back("coa", net.coa_reward());
   return verify_stage("network", net.model, rewards);
 }
 
 std::vector<StageVerification> Session::verification_for(
-    const enterprise::RedundancyDesign& design, const IntervalAggregation& agg) const {
+    const enterprise::RedundancyDesign& design, const IntervalAggregation& agg,
+    const avail::NetworkSrn* net) const {
   if (scenario_.engine().verify == VerifyMode::kOff) return {};
   std::vector<StageVerification> verification = agg.verification;
-  verification.push_back(verify_network_stage(design, agg.rates));
+  if (net != nullptr) {
+    verification.push_back(verify_network_stage(*net));
+  } else {
+    // The lumped path never builds the net otherwise, so this build plus its
+    // reward verification is the largest per-cell cost left there; the
+    // structure certificate itself is memoized (structure_for).
+    verification.push_back(verify_network_stage(avail::build_network_srn(design, agg.rates)));
+  }
   return verification;
 }
 
@@ -345,10 +347,11 @@ EvalReport Session::evaluate(const enterprise::RedundancyDesign& design,
   report.before_patch = security.before_patch;
   report.after_patch = security.after_patch;
   report.backend = scenario_.engine().backend;
-  report.verification = verification_for(design, agg);
 
   if (report.backend == EvalBackend::kSimulation) {
+    // One net build serves the verification and the simulator.
     const avail::NetworkSrn net = avail::build_network_srn(design, agg.rates);
+    report.verification = verification_for(design, agg, &net);
     const sim::SrnSimulator simulator(net.model);
     // Parallel batches already saturate the machine with session workers;
     // replications then run serially inside each worker so the two pools
@@ -362,12 +365,14 @@ EvalReport Session::evaluate(const enterprise::RedundancyDesign& design,
     report.coa_half_width_95 = est.half_width_95;
     report.simulation_diagnostics = est.diagnostics;
   } else if (scenario_.engine().lumping) {
+    report.verification = verification_for(design, agg);
     // Closed form over the per-tier binomials: no chain, no workspace.
     const avail::CoaEvaluation coa = avail::capacity_oriented_availability_lumped_detailed(
         design, agg.rates, scenario_.engine().analyzer_options());
     report.coa = coa.coa;
     report.availability_diagnostics = coa.diagnostics;
   } else {
+    report.verification = verification_for(design, agg);
     const avail::CoaEvaluation coa = avail::capacity_oriented_availability_detailed(
         design, agg.rates, scenario_.engine().analyzer_options(),
         &workspaces_for_this_thread().availability);
@@ -405,10 +410,12 @@ EvalReport Session::evaluate_transient_impl(
   report.after_patch = security.after_patch;
   report.backend = engine.backend;
   report.transient.time_points_hours = grid;
-  report.verification = verification != nullptr ? *verification : verification_for(design, agg);
 
   if (report.backend == EvalBackend::kSimulation) {
+    // One net build serves the verification and the simulator.
     const avail::NetworkSrn net = avail::build_network_srn(design, agg.rates);
+    report.verification =
+        verification != nullptr ? *verification : verification_for(design, agg, &net);
     const petri::Marking window_start = avail::patch_window_marking(net, initial_down);
     const sim::SrnSimulator simulator(net.model);
     // Unlike evaluate(), no engine.parallel override here: transient
@@ -424,6 +431,8 @@ EvalReport Session::evaluate_transient_impl(
     report.coa_half_width_95 = est.interval_half_width_95;
     report.simulation_diagnostics = est.diagnostics;
   } else {
+    report.verification =
+        verification != nullptr ? *verification : verification_for(design, agg);
     avail::TransientCoaOptions options;
     options.initial_down = initial_down;
     options.uniformization = engine.uniformization;

@@ -70,7 +70,7 @@ struct TransientDiagnostics {
   /// only; 0 = nothing evaluated yet).
   std::size_t rhs_count = 0;
   /// Inner-loop id of the last evaluation: the dispatched linalg::SpmvKernel
-  /// name ("sell8-avx512" / "sell8-avx2" / "sell8-scalar").
+  /// name ("panel-avx512" / "panel-avx2" / "panel-scalar").
   std::string kernel;
   double poisson_mass = 0.0;         ///< captured (pre-normalization) mass, last window.
   double wall_time_seconds = 0.0;    ///< evaluation time since prepare().
@@ -96,7 +96,8 @@ class TransientSolver {
   /// expansion of the t_back window: every term's reward dot is weighted into
   /// each grid point whose own window holds it, so the sweep count does not
   /// grow with the grid.  `initial` is divided by its mass (throws
-  /// std::domain_error when that is not positive and finite).
+  /// std::domain_error when that is not positive and finite).  This is the
+  /// width-1 panel of reward_curve_multi, bit for bit.
   double reward_curve(const std::vector<double>& initial, const std::vector<double>& rewards,
                       const std::vector<double>& time_points, std::vector<double>& values);
 
@@ -106,9 +107,8 @@ class TransientSolver {
   /// (diagnostics().matvec_count counts sweeps; rhs_count records B).
   /// `curves[b][j]` receives r . pi_b(t_j); the return value is the per-b
   /// accumulated reward.  Each column's arithmetic is independent of B, so a
-  /// column is bit-identical to its initial solved as a width-1 panel.
-  /// Agreement with B sequential reward_curve calls is documented at ~1e-12
-  /// (the panel kernel reduces in a different association order).
+  /// column is bit-identical to its initial solved as a width-1 panel —
+  /// i.e. to reward_curve on that initial.
   std::vector<double> reward_curve_multi(const std::vector<std::vector<double>>& initials,
                                          const std::vector<double>& rewards,
                                          const std::vector<double>& time_points,
@@ -141,13 +141,12 @@ class TransientSolver {
   /// capturing mass >= 1 - epsilon, expanding outward from the mode.
   void poisson_window(double m);
 
-  /// The single pass behind reward_curve (m = 1 through SpmvKernel::step)
-  /// and reward_curve_multi (panel = true, SpmvKernel::step_panel for any
-  /// m).  term_ holds the column-major m-wide initial panel on entry; on
-  /// return curve_sums_[j*m + b] holds r . pi_b(t_j) and accumulated[0..m)
-  /// the per-column accumulated reward, both divided by the initial column
-  /// mass.
-  void expand_curves(std::size_t m, bool panel, const std::vector<double>& rewards,
+  /// The single pass behind reward_curve (m = 1) and reward_curve_multi,
+  /// one SpmvKernel::step_panel per expansion term.  term_ holds the
+  /// column-major m-wide initial panel on entry; on return
+  /// curve_sums_[j*m + b] holds r . pi_b(t_j) and accumulated[0..m) the
+  /// per-column accumulated reward, both divided by the initial column mass.
+  void expand_curves(std::size_t m, const std::vector<double>& rewards,
                      const std::vector<double>& time_points, double* accumulated);
 
   /// Compile (or value-refresh) kernel_ from the cached uniformized matrix.
@@ -172,8 +171,8 @@ class TransientSolver {
   std::size_t left_ = 0;
   std::size_t right_ = 0;
   double mass_ = 0.0;
-  std::vector<double> term_;
-  std::vector<double> next_;
+  linalg::PanelVector term_;
+  linalg::PanelVector next_;
 
   // Curve scratch: every grid point's Poisson window (weights packed into
   // grid_weights_), the per-(point, column) reward sums, the per-term column

@@ -93,7 +93,7 @@ void TransientSolver::prepare(const Ctmc& chain) {
 
   diagnostics_ = TransientDiagnostics{};
   diagnostics_.uniformization_rate = lambda_;
-  // The SIMD layout compiles lazily on the first kAuto evaluation; its own
+  // The SIMD layout compiles lazily on the first evaluation; its own
   // structure-reuse fast path makes the refresh allocation-free.
   kernel_fresh_ = false;
 }
@@ -189,7 +189,7 @@ void TransientSolver::poisson_window(double m) {
   diagnostics_.poisson_mass = mass_;
 }
 
-void TransientSolver::expand_curves(std::size_t m, bool panel, const std::vector<double>& rewards,
+void TransientSolver::expand_curves(std::size_t m, const std::vector<double>& rewards,
                                     const std::vector<double>& time_points,
                                     double* accumulated) {
   // Column masses of the initial panel: the zero-mass check, and the divisor
@@ -228,17 +228,12 @@ void TransientSolver::expand_curves(std::size_t m, bool panel, const std::vector
   double cumulative = 0.0;  // F_G(k): Poisson CDF over the t_G window
   for (std::size_t k = 0;; ++k) {
     // d_k = r . pi_0 P^k per column, from the same traversal that forms
-    // P^{k+1} (weight 0, no accumulator: pi(t_j) is never materialized).
+    // P^{k+1} (pi(t_j) is never materialized).
     const bool last = k >= right_;
-    if (panel) {
-      if (last) {
-        kernel_.reduce_panel(term_.data(), m, 0.0, nullptr, r, dots_.data());
-      } else {
-        kernel_.step_panel(term_.data(), next_.data(), m, 0.0, nullptr, r, dots_.data());
-      }
+    if (last) {
+      kernel_.reduce_panel(term_.data(), m, r, dots_.data());
     } else {
-      dots_[0] = last ? kernel_.reduce(term_.data(), 0.0, nullptr, r)
-                      : kernel_.step(term_.data(), next_.data(), 0.0, nullptr, r);
+      kernel_.step_panel(term_.data(), next_.data(), m, r, dots_.data());
     }
     // r . pi(t_j) = sum_k w_j(k) d_k over every window that holds k.
     for (std::size_t j = 0; j < points; ++j) {
@@ -295,7 +290,7 @@ std::vector<double> TransientSolver::reward_curve_multi(
   for (std::size_t b = 0; b < m; ++b) {
     for (std::size_t s = 0; s < states_; ++s) term_[s * m + b] = initials[b][s];
   }
-  expand_curves(m, true, rewards, time_points, accumulated.data());
+  expand_curves(m, rewards, time_points, accumulated.data());
   for (std::size_t b = 0; b < m; ++b) {
     curves[b].resize(time_points.size());
     for (std::size_t j = 0; j < time_points.size(); ++j) curves[b][j] = curve_sums_[j * m + b];
@@ -314,9 +309,9 @@ double TransientSolver::reward_curve(const std::vector<double>& initial,
   }
   check_grid(time_points);
   const auto start = Clock::now();
-  term_ = initial;
+  term_.assign(initial.begin(), initial.end());  // a width-1 panel has the vector's layout
   double accumulated = 0.0;
-  expand_curves(1, false, rewards, time_points, &accumulated);
+  expand_curves(1, rewards, time_points, &accumulated);
   values.assign(curve_sums_.begin(), curve_sums_.end());
   diagnostics_.wall_time_seconds += seconds_since(start);
   return accumulated;

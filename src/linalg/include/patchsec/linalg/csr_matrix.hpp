@@ -45,14 +45,6 @@ class CsrMatrix {
   /// fill in within a few steps, making the branch a pure mispredict).
   void left_multiply(const std::vector<double>& x, std::vector<double>& y) const;
 
-  /// left_multiply variant that skips zero entries of x — the right shape
-  /// for indicator-like inputs (delta initial distributions, reachability
-  /// frontiers) where most rows contribute nothing.  Identical results.
-  void left_multiply_sparse(const std::vector<double>& x, std::vector<double>& y) const;
-
-  /// y = A * x  (matrix times column vector).  y is resized to rows().
-  void right_multiply(const std::vector<double>& x, std::vector<double>& y) const;
-
   /// Element lookup (binary search within the row); 0.0 when absent.
   [[nodiscard]] double at(std::size_t row, std::size_t col) const;
 

@@ -1,42 +1,33 @@
 #pragma once
 /// \file spmv_kernel.hpp
-/// \brief SIMD sparse matrix-vector kernel workspace for the uniformization
-/// hot path: a CsrMatrix compiled once per sparsity structure into a
-/// SELL-8 (sliced-ELLPACK, chunk height 8, sigma = 1) layout of the
-/// TRANSPOSE with 32-bit column indices, plus a multi-RHS panel kernel.
+/// \brief SIMD sparse kernel workspace for the uniformization hot path: a
+/// square CSR matrix compiled once per sparsity structure into a 32-bit CSR
+/// of its TRANSPOSE, swept by one multi-RHS panel kernel.
 ///
 /// Why the transpose: the probability iterates of uniformization advance by
 /// y = x^T P (row-vector times matrix), which in CSR row order is a SCATTER
 /// (y[col] += x[row] * v) — unvectorizable without conflict detection.  Over
 /// the rows of P^T the same product is a GATHER (y[s] = sum_k v_k *
-/// x[col_k]), and SELL-8 lets eight output states advance in lock-step: each
-/// SIMD lane owns one row of P^T and accumulates its own sum, so no
-/// horizontal reduction is paid per row and ragged rows cost only zero
-/// padding (value 0, column 0 — harmless to read).  Column indices are
-/// 32-bit, halving index traffic and matching the AVX2/AVX-512 gather
-/// instructions' index vectors exactly.
+/// x[col_k]).  Column indices are 32-bit, halving index traffic.
 ///
-/// The inner loop is runtime-dispatched: an AVX-512F path (8 lanes), an
-/// AVX2+FMA path (4 lanes) and a portable scalar pass over the same SELL
-/// storage (the always-available fallback — and the layout-equivalence
-/// anchor for the SIMD paths; the bit-level oracle in tests is
-/// CsrMatrix::left_multiply).  Dispatch is decided once per process from
-/// CPUID, never per call.
+/// The kernel advances m right-hand sides per sweep over the matrix: the
+/// panel is column-major in the RHS index (element (j, s) of the m x n panel
+/// lives at x[s*m + j]), so every matrix entry issues one CONTIGUOUS m-wide
+/// FMA — vectorization across the RHS dimension is structure-independent,
+/// and the matrix's index/value traffic is paid once per sweep instead of
+/// once per initial condition.  A single vector is the width-1 panel (the
+/// layouts coincide), so ctmc::TransientSolver::reward_curve and
+/// reward_curve_multi run the same code.
 ///
-/// The multi-RHS panel kernel advances m initial conditions per sweep over
-/// the matrix: the panel is column-major in the RHS index (element (j, s) of
-/// the m x n panel lives at x[s*m + j]), so every matrix entry issues one
-/// CONTIGUOUS m-wide FMA — vectorization across the RHS dimension is
-/// structure-independent, and the matrix's index/value traffic is paid once
-/// per sweep instead of once per initial condition.  This is the shape of a
-/// design sweep's patch-wave curves (ctmc::TransientSolver::
-/// reward_curve_multi → avail::transient_coa_batch).
+/// The inner loop is runtime-dispatched: an AVX-512F path (8 RHS per
+/// vector, masked tails), an AVX2+FMA path (4 RHS per vector, scalar tails)
+/// and a portable scalar pass (the always-available fallback; the oracle in
+/// tests is CsrMatrix::left_multiply).  Dispatch is decided once per process
+/// from CPUID, never per call.
 ///
-/// Both kernels exist in a FUSED form (step/step_panel) that folds the two
-/// other dense passes of a uniformization step — the Poisson-weight
-/// accumulation accum += w * x and the reward reduction dot(x, r) — into the
-/// same traversal, saving two full passes over the iterate per expansion
-/// term.
+/// step_panel folds the reward reduction dots[j] = dot(X_j, r) of a
+/// uniformization term into the same traversal that forms the next power,
+/// saving a full pass over the iterate per expansion term.
 ///
 /// An SpmvKernel is a workspace in the StationarySolver/TransientSolver
 /// mold: compile() with a structurally identical matrix refreshes values in
@@ -45,48 +36,68 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <vector>
-
-#include "patchsec/linalg/csr_matrix.hpp"
 
 namespace patchsec::linalg {
 
 /// Which inner loop CPUID dispatch selected (fixed per process).
 enum class SpmvIsa : std::uint8_t { kScalar, kAvx2, kAvx512 };
 
-/// The dispatched ISA for this process ("sell8-avx512" / "sell8-avx2" /
-/// "sell8-scalar" in kernel-name form).
+/// The dispatched ISA for this process ("panel-avx512" / "panel-avx2" /
+/// "panel-scalar" in kernel-name form).
 [[nodiscard]] SpmvIsa spmv_dispatched_isa() noexcept;
 [[nodiscard]] const char* spmv_isa_name(SpmvIsa isa) noexcept;
+
+/// Allocator of cache-line (64-byte) aligned storage for panels.  A width-8
+/// panel row is then exactly one line, so no SIMD load of a row block
+/// splits two; default std::vector storage is only 16-byte aligned, and a
+/// misaligned panel costs the width-8 sweep ~17% (measured on AVX-512).
+template <class T>
+struct CacheLineAllocator {
+  using value_type = T;
+  static constexpr std::align_val_t kAlignment{64};
+
+  CacheLineAllocator() = default;
+  template <class U>
+  explicit CacheLineAllocator(const CacheLineAllocator<U>& /*other*/) noexcept {}
+
+  [[nodiscard]] T* allocate(std::size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T), kAlignment));
+  }
+  void deallocate(T* p, std::size_t /*n*/) noexcept { ::operator delete(p, kAlignment); }
+
+  friend bool operator==(const CacheLineAllocator&, const CacheLineAllocator&) noexcept {
+    return true;
+  }
+};
+
+/// Panel storage for step_panel()/reduce_panel() operands.
+using PanelVector = std::vector<double, CacheLineAllocator<double>>;
 
 class SpmvKernel {
  public:
   SpmvKernel() = default;
 
   /// Compile (or, for an identical sparsity structure, value-refresh in
-  /// place) the kernel layout from `a`.  Throws std::invalid_argument on an
-  /// empty matrix or one with more than 2^32-1 rows/columns (the 32-bit
-  /// index contract).
-  void compile(const CsrMatrix& a);
-
-  /// Same, from raw CSR arrays (the ctmc::TransientSolver path, whose cached
-  /// uniformized matrix never materializes a CsrMatrix).  The arrays must
-  /// satisfy the CsrMatrix invariants (sorted rows, merged duplicates).
+  /// place) the kernel layout from raw CSR arrays of a SQUARE matrix (the
+  /// ctmc::TransientSolver path, whose cached uniformized matrix never
+  /// materializes a CsrMatrix).  The arrays must satisfy the CsrMatrix
+  /// invariants (sorted rows, merged duplicates).  Throws
+  /// std::invalid_argument on an empty or non-square matrix, inconsistent
+  /// arrays, or more than 2^32-1 rows/entries (the 32-bit index contract).
   void compile(std::size_t rows, std::size_t cols,
                const std::vector<std::size_t>& row_offsets,
                const std::vector<std::size_t>& col_indices, const std::vector<double>& values);
 
-  [[nodiscard]] bool compiled() const noexcept { return rows_ > 0; }
-  [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
-  [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
+  [[nodiscard]] bool compiled() const noexcept { return n_ > 0; }
+  /// Order of the compiled square matrix (the x and y extent of a panel
+  /// column).
+  [[nodiscard]] std::size_t size() const noexcept { return n_; }
   [[nodiscard]] std::size_t nnz() const noexcept { return nnz_; }
 
-  /// Stored SELL slots / nnz — the padding overhead of the chunked layout
-  /// (1.0 = perfectly uniform rows).
-  [[nodiscard]] double padding_ratio() const noexcept;
-
-  /// Name of the dispatched inner loop ("sell8-avx512", "sell8-avx2",
-  /// "sell8-scalar").
+  /// Name of the dispatched inner loop ("panel-avx512", "panel-avx2",
+  /// "panel-scalar").
   [[nodiscard]] const char* kernel_name() const noexcept { return spmv_isa_name(isa_); }
   [[nodiscard]] SpmvIsa isa() const noexcept { return isa_; }
 
@@ -96,63 +107,35 @@ class SpmvKernel {
   [[nodiscard]] std::size_t structure_builds() const noexcept { return builds_; }
   [[nodiscard]] std::size_t structure_reuses() const noexcept { return reuses_; }
 
-  /// y = x^T A through the SIMD path.  y is resized to cols(); agreement
-  /// with the scalar oracle CsrMatrix::left_multiply is documented at
-  /// ~1e-15 relative (identical per-row accumulation order; the SIMD lanes
-  /// use explicit FMA where the scalar oracle relies on compiler
-  /// contraction).  Throws std::logic_error when not compiled and
-  /// std::invalid_argument on size mismatch.
-  void left_multiply(const std::vector<double>& x, std::vector<double>& y) const;
+  /// One uniformization term over m interleaved right-hand sides
+  /// (column-major panel: element (j, s) at x[s*m + j]; x and y span
+  /// size()*m): Y = X^T A per column and, when r and dots are non-null,
+  /// dots[j] = dot(X_j, r) (overwritten, not accumulated) from the SAME
+  /// traversal.  With null r/dots it is the plain product.  Agreement with
+  /// CsrMatrix::left_multiply is round-off only (identical per-row
+  /// accumulation order, explicit FMA in the SIMD lanes).  Throws
+  /// std::logic_error when not compiled and std::invalid_argument on m = 0.
+  void step_panel(const double* x, double* y, std::size_t m, const double* r,
+                  double* dots) const;
 
-  /// Fused uniformization step over raw pointers (sizes: x rows(), y
-  /// cols()):
-  ///   y      = x^T A
-  ///   accum += weight * x            (skipped when accum is null OR weight
-  ///                                   is exactly 0 — a below-window term
-  ///                                   leaves accum bitwise untouched)
-  ///   return dot(x, r)               (0.0 when r is null)
-  /// The dot is reduced lane-wise then horizontally once per call, so it
-  /// differs from a sequential sum by round-off only.
-  double step(const double* x, double* y, double weight, double* accum, const double* r) const;
-
-  /// The non-matvec half of step() alone (the final expansion term needs the
-  /// accumulation and the reduction but no further power).
-  double reduce(const double* x, double weight, double* accum, const double* r) const;
-
-  /// Panel forms over m interleaved right-hand sides (column-major panel:
-  /// element (j, s) at x[s*m + j]; x spans rows()*m, y cols()*m).  One sweep
-  /// over the matrix advances all m vectors.
-  void left_multiply_panel(const double* x, double* y, std::size_t m) const;
-
-  /// Fused panel step: Y = X^T A per lane, accum += weight * X (when accum
-  /// non-null; a weight of exactly 0 skips the update like step()), and
-  /// dots[j] = dot(X_j, r) for every panel column (when r and dots non-null;
-  /// dots is overwritten, not accumulated).  On square matrices all three
-  /// run in ONE traversal of the panel — the x block of each state is loaded
-  /// once for the accumulate and the dot, instead of three separate passes.
-  void step_panel(const double* x, double* y, std::size_t m, double weight, double* accum,
-                  const double* r, double* dots) const;
-
-  /// Panel counterpart of reduce().
-  void reduce_panel(const double* x, std::size_t m, double weight, double* accum,
-                    const double* r, double* dots) const;
+  /// The reduction half of step_panel() alone (the final expansion term
+  /// needs the reward dots but no further power); r and dots must be
+  /// non-null.
+  void reduce_panel(const double* x, std::size_t m, const double* r, double* dots) const;
 
   /// Drop the compiled layout (counters are kept).
   void reset();
 
  private:
-  void build_layout(std::size_t rows, std::size_t cols,
-                    const std::vector<std::size_t>& row_offsets,
+  void build_layout(const std::vector<std::size_t>& row_offsets,
                     const std::vector<std::size_t>& col_indices,
                     const std::vector<double>& values);
   void refresh_values(const std::vector<std::size_t>& row_offsets,
                       const std::vector<double>& values);
-  void run(const double* x, double* y) const;
 
   SpmvIsa isa_ = spmv_dispatched_isa();
 
-  std::size_t rows_ = 0;  ///< rows of A (the x extent).
-  std::size_t cols_ = 0;  ///< cols of A (the y extent; rows of the stored A^T).
+  std::size_t n_ = 0;  ///< order of A.
   std::size_t nnz_ = 0;
 
   // Input structure (32-bit), kept for the refresh comparison and as the
@@ -160,22 +143,14 @@ class SpmvKernel {
   std::vector<std::uint32_t> a_row_offsets_;
   std::vector<std::uint32_t> a_col_indices_;
 
-  // SELL-8 storage of A^T: per chunk of 8 consecutive output rows, `width`
-  // column-major slots (entry (lane, j) of chunk c at
-  // sell_offsets_[c] + j*8 + lane).  Padding slots hold (value 0, col 0).
-  std::vector<std::size_t> sell_offsets_;   ///< per chunk, slot base (size chunks+1).
-  std::vector<std::uint32_t> sell_widths_;  ///< per chunk, max row length.
-  std::vector<std::uint32_t> sell_cols_;
-  std::vector<double> sell_values_;
-
-  // Plain CSR of A^T (32-bit) for the panel kernel, whose vectorization axis
-  // is the RHS dimension, so a row-at-a-time walk is the right shape.
+  // CSR of A^T (32-bit): the vectorization axis is the RHS dimension, so a
+  // row-at-a-time walk is the right shape.
   std::vector<std::uint32_t> t_row_offsets_;
   std::vector<std::uint32_t> t_col_indices_;
   std::vector<double> t_values_;
 
-  // Scratch of the SELL fill (slot cursors per output row / transpose
-  // counts), reused across builds.
+  // Scratch of the transpose scatter (one slot cursor per row of A^T),
+  // reused across builds.
   std::vector<std::uint32_t> fill_cursor_;
 
   std::size_t builds_ = 0;

@@ -10,8 +10,8 @@
 /// and a design sweep solves one generator per design repeatedly while only
 /// the rates change.  A StationarySolver owns that state across solves:
 ///
-///  * the transposed generator, built by a linear-time counting/bucket
-///    transpose (CsrMatrix::transposed()) and *cached*: when the next
+///  * the off-diagonal transposed generator, built by the solver's own
+///    linear-time counting/bucket transpose and *cached*: when the next
 ///    generator has the same sparsity pattern, only the values are scattered
 ///    through a precomputed permutation (O(nnz), no sort, no allocation);
 ///  * the diagonal of Q (positions cached the same way);

@@ -45,37 +45,12 @@ void CsrMatrix::left_multiply(const std::vector<double>& x, std::vector<double>&
   // No zero-skip here: the callers' iterates (probability vectors under
   // power/uniformization iteration) are dense, so the branch was a per-row
   // mispredict costing 7-20% of the sweep depending on row length (measured
-  // on the k = 4 and k = 6 network generators).  Callers with genuinely
-  // sparse inputs use left_multiply_sparse.
+  // on the k = 4 and k = 6 network generators).
   for (std::size_t r = 0; r < rows_; ++r) {
     const double xr = x[r];
     for (std::size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
       y[col_indices_[k]] += xr * values_[k];
     }
-  }
-}
-
-void CsrMatrix::left_multiply_sparse(const std::vector<double>& x, std::vector<double>& y) const {
-  if (x.size() != rows_) throw std::invalid_argument("left_multiply_sparse: size mismatch");
-  y.assign(cols_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double xr = x[r];
-    if (xr == 0.0) continue;
-    for (std::size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
-      y[col_indices_[k]] += xr * values_[k];
-    }
-  }
-}
-
-void CsrMatrix::right_multiply(const std::vector<double>& x, std::vector<double>& y) const {
-  if (x.size() != cols_) throw std::invalid_argument("right_multiply: size mismatch");
-  y.assign(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    for (std::size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
-      acc += values_[k] * x[col_indices_[k]];
-    }
-    y[r] = acc;
   }
 }
 

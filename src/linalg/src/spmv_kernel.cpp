@@ -7,9 +7,9 @@
 
 // The SIMD variants are compiled (and dispatched at runtime from CPUID) only
 // on x86-64 GCC/Clang; every other toolchain gets the portable scalar pass
-// over the same SELL storage.  Baseline codegen stays portable — the AVX
-// bodies carry per-function target attributes, so no global -march is needed
-// (see PATCHSEC_NATIVE_ARCH for local -march=native builds).
+// over the same storage.  Baseline codegen stays portable — the AVX bodies
+// carry per-function target attributes, so no global -march is needed (see
+// PATCHSEC_NATIVE_ARCH for local -march=native builds).
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define PATCHSEC_X86_SIMD 1
 #include <immintrin.h>
@@ -21,77 +21,20 @@ namespace patchsec::linalg {
 
 namespace {
 
-/// Borrowed view of the compiled SELL-8 storage handed to the ISA variants.
-struct SellView {
-  const std::size_t* offsets;   // per chunk, slot base
-  const std::uint32_t* widths;  // per chunk, padded row length
-  const std::uint32_t* cols;
-  const double* vals;
-  std::size_t chunks;
-  std::size_t n;  // output rows (= cols of A)
-};
-
-/// Borrowed view of the plain 32-bit CSR of A^T for the panel variants.
+/// Borrowed view of the 32-bit CSR of A^T handed to the ISA variants.
 struct TcsrView {
   const std::uint32_t* offsets;
   const std::uint32_t* cols;
   const double* vals;
-  std::size_t n;  // rows of A^T (= cols of A)
+  std::size_t n;  // order of A
 };
 
 // ---------------------------------------------------------------------------
-// Scalar reference variants (always available; the portable fallback).
+// Scalar variants (always available; the portable fallback).
 // ---------------------------------------------------------------------------
 
-void sell_multiply_scalar(const SellView& a, const double* x, double* y) {
-  for (std::size_t ch = 0; ch < a.chunks; ++ch) {
-    const std::size_t base = a.offsets[ch];
-    const std::uint32_t width = a.widths[ch];
-    const std::size_t row0 = ch * 8;
-    const std::size_t lanes = std::min<std::size_t>(8, a.n - row0);
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      double acc = 0.0;
-      for (std::uint32_t j = 0; j < width; ++j) {
-        const std::size_t slot = base + std::size_t{j} * 8 + lane;
-        acc += a.vals[slot] * x[a.cols[slot]];
-      }
-      y[row0 + lane] = acc;
-    }
-  }
-}
-
-double fused_reduce_scalar(const double* x, std::size_t n, double weight, double* accum,
-                           const double* r) {
-  if (weight == 0.0) accum = nullptr;  // below-window term: accum += 0*x is a no-op
-  double dot = 0.0;
-  if (accum != nullptr && r != nullptr) {
-    for (std::size_t s = 0; s < n; ++s) {
-      accum[s] += weight * x[s];
-      dot += x[s] * r[s];
-    }
-  } else if (accum != nullptr) {
-    for (std::size_t s = 0; s < n; ++s) accum[s] += weight * x[s];
-  } else if (r != nullptr) {
-    for (std::size_t s = 0; s < n; ++s) dot += x[s] * r[s];
-  }
-  return dot;
-}
-
-void panel_multiply_scalar(const TcsrView& t, const double* x, double* y, std::size_t m) {
-  for (std::size_t s = 0; s < t.n; ++s) {
-    double* ys = y + s * m;
-    std::memset(ys, 0, m * sizeof(double));
-    for (std::uint32_t k = t.offsets[s]; k < t.offsets[s + 1]; ++k) {
-      const double v = t.vals[k];
-      const double* xc = x + std::size_t{t.cols[k]} * m;
-      for (std::size_t j = 0; j < m; ++j) ys[j] += v * xc[j];
-    }
-  }
-}
-
 void panel_step_scalar(const TcsrView& t, const double* x, double* y, std::size_t m,
-                       double weight, double* accum, const double* r, double* dots) {
-  const bool do_accum = accum != nullptr && weight != 0.0;
+                       const double* r, double* dots) {
   const bool do_dots = r != nullptr && dots != nullptr;
   if (do_dots) std::memset(dots, 0, m * sizeof(double));
   for (std::size_t s = 0; s < t.n; ++s) {
@@ -102,140 +45,34 @@ void panel_step_scalar(const TcsrView& t, const double* x, double* y, std::size_
       const double* xc = x + std::size_t{t.cols[k]} * m;
       for (std::size_t j = 0; j < m; ++j) ys[j] += v * xc[j];
     }
-    const double* xs = x + s * m;
-    if (do_accum) {
-      double* as = accum + s * m;
-      for (std::size_t j = 0; j < m; ++j) as[j] += weight * xs[j];
-    }
     if (do_dots) {
+      const double* xs = x + s * m;
       const double rs = r[s];
       for (std::size_t j = 0; j < m; ++j) dots[j] += rs * xs[j];
     }
   }
 }
 
-void panel_reduce_scalar(const double* x, std::size_t n, std::size_t m, double weight,
-                         double* accum, const double* r, double* dots) {
-  if (weight == 0.0) accum = nullptr;  // below-window term: accum += 0*x is a no-op
-  if (accum != nullptr) {
-    const std::size_t total = n * m;
-    for (std::size_t i = 0; i < total; ++i) accum[i] += weight * x[i];
-  }
-  if (r != nullptr && dots != nullptr) {
-    std::memset(dots, 0, m * sizeof(double));
-    for (std::size_t s = 0; s < n; ++s) {
-      const double rs = r[s];
-      const double* xs = x + s * m;
-      for (std::size_t j = 0; j < m; ++j) dots[j] += rs * xs[j];
-    }
+void panel_reduce_scalar(const double* x, std::size_t n, std::size_t m, const double* r,
+                         double* dots) {
+  std::memset(dots, 0, m * sizeof(double));
+  for (std::size_t s = 0; s < n; ++s) {
+    const double rs = r[s];
+    const double* xs = x + s * m;
+    for (std::size_t j = 0; j < m; ++j) dots[j] += rs * xs[j];
   }
 }
 
 #if PATCHSEC_X86_SIMD
 
 // ---------------------------------------------------------------------------
-// AVX2+FMA variants: 4 doubles per vector; a SELL chunk is two half-chunks.
+// AVX2+FMA variants: 4 RHS per vector.  Full RHS blocks keep the dot
+// accumulator in a register; the tail block falls back to scalar code.
 // ---------------------------------------------------------------------------
 
-__attribute__((target("avx2,fma"))) void sell_multiply_avx2(const SellView& a, const double* x,
-                                                            double* y) {
-  for (std::size_t ch = 0; ch < a.chunks; ++ch) {
-    const std::size_t base = a.offsets[ch];
-    const std::uint32_t width = a.widths[ch];
-    const std::size_t row0 = ch * 8;
-    __m256d acc_lo = _mm256_setzero_pd();
-    __m256d acc_hi = _mm256_setzero_pd();
-    for (std::uint32_t j = 0; j < width; ++j) {
-      const std::size_t slot = base + std::size_t{j} * 8;
-      const __m128i idx_lo =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(a.cols + slot));
-      const __m128i idx_hi =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(a.cols + slot + 4));
-      // Masked gathers with an explicit zero source and an all-set mask:
-      // the same vgatherdpd instruction, but unlike the unmasked intrinsic
-      // the GCC 12 expansion has no undefined passthrough operand
-      // (-Wmaybe-uninitialized under -Werror).
-      const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-      acc_lo = _mm256_fmadd_pd(
-          _mm256_loadu_pd(a.vals + slot),
-          _mm256_mask_i32gather_pd(_mm256_setzero_pd(), x, idx_lo, all, 8), acc_lo);
-      acc_hi = _mm256_fmadd_pd(
-          _mm256_loadu_pd(a.vals + slot + 4),
-          _mm256_mask_i32gather_pd(_mm256_setzero_pd(), x, idx_hi, all, 8), acc_hi);
-    }
-    const std::size_t lanes = std::min<std::size_t>(8, a.n - row0);
-    if (lanes == 8) {
-      _mm256_storeu_pd(y + row0, acc_lo);
-      _mm256_storeu_pd(y + row0 + 4, acc_hi);
-    } else {
-      double buf[8];
-      _mm256_storeu_pd(buf, acc_lo);
-      _mm256_storeu_pd(buf + 4, acc_hi);
-      for (std::size_t lane = 0; lane < lanes; ++lane) y[row0 + lane] = buf[lane];
-    }
-  }
-}
-
-__attribute__((target("avx2,fma"))) double fused_reduce_avx2(const double* x, std::size_t n,
-                                                             double weight, double* accum,
-                                                             const double* r) {
-  if (weight == 0.0) accum = nullptr;  // below-window term: accum += 0*x is a no-op
-  const __m256d wv = _mm256_set1_pd(weight);
-  __m256d dacc = _mm256_setzero_pd();
-  std::size_t s = 0;
-  for (; s + 4 <= n; s += 4) {
-    const __m256d xv = _mm256_loadu_pd(x + s);
-    if (accum != nullptr) {
-      _mm256_storeu_pd(accum + s, _mm256_fmadd_pd(wv, xv, _mm256_loadu_pd(accum + s)));
-    }
-    if (r != nullptr) dacc = _mm256_fmadd_pd(xv, _mm256_loadu_pd(r + s), dacc);
-  }
-  double lanes[4];
-  _mm256_storeu_pd(lanes, dacc);
-  double dot = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-  for (; s < n; ++s) {
-    if (accum != nullptr) accum[s] += weight * x[s];
-    if (r != nullptr) dot += x[s] * r[s];
-  }
-  return dot;
-}
-
-__attribute__((target("avx2,fma"))) void panel_multiply_avx2(const TcsrView& t, const double* x,
-                                                             double* y, std::size_t m) {
-  for (std::size_t jb = 0; jb < m; jb += 4) {
-    const std::size_t jw = std::min<std::size_t>(4, m - jb);
-    for (std::size_t s = 0; s < t.n; ++s) {
-      double* ys = y + s * m + jb;
-      if (jw == 4) {
-        __m256d acc = _mm256_setzero_pd();
-        for (std::uint32_t k = t.offsets[s]; k < t.offsets[s + 1]; ++k) {
-          const __m256d vv = _mm256_set1_pd(t.vals[k]);
-          acc = _mm256_fmadd_pd(vv, _mm256_loadu_pd(x + std::size_t{t.cols[k]} * m + jb), acc);
-        }
-        _mm256_storeu_pd(ys, acc);
-      } else {
-        double acc[3] = {0.0, 0.0, 0.0};
-        for (std::uint32_t k = t.offsets[s]; k < t.offsets[s + 1]; ++k) {
-          const double v = t.vals[k];
-          const double* xc = x + std::size_t{t.cols[k]} * m + jb;
-          for (std::size_t j = 0; j < jw; ++j) acc[j] += v * xc[j];
-        }
-        for (std::size_t j = 0; j < jw; ++j) ys[j] = acc[j];
-      }
-    }
-  }
-}
-
-// Fused panel step: y = x·P, accum += w·x and the per-column reward dots in
-// ONE traversal of the panel (three passes collapse into one; the x block of
-// row s is loaded once for both reduction uses).  Full RHS blocks keep the
-// dot accumulator in a register; the tail block falls back to scalar code.
 __attribute__((target("avx2,fma"))) void panel_step_avx2(const TcsrView& t, const double* x,
-                                                         double* y, std::size_t m, double weight,
-                                                         double* accum, const double* r,
-                                                         double* dots) {
-  const __m256d wv = _mm256_set1_pd(weight);
-  const bool do_accum = accum != nullptr && weight != 0.0;
+                                                         double* y, std::size_t m,
+                                                         const double* r, double* dots) {
   const bool do_dots = r != nullptr && dots != nullptr;
   for (std::size_t jb = 0; jb < m; jb += 4) {
     const std::size_t jw = std::min<std::size_t>(4, m - jb);
@@ -248,12 +85,9 @@ __attribute__((target("avx2,fma"))) void panel_step_avx2(const TcsrView& t, cons
           acc = _mm256_fmadd_pd(vv, _mm256_loadu_pd(x + std::size_t{t.cols[k]} * m + jb), acc);
         }
         _mm256_storeu_pd(y + s * m + jb, acc);
-        const __m256d xv = _mm256_loadu_pd(x + s * m + jb);
-        if (do_accum) {
-          double* as = accum + s * m + jb;
-          _mm256_storeu_pd(as, _mm256_fmadd_pd(wv, xv, _mm256_loadu_pd(as)));
+        if (do_dots) {
+          dacc = _mm256_fmadd_pd(_mm256_set1_pd(r[s]), _mm256_loadu_pd(x + s * m + jb), dacc);
         }
-        if (do_dots) dacc = _mm256_fmadd_pd(_mm256_set1_pd(r[s]), xv, dacc);
       }
       if (do_dots) _mm256_storeu_pd(dots + jb, dacc);
     } else {
@@ -267,14 +101,10 @@ __attribute__((target("avx2,fma"))) void panel_step_avx2(const TcsrView& t, cons
           const double* xc = x + std::size_t{t.cols[k]} * m + jb;
           for (std::size_t j = 0; j < jw; ++j) acc[j] += v * xc[j];
         }
-        const double* xs = x + s * m + jb;
         double* ys = y + s * m + jb;
         for (std::size_t j = 0; j < jw; ++j) ys[j] = acc[j];
-        if (do_accum) {
-          double* as = accum + s * m + jb;
-          for (std::size_t j = 0; j < jw; ++j) as[j] += weight * xs[j];
-        }
         if (do_dots) {
+          const double* xs = x + s * m + jb;
           for (std::size_t j = 0; j < jw; ++j) dots[jb + j] += r[s] * xs[j];
         }
       }
@@ -283,117 +113,28 @@ __attribute__((target("avx2,fma"))) void panel_step_avx2(const TcsrView& t, cons
 }
 
 __attribute__((target("avx2,fma"))) void panel_reduce_avx2(const double* x, std::size_t n,
-                                                           std::size_t m, double weight,
-                                                           double* accum, const double* r,
+                                                           std::size_t m, const double* r,
                                                            double* dots) {
-  if (weight == 0.0) accum = nullptr;  // below-window term: accum += 0*x is a no-op
-  if (accum != nullptr) {
-    const __m256d wv = _mm256_set1_pd(weight);
-    const std::size_t total = n * m;
-    std::size_t i = 0;
-    for (; i + 4 <= total; i += 4) {
-      _mm256_storeu_pd(accum + i,
-                       _mm256_fmadd_pd(wv, _mm256_loadu_pd(x + i), _mm256_loadu_pd(accum + i)));
+  std::memset(dots, 0, m * sizeof(double));
+  for (std::size_t s = 0; s < n; ++s) {
+    const __m256d rv = _mm256_set1_pd(r[s]);
+    const double* xs = x + s * m;
+    std::size_t j = 0;
+    for (; j + 4 <= m; j += 4) {
+      _mm256_storeu_pd(dots + j,
+                       _mm256_fmadd_pd(rv, _mm256_loadu_pd(xs + j), _mm256_loadu_pd(dots + j)));
     }
-    for (; i < total; ++i) accum[i] += weight * x[i];
-  }
-  if (r != nullptr && dots != nullptr) {
-    std::memset(dots, 0, m * sizeof(double));
-    for (std::size_t s = 0; s < n; ++s) {
-      const __m256d rv = _mm256_set1_pd(r[s]);
-      const double* xs = x + s * m;
-      std::size_t j = 0;
-      for (; j + 4 <= m; j += 4) {
-        _mm256_storeu_pd(dots + j,
-                         _mm256_fmadd_pd(rv, _mm256_loadu_pd(xs + j), _mm256_loadu_pd(dots + j)));
-      }
-      for (; j < m; ++j) dots[j] += r[s] * xs[j];
-    }
+    for (; j < m; ++j) dots[j] += r[s] * xs[j];
   }
 }
 
 // ---------------------------------------------------------------------------
-// AVX-512F variants: 8 doubles per vector; one vector per SELL chunk, masked
-// tails on the panel's RHS dimension.
+// AVX-512F variants: 8 RHS per vector, masked loads/stores on the tail block.
 // ---------------------------------------------------------------------------
 
-__attribute__((target("avx512f"))) void sell_multiply_avx512(const SellView& a, const double* x,
-                                                             double* y) {
-  for (std::size_t ch = 0; ch < a.chunks; ++ch) {
-    const std::size_t base = a.offsets[ch];
-    const std::uint32_t width = a.widths[ch];
-    const std::size_t row0 = ch * 8;
-    __m512d acc = _mm512_setzero_pd();
-    for (std::uint32_t j = 0; j < width; ++j) {
-      const std::size_t slot = base + std::size_t{j} * 8;
-      const __m256i idx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a.cols + slot));
-      // Masked gather for the same -Wmaybe-uninitialized reason as the AVX2
-      // variant (the unmasked GCC expansion reads an undefined source).
-      acc = _mm512_fmadd_pd(
-          _mm512_loadu_pd(a.vals + slot),
-          _mm512_mask_i32gather_pd(_mm512_setzero_pd(), 0xff, idx, x, 8), acc);
-    }
-    const std::size_t lanes = std::min<std::size_t>(8, a.n - row0);
-    if (lanes == 8) {
-      _mm512_storeu_pd(y + row0, acc);
-    } else {
-      _mm512_mask_storeu_pd(y + row0, static_cast<__mmask8>((1u << lanes) - 1u), acc);
-    }
-  }
-}
-
-__attribute__((target("avx512f"))) double fused_reduce_avx512(const double* x, std::size_t n,
-                                                              double weight, double* accum,
-                                                              const double* r) {
-  if (weight == 0.0) accum = nullptr;  // below-window term: accum += 0*x is a no-op
-  const __m512d wv = _mm512_set1_pd(weight);
-  __m512d dacc = _mm512_setzero_pd();
-  std::size_t s = 0;
-  for (; s + 8 <= n; s += 8) {
-    const __m512d xv = _mm512_loadu_pd(x + s);
-    if (accum != nullptr) {
-      _mm512_storeu_pd(accum + s, _mm512_fmadd_pd(wv, xv, _mm512_loadu_pd(accum + s)));
-    }
-    if (r != nullptr) dacc = _mm512_fmadd_pd(xv, _mm512_loadu_pd(r + s), dacc);
-  }
-  // Not _mm512_reduce_add_pd: its GCC 12 expansion reads an undefined
-  // passthrough operand and trips -Wuninitialized under -Werror.
-  double lanes[8];
-  _mm512_storeu_pd(lanes, dacc);
-  double dot = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
-               ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
-  for (; s < n; ++s) {
-    if (accum != nullptr) accum[s] += weight * x[s];
-    if (r != nullptr) dot += x[s] * r[s];
-  }
-  return dot;
-}
-
-__attribute__((target("avx512f"))) void panel_multiply_avx512(const TcsrView& t, const double* x,
-                                                              double* y, std::size_t m) {
-  for (std::size_t jb = 0; jb < m; jb += 8) {
-    const std::size_t jw = std::min<std::size_t>(8, m - jb);
-    const __mmask8 mask = static_cast<__mmask8>((jw == 8) ? 0xffu : ((1u << jw) - 1u));
-    for (std::size_t s = 0; s < t.n; ++s) {
-      __m512d acc = _mm512_setzero_pd();
-      for (std::uint32_t k = t.offsets[s]; k < t.offsets[s + 1]; ++k) {
-        const __m512d vv = _mm512_set1_pd(t.vals[k]);
-        const __m512d xv = _mm512_maskz_loadu_pd(mask, x + std::size_t{t.cols[k]} * m + jb);
-        acc = _mm512_fmadd_pd(vv, xv, acc);
-      }
-      _mm512_mask_storeu_pd(y + s * m + jb, mask, acc);
-    }
-  }
-}
-
-// Fused panel step, AVX-512 flavour of panel_step_avx2 (full 8-wide RHS
-// blocks in registers, masked loads/stores on the tail block).
 __attribute__((target("avx512f"))) void panel_step_avx512(const TcsrView& t, const double* x,
-                                                          double* y, std::size_t m, double weight,
-                                                          double* accum, const double* r,
-                                                          double* dots) {
-  const __m512d wv = _mm512_set1_pd(weight);
-  const bool do_accum = accum != nullptr && weight != 0.0;
+                                                          double* y, std::size_t m,
+                                                          const double* r, double* dots) {
   const bool do_dots = r != nullptr && dots != nullptr;
   for (std::size_t jb = 0; jb < m; jb += 8) {
     const std::size_t jw = std::min<std::size_t>(8, m - jb);
@@ -407,44 +148,28 @@ __attribute__((target("avx512f"))) void panel_step_avx512(const TcsrView& t, con
         acc = _mm512_fmadd_pd(vv, xv, acc);
       }
       _mm512_mask_storeu_pd(y + s * m + jb, mask, acc);
-      const __m512d xv = _mm512_maskz_loadu_pd(mask, x + s * m + jb);
-      if (do_accum) {
-        double* as = accum + s * m + jb;
-        _mm512_mask_storeu_pd(as, mask, _mm512_fmadd_pd(wv, xv, _mm512_maskz_loadu_pd(mask, as)));
+      if (do_dots) {
+        const __m512d xv = _mm512_maskz_loadu_pd(mask, x + s * m + jb);
+        dacc = _mm512_fmadd_pd(_mm512_set1_pd(r[s]), xv, dacc);
       }
-      if (do_dots) dacc = _mm512_fmadd_pd(_mm512_set1_pd(r[s]), xv, dacc);
     }
     if (do_dots) _mm512_mask_storeu_pd(dots + jb, mask, dacc);
   }
 }
 
 __attribute__((target("avx512f"))) void panel_reduce_avx512(const double* x, std::size_t n,
-                                                            std::size_t m, double weight,
-                                                            double* accum, const double* r,
+                                                            std::size_t m, const double* r,
                                                             double* dots) {
-  if (weight == 0.0) accum = nullptr;  // below-window term: accum += 0*x is a no-op
-  if (accum != nullptr) {
-    const __m512d wv = _mm512_set1_pd(weight);
-    const std::size_t total = n * m;
-    std::size_t i = 0;
-    for (; i + 8 <= total; i += 8) {
-      _mm512_storeu_pd(accum + i,
-                       _mm512_fmadd_pd(wv, _mm512_loadu_pd(x + i), _mm512_loadu_pd(accum + i)));
+  std::memset(dots, 0, m * sizeof(double));
+  for (std::size_t s = 0; s < n; ++s) {
+    const __m512d rv = _mm512_set1_pd(r[s]);
+    const double* xs = x + s * m;
+    std::size_t j = 0;
+    for (; j + 8 <= m; j += 8) {
+      _mm512_storeu_pd(dots + j,
+                       _mm512_fmadd_pd(rv, _mm512_loadu_pd(xs + j), _mm512_loadu_pd(dots + j)));
     }
-    for (; i < total; ++i) accum[i] += weight * x[i];
-  }
-  if (r != nullptr && dots != nullptr) {
-    std::memset(dots, 0, m * sizeof(double));
-    for (std::size_t s = 0; s < n; ++s) {
-      const __m512d rv = _mm512_set1_pd(r[s]);
-      const double* xs = x + s * m;
-      std::size_t j = 0;
-      for (; j + 8 <= m; j += 8) {
-        _mm512_storeu_pd(dots + j,
-                         _mm512_fmadd_pd(rv, _mm512_loadu_pd(xs + j), _mm512_loadu_pd(dots + j)));
-      }
-      for (; j < m; ++j) dots[j] += r[s] * xs[j];
-    }
+    for (; j < m; ++j) dots[j] += r[s] * xs[j];
   }
 }
 
@@ -469,17 +194,13 @@ SpmvIsa spmv_dispatched_isa() noexcept {
 const char* spmv_isa_name(SpmvIsa isa) noexcept {
   switch (isa) {
     case SpmvIsa::kAvx512:
-      return "sell8-avx512";
+      return "panel-avx512";
     case SpmvIsa::kAvx2:
-      return "sell8-avx2";
+      return "panel-avx2";
     case SpmvIsa::kScalar:
       break;
   }
-  return "sell8-scalar";
-}
-
-void SpmvKernel::compile(const CsrMatrix& a) {
-  compile(a.rows(), a.cols(), a.row_offsets(), a.col_indices(), a.values());
+  return "panel-scalar";
 }
 
 void SpmvKernel::compile(std::size_t rows, std::size_t cols,
@@ -487,8 +208,9 @@ void SpmvKernel::compile(std::size_t rows, std::size_t cols,
                          const std::vector<std::size_t>& col_indices,
                          const std::vector<double>& values) {
   if (rows == 0 || cols == 0) throw std::invalid_argument("SpmvKernel: empty matrix");
+  if (rows != cols) throw std::invalid_argument("SpmvKernel: matrix is not square");
   constexpr auto kIndexMax = std::numeric_limits<std::uint32_t>::max();
-  if (rows >= kIndexMax || cols >= kIndexMax || values.size() >= kIndexMax) {
+  if (rows >= kIndexMax || values.size() >= kIndexMax) {
     throw std::invalid_argument("SpmvKernel: matrix exceeds the 32-bit index layout");
   }
   if (row_offsets.size() != rows + 1 || col_indices.size() != values.size()) {
@@ -496,7 +218,7 @@ void SpmvKernel::compile(std::size_t rows, std::size_t cols,
   }
 
   const bool same_structure =
-      compiled() && rows == rows_ && cols == cols_ && values.size() == nnz_ &&
+      compiled() && rows == n_ && values.size() == nnz_ &&
       std::equal(row_offsets.begin(), row_offsets.end(), a_row_offsets_.begin(),
                  [](std::size_t lhs, std::uint32_t rhs) { return lhs == rhs; }) &&
       std::equal(col_indices.begin(), col_indices.end(), a_col_indices_.begin(),
@@ -507,63 +229,30 @@ void SpmvKernel::compile(std::size_t rows, std::size_t cols,
     return;
   }
   ++builds_;
-  build_layout(rows, cols, row_offsets, col_indices, values);
+  n_ = rows;
+  nnz_ = values.size();
+  build_layout(row_offsets, col_indices, values);
 }
 
-void SpmvKernel::build_layout(std::size_t rows, std::size_t cols,
-                              const std::vector<std::size_t>& row_offsets,
+void SpmvKernel::build_layout(const std::vector<std::size_t>& row_offsets,
                               const std::vector<std::size_t>& col_indices,
                               const std::vector<double>& values) {
-  rows_ = rows;
-  cols_ = cols;
-  nnz_ = values.size();
-
   a_row_offsets_.assign(row_offsets.begin(), row_offsets.end());
   a_col_indices_.assign(col_indices.begin(), col_indices.end());
 
-  // Counting transpose into the plain 32-bit CSR of A^T (the panel kernel's
-  // storage and the source of the SELL fill below).  Source rows are walked
+  // Counting transpose into the 32-bit CSR of A^T.  Source rows are walked
   // in ascending order, so each transpose row comes out sorted.
-  t_row_offsets_.assign(cols_ + 1, 0);
+  t_row_offsets_.assign(n_ + 1, 0);
   for (std::uint32_t c : a_col_indices_) ++t_row_offsets_[c + 1];
-  for (std::size_t s = 0; s < cols_; ++s) t_row_offsets_[s + 1] += t_row_offsets_[s];
+  for (std::size_t s = 0; s < n_; ++s) t_row_offsets_[s + 1] += t_row_offsets_[s];
   t_col_indices_.resize(nnz_);
   t_values_.resize(nnz_);
   fill_cursor_.assign(t_row_offsets_.begin(), t_row_offsets_.end() - 1);
-  for (std::size_t r = 0; r < rows_; ++r) {
+  for (std::size_t r = 0; r < n_; ++r) {
     for (std::size_t k = row_offsets[r]; k < row_offsets[r + 1]; ++k) {
       const std::uint32_t pos = fill_cursor_[col_indices[k]]++;
       t_col_indices_[pos] = static_cast<std::uint32_t>(r);
       t_values_[pos] = values[k];
-    }
-  }
-
-  // SELL-8 of A^T: chunk rows eight at a time, pad each chunk to its widest
-  // row with (value 0, column 0) slots, store slots column-major inside the
-  // chunk so lane l of vector j is row 8*chunk+l's j-th entry.
-  const std::size_t chunks = (cols_ + 7) / 8;
-  sell_widths_.resize(chunks);
-  sell_offsets_.resize(chunks + 1);
-  sell_offsets_[0] = 0;
-  for (std::size_t ch = 0; ch < chunks; ++ch) {
-    std::uint32_t width = 0;
-    const std::size_t row_end = std::min(cols_, ch * 8 + 8);
-    for (std::size_t s = ch * 8; s < row_end; ++s) {
-      width = std::max(width, t_row_offsets_[s + 1] - t_row_offsets_[s]);
-    }
-    sell_widths_[ch] = width;
-    sell_offsets_[ch + 1] = sell_offsets_[ch] + std::size_t{width} * 8;
-  }
-  sell_cols_.assign(sell_offsets_[chunks], 0);
-  sell_values_.assign(sell_offsets_[chunks], 0.0);
-  for (std::size_t s = 0; s < cols_; ++s) {
-    const std::size_t base = sell_offsets_[s / 8];
-    const std::size_t lane = s % 8;
-    const std::uint32_t len = t_row_offsets_[s + 1] - t_row_offsets_[s];
-    for (std::uint32_t j = 0; j < len; ++j) {
-      const std::size_t slot = base + std::size_t{j} * 8 + lane;
-      sell_cols_[slot] = t_col_indices_[t_row_offsets_[s] + j];
-      sell_values_[slot] = t_values_[t_row_offsets_[s] + j];
     }
   }
 }
@@ -571,151 +260,61 @@ void SpmvKernel::build_layout(std::size_t rows, std::size_t cols,
 void SpmvKernel::refresh_values(const std::vector<std::size_t>& row_offsets,
                                 const std::vector<double>& values) {
   // Same structure: only the numeric payloads move.  The transpose scatter
-  // reruns over the cached index arrays, then the SELL slots are refilled in
-  // place — no vector grows, so the path is allocation-free.
+  // reruns over the cached index arrays — no vector grows, so the path is
+  // allocation-free.
   fill_cursor_.assign(t_row_offsets_.begin(), t_row_offsets_.end() - 1);
-  for (std::size_t r = 0; r < rows_; ++r) {
+  for (std::size_t r = 0; r < n_; ++r) {
     for (std::size_t k = row_offsets[r]; k < row_offsets[r + 1]; ++k) {
       t_values_[fill_cursor_[a_col_indices_[k]]++] = values[k];
     }
   }
-  for (std::size_t s = 0; s < cols_; ++s) {
-    const std::size_t base = sell_offsets_[s / 8];
-    const std::size_t lane = s % 8;
-    const std::uint32_t len = t_row_offsets_[s + 1] - t_row_offsets_[s];
-    for (std::uint32_t j = 0; j < len; ++j) {
-      sell_values_[base + std::size_t{j} * 8 + lane] = t_values_[t_row_offsets_[s] + j];
-    }
-  }
-}
-
-double SpmvKernel::padding_ratio() const noexcept {
-  if (nnz_ == 0 || sell_offsets_.empty()) return 1.0;
-  return static_cast<double>(sell_offsets_.back()) / static_cast<double>(nnz_);
 }
 
 void SpmvKernel::reset() {
-  rows_ = cols_ = nnz_ = 0;
+  n_ = nnz_ = 0;
   a_row_offsets_.clear();
   a_col_indices_.clear();
-  sell_offsets_.clear();
-  sell_widths_.clear();
-  sell_cols_.clear();
-  sell_values_.clear();
   t_row_offsets_.clear();
   t_col_indices_.clear();
   t_values_.clear();
   fill_cursor_.clear();
 }
 
-void SpmvKernel::run(const double* x, double* y) const {
-  const SellView view{sell_offsets_.data(), sell_widths_.data(), sell_cols_.data(),
-                      sell_values_.data(), (cols_ + 7) / 8,     cols_};
-#if PATCHSEC_X86_SIMD
-  switch (isa_) {
-    case SpmvIsa::kAvx512:
-      sell_multiply_avx512(view, x, y);
-      return;
-    case SpmvIsa::kAvx2:
-      sell_multiply_avx2(view, x, y);
-      return;
-    case SpmvIsa::kScalar:
-      break;
-  }
-#endif
-  sell_multiply_scalar(view, x, y);
-}
-
-void SpmvKernel::left_multiply(const std::vector<double>& x, std::vector<double>& y) const {
-  if (!compiled()) throw std::logic_error("SpmvKernel: compile() has not run");
-  if (x.size() != rows_) throw std::invalid_argument("SpmvKernel: x size mismatch");
-  y.resize(cols_);
-  run(x.data(), y.data());
-}
-
-double SpmvKernel::step(const double* x, double* y, double weight, double* accum,
-                        const double* r) const {
-  const double dot = reduce(x, weight, accum, r);
-  run(x, y);
-  return dot;
-}
-
-double SpmvKernel::reduce(const double* x, double weight, double* accum, const double* r) const {
-#if PATCHSEC_X86_SIMD
-  switch (isa_) {
-    case SpmvIsa::kAvx512:
-      return fused_reduce_avx512(x, rows_, weight, accum, r);
-    case SpmvIsa::kAvx2:
-      return fused_reduce_avx2(x, rows_, weight, accum, r);
-    case SpmvIsa::kScalar:
-      break;
-  }
-#endif
-  return fused_reduce_scalar(x, rows_, weight, accum, r);
-}
-
-void SpmvKernel::left_multiply_panel(const double* x, double* y, std::size_t m) const {
+void SpmvKernel::step_panel(const double* x, double* y, std::size_t m, const double* r,
+                            double* dots) const {
   if (!compiled()) throw std::logic_error("SpmvKernel: compile() has not run");
   if (m == 0) throw std::invalid_argument("SpmvKernel: empty panel");
-  const TcsrView view{t_row_offsets_.data(), t_col_indices_.data(), t_values_.data(), cols_};
+  const TcsrView view{t_row_offsets_.data(), t_col_indices_.data(), t_values_.data(), n_};
 #if PATCHSEC_X86_SIMD
   switch (isa_) {
     case SpmvIsa::kAvx512:
-      panel_multiply_avx512(view, x, y, m);
+      panel_step_avx512(view, x, y, m, r, dots);
       return;
     case SpmvIsa::kAvx2:
-      panel_multiply_avx2(view, x, y, m);
+      panel_step_avx2(view, x, y, m, r, dots);
       return;
     case SpmvIsa::kScalar:
       break;
   }
 #endif
-  panel_multiply_scalar(view, x, y, m);
+  panel_step_scalar(view, x, y, m, r, dots);
 }
 
-void SpmvKernel::step_panel(const double* x, double* y, std::size_t m, double weight,
-                            double* accum, const double* r, double* dots) const {
-  if (!compiled()) throw std::logic_error("SpmvKernel: compile() has not run");
-  if (m == 0) throw std::invalid_argument("SpmvKernel: empty panel");
-  if (rows_ != cols_) {
-    // The fused single pass walks output rows while reducing the input block
-    // of the same index — only coherent on square matrices (the solver's
-    // case).  Rectangular panels take the two-pass route.
-    reduce_panel(x, m, weight, accum, r, dots);
-    left_multiply_panel(x, y, m);
-    return;
-  }
-  const TcsrView view{t_row_offsets_.data(), t_col_indices_.data(), t_values_.data(), cols_};
+void SpmvKernel::reduce_panel(const double* x, std::size_t m, const double* r,
+                              double* dots) const {
 #if PATCHSEC_X86_SIMD
   switch (isa_) {
     case SpmvIsa::kAvx512:
-      panel_step_avx512(view, x, y, m, weight, accum, r, dots);
+      panel_reduce_avx512(x, n_, m, r, dots);
       return;
     case SpmvIsa::kAvx2:
-      panel_step_avx2(view, x, y, m, weight, accum, r, dots);
+      panel_reduce_avx2(x, n_, m, r, dots);
       return;
     case SpmvIsa::kScalar:
       break;
   }
 #endif
-  panel_step_scalar(view, x, y, m, weight, accum, r, dots);
-}
-
-void SpmvKernel::reduce_panel(const double* x, std::size_t m, double weight, double* accum,
-                              const double* r, double* dots) const {
-#if PATCHSEC_X86_SIMD
-  switch (isa_) {
-    case SpmvIsa::kAvx512:
-      panel_reduce_avx512(x, rows_, m, weight, accum, r, dots);
-      return;
-    case SpmvIsa::kAvx2:
-      panel_reduce_avx2(x, rows_, m, weight, accum, r, dots);
-      return;
-    case SpmvIsa::kScalar:
-      break;
-  }
-#endif
-  panel_reduce_scalar(x, rows_, m, weight, accum, r, dots);
+  panel_reduce_scalar(x, n_, m, r, dots);
 }
 
 }  // namespace patchsec::linalg

@@ -20,7 +20,7 @@
 ///  4. A worker dequeues the job.  Transient jobs are GROUPED: the worker
 ///     scans the queue for up to max_batch-1 more jobs with the same
 ///     structure (same design counts + cadence — hence the same CSR pattern
-///     and SELL-8 compile) and different waves, claims them, and solves the
+///     and kernel compile) and different waves, claims them, and solves the
 ///     whole group through Session::evaluate_transient_batch as one panel.
 ///     Steady jobs solve singly through Session::evaluate.
 ///  5. The worker inserts each result into the cache and fulfills every
@@ -30,7 +30,7 @@
 /// Workspace ownership: each worker thread gets its own SolverWorkspaces
 /// slot inside the service's Session (Session pins workspaces per
 /// (Session, thread) — see session.hpp), so the CSR structure cache and
-/// SELL-8 compile warm up per worker and are never thrashed by other
+/// kernel compile warm up per worker and are never thrashed by other
 /// Sessions on the same thread.
 ///
 /// Determinism: Session's solvers cold-start their iterates every solve, so

@@ -151,7 +151,7 @@ bool EvalService::claim_group(std::vector<Job>& group) {
   if (group.front().request.kind == RequestKind::kTransient && options_.max_batch > 1) {
     // Same structure = same design counts and cadence (both canonicalized
     // at submit, so exact-bits comparison is the cache-key contract): the
-    // whole group shares one CSR pattern / SELL-8 compile and rides one
+    // whole group shares one CSR pattern / kernel compile and rides one
     // evaluate_transient_batch panel.
     for (auto it = queue_.begin(); it != queue_.end() && group.size() < options_.max_batch;) {
       if (it->request.kind == RequestKind::kTransient && it->request.design == lead_design &&

@@ -105,19 +105,10 @@ TEST(CsrMatrix, LeftMultiply) {
   EXPECT_DOUBLE_EQ(y[1], 6.0);
 }
 
-TEST(CsrMatrix, RightMultiply) {
-  const la::CsrMatrix m(2, 2, {{0, 0, 1.0}, {0, 1, 2.0}, {1, 0, 3.0}, {1, 1, 4.0}});
-  std::vector<double> y;
-  m.right_multiply({1.0, 1.0}, y);
-  EXPECT_DOUBLE_EQ(y[0], 3.0);
-  EXPECT_DOUBLE_EQ(y[1], 7.0);
-}
-
 TEST(CsrMatrix, MultiplySizeMismatchThrows) {
   const la::CsrMatrix m(2, 3, {});
   std::vector<double> y;
   EXPECT_THROW(m.left_multiply({1.0}, y), std::invalid_argument);
-  EXPECT_THROW(m.right_multiply({1.0}, y), std::invalid_argument);
 }
 
 TEST(CsrMatrix, TransposeRoundTrip) {

@@ -1,9 +1,10 @@
 // Tests for the SIMD sparse-kernel layer (linalg::SpmvKernel) and its
 // TransientSolver integration: scalar-oracle agreement (CsrMatrix::
 // left_multiply is the reference, per docs/ARCHITECTURE.md §12) on paper
-// nets and seeded random matrices, fused-step semantics, panel-vs-sequential
-// equivalence, the structure-reuse contract, and panel-column bit-identity
-// across panel widths.
+// nets and seeded random matrices at panel widths 1 and > 1, the fused
+// reward dots, panel-vs-width-1 equivalence, the structure-reuse contract,
+// and panel-column bit-identity across panel widths (a single curve is the
+// width-1 panel).
 
 #include <gtest/gtest.h>
 
@@ -62,7 +63,7 @@ la::CsrMatrix paper_generator(const ent::RedundancyDesign& design) {
 }
 
 /// Seeded random CSR with a given per-row density profile; `dense_row` and
-/// `empty_row` force the ragged edge cases the SELL padding must absorb.
+/// `empty_row` force the ragged rows of the transpose.
 la::CsrMatrix random_csr(std::size_t n, double density, std::uint32_t seed,
                          bool dense_row = false, bool empty_row = false) {
   std::mt19937 rng(seed);
@@ -87,16 +88,45 @@ std::vector<double> random_vector(std::size_t n, std::uint32_t seed) {
   return x;
 }
 
+void compile(la::SpmvKernel& kernel, const la::CsrMatrix& a) {
+  kernel.compile(a.rows(), a.cols(), a.row_offsets(), a.col_indices(), a.values());
+}
+
+/// m seeded random columns interleaved into a column-major panel (element
+/// (b, s) at panel[s*m + b]).
+std::pair<std::vector<double>, std::vector<std::vector<double>>> random_panel(
+    std::size_t n, std::size_t m, std::uint32_t seed) {
+  std::vector<double> panel(n * m);
+  std::vector<std::vector<double>> columns(m);
+  for (std::size_t b = 0; b < m; ++b) {
+    columns[b] = random_vector(n, static_cast<std::uint32_t>(seed + b));
+    for (std::size_t s = 0; s < n; ++s) panel[s * m + b] = columns[b][s];
+  }
+  return {panel, columns};
+}
+
+std::vector<double> panel_column(const std::vector<double>& panel, std::size_t m, std::size_t b) {
+  std::vector<double> column(panel.size() / m);
+  for (std::size_t s = 0; s < column.size(); ++s) column[s] = panel[s * m + b];
+  return column;
+}
+
+/// The plain product (step_panel with null r/dots) at m = 1 and m = 5,
+/// every column against CsrMatrix::left_multiply.
 void expect_kernel_matches_oracle(const la::CsrMatrix& a, std::uint32_t seed) {
   la::SpmvKernel kernel;
-  kernel.compile(a);
-  EXPECT_GE(kernel.padding_ratio(), 1.0);
-  const std::vector<double> x = random_vector(a.rows(), seed);
-  std::vector<double> want;
-  std::vector<double> got;
-  a.left_multiply(x, want);
-  kernel.left_multiply(x, got);
-  expect_near_rel(got, want, kEps, "kernel vs CsrMatrix::left_multiply");
+  compile(kernel, a);
+  const std::size_t n = a.rows();
+  for (std::size_t m : {1u, 5u}) {
+    const auto [x, columns] = random_panel(n, m, seed);
+    std::vector<double> y(n * m);
+    kernel.step_panel(x.data(), y.data(), m, nullptr, nullptr);
+    for (std::size_t b = 0; b < m; ++b) {
+      std::vector<double> want;
+      a.left_multiply(columns[b], want);
+      expect_near_rel(panel_column(y, m, b), want, kEps, "kernel vs CsrMatrix::left_multiply");
+    }
+  }
 }
 
 ct::Ctmc up_down(double l, double mu) {
@@ -107,8 +137,7 @@ ct::Ctmc up_down(double l, double mu) {
   return c;
 }
 
-/// A birth-death chain big enough that the SIMD lanes and the panel all see
-/// multiple chunks.
+/// A birth-death chain wider than one SIMD block of the panel.
 ct::Ctmc birth_death(std::size_t n, double up, double down) {
   ct::Ctmc c;
   c.add_states(n);
@@ -145,125 +174,55 @@ TEST(SpmvKernel, HandlesEmptyAndDenseRows) {
 }
 
 TEST(SpmvKernel, OneStateMatrix) {
-  la::CsrMatrix a(1, 1, {{0, 0, 0.5}});
   la::SpmvKernel kernel;
-  kernel.compile(a);
-  std::vector<double> y;
-  kernel.left_multiply({3.0}, y);
-  ASSERT_EQ(y.size(), 1u);
-  EXPECT_DOUBLE_EQ(y[0], 1.5);
-}
-
-TEST(SpmvKernel, NonSquareShapes) {
-  // 3x9 and 9x3: the transpose/SELL bookkeeping must keep the two extents
-  // straight (x spans rows, y spans cols).
-  for (std::uint32_t seed : {7u, 8u}) {
-    const std::size_t rows = seed == 7 ? 3 : 9;
-    const std::size_t cols = seed == 7 ? 9 : 3;
-    std::vector<la::Triplet> entries;
-    std::mt19937 rng(seed);
-    std::uniform_real_distribution<double> value(0.5, 1.5);
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t c = r % 2; c < cols; c += 2) entries.push_back({r, c, value(rng)});
-    }
-    const la::CsrMatrix a(rows, cols, std::move(entries));
-    la::SpmvKernel kernel;
-    kernel.compile(a);
-    const std::vector<double> x = random_vector(rows, seed);
-    std::vector<double> want;
-    std::vector<double> got;
-    a.left_multiply(x, want);
-    kernel.left_multiply(x, got);
-    expect_near_rel(got, want, kEps, "non-square");
-  }
-}
-
-TEST(SpmvKernel, SparseVariantOfCsrMatrixMatchesDense) {
-  const la::CsrMatrix a = random_csr(40, 0.15, 77);
-  std::vector<double> x = random_vector(40, 78);
-  for (std::size_t i = 0; i < x.size(); i += 3) x[i] = 0.0;  // sparse-ish input
-  std::vector<double> dense;
-  std::vector<double> sparse;
-  a.left_multiply(x, dense);
-  a.left_multiply_sparse(x, sparse);
-  ASSERT_EQ(dense.size(), sparse.size());
-  for (std::size_t i = 0; i < dense.size(); ++i) {
-    EXPECT_DOUBLE_EQ(dense[i], sparse[i]) << i;
-  }
+  compile(kernel, la::CsrMatrix(1, 1, {{0, 0, 0.5}}));
+  const double x = 3.0;
+  double y = 0.0;
+  kernel.step_panel(&x, &y, 1, nullptr, nullptr);
+  EXPECT_DOUBLE_EQ(y, 1.5);
 }
 
 // ---------------------------------------------------------------------------
-// Fused step semantics
+// Fused reward dots and the multi-RHS panel
 // ---------------------------------------------------------------------------
 
-TEST(SpmvKernel, FusedStepMatchesUnfusedPieces) {
+TEST(SpmvKernel, StepPanelDotsMatchSequentialDot) {
   const la::CsrMatrix a = random_csr(60, 0.1, 5);
   la::SpmvKernel kernel;
-  kernel.compile(a);
-  const std::vector<double> x = random_vector(60, 6);
+  compile(kernel, a);
   const std::vector<double> r = random_vector(60, 7);
-  std::vector<double> accum = random_vector(60, 8);
-  std::vector<double> accum_ref = accum;
-  const double weight = 0.37;
-
-  std::vector<double> y(60);
-  const double dot = kernel.step(x.data(), y.data(), weight, accum.data(), r.data());
-
-  std::vector<double> y_ref;
-  a.left_multiply(x, y_ref);
-  double dot_ref = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    accum_ref[i] += weight * x[i];
-    dot_ref += x[i] * r[i];
+  for (std::size_t m : {1u, 5u}) {
+    const auto [x, columns] = random_panel(60, m, 6);
+    std::vector<double> y(60 * m);
+    std::vector<double> dots(m, -1.0);  // overwritten, not accumulated
+    kernel.step_panel(x.data(), y.data(), m, r.data(), dots.data());
+    std::vector<double> reduced(m, -1.0);
+    kernel.reduce_panel(x.data(), m, r.data(), reduced.data());
+    for (std::size_t b = 0; b < m; ++b) {
+      std::vector<double> y_ref;
+      a.left_multiply(columns[b], y_ref);
+      expect_near_rel(panel_column(y, m, b), y_ref, kEps, "fused matvec");
+      double dot_ref = 0.0;
+      for (std::size_t i = 0; i < 60; ++i) dot_ref += columns[b][i] * r[i];
+      EXPECT_NEAR(dots[b], dot_ref, kEps * std::max(1.0, std::abs(dot_ref))) << "m=" << m;
+      // reduce_panel() = the same dots without the matvec.
+      EXPECT_NEAR(reduced[b], dots[b], kEps * std::max(1.0, std::abs(dot_ref))) << "m=" << m;
+    }
   }
-  expect_near_rel(y, y_ref, kEps, "fused matvec");
-  expect_near_rel(accum, accum_ref, kEps, "fused accumulate");
-  EXPECT_NEAR(dot, dot_ref, kEps * std::max(1.0, std::abs(dot_ref)));
-
-  // reduce() = the same step without the matvec; weight 0 must leave accum
-  // bitwise untouched (the below-window terms of the expansion).
-  std::vector<double> accum2 = accum;
-  const double dot2 = kernel.reduce(x.data(), 0.0, accum2.data(), r.data());
-  EXPECT_DOUBLE_EQ(dot2, dot);
-  for (std::size_t i = 0; i < accum.size(); ++i) EXPECT_EQ(accum2[i], accum[i]) << i;
 }
-
-TEST(SpmvKernel, FusedStepNullArguments) {
-  const la::CsrMatrix a = random_csr(30, 0.2, 9);
-  la::SpmvKernel kernel;
-  kernel.compile(a);
-  const std::vector<double> x = random_vector(30, 10);
-  std::vector<double> y(30);
-  // No accumulator, no rewards: plain matvec, dot contract returns 0.
-  EXPECT_DOUBLE_EQ(kernel.step(x.data(), y.data(), 0.5, nullptr, nullptr), 0.0);
-  std::vector<double> want;
-  a.left_multiply(x, want);
-  expect_near_rel(y, want, kEps, "step without fusion arguments");
-}
-
-// ---------------------------------------------------------------------------
-// Multi-RHS panel
-// ---------------------------------------------------------------------------
 
 TEST(SpmvKernel, PanelMatchesSequentialSingleVector) {
   const la::CsrMatrix a = random_csr(70, 0.1, 21);
   la::SpmvKernel kernel;
-  kernel.compile(a);
+  compile(kernel, a);
   for (std::size_t m : {1u, 2u, 3u, 4u, 7u, 8u, 9u, 16u}) {
-    std::vector<double> panel(70 * m);
-    std::vector<std::vector<double>> columns(m);
-    for (std::size_t b = 0; b < m; ++b) {
-      columns[b] = random_vector(70, static_cast<std::uint32_t>(300 + m * 10 + b));
-      for (std::size_t s = 0; s < 70; ++s) panel[s * m + b] = columns[b][s];
-    }
+    const auto [panel, columns] = random_panel(70, m, static_cast<std::uint32_t>(300 + m * 10));
     std::vector<double> panel_out(70 * m);
-    kernel.left_multiply_panel(panel.data(), panel_out.data(), m);
+    kernel.step_panel(panel.data(), panel_out.data(), m, nullptr, nullptr);
     for (std::size_t b = 0; b < m; ++b) {
-      std::vector<double> want;
-      kernel.left_multiply(columns[b], want);
-      std::vector<double> got(70);
-      for (std::size_t s = 0; s < 70; ++s) got[s] = panel_out[s * m + b];
-      expect_near_rel(got, want, kEps, "panel column vs single-vector");
+      std::vector<double> want(70);
+      kernel.step_panel(columns[b].data(), want.data(), 1, nullptr, nullptr);
+      expect_near_rel(panel_column(panel_out, m, b), want, kEps, "panel column vs width 1");
     }
   }
 }
@@ -271,28 +230,21 @@ TEST(SpmvKernel, PanelMatchesSequentialSingleVector) {
 TEST(SpmvKernel, FusedPanelStepMatchesUnfusedPieces) {
   const la::CsrMatrix a = random_csr(40, 0.15, 31);
   la::SpmvKernel kernel;
-  kernel.compile(a);
+  compile(kernel, a);
   const std::size_t m = 5;
   const std::vector<double> x = random_vector(40 * m, 32);
   const std::vector<double> r = random_vector(40, 33);
-  std::vector<double> accum(40 * m, 0.25);
-  std::vector<double> accum_ref = accum;
   std::vector<double> dots(m);
   std::vector<double> y(40 * m);
-  const double weight = 0.61;
-  kernel.step_panel(x.data(), y.data(), m, weight, accum.data(), r.data(), dots.data());
+  kernel.step_panel(x.data(), y.data(), m, r.data(), dots.data());
 
   std::vector<double> y_ref(40 * m);
-  kernel.left_multiply_panel(x.data(), y_ref.data(), m);
+  kernel.step_panel(x.data(), y_ref.data(), m, nullptr, nullptr);
   std::vector<double> dots_ref(m, 0.0);
   for (std::size_t s = 0; s < 40; ++s) {
-    for (std::size_t b = 0; b < m; ++b) {
-      accum_ref[s * m + b] += weight * x[s * m + b];
-      dots_ref[b] += x[s * m + b] * r[s];
-    }
+    for (std::size_t b = 0; b < m; ++b) dots_ref[b] += x[s * m + b] * r[s];
   }
   expect_near_rel(y, y_ref, kEps, "fused panel matvec");
-  expect_near_rel(accum, accum_ref, kEps, "fused panel accumulate");
   expect_near_rel(dots, dots_ref, kEps, "fused panel dots");
 }
 
@@ -303,7 +255,7 @@ TEST(SpmvKernel, FusedPanelStepMatchesUnfusedPieces) {
 TEST(SpmvKernel, StructureReuseRefreshesValuesWithoutRebuild) {
   la::CsrMatrix a = random_csr(48, 0.12, 51);
   la::SpmvKernel kernel;
-  kernel.compile(a);
+  compile(kernel, a);
   EXPECT_EQ(kernel.structure_builds(), 1u);
   EXPECT_EQ(kernel.structure_reuses(), 0u);
 
@@ -313,30 +265,37 @@ TEST(SpmvKernel, StructureReuseRefreshesValuesWithoutRebuild) {
   for (double& v : scaled) v *= 3.0;
   const la::CsrMatrix b = la::CsrMatrix::from_sorted(
       a.rows(), a.cols(), a.row_offsets(), a.col_indices(), std::move(scaled));
-  kernel.compile(b);
+  compile(kernel, b);
   EXPECT_EQ(kernel.structure_builds(), 1u);
   EXPECT_EQ(kernel.structure_reuses(), 1u);
 
   const std::vector<double> x = random_vector(48, 52);
   std::vector<double> want;
-  std::vector<double> got;
+  std::vector<double> got(48);
   b.left_multiply(x, want);
-  kernel.left_multiply(x, got);
+  kernel.step_panel(x.data(), got.data(), 1, nullptr, nullptr);
   expect_near_rel(got, want, kEps, "refreshed values");
 
   // A different sparsity pattern forces a rebuild.
-  kernel.compile(random_csr(48, 0.2, 53));
+  compile(kernel, random_csr(48, 0.2, 53));
   EXPECT_EQ(kernel.structure_builds(), 2u);
   EXPECT_EQ(kernel.structure_reuses(), 1u);
 }
 
 TEST(SpmvKernel, ErrorsOnMisuse) {
   la::SpmvKernel kernel;
-  std::vector<double> y;
-  EXPECT_THROW(kernel.left_multiply({1.0}, y), std::logic_error);
-  EXPECT_THROW(kernel.compile(la::CsrMatrix()), std::invalid_argument);
-  kernel.compile(random_csr(10, 0.3, 61));
-  EXPECT_THROW(kernel.left_multiply(std::vector<double>(9, 0.0), y), std::invalid_argument);
+  const double x = 1.0;
+  double y = 0.0;
+  EXPECT_THROW(kernel.step_panel(&x, &y, 1, nullptr, nullptr), std::logic_error);
+  EXPECT_THROW(compile(kernel, la::CsrMatrix()), std::invalid_argument);
+  // The layout serves the square uniformized matrix only.
+  EXPECT_THROW(compile(kernel, la::CsrMatrix(3, 9, {{0, 4, 1.0}, {2, 8, 0.5}})),
+               std::invalid_argument);
+  EXPECT_THROW(compile(kernel, la::CsrMatrix(9, 3, {{4, 0, 1.0}, {8, 2, 0.5}})),
+               std::invalid_argument);
+  EXPECT_FALSE(kernel.compiled());
+  compile(kernel, random_csr(10, 0.3, 61));
+  EXPECT_THROW(kernel.step_panel(&x, &y, 0, nullptr, nullptr), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -478,6 +437,34 @@ TEST(SpmvKernelTransient, PanelColumnIsBitIdenticalToWidthOnePanel) {
       ASSERT_EQ(curves[b], solo.front()) << "m=" << m << " column " << b;  // bitwise
       ASSERT_EQ(accs[b], solo_acc.front()) << "m=" << m << " column " << b;
     }
+  }
+}
+
+TEST(SpmvKernelTransient, SingleCurveIsColumnZeroOfThePanelOnPaperNets) {
+  // reward_curve runs the width-1 panel, so it must equal the first column
+  // of a wider panel bit for bit (curve and accumulated reward).
+  for (const ent::RedundancyDesign& design :
+       {ent::example_network_design(), ent::RedundancyDesign{{1, 1, 1, 1}},
+        ent::RedundancyDesign{{1, 1, 2, 1}}, ent::RedundancyDesign{{2, 2, 2, 2}}}) {
+    const av::NetworkSrn net = av::build_network_srn(design, rates());
+    const auto graph = patchsec::petri::build_reachability_graph(net.model);
+    const std::size_t n = graph.tangible_count();
+    std::vector<double> rewards;
+    for (const auto& marking : graph.tangible_markings) rewards.push_back(net.coa_reward()(marking));
+    std::vector<std::vector<double>> initials(3, std::vector<double>(n, 0.0));
+    initials[0][0] = 1.0;
+    initials[1][n / 2] = 1.0;
+    initials[2][n - 1] = 1.0;
+    const std::vector<double> grid{0.5, 4.0, 24.0, 96.0};
+
+    ct::TransientSolver solver;
+    solver.prepare(graph.chain);
+    std::vector<std::vector<double>> curves;
+    const std::vector<double> accs = solver.reward_curve_multi(initials, rewards, grid, curves);
+    std::vector<double> curve;
+    const double acc = solver.reward_curve(initials[0], rewards, grid, curve);
+    ASSERT_EQ(curve, curves[0]) << "n=" << n;  // bitwise
+    ASSERT_EQ(acc, accs[0]) << "n=" << n;
   }
 }
 

@@ -204,6 +204,23 @@ TEST(TransientEngine, BatchedWavesMatchSequentialEvaluations) {
                std::invalid_argument);
 }
 
+TEST(TransientEngine, SingleEvaluationIsTheOneWaveBatch) {
+  // evaluate_transient solves the width-1 panel, so on the same Session it
+  // must equal the one-wave batch bit for bit.
+  core::EngineOptions engine;
+  engine.time_points = {0.0, 0.5, 2.0, 12.0, 200.0};
+  engine.initial_down = {{ent::ServerRole::kWeb, 1}, {ent::ServerRole::kDb, 1}};
+  const core::Session session(transient_scenario(engine));
+  for (const ent::RedundancyDesign& design :
+       {ent::example_network_design(), ent::RedundancyDesign{{2, 2, 2, 2}}}) {
+    const core::EvalReport single = session.evaluate_transient(design);
+    const core::EvalReport batch =
+        session.evaluate_transient_batch(design, {engine.initial_down}).front();
+    EXPECT_EQ(single.transient.coa, batch.transient.coa);  // bitwise
+    EXPECT_EQ(single.transient.accumulated_coa_hours, batch.transient.accumulated_coa_hours);
+  }
+}
+
 TEST(TransientEngine, BatchFallsBackSequentiallyUnderLumping) {
   // The lumped backend is a closed form with no panel mode; the batch
   // contract degenerates to per-wave evaluation and must match it exactly
