@@ -34,8 +34,8 @@ using namespace patchsec;
 int report_stages(const std::vector<core::StageVerification>& stages) {
   int findings = 0;
   for (const core::StageVerification& stage : stages) {
-    std::printf("%s\n%s", stage.stage.c_str(), petri::format(stage.report).c_str());
-    findings += static_cast<int>(stage.report.findings.size());
+    std::printf("%s\n%s", stage.stage.c_str(), petri::format(*stage.report).c_str());
+    findings += static_cast<int>(stage.report->findings.size());
   }
   return findings;
 }

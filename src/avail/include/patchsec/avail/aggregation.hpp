@@ -55,6 +55,12 @@ struct ServerAggregation {
     const enterprise::ServerSpec& spec, const ServerSrnOptions& options,
     const petri::AnalyzerOptions& engine, linalg::StationarySolver* workspace = nullptr);
 
+/// aggregate_server_detailed on `srn` = build_server_srn(spec, options), built
+/// by the caller (core::Session verifies that net, then aggregates it).
+[[nodiscard]] ServerAggregation aggregate_server_srn(
+    const ServerSrn& srn, const enterprise::ServerSpec& spec, const ServerSrnOptions& options,
+    const petri::AnalyzerOptions& engine, linalg::StationarySolver* workspace = nullptr);
+
 /// Closed-form approximation of mu_eq ignoring failures (the patch phases in
 /// sequence): 1 / (1/alpha_svc + 1/alpha_os + 1/beta_os + 1/beta_svc).
 /// Exposed as a test oracle and for quick what-if sweeps.

@@ -15,8 +15,14 @@ ServerAggregation aggregate_server_detailed(const enterprise::ServerSpec& spec,
                                             const ServerSrnOptions& options,
                                             const petri::AnalyzerOptions& engine,
                                             linalg::StationarySolver* workspace) {
+  return aggregate_server_srn(build_server_srn(spec, options), spec, options, engine, workspace);
+}
+
+ServerAggregation aggregate_server_srn(const ServerSrn& srn, const enterprise::ServerSpec& spec,
+                                       const ServerSrnOptions& options,
+                                       const petri::AnalyzerOptions& engine,
+                                       linalg::StationarySolver* workspace) {
   const double patch_interval_hours = options.patch_interval_hours;
-  const ServerSrn srn = build_server_srn(spec, options);
   const petri::SrnAnalyzer analyzer(srn.model, engine, workspace);
 
   AggregatedRates rates;

@@ -85,10 +85,11 @@ struct TransientCurve {
 
 /// \brief One solve stage's static verification: the stage name
 /// ("server:<role>" for a lower-layer net, "network" for the upper layer)
-/// plus the petri::verify report (certificates + lint findings).
+/// plus the petri::verify report (certificates + lint findings), immutable,
+/// never null and built once per verified net: copies share it.
 struct StageVerification {
   std::string stage;
-  petri::VerifyReport report;
+  std::shared_ptr<const petri::VerifyReport> report;
 };
 
 /// \brief Rich evaluation result: the paper's metrics plus end-to-end solver
@@ -131,8 +132,9 @@ struct EvalReport {
 
   /// Static verification reports (EngineOptions::verify != kOff): one entry
   /// per solved net — every lower-layer "server:<role>" stage this cadence
-  /// uses (memoized with the aggregation) plus the upper-layer "network"
-  /// stage.  Empty under VerifyMode::kOff.
+  /// uses (shared by every report of the cadence) plus the upper-layer
+  /// "network" stage (shared by every copy of this report).  Empty under
+  /// VerifyMode::kOff.
   std::vector<StageVerification> verification;
 
   /// True iff every steady-state solve behind this report converged (the
@@ -298,7 +300,8 @@ class Session {
     std::map<enterprise::ServerRole, avail::AggregatedRates> rates;
     std::map<enterprise::ServerRole, petri::SolveDiagnostics> diagnostics;
     /// Static verification of each role's server net (computed once with the
-    /// aggregation; empty under VerifyMode::kOff).
+    /// aggregation, on the net the aggregation solves; empty under
+    /// VerifyMode::kOff).
     std::vector<StageVerification> verification;
   };
   struct SecurityMetricsPair {

@@ -160,7 +160,7 @@ void write_json(std::ostream& out, const std::vector<EvalReport>& reports) {
       out << ",\"verify\":{\"clean\":" << (r.lint_clean() ? "true" : "false") << ",\"stages\":[";
       for (std::size_t s = 0; s < r.verification.size(); ++s) {
         const StageVerification& stage = r.verification[s];
-        const petri::VerifyCertificates& c = stage.report.certificates;
+        const petri::VerifyCertificates& c = stage.report->certificates;
         if (s != 0) out << ",";
         out << "{\"stage\":\"" << escaped(stage.stage)
             << "\",\"p_semiflows\":" << c.p_semiflows.size()
@@ -168,8 +168,8 @@ void write_json(std::ostream& out, const std::vector<EvalReport>& reports) {
             << ",\"bounded\":" << (c.structurally_bounded ? "true" : "false")
             << ",\"conserving\":" << (c.token_conserving ? "true" : "false")
             << ",\"findings\":[";
-        for (std::size_t f = 0; f < stage.report.findings.size(); ++f) {
-          const petri::VerifyFinding& finding = stage.report.findings[f];
+        for (std::size_t f = 0; f < stage.report->findings.size(); ++f) {
+          const petri::VerifyFinding& finding = stage.report->findings[f];
           if (f != 0) out << ",";
           out << "{\"rule\":\"" << escaped(finding.rule) << "\",\"severity\":\""
               << petri::to_string(finding.severity) << "\",\"subject\":\""

@@ -82,7 +82,7 @@ bool EvalReport::transient_agrees_with(const EvalReport& other, double z) const 
 
 bool EvalReport::lint_clean() const noexcept {
   for (const StageVerification& stage : verification) {
-    if (!stage.report.clean()) return false;
+    if (!stage.report->clean()) return false;
   }
   return true;
 }
@@ -165,12 +165,10 @@ StageVerification Session::verify_stage(
     std::string stage, const petri::SrnModel& model,
     const std::vector<std::pair<std::string, petri::RewardFunction>>& rewards) const {
   const EngineOptions& engine = scenario_.engine();
-  StageVerification verified{std::move(stage), petri::verify_values(structure_for(model), model,
-                                                                     rewards, engine.verify_options)};
-  if (engine.verify == VerifyMode::kStrict) {
-    petri::throw_on_verify_errors(verified.report, verified.stage);
-  }
-  return verified;
+  auto report = std::make_shared<const petri::VerifyReport>(
+      petri::verify_values(structure_for(model), model, rewards, engine.verify_options));
+  if (engine.verify == VerifyMode::kStrict) petri::throw_on_verify_errors(*report, stage);
+  return StageVerification{std::move(stage), std::move(report)};
 }
 
 StageVerification Session::verify_network_stage(const avail::NetworkSrn& net) const {
@@ -213,15 +211,15 @@ const Session::IntervalAggregation& Session::aggregation_for(double patch_interv
   const petri::AnalyzerOptions engine = scenario_.engine().analyzer_options();
   const VerifyMode verify = scenario_.engine().verify;
   for (const auto& [role, spec] : scenario_.specs()) {
+    const avail::ServerSrn srn = avail::build_server_srn(spec, srn_options);
     if (verify != VerifyMode::kOff) {
       // Static pre-flight on the server net before the reachability-based
       // aggregation solve touches it.
-      agg.verification.push_back(verify_stage(std::string("server:") + enterprise::to_string(role),
-                                              avail::build_server_srn(spec, srn_options).model,
-                                              {}));
+      agg.verification.push_back(
+          verify_stage(std::string("server:") + enterprise::to_string(role), srn.model, {}));
     }
-    avail::ServerAggregation server = avail::aggregate_server_detailed(
-        spec, srn_options, engine, &workspaces_for_this_thread().aggregation);
+    avail::ServerAggregation server = avail::aggregate_server_srn(
+        srn, spec, srn_options, engine, &workspaces_for_this_thread().aggregation);
     agg.rates.emplace(role, server.rates);
     agg.diagnostics.emplace(role, server.diagnostics);
   }

@@ -48,11 +48,6 @@ class CsrMatrix {
   /// Element lookup (binary search within the row); 0.0 when absent.
   [[nodiscard]] double at(std::size_t row, std::size_t col) const;
 
-  /// Transposed copy.  Linear-time counting/bucket transpose: one pass counts
-  /// entries per column, a prefix sum places the bucket boundaries, and one
-  /// scatter pass fills them (already sorted, so no re-sort is paid).
-  [[nodiscard]] CsrMatrix transposed() const;
-
   /// Row access for solvers.
   [[nodiscard]] const std::vector<std::size_t>& row_offsets() const noexcept { return row_offsets_; }
   [[nodiscard]] const std::vector<std::size_t>& col_indices() const noexcept { return col_indices_; }

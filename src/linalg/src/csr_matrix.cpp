@@ -97,29 +97,6 @@ CsrMatrix CsrMatrix::from_sorted(std::size_t rows, std::size_t cols,
   return m;
 }
 
-CsrMatrix CsrMatrix::transposed() const {
-  CsrMatrix t;
-  t.rows_ = cols_;
-  t.cols_ = rows_;
-  t.row_offsets_.assign(cols_ + 1, 0);
-  // Count entries per column, shifted one slot so the prefix sum lands
-  // directly in row_offsets.
-  for (std::size_t c : col_indices_) ++t.row_offsets_[c + 1];
-  for (std::size_t c = 0; c < cols_; ++c) t.row_offsets_[c + 1] += t.row_offsets_[c];
-  t.col_indices_.resize(nnz());
-  t.values_.resize(nnz());
-  std::vector<std::size_t> cursor(t.row_offsets_.begin(), t.row_offsets_.end() - 1);
-  // Scanning source rows in ascending order keeps every transposed row sorted.
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
-      const std::size_t slot = cursor[col_indices_[k]]++;
-      t.col_indices_[slot] = r;
-      t.values_[slot] = values_[k];
-    }
-  }
-  return t;
-}
-
 double CsrMatrix::row_sum(std::size_t row) const {
   if (row >= rows_) throw std::out_of_range("CsrMatrix::row_sum");
   double acc = 0.0;

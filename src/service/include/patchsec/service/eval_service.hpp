@@ -9,6 +9,7 @@
 ///     cadence, canonicalized through Session::canonical_interval), computes
 ///     request_key(), and probes the ResultCache.  A hit replies immediately
 ///     — an already-fulfilled future carrying a copy of the cached report
+///     whose verification stages are the cached report's own shared objects
 ///     (source = kCache, zero queue wait).
 ///  2. On a miss the key is checked against the in-flight table.  If an
 ///     identical request is already queued or solving, this waiter is
@@ -154,7 +155,7 @@ class EvalService {
   /// Remove and return the waiters of `key` (counts coalesced joiners).
   Pending take_pending(std::uint64_t key);
   /// Reply to every waiter of `key`: the last one takes `report` itself,
-  /// the others a copy.
+  /// the others a copy sharing its verification stages.
   void fulfill(std::uint64_t key, core::EvalReport&& report, double solve_seconds,
                std::size_t batch_width, std::chrono::steady_clock::time_point claimed);
 

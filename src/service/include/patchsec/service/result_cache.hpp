@@ -7,7 +7,8 @@
 /// hundred distinct (design, cadence) points thousands of times.  The cache
 /// stores complete EvalReports — diagnostics and all — so a hit is a copy,
 /// never a re-solve, and the reply is bit-identical to the report the first
-/// solve produced (asserted by the `service` test label and in-bench).
+/// solve produced (asserted by the `service` test label and in-bench).  A hit
+/// copies the verification stages' shared VerifyReport pointers, not bases.
 ///
 /// Eviction is byte-budgeted, not entry-counted: transient reports carry
 /// O(grid) curve payloads and verification reports carry semiflow bases, so
@@ -73,7 +74,8 @@ class ResultCache {
 
   /// Estimated heap footprint of one report in bytes: sizeof(EvalReport)
   /// plus every dynamically sized member (curve vectors, diagnostics map
-  /// nodes, verification certificates/findings, strings).
+  /// nodes, verification certificates/findings, strings) — an upper bound,
+  /// as each verification stage is charged in full although it is shared.
   [[nodiscard]] static std::size_t report_footprint(const core::EvalReport& report);
 
  private:

@@ -109,13 +109,15 @@ std::size_t ResultCache::report_footprint(const core::EvalReport& report) {
   bytes += string_bytes(report.transient_diagnostics.kernel);
   bytes += report.aggregation_diagnostics.size() *
            (sizeof(std::pair<enterprise::ServerRole, petri::SolveDiagnostics>) + kNodeOverhead);
+  // Each stage is charged as if this entry owned its VerifyReport, though the
+  // reports are shared: an upper bound, so sharing never changes eviction.
   for (const core::StageVerification& stage : report.verification) {
-    bytes += sizeof(core::StageVerification);
+    bytes += sizeof(std::string) + sizeof(petri::VerifyReport);
     bytes += string_bytes(stage.stage);
-    bytes += semiflow_bytes(stage.report.certificates.p_semiflows);
-    bytes += semiflow_bytes(stage.report.certificates.t_semiflows);
-    bytes += vector_bytes(stage.report.certificates.place_bound);
-    for (const petri::VerifyFinding& finding : stage.report.findings) {
+    bytes += semiflow_bytes(stage.report->certificates.p_semiflows);
+    bytes += semiflow_bytes(stage.report->certificates.t_semiflows);
+    bytes += vector_bytes(stage.report->certificates.place_bound);
+    for (const petri::VerifyFinding& finding : stage.report->findings) {
       bytes += sizeof(petri::VerifyFinding);
       bytes += string_bytes(finding.rule) + string_bytes(finding.subject) +
                string_bytes(finding.message);

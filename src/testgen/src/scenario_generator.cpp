@@ -1,6 +1,7 @@
 #include "patchsec/testgen/scenario_generator.hpp"
 
 #include <cmath>
+#include <memory>
 #include <random>
 #include <stdexcept>
 #include <utility>
@@ -182,10 +183,10 @@ GeneratedScenario ScenarioGenerator::from_seed(std::uint64_t scenario_seed,
 
   if (options.lint_generated) {
     for (const core::StageVerification& stage : lint_scenario(generated)) {
-      if (!stage.report.clean()) {
+      if (!stage.report->clean()) {
         throw std::logic_error("ScenarioGenerator: generated net '" + stage.stage +
                                "' (seed " + std::to_string(scenario_seed) +
-                               ") failed static verification:\n" + petri::format(stage.report));
+                               ") failed static verification:\n" + petri::format(*stage.report));
       }
     }
   }
@@ -200,7 +201,8 @@ std::vector<core::StageVerification> lint_scenario(const GeneratedScenario& gene
   for (const auto& [role, spec] : generated.scenario.specs()) {
     stages.push_back(core::StageVerification{
         std::string("server:") + ent::to_string(role),
-        petri::verify_model(avail::build_server_srn(spec, srn_options).model)});
+        std::make_shared<const petri::VerifyReport>(
+            petri::verify_model(avail::build_server_srn(spec, srn_options).model))});
     // The network lint is structural: unit rates stand in for the aggregated
     // Table V rates so no lower-layer steady-state solve is needed.
     unit_rates.emplace(role, avail::AggregatedRates{1.0, 1.0, 0.5, 0.5});
@@ -208,7 +210,9 @@ std::vector<core::StageVerification> lint_scenario(const GeneratedScenario& gene
   const avail::NetworkSrn net = avail::build_network_srn(generated.design, unit_rates);
   std::vector<std::pair<std::string, petri::RewardFunction>> rewards;
   rewards.emplace_back("coa", net.coa_reward());
-  stages.push_back(core::StageVerification{"network", petri::verify_model(net.model, rewards)});
+  stages.push_back(core::StageVerification{
+      "network",
+      std::make_shared<const petri::VerifyReport>(petri::verify_model(net.model, rewards))});
   return stages;
 }
 

@@ -111,18 +111,6 @@ TEST(CsrMatrix, MultiplySizeMismatchThrows) {
   EXPECT_THROW(m.left_multiply({1.0}, y), std::invalid_argument);
 }
 
-TEST(CsrMatrix, TransposeRoundTrip) {
-  const la::CsrMatrix m(2, 3, {{0, 1, 5.0}, {1, 2, -2.0}});
-  const la::CsrMatrix t = m.transposed();
-  EXPECT_EQ(t.rows(), 3u);
-  EXPECT_EQ(t.cols(), 2u);
-  EXPECT_DOUBLE_EQ(t.at(1, 0), 5.0);
-  EXPECT_DOUBLE_EQ(t.at(2, 1), -2.0);
-  const la::CsrMatrix tt = t.transposed();
-  EXPECT_DOUBLE_EQ(tt.at(0, 1), 5.0);
-  EXPECT_DOUBLE_EQ(tt.at(1, 2), -2.0);
-}
-
 TEST(CsrMatrix, RowSum) {
   const la::CsrMatrix m(2, 2, {{0, 0, -3.0}, {0, 1, 3.0}});
   EXPECT_DOUBLE_EQ(m.row_sum(0), 0.0);

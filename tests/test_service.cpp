@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <future>
@@ -61,8 +62,8 @@ bool same_verification(const std::vector<core::StageVerification>& a,
                        const std::vector<core::StageVerification>& b) {
   if (a.size() != b.size()) return false;
   for (std::size_t s = 0; s < a.size(); ++s) {
-    const patchsec::petri::VerifyCertificates& ca = a[s].report.certificates;
-    const patchsec::petri::VerifyCertificates& cb = b[s].report.certificates;
+    const patchsec::petri::VerifyCertificates& ca = a[s].report->certificates;
+    const patchsec::petri::VerifyCertificates& cb = b[s].report->certificates;
     if (a[s].stage != b[s].stage || ca.p_semiflows != cb.p_semiflows ||
         ca.t_semiflows != cb.t_semiflows || ca.place_bound != cb.place_bound ||
         ca.structurally_bounded != cb.structurally_bounded ||
@@ -71,8 +72,8 @@ bool same_verification(const std::vector<core::StageVerification>& a,
         ca.t_semiflows_complete != cb.t_semiflows_complete) {
       return false;
     }
-    const auto& fa = a[s].report.findings;
-    const auto& fb = b[s].report.findings;
+    const auto& fa = a[s].report->findings;
+    const auto& fb = b[s].report->findings;
     if (fa.size() != fb.size()) return false;
     for (std::size_t f = 0; f < fa.size(); ++f) {
       if (fa[f].rule != fb[f].rule || fa[f].severity != fb[f].severity ||
@@ -349,6 +350,38 @@ TEST(EvalService, CoalescesIdenticalConcurrentRequestsIntoOneSolve) {
   EXPECT_EQ(stats.solves, 1u);      // K identical requests paid ONE solve
   EXPECT_EQ(stats.coalesced, kWaiters - 1);
   EXPECT_EQ(stats.cache.hits, 0u);  // storage was off, so these were not hits
+}
+
+TEST(EvalService, HitsAndCoalescedRepliesShareTheSolvedStageObjects) {
+  constexpr std::size_t kWaiters = 4;
+  svc::ServiceOptions options;
+  options.workers = 2;
+  options.start_workers = false;  // every waiter joins before the solve
+  svc::EvalService service(core::Scenario::paper_case_study(), options);
+
+  std::vector<std::future<svc::ServiceReply>> futures;
+  for (std::size_t i = 0; i < kWaiters; ++i) {
+    futures.push_back(service.submit(steady_request(ent::example_network_design())));
+  }
+  service.start();
+  std::vector<svc::ServiceReply> replies;
+  for (std::future<svc::ServiceReply>& future : futures) replies.push_back(future.get());
+  replies.push_back(service.evaluate(steady_request(ent::example_network_design())));
+  EXPECT_EQ(replies.back().source, svc::ReplySource::kCache);
+
+  const auto solved = std::find_if(replies.begin(), replies.end(), [](const auto& reply) {
+    return reply.source == svc::ReplySource::kSolve;
+  });
+  ASSERT_NE(solved, replies.end());
+  ASSERT_FALSE(solved->report.verification.empty());
+  for (const svc::ServiceReply& reply : replies) {
+    ASSERT_EQ(reply.report.verification.size(), solved->report.verification.size());
+    for (std::size_t s = 0; s < reply.report.verification.size(); ++s) {
+      EXPECT_EQ(reply.report.verification[s].report.get(),
+                solved->report.verification[s].report.get())
+          << svc::to_string(reply.source) << " " << reply.report.verification[s].stage;
+    }
+  }
 }
 
 TEST(EvalService, GroupsSameStructureTransientJobsIntoOnePanel) {

@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -295,6 +297,72 @@ TEST(Session, ParallelScheduleSweepMatchesSerial) {
     EXPECT_DOUBLE_EQ(a[i].coa, b[i].coa);
     EXPECT_TRUE(a[i].converged()) << i;
     EXPECT_TRUE(b[i].converged()) << i;
+  }
+}
+
+// ---------- shared verification stages ------------------------------------------
+
+TEST(SessionSharing, EveryReportOfACadenceSharesItsServerStageReports) {
+  // Parallel over two cadences: the stage objects cross worker threads.
+  core::EngineOptions parallel;
+  parallel.parallel = true;
+  parallel.threads = 4;
+  const core::Session session(core::Scenario::paper_case_study()
+                                  .with_patch_schedule({720.0, 168.0})
+                                  .with_engine(parallel));
+  const std::size_t servers = session.scenario().specs().size();
+  const auto reports = session.evaluate_all();
+  ASSERT_EQ(reports.size(), 2 * session.scenario().designs().size());
+
+  std::map<double, const core::EvalReport*> first_of_cadence;
+  std::set<const patchsec::petri::VerifyReport*> network_stages;
+  for (const core::EvalReport& report : reports) {
+    ASSERT_EQ(report.verification.size(), servers + 1);
+    for (const core::StageVerification& stage : report.verification) {
+      ASSERT_NE(stage.report, nullptr) << stage.stage;
+    }
+    const core::EvalReport*& first = first_of_cadence[report.patch_interval_hours];
+    if (first == nullptr) first = &report;
+    for (std::size_t s = 0; s < servers; ++s) {
+      EXPECT_EQ(report.verification[s].report.get(), first->verification[s].report.get())
+          << report.verification[s].stage;
+    }
+    // The network stage is one object per cell.
+    EXPECT_TRUE(network_stages.insert(report.verification.back().report.get()).second);
+  }
+  // Each cadence verified its own server nets.
+  ASSERT_EQ(first_of_cadence.size(), 2u);
+  for (std::size_t s = 0; s < servers; ++s) {
+    EXPECT_NE(first_of_cadence.at(720.0)->verification[s].report.get(),
+              first_of_cadence.at(168.0)->verification[s].report.get());
+  }
+}
+
+TEST(SessionSharing, TransientBatchShellsShareOneStageSet) {
+  const std::vector<std::map<ent::ServerRole, unsigned>> waves = {
+      {}, {{ent::ServerRole::kWeb, 1u}}, {{ent::ServerRole::kDb, 1u}}};
+  for (const bool lumping : {false, true}) {
+    core::EngineOptions engine;
+    engine.lumping = lumping;
+    const core::Session session(core::Scenario::paper_case_study().with_engine(engine));
+    const ent::RedundancyDesign design = ent::example_network_design();
+    const auto reports = session.evaluate_transient_batch(design, waves);
+    ASSERT_EQ(reports.size(), waves.size());
+    const core::EvalReport steady = session.evaluate(design);
+    const std::size_t servers = session.scenario().specs().size();
+    ASSERT_EQ(steady.verification.size(), servers + 1);
+    for (const core::EvalReport& report : reports) {
+      ASSERT_EQ(report.verification.size(), servers + 1) << lumping;
+      for (std::size_t s = 0; s <= servers; ++s) {
+        EXPECT_EQ(report.verification[s].report.get(), reports[0].verification[s].report.get())
+            << lumping << " " << report.verification[s].stage;
+      }
+      // Same cadence as the steady report: the same server-stage objects.
+      for (std::size_t s = 0; s < servers; ++s) {
+        EXPECT_EQ(report.verification[s].report.get(), steady.verification[s].report.get())
+            << lumping;
+      }
+    }
   }
 }
 

@@ -75,10 +75,22 @@ la::SteadyStateResult ref_power_iteration(const la::CsrMatrix& q,
   return result;
 }
 
+/// Qᵀ built through the triplet constructor, independent of the solver's
+/// own counting transpose.
+la::CsrMatrix triplet_transpose(const la::CsrMatrix& q) {
+  std::vector<la::Triplet> entries;
+  for (std::size_t r = 0; r < q.rows(); ++r) {
+    for (std::size_t k = q.row_offsets()[r]; k < q.row_offsets()[r + 1]; ++k) {
+      entries.push_back({q.col_indices()[k], r, q.values()[k]});
+    }
+  }
+  return la::CsrMatrix(q.cols(), q.rows(), std::move(entries));
+}
+
 la::SteadyStateResult ref_gauss_seidel(const la::CsrMatrix& q,
                                        const la::SteadyStateOptions& opt) {
   const std::size_t n = q.rows();
-  const la::CsrMatrix qt = q.transposed();
+  const la::CsrMatrix qt = triplet_transpose(q);
   const auto& off = qt.row_offsets();
   const auto& col = qt.col_indices();
   const auto& val = qt.values();
@@ -223,34 +235,8 @@ void expect_equivalent(const la::CsrMatrix& q, const la::SteadyStateOptions& opt
 }
 
 // ---------------------------------------------------------------------------
-// CSR construction and transpose.
+// CSR construction.
 // ---------------------------------------------------------------------------
-
-TEST(CsrFastPaths, BucketTransposeMatchesTripletTranspose) {
-  for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    const la::CsrMatrix q = random_ergodic_generator(seed);
-    const la::CsrMatrix fast = q.transposed();
-    // Triplet-built transpose: the pre-rewrite semantics.
-    std::vector<la::Triplet> entries;
-    for (std::size_t r = 0; r < q.rows(); ++r) {
-      for (std::size_t k = q.row_offsets()[r]; k < q.row_offsets()[r + 1]; ++k) {
-        entries.push_back({q.col_indices()[k], r, q.values()[k]});
-      }
-    }
-    const la::CsrMatrix slow(q.cols(), q.rows(), entries);
-    EXPECT_EQ(fast.row_offsets(), slow.row_offsets());
-    EXPECT_EQ(fast.col_indices(), slow.col_indices());
-    EXPECT_EQ(fast.values(), slow.values());
-  }
-}
-
-TEST(CsrFastPaths, TransposeRoundTripIsIdentity) {
-  const la::CsrMatrix q = random_ergodic_generator(42);
-  const la::CsrMatrix qtt = q.transposed().transposed();
-  EXPECT_EQ(qtt.row_offsets(), q.row_offsets());
-  EXPECT_EQ(qtt.col_indices(), q.col_indices());
-  EXPECT_EQ(qtt.values(), q.values());
-}
 
 TEST(CsrFastPaths, FromSortedMatchesTripletConstruction) {
   const la::CsrMatrix q = random_ergodic_generator(7);

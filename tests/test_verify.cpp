@@ -518,9 +518,9 @@ TEST(VerifyClean, AllPaperDesignsLintClean) {
     EXPECT_EQ(report.verification.size(),
               session.scenario().specs().size() + 1);
     for (const core::StageVerification& stage : report.verification) {
-      EXPECT_TRUE(stage.report.clean()) << stage.stage;
-      EXPECT_TRUE(stage.report.certificates.structurally_bounded) << stage.stage;
-      EXPECT_TRUE(stage.report.certificates.token_conserving) << stage.stage;
+      EXPECT_TRUE(stage.report->clean()) << stage.stage;
+      EXPECT_TRUE(stage.report->certificates.structurally_bounded) << stage.stage;
+      EXPECT_TRUE(stage.report->certificates.token_conserving) << stage.stage;
     }
   }
 }
@@ -532,9 +532,9 @@ TEST(VerifyClean, FiftySeedGeneratedSweepLintsClean) {
   for (int i = 0; i < 50; ++i) {
     const tg::GeneratedScenario generated = generator.next();
     for (const core::StageVerification& stage : tg::lint_scenario(generated)) {
-      EXPECT_TRUE(stage.report.clean())
+      EXPECT_TRUE(stage.report->clean())
           << stage.stage << " of seed " << generated.scenario_seed << ":\n"
-          << pt::format(stage.report);
+          << pt::format(*stage.report);
     }
   }
 }
@@ -637,7 +637,7 @@ TEST(VerifyWiring, GeneratorRefusesLintDirtyNetsWhenAsked) {
   options.lint_generated = false;
   const tg::GeneratedScenario generated = tg::ScenarioGenerator::from_seed(7, options);
   for (const core::StageVerification& stage : tg::lint_scenario(generated)) {
-    EXPECT_TRUE(stage.report.clean());
+    EXPECT_TRUE(stage.report->clean());
   }
 }
 
@@ -1096,14 +1096,14 @@ TEST(VerifyWiring, SessionCertifiesEachStructureOnce) {
       const core::EvalReport& report = reports.at(next_report++);
       ASSERT_EQ(report.verification.size(), servers.size() + 1);
       for (std::size_t s = 0; s < servers.size(); ++s) {
-        expect_same_certificates(report.verification[s].report.certificates,
+        expect_same_certificates(report.verification[s].report->certificates,
                                  servers[s].certificates);
-        expect_same_findings(report.verification[s].report.findings, servers[s].findings);
+        expect_same_findings(report.verification[s].report->findings, servers[s].findings);
       }
       const pt::VerifyReport direct = pt::verify_model(net.model, rewards, engine.verify_options);
-      expect_same_certificates(report.verification.back().report.certificates,
+      expect_same_certificates(report.verification.back().report->certificates,
                                direct.certificates);
-      expect_same_findings(report.verification.back().report.findings, direct.findings);
+      expect_same_findings(report.verification.back().report->findings, direct.findings);
     }
   }
   EXPECT_EQ(keys.size(), 7u);
@@ -1139,10 +1139,10 @@ TEST(VerifyWiring, LumpedTransientBatchVerifiesOncePerBatch) {
     ASSERT_EQ(report.verification.size(), single.verification.size());
     for (std::size_t s = 0; s < single.verification.size(); ++s) {
       EXPECT_EQ(report.verification[s].stage, single.verification[s].stage);
-      expect_same_certificates(report.verification[s].report.certificates,
-                               single.verification[s].report.certificates);
-      expect_same_findings(report.verification[s].report.findings,
-                           single.verification[s].report.findings);
+      expect_same_certificates(report.verification[s].report->certificates,
+                               single.verification[s].report->certificates);
+      expect_same_findings(report.verification[s].report->findings,
+                           single.verification[s].report->findings);
     }
   }
 }
