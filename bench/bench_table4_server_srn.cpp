@@ -59,7 +59,7 @@ void print_table4() {
     const pt::ReachabilityGraph g = pt::build_reachability_graph(s.model);
     std::printf("  %-4s tangible markings=%3zu  vanishing visits=%zu  transitions=%zu\n",
                 ent::to_string(role), g.tangible_count(), g.vanishing_markings_seen,
-                g.chain.transitions().size());
+                g.chain.transition_count());
   }
   std::printf("\n");
 }

@@ -89,7 +89,7 @@ std::vector<CoaCurveEvaluation> transient_coa_batch(
     result.transient = solver.diagnostics();
     result.diagnostics.tangible_states = graph.tangible_count();
     result.diagnostics.vanishing_markings = graph.vanishing_markings_seen;
-    result.diagnostics.transitions = graph.chain.transitions().size();
+    result.diagnostics.transitions = graph.chain.transition_count();
     result.diagnostics.solver_iterations = result.transient.matvec_count;
     result.diagnostics.converged = true;  // a finite sum, not a fixpoint iteration
     result.diagnostics.wall_time_seconds = wall;

@@ -1,11 +1,9 @@
 #pragma once
-// Continuous-time Markov chain with named states, rate transitions and rate
-// rewards.  This is the analysis backend that the SRN layer lowers into.
+// Continuous-time Markov chain with rate transitions.  This is the analysis
+// backend that the SRN layer lowers into.
 
 #include <cstddef>
-#include <optional>
-#include <stdexcept>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "patchsec/linalg/csr_matrix.hpp"
@@ -27,36 +25,44 @@ struct RateTransition {
   double rate = 0.0;
 };
 
-/// Finite CTMC.  States are created first (optionally labeled), then
-/// transitions added.  The transition list is the only stored form:
-/// generator() assembles a fresh CSR matrix on every call.
+/// Off-diagonal rates grouped by source state: state s owns
+/// entries[offsets[s] .. offsets[s + 1]), (to, rate) pairs in any order.
+/// offsets.size() - 1 is the state count.
+struct RateRows {
+  std::vector<std::size_t> offsets{0};
+  std::vector<std::pair<StateIndex, double>> entries;
+};
+
+/// Immutable finite CTMC.  The constructor assembles the infinitesimal
+/// generator once; the generator and the exit rates are the only stored
+/// forms, so every const member is a plain read (safe to share across
+/// threads).
 class Ctmc {
  public:
+  /// The empty chain (no states).
   Ctmc() = default;
 
-  /// Add a state, returning its index.  Label is kept for diagnostics.
-  StateIndex add_state(std::string label = {});
+  /// Chain over `states` states with the given rate transitions, bucketed
+  /// by source state (each state keeping their order) into RateRows; throws
+  /// as Ctmc(RateRows) does.
+  Ctmc(std::size_t states, const std::vector<RateTransition>& transitions);
 
-  /// Bulk-create n unlabeled states; returns index of the first.
-  StateIndex add_states(std::size_t n);
+  /// Chain over the given rows (the reachability explorer's hand-over).
+  /// Parallel edges are merged.  Throws std::out_of_range for an endpoint
+  /// outside the state range, std::invalid_argument for inconsistent
+  /// offsets, a self loop or a rate that is not positive and finite.
+  explicit Ctmc(RateRows rows);
 
-  /// Pre-size the state/transition storage (the reachability generator knows
-  /// both counts up front).
-  void reserve(std::size_t states, std::size_t transitions);
+  [[nodiscard]] std::size_t state_count() const noexcept { return generator_.rows(); }
 
-  /// Add transition from -> to with the given positive rate.  Self loops are
-  /// rejected (they are meaningless in a CTMC).
-  void add_transition(StateIndex from, StateIndex to, double rate);
+  /// Infinitesimal generator Q (rows sum to zero).  Each row holds its merged
+  /// off-diagonal rates sorted by column with the diagonal -sum(rates)
+  /// spliced in at its sorted position; a state without outgoing rates has
+  /// an empty row.
+  [[nodiscard]] const linalg::CsrMatrix& generator() const noexcept { return generator_; }
 
-  [[nodiscard]] std::size_t state_count() const noexcept { return labels_.size(); }
-  [[nodiscard]] const std::string& label(StateIndex s) const { return labels_.at(s); }
-  [[nodiscard]] const std::vector<RateTransition>& transitions() const noexcept { return transitions_; }
-
-  /// Infinitesimal generator Q (rows sum to zero).  Assembled by a
-  /// counting/bucket pass over the transition list (per-row gather, small
-  /// per-row sorts, duplicate merge) directly into CSR form — no global
-  /// triplet sort.
-  [[nodiscard]] linalg::CsrMatrix generator() const;
+  /// Number of distinct off-diagonal generator entries (merged transitions).
+  [[nodiscard]] std::size_t transition_count() const noexcept;
 
   /// Stationary distribution (requires an irreducible chain; the solver
   /// result carries convergence diagnostics).
@@ -69,20 +75,15 @@ class Ctmc {
   [[nodiscard]] linalg::SteadyStateResult steady_state(
       linalg::StationarySolver& workspace, const linalg::SteadyStateOptions& options) const;
 
-  /// Total exit rate of every state (sum of outgoing rates, added in
-  /// transition order), in one pass over the transition list.
-  [[nodiscard]] std::vector<double> exit_rates() const;
-
-  /// States reachable from `start` following positive-rate transitions.
-  [[nodiscard]] std::vector<bool> reachable_from(StateIndex start) const;
-
-  /// True when every state can reach every other state (single communicating
-  /// class) — the precondition for a meaningful stationary distribution.
-  [[nodiscard]] bool is_irreducible() const;
+  /// Total exit rate of every state: its outgoing rates added in the order
+  /// the transitions were given.  This can differ from -Q(s,s), which sums
+  /// the merged, column-sorted row, by an ulp; the uniformization rate is
+  /// taken from these sums.
+  [[nodiscard]] const std::vector<double>& exit_rates() const noexcept { return exit_rates_; }
 
  private:
-  std::vector<std::string> labels_;
-  std::vector<RateTransition> transitions_;
+  linalg::CsrMatrix generator_;
+  std::vector<double> exit_rates_;
 };
 
 }  // namespace patchsec::ctmc

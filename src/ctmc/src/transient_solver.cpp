@@ -35,7 +35,7 @@ void TransientSolver::prepare(const Ctmc& chain) {
   if (chain.state_count() == 0) {
     throw std::invalid_argument("TransientSolver: empty chain");
   }
-  const linalg::CsrMatrix q = chain.generator();
+  const linalg::CsrMatrix& q = chain.generator();
   const bool same_structure = states_ == q.rows() && q_row_offsets_ == q.row_offsets() &&
                               q_col_indices_ == q.col_indices();
   if (same_structure) {

@@ -29,7 +29,7 @@ class CsrMatrix {
   /// merged and explicit zeros dropped (the class invariants); the arrays are
   /// validated in one O(nnz) pass and std::invalid_argument is thrown on any
   /// violation.  This is the fast path for producers that naturally emit
-  /// sorted rows (the counting transpose, ctmc::Ctmc::generator()).
+  /// sorted rows (the counting transpose, the ctmc::Ctmc constructor).
   [[nodiscard]] static CsrMatrix from_sorted(std::size_t rows, std::size_t cols,
                                              std::vector<std::size_t> row_offsets,
                                              std::vector<std::size_t> col_indices,

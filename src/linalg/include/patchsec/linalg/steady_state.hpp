@@ -56,9 +56,9 @@ struct SteadyStateResult {
 /// \brief Solve pi * Q = 0, sum(pi) = 1 for a CTMC infinitesimal generator.
 ///
 /// \param generator  Square CSR generator matrix Q (rows sum to ~0), indexed
-///                   by source state; typically ctmc::Ctmc::generator() on the
-///                   chain that petri::build_reachability_graph lowered from
-///                   an SRN (tangible markings only).
+///                   by source state; typically ctmc::Ctmc::generator(),
+///                   assembled once when petri::build_reachability_graph
+///                   lowered an SRN (tangible markings only).
 /// \param options    Method selection and convergence tuning; the default
 ///                   (kAuto) tries Gauss-Seidel first and falls back to power
 ///                   iteration when the sweep stalls.

@@ -16,6 +16,8 @@
 /// replications) provided the model's guard/rate closures are pure.
 
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "patchsec/petri/marking.hpp"
@@ -60,14 +62,20 @@ class CompiledNet {
   }
 
   /// Successor of firing t in m, written into `out` (capacity reused).  Only
-  /// call with `enabled(t, m)`; `out` must not alias `m`.
+  /// call with `enabled(t, m)`; `out` must not alias `m`.  Throws
+  /// std::overflow_error when a place would exceed the TokenCount range.
   void fire_into(const CompiledTransition& t, const Marking& m, Marking& out) const {
     out = m;
     for (std::uint32_t k = t.delta_begin; k < t.delta_end; ++k) {
-      out[deltas_[k].place] =
-          static_cast<TokenCount>(static_cast<std::int64_t>(out[deltas_[k].place]) +
-                                  deltas_[k].delta);
+      const std::int64_t next = static_cast<std::int64_t>(m[deltas_[k].place]) + deltas_[k].delta;
+      if (next > std::numeric_limits<TokenCount>::max()) throw_overflow(t, deltas_[k].place, m);
+      out[deltas_[k].place] = static_cast<TokenCount>(next);
     }
+  }
+
+  /// Net token change of firing t: one entry per touched place, ascending.
+  [[nodiscard]] std::span<const PlaceDelta> deltas(const CompiledTransition& t) const noexcept {
+    return {deltas_.data() + t.delta_begin, deltas_.data() + t.delta_end};
   }
 
   void enabled_timed_into(const Marking& m, std::vector<const CompiledTransition*>& out) const {
@@ -101,6 +109,9 @@ class CompiledNet {
   [[nodiscard]] double checked_rate(const CompiledTransition& t, const Marking& m) const;
 
  private:
+  [[noreturn]] void throw_overflow(const CompiledTransition& t, PlaceId place,
+                                   const Marking& m) const;
+
   const SrnModel* model_ = nullptr;  // for error messages only
   std::vector<FlatArc> arcs_;
   std::vector<PlaceDelta> deltas_;

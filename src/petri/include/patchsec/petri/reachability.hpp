@@ -1,7 +1,8 @@
 #pragma once
 // Reachability-graph generation with on-the-fly vanishing-marking
 // elimination: the SRN is lowered to a CTMC over tangible markings exactly as
-// SPNP does it.
+// SPNP does it.  One breadth-first pass in state-id order emits each state's
+// merged edge row, and the Ctmc assembles its generator from those rows once.
 
 #include <cstddef>
 #include <unordered_map>
@@ -74,6 +75,10 @@ struct ReachabilityGraph {
   ctmc::Ctmc chain;
   std::vector<double> initial_distribution;
   std::size_t vanishing_markings_seen = 0;
+  /// Timed firings resolved: one per (tangible state, enabled timed
+  /// transition), so at most timed transitions x tangible states.  The
+  /// explorer's work counter.
+  std::size_t firings = 0;
 
   [[nodiscard]] std::size_t tangible_count() const noexcept { return tangible_markings.size(); }
 

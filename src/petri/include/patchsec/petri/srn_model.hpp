@@ -128,12 +128,13 @@ class SrnModel {
   [[nodiscard]] unsigned priority(TransitionId t) const;
 
   /// Successor marking after firing t in m.  Throws std::logic_error when t
-  /// is not enabled.
+  /// is not enabled and std::overflow_error when a place would exceed the
+  /// TokenCount range.
   [[nodiscard]] Marking fire(TransitionId t, const Marking& m) const;
 
   /// Allocation-free fire: writes the successor of firing t in m into `out`
   /// (resized/overwritten; its capacity is reused).  `out` may alias `m`.
-  /// Throws std::logic_error when t is not enabled.
+  /// Throws as fire() does.
   void fire_into(TransitionId t, const Marking& m, Marking& out) const;
 
   /// All enabled immediate transitions of maximal priority in m.

@@ -63,4 +63,10 @@ double CompiledNet::checked_rate(const CompiledTransition& t, const Marking& m) 
   return r;
 }
 
+void CompiledNet::throw_overflow(const CompiledTransition& t, PlaceId place,
+                                 const Marking& m) const {
+  throw std::overflow_error("firing " + model_->transition_name(t.id) + " overflows place " +
+                            model_->place_name(place) + " in " + to_string(m));
+}
+
 }  // namespace patchsec::petri

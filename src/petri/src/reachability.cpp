@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -45,18 +46,10 @@ class Explorer {
     drain(vanishing_seen);
   }
 
-  /// Resolve the firing of `t` in tangible marking `m` (skips the stack when
-  /// the net has no immediate transitions at all — the common upper-layer
-  /// case — and fires straight into the successor pool).
+  /// Resolve the firing of `t` in tangible marking `m`.
   void resolve_firing(const CompiledTransition& t, const Marking& m,
                       std::size_t& vanishing_seen) {
     succ_count_ = 0;
-    if (!net_.has_immediates()) {
-      Successor& s = acquire_successor();
-      net_.fire_into(t, m, s.marking);
-      s.probability = 1.0;
-      return;
-    }
     stack_count_ = 0;
     StackEntry& e = acquire_entry();
     net_.fire_into(t, m, e.marking);
@@ -146,19 +139,21 @@ class Explorer {
 };
 
 // ---------------------------------------------------------------------------
-// MarkingInterner: marking -> state-id map for the exploration loop.  When
+// MarkingInterner: packed-key -> state-id map for the exploration loop.  When
 // every place's token count fits `64 / place_count` bits the marking packs
-// into one u64 and lookups go through an open-addressing table (splitmix64
-// hash, linear probing) — far cheaper than hashing and comparing Marking
-// vectors ~nnz times.  If a token ever outgrows the packing (or there are
-// too many places), the interner permanently reports kNotPacked and
-// build_reachability_graph falls back to a general unordered_map it
-// materializes on demand from the markings discovered so far.
+// into one u64 (place 0 in the most significant field) and lookups go
+// through an open-addressing table (splitmix64 hash, linear probing) — far
+// cheaper than hashing and comparing Marking vectors ~nnz times.  Firing can
+// then stay on the key: advance() applies a transition's net deltas by field
+// arithmetic.  Once a marking fails to pack (a token outgrows its field, too
+// many places, or an id outgrows the u32 payload) the interner is off for
+// good and build_reachability_graph falls back to a general unordered_map
+// it materializes from the markings discovered so far.
 // ---------------------------------------------------------------------------
 
 class MarkingInterner {
  public:
-  MarkingInterner(std::size_t place_count, std::size_t reserve) {
+  MarkingInterner(std::size_t place_count, std::size_t reserve) : places_(place_count) {
     bits_ = place_count == 0 ? 0 : 64 / place_count;
     if (bits_ > 32) bits_ = 32;  // TokenCount is 32-bit; also keeps shifts defined
     packable_ = bits_ >= 2;     // need headroom; nets with > 32 places fall back
@@ -172,16 +167,41 @@ class MarkingInterner {
     }
   }
 
-  /// Returns the existing id of `m`, kMissing when absent (the caller
-  /// interns it and calls insert()), or kNotPacked when the caller must use
-  /// its fallback map.
-  [[nodiscard]] std::size_t find(const Marking& m) {
-    if (!packable_) return kNotPacked;
-    std::uint64_t key;
-    if (!pack(m, key)) {
-      packable_ = false;  // permanent fallback; the caller's map takes over
-      return kNotPacked;
+  [[nodiscard]] bool packable() const noexcept { return packable_; }
+
+  /// Packs `m` into `key`; false, and the interner off for good, when it
+  /// does not fit.
+  [[nodiscard]] bool pack(const Marking& m, std::uint64_t& key) {
+    std::uint64_t k = 0;
+    for (TokenCount t : m) {
+      if (t > limit_) packable_ = false;
+      k = (k << bits_) | t;
     }
+    key = k;
+    return packable_;
+  }
+
+  void unpack(std::uint64_t key, Marking& m) const {
+    m.resize(places_);
+    for (std::size_t p = places_; p-- > 0; key >>= bits_) {
+      m[p] = static_cast<TokenCount>(key & limit_);
+    }
+  }
+
+  /// Applies a firing's net deltas to `key` in place; false (key unusable)
+  /// when a touched field would leave [0, limit].
+  [[nodiscard]] bool advance(std::span<const PlaceDelta> deltas, std::uint64_t& key) const {
+    for (const PlaceDelta& d : deltas) {
+      const std::size_t shift = (places_ - 1 - d.place) * bits_;
+      const std::int64_t next = static_cast<std::int64_t>((key >> shift) & limit_) + d.delta;
+      if (next < 0 || next > static_cast<std::int64_t>(limit_)) return false;
+      key += static_cast<std::uint64_t>(d.delta) << shift;  // mod 2^64: no carry leaves the field
+    }
+    return true;
+  }
+
+  /// Id of a packed key, or kMissing.
+  [[nodiscard]] std::size_t find(std::uint64_t key) const {
     std::size_t slot = probe_start(key);
     while (ids_[slot] != 0) {
       if (keys_[slot] == key) return ids_[slot] - 1;
@@ -190,15 +210,9 @@ class MarkingInterner {
     return kMissing;
   }
 
-  void insert(const Marking& m, std::size_t id) {
-    if (!packable_) return;
+  void insert(std::uint64_t key, std::size_t id) {
     if (id >= std::numeric_limits<std::uint32_t>::max()) {
       packable_ = false;  // id would not fit the table's u32 payload
-      return;
-    }
-    std::uint64_t key;
-    if (!pack(m, key)) {
-      packable_ = false;
       return;
     }
     if ((count_ + 1) * 2 > keys_.size()) grow();
@@ -206,22 +220,9 @@ class MarkingInterner {
     ++count_;
   }
 
-  /// find() result meaning "not in the table, must be interned".
   static constexpr std::size_t kMissing = std::numeric_limits<std::size_t>::max();
-  /// find() result meaning "use the caller's fallback map".
-  static constexpr std::size_t kNotPacked = std::numeric_limits<std::size_t>::max() - 1;
 
  private:
-  [[nodiscard]] bool pack(const Marking& m, std::uint64_t& key) const {
-    std::uint64_t k = 0;
-    for (TokenCount t : m) {
-      if (t > limit_) return false;
-      k = (k << bits_) | t;
-    }
-    key = k;
-    return true;
-  }
-
   [[nodiscard]] std::size_t probe_start(std::uint64_t key) const {
     // splitmix64 finalizer.
     std::uint64_t h = key + 0x9e3779b97f4a7c15ull;
@@ -248,6 +249,7 @@ class MarkingInterner {
     }
   }
 
+  std::size_t places_ = 0;
   bool packable_ = false;
   std::size_t bits_ = 0;
   TokenCount limit_ = 0;
@@ -281,34 +283,40 @@ ReachabilityGraph build_reachability_graph(const SrnModel& model,
   // being packable — most models never allocate it.
   MarkingInterner interner(model.place_count(), reserve);
   std::unordered_map<Marking, std::size_t, MarkingHash> slow_index;
-  bool slow_ready = false;
-  const auto ensure_slow_index = [&] {
-    if (slow_ready) return;
-    slow_index.reserve(std::max(reserve, graph.tangible_markings.size()));
-    for (std::size_t i = 0; i < graph.tangible_markings.size(); ++i) {
-      slow_index.emplace(graph.tangible_markings[i], i);
-    }
-    slow_ready = true;
-  };
-  const auto intern = [&](const Marking& m) -> std::size_t {
-    const std::size_t fast = interner.find(m);
-    if (fast < MarkingInterner::kNotPacked) return fast;
-    if (fast == MarkingInterner::kNotPacked) {
-      ensure_slow_index();
-      const auto it = slow_index.find(m);
-      if (it != slow_index.end()) return it->second;
-    }
+  const auto new_state = [&]() -> std::size_t {
     if (graph.tangible_markings.size() >= options.max_tangible_markings) {
       throw std::runtime_error("tangible state space exceeds configured bound");
     }
-    const std::size_t id = graph.tangible_markings.size();
+    return graph.tangible_markings.size();
+  };
+  // The marking of a key is unpacked only when the state is new.
+  const auto intern_key = [&](std::uint64_t key) -> std::size_t {
+    const std::size_t found = interner.find(key);
+    if (found != MarkingInterner::kMissing) return found;
+    const std::size_t id = new_state();
+    interner.unpack(key, graph.tangible_markings.emplace_back());
+    interner.insert(key, id);
+    return id;
+  };
+  const auto intern = [&](const Marking& m) -> std::size_t {
+    std::uint64_t key;
+    if (interner.packable() && interner.pack(m, key)) return intern_key(key);
+    if (slow_index.empty()) {
+      slow_index.reserve(std::max(reserve, graph.tangible_markings.size()));
+      for (std::size_t i = 0; i < graph.tangible_markings.size(); ++i) {
+        slow_index.emplace(graph.tangible_markings[i], i);
+      }
+    }
+    const auto it = slow_index.find(m);
+    if (it != slow_index.end()) return it->second;
+    const std::size_t id = new_state();
     graph.tangible_markings.push_back(m);
-    interner.insert(m, id);
-    if (slow_ready) slow_index.emplace(m, id);
+    slow_index.emplace(m, id);
     return id;
   };
 
   Explorer explorer(model, options);
+  const CompiledNet& net = explorer.net();
 
   // Resolve the initial marking (it may be vanishing).
   explorer.resolve_vanishing(model.initial_marking(), graph.vanishing_markings_seen);
@@ -319,66 +327,52 @@ ReachabilityGraph build_reachability_graph(const SrnModel& model,
                          explorer.successors()[i].probability);
   }
 
-  // BFS frontier as an index queue.  Markings are interned (and so queued)
-  // in discovery order, which makes expansion order identical to state-id
-  // order: per-state edge rows can therefore accumulate into flat CSR-style
-  // arrays, merged in place, with no (from -> to -> rate) hash maps.
-  std::vector<std::size_t> frontier;
-  frontier.reserve(reserve);
-  for (const auto& [id, p] : initial) frontier.push_back(id);
-  std::size_t frontier_head = 0;
-
-  std::vector<std::size_t> edge_row_offsets{0};
-  edge_row_offsets.reserve(reserve + 1);
-  std::vector<std::size_t> edge_to;
-  std::vector<double> edge_rate;
-
-  std::vector<bool> expanded;
-  expanded.reserve(reserve);
+  // States are expanded in id order: ids are handed out in discovery order,
+  // so this is breadth-first, and each state's merged edge row is appended
+  // whole — the RateRows form the Ctmc assembles from.
+  ctmc::RateRows rows;
+  rows.offsets.reserve(reserve + 1);
+  std::vector<std::pair<std::size_t, double>>& edges = rows.entries;
+  const auto add_edge = [&edges](std::size_t row_begin, std::size_t from, std::size_t to,
+                                 double rate) {
+    if (to == from) return;  // net effect is a self loop: drop
+    for (std::size_t k = row_begin; k < edges.size(); ++k) {
+      if (edges[k].first == to) {
+        edges[k].second += rate;
+        return;
+      }
+    }
+    edges.emplace_back(to, rate);
+  };
   Marking current;
-  while (frontier_head < frontier.size()) {
-    const std::size_t from = frontier[frontier_head++];
-    if (from < expanded.size() && expanded[from]) continue;
-    expanded.resize(graph.tangible_markings.size(), false);
-    expanded[from] = true;
-
-    const std::size_t row_begin = edge_to.size();
+  for (std::size_t from = 0; from < graph.tangible_markings.size(); ++from) {
+    const std::size_t row_begin = edges.size();
     current = graph.tangible_markings[from];  // copy: the vector may grow
-    explorer.net().enabled_timed_into(current, explorer.timed_scratch);
+    // Without immediates every successor is tangible, so a firing can stay
+    // on the packed key; a field leaving its range sends that firing down the
+    // Marking path, which flips the interner to its fallback map.
+    std::uint64_t current_key = 0;
+    const bool packed =
+        !net.has_immediates() && interner.packable() && interner.pack(current, current_key);
+    net.enabled_timed_into(current, explorer.timed_scratch);
+    graph.firings += explorer.timed_scratch.size();
     for (const CompiledTransition* t : explorer.timed_scratch) {
-      const double r = explorer.net().checked_rate(*t, current);
+      const double r = net.checked_rate(*t, current);
+      std::uint64_t key = current_key;
+      if (packed && interner.packable() && interner.advance(net.deltas(*t), key)) {
+        add_edge(row_begin, from, intern_key(key), r);
+        continue;
+      }
       explorer.resolve_firing(*t, current, graph.vanishing_markings_seen);
       for (std::size_t i = 0; i < explorer.successor_count(); ++i) {
         const Explorer::Successor& succ = explorer.successors()[i];
-        const std::size_t to = intern(succ.marking);
-        if (to >= expanded.size() || !expanded[to]) frontier.push_back(to);
-        if (to == from) continue;  // net effect is a self loop: drop
-        const double rate = r * succ.probability;
-        bool merged = false;
-        for (std::size_t k = row_begin; k < edge_to.size(); ++k) {
-          if (edge_to[k] == to) {
-            edge_rate[k] += rate;
-            merged = true;
-            break;
-          }
-        }
-        if (!merged) {
-          edge_to.push_back(to);
-          edge_rate.push_back(rate);
-        }
+        add_edge(row_begin, from, intern(succ.marking), r * succ.probability);
       }
     }
-    edge_row_offsets.push_back(edge_to.size());
+    rows.offsets.push_back(edges.size());
   }
 
-  graph.chain.reserve(graph.tangible_count(), edge_to.size());
-  graph.chain.add_states(graph.tangible_count());
-  for (std::size_t from = 0; from + 1 < edge_row_offsets.size(); ++from) {
-    for (std::size_t k = edge_row_offsets[from]; k < edge_row_offsets[from + 1]; ++k) {
-      graph.chain.add_transition(from, edge_to[k], edge_rate[k]);
-    }
-  }
-
+  graph.chain = ctmc::Ctmc(std::move(rows));
   graph.initial_distribution.assign(graph.tangible_count(), 0.0);
   for (const auto& [id, p] : initial) graph.initial_distribution[id] += p;
   return graph;
@@ -398,7 +392,7 @@ SrnAnalyzer::SrnAnalyzer(const SrnModel& model, const AnalyzerOptions& options,
                            : graph_.chain.steady_state(options.steady_state);
   diagnostics_.tangible_states = graph_.tangible_count();
   diagnostics_.vanishing_markings = graph_.vanishing_markings_seen;
-  diagnostics_.transitions = graph_.chain.transitions().size();
+  diagnostics_.transitions = graph_.chain.transition_count();
   diagnostics_.solver_iterations = ss.iterations;
   diagnostics_.residual = ss.residual;
   diagnostics_.converged = ss.converged;

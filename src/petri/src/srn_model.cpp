@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 namespace patchsec::petri {
@@ -231,8 +233,18 @@ void SrnModel::fire_into(TransitionId t, const Marking& m, Marking& out) const {
     throw std::logic_error("fire: transition " + transitions_[t].name + " not enabled in " +
                            petri::to_string(m));
   }
-  out = m;  // self-assignment safe when out aliases m; deltas applied below
   const Transition& tr = transitions_[t];
+  for (const Arc& a : tr.outputs) {  // checked before `out` (which may alias m) changes
+    std::int64_t next = static_cast<std::int64_t>(m[a.place]) + a.multiplicity;
+    for (const Arc& in : tr.inputs) {
+      if (in.place == a.place) next -= in.multiplicity;
+    }
+    if (next > std::numeric_limits<TokenCount>::max()) {
+      throw std::overflow_error("firing " + tr.name + " overflows place " +
+                                places_[a.place].name + " in " + petri::to_string(m));
+    }
+  }
+  out = m;  // self-assignment safe when out aliases m; deltas applied below
   for (const Arc& a : tr.inputs) out[a.place] -= a.multiplicity;
   for (const Arc& a : tr.outputs) out[a.place] += a.multiplicity;
 }

@@ -4,7 +4,8 @@
 // reports dead transitions, place bounds and token conservation, which the
 // static certificates must agree with (test_verify, test_extended_metrics);
 // transient_states finds the leaking strongly connected components of the
-// lowered chain, the dynamic half of V-ERGO-003/-004.
+// lowered chain, the dynamic half of V-ERGO-003/-004, and is_irreducible
+// checks that the chain is one communicating class.
 
 #include <algorithm>
 #include <cstddef>
@@ -17,7 +18,6 @@
 namespace structural_oracle {
 
 using patchsec::ctmc::Ctmc;
-using patchsec::ctmc::RateTransition;
 using patchsec::ctmc::StateIndex;
 using patchsec::petri::Marking;
 using patchsec::petri::PlaceId;
@@ -93,21 +93,33 @@ inline StructuralReport analyze_structure(const SrnModel& model,
                            options);
 }
 
-/// States whose strongly connected component has a transition into another
-/// component: once left they are never revisited, so their long-run
-/// probability is zero.  An ergodic chain has none; a net-level trap
-/// surfaces here as a nonempty transient set.
-inline std::vector<StateIndex> transient_states(const Ctmc& chain) {
-  const std::size_t n = chain.state_count();
-  std::vector<std::vector<StateIndex>> successors(n);
-  for (const RateTransition& t : chain.transitions()) successors[t.from].push_back(t.to);
+/// Off-diagonal successors of every state, read from the chain's generator.
+inline std::vector<std::vector<StateIndex>> successor_lists(const Ctmc& chain) {
+  const auto& q = chain.generator();
+  std::vector<std::vector<StateIndex>> successors(chain.state_count());
+  for (StateIndex s = 0; s < chain.state_count(); ++s) {
+    for (std::size_t k = q.row_offsets()[s]; k < q.row_offsets()[s + 1]; ++k) {
+      if (q.col_indices()[k] != s) successors[s].push_back(q.col_indices()[k]);
+    }
+  }
+  return successors;
+}
 
+/// Strongly connected component id of every state (iterative Tarjan).
+struct Components {
+  std::vector<std::size_t> of;
+  std::size_t count = 0;
+};
+
+inline Components strong_components(const std::vector<std::vector<StateIndex>>& successors) {
+  const std::size_t n = successors.size();
   // Iterative Tarjan SCC (explicit stack — chains can be deep).
   constexpr std::size_t kUnvisited = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> index(n, kUnvisited), lowlink(n, 0), component(n, kUnvisited);
+  std::vector<std::size_t> index(n, kUnvisited), lowlink(n, 0);
+  Components components{std::vector<std::size_t>(n, kUnvisited), 0};
   std::vector<bool> on_stack(n, false);
   std::vector<StateIndex> stack;
-  std::size_t next_index = 0, component_count = 0;
+  std::size_t next_index = 0;
   struct Frame {
     StateIndex state;
     std::size_t next_succ;
@@ -139,9 +151,9 @@ inline std::vector<StateIndex> transient_states(const Ctmc& chain) {
             w = stack.back();
             stack.pop_back();
             on_stack[w] = false;
-            component[w] = component_count;
+            components.of[w] = components.count;
           } while (w != v);
-          ++component_count;
+          ++components.count;
         }
         call_stack.pop_back();
         if (!call_stack.empty()) {
@@ -151,14 +163,31 @@ inline std::vector<StateIndex> transient_states(const Ctmc& chain) {
       }
     }
   }
+  return components;
+}
 
-  std::vector<bool> component_leaks(component_count, false);
-  for (const RateTransition& t : chain.transitions()) {
-    if (component[t.from] != component[t.to]) component_leaks[component[t.from]] = true;
+/// True when every state can reach every other state (one communicating
+/// class) — the precondition for a meaningful stationary distribution.
+inline bool is_irreducible(const Ctmc& chain) {
+  return chain.state_count() > 0 && strong_components(successor_lists(chain)).count == 1;
+}
+
+/// States whose strongly connected component has a transition into another
+/// component: once left they are never revisited, so their long-run
+/// probability is zero.  An ergodic chain has none; a net-level trap
+/// surfaces here as a nonempty transient set.
+inline std::vector<StateIndex> transient_states(const Ctmc& chain) {
+  const std::vector<std::vector<StateIndex>> successors = successor_lists(chain);
+  const Components components = strong_components(successors);
+  std::vector<bool> component_leaks(components.count, false);
+  for (StateIndex s = 0; s < successors.size(); ++s) {
+    for (const StateIndex t : successors[s]) {
+      if (components.of[s] != components.of[t]) component_leaks[components.of[s]] = true;
+    }
   }
   std::vector<StateIndex> result;
-  for (StateIndex s = 0; s < n; ++s) {
-    if (component_leaks[component[s]]) result.push_back(s);
+  for (StateIndex s = 0; s < successors.size(); ++s) {
+    if (component_leaks[components.of[s]]) result.push_back(s);
   }
   return result;
 }

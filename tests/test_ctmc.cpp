@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "patchsec/ctmc/ctmc.hpp"
 #include "patchsec/ctmc/transient_solver.hpp"
+#include "structural_oracle.hpp"
 #include "transient_oracle.hpp"
 
 namespace ct = patchsec::ctmc;
@@ -14,38 +16,32 @@ namespace ct = patchsec::ctmc;
 namespace {
 
 /// Up/down chain: 0=up fails at rate a, 1=down repairs at rate b.
-ct::Ctmc up_down(double a, double b) {
-  ct::Ctmc c;
-  c.add_state("up");
-  c.add_state("down");
-  c.add_transition(0, 1, a);
-  c.add_transition(1, 0, b);
-  return c;
-}
+ct::Ctmc up_down(double a, double b) { return ct::Ctmc(2, {{0, 1, a}, {1, 0, b}}); }
 
 }  // namespace
 
-TEST(Ctmc, ConstructionAndLabels) {
-  ct::Ctmc c;
-  const auto s0 = c.add_state("alpha");
-  const auto s1 = c.add_state("beta");
-  EXPECT_EQ(c.state_count(), 2u);
-  EXPECT_EQ(c.label(s0), "alpha");
-  EXPECT_EQ(c.label(s1), "beta");
+TEST(Ctmc, Construction) {
+  EXPECT_EQ(ct::Ctmc().state_count(), 0u);
+  const ct::Ctmc c(3, {{0, 1, 1.0}});
+  EXPECT_EQ(c.state_count(), 3u);
+  EXPECT_EQ(c.generator().rows(), 3u);
+  EXPECT_EQ(c.transition_count(), 1u);
+  // States without exits store empty generator rows.
+  EXPECT_EQ(c.generator().nnz(), 2u);
 }
 
 TEST(Ctmc, RejectsBadTransitions) {
-  ct::Ctmc c;
-  c.add_states(2);
-  EXPECT_THROW(c.add_transition(0, 0, 1.0), std::invalid_argument);  // self loop
-  EXPECT_THROW(c.add_transition(0, 1, 0.0), std::invalid_argument);  // zero rate
-  EXPECT_THROW(c.add_transition(0, 1, -2.0), std::invalid_argument);
-  EXPECT_THROW(c.add_transition(0, 5, 1.0), std::out_of_range);
+  EXPECT_THROW(ct::Ctmc(2, {{0, 0, 1.0}}), std::invalid_argument);  // self loop
+  EXPECT_THROW(ct::Ctmc(2, {{0, 1, 0.0}}), std::invalid_argument);  // zero rate
+  EXPECT_THROW(ct::Ctmc(2, {{0, 1, -2.0}}), std::invalid_argument);
+  EXPECT_THROW(ct::Ctmc(2, {{0, 1, std::nan("")}}), std::invalid_argument);
+  EXPECT_THROW(ct::Ctmc(2, {{0, 5, 1.0}}), std::out_of_range);
+  EXPECT_THROW(ct::Ctmc(2, {{5, 0, 1.0}}), std::out_of_range);
 }
 
 TEST(Ctmc, GeneratorRowsSumToZero) {
   const ct::Ctmc c = up_down(0.25, 4.0);
-  const auto q = c.generator();
+  const auto& q = c.generator();
   EXPECT_NEAR(q.row_sum(0), 0.0, 1e-15);
   EXPECT_NEAR(q.row_sum(1), 0.0, 1e-15);
   EXPECT_DOUBLE_EQ(q.at(0, 1), 0.25);
@@ -60,30 +56,46 @@ TEST(Ctmc, SteadyStateAvailability) {
 }
 
 TEST(Ctmc, ExitRate) {
-  ct::Ctmc c;
-  c.add_states(3);
-  c.add_transition(0, 1, 2.0);
-  c.add_transition(0, 2, 3.0);
-  const std::vector<double> exits = c.exit_rates();
+  const ct::Ctmc c(3, {{0, 1, 2.0}, {0, 2, 3.0}});
+  const std::vector<double>& exits = c.exit_rates();
   ASSERT_EQ(exits.size(), 3u);
   EXPECT_DOUBLE_EQ(exits[0], 5.0);
   EXPECT_DOUBLE_EQ(exits[1], 0.0);
 }
 
-TEST(Ctmc, ReachabilityAndIrreducibility) {
-  ct::Ctmc c;
-  c.add_states(3);
-  c.add_transition(0, 1, 1.0);
-  c.add_transition(1, 0, 1.0);
-  const auto reach = c.reachable_from(0);
-  EXPECT_TRUE(reach[0]);
-  EXPECT_TRUE(reach[1]);
-  EXPECT_FALSE(reach[2]);
-  EXPECT_FALSE(c.is_irreducible());
+TEST(Ctmc, ExitRatesSumInGivenOrderAndTheDiagonalInColumnOrder) {
+  // 0.1 + 0.2 + 0.3 rounds differently from 0.3 + 0.2 + 0.1: exit_rates()
+  // adds in the given order, the diagonal adds the column-sorted row.
+  const ct::Ctmc c(4, {{0, 3, 0.1}, {0, 2, 0.2}, {0, 1, 0.3}});
+  EXPECT_EQ(c.exit_rates()[0], (0.1 + 0.2) + 0.3);
+  EXPECT_EQ(c.generator().at(0, 0), -((0.3 + 0.2) + 0.1));
+  EXPECT_NE(c.exit_rates()[0], -c.generator().at(0, 0));
+}
 
-  c.add_transition(1, 2, 1.0);
-  c.add_transition(2, 0, 1.0);
-  EXPECT_TRUE(c.is_irreducible());
+TEST(Ctmc, UngroupedTransitionsAssembleLikeGrouped) {
+  // Rows interleaved, a parallel edge and a diagonal that sorts mid-row: the
+  // bucket pass keeps each row's order, so both inputs give the same bits.
+  const std::vector<ct::RateTransition> grouped{
+      {0, 2, 1.5}, {0, 1, 2.0}, {0, 1, 3.0}, {1, 0, 4.0}, {2, 3, 0.5}, {2, 0, 0.25}};
+  const std::vector<ct::RateTransition> interleaved{
+      {2, 3, 0.5}, {0, 2, 1.5}, {1, 0, 4.0}, {0, 1, 2.0}, {2, 0, 0.25}, {0, 1, 3.0}};
+  const ct::Ctmc a(4, grouped);
+  const ct::Ctmc b(4, interleaved);
+  EXPECT_EQ(a.generator().row_offsets(), b.generator().row_offsets());
+  EXPECT_EQ(a.generator().col_indices(), b.generator().col_indices());
+  EXPECT_EQ(a.generator().values(), b.generator().values());
+  EXPECT_EQ(a.exit_rates(), b.exit_rates());
+  EXPECT_EQ(a.transition_count(), 5u);  // the parallel 0 -> 1 edges merge
+  EXPECT_DOUBLE_EQ(a.generator().at(0, 1), 5.0);
+  EXPECT_EQ(a.generator().col_indices(),
+            (std::vector<std::size_t>{0, 1, 2, 0, 1, 0, 2, 3}));
+}
+
+TEST(Ctmc, IrreducibilityOracle) {
+  EXPECT_FALSE(structural_oracle::is_irreducible(ct::Ctmc(3, {{0, 1, 1.0}, {1, 0, 1.0}})));
+  EXPECT_TRUE(structural_oracle::is_irreducible(
+      ct::Ctmc(3, {{0, 1, 1.0}, {1, 0, 1.0}, {1, 2, 1.0}, {2, 0, 1.0}})));
+  EXPECT_FALSE(structural_oracle::is_irreducible(ct::Ctmc()));
 }
 
 // ---------- transient --------------------------------------------------------
@@ -164,9 +176,7 @@ TEST(Transient, AccumulatedRewardIntervalAvailability) {
   // With no repair (mu -> 0 unreachable here, use tiny), expected uptime over
   // [0,t] of a failing component ~ (1 - e^{-lt})/l.
   const double l = 0.3;
-  ct::Ctmc c;
-  c.add_states(2);
-  c.add_transition(0, 1, l);
+  const ct::Ctmc c(2, {{0, 1, l}});
   const double t = 2.0;
   ct::TransientSolver solver;
   solver.prepare(c);

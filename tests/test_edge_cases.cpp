@@ -35,10 +35,7 @@ TEST(VectorOpsEdge, EmptyVectors) {
 TEST(TransientEdge, UndersizedExpansionFailsLoudly) {
   // Lambda*t ~ 1e4 with an 8-term cap accumulates no Poisson mass at all:
   // the solver must refuse rather than return garbage.
-  ct::Ctmc c;
-  c.add_states(2);
-  c.add_transition(0, 1, 1000.0);
-  c.add_transition(1, 0, 1000.0);
+  const ct::Ctmc c(2, {{0, 1, 1000.0}, {1, 0, 1000.0}});
   ct::TransientOptions opt;
   opt.max_terms = 8;
   std::vector<double> up, down;
@@ -57,10 +54,7 @@ TEST(TransientEdge, UndersizedExpansionFailsLoudly) {
 }
 
 TEST(TransientEdge, VeryLargeTimeIsSteadyState) {
-  ct::Ctmc c;
-  c.add_states(2);
-  c.add_transition(0, 1, 0.25);
-  c.add_transition(1, 0, 0.75);
+  const ct::Ctmc c(2, {{0, 1, 0.25}, {1, 0, 0.75}});
   ct::TransientSolver solver;
   solver.prepare(c);
   std::vector<double> up;

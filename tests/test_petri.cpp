@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "patchsec/petri/reachability.hpp"
 #include "patchsec/petri/srn_model.hpp"
 
@@ -105,6 +108,53 @@ TEST(SrnModel, FireDisabledThrows) {
   const auto t = net.add_timed_transition("T", 1.0);
   net.add_input_arc(t, p);
   EXPECT_THROW((void)net.fire(t, net.initial_marking()), std::logic_error);
+}
+
+namespace {
+
+// Firing `pump` would put 5,000,000,000 tokens in `a`, past TokenCount.
+pt::SrnModel token_overflow_net() {
+  pt::SrnModel net;
+  const auto a = net.add_place("a", 3'000'000'000u);
+  const auto pump = net.add_timed_transition("pump", 1.0);
+  net.add_output_arc(pump, a, 2'000'000'000u);
+  return net;
+}
+
+template <typename Fire>
+void expect_token_overflow(Fire fire) {
+  try {
+    fire();
+    ADD_FAILURE() << "expected std::overflow_error";
+  } catch (const std::overflow_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("pump"), std::string::npos) << what;
+    EXPECT_NE(what.find("place a"), std::string::npos) << what;
+    EXPECT_NE(what.find("[3000000000]"), std::string::npos) << what;
+  }
+}
+
+}  // namespace
+
+TEST(SrnModel, FireRejectsTokenOverflow) {
+  const pt::SrnModel net = token_overflow_net();
+  expect_token_overflow([&] { (void)net.fire(net.transition("pump"), net.initial_marking()); });
+  pt::Marking m = net.initial_marking();
+  expect_token_overflow([&] { net.fire_into(net.transition("pump"), m, m); });
+  EXPECT_EQ(m[0], 3'000'000'000u);  // checked before the aliased output changes
+
+  // Exactly at the TokenCount limit is fine; consuming first leaves room.
+  pt::SrnModel edge;
+  const auto p = edge.add_place("p", 4'294'967'290u);
+  const auto t = edge.add_timed_transition("t", 1.0);
+  edge.add_input_arc(t, p, 10);
+  edge.add_output_arc(t, p, 15);
+  EXPECT_EQ(edge.fire(t, edge.initial_marking())[p], 4'294'967'295u);
+}
+
+TEST(Reachability, TokenOverflowThrowsInsteadOfWrapping) {
+  const pt::SrnModel net = token_overflow_net();
+  expect_token_overflow([&] { (void)pt::build_reachability_graph(net); });
 }
 
 TEST(SrnModel, MarkingDependentRate) {

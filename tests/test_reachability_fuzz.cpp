@@ -9,6 +9,9 @@
 // unpackable (the interner flips to the fallback on the very first lookup)
 // and nets that start packable but cross the token limit mid-exploration
 // (the fallback map is materialized from the markings discovered so far).
+// Every other net drops its immediate transitions, so the explorer fires on
+// the packed key until a field leaves its range and that firing falls back
+// to the Marking path.
 
 #include <gtest/gtest.h>
 
@@ -99,10 +102,12 @@ RefGraph ref_explore(const pt::SrnModel& model) {
 struct FuzzNet {
   pt::SrnModel model;
   bool overflow_from_start = false;
+  bool with_immediates = true;
 };
 
-FuzzNet random_net(std::mt19937_64& rng) {
+FuzzNet random_net(std::mt19937_64& rng, bool with_immediates) {
   FuzzNet result;
+  result.with_immediates = with_immediates;
   pt::SrnModel& net = result.model;
   std::uniform_int_distribution<int> coin(0, 1);
   std::uniform_real_distribution<double> rate_dist(0.25, 5.0);
@@ -147,17 +152,23 @@ FuzzNet random_net(std::mt19937_64& rng) {
 
   // Branch through a vanishing marking: m0 -> choice, then immediates split
   // choice back to m1 / m2 by random weight.  Every second net gives the
-  // second branch higher priority (it must then win outright).
-  const auto go = net.add_timed_transition("go", rate_dist(rng));
-  net.add_input_arc(go, m0);
-  net.add_output_arc(go, choice);
+  // second branch higher priority (it must then win outright).  The draws
+  // happen either way, so both variants see the same random stream.
+  const double go_rate = rate_dist(rng);
   const bool priority_race = coin(rng) == 1;
-  const auto ia = net.add_immediate_transition("ia", weight_dist(rng), 1);
-  net.add_input_arc(ia, choice);
-  net.add_output_arc(ia, m1);
-  const auto ib = net.add_immediate_transition("ib", weight_dist(rng), priority_race ? 2 : 1);
-  net.add_input_arc(ib, choice);
-  net.add_output_arc(ib, m2);
+  const double ia_weight = weight_dist(rng);
+  const double ib_weight = weight_dist(rng);
+  if (with_immediates) {
+    const auto go = net.add_timed_transition("go", go_rate);
+    net.add_input_arc(go, m0);
+    net.add_output_arc(go, choice);
+    const auto ia = net.add_immediate_transition("ia", ia_weight, 1);
+    net.add_input_arc(ia, choice);
+    net.add_output_arc(ia, m1);
+    const auto ib = net.add_immediate_transition("ib", ib_weight, priority_race ? 2 : 1);
+    net.add_input_arc(ib, choice);
+    net.add_output_arc(ib, m2);
+  }
 
   // A marking-dependent rate, a guard and an inhibitor arc, so the fallback
   // path sees every enabling feature: shortcut m1 -> m0, rate growing with
@@ -193,10 +204,17 @@ void expect_graphs_equal(const pt::SrnModel& model) {
   std::set<pt::Marking> reference_set(ref.markings.begin(), ref.markings.end());
   ASSERT_EQ(production_set, reference_set);
 
-  // Same edge multiset, keyed by (from-marking, to-marking), rates summed.
+  // Same edge multiset, keyed by (from-marking, to-marking), rates summed:
+  // the generator's off-diagonal entries.
   std::map<std::pair<pt::Marking, pt::Marking>, double> production_edges;
-  for (const auto& t : graph.chain.transitions()) {
-    production_edges[{graph.tangible_markings[t.from], graph.tangible_markings[t.to]}] += t.rate;
+  const auto& q = graph.chain.generator();
+  for (std::size_t from = 0; from < graph.tangible_count(); ++from) {
+    for (std::size_t k = q.row_offsets()[from]; k < q.row_offsets()[from + 1]; ++k) {
+      const std::size_t to = q.col_indices()[k];
+      if (to == from) continue;
+      production_edges[{graph.tangible_markings[from], graph.tangible_markings[to]}] +=
+          q.values()[k];
+    }
   }
   std::map<std::pair<pt::Marking, pt::Marking>, double> reference_edges;
   for (const auto& [key, rate] : ref.edges) {
@@ -229,10 +247,11 @@ void expect_graphs_equal(const pt::SrnModel& model) {
 
 TEST(ReachabilityFuzz, OverflowingNetsMatchNaiveReference) {
   std::mt19937_64 rng(20170626);
-  int from_start = 0, mid_exploration = 0;
+  int from_start = 0, mid_exploration = 0, packed_mid_exploration = 0;
   for (int iteration = 0; iteration < 60; ++iteration) {
-    FuzzNet fuzz = random_net(rng);
+    FuzzNet fuzz = random_net(rng, iteration % 2 == 0);
     (fuzz.overflow_from_start ? from_start : mid_exploration) += 1;
+    if (!fuzz.overflow_from_start && !fuzz.with_immediates) ++packed_mid_exploration;
 
     // The packed fast path must actually be overflowed: > 8 places caps the
     // per-place budget at 7 bits (limit 127), and the reachable space holds
@@ -257,12 +276,13 @@ TEST(ReachabilityFuzz, OverflowingNetsMatchNaiveReference) {
   // Both overflow modes must have been exercised.
   EXPECT_GT(from_start, 0);
   EXPECT_GT(mid_exploration, 0);
+  EXPECT_GT(packed_mid_exploration, 0);
 }
 
 // Control: a same-shaped family that stays below the packing limit (bank
-// peaks at 90 < 127 tokens across > 8 places) keeps the fast path and must
-// agree with the reference too — guards against the fallback being silently
-// always-on.
+// peaks at 90 < 127 tokens across 9 places, 7 bits each) keeps the fast path
+// and must agree with the reference too — guards against the fallback being
+// silently always-on.
 TEST(ReachabilityFuzz, PackableControlNetsMatchNaiveReference) {
   for (int iteration = 0; iteration < 20; ++iteration) {
     pt::SrnModel net;
@@ -270,7 +290,7 @@ TEST(ReachabilityFuzz, PackableControlNetsMatchNaiveReference) {
     const auto feeder = net.add_place("feeder", 3);
     const auto m0 = net.add_place("m0", 1);
     const auto m1 = net.add_place("m1", 0);
-    for (int i = 0; i < 6; ++i) net.add_place("pad" + std::to_string(i), 0);
+    for (int i = 0; i < 5; ++i) net.add_place("pad" + std::to_string(i), 0);
     const auto t01 = net.add_timed_transition("t01", 1.0 + iteration);
     net.add_input_arc(t01, m0);
     net.add_output_arc(t01, m1);

@@ -144,6 +144,24 @@ TEST(SimulationOptions, ReplicatedEngineValidates) {
                std::invalid_argument);
 }
 
+TEST(Simulator, TokenOverflowThrowsInsteadOfWrapping) {
+  // Firing `pump` would put 5,000,000,000 tokens in `a`, past TokenCount.
+  pt::SrnModel net;
+  const auto a = net.add_place("a", 3'000'000'000u);
+  const auto pump = net.add_timed_transition("pump", 1.0);
+  net.add_output_arc(pump, a, 2'000'000'000u);
+  sm::SrnSimulator simulator(net);
+  sm::SimulationOptions opt;
+  opt.replications = 2;
+  opt.threads = 1;
+  EXPECT_THROW(
+      (void)simulator.steady_state_reward_replicated([](const pt::Marking&) { return 1.0; }, opt),
+      std::overflow_error);
+  EXPECT_THROW((void)simulator.transient_reward_curve([](const pt::Marking&) { return 1.0; },
+                                                      {0.0, 100.0}, opt),
+               std::overflow_error);
+}
+
 TEST(ReplicationEngine, UpDownAvailabilityWithinConfidenceInterval) {
   const double lambda = 0.05, mu = 0.45;
   const pt::SrnModel net = up_down_net(lambda, mu);

@@ -129,23 +129,16 @@ void expect_kernel_matches_oracle(const la::CsrMatrix& a, std::uint32_t seed) {
   }
 }
 
-ct::Ctmc up_down(double l, double mu) {
-  ct::Ctmc c;
-  c.add_states(2);
-  c.add_transition(0, 1, l);
-  c.add_transition(1, 0, mu);
-  return c;
-}
+ct::Ctmc up_down(double l, double mu) { return ct::Ctmc(2, {{0, 1, l}, {1, 0, mu}}); }
 
 /// A birth-death chain wider than one SIMD block of the panel.
 ct::Ctmc birth_death(std::size_t n, double up, double down) {
-  ct::Ctmc c;
-  c.add_states(n);
+  std::vector<ct::RateTransition> transitions;
   for (std::size_t s = 0; s + 1 < n; ++s) {
-    c.add_transition(s, s + 1, up * static_cast<double>(n - s));
-    c.add_transition(s + 1, s, down * static_cast<double>(s + 1));
+    transitions.push_back({s, s + 1, up * static_cast<double>(n - s)});
+    transitions.push_back({s + 1, s, down * static_cast<double>(s + 1)});
   }
-  return c;
+  return ct::Ctmc(n, transitions);
 }
 
 }  // namespace

@@ -178,13 +178,12 @@ la::CsrMatrix random_ergodic_generator(std::uint64_t seed) {
 
 la::CsrMatrix birth_death_generator(const std::vector<double>& birth,
                                     const std::vector<double>& death) {
-  patchsec::ctmc::Ctmc chain;
-  chain.add_states(birth.size() + 1);
+  std::vector<patchsec::ctmc::RateTransition> transitions;
   for (std::size_t i = 0; i < birth.size(); ++i) {
-    chain.add_transition(i, i + 1, birth[i]);
-    chain.add_transition(i + 1, i, death[i]);
+    transitions.push_back({i, i + 1, birth[i]});
+    transitions.push_back({i + 1, i, death[i]});
   }
-  return chain.generator();
+  return patchsec::ctmc::Ctmc(birth.size() + 1, transitions).generator();
 }
 
 la::CsrMatrix network_generator(const core::Session& session, unsigned k) {
@@ -275,17 +274,13 @@ TEST(CsrFastPaths, FromSortedValidatesInvariants) {
 TEST(CsrFastPaths, CtmcGeneratorAssemblyMatchesTripletPath) {
   // Parallel edges, out-of-order insertion, a state with no exits: the
   // counting assembly must reproduce the triplet path exactly.
-  patchsec::ctmc::Ctmc chain;
-  chain.add_states(4);
-  chain.add_transition(2, 0, 0.5);
-  chain.add_transition(0, 2, 1.5);
-  chain.add_transition(0, 1, 2.0);
-  chain.add_transition(0, 1, 3.0);  // parallel edge: merged
-  chain.add_transition(1, 0, 4.0);
-  const la::CsrMatrix q = chain.generator();
+  const std::vector<patchsec::ctmc::RateTransition> transitions{
+      {2, 0, 0.5}, {0, 2, 1.5}, {0, 1, 2.0}, {0, 1, 3.0} /* parallel edge: merged */, {1, 0, 4.0}};
+  const patchsec::ctmc::Ctmc chain(4, transitions);
+  const la::CsrMatrix& q = chain.generator();
 
   std::vector<la::Triplet> entries;
-  for (const auto& t : chain.transitions()) {
+  for (const auto& t : transitions) {
     entries.push_back({t.from, t.to, t.rate});
     entries.push_back({t.from, t.from, -t.rate});
   }

@@ -19,13 +19,7 @@ using transient_oracle::naive_transient;
 
 namespace {
 
-ct::Ctmc up_down(double l, double mu) {
-  ct::Ctmc c;
-  c.add_states(2);
-  c.add_transition(0, 1, l);
-  c.add_transition(1, 0, mu);
-  return c;
-}
+ct::Ctmc up_down(double l, double mu) { return ct::Ctmc(2, {{0, 1, l}, {1, 0, mu}}); }
 
 // A randomized irreducible chain (fixed seed; ring backbone plus extra
 // random arcs with rates spanning several decades).
@@ -33,18 +27,17 @@ ct::Ctmc random_chain(std::size_t states, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
   std::uniform_real_distribution<double> log_rate(-2.0, 2.0);
   std::uniform_int_distribution<std::size_t> pick(0, states - 1);
-  ct::Ctmc c;
-  c.add_states(states);
+  std::vector<ct::RateTransition> transitions;
   for (std::size_t s = 0; s < states; ++s) {
-    c.add_transition(s, (s + 1) % states, std::pow(10.0, log_rate(rng)));
+    transitions.push_back({s, (s + 1) % states, std::pow(10.0, log_rate(rng))});
   }
   for (std::size_t extra = 0; extra < 2 * states; ++extra) {
     const std::size_t from = pick(rng);
     std::size_t to = pick(rng);
     if (to == from) to = (to + 1) % states;
-    c.add_transition(from, to, std::pow(10.0, log_rate(rng)));
+    transitions.push_back({from, to, std::pow(10.0, log_rate(rng))});
   }
-  return c;
+  return ct::Ctmc(states, transitions);
 }
 
 // pi(t) state by state: one one-point curve per state's indicator reward.
@@ -109,9 +102,7 @@ TEST(TransientSolver, AccumulatedRewardClosedForm) {
   // (1 - e^{-lt})/l.  Exercises both the exact series and the inserted
   // diagonal of the absorbing state's empty generator row.
   const double l = 0.3;
-  ct::Ctmc c;
-  c.add_states(2);
-  c.add_transition(0, 1, l);
+  const ct::Ctmc c(2, {{0, 1, l}});
   ct::TransientSolver solver;
   solver.prepare(c);
   std::vector<double> values;
@@ -321,17 +312,18 @@ TEST(TransientSolver, CurveSweepsDoNotGrowWithTheGrid) {
 }
 
 TEST(TransientSolver, PrepareIsLinearInTransitions) {
-  // Asymptotic guard: prepare() reads every exit rate off one pass over the
-  // transition list.  A per-state scan of that list would make ~5e11
-  // transition visits on this chain, far past the suite's timeout.
+  // Asymptotic guard: the chain assembles its generator and exit rates in
+  // one pass over the transition list, and prepare() reads them once.  A
+  // per-state scan of that list would make ~5e11 transition visits on this
+  // chain, far past the suite's timeout.
   const std::size_t n = 500'000;
-  ct::Ctmc c;
-  c.reserve(n, 2 * n);
-  c.add_states(n);
+  std::vector<ct::RateTransition> transitions;
+  transitions.reserve(2 * n);
   for (std::size_t s = 0; s + 1 < n; ++s) {
-    c.add_transition(s, s + 1, 1.0);
-    c.add_transition(s + 1, s, 2.0);
+    transitions.push_back({s, s + 1, 1.0});
+    transitions.push_back({s + 1, s, 2.0});
   }
+  const ct::Ctmc c(n, transitions);
   ct::TransientSolver solver;
   solver.prepare(c);
   EXPECT_EQ(solver.state_count(), n);
@@ -374,8 +366,7 @@ TEST(TransientSolver, ZeroHorizonAndFrozenChain) {
   EXPECT_DOUBLE_EQ(values[0], 0.25);
 
   // A chain with no transitions at all: pi(t) = pi(0), accumulated is linear.
-  ct::Ctmc frozen;
-  frozen.add_states(3);
+  const ct::Ctmc frozen(3, {});
   ct::TransientSolver frozen_solver;
   frozen_solver.prepare(frozen);
   (void)frozen_solver.reward_curve({0.2, 0.3, 0.5}, {0.0, 1.0, 0.0}, {100.0}, values);

@@ -315,7 +315,7 @@ TEST(VerifyOracle, CleanNetLowersToErgodicChain) {
   ASSERT_TRUE(pt::verify_model(net.model).clean());
   const pt::ReachabilityGraph graph = pt::build_reachability_graph(net.model);
   EXPECT_TRUE(so::transient_states(graph.chain).empty());
-  EXPECT_TRUE(graph.chain.is_irreducible());
+  EXPECT_TRUE(so::is_irreducible(graph.chain));
 }
 
 TEST(VerifyOracle, SinkNetIsFlaggedStaticallyAndDynamically) {
@@ -333,7 +333,7 @@ TEST(VerifyOracle, SinkNetIsFlaggedStaticallyAndDynamically) {
 
   const pt::ReachabilityGraph graph = pt::build_reachability_graph(net);
   EXPECT_FALSE(so::transient_states(graph.chain).empty());
-  EXPECT_FALSE(graph.chain.is_irreducible());
+  EXPECT_FALSE(so::is_irreducible(graph.chain));
 }
 
 TEST(VerifyOracle, StructurallyDeadTransitionAgreesWithOracle) {
