@@ -16,6 +16,7 @@
 // curves against that per-server net.
 
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "patchsec/avail/aggregation.hpp"
@@ -69,6 +70,8 @@ struct NetworkSrn {
 struct CoaEvaluation {
   double coa = 0.0;
   petri::SolveDiagnostics diagnostics;
+  /// The exploration solved (null when lumped), for another cadence to re-rate.
+  std::shared_ptr<const petri::ReachabilityGraph> exploration;
 };
 
 /// COA under an explicit solver configuration — the fully-threaded form used
@@ -82,6 +85,14 @@ struct CoaEvaluation {
     const enterprise::RedundancyDesign& design,
     const std::map<enterprise::ServerRole, AggregatedRates>& rates,
     const petri::AnalyzerOptions& engine, linalg::StationarySolver* workspace = nullptr);
+
+/// The same on `net` = build_network_srn(design, rates), built by the caller.
+/// A non-null `explored`, the design's net explored at other rates, is
+/// re-rated instead (bit-identical).
+[[nodiscard]] CoaEvaluation capacity_oriented_availability_detailed(
+    const NetworkSrn& net, const petri::AnalyzerOptions& engine,
+    linalg::StationarySolver* workspace = nullptr,
+    std::shared_ptr<const petri::ReachabilityGraph> explored = nullptr);
 
 /// Ablation variant: *synchronized* patching — a tier's servers are all
 /// patched in the same maintenance window (the whole tier goes down at rate

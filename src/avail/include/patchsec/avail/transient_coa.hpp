@@ -60,21 +60,22 @@ struct CoaCurveEvaluation {
 /// caller's ctmc::TransientSolver: a second curve on the same design+rates
 /// skips the uniformized-matrix rebuild (core::Session passes one per worker
 /// thread).  Throws std::invalid_argument on an empty or descending grid.
-/// The one-wave transient_coa_batch (wave `options.initial_down`): bit for
-/// bit the same curve and accumulated COA.
+/// The one-wave transient_coa_batch on build_network_srn(design, rates)
+/// (wave `options.initial_down`): bit for bit the same curve and
+/// accumulated COA.
 [[nodiscard]] CoaCurveEvaluation transient_coa_detailed(
     const enterprise::RedundancyDesign& design,
     const std::map<enterprise::ServerRole, AggregatedRates>& rates,
     const std::vector<double>& time_points_hours, const TransientCoaOptions& options = {},
     ctmc::TransientSolver* workspace = nullptr);
 
-/// Batched transient COA: evaluate the SAME design/rates/grid from B
-/// different patch-wave initial markings in ONE panel solve — the network
-/// SRN, reachability graph, reward vector and uniformized matrix are built
-/// once, and every uniformization expansion term costs one matrix sweep for
-/// all B waves (ctmc::TransientSolver::reward_curve_multi).  This is the
-/// design-sweep shape: COA dip curves for a whole patch campaign's wave
-/// plan in a single pass.
+/// Batched transient COA: evaluate the SAME network net (built by the caller
+/// with build_network_srn) and grid from B different patch-wave initial
+/// markings in ONE panel solve — the reachability graph, reward vector and
+/// uniformized matrix are built once, and every uniformization expansion
+/// term costs one matrix sweep for all B waves
+/// (ctmc::TransientSolver::reward_curve_multi): COA dip curves for a whole
+/// patch campaign's wave plan in a single pass.
 ///
 /// Returns one CoaCurveEvaluation per wave, ordered like `waves`.
 /// `options.initial_down` is ignored (the waves replace it); each result's
@@ -83,9 +84,7 @@ struct CoaCurveEvaluation {
 /// results would double-count.  Throws std::invalid_argument on an empty
 /// or descending grid or an empty wave list.
 [[nodiscard]] std::vector<CoaCurveEvaluation> transient_coa_batch(
-    const enterprise::RedundancyDesign& design,
-    const std::map<enterprise::ServerRole, AggregatedRates>& rates,
-    const std::vector<double>& time_points_hours,
+    const NetworkSrn& net, const std::vector<double>& time_points_hours,
     const std::vector<std::map<enterprise::ServerRole, unsigned>>& waves,
     const TransientCoaOptions& options = {}, ctmc::TransientSolver* workspace = nullptr);
 

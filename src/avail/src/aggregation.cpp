@@ -1,6 +1,7 @@
 #include "patchsec/avail/aggregation.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "patchsec/petri/reachability.hpp"
 
@@ -21,9 +22,10 @@ ServerAggregation aggregate_server_detailed(const enterprise::ServerSpec& spec,
 ServerAggregation aggregate_server_srn(const ServerSrn& srn, const enterprise::ServerSpec& spec,
                                        const ServerSrnOptions& options,
                                        const petri::AnalyzerOptions& engine,
-                                       linalg::StationarySolver* workspace) {
+                                       linalg::StationarySolver* workspace,
+                                       std::shared_ptr<const petri::ReachabilityGraph> explored) {
   const double patch_interval_hours = options.patch_interval_hours;
-  const petri::SrnAnalyzer analyzer(srn.model, engine, workspace);
+  const petri::SrnAnalyzer analyzer(std::move(explored), srn.model, engine, workspace);
 
   AggregatedRates rates;
   rates.p_patch_down =
@@ -44,7 +46,7 @@ ServerAggregation aggregate_server_srn(const ServerSrn& srn, const enterprise::S
     // mu = lambda * (1 - p_pd) / p_pd.
     rates.mu_eq = rates.lambda_eq * (1.0 - rates.p_patch_down) / rates.p_patch_down;
   }
-  return ServerAggregation{rates, analyzer.diagnostics()};
+  return ServerAggregation{rates, analyzer.diagnostics(), analyzer.exploration()};
 }
 
 double mu_eq_closed_form(const enterprise::ServerSpec& spec) {

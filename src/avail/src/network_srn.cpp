@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "patchsec/petri/reachability.hpp"
@@ -124,9 +125,16 @@ CoaEvaluation capacity_oriented_availability_detailed(
     const enterprise::RedundancyDesign& design,
     const std::map<enterprise::ServerRole, AggregatedRates>& rates,
     const petri::AnalyzerOptions& engine, linalg::StationarySolver* workspace) {
-  const NetworkSrn net = build_network_srn(design, rates);
-  const petri::SrnAnalyzer analyzer(net.model, engine, workspace);
-  return CoaEvaluation{analyzer.expected_reward(net.coa_reward()), analyzer.diagnostics()};
+  return capacity_oriented_availability_detailed(build_network_srn(design, rates), engine,
+                                                 workspace);
+}
+
+CoaEvaluation capacity_oriented_availability_detailed(
+    const NetworkSrn& net, const petri::AnalyzerOptions& engine,
+    linalg::StationarySolver* workspace, std::shared_ptr<const petri::ReachabilityGraph> explored) {
+  const petri::SrnAnalyzer analyzer(std::move(explored), net.model, engine, workspace);
+  return CoaEvaluation{analyzer.expected_reward(net.coa_reward()), analyzer.diagnostics(),
+                       analyzer.exploration()};
 }
 
 NetworkSrn build_network_srn_synchronized(

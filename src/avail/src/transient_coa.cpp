@@ -32,16 +32,13 @@ CoaCurveEvaluation transient_coa_detailed(
     const std::vector<double>& time_points_hours, const TransientCoaOptions& options,
     ctmc::TransientSolver* workspace) {
   // The one-wave batch: a width-1 panel is the single-curve solve.
-  return std::move(
-      transient_coa_batch(design, rates, time_points_hours, {options.initial_down}, options,
-                          workspace)
-          .front());
+  return std::move(transient_coa_batch(build_network_srn(design, rates), time_points_hours,
+                                       {options.initial_down}, options, workspace)
+                       .front());
 }
 
 std::vector<CoaCurveEvaluation> transient_coa_batch(
-    const enterprise::RedundancyDesign& design,
-    const std::map<enterprise::ServerRole, AggregatedRates>& rates,
-    const std::vector<double>& time_points_hours,
+    const NetworkSrn& net, const std::vector<double>& time_points_hours,
     const std::vector<std::map<enterprise::ServerRole, unsigned>>& waves,
     const TransientCoaOptions& options, ctmc::TransientSolver* workspace) {
   if (time_points_hours.empty()) {
@@ -50,9 +47,8 @@ std::vector<CoaCurveEvaluation> transient_coa_batch(
   if (waves.empty()) throw std::invalid_argument("transient_coa_batch: no waves");
   const auto start_time = Clock::now();
 
-  // One model build serves the whole batch — this is the point of batching:
+  // One exploration serves the whole batch — this is the point of batching:
   // the per-wave marginal cost is one panel column, not a solve.
-  const NetworkSrn net = build_network_srn(design, rates);
   const petri::ReachabilityGraph graph =
       petri::build_reachability_graph(net.model, options.reachability);
 

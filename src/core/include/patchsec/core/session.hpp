@@ -9,11 +9,15 @@
 /// Construction is cheap; the expensive per-(role, patch-interval) server-SRN
 /// aggregations (paper Table V) are computed lazily on first use and cached,
 /// so sweeping a design space or a patch schedule pays the lower layer once.
+/// A cadence changes only the patch-clock rate, so each role's server net is
+/// explored once per Session and each design's network net once per batch;
+/// other cadences re-rate the exploration (petri::rerate).
 /// The cadence-independent HARM security metrics are likewise memoized per
 /// design, so a schedule sweep pays the security side once per design.
 /// Batch evaluation can fan out over threads (EngineOptions::parallel).
 
 #include <array>
+#include <atomic>
 #include <cstddef>
 #include <map>
 #include <memory>
@@ -279,6 +283,12 @@ class Session {
     std::size_t verify_structure_builds = 0;
     /// Verifications served from a memoized structure certificate.
     std::size_t verify_structure_reuses = 0;
+    /// Reachability explorations of server nets (one per role, plus racing
+    /// misses) and network nets, and the solves that re-rated one instead.
+    std::size_t server_explorations = 0;
+    std::size_t server_rerates = 0;
+    std::size_t network_explorations = 0;
+    std::size_t network_rerates = 0;
   };
   [[nodiscard]] WorkspaceCounters workspace_counters() const;
 
@@ -333,8 +343,8 @@ class Session {
   /// cadence's server stages plus the design's network stage.  Empty under
   /// VerifyMode::kOff.  No stage depends on the transient entry marking.
   /// A non-null `net` is the design's network net at agg.rates, already
-  /// built by the caller (the simulated paths), and is verified in place of
-  /// a fresh build.
+  /// built by the caller (every path that solves or simulates that net), and
+  /// is verified in place of a fresh build.
   [[nodiscard]] std::vector<StageVerification> verification_for(
       const enterprise::RedundancyDesign& design, const IntervalAggregation& agg,
       const avail::NetworkSrn* net = nullptr) const;
@@ -344,10 +354,17 @@ class Session {
   /// design instead of once per (design, cadence).
   const SecurityMetricsPair& security_for(const enterprise::RedundancyDesign& design) const;
 
-  /// Run a batch of (design, cadence) jobs in job order, priming both caches
-  /// serially first and fanning out over threads when the engine asks for it.
+  /// Run a batch of (design, cadence) jobs, reports in job order.  Each
+  /// design's cells run in a row on one thread (so its network net is explored
+  /// once), and designs fan out over threads when the engine asks for it.
   [[nodiscard]] std::vector<EvalReport> run_batch(
       const std::vector<std::pair<enterprise::RedundancyDesign, double>>& jobs) const;
+
+  /// evaluate(design, hours).  A non-null `explored` carries the design's
+  /// network exploration between a batch's cells: re-rated when set.
+  [[nodiscard]] EvalReport evaluate_cell(
+      const enterprise::RedundancyDesign& design, double patch_interval_hours,
+      std::shared_ptr<const petri::ReachabilityGraph>* explored) const;
 
   /// evaluate_transient with an explicit initial marking (the public
   /// overloads pass EngineOptions::initial_down; evaluate_transient_batch's
@@ -386,6 +403,14 @@ class Session {
   mutable std::map<std::string, petri::StructureCertificate> structure_cache_;
   mutable std::size_t structure_builds_ = 0;
   mutable std::size_t structure_reuses_ = 0;
+  /// Per role: the server net's first exploration, which every later cadence
+  /// re-rates.  Bounded by the role count; guarded by cache_mutex_.
+  mutable std::map<enterprise::ServerRole, std::shared_ptr<const petri::ReachabilityGraph>>
+      server_explorations_;
+  mutable std::atomic<std::size_t> server_exploration_count_{0};
+  mutable std::atomic<std::size_t> server_rerate_count_{0};
+  mutable std::atomic<std::size_t> network_exploration_count_{0};
+  mutable std::atomic<std::size_t> network_rerate_count_{0};
   /// Per-thread solver workspaces (guarded by workspace_mutex_; the map is
   /// touched only to find/create a slot — the workspaces themselves are
   /// single-owner per thread and used outside the lock).

@@ -129,6 +129,10 @@ Session::WorkspaceCounters Session::workspace_counters() const {
     counters.verify_structure_builds = structure_builds_;
     counters.verify_structure_reuses = structure_reuses_;
   }
+  counters.server_explorations = server_exploration_count_.load();
+  counters.server_rerates = server_rerate_count_.load();
+  counters.network_explorations = network_exploration_count_.load();
+  counters.network_rerates = network_rerate_count_.load();
   const std::lock_guard<std::mutex> lock(workspace_mutex_);
   counters.thread_slots = workspaces_.size();
   for (const auto& [tid, ws] : workspaces_) {
@@ -218,8 +222,19 @@ const Session::IntervalAggregation& Session::aggregation_for(double patch_interv
       agg.verification.push_back(
           verify_stage(std::string("server:") + enterprise::to_string(role), srn.model, {}));
     }
+    std::shared_ptr<const petri::ReachabilityGraph> explored;
+    {
+      const std::lock_guard<std::mutex> lock(cache_mutex_);
+      const auto it = server_explorations_.find(role);
+      if (it != server_explorations_.end()) explored = it->second;
+    }
+    ++(explored != nullptr ? server_rerate_count_ : server_exploration_count_);
     avail::ServerAggregation server = avail::aggregate_server_srn(
-        srn, spec, srn_options, engine, &workspaces_for_this_thread().aggregation);
+        srn, spec, srn_options, engine, &workspaces_for_this_thread().aggregation, explored);
+    if (explored == nullptr) {
+      const std::lock_guard<std::mutex> lock(cache_mutex_);
+      server_explorations_.try_emplace(role, std::move(server.exploration));
+    }
     agg.rates.emplace(role, server.rates);
     agg.diagnostics.emplace(role, server.diagnostics);
   }
@@ -232,75 +247,72 @@ std::vector<EvalReport> Session::run_batch(const std::vector<Job>& jobs) const {
   std::vector<EvalReport> reports(jobs.size());
   const EngineOptions& engine = scenario_.engine();
 
+  // Each design's cells, in job order: the first explores the design's network
+  // net, the others re-rate it, and the exploration dies with the design.
+  std::vector<std::vector<std::size_t>> cells;
+  std::map<std::array<unsigned, enterprise::kRoleCount>, std::size_t> design_index;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const auto [it, fresh] = design_index.try_emplace(jobs[i].first.counts, cells.size());
+    if (fresh) cells.emplace_back();
+    cells[it->second].push_back(i);
+  }
+  const auto run_design = [&](std::size_t d) {
+    std::shared_ptr<const petri::ReachabilityGraph> explored;
+    for (const std::size_t i : cells[d]) {
+      reports[i] = evaluate_cell(jobs[i].first, jobs[i].second, &explored);
+    }
+  };
+
   unsigned workers = 1;
-  if (engine.parallel && jobs.size() > 1) {
+  if (engine.parallel && cells.size() > 1) {
     workers = engine.threads != 0 ? engine.threads : std::thread::hardware_concurrency();
     if (workers == 0) workers = 1;
-    if (workers > jobs.size()) workers = static_cast<unsigned>(jobs.size());
+    if (workers > cells.size()) workers = static_cast<unsigned>(cells.size());
   }
 
   if (workers <= 1) {
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      reports[i] = evaluate(jobs[i].first, jobs[i].second);
-    }
+    for (std::size_t d = 0; d < cells.size(); ++d) run_design(d);
     return reports;
   }
 
-  // Index-parallel loop over [0, count) on at most `workers` threads; the
-  // first worker exception (if any) is rethrown here, and a thrown body
-  // drains the queue so the batch fails fast.
-  const auto parallel_for = [workers](std::size_t count, const auto& body) {
-    if (count == 0) return;
-    const unsigned pool = count < workers ? static_cast<unsigned>(count) : workers;
-    std::atomic<std::size_t> next{0};
-    std::exception_ptr first_error;
-    std::mutex error_mutex;
-    const auto worker = [&] {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1);
-        if (i >= count) return;
-        try {
-          body(i);
-        } catch (...) {
-          next.store(count);  // cancel the remaining queue: fail fast
-          const std::lock_guard<std::mutex> lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
-          return;
-        }
-      }
-    };
-    std::vector<std::thread> threads;
-    threads.reserve(pool);
-    try {
-      for (unsigned t = 0; t < pool; ++t) threads.emplace_back(worker);
-    } catch (...) {
-      // Thread spawn failed partway (std::system_error): drain the queue so
-      // already-running workers finish, join them, then propagate — a
-      // joinable std::thread destructor would call std::terminate.
-      next.store(count);
-      for (std::thread& t : threads) t.join();
-      throw;
-    }
-    for (std::thread& t : threads) t.join();
-    if (first_error) std::rethrow_exception(first_error);
-  };
-
   // Prime the per-cadence aggregations serially (few unique cadences, shared
-  // by every design), then the HARM metrics of every design appearing in
-  // more than one job — across the worker pool, one design per task, so a
-  // schedule sweep neither races duplicate HARM computations in the main
-  // loop nor serializes them here.  Designs appearing once keep their HARM
-  // work inside the main parallel loop.
-  std::map<std::array<unsigned, enterprise::kRoleCount>, unsigned> jobs_per_design;
-  std::vector<const enterprise::RedundancyDesign*> shared_designs;
-  for (const Job& job : jobs) {
-    (void)aggregation_for(job.second);
-    if (++jobs_per_design[job.first.counts] == 2) shared_designs.push_back(&job.first);
-  }
-  parallel_for(shared_designs.size(), [&](std::size_t i) { (void)security_for(*shared_designs[i]); });
+  // by every design); each design's HARM runs once, inside its task.
+  for (const Job& job : jobs) (void)aggregation_for(job.second);
 
-  parallel_for(jobs.size(),
-               [&](std::size_t i) { reports[i] = evaluate(jobs[i].first, jobs[i].second); });
+  // One design per task on at most `workers` threads; the first worker
+  // exception (if any) is rethrown here, and a thrown task drains the queue
+  // so the batch fails fast.
+  std::atomic<std::size_t> next{0};
+  std::exception_ptr first_error;
+  std::mutex error_mutex;
+  const auto worker = [&] {
+    for (;;) {
+      const std::size_t d = next.fetch_add(1);
+      if (d >= cells.size()) return;
+      try {
+        run_design(d);
+      } catch (...) {
+        next.store(cells.size());  // cancel the remaining queue: fail fast
+        const std::lock_guard<std::mutex> lock(error_mutex);
+        if (!first_error) first_error = std::current_exception();
+        return;
+      }
+    }
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(workers);
+  try {
+    for (unsigned t = 0; t < workers; ++t) threads.emplace_back(worker);
+  } catch (...) {
+    // Thread spawn failed partway (std::system_error): drain the queue so
+    // already-running workers finish, join them, then propagate — a
+    // joinable std::thread destructor would call std::terminate.
+    next.store(cells.size());
+    for (std::thread& t : threads) t.join();
+    throw;
+  }
+  for (std::thread& t : threads) t.join();
+  if (first_error) std::rethrow_exception(first_error);
   return reports;
 }
 
@@ -335,6 +347,12 @@ EvalReport Session::evaluate(const enterprise::RedundancyDesign& design) const {
 
 EvalReport Session::evaluate(const enterprise::RedundancyDesign& design,
                              double patch_interval_hours) const {
+  return evaluate_cell(design, patch_interval_hours, nullptr);
+}
+
+EvalReport Session::evaluate_cell(const enterprise::RedundancyDesign& design,
+                                  double patch_interval_hours,
+                                  std::shared_ptr<const petri::ReachabilityGraph>* explored) const {
   const auto start = Clock::now();
   const IntervalAggregation& agg = aggregation_for(patch_interval_hours);
   const SecurityMetricsPair& security = security_for(design);
@@ -370,10 +388,15 @@ EvalReport Session::evaluate(const enterprise::RedundancyDesign& design,
     report.coa = coa.coa;
     report.availability_diagnostics = coa.diagnostics;
   } else {
-    report.verification = verification_for(design, agg);
-    const avail::CoaEvaluation coa = avail::capacity_oriented_availability_detailed(
-        design, agg.rates, scenario_.engine().analyzer_options(),
-        &workspaces_for_this_thread().availability);
+    // One net build serves the verification and the solve.
+    const avail::NetworkSrn net = avail::build_network_srn(design, agg.rates);
+    report.verification = verification_for(design, agg, &net);
+    const bool rerate = explored != nullptr && *explored != nullptr;
+    ++(rerate ? network_rerate_count_ : network_exploration_count_);
+    avail::CoaEvaluation coa = avail::capacity_oriented_availability_detailed(
+        net, scenario_.engine().analyzer_options(), &workspaces_for_this_thread().availability,
+        rerate ? *explored : nullptr);
+    if (explored != nullptr) *explored = std::move(coa.exploration);
     report.coa = coa.coa;
     report.availability_diagnostics = coa.diagnostics;
   }
@@ -429,17 +452,24 @@ EvalReport Session::evaluate_transient_impl(
     report.coa_half_width_95 = est.interval_half_width_95;
     report.simulation_diagnostics = est.diagnostics;
   } else {
-    report.verification =
-        verification != nullptr ? *verification : verification_for(design, agg);
     avail::TransientCoaOptions options;
     options.initial_down = initial_down;
     options.uniformization = engine.uniformization;
     options.reachability = engine.reachability;
-    const avail::CoaCurveEvaluation eval =
-        engine.lumping
-            ? avail::transient_coa_lumped_detailed(design, agg.rates, grid, options)
-            : avail::transient_coa_detailed(design, agg.rates, grid, options,
-                                            &workspaces_for_this_thread().transient);
+    avail::CoaCurveEvaluation eval;
+    if (engine.lumping) {
+      report.verification =
+          verification != nullptr ? *verification : verification_for(design, agg);
+      eval = avail::transient_coa_lumped_detailed(design, agg.rates, grid, options);
+    } else {
+      // One net build serves the verification and the solve.
+      const avail::NetworkSrn net = avail::build_network_srn(design, agg.rates);
+      report.verification = verification_for(design, agg, &net);
+      eval = std::move(avail::transient_coa_batch(net, grid, {initial_down}, options,
+                                                  &workspaces_for_this_thread().transient)
+                           .front());
+      ++network_exploration_count_;
+    }
     report.transient.coa.reserve(eval.curve.size());
     for (const avail::CoaPoint& point : eval.curve) report.transient.coa.push_back(point.coa);
     report.transient.accumulated_coa_hours = eval.accumulated_coa_hours;
@@ -485,15 +515,16 @@ std::vector<EvalReport> Session::evaluate_transient_batch(
   const IntervalAggregation& agg = aggregation_for(patch_interval_hours);
   const SecurityMetricsPair& security = security_for(design);
 
+  // One net build serves the verification and the shared solve, and B report
+  // shells wrap that solve, carrying the same (marking-independent) stages.
+  const avail::NetworkSrn net = avail::build_network_srn(design, agg.rates);
+  const std::vector<StageVerification> verification = verification_for(design, agg, &net);
   avail::TransientCoaOptions options;
   options.uniformization = engine.uniformization;
   options.reachability = engine.reachability;
   const std::vector<avail::CoaCurveEvaluation> evals = avail::transient_coa_batch(
-      design, agg.rates, grid, waves, options, &workspaces_for_this_thread().transient);
-
-  // One shared solve, B report shells around it.  The verification stages
-  // are marking-independent, so every report carries the same set.
-  const std::vector<StageVerification> verification = verification_for(design, agg);
+      net, grid, waves, options, &workspaces_for_this_thread().transient);
+  ++network_exploration_count_;
   const double wall = seconds_since(start);
 
   std::vector<EvalReport> reports;

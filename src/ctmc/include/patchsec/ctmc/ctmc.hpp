@@ -3,7 +3,8 @@
 // backend that the SRN layer lowers into.
 
 #include <cstddef>
-#include <utility>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "patchsec/linalg/csr_matrix.hpp"
@@ -26,11 +27,36 @@ struct RateTransition {
 };
 
 /// Off-diagonal rates grouped by source state: state s owns
-/// entries[offsets[s] .. offsets[s + 1]), (to, rate) pairs in any order.
-/// offsets.size() - 1 is the state count.
+/// entries [offsets[s], offsets[s + 1]) of `columns` (target states) and
+/// `rates`, in any order.  offsets.size() - 1 is the state count.
 struct RateRows {
   std::vector<std::size_t> offsets{0};
-  std::vector<std::pair<StateIndex, double>> entries;
+  std::vector<StateIndex> columns;
+  std::vector<double> rates;
+};
+
+/// The rate-independent half of assembling RateRows into a generator: each
+/// row's entries in column order.  Built once per structure; Ctmc(pattern, rates)
+/// fills the values, so chains that differ only in their rates (a re-rated
+/// exploration, petri::rerate) skip the per-row sort.  Parallel edges to one
+/// column merge in the order of the rates the pattern was built from.
+class GeneratorPattern {
+ public:
+  GeneratorPattern() = default;  ///< the empty chain's
+
+  /// Throws std::out_of_range for an endpoint outside the state range,
+  /// std::invalid_argument for inconsistent offsets or a self loop, and
+  /// std::length_error past 2^32 - 1 states or entries.
+  explicit GeneratorPattern(const RateRows& rows);
+
+  /// Number of RateRows entries (rates) a fill takes.
+  [[nodiscard]] std::size_t entry_count() const noexcept { return sorted_.size(); }
+
+ private:
+  friend class Ctmc;
+  std::vector<std::size_t> entry_offsets_{0};  ///< RateRows::offsets.
+  std::vector<std::uint32_t> sorted_;          ///< entry read at each sorted position...
+  std::vector<std::uint32_t> columns_;         ///< ...and its column.
 };
 
 /// Immutable finite CTMC.  The constructor assembles the infinitesimal
@@ -47,11 +73,17 @@ class Ctmc {
   /// as Ctmc(RateRows) does.
   Ctmc(std::size_t states, const std::vector<RateTransition>& transitions);
 
-  /// Chain over the given rows (the reachability explorer's hand-over).
+  /// Chain over the given rows: Ctmc(GeneratorPattern(rows), their rates).
   /// Parallel edges are merged.  Throws std::out_of_range for an endpoint
   /// outside the state range, std::invalid_argument for inconsistent
   /// offsets, a self loop or a rate that is not positive and finite.
-  explicit Ctmc(RateRows rows);
+  explicit Ctmc(const RateRows& rows);
+
+  /// Chain over `pattern`'s rows with `rates` in entry order: slots sum in
+  /// sorted order, the diagonal is -sum(merged row) in column order, exit
+  /// rates sum in the given order.  Throws std::invalid_argument on a rate
+  /// count other than pattern.entry_count() or a rate not positive and finite.
+  Ctmc(const GeneratorPattern& pattern, std::span<const double> rates);
 
   [[nodiscard]] std::size_t state_count() const noexcept { return generator_.rows(); }
 

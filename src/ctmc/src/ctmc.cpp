@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -20,63 +22,97 @@ RateRows bucket_by_source(std::size_t states, const std::vector<RateTransition>&
   }
   for (std::size_t r = 0; r < states; ++r) rows.offsets[r + 1] += rows.offsets[r];
   std::vector<std::size_t> cursor(rows.offsets.begin(), rows.offsets.end() - 1);
-  rows.entries.resize(transitions.size());
-  for (const RateTransition& t : transitions) rows.entries[cursor[t.from]++] = {t.to, t.rate};
+  rows.columns.resize(transitions.size());
+  rows.rates.resize(transitions.size());
+  for (const RateTransition& t : transitions) {
+    rows.columns[cursor[t.from]] = t.to;
+    rows.rates[cursor[t.from]++] = t.rate;
+  }
   return rows;
 }
 
 }  // namespace
 
+GeneratorPattern::GeneratorPattern(const RateRows& rows) : entry_offsets_(rows.offsets) {
+  const std::vector<std::size_t>& offsets = rows.offsets;
+  const std::size_t entries = rows.columns.size();
+  if (offsets.empty() || offsets.front() != 0 || offsets.back() != entries ||
+      rows.rates.size() != entries) {
+    throw std::invalid_argument("Ctmc: row offsets do not span the entries");
+  }
+  const std::size_t states = offsets.size() - 1;
+  if (std::max(entries, states) > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("Ctmc: too many states or rates");
+  }
+  sorted_.resize(entries);
+  columns_.resize(entries);
+  const auto by_column_then_rate = [&rows](std::uint32_t a, std::uint32_t b) {
+    return std::pair(rows.columns[a], rows.rates[a]) < std::pair(rows.columns[b], rows.rates[b]);
+  };
+  for (std::size_t r = 0; r < states; ++r) {
+    const std::size_t begin = offsets[r];
+    const std::size_t end = offsets[r + 1];
+    if (begin > end || end > entries) {
+      throw std::invalid_argument("Ctmc: row offsets do not span the entries");
+    }
+    for (std::size_t k = begin; k < end; ++k) {
+      if (rows.columns[k] >= states) throw std::out_of_range("Ctmc: state out of range");
+      if (rows.columns[k] == r) throw std::invalid_argument("Ctmc: self loop");
+      sorted_[k] = static_cast<std::uint32_t>(k);
+    }
+    // Sort the (tiny) row by (column, rate), the pair order: O(nnz) plus
+    // per-row micro-sorts, no global triplet sort.
+    std::sort(sorted_.begin() + static_cast<std::ptrdiff_t>(begin),
+              sorted_.begin() + static_cast<std::ptrdiff_t>(end), by_column_then_rate);
+    for (std::size_t k = begin; k < end; ++k) {
+      columns_[k] = static_cast<std::uint32_t>(rows.columns[sorted_[k]]);
+    }
+  }
+}
+
 Ctmc::Ctmc(std::size_t states, const std::vector<RateTransition>& transitions)
     : Ctmc(bucket_by_source(states, transitions)) {}
 
-Ctmc::Ctmc(RateRows rows) {
-  const std::vector<std::size_t>& offsets = rows.offsets;
-  if (offsets.empty() || offsets.front() != 0 || offsets.back() != rows.entries.size()) {
-    throw std::invalid_argument("Ctmc: row offsets do not span the entries");
+Ctmc::Ctmc(const RateRows& rows) : Ctmc(GeneratorPattern(rows), rows.rates) {}
+
+Ctmc::Ctmc(const GeneratorPattern& pattern, std::span<const double> rates) {
+  if (rates.size() != pattern.entry_count()) {
+    throw std::invalid_argument("Ctmc: rate count does not match the pattern");
   }
+  const std::vector<std::size_t>& offsets = pattern.entry_offsets_;
   const std::size_t states = offsets.size() - 1;
   exit_rates_.assign(states, 0.0);
   std::vector<std::size_t> q_offsets(states + 1, 0);
   std::vector<std::size_t> col_indices;
   std::vector<double> values;
-  col_indices.reserve(rows.entries.size() + states);
-  values.reserve(rows.entries.size() + states);
+  col_indices.reserve(rates.size() + states);
+  values.reserve(rates.size() + states);
   for (std::size_t r = 0; r < states; ++r) {
-    if (offsets[r] > offsets[r + 1] || offsets[r + 1] > rows.entries.size()) {
-      throw std::invalid_argument("Ctmc: row offsets do not span the entries");
-    }
-    const auto begin = rows.entries.begin() + static_cast<std::ptrdiff_t>(offsets[r]);
-    const auto end = rows.entries.begin() + static_cast<std::ptrdiff_t>(offsets[r + 1]);
-    for (auto it = begin; it != end; ++it) {
-      if (it->first >= states) throw std::out_of_range("Ctmc: state out of range");
-      if (it->first == r) throw std::invalid_argument("Ctmc: self loop");
-      if (!(it->second > 0.0) || !std::isfinite(it->second)) {
+    const std::size_t begin = offsets[r];
+    const std::size_t end = offsets[r + 1];
+    for (std::size_t k = begin; k < end; ++k) {
+      if (!(rates[k] > 0.0) || !std::isfinite(rates[k])) {
         throw std::invalid_argument("Ctmc: rate must be positive and finite");
       }
-      exit_rates_[r] += it->second;  // in the given order
+      exit_rates_[r] += rates[k];  // in the given order
     }
-    // Sort the (tiny) row by column, merge parallel edges, and splice the
-    // diagonal -sum(rates) in at its sorted position: O(nnz) plus per-row
-    // micro-sorts, no global triplet sort.
-    std::sort(begin, end);
+    // Merge each run of one column in sorted order, and splice the diagonal
+    // -sum(rates) in at its sorted position.
     double exit_rate = 0.0;
     std::size_t diagonal = 0;
     bool diag_emitted = begin == end;  // a state without exits stores nothing
-    for (auto it = begin; it != end; ++it) {
-      double rate = it->second;
-      while (it + 1 != end && (it + 1)->first == it->first) {
-        ++it;
-        rate += it->second;
-      }
+    for (std::size_t k = begin; k < end; ++k) {
+      const std::size_t column = pattern.columns_[k];
+      double rate = rates[pattern.sorted_[k]];
+      while (k + 1 < end && pattern.columns_[k + 1] == column) rate += rates[pattern.sorted_[++k]];
       exit_rate += rate;
-      if (!diag_emitted && it->first > r) {
+      if (!diag_emitted && column > r) {
         diagonal = values.size();
         col_indices.push_back(r);
         values.push_back(0.0);
         diag_emitted = true;
       }
-      col_indices.push_back(it->first);
+      col_indices.push_back(column);
       values.push_back(rate);
     }
     if (!diag_emitted) {

@@ -78,6 +78,9 @@ class CompiledNet {
     return {deltas_.data() + t.delta_begin, deltas_.data() + t.delta_end};
   }
 
+  /// Timed transitions in ascending id order.
+  [[nodiscard]] std::span<const CompiledTransition> timed() const noexcept { return timed_; }
+
   void enabled_timed_into(const Marking& m, std::vector<const CompiledTransition*>& out) const {
     out.clear();
     for (const CompiledTransition& t : timed_) {

@@ -3,8 +3,12 @@
 // elimination: the SRN is lowered to a CTMC over tangible markings exactly as
 // SPNP does it.  One breadth-first pass in state-id order emits each state's
 // merged edge row, and the Ctmc assembles its generator from those rows once.
+// It records its firings too, so rerate() can re-rate a net without exploring.
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -66,6 +70,30 @@ struct SolveDiagnostics {
   }
 };
 
+/// What rerate() needs: each timed firing's successors in exploration order
+/// (the firing's transition, the RateRows entry each adds to) and the
+/// generator's assembly pattern.  8 bytes per firing in a net without
+/// immediates, where each firing has one successor of probability 1.
+struct FiringRecord {
+  std::size_t places = 0;  ///< place count of the explored net...
+  std::size_t timed = 0;   ///< ...and its timed transition count.
+  /// Successors of tangible state s's firings: [offsets[s], offsets[s + 1]).
+  std::vector<std::size_t> offsets{0};
+  /// One successor: its firing's index among the net's timed transitions and
+  /// the RateRows entry its rate adds to, or kSelfLoop.
+  struct Successor {
+    std::uint32_t timed = 0;
+    std::uint32_t entry = 0;
+  };
+  std::vector<Successor> successors;
+  /// Per successor: its probability; empty without immediates (all are 1).
+  std::vector<double> probabilities;
+  ctmc::GeneratorPattern pattern;
+
+  /// A successor that is the firing state itself (dropped from the chain).
+  static constexpr std::uint32_t kSelfLoop = std::numeric_limits<std::uint32_t>::max();
+};
+
 /// The lowered model: tangible markings, the CTMC over them, and the initial
 /// probability distribution (the initial marking may itself be vanishing, in
 /// which case its probability mass is spread over the tangibles it resolves
@@ -79,6 +107,8 @@ struct ReachabilityGraph {
   /// transition), so at most timed transitions x tangible states.  The
   /// explorer's work counter.
   std::size_t firings = 0;
+  /// The firings behind `chain`, for rerate().
+  FiringRecord record;
 
   [[nodiscard]] std::size_t tangible_count() const noexcept { return tangible_markings.size(); }
 
@@ -99,6 +129,15 @@ struct ReachabilityGraph {
 [[nodiscard]] ReachabilityGraph build_reachability_graph(const SrnModel& model,
                                                          const ReachabilityOptions& options = {});
 
+/// The chain build_reachability_graph(model) would assemble, bit for bit,
+/// without exploring: the recorded rates are re-evaluated on `model` in
+/// exploration order, through exploration's check (so a bad rate throws the
+/// same std::domain_error), and filled into the recorded pattern.  `model`
+/// must be graph's net with only rate functions changed (std::invalid_argument
+/// when its place or timed transition count differs; guards cannot be
+/// compared).  The markings and initial distribution stay graph's.
+[[nodiscard]] ctmc::Ctmc rerate(const ReachabilityGraph& graph, const SrnModel& model);
+
 /// Convenience analyzer: builds the graph once, solves the steady state once
 /// and evaluates rate rewards against it.
 class SrnAnalyzer {
@@ -115,7 +154,18 @@ class SrnAnalyzer {
   SrnAnalyzer(const SrnModel& model, const AnalyzerOptions& options,
               linalg::StationarySolver* workspace = nullptr);
 
-  [[nodiscard]] const ReachabilityGraph& graph() const noexcept { return graph_; }
+  /// The same analysis, bit for bit, on rerate(*explored, model): `explored`
+  /// is `model`'s net explored at other rates, shared (null explores).
+  SrnAnalyzer(std::shared_ptr<const ReachabilityGraph> explored, const SrnModel& model,
+              const AnalyzerOptions& options, linalg::StationarySolver* workspace = nullptr);
+
+  /// The exploration whose markings the rewards read.  After a re-rate its
+  /// chain holds the rates it was explored at, not the ones solved.
+  [[nodiscard]] const ReachabilityGraph& graph() const noexcept { return *graph_; }
+  /// The same exploration, shared: another cadence of the net can re-rate it.
+  [[nodiscard]] const std::shared_ptr<const ReachabilityGraph>& exploration() const noexcept {
+    return graph_;
+  }
   [[nodiscard]] const std::vector<double>& steady_state() const noexcept { return steady_; }
 
   /// State counts, solver iterations, residual, convergence flag and wall
@@ -132,7 +182,7 @@ class SrnAnalyzer {
   [[nodiscard]] double mean_tokens(PlaceId place) const;
 
  private:
-  ReachabilityGraph graph_;
+  std::shared_ptr<const ReachabilityGraph> graph_;
   std::vector<double> steady_;
   SolveDiagnostics diagnostics_;
 };

@@ -329,53 +329,84 @@ ReachabilityGraph build_reachability_graph(const SrnModel& model,
 
   // States are expanded in id order: ids are handed out in discovery order,
   // so this is breadth-first, and each state's merged edge row is appended
-  // whole — the RateRows form the Ctmc assembles from.
+  // whole — the RateRows form the Ctmc assembles from, recorded for rerate().
   ctmc::RateRows rows;
   rows.offsets.reserve(reserve + 1);
-  std::vector<std::pair<std::size_t, double>>& edges = rows.entries;
-  const auto add_edge = [&edges](std::size_t row_begin, std::size_t from, std::size_t to,
-                                 double rate) {
-    if (to == from) return;  // net effect is a self loop: drop
-    for (std::size_t k = row_begin; k < edges.size(); ++k) {
-      if (edges[k].first == to) {
-        edges[k].second += rate;
-        return;
+  FiringRecord& record = graph.record;
+  record.places = model.place_count();
+  record.timed = net.timed().size();
+  const auto add_edge = [&rows](std::size_t row_begin, std::size_t from, std::size_t to,
+                                double rate) -> std::uint32_t {
+    if (to == from) return FiringRecord::kSelfLoop;  // net effect is a self loop: drop
+    for (std::size_t k = row_begin; k < rows.columns.size(); ++k) {
+      if (rows.columns[k] == to) {
+        rows.rates[k] += rate;
+        return static_cast<std::uint32_t>(k);
       }
     }
-    edges.emplace_back(to, rate);
+    rows.columns.push_back(to);
+    rows.rates.push_back(rate);
+    return static_cast<std::uint32_t>(rows.columns.size() - 1);
   };
+  const bool immediates = net.has_immediates();
   Marking current;
   for (std::size_t from = 0; from < graph.tangible_markings.size(); ++from) {
-    const std::size_t row_begin = edges.size();
+    const std::size_t row_begin = rows.columns.size();
     current = graph.tangible_markings[from];  // copy: the vector may grow
     // Without immediates every successor is tangible, so a firing can stay
     // on the packed key; a field leaving its range sends that firing down the
     // Marking path, which flips the interner to its fallback map.
     std::uint64_t current_key = 0;
-    const bool packed =
-        !net.has_immediates() && interner.packable() && interner.pack(current, current_key);
+    const bool packed = !immediates && interner.packable() && interner.pack(current, current_key);
     net.enabled_timed_into(current, explorer.timed_scratch);
     graph.firings += explorer.timed_scratch.size();
     for (const CompiledTransition* t : explorer.timed_scratch) {
       const double r = net.checked_rate(*t, current);
+      const auto timed = static_cast<std::uint32_t>(t - net.timed().data());
       std::uint64_t key = current_key;
       if (packed && interner.packable() && interner.advance(net.deltas(*t), key)) {
-        add_edge(row_begin, from, intern_key(key), r);
+        record.successors.push_back({timed, add_edge(row_begin, from, intern_key(key), r)});
         continue;
       }
       explorer.resolve_firing(*t, current, graph.vanishing_markings_seen);
       for (std::size_t i = 0; i < explorer.successor_count(); ++i) {
         const Explorer::Successor& succ = explorer.successors()[i];
-        add_edge(row_begin, from, intern(succ.marking), r * succ.probability);
+        record.successors.push_back(
+            {timed, add_edge(row_begin, from, intern(succ.marking), r * succ.probability)});
+        if (immediates) record.probabilities.push_back(succ.probability);
       }
     }
-    rows.offsets.push_back(edges.size());
+    rows.offsets.push_back(rows.columns.size());
+    record.offsets.push_back(record.successors.size());
   }
 
-  graph.chain = ctmc::Ctmc(std::move(rows));
+  record.pattern = ctmc::GeneratorPattern(rows);
+  graph.chain = ctmc::Ctmc(record.pattern, rows.rates);
   graph.initial_distribution.assign(graph.tangible_count(), 0.0);
   for (const auto& [id, p] : initial) graph.initial_distribution[id] += p;
   return graph;
+}
+
+ctmc::Ctmc rerate(const ReachabilityGraph& graph, const SrnModel& model) {
+  const FiringRecord& record = graph.record;
+  const CompiledNet net(model);
+  const std::span<const CompiledTransition> timed = net.timed();
+  if (model.place_count() != record.places || timed.size() != record.timed) {
+    throw std::invalid_argument("rerate: the model is not the explored net");
+  }
+  // Each entry sums its successors' rates in exploration order, as the row
+  // merge did (0 + r and r * 1 are r exactly); a rate is evaluated per successor.
+  std::vector<double> rates(record.pattern.entry_count(), 0.0);
+  for (std::size_t s = 0; s < graph.tangible_count(); ++s) {
+    const Marking& m = graph.tangible_markings[s];
+    for (std::size_t k = record.offsets[s]; k < record.offsets[s + 1]; ++k) {
+      const FiringRecord::Successor& succ = record.successors[k];
+      const double r = net.checked_rate(timed[succ.timed], m);
+      if (succ.entry == FiringRecord::kSelfLoop) continue;
+      rates[succ.entry] += record.probabilities.empty() ? r : r * record.probabilities[k];
+    }
+  }
+  return ctmc::Ctmc(record.pattern, rates);
 }
 
 SrnAnalyzer::SrnAnalyzer(const SrnModel& model, const ReachabilityOptions& options)
@@ -384,15 +415,26 @@ SrnAnalyzer::SrnAnalyzer(const SrnModel& model, const ReachabilityOptions& optio
                                          .throw_on_divergence = true}) {}
 
 SrnAnalyzer::SrnAnalyzer(const SrnModel& model, const AnalyzerOptions& options,
-                         linalg::StationarySolver* workspace) {
+                         linalg::StationarySolver* workspace)
+    : SrnAnalyzer(nullptr, model, options, workspace) {}
+
+SrnAnalyzer::SrnAnalyzer(std::shared_ptr<const ReachabilityGraph> explored, const SrnModel& model,
+                         const AnalyzerOptions& options, linalg::StationarySolver* workspace)
+    : graph_(std::move(explored)) {
   const auto start = std::chrono::steady_clock::now();
-  graph_ = build_reachability_graph(model, options.reachability);
-  const linalg::SteadyStateResult ss =
-      workspace != nullptr ? graph_.chain.steady_state(*workspace, options.steady_state)
-                           : graph_.chain.steady_state(options.steady_state);
-  diagnostics_.tangible_states = graph_.tangible_count();
-  diagnostics_.vanishing_markings = graph_.vanishing_markings_seen;
-  diagnostics_.transitions = graph_.chain.transition_count();
+  const bool rerating = graph_ != nullptr;
+  if (!rerating) {
+    graph_ = std::make_shared<const ReachabilityGraph>(
+        build_reachability_graph(model, options.reachability));
+  }
+  const ctmc::Ctmc rerated = rerating ? rerate(*graph_, model) : ctmc::Ctmc();
+  const ctmc::Ctmc& chain = rerating ? rerated : graph_->chain;
+  const linalg::SteadyStateResult ss = workspace != nullptr
+                                           ? chain.steady_state(*workspace, options.steady_state)
+                                           : chain.steady_state(options.steady_state);
+  diagnostics_.tangible_states = graph_->tangible_count();
+  diagnostics_.vanishing_markings = graph_->vanishing_markings_seen;
+  diagnostics_.transitions = chain.transition_count();
   diagnostics_.solver_iterations = ss.iterations;
   diagnostics_.residual = ss.residual;
   diagnostics_.converged = ss.converged;
@@ -407,8 +449,8 @@ SrnAnalyzer::SrnAnalyzer(const SrnModel& model, const AnalyzerOptions& options,
 double SrnAnalyzer::expected_reward(const RewardFunction& reward) const {
   if (!reward) throw std::invalid_argument("expected_reward: null reward");
   double acc = 0.0;
-  for (std::size_t i = 0; i < graph_.tangible_count(); ++i) {
-    acc += steady_[i] * reward(graph_.tangible_markings[i]);
+  for (std::size_t i = 0; i < graph_->tangible_count(); ++i) {
+    acc += steady_[i] * reward(graph_->tangible_markings[i]);
   }
   return acc;
 }
@@ -416,16 +458,16 @@ double SrnAnalyzer::expected_reward(const RewardFunction& reward) const {
 double SrnAnalyzer::probability(const std::function<bool(const Marking&)>& predicate) const {
   if (!predicate) throw std::invalid_argument("probability: null predicate");
   double acc = 0.0;
-  for (std::size_t i = 0; i < graph_.tangible_count(); ++i) {
-    if (predicate(graph_.tangible_markings[i])) acc += steady_[i];
+  for (std::size_t i = 0; i < graph_->tangible_count(); ++i) {
+    if (predicate(graph_->tangible_markings[i])) acc += steady_[i];
   }
   return acc;
 }
 
 double SrnAnalyzer::mean_tokens(PlaceId place) const {
   double acc = 0.0;
-  for (std::size_t i = 0; i < graph_.tangible_count(); ++i) {
-    acc += steady_[i] * static_cast<double>(graph_.tangible_markings[i].at(place));
+  for (std::size_t i = 0; i < graph_->tangible_count(); ++i) {
+    acc += steady_[i] * static_cast<double>(graph_->tangible_markings[i].at(place));
   }
   return acc;
 }

@@ -85,8 +85,11 @@ struct ServiceReply {
   core::EvalReport report;
   ReplySource source = ReplySource::kSolve;
   std::uint64_t key = 0;              ///< the request's cache key.
-  double queue_wait_seconds = 0.0;    ///< submit → worker claim (0 for kCache).
-  double solve_seconds = 0.0;         ///< wall time of the solve (0 for kCache).
+  /// submit → worker claim, and the solve from there; a request that
+  /// coalesced after the claim waited 0 and solved from its submit, so the
+  /// two sum to submit → reply (both 0 for kCache).
+  double queue_wait_seconds = 0.0;
+  double solve_seconds = 0.0;
   std::size_t batch_width = 1;        ///< panel width the solve rode in.
 };
 
@@ -155,9 +158,11 @@ class EvalService {
   /// Remove and return the waiters of `key` (counts coalesced joiners).
   Pending take_pending(std::uint64_t key);
   /// Reply to every waiter of `key`: the last one takes `report` itself,
-  /// the others a copy sharing its verification stages.
-  void fulfill(std::uint64_t key, core::EvalReport&& report, double solve_seconds,
-               std::size_t batch_width, std::chrono::steady_clock::time_point claimed);
+  /// the others a copy sharing its verification stages.  A worker claimed
+  /// the job at `claimed` and finished solving at `solved`.
+  void fulfill(std::uint64_t key, core::EvalReport&& report, std::size_t batch_width,
+               std::chrono::steady_clock::time_point claimed,
+               std::chrono::steady_clock::time_point solved);
 
   core::Session session_;
   std::uint64_t scenario_hash_ = 0;

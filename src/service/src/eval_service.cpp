@@ -1,5 +1,6 @@
 #include "patchsec/service/eval_service.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -189,21 +190,21 @@ void EvalService::run_group(std::vector<Job> jobs) {
     if (lead.request.kind == RequestKind::kSteady) {
       core::EvalReport report =
           session_.evaluate(lead.request.design, lead.request.patch_interval_hours);
-      const double solve_seconds = seconds_between(claimed, std::chrono::steady_clock::now());
+      const auto solved = std::chrono::steady_clock::now();
       cache_.insert(lead.key, report);
       {
         const std::lock_guard<std::mutex> lock(mutex_);
         ++solves_;
         ++solved_jobs_;
       }
-      fulfill(lead.key, std::move(report), solve_seconds, 1, claimed);
+      fulfill(lead.key, std::move(report), 1, claimed, solved);
     } else {
       std::vector<std::map<enterprise::ServerRole, unsigned>> waves;
       waves.reserve(jobs.size());
       for (const Job& job : jobs) waves.push_back(job.request.wave);
       std::vector<core::EvalReport> reports = session_.evaluate_transient_batch(
           lead.request.design, waves, lead.request.patch_interval_hours);
-      const double solve_seconds = seconds_between(claimed, std::chrono::steady_clock::now());
+      const auto solved = std::chrono::steady_clock::now();
       {
         const std::lock_guard<std::mutex> lock(mutex_);
         ++solves_;
@@ -215,7 +216,7 @@ void EvalService::run_group(std::vector<Job> jobs) {
       }
       for (std::size_t i = 0; i < jobs.size(); ++i) {
         cache_.insert(jobs[i].key, reports[i]);
-        fulfill(jobs[i].key, std::move(reports[i]), solve_seconds, jobs.size(), claimed);
+        fulfill(jobs[i].key, std::move(reports[i]), jobs.size(), claimed, solved);
       }
     }
   } catch (...) {
@@ -237,9 +238,9 @@ EvalService::Pending EvalService::take_pending(std::uint64_t key) {
   return pending;
 }
 
-void EvalService::fulfill(std::uint64_t key, core::EvalReport&& report, double solve_seconds,
-                          std::size_t batch_width,
-                          std::chrono::steady_clock::time_point claimed) {
+void EvalService::fulfill(std::uint64_t key, core::EvalReport&& report, std::size_t batch_width,
+                          std::chrono::steady_clock::time_point claimed,
+                          std::chrono::steady_clock::time_point solved) {
   Pending pending = take_pending(key);
   bool first = true;
   for (Waiter& waiter : pending.waiters) {
@@ -251,8 +252,10 @@ void EvalService::fulfill(std::uint64_t key, core::EvalReport&& report, double s
     }
     reply.source = first ? ReplySource::kSolve : ReplySource::kCoalesced;
     reply.key = key;
-    reply.queue_wait_seconds = seconds_between(waiter.submitted, claimed);
-    reply.solve_seconds = solve_seconds;
+    // A waiter that joined after the claim waited for no worker.
+    const auto joined = std::max(waiter.submitted, claimed);
+    reply.queue_wait_seconds = seconds_between(waiter.submitted, joined);
+    reply.solve_seconds = seconds_between(joined, solved);
     reply.batch_width = batch_width;
     waiter.promise.set_value(std::move(reply));
     first = false;

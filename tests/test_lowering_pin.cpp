@@ -4,6 +4,10 @@
 // change to state order, edge order, rate summation order or generator
 // layout moves a hash, so explorer and Ctmc rewrites must keep every bit.
 //
+// The same pins hold for a net explored at 168 h and re-rated (petri::rerate)
+// to 720 h and 1440 h: re-rating must reproduce a fresh exploration bit for
+// bit, and refuse every rate exploration refuses with the same error.
+//
 // Also the reachability work counter: ReachabilityGraph::firings must equal
 // the timed firings the lowering resolves, one per (state, enabled timed
 // transition), which bounds it by timed_transitions x states.
@@ -14,9 +18,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -52,20 +59,26 @@ class Fnv1a {
   std::uint64_t hash_ = 1469598103934665603ull;
 };
 
-std::uint64_t lowering_hash(const pt::SrnModel& model) {
-  const pt::ReachabilityGraph graph = pt::build_reachability_graph(model);
+/// Hash of a lowering: `graph`'s markings and initial distribution with
+/// `chain` (graph.chain, or a re-rate of it).
+std::uint64_t lowering_hash(const pt::ReachabilityGraph& graph, const patchsec::ctmc::Ctmc& chain) {
   Fnv1a h;
   h.word(graph.tangible_count());
   for (const pt::Marking& m : graph.tangible_markings) {
     for (pt::TokenCount t : m) h.word(t);
   }
-  const auto& q = graph.chain.generator();
+  const auto& q = chain.generator();
   for (std::size_t v : q.row_offsets()) h.word(v);
   for (std::size_t v : q.col_indices()) h.word(v);
   for (double v : q.values()) h.real(v);
-  for (double v : graph.chain.exit_rates()) h.real(v);
+  for (double v : chain.exit_rates()) h.real(v);
   for (double v : graph.initial_distribution) h.real(v);
   return h.value();
+}
+
+std::uint64_t lowering_hash(const pt::SrnModel& model) {
+  const pt::ReachabilityGraph graph = pt::build_reachability_graph(model);
+  return lowering_hash(graph, graph.chain);
 }
 
 std::vector<ent::RedundancyDesign> pinned_designs() {
@@ -80,37 +93,43 @@ std::string design_key(const ent::RedundancyDesign& d) {
          std::to_string(d.counts[2]) + std::to_string(d.counts[3]);
 }
 
+/// Every pinned net at one cadence, keyed "<family>/<name>".
+std::map<std::string, pt::SrnModel> pinned_models(double cadence) {
+  std::map<std::string, pt::SrnModel> models;
+  std::map<ent::ServerRole, av::AggregatedRates> rates;
+  for (const auto& [role, spec] : ent::paper_server_specs()) {
+    const av::ServerSrnOptions options{.patch_interval_hours = cadence};
+    models.emplace(std::string("server/") + ent::to_string(role),
+                   av::build_server_srn(spec, options).model);
+    rates.emplace(role, av::aggregate_server(spec, options));
+  }
+  for (const ent::RedundancyDesign& d : pinned_designs()) {
+    models.emplace("network/" + design_key(d), av::build_network_srn(d, rates).model);
+    models.emplace("synchronized/" + design_key(d),
+                   av::build_network_srn_synchronized(d, rates).model);
+  }
+  return models;
+}
+
+std::string cadence_prefix(double cadence) {
+  return std::to_string(static_cast<int>(cadence)) + "/";
+}
+
 /// Every pinned net, keyed "<cadence>/<family>/<name>".
 std::map<std::string, std::uint64_t> lowering_hashes() {
   std::map<std::string, std::uint64_t> hashes;
-  const std::map<ent::ServerRole, ent::ServerSpec> specs = ent::paper_server_specs();
   for (const double cadence : {168.0, 720.0, 1440.0}) {
-    const std::string prefix = std::to_string(static_cast<int>(cadence)) + "/";
-    std::map<ent::ServerRole, av::AggregatedRates> rates;
-    for (const auto& [role, spec] : specs) {
-      const av::ServerSrnOptions options{.patch_interval_hours = cadence};
-      hashes[prefix + "server/" + ent::to_string(role)] =
-          lowering_hash(av::build_server_srn(spec, options).model);
-      rates.emplace(role, av::aggregate_server(spec, options));
-    }
-    for (const ent::RedundancyDesign& d : pinned_designs()) {
-      hashes[prefix + "network/" + design_key(d)] =
-          lowering_hash(av::build_network_srn(d, rates).model);
-      hashes[prefix + "synchronized/" + design_key(d)] =
-          lowering_hash(av::build_network_srn_synchronized(d, rates).model);
+    for (const auto& [name, model] : pinned_models(cadence)) {
+      hashes[cadence_prefix(cadence) + name] = lowering_hash(model);
     }
   }
   return hashes;
 }
 
-}  // namespace
-
-TEST(LoweringPin, PaperNetsLowerToPinnedBits) {
-#if defined(__FMA__)
-  GTEST_SKIP() << "FMA contraction may move rate bits; pins hold for portable builds";
-#endif
+/// The pins, captured before the explorer's one-pass rewrite.
+const std::map<std::string, std::uint64_t>& pinned_hashes() {
   // clang-format off
-  const std::map<std::string, std::uint64_t> expected = {
+  static const std::map<std::string, std::uint64_t> expected = {
       {"1440/network/1111", 0x286044f9c1babc2bull},
       {"1440/network/1112", 0x597b530f14cd68acull},
       {"1440/network/1121", 0x75f9107278af644eull},
@@ -167,6 +186,32 @@ TEST(LoweringPin, PaperNetsLowerToPinnedBits) {
       {"720/synchronized/4566", 0x84fa4db6d37d60a4ull},
   };
   // clang-format on
+  return expected;
+}
+
+/// A two-state net whose failure rate is `rate`, as fresh exploration and a
+/// re-rate both see it.
+pt::SrnModel up_down(double rate) {
+  pt::SrnModel net;
+  const pt::PlaceId up = net.add_place("up", 1);
+  const pt::PlaceId down = net.add_place("down", 0);
+  const pt::TransitionId fail =
+      net.add_timed_transition("Tfail", [rate](const pt::Marking&) { return rate; });
+  net.add_input_arc(fail, up);
+  net.add_output_arc(fail, down);
+  const pt::TransitionId repair = net.add_timed_transition("Trepair", 2.0);
+  net.add_input_arc(repair, down);
+  net.add_output_arc(repair, up);
+  return net;
+}
+
+}  // namespace
+
+TEST(LoweringPin, PaperNetsLowerToPinnedBits) {
+#if defined(__FMA__)
+  GTEST_SKIP() << "FMA contraction may move rate bits; pins hold for portable builds";
+#endif
+  const std::map<std::string, std::uint64_t>& expected = pinned_hashes();
   const std::map<std::string, std::uint64_t> actual = lowering_hashes();
   ASSERT_EQ(actual.size(), expected.size());
   for (const auto& [key, hash] : expected) {
@@ -174,6 +219,58 @@ TEST(LoweringPin, PaperNetsLowerToPinnedBits) {
     ASSERT_NE(it, actual.end()) << key;
     EXPECT_EQ(it->second, hash) << key;
   }
+}
+
+TEST(LoweringPin, RerateFromTheWeeklyExplorationHitsThePins) {
+#if defined(__FMA__)
+  GTEST_SKIP() << "FMA contraction may move rate bits; pins hold for portable builds";
+#endif
+  // Server nets (immediates, vanishing resolution), network nets
+  // (marking-dependent rates) and synchronized nets (arc multiplicities):
+  // explored once at 168 h, re-rated to the other pinned cadences.
+  const std::map<std::string, pt::SrnModel> weekly = pinned_models(168.0);
+  std::map<std::string, pt::ReachabilityGraph> explored;
+  for (const auto& [name, model] : weekly) explored.emplace(name, pt::build_reachability_graph(model));
+  for (const double cadence : {720.0, 1440.0}) {
+    const std::map<std::string, pt::SrnModel> models = pinned_models(cadence);
+    ASSERT_EQ(models.size(), explored.size());
+    for (const auto& [name, model] : models) {
+      const pt::ReachabilityGraph& graph = explored.at(name);
+      const std::string key = cadence_prefix(cadence) + name;
+      EXPECT_EQ(lowering_hash(graph, pt::rerate(graph, model)), pinned_hashes().at(key)) << key;
+    }
+  }
+}
+
+TEST(LoweringRerate, RefusesEveryRateExplorationRefuses) {
+  const pt::ReachabilityGraph graph = pt::build_reachability_graph(up_down(0.5));
+  for (const double bad : {0.0, -1.0, std::nan(""), std::numeric_limits<double>::infinity()}) {
+    std::string fresh;
+    std::string rerated;
+    try {
+      (void)pt::build_reachability_graph(up_down(bad));
+    } catch (const std::domain_error& e) {
+      fresh = e.what();
+    }
+    try {
+      (void)pt::rerate(graph, up_down(bad));
+    } catch (const std::domain_error& e) {
+      rerated = e.what();
+    }
+    EXPECT_NE(fresh.find("Tfail"), std::string::npos) << bad;
+    EXPECT_EQ(rerated, fresh) << bad;
+  }
+  // A net of another shape is not a re-rate of this exploration.
+  pt::SrnModel wider = up_down(0.5);
+  (void)wider.add_place("spare", 0);
+  EXPECT_THROW((void)pt::rerate(graph, wider), std::invalid_argument);
+  pt::SrnModel busier = up_down(0.5);
+  (void)busier.add_timed_transition("Textra", 1.0);
+  EXPECT_THROW((void)pt::rerate(graph, busier), std::invalid_argument);
+  // Same shape, new rate: the chain a fresh exploration assembles.
+  const pt::ReachabilityGraph fresh = pt::build_reachability_graph(up_down(0.25));
+  EXPECT_EQ(lowering_hash(graph, pt::rerate(graph, up_down(0.25))),
+            lowering_hash(fresh, fresh.chain));
 }
 
 TEST(LoweringWork, FiringsCountEveryEnabledTimedTransitionOnce) {
@@ -193,6 +290,10 @@ TEST(LoweringWork, FiringsCountEveryEnabledTimedTransitionOnce) {
       std::size_t enabled = 0;
       for (const pt::Marking& m : graph.tangible_markings) enabled += net.model.enabled_timed(m).size();
       EXPECT_EQ(graph.firings, enabled) << "k=" << k << " synchronized=" << synchronized;
+      // Without immediates the record is one 8-byte successor per firing.
+      static_assert(sizeof(pt::FiringRecord::Successor) == 8);
+      EXPECT_EQ(graph.record.successors.size(), graph.firings);
+      EXPECT_TRUE(graph.record.probabilities.empty());
       EXPECT_LE(graph.firings, net.model.transition_count() * graph.tangible_count())
           << "k=" << k;
     }

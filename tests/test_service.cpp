@@ -10,12 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <future>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "patchsec/avail/network_srn.hpp"
@@ -350,6 +352,49 @@ TEST(EvalService, CoalescesIdenticalConcurrentRequestsIntoOneSolve) {
   EXPECT_EQ(stats.solves, 1u);      // K identical requests paid ONE solve
   EXPECT_EQ(stats.coalesced, kWaiters - 1);
   EXPECT_EQ(stats.cache.hits, 0u);  // storage was off, so these were not hits
+}
+
+TEST(EvalService, LateCoalescedRequestsReportNoQueueWait) {
+  // A request that joins an identical job after a worker claimed it never
+  // waited for a worker: its queue wait is 0 and its solve time runs from its
+  // own submit, so queue wait plus solve time stays its submit-to-reply time
+  // and no reply reports a negative wait.  Joining late is a race (the
+  // worker must claim the lead within the sleep, and the solve must outlast
+  // it), so a few attempts are allowed.
+  using Clock = std::chrono::steady_clock;
+  const auto seconds = [](Clock::duration d) { return std::chrono::duration<double>(d).count(); };
+  const ent::RedundancyDesign large{{8, 8, 8, 8}};  // 6,561 states: a solve of several ms
+  bool joined_late = false;
+  for (int attempt = 0; attempt < 8 && !joined_late; ++attempt) {
+    svc::ServiceOptions options;
+    options.workers = 1;
+    options.cache_bytes = 0;  // a request after the solve re-solves instead of hitting
+    svc::EvalService service(core::Scenario::paper_case_study(), options);
+    const Clock::time_point lead_submit = Clock::now();
+    std::future<svc::ServiceReply> lead = service.submit(steady_request(large));
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const Clock::time_point late_submit = Clock::now();
+    std::future<svc::ServiceReply> late = service.submit(steady_request(large));
+    const svc::ServiceReply lead_reply = lead.get();
+    const Clock::time_point lead_done = Clock::now();
+    const svc::ServiceReply late_reply = late.get();
+    const Clock::time_point late_done = Clock::now();
+
+    for (const auto& [reply, elapsed] :
+         {std::pair{&lead_reply, seconds(lead_done - lead_submit)},
+          std::pair{&late_reply, seconds(late_done - late_submit)}}) {
+      EXPECT_GE(reply->queue_wait_seconds, 0.0);
+      EXPECT_GT(reply->solve_seconds, 0.0);
+      EXPECT_LE(reply->queue_wait_seconds + reply->solve_seconds, elapsed);
+    }
+    if (late_reply.source == svc::ReplySource::kCoalesced && late_reply.queue_wait_seconds == 0.0) {
+      joined_late = true;
+      // Both replies end at the same solve; the late one started later.
+      EXPECT_LT(late_reply.solve_seconds,
+                lead_reply.queue_wait_seconds + lead_reply.solve_seconds);
+    }
+  }
+  EXPECT_TRUE(joined_late) << "no request joined a claimed job in 8 attempts";
 }
 
 TEST(EvalService, HitsAndCoalescedRepliesShareTheSolvedStageObjects) {

@@ -12,6 +12,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "patchsec/core/campaign.hpp"
 #include "patchsec/core/report.hpp"
@@ -21,6 +22,8 @@
 namespace core = patchsec::core;
 namespace ent = patchsec::enterprise;
 namespace linalg = patchsec::linalg;
+namespace avail = patchsec::avail;
+namespace petri = patchsec::petri;
 
 // ---------- Scenario builder ----------------------------------------------------
 
@@ -277,8 +280,8 @@ TEST(Session, ParallelBatchMatchesSerialBatch) {
 }
 
 TEST(Session, ParallelScheduleSweepMatchesSerial) {
-  // Multi-cadence + parallel exercises the worker-pool HARM priming (every
-  // design appears in two jobs).
+  // Multi-cadence + parallel exercises the per-design tasks (every design
+  // appears in six jobs, which one worker runs in a row).
   core::EngineOptions parallel;
   parallel.parallel = true;
   parallel.threads = 4;
@@ -298,6 +301,107 @@ TEST(Session, ParallelScheduleSweepMatchesSerial) {
     EXPECT_TRUE(a[i].converged()) << i;
     EXPECT_TRUE(b[i].converged()) << i;
   }
+}
+
+// ---------- exploration reuse ---------------------------------------------------
+
+namespace {
+
+bool rerate_same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+/// The sweep of the paper's Fig. 6 / Table VI planning question: the five
+/// paper designs plus three placements of the tiers {3, 4, 5, 6}, at six
+/// cadences.
+core::Scenario six_cadence_sweep() {
+  std::vector<ent::RedundancyDesign> designs = ent::paper_designs();
+  designs.push_back(ent::RedundancyDesign{{3, 4, 5, 6}});
+  designs.push_back(ent::RedundancyDesign{{6, 3, 4, 5}});
+  designs.push_back(ent::RedundancyDesign{{5, 6, 3, 4}});
+  return core::Scenario::paper_case_study().with_designs(designs).with_patch_schedule(
+      {168.0, 336.0, 504.0, 720.0, 1080.0, 1440.0});
+}
+
+/// COA, cadence and every solve diagnostic but wall time, bit for bit.
+bool same_cell(const core::EvalReport& a, const core::EvalReport& b) {
+  const petri::SolveDiagnostics& da = a.availability_diagnostics;
+  const petri::SolveDiagnostics& db = b.availability_diagnostics;
+  if (!(a.design == b.design) || !rerate_same_bits(a.coa, b.coa) ||
+      !rerate_same_bits(a.patch_interval_hours, b.patch_interval_hours) ||
+      da.tangible_states != db.tangible_states || da.transitions != db.transitions ||
+      da.solver_iterations != db.solver_iterations || !rerate_same_bits(da.residual, db.residual) ||
+      a.aggregation_diagnostics.size() != b.aggregation_diagnostics.size()) {
+    return false;
+  }
+  for (const auto& [role, d] : a.aggregation_diagnostics) {
+    const petri::SolveDiagnostics& other = b.aggregation_diagnostics.at(role);
+    if (d.tangible_states != other.tangible_states || d.transitions != other.transitions ||
+        d.solver_iterations != other.solver_iterations ||
+        !rerate_same_bits(d.residual, other.residual)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+TEST(SessionRerate, ASixCadenceSweepExploresEachRoleAndEachDesignOnce) {
+  const core::Scenario scenario = six_cadence_sweep();
+  const core::Session session(scenario);
+  const std::vector<core::EvalReport> reports = session.evaluate_all();
+  ASSERT_EQ(reports.size(), 48u);
+  const core::Session::WorkspaceCounters counters = session.workspace_counters();
+  EXPECT_EQ(counters.server_explorations, scenario.specs().size());
+  EXPECT_EQ(counters.server_rerates, scenario.specs().size() * 5);
+  EXPECT_EQ(counters.network_explorations, 8u);
+  EXPECT_EQ(counters.network_rerates, 40u);
+
+  // Every re-rated cell is what a fresh Session, which explores both layers
+  // at that cadence, reports.
+  for (const core::EvalReport& report : reports) {
+    const core::Session fresh(scenario);
+    EXPECT_TRUE(same_cell(report, fresh.evaluate(report.design, report.patch_interval_hours)))
+        << report.design.name() << " at " << report.patch_interval_hours << " h";
+    EXPECT_EQ(fresh.workspace_counters().server_rerates, 0u);
+    EXPECT_EQ(fresh.workspace_counters().network_rerates, 0u);
+  }
+
+  // A batch explores each distinct design once, however often it repeats.
+  const core::Session repeated(scenario);
+  const ent::RedundancyDesign a{{1, 1, 1, 1}};
+  const ent::RedundancyDesign b{{3, 4, 5, 6}};
+  const std::vector<core::EvalReport> cells = repeated.evaluate_all({a, b, a, b, a}, 720.0);
+  EXPECT_EQ(repeated.workspace_counters().network_explorations, 2u);
+  EXPECT_EQ(repeated.workspace_counters().network_rerates, 3u);
+  EXPECT_TRUE(same_cell(cells[0], cells[4]));
+  EXPECT_TRUE(same_cell(cells[1], cells[3]));
+}
+
+TEST(SessionRerate, ParallelSweepIsBitIdenticalToTheSerialSweep) {
+  // Runs under TSan: the server explorations are shared by every worker,
+  // and each design's network exploration crosses its task's cells.
+  core::EngineOptions parallel;
+  parallel.parallel = true;
+  parallel.threads = 4;
+  const core::Scenario scenario = six_cadence_sweep();
+  const core::Session serial(scenario);
+  const core::Session threaded(core::Scenario(scenario).with_engine(parallel));
+  const std::vector<core::EvalReport> a = serial.evaluate_all();
+  const std::vector<core::EvalReport> b = threaded.evaluate_all();
+  ASSERT_EQ(a.size(), 48u);
+  ASSERT_EQ(b.size(), a.size());
+  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_TRUE(same_cell(a[i], b[i])) << i;
+  for (const double cadence : scenario.patch_intervals()) {
+    for (const auto& [role, rates] : serial.aggregated_rates(cadence)) {
+      const avail::AggregatedRates& other = threaded.aggregated_rates(cadence).at(role);
+      EXPECT_TRUE(rerate_same_bits(rates.mu_eq, other.mu_eq)) << cadence;
+      EXPECT_TRUE(rerate_same_bits(rates.p_patch_down, other.p_patch_down)) << cadence;
+    }
+  }
+  const core::Session::WorkspaceCounters counters = threaded.workspace_counters();
+  EXPECT_EQ(counters.server_explorations, scenario.specs().size());
+  EXPECT_EQ(counters.network_explorations, 8u);
+  EXPECT_EQ(counters.network_rerates, 40u);
 }
 
 // ---------- shared verification stages ------------------------------------------
