@@ -44,8 +44,6 @@ struct AggregatedRates {
 struct ServerAggregation {
   AggregatedRates rates;
   petri::SolveDiagnostics diagnostics;
-  /// The exploration solved, for another cadence to re-rate.
-  std::shared_ptr<const petri::ReachabilityGraph> exploration;
 };
 
 /// Aggregate under explicit policy options AND an explicit solver
@@ -60,13 +58,15 @@ struct ServerAggregation {
     const petri::AnalyzerOptions& engine, linalg::StationarySolver* workspace = nullptr);
 
 /// aggregate_server_detailed on `srn` = build_server_srn(spec, options), built
-/// by the caller (core::Session verifies that net, then aggregates it).  A
-/// non-null `explored`, an exploration of the net under options differing at
-/// most in patch_interval_hours, is re-rated instead (bit-identical).
+/// by the caller (core::Session verifies that net, then aggregates it).
+/// `exploration` is petri::SrnAnalyzer's: pointing at an exploration of the
+/// net under options differing at most in patch_interval_hours, that one is
+/// re-rated (bit-identical); pointing at null, it receives this net's
+/// exploration for a later re-rate.
 [[nodiscard]] ServerAggregation aggregate_server_srn(
     const ServerSrn& srn, const enterprise::ServerSpec& spec, const ServerSrnOptions& options,
     const petri::AnalyzerOptions& engine, linalg::StationarySolver* workspace = nullptr,
-    std::shared_ptr<const petri::ReachabilityGraph> explored = nullptr);
+    std::shared_ptr<const petri::ReachabilityGraph>* exploration = nullptr);
 
 /// Closed-form approximation of mu_eq ignoring failures (the patch phases in
 /// sequence): 1 / (1/alpha_svc + 1/alpha_os + 1/beta_os + 1/beta_svc).

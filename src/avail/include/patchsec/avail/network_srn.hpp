@@ -70,8 +70,6 @@ struct NetworkSrn {
 struct CoaEvaluation {
   double coa = 0.0;
   petri::SolveDiagnostics diagnostics;
-  /// The exploration solved (null when lumped), for another cadence to re-rate.
-  std::shared_ptr<const petri::ReachabilityGraph> exploration;
 };
 
 /// COA under an explicit solver configuration — the fully-threaded form used
@@ -87,12 +85,13 @@ struct CoaEvaluation {
     const petri::AnalyzerOptions& engine, linalg::StationarySolver* workspace = nullptr);
 
 /// The same on `net` = build_network_srn(design, rates), built by the caller.
-/// A non-null `explored`, the design's net explored at other rates, is
-/// re-rated instead (bit-identical).
+/// `exploration` is petri::SrnAnalyzer's: pointing at the design's net
+/// explored at other rates, that one is re-rated (bit-identical); pointing at
+/// null, it receives this net's exploration for a later re-rate.
 [[nodiscard]] CoaEvaluation capacity_oriented_availability_detailed(
     const NetworkSrn& net, const petri::AnalyzerOptions& engine,
     linalg::StationarySolver* workspace = nullptr,
-    std::shared_ptr<const petri::ReachabilityGraph> explored = nullptr);
+    std::shared_ptr<const petri::ReachabilityGraph>* exploration = nullptr);
 
 /// Ablation variant: *synchronized* patching — a tier's servers are all
 /// patched in the same maintenance window (the whole tier goes down at rate

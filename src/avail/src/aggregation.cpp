@@ -1,7 +1,6 @@
 #include "patchsec/avail/aggregation.hpp"
 
 #include <stdexcept>
-#include <utility>
 
 #include "patchsec/petri/reachability.hpp"
 
@@ -19,13 +18,12 @@ ServerAggregation aggregate_server_detailed(const enterprise::ServerSpec& spec,
   return aggregate_server_srn(build_server_srn(spec, options), spec, options, engine, workspace);
 }
 
-ServerAggregation aggregate_server_srn(const ServerSrn& srn, const enterprise::ServerSpec& spec,
-                                       const ServerSrnOptions& options,
-                                       const petri::AnalyzerOptions& engine,
-                                       linalg::StationarySolver* workspace,
-                                       std::shared_ptr<const petri::ReachabilityGraph> explored) {
+ServerAggregation aggregate_server_srn(
+    const ServerSrn& srn, const enterprise::ServerSpec& spec, const ServerSrnOptions& options,
+    const petri::AnalyzerOptions& engine, linalg::StationarySolver* workspace,
+    std::shared_ptr<const petri::ReachabilityGraph>* exploration) {
   const double patch_interval_hours = options.patch_interval_hours;
-  const petri::SrnAnalyzer analyzer(std::move(explored), srn.model, engine, workspace);
+  const petri::SrnAnalyzer analyzer(srn.model, engine, workspace, exploration);
 
   AggregatedRates rates;
   rates.p_patch_down =
@@ -46,7 +44,7 @@ ServerAggregation aggregate_server_srn(const ServerSrn& srn, const enterprise::S
     // mu = lambda * (1 - p_pd) / p_pd.
     rates.mu_eq = rates.lambda_eq * (1.0 - rates.p_patch_down) / rates.p_patch_down;
   }
-  return ServerAggregation{rates, analyzer.diagnostics(), analyzer.exploration()};
+  return ServerAggregation{rates, analyzer.diagnostics()};
 }
 
 double mu_eq_closed_form(const enterprise::ServerSpec& spec) {

@@ -185,7 +185,7 @@ CoaEvaluation capacity_oriented_availability_lumped_detailed(
   const auto start = Clock::now();
   const Tiers tiers = make_tiers(design, rates, nullptr);
   CoaEvaluation result{coa_at(tiers, std::numeric_limits<double>::infinity()),
-                       diagnostics(tiers), nullptr};
+                       diagnostics(tiers)};
   result.diagnostics.wall_time_seconds = seconds_since(start);
   return result;
 }

@@ -131,10 +131,10 @@ CoaEvaluation capacity_oriented_availability_detailed(
 
 CoaEvaluation capacity_oriented_availability_detailed(
     const NetworkSrn& net, const petri::AnalyzerOptions& engine,
-    linalg::StationarySolver* workspace, std::shared_ptr<const petri::ReachabilityGraph> explored) {
-  const petri::SrnAnalyzer analyzer(std::move(explored), net.model, engine, workspace);
-  return CoaEvaluation{analyzer.expected_reward(net.coa_reward()), analyzer.diagnostics(),
-                       analyzer.exploration()};
+    linalg::StationarySolver* workspace,
+    std::shared_ptr<const petri::ReachabilityGraph>* exploration) {
+  const petri::SrnAnalyzer analyzer(net.model, engine, workspace, exploration);
+  return CoaEvaluation{analyzer.expected_reward(net.coa_reward()), analyzer.diagnostics()};
 }
 
 NetworkSrn build_network_srn_synchronized(

@@ -274,10 +274,18 @@ class Session {
     std::size_t thread_slots = 0;  ///< distinct threads that evaluated here.
     std::size_t transient_structure_builds = 0;   ///< TransientSolver rebuilds.
     std::size_t transient_structure_reuses = 0;   ///< value-refresh fast paths.
-    std::size_t availability_solves = 0;          ///< upper-layer solves served.
+    /// Upper- and lower-layer solves served, and how each found its
+    /// transpose (linalg::StationarySolver): rebuilt, reused because the
+    /// generator shares the cached structure (a re-rated chain), or reused
+    /// after a content compare; the three sum to the solves.
+    std::size_t availability_solves = 0;
     std::size_t availability_transpose_rebuilds = 0;
-    std::size_t aggregation_solves = 0;           ///< lower-layer solves served.
+    std::size_t availability_identity_reuses = 0;
+    std::size_t availability_content_reuses = 0;
+    std::size_t aggregation_solves = 0;
     std::size_t aggregation_transpose_rebuilds = 0;
+    std::size_t aggregation_identity_reuses = 0;
+    std::size_t aggregation_content_reuses = 0;
     /// petri::certify_structure runs (one per distinct structure_key, plus
     /// any a concurrent miss on the same key computed and discarded).
     std::size_t verify_structure_builds = 0;
@@ -361,7 +369,9 @@ class Session {
       const std::vector<std::pair<enterprise::RedundancyDesign, double>>& jobs) const;
 
   /// evaluate(design, hours).  A non-null `explored` carries the design's
-  /// network exploration between a batch's cells: re-rated when set.
+  /// network exploration between a batch's cells: re-rated when set, else
+  /// explored with its firing record and stored there.  Null explores
+  /// without a record.
   [[nodiscard]] EvalReport evaluate_cell(
       const enterprise::RedundancyDesign& design, double patch_interval_hours,
       std::shared_ptr<const petri::ReachabilityGraph>* explored) const;

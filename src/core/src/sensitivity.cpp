@@ -2,24 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <stdexcept>
+
+#include "patchsec/linalg/stationary_solver.hpp"
+#include "patchsec/petri/reachability.hpp"
 
 namespace patchsec::core {
 
 namespace {
-
-double coa_with(const enterprise::RedundancyDesign& design,
-                std::map<enterprise::ServerRole, avail::AggregatedRates> rates,
-                enterprise::ServerRole role, bool perturb_mu, double factor,
-                const petri::AnalyzerOptions& engine) {
-  auto& r = rates.at(role);
-  if (perturb_mu) {
-    r.mu_eq *= factor;
-  } else {
-    r.lambda_eq *= factor;
-  }
-  return avail::capacity_oriented_availability_detailed(design, rates, engine).coa;
-}
 
 std::vector<SensitivityEntry> sensitivity(
     const enterprise::RedundancyDesign& design,
@@ -28,16 +19,31 @@ std::vector<SensitivityEntry> sensitivity(
   if (!(relative_step > 0.0) || relative_step >= 1.0) {
     throw std::invalid_argument("coa_sensitivity: relative_step must be in (0,1)");
   }
-  const double base_coa =
-      avail::capacity_oriented_availability_detailed(design, rates, engine).coa;
+  // The perturbed nets differ from the base net only in rates: the base
+  // exploration is re-rated for each, and one workspace solves them all
+  // (both bit-identical to exploring and solving each net afresh).
+  linalg::StationarySolver workspace;
+  std::shared_ptr<const petri::ReachabilityGraph> exploration;
+  const auto coa_at = [&](const std::map<enterprise::ServerRole, avail::AggregatedRates>& at) {
+    return avail::capacity_oriented_availability_detailed(avail::build_network_srn(design, at),
+                                                          engine, &workspace, &exploration)
+        .coa;
+  };
+  const auto coa_with = [&](enterprise::ServerRole role, bool perturb_mu, double factor) {
+    std::map<enterprise::ServerRole, avail::AggregatedRates> perturbed = rates;
+    avail::AggregatedRates& r = perturbed.at(role);
+    (perturb_mu ? r.mu_eq : r.lambda_eq) *= factor;
+    return coa_at(perturbed);
+  };
+  const double base_coa = coa_at(rates);
 
   std::vector<SensitivityEntry> out;
   for (const auto& [role, r] : rates) {
     if (design.count(role) == 0) continue;
     for (bool perturb_mu : {true, false}) {
       const double base_value = perturb_mu ? r.mu_eq : r.lambda_eq;
-      const double up = coa_with(design, rates, role, perturb_mu, 1.0 + relative_step, engine);
-      const double down = coa_with(design, rates, role, perturb_mu, 1.0 - relative_step, engine);
+      const double up = coa_with(role, perturb_mu, 1.0 + relative_step);
+      const double down = coa_with(role, perturb_mu, 1.0 - relative_step);
       SensitivityEntry entry;
       entry.parameter = std::string(perturb_mu ? "mu_eq(" : "lambda_eq(") +
                         enterprise::to_string(role) + ")";

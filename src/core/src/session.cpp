@@ -140,8 +140,12 @@ Session::WorkspaceCounters Session::workspace_counters() const {
     counters.transient_structure_reuses += ws->transient.structure_reuses();
     counters.availability_solves += ws->availability.solve_count();
     counters.availability_transpose_rebuilds += ws->availability.transpose_rebuilds();
+    counters.availability_identity_reuses += ws->availability.identity_reuses();
+    counters.availability_content_reuses += ws->availability.content_reuses();
     counters.aggregation_solves += ws->aggregation.solve_count();
     counters.aggregation_transpose_rebuilds += ws->aggregation.transpose_rebuilds();
+    counters.aggregation_identity_reuses += ws->aggregation.identity_reuses();
+    counters.aggregation_content_reuses += ws->aggregation.content_reuses();
   }
   return counters;
 }
@@ -228,12 +232,13 @@ const Session::IntervalAggregation& Session::aggregation_for(double patch_interv
       const auto it = server_explorations_.find(role);
       if (it != server_explorations_.end()) explored = it->second;
     }
-    ++(explored != nullptr ? server_rerate_count_ : server_exploration_count_);
-    avail::ServerAggregation server = avail::aggregate_server_srn(
-        srn, spec, srn_options, engine, &workspaces_for_this_thread().aggregation, explored);
-    if (explored == nullptr) {
+    const bool rerate = explored != nullptr;
+    ++(rerate ? server_rerate_count_ : server_exploration_count_);
+    const avail::ServerAggregation server = avail::aggregate_server_srn(
+        srn, spec, srn_options, engine, &workspaces_for_this_thread().aggregation, &explored);
+    if (!rerate) {
       const std::lock_guard<std::mutex> lock(cache_mutex_);
-      server_explorations_.try_emplace(role, std::move(server.exploration));
+      server_explorations_.try_emplace(role, std::move(explored));
     }
     agg.rates.emplace(role, server.rates);
     agg.diagnostics.emplace(role, server.diagnostics);
@@ -248,7 +253,8 @@ std::vector<EvalReport> Session::run_batch(const std::vector<Job>& jobs) const {
   const EngineOptions& engine = scenario_.engine();
 
   // Each design's cells, in job order: the first explores the design's network
-  // net, the others re-rate it, and the exploration dies with the design.
+  // net, the others re-rate it, and the exploration dies with the design.  A
+  // design with one cell explores without a firing record.
   std::vector<std::vector<std::size_t>> cells;
   std::map<std::array<unsigned, enterprise::kRoleCount>, std::size_t> design_index;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -258,8 +264,10 @@ std::vector<EvalReport> Session::run_batch(const std::vector<Job>& jobs) const {
   }
   const auto run_design = [&](std::size_t d) {
     std::shared_ptr<const petri::ReachabilityGraph> explored;
+    std::shared_ptr<const petri::ReachabilityGraph>* exploration =
+        cells[d].size() > 1 ? &explored : nullptr;
     for (const std::size_t i : cells[d]) {
-      reports[i] = evaluate_cell(jobs[i].first, jobs[i].second, &explored);
+      reports[i] = evaluate_cell(jobs[i].first, jobs[i].second, exploration);
     }
   };
 
@@ -393,10 +401,9 @@ EvalReport Session::evaluate_cell(const enterprise::RedundancyDesign& design,
     report.verification = verification_for(design, agg, &net);
     const bool rerate = explored != nullptr && *explored != nullptr;
     ++(rerate ? network_rerate_count_ : network_exploration_count_);
-    avail::CoaEvaluation coa = avail::capacity_oriented_availability_detailed(
+    const avail::CoaEvaluation coa = avail::capacity_oriented_availability_detailed(
         net, scenario_.engine().analyzer_options(), &workspaces_for_this_thread().availability,
-        rerate ? *explored : nullptr);
-    if (explored != nullptr) *explored = std::move(coa.exploration);
+        explored);
     report.coa = coa.coa;
     report.availability_diagnostics = coa.diagnostics;
   }

@@ -4,6 +4,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -35,18 +36,22 @@ struct RateRows {
   std::vector<double> rates;
 };
 
-/// The rate-independent half of assembling RateRows into a generator: each
-/// row's entries in column order.  Built once per structure; Ctmc(pattern, rates)
-/// fills the values, so chains that differ only in their rates (a re-rated
-/// exploration, petri::rerate) skip the per-row sort.  Parallel edges to one
-/// column merge in the order of the rates the pattern was built from.
+/// The rate-independent half of assembling RateRows into a generator: the
+/// generator's CSR structure (each row's merged columns in order, the
+/// diagonal spliced in), validated once, and each entry's slot in it.
+/// Ctmc(pattern, rates) then writes only values and exit rates, and its
+/// generator shares the structure, so chains that differ only in their rates
+/// (a re-rated exploration, petri::rerate) skip the per-row sort, the
+/// structure assembly and its validation, and a solver workspace recognises
+/// them by pointer.  Parallel edges to one column merge in the order of the
+/// rates the pattern was built from.
 class GeneratorPattern {
  public:
   GeneratorPattern() = default;  ///< the empty chain's
 
   /// Throws std::out_of_range for an endpoint outside the state range,
   /// std::invalid_argument for inconsistent offsets or a self loop, and
-  /// std::length_error past 2^32 - 1 states or entries.
+  /// std::length_error past 2^32 - 1 generator entries.
   explicit GeneratorPattern(const RateRows& rows);
 
   /// Number of RateRows entries (rates) a fill takes.
@@ -56,7 +61,10 @@ class GeneratorPattern {
   friend class Ctmc;
   std::vector<std::size_t> entry_offsets_{0};  ///< RateRows::offsets.
   std::vector<std::uint32_t> sorted_;          ///< entry read at each sorted position...
-  std::vector<std::uint32_t> columns_;         ///< ...and its column.
+  std::vector<std::uint32_t> slots_;           ///< ...and its generator entry.
+  std::vector<std::uint32_t> diagonals_;       ///< each exiting row's diagonal entry.
+  /// Shared by every chain filled from the pattern; null for the empty chain's.
+  std::shared_ptr<const linalg::CsrStructure> structure_;
 };
 
 /// Immutable finite CTMC.  The constructor assembles the infinitesimal
@@ -79,10 +87,11 @@ class Ctmc {
   /// offsets, a self loop or a rate that is not positive and finite.
   explicit Ctmc(const RateRows& rows);
 
-  /// Chain over `pattern`'s rows with `rates` in entry order: slots sum in
-  /// sorted order, the diagonal is -sum(merged row) in column order, exit
-  /// rates sum in the given order.  Throws std::invalid_argument on a rate
-  /// count other than pattern.entry_count() or a rate not positive and finite.
+  /// Chain over `pattern`'s rows with `rates` in entry order, writing values
+  /// only: slots sum in sorted order, the diagonal is -sum(merged row) in
+  /// column order, exit rates sum in the given order.  The generator shares
+  /// the pattern's structure.  Throws std::invalid_argument on a rate count
+  /// other than pattern.entry_count() or a rate not positive and finite.
   Ctmc(const GeneratorPattern& pattern, std::span<const double> rates);
 
   [[nodiscard]] std::size_t state_count() const noexcept { return generator_.rows(); }

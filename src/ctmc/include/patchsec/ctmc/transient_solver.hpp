@@ -39,6 +39,7 @@
 /// (core::Session keeps one per worker thread, like StationarySolver).
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -156,14 +157,14 @@ class TransientSolver {
   TransientDiagnostics diagnostics_;
 
   // Uniformized DTMC P = I + Q/Lambda in CSR form, plus the structure of the
-  // generator it was derived from (for the refresh fast path).
+  // generator it was derived from (for the refresh fast path: a re-rated
+  // chain shares it, one assembled elsewhere is compared by content).
   std::size_t states_ = 0;
   double lambda_ = 0.0;
   std::vector<std::size_t> p_row_offsets_;
   std::vector<std::size_t> p_col_indices_;
   std::vector<double> p_values_;
-  std::vector<std::size_t> q_row_offsets_;
-  std::vector<std::size_t> q_col_indices_;
+  std::shared_ptr<const linalg::CsrStructure> q_structure_;
 
   // Poisson window and power-iterate scratch.
   std::vector<double> weights_;

@@ -41,13 +41,22 @@ GeneratorPattern::GeneratorPattern(const RateRows& rows) : entry_offsets_(rows.o
     throw std::invalid_argument("Ctmc: row offsets do not span the entries");
   }
   const std::size_t states = offsets.size() - 1;
-  if (std::max(entries, states) > std::numeric_limits<std::uint32_t>::max()) {
+  // Slots index the generator, which adds a diagonal per row.
+  if (entries + states > std::numeric_limits<std::uint32_t>::max()) {
     throw std::length_error("Ctmc: too many states or rates");
   }
   sorted_.resize(entries);
-  columns_.resize(entries);
+  slots_.resize(entries);
+  diagonals_.assign(states, 0);
+  std::vector<std::size_t> q_offsets(states + 1, 0);
+  std::vector<std::size_t> q_columns;
+  q_columns.reserve(entries + states);
   const auto by_column_then_rate = [&rows](std::uint32_t a, std::uint32_t b) {
     return std::pair(rows.columns[a], rows.rates[a]) < std::pair(rows.columns[b], rows.rates[b]);
+  };
+  const auto emit = [&q_columns](std::size_t column) {
+    q_columns.push_back(column);
+    return static_cast<std::uint32_t>(q_columns.size() - 1);
   };
   for (std::size_t r = 0; r < states; ++r) {
     const std::size_t begin = offsets[r];
@@ -64,10 +73,23 @@ GeneratorPattern::GeneratorPattern(const RateRows& rows) : entry_offsets_(rows.o
     // per-row micro-sorts, no global triplet sort.
     std::sort(sorted_.begin() + static_cast<std::ptrdiff_t>(begin),
               sorted_.begin() + static_cast<std::ptrdiff_t>(end), by_column_then_rate);
+    // One generator entry per run of one column, and the diagonal spliced in
+    // at its sorted position; a state without exits stores nothing.
+    bool diagonal_emitted = begin == end;
     for (std::size_t k = begin; k < end; ++k) {
-      columns_[k] = static_cast<std::uint32_t>(rows.columns[sorted_[k]]);
+      const std::size_t column = rows.columns[sorted_[k]];
+      if (!diagonal_emitted && column > r) {
+        diagonals_[r] = emit(r);
+        diagonal_emitted = true;
+      }
+      const bool merged = k > begin && rows.columns[sorted_[k - 1]] == column;
+      slots_[k] = merged ? slots_[k - 1] : emit(column);
     }
+    if (!diagonal_emitted) diagonals_[r] = emit(r);
+    q_offsets[r + 1] = q_columns.size();
   }
+  structure_ =
+      linalg::CsrStructure::make(states, states, std::move(q_offsets), std::move(q_columns));
 }
 
 Ctmc::Ctmc(std::size_t states, const std::vector<RateTransition>& transitions)
@@ -79,52 +101,34 @@ Ctmc::Ctmc(const GeneratorPattern& pattern, std::span<const double> rates) {
   if (rates.size() != pattern.entry_count()) {
     throw std::invalid_argument("Ctmc: rate count does not match the pattern");
   }
+  if (pattern.structure_ == nullptr) return;  // the empty chain
   const std::vector<std::size_t>& offsets = pattern.entry_offsets_;
   const std::size_t states = offsets.size() - 1;
   exit_rates_.assign(states, 0.0);
-  std::vector<std::size_t> q_offsets(states + 1, 0);
-  std::vector<std::size_t> col_indices;
-  std::vector<double> values;
-  col_indices.reserve(rates.size() + states);
-  values.reserve(rates.size() + states);
+  std::vector<double> values(pattern.structure_->nnz());
   for (std::size_t r = 0; r < states; ++r) {
     const std::size_t begin = offsets[r];
     const std::size_t end = offsets[r + 1];
+    if (begin == end) continue;
     for (std::size_t k = begin; k < end; ++k) {
       if (!(rates[k] > 0.0) || !std::isfinite(rates[k])) {
         throw std::invalid_argument("Ctmc: rate must be positive and finite");
       }
       exit_rates_[r] += rates[k];  // in the given order
     }
-    // Merge each run of one column in sorted order, and splice the diagonal
-    // -sum(rates) in at its sorted position.
+    // Merge each run of one slot in sorted order; the diagonal is -sum of
+    // the merged row in column order.
     double exit_rate = 0.0;
-    std::size_t diagonal = 0;
-    bool diag_emitted = begin == end;  // a state without exits stores nothing
     for (std::size_t k = begin; k < end; ++k) {
-      const std::size_t column = pattern.columns_[k];
+      const std::uint32_t slot = pattern.slots_[k];
       double rate = rates[pattern.sorted_[k]];
-      while (k + 1 < end && pattern.columns_[k + 1] == column) rate += rates[pattern.sorted_[++k]];
+      while (k + 1 < end && pattern.slots_[k + 1] == slot) rate += rates[pattern.sorted_[++k]];
       exit_rate += rate;
-      if (!diag_emitted && column > r) {
-        diagonal = values.size();
-        col_indices.push_back(r);
-        values.push_back(0.0);
-        diag_emitted = true;
-      }
-      col_indices.push_back(column);
-      values.push_back(rate);
+      values[slot] = rate;
     }
-    if (!diag_emitted) {
-      diagonal = values.size();
-      col_indices.push_back(r);
-      values.push_back(0.0);
-    }
-    if (begin != end) values[diagonal] = -exit_rate;
-    q_offsets[r + 1] = values.size();
+    values[pattern.diagonals_[r]] = -exit_rate;
   }
-  generator_ = linalg::CsrMatrix::from_sorted(states, states, std::move(q_offsets),
-                                              std::move(col_indices), std::move(values));
+  generator_ = linalg::CsrMatrix::from_structure(pattern.structure_, std::move(values));
 }
 
 std::size_t Ctmc::transition_count() const noexcept {

@@ -36,15 +36,11 @@ void TransientSolver::prepare(const Ctmc& chain) {
     throw std::invalid_argument("TransientSolver: empty chain");
   }
   const linalg::CsrMatrix& q = chain.generator();
-  const bool same_structure = states_ == q.rows() && q_row_offsets_ == q.row_offsets() &&
-                              q_col_indices_ == q.col_indices();
-  if (same_structure) {
-    ++reuses_;
-  } else {
-    ++builds_;
-    q_row_offsets_ = q.row_offsets();
-    q_col_indices_ = q.col_indices();
-  }
+  const bool same_structure =
+      q.structure() == q_structure_ ||
+      (q_structure_ != nullptr && q_structure_->same_as(*q.structure()));
+  ++(same_structure ? reuses_ : builds_);
+  q_structure_ = q.structure();
   states_ = q.rows();
 
   // Lambda: strictly above the largest exit rate so the uniformized diagonal
@@ -110,8 +106,7 @@ void TransientSolver::reset() {
   p_row_offsets_.clear();
   p_col_indices_.clear();
   p_values_.clear();
-  q_row_offsets_.clear();
-  q_col_indices_.clear();
+  q_structure_.reset();
   weights_.clear();
   kernel_.reset();
   kernel_fresh_ = false;

@@ -11,9 +11,12 @@
 /// the rates change.  A StationarySolver owns that state across solves:
 ///
 ///  * the off-diagonal transposed generator, built by the solver's own
-///    linear-time counting/bucket transpose and *cached*: when the next
-///    generator has the same sparsity pattern, only the values are scattered
-///    through a precomputed permutation (O(nnz), no sort, no allocation);
+///    linear-time counting/bucket transpose and *cached* against the
+///    generator's shared CsrStructure: when the next generator has the same
+///    structure, only the values are scattered through a precomputed
+///    permutation (O(nnz), no sort, no allocation).  A generator sharing the
+///    cached structure object (a re-rated ctmc::Ctmc) is recognised by
+///    pointer; one assembled elsewhere is compared by content, O(nnz);
 ///  * the diagonal of Q (positions cached the same way);
 ///  * the iterate / residual scratch vectors.
 ///
@@ -28,6 +31,10 @@
 ///    clamp) is positively homogeneous, so the trajectory is the classical
 ///    one up to scale, and a lower bound on the normalized successive
 ///    difference decides convergence no later than the classical test;
+///  * near the tolerance the classical test itself runs (the exact tail),
+///    and it stops at the first component whose normalized difference is at
+///    or above the tolerance: that one already settles "not converged", and
+///    most tail sweeps are such sweeps;
 ///  * SteadyStateMethod::kAuto gets stall detection: the sweep difference is
 ///    sampled at checkpoints, the geometric decay rate is estimated, and when
 ///    the projected sweeps-to-tolerance exceed the remaining budget the
@@ -41,6 +48,8 @@
 /// share one per thread (core::Session keeps one per worker thread).
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "patchsec/linalg/csr_matrix.hpp"
@@ -71,6 +80,12 @@ class StationarySolver {
   /// Number of solves that had to rebuild the cached transpose because the
   /// sparsity structure changed (first solve counts as one rebuild).
   [[nodiscard]] std::size_t transpose_rebuilds() const noexcept { return rebuilds_; }
+  /// Solves that reused the cached transpose because the generator shares
+  /// the cached structure object.
+  [[nodiscard]] std::size_t identity_reuses() const noexcept { return identity_reuses_; }
+  /// Solves that reused it after an O(nnz) compare found an equal structure
+  /// in another object.  Every solve counts once among the three.
+  [[nodiscard]] std::size_t content_reuses() const noexcept { return content_reuses_; }
   /// Number of kAuto Gauss-Seidel attempts abandoned by stall detection.
   [[nodiscard]] std::size_t stall_events() const noexcept { return stalls_; }
 
@@ -78,7 +93,6 @@ class StationarySolver {
   void reset();
 
  private:
-  [[nodiscard]] bool structure_matches(const CsrMatrix& q) const noexcept;
   void prepare(const CsrMatrix& q);
 
   SteadyStateResult power_iteration(const CsrMatrix& q, const SteadyStateOptions& opt);
@@ -87,27 +101,29 @@ class StationarySolver {
 
   SteadyStateOptions options_;
 
-  // Cached structure of the last generator (reuse detection).
-  std::vector<std::size_t> q_row_offsets_;
-  std::vector<std::size_t> q_col_indices_;
+  // Structure of the last generator (reuse detection), held so its address
+  // cannot be reused by another structure while it is cached.
+  std::shared_ptr<const CsrStructure> structure_;
   // Cached transpose (off-diagonal entries only; the sweeps read the
   // diagonal separately): pattern, values, and the scatter permutation
-  // mapping the k-th value of Q to its transpose slot (SIZE_MAX marks
-  // diagonal entries).
-  std::vector<std::size_t> t_row_offsets_;
-  std::vector<std::size_t> t_col_indices_;
+  // mapping the k-th value of Q to its transpose slot (UINT32_MAX marks
+  // diagonal entries).  32-bit indices halve the index traffic of a sweep.
+  std::vector<std::uint32_t> t_row_offsets_;
+  std::vector<std::uint32_t> t_col_indices_;
   std::vector<double> t_values_;
-  std::vector<std::size_t> scatter_;
+  std::vector<std::uint32_t> scatter_;
   // Cached diagonal of Q plus the value index of each diagonal entry
-  // (SIZE_MAX when a row has no stored diagonal).
+  // (UINT32_MAX when a row has no stored diagonal).
   std::vector<double> diag_;
-  std::vector<std::size_t> diag_index_;
+  std::vector<std::uint32_t> diag_index_;
   // Iterate and residual scratch.
   std::vector<double> x_;
   std::vector<double> y_;
 
   std::size_t solves_ = 0;
   std::size_t rebuilds_ = 0;
+  std::size_t identity_reuses_ = 0;
+  std::size_t content_reuses_ = 0;
   std::size_t stalls_ = 0;
 };
 

@@ -36,11 +36,13 @@ constexpr double kStallMinDiffFactor = 1e4;
 constexpr double kExactCheckWindow = 64.0;
 constexpr double kExactCheckHorizon = 64.0;
 
+// Marks a diagonal entry in the scatter permutation and a row without one.
+constexpr std::uint32_t kDiagSlot = std::numeric_limits<std::uint32_t>::max();
+
 }  // namespace
 
 void StationarySolver::reset() {
-  q_row_offsets_.clear();
-  q_col_indices_.clear();
+  structure_.reset();
   t_row_offsets_.clear();
   t_col_indices_.clear();
   t_values_.clear();
@@ -51,40 +53,39 @@ void StationarySolver::reset() {
   y_.clear();
 }
 
-bool StationarySolver::structure_matches(const CsrMatrix& q) const noexcept {
-  return q.row_offsets() == q_row_offsets_ && q.col_indices() == q_col_indices_;
-}
-
 void StationarySolver::prepare(const CsrMatrix& q) {
   const std::size_t n = q.rows();
   const auto& off = q.row_offsets();
   const auto& col = q.col_indices();
   const auto& val = q.values();
 
-  if (structure_matches(q)) {
+  const bool same_object = q.structure() == structure_;
+  if (same_object || (structure_ != nullptr && structure_->same_as(*q.structure()))) {
+    ++(same_object ? identity_reuses_ : content_reuses_);
+    structure_ = q.structure();
     // Cache hit: only the values can have changed.  Scatter them through the
     // cached permutation and refresh the diagonal — no sort, no allocation.
-    constexpr std::size_t kDiagSlot = std::numeric_limits<std::size_t>::max();
     for (std::size_t k = 0; k < val.size(); ++k) {
       if (scatter_[k] != kDiagSlot) t_values_[scatter_[k]] = val[k];
     }
     for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t k = diag_index_[i];
+      const std::uint32_t k = diag_index_[i];
       diag_[i] = (k == kDiagSlot) ? 0.0 : val[k];
     }
     return;
   }
+  if (std::max(n, val.size()) >= kDiagSlot) {
+    throw std::length_error("StationarySolver: more than 2^32 - 2 states or entries");
+  }
 
   ++rebuilds_;
-  q_row_offsets_ = off;
-  q_col_indices_ = col;
+  structure_ = q.structure();
 
   // Counting/bucket transpose with the scatter permutation recorded so the
   // next same-structure solve can refresh values in one pass.  Diagonal
   // entries are excluded from the transpose (they are consumed separately by
   // the sweeps), which both shrinks the arrays and removes the j != i branch
   // from the Gauss-Seidel inner loop.
-  constexpr std::size_t kDiagSlot = std::numeric_limits<std::size_t>::max();
   t_row_offsets_.assign(n + 1, 0);
   std::size_t diag_count = 0;
   for (std::size_t r = 0; r < n; ++r) {
@@ -100,7 +101,7 @@ void StationarySolver::prepare(const CsrMatrix& q) {
   t_col_indices_.resize(col.size() - diag_count);
   t_values_.resize(col.size() - diag_count);
   scatter_.resize(col.size());
-  std::vector<std::size_t> cursor(t_row_offsets_.begin(), t_row_offsets_.end() - 1);
+  std::vector<std::uint32_t> cursor(t_row_offsets_.begin(), t_row_offsets_.end() - 1);
   diag_.assign(n, 0.0);
   diag_index_.assign(n, kDiagSlot);
   for (std::size_t r = 0; r < n; ++r) {
@@ -109,12 +110,12 @@ void StationarySolver::prepare(const CsrMatrix& q) {
       if (c == r) {
         scatter_[k] = kDiagSlot;
         diag_[r] = val[k];
-        diag_index_[r] = k;
+        diag_index_[r] = static_cast<std::uint32_t>(k);
         continue;
       }
-      const std::size_t slot = cursor[c]++;
+      const std::uint32_t slot = cursor[c]++;
       scatter_[k] = slot;
-      t_col_indices_[slot] = r;
+      t_col_indices_[slot] = static_cast<std::uint32_t>(r);
       t_values_[slot] = val[k];
     }
   }
@@ -196,21 +197,28 @@ SteadyStateResult StationarySolver::gauss_seidel(const CsrMatrix& q, const Stead
     double d = 0.0;
     double sum = 0.0;
     double max_x = 0.0;
+    // Raw pointers: the iterate stores cannot move the arrays, so their
+    // addresses stay in registers across rows (~10% of a sweep).
+    const std::uint32_t* row = t_row_offsets_.data();
+    const std::uint32_t* col = t_col_indices_.data();
+    const double* val = t_values_.data();
+    const double* diag = diag_.data();
+    double* x = x_.data();
     for (std::size_t i = 0; i < n; ++i) {
-      const double xi = x_[i];
-      if (diag_[i] == 0.0) {  // absorbing-in-isolation row; keep mass
+      const double xi = x[i];
+      if (diag[i] == 0.0) {  // absorbing-in-isolation row; keep mass
         sum += xi;
         max_x = std::max(max_x, xi);
         continue;
       }
       double acc = 0.0;
-      for (std::size_t k = t_row_offsets_[i]; k < t_row_offsets_[i + 1]; ++k) {
-        acc += t_values_[k] * x_[t_col_indices_[k]];  // diagonal-free rows
+      for (std::uint32_t k = row[i]; k < row[i + 1]; ++k) {
+        acc += val[k] * x[col[k]];  // diagonal-free rows
       }
-      double next = -acc / diag_[i];
+      double next = -acc / diag[i];
       if (next < 0.0) next = 0.0;  // round-off guard; true solution is >= 0
       d = std::max(d, std::abs(next - xi));
-      x_[i] = next;
+      x[i] = next;
       sum += next;
       max_x = std::max(max_x, next);
     }
@@ -221,12 +229,20 @@ SteadyStateResult StationarySolver::gauss_seidel(const CsrMatrix& q, const Stead
       normalize_probability(x_);
     }
     if (exact_tail) {
-      // Classical criterion on the normalized iterates, computed on the fly.
-      double e = 0.0;
+      // Classical criterion on the normalized iterates, computed on the fly:
+      // max_i |x_i/S - y_i/S_prev| < tol.  The first component at or above
+      // tol settles "not converged", so the scan stops there; most tail
+      // sweeps end early.  A NaN component fails `>= tol` as it failed to
+      // raise std::max, and the tail arms only for tol > 0, so the verdict,
+      // hence every iterate, is the full max's.
+      bool settled = true;
       for (std::size_t i = 0; i < n; ++i) {
-        e = std::max(e, std::abs(x_[i] / sum - y_[i] / prev_sum));
+        if (std::abs(x_[i] / sum - y_[i] / prev_sum) >= opt.tolerance) {
+          settled = false;
+          break;
+        }
       }
-      if (e < opt.tolerance) {
+      if (settled) {
         result.converged = true;
         break;
       }

@@ -3,7 +3,8 @@
 // elimination: the SRN is lowered to a CTMC over tangible markings exactly as
 // SPNP does it.  One breadth-first pass in state-id order emits each state's
 // merged edge row, and the Ctmc assembles its generator from those rows once.
-// It records its firings too, so rerate() can re-rate a net without exploring.
+// explore_for_rerate() records the firings too, so rerate() can re-rate the
+// net without exploring.
 
 #include <cstddef>
 #include <cstdint>
@@ -72,8 +73,10 @@ struct SolveDiagnostics {
 
 /// What rerate() needs: each timed firing's successors in exploration order
 /// (the firing's transition, the RateRows entry each adds to) and the
-/// generator's assembly pattern.  8 bytes per firing in a net without
-/// immediates, where each firing has one successor of probability 1.
+/// generator's assembly pattern, which owns the structure every re-rated
+/// chain shares.  8 bytes per firing in a net without immediates, where each
+/// firing has one successor of probability 1; only explore_for_rerate()
+/// pays for it.
 struct FiringRecord {
   std::size_t places = 0;  ///< place count of the explored net...
   std::size_t timed = 0;   ///< ...and its timed transition count.
@@ -107,7 +110,8 @@ struct ReachabilityGraph {
   /// transition), so at most timed transitions x tangible states.  The
   /// explorer's work counter.
   std::size_t firings = 0;
-  /// The firings behind `chain`, for rerate().
+  /// The firings behind `chain`, for rerate(); left empty (offsets {0})
+  /// unless the graph came from explore_for_rerate().
   FiringRecord record;
 
   [[nodiscard]] std::size_t tangible_count() const noexcept { return tangible_markings.size(); }
@@ -126,16 +130,24 @@ struct ReachabilityGraph {
 /// Explore the net from its initial marking.  Throws std::runtime_error when
 /// a bound of `options` is exceeded (vanishing loop / state-space blow-up)
 /// and std::domain_error when the initial marking deadlocks immediately.
+/// The graph keeps no FiringRecord, so rerate() refuses it.
 [[nodiscard]] ReachabilityGraph build_reachability_graph(const SrnModel& model,
                                                          const ReachabilityOptions& options = {});
+
+/// build_reachability_graph, bit for bit, plus the FiringRecord rerate()
+/// needs: for an exploration a caller will re-rate.
+[[nodiscard]] ReachabilityGraph explore_for_rerate(const SrnModel& model,
+                                                   const ReachabilityOptions& options = {});
 
 /// The chain build_reachability_graph(model) would assemble, bit for bit,
 /// without exploring: the recorded rates are re-evaluated on `model` in
 /// exploration order, through exploration's check (so a bad rate throws the
-/// same std::domain_error), and filled into the recorded pattern.  `model`
-/// must be graph's net with only rate functions changed (std::invalid_argument
-/// when its place or timed transition count differs; guards cannot be
-/// compared).  The markings and initial distribution stay graph's.
+/// same std::domain_error), and filled into the recorded pattern; the chain
+/// shares graph.chain's generator structure.  `graph` must come from
+/// explore_for_rerate() and `model` must be its net with only rate functions
+/// changed (std::invalid_argument when the graph kept no record or the place
+/// or timed transition count differs; guards cannot be compared).  The
+/// markings and initial distribution stay graph's.
 [[nodiscard]] ctmc::Ctmc rerate(const ReachabilityGraph& graph, const SrnModel& model);
 
 /// Convenience analyzer: builds the graph once, solves the steady state once
@@ -151,21 +163,19 @@ class SrnAnalyzer {
   /// steady-state solve through a caller-owned linalg::StationarySolver so
   /// repeated analyses of same-structure SRNs (schedule sweeps, design
   /// sweeps) reuse the cached transpose/diagonal/scratch.
+  ///
+  /// `exploration` asks for the exploration back, to re-rate it later: when
+  /// it points at an exploration of `model`'s net at other rates, that one is
+  /// re-rated (the same analysis, bit for bit); when it points at null, the
+  /// net is explored with its FiringRecord (explore_for_rerate) and the
+  /// exploration stored there.  A null `exploration` explores without one.
   SrnAnalyzer(const SrnModel& model, const AnalyzerOptions& options,
-              linalg::StationarySolver* workspace = nullptr);
-
-  /// The same analysis, bit for bit, on rerate(*explored, model): `explored`
-  /// is `model`'s net explored at other rates, shared (null explores).
-  SrnAnalyzer(std::shared_ptr<const ReachabilityGraph> explored, const SrnModel& model,
-              const AnalyzerOptions& options, linalg::StationarySolver* workspace = nullptr);
+              linalg::StationarySolver* workspace = nullptr,
+              std::shared_ptr<const ReachabilityGraph>* exploration = nullptr);
 
   /// The exploration whose markings the rewards read.  After a re-rate its
   /// chain holds the rates it was explored at, not the ones solved.
   [[nodiscard]] const ReachabilityGraph& graph() const noexcept { return *graph_; }
-  /// The same exploration, shared: another cadence of the net can re-rate it.
-  [[nodiscard]] const std::shared_ptr<const ReachabilityGraph>& exploration() const noexcept {
-    return graph_;
-  }
   [[nodiscard]] const std::vector<double>& steady_state() const noexcept { return steady_; }
 
   /// State counts, solver iterations, residual, convergence flag and wall

@@ -272,8 +272,10 @@ std::size_t ReachabilityGraph::index_of(const Marking& m) const {
   return it->second;
 }
 
-ReachabilityGraph build_reachability_graph(const SrnModel& model,
-                                           const ReachabilityOptions& options) {
+namespace {
+
+ReachabilityGraph explore(const SrnModel& model, const ReachabilityOptions& options,
+                          bool keep_record) {
   ReachabilityGraph graph;
   const std::size_t reserve = std::min(options.max_tangible_markings, std::size_t{1024});
   graph.tangible_markings.reserve(reserve);
@@ -329,12 +331,18 @@ ReachabilityGraph build_reachability_graph(const SrnModel& model,
 
   // States are expanded in id order: ids are handed out in discovery order,
   // so this is breadth-first, and each state's merged edge row is appended
-  // whole — the RateRows form the Ctmc assembles from, recorded for rerate().
+  // whole — the RateRows form the Ctmc assembles from, recorded for rerate()
+  // when kept.
   ctmc::RateRows rows;
   rows.offsets.reserve(reserve + 1);
   FiringRecord& record = graph.record;
-  record.places = model.place_count();
-  record.timed = net.timed().size();
+  if (keep_record) {
+    record.places = model.place_count();
+    record.timed = net.timed().size();
+  }
+  const auto add_successor = [&](std::uint32_t timed, std::uint32_t entry) {
+    if (keep_record) record.successors.push_back({timed, entry});
+  };
   const auto add_edge = [&rows](std::size_t row_begin, std::size_t from, std::size_t to,
                                 double rate) -> std::uint32_t {
     if (to == from) return FiringRecord::kSelfLoop;  // net effect is a self loop: drop
@@ -365,30 +373,45 @@ ReachabilityGraph build_reachability_graph(const SrnModel& model,
       const auto timed = static_cast<std::uint32_t>(t - net.timed().data());
       std::uint64_t key = current_key;
       if (packed && interner.packable() && interner.advance(net.deltas(*t), key)) {
-        record.successors.push_back({timed, add_edge(row_begin, from, intern_key(key), r)});
+        add_successor(timed, add_edge(row_begin, from, intern_key(key), r));
         continue;
       }
       explorer.resolve_firing(*t, current, graph.vanishing_markings_seen);
       for (std::size_t i = 0; i < explorer.successor_count(); ++i) {
         const Explorer::Successor& succ = explorer.successors()[i];
-        record.successors.push_back(
-            {timed, add_edge(row_begin, from, intern(succ.marking), r * succ.probability)});
-        if (immediates) record.probabilities.push_back(succ.probability);
+        add_successor(timed,
+                      add_edge(row_begin, from, intern(succ.marking), r * succ.probability));
+        if (keep_record && immediates) record.probabilities.push_back(succ.probability);
       }
     }
     rows.offsets.push_back(rows.columns.size());
-    record.offsets.push_back(record.successors.size());
+    if (keep_record) record.offsets.push_back(record.successors.size());
   }
 
-  record.pattern = ctmc::GeneratorPattern(rows);
-  graph.chain = ctmc::Ctmc(record.pattern, rows.rates);
+  ctmc::GeneratorPattern pattern(rows);
+  graph.chain = ctmc::Ctmc(pattern, rows.rates);
+  if (keep_record) record.pattern = std::move(pattern);
   graph.initial_distribution.assign(graph.tangible_count(), 0.0);
   for (const auto& [id, p] : initial) graph.initial_distribution[id] += p;
   return graph;
 }
 
+}  // namespace
+
+ReachabilityGraph build_reachability_graph(const SrnModel& model,
+                                           const ReachabilityOptions& options) {
+  return explore(model, options, /*keep_record=*/false);
+}
+
+ReachabilityGraph explore_for_rerate(const SrnModel& model, const ReachabilityOptions& options) {
+  return explore(model, options, /*keep_record=*/true);
+}
+
 ctmc::Ctmc rerate(const ReachabilityGraph& graph, const SrnModel& model) {
   const FiringRecord& record = graph.record;
+  if (record.offsets.size() != graph.tangible_count() + 1) {
+    throw std::invalid_argument("rerate: the exploration kept no firing record");
+  }
   const CompiledNet net(model);
   const std::span<const CompiledTransition> timed = net.timed();
   if (model.place_count() != record.places || timed.size() != record.timed) {
@@ -415,23 +438,23 @@ SrnAnalyzer::SrnAnalyzer(const SrnModel& model, const ReachabilityOptions& optio
                                          .throw_on_divergence = true}) {}
 
 SrnAnalyzer::SrnAnalyzer(const SrnModel& model, const AnalyzerOptions& options,
-                         linalg::StationarySolver* workspace)
-    : SrnAnalyzer(nullptr, model, options, workspace) {}
-
-SrnAnalyzer::SrnAnalyzer(std::shared_ptr<const ReachabilityGraph> explored, const SrnModel& model,
-                         const AnalyzerOptions& options, linalg::StationarySolver* workspace)
-    : graph_(std::move(explored)) {
+                         linalg::StationarySolver* workspace,
+                         std::shared_ptr<const ReachabilityGraph>* exploration) {
   const auto start = std::chrono::steady_clock::now();
-  const bool rerating = graph_ != nullptr;
-  if (!rerating) {
+  const bool rerating = exploration != nullptr && *exploration != nullptr;
+  if (rerating) {
+    graph_ = *exploration;
+  } else {
     graph_ = std::make_shared<const ReachabilityGraph>(
-        build_reachability_graph(model, options.reachability));
+        exploration != nullptr ? explore_for_rerate(model, options.reachability)
+                               : build_reachability_graph(model, options.reachability));
+    if (exploration != nullptr) *exploration = graph_;
   }
   const ctmc::Ctmc rerated = rerating ? rerate(*graph_, model) : ctmc::Ctmc();
   const ctmc::Ctmc& chain = rerating ? rerated : graph_->chain;
-  const linalg::SteadyStateResult ss = workspace != nullptr
-                                           ? chain.steady_state(*workspace, options.steady_state)
-                                           : chain.steady_state(options.steady_state);
+  linalg::SteadyStateResult ss = workspace != nullptr
+                                     ? chain.steady_state(*workspace, options.steady_state)
+                                     : chain.steady_state(options.steady_state);
   diagnostics_.tangible_states = graph_->tangible_count();
   diagnostics_.vanishing_markings = graph_->vanishing_markings_seen;
   diagnostics_.transitions = chain.transition_count();
@@ -443,7 +466,7 @@ SrnAnalyzer::SrnAnalyzer(std::shared_ptr<const ReachabilityGraph> explored, cons
   if (options.throw_on_divergence && diagnostics_.badly_diverged()) {
     throw std::runtime_error("SRN steady-state solve failed to converge");
   }
-  steady_ = ss.distribution;
+  steady_ = std::move(ss.distribution);
 }
 
 double SrnAnalyzer::expected_reward(const RewardFunction& reward) const {

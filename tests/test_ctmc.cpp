@@ -91,6 +91,45 @@ TEST(Ctmc, UngroupedTransitionsAssembleLikeGrouped) {
             (std::vector<std::size_t>{0, 1, 2, 0, 1, 0, 2, 3}));
 }
 
+TEST(Ctmc, ParallelEdgesMergeBitIdenticallyThroughTheValuesOnlyFill) {
+  // Row 0 holds two parallel edge groups out of order; rates like 0.1, 0.2,
+  // 0.3 round differently in another order.  The pattern sorts each row by
+  // (column, rate) once; a fill merges in that order and writes values only.
+  ct::RateRows rows;
+  rows.offsets = {0, 5, 6, 6};
+  rows.columns = {2, 1, 2, 2, 1, 0};
+  rows.rates = {0.3, 0.1, 0.1, 0.2, 0.7, 1.0};
+  const ct::GeneratorPattern pattern(rows);
+  ASSERT_EQ(pattern.entry_count(), 6u);
+  const ct::Ctmc explored(pattern, rows.rates);
+  const ct::Ctmc direct(rows);
+  EXPECT_EQ(explored.generator().values(), direct.generator().values());
+  EXPECT_EQ(explored.exit_rates(), direct.exit_rates());
+  const auto& q = explored.generator();
+  EXPECT_EQ(q.row_offsets(), (std::vector<std::size_t>{0, 3, 5, 5}));
+  EXPECT_EQ(q.col_indices(), (std::vector<std::size_t>{0, 1, 2, 0, 1}));
+  const double col1 = 0.1 + 0.7;
+  const double col2 = (0.1 + 0.2) + 0.3;
+  EXPECT_EQ(q.values(), (std::vector<double>{-(col1 + col2), col1, col2, 1.0, -1.0}));
+  EXPECT_EQ(explored.exit_rates()[0], (((0.3 + 0.1) + 0.1) + 0.2) + 0.7);
+
+  // New rates in entry order merge in the pattern's order, into the same
+  // structure object.
+  const std::vector<double> rerated{0.2, 0.3, 0.1, 0.6, 0.05, 2.5};
+  const ct::Ctmc refilled(pattern, rerated);
+  EXPECT_EQ(refilled.generator().structure(), q.structure());
+  const double r1 = 0.3 + 0.05;
+  const double r2 = (0.1 + 0.6) + 0.2;
+  EXPECT_EQ(refilled.generator().values(), (std::vector<double>{-(r1 + r2), r1, r2, 2.5, -2.5}));
+  EXPECT_EQ(refilled.exit_rates(),
+            (std::vector<double>{(((0.2 + 0.3) + 0.1) + 0.6) + 0.05, 2.5, 0.0}));
+  EXPECT_EQ(refilled.transition_count(), 3u);
+
+  EXPECT_THROW(ct::Ctmc(pattern, std::vector<double>(5, 1.0)), std::invalid_argument);
+  EXPECT_THROW(ct::Ctmc(pattern, std::vector<double>{0.2, 0.3, 0.0, 0.6, 0.05, 2.5}),
+               std::invalid_argument);
+}
+
 TEST(Ctmc, IrreducibilityOracle) {
   EXPECT_FALSE(structural_oracle::is_irreducible(ct::Ctmc(3, {{0, 1, 1.0}, {1, 0, 1.0}})));
   EXPECT_TRUE(structural_oracle::is_irreducible(

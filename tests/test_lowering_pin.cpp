@@ -6,7 +6,9 @@
 //
 // The same pins hold for a net explored at 168 h and re-rated (petri::rerate)
 // to 720 h and 1440 h: re-rating must reproduce a fresh exploration bit for
-// bit, and refuse every rate exploration refuses with the same error.
+// bit while sharing the explored generator's structure arrays, and refuse
+// every rate exploration refuses with the same error, and any exploration
+// that kept no firing record.
 //
 // Also the reachability work counter: ReachabilityGraph::firings must equal
 // the timed firings the lowering resolves, one per (state, enabled timed
@@ -20,7 +22,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <map>
 #include <stdexcept>
@@ -33,31 +34,14 @@
 #include "patchsec/enterprise/design.hpp"
 #include "patchsec/enterprise/network.hpp"
 #include "patchsec/petri/reachability.hpp"
+#include "bit_hash.hpp"
 
 namespace av = patchsec::avail;
 namespace ent = patchsec::enterprise;
 namespace pt = patchsec::petri;
+using patchsec::testing::Fnv1a;
 
 namespace {
-
-class Fnv1a {
- public:
-  void word(std::uint64_t w) {
-    for (int b = 0; b < 8; ++b) {
-      hash_ ^= (w >> (8 * b)) & 0xffu;
-      hash_ *= 1099511628211ull;
-    }
-  }
-  void real(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    word(bits);
-  }
-  [[nodiscard]] std::uint64_t value() const noexcept { return hash_; }
-
- private:
-  std::uint64_t hash_ = 1469598103934665603ull;
-};
 
 /// Hash of a lowering: `graph`'s markings and initial distribution with
 /// `chain` (graph.chain, or a re-rate of it).
@@ -230,20 +214,37 @@ TEST(LoweringPin, RerateFromTheWeeklyExplorationHitsThePins) {
   // explored once at 168 h, re-rated to the other pinned cadences.
   const std::map<std::string, pt::SrnModel> weekly = pinned_models(168.0);
   std::map<std::string, pt::ReachabilityGraph> explored;
-  for (const auto& [name, model] : weekly) explored.emplace(name, pt::build_reachability_graph(model));
+  for (const auto& [name, model] : weekly) {
+    const pt::ReachabilityGraph& graph =
+        explored.emplace(name, pt::explore_for_rerate(model)).first->second;
+    // Keeping the record changes no bit of the exploration itself.
+    const std::string key = cadence_prefix(168.0) + name;
+    EXPECT_EQ(lowering_hash(graph, graph.chain), pinned_hashes().at(key)) << key;
+  }
   for (const double cadence : {720.0, 1440.0}) {
     const std::map<std::string, pt::SrnModel> models = pinned_models(cadence);
     ASSERT_EQ(models.size(), explored.size());
     for (const auto& [name, model] : models) {
       const pt::ReachabilityGraph& graph = explored.at(name);
       const std::string key = cadence_prefix(cadence) + name;
-      EXPECT_EQ(lowering_hash(graph, pt::rerate(graph, model)), pinned_hashes().at(key)) << key;
+      const patchsec::ctmc::Ctmc chain = pt::rerate(graph, model);
+      EXPECT_EQ(lowering_hash(graph, chain), pinned_hashes().at(key)) << key;
+      // The re-rate wrote values only: its structure is the exploration's own.
+      EXPECT_EQ(chain.generator().structure(), graph.chain.generator().structure()) << key;
+      EXPECT_EQ(chain.generator().row_offsets().data(),
+                graph.chain.generator().row_offsets().data())
+          << key;
+      EXPECT_EQ(chain.generator().col_indices().data(),
+                graph.chain.generator().col_indices().data())
+          << key;
+      EXPECT_NE(chain.generator().values().data(), graph.chain.generator().values().data())
+          << key;
     }
   }
 }
 
 TEST(LoweringRerate, RefusesEveryRateExplorationRefuses) {
-  const pt::ReachabilityGraph graph = pt::build_reachability_graph(up_down(0.5));
+  const pt::ReachabilityGraph graph = pt::explore_for_rerate(up_down(0.5));
   for (const double bad : {0.0, -1.0, std::nan(""), std::numeric_limits<double>::infinity()}) {
     std::string fresh;
     std::string rerated;
@@ -273,6 +274,14 @@ TEST(LoweringRerate, RefusesEveryRateExplorationRefuses) {
             lowering_hash(fresh, fresh.chain));
 }
 
+TEST(LoweringRerate, RefusesAnExplorationWithoutARecord) {
+  // build_reachability_graph keeps no firing record: nothing to re-rate.
+  const pt::ReachabilityGraph graph = pt::build_reachability_graph(up_down(0.5));
+  EXPECT_TRUE(graph.record.successors.empty());
+  EXPECT_THROW((void)pt::rerate(graph, up_down(0.25)), std::invalid_argument);
+  EXPECT_THROW((void)pt::rerate(graph, up_down(0.5)), std::invalid_argument);
+}
+
 TEST(LoweringWork, FiringsCountEveryEnabledTimedTransitionOnce) {
   // k = 1..8 servers per tier: (k+1)^4 states up to 6,561.  The explorer
   // fires each enabled timed transition of each tangible state exactly once,
@@ -286,14 +295,19 @@ TEST(LoweringWork, FiringsCountEveryEnabledTimedTransitionOnce) {
       const ent::RedundancyDesign design{{k, k, k, k}};
       const av::NetworkSrn net = synchronized ? av::build_network_srn_synchronized(design, rates)
                                               : av::build_network_srn(design, rates);
-      const pt::ReachabilityGraph graph = pt::build_reachability_graph(net.model);
+      const pt::ReachabilityGraph graph = pt::explore_for_rerate(net.model);
       std::size_t enabled = 0;
       for (const pt::Marking& m : graph.tangible_markings) enabled += net.model.enabled_timed(m).size();
       EXPECT_EQ(graph.firings, enabled) << "k=" << k << " synchronized=" << synchronized;
-      // Without immediates the record is one 8-byte successor per firing.
+      // Without immediates the record is one 8-byte successor per firing...
       static_assert(sizeof(pt::FiringRecord::Successor) == 8);
       EXPECT_EQ(graph.record.successors.size(), graph.firings);
       EXPECT_TRUE(graph.record.probabilities.empty());
+      // ...and an exploration nobody re-rates does the same work without it.
+      const pt::ReachabilityGraph plain = pt::build_reachability_graph(net.model);
+      EXPECT_EQ(plain.firings, graph.firings);
+      EXPECT_TRUE(plain.record.successors.empty());
+      EXPECT_EQ(plain.record.offsets.size(), 1u);
       EXPECT_LE(graph.firings, net.model.transition_count() * graph.tangible_count())
           << "k=" << k;
     }

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
+#include <string>
 
 #include "patchsec/avail/aggregation.hpp"
+#include "patchsec/avail/network_srn.hpp"
 #include "patchsec/avail/server_srn.hpp"
 #include "patchsec/core/report.hpp"
 #include "patchsec/core/sensitivity.hpp"
@@ -113,6 +116,41 @@ TEST(Sensitivity, SingleServerTiersOutweighRedundantOnes) {
         std::max(redundant ? best_redundant : best_single, std::abs(e.elasticity));
   }
   EXPECT_GT(best_single, best_redundant);
+}
+
+TEST(Sensitivity, ReratedElasticitiesMatchFreshExplorations) {
+  // coa_sensitivity explores the base net once and re-rates it for every
+  // perturbed net; exploring and solving each afresh gives the same bits.
+  const ent::RedundancyDesign design = ent::example_network_design();
+  const double step = 0.01;
+  const auto coa = [&design](const std::map<ent::ServerRole, av::AggregatedRates>& at) {
+    return av::capacity_oriented_availability_detailed(design, at, pt::AnalyzerOptions{}).coa;
+  };
+  const double base_coa = coa(rates());
+  std::map<std::string, core::SensitivityEntry> fresh;
+  for (const auto& [role, r] : rates()) {
+    if (design.count(role) == 0) continue;
+    for (const bool perturb_mu : {true, false}) {
+      const auto at = [&, role = role](double factor) {
+        std::map<ent::ServerRole, av::AggregatedRates> perturbed = rates();
+        (perturb_mu ? perturbed.at(role).mu_eq : perturbed.at(role).lambda_eq) *= factor;
+        return coa(perturbed);
+      };
+      core::SensitivityEntry e;
+      e.parameter = std::string(perturb_mu ? "mu_eq(" : "lambda_eq(") + ent::to_string(role) + ")";
+      e.base_value = perturb_mu ? r.mu_eq : r.lambda_eq;
+      e.derivative = (at(1.0 + step) - at(1.0 - step)) / (2.0 * step * e.base_value);
+      e.elasticity = e.derivative * e.base_value / base_coa;
+      fresh.emplace(e.parameter, e);
+    }
+  }
+  const auto entries = core::coa_sensitivity(design, rates(), step);
+  ASSERT_EQ(entries.size(), fresh.size());
+  for (const core::SensitivityEntry& e : entries) {
+    const core::SensitivityEntry& expected = fresh.at(e.parameter);
+    EXPECT_EQ(e.derivative, expected.derivative) << e.parameter;
+    EXPECT_EQ(e.elasticity, expected.elasticity) << e.parameter;
+  }
 }
 
 TEST(Sensitivity, StepValidation) {

@@ -355,6 +355,20 @@ TEST(SessionRerate, ASixCadenceSweepExploresEachRoleAndEachDesignOnce) {
   EXPECT_EQ(counters.server_rerates, scenario.specs().size() * 5);
   EXPECT_EQ(counters.network_explorations, 8u);
   EXPECT_EQ(counters.network_rerates, 40u);
+  // The eight designs have eight network structures: one transpose build
+  // each, and every re-rated cell shares its exploration's structure, so
+  // none needs a content compare.
+  EXPECT_EQ(counters.availability_solves, 48u);
+  EXPECT_EQ(counters.availability_transpose_rebuilds, 8u);
+  EXPECT_EQ(counters.availability_identity_reuses, 40u);
+  EXPECT_EQ(counters.availability_content_reuses, 0u);
+  // The four roles' server nets share one structure but are explored apart,
+  // and each server solve follows another role's: one build, then content
+  // compares.
+  EXPECT_EQ(counters.aggregation_solves, 24u);
+  EXPECT_EQ(counters.aggregation_transpose_rebuilds, 1u);
+  EXPECT_EQ(counters.aggregation_identity_reuses, 0u);
+  EXPECT_EQ(counters.aggregation_content_reuses, 23u);
 
   // Every re-rated cell is what a fresh Session, which explores both layers
   // at that cadence, reports.

@@ -8,12 +8,19 @@
 // case-study SRNs and a randomized generator fuzz set — so neither the
 // workspace caching, the in-sweep convergence test nor the kAuto stall
 // detection can silently change numerics or degrade convergence.
+//
+// The paper network nets also pin every bit of a kAuto solve (iterations,
+// distribution, residual), so a faster convergence test must keep the
+// trajectory exactly.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <map>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "patchsec/avail/aggregation.hpp"
@@ -27,6 +34,7 @@
 #include "patchsec/linalg/steady_state.hpp"
 #include "patchsec/linalg/vector_ops.hpp"
 #include "patchsec/petri/reachability.hpp"
+#include "bit_hash.hpp"
 
 namespace {
 
@@ -379,6 +387,85 @@ TEST(StationarySolverEquivalence, TightAndLooseTolerances) {
 }
 
 // ---------------------------------------------------------------------------
+// Bit pins.
+// ---------------------------------------------------------------------------
+
+struct SolvePin {
+  std::size_t iterations = 0;
+  std::uint64_t hash = 0;  ///< FNV-1a over the distribution and the residual.
+};
+
+/// kAuto on the k = 1..6 uniform network nets and the {3,4,5,6} and
+/// {4,5,6,6} ones at three cadences, keyed "<hours>/<counts>".
+std::map<std::string, SolvePin> network_solve_pins() {
+  const core::Session session(core::Scenario::paper_case_study());
+  std::vector<ent::RedundancyDesign> designs;
+  for (unsigned k = 1; k <= 6; ++k) designs.push_back({{k, k, k, k}});
+  designs.push_back({{3, 4, 5, 6}});
+  designs.push_back({{4, 5, 6, 6}});
+  std::map<std::string, SolvePin> pins;
+  for (const double hours : {168.0, 720.0, 1440.0}) {
+    for (const ent::RedundancyDesign& design : designs) {
+      const av::NetworkSrn net = av::build_network_srn(design, session.aggregated_rates(hours));
+      la::StationarySolver solver;
+      const la::SteadyStateResult r =
+          solver.solve(pt::build_reachability_graph(net.model).chain.generator());
+      patchsec::testing::Fnv1a h;
+      for (const double p : r.distribution) h.real(p);
+      h.real(r.residual);
+      std::string key = std::to_string(static_cast<int>(hours)) + "/";
+      for (const unsigned c : design.counts) key += std::to_string(c);
+      pins[key] = {r.iterations, h.value()};
+    }
+  }
+  return pins;
+}
+
+TEST(StationarySolverPin, NetworkSolvesKeepEveryBit) {
+#if defined(__FMA__)
+  GTEST_SKIP() << "FMA contraction may move rate bits; pins hold for portable builds";
+#endif
+  // Captured before the exact tail stopped at the first component at or
+  // above the tolerance.
+  // clang-format off
+  const std::map<std::string, SolvePin> expected = {
+      {"1440/1111", {7, 0x80016c32fb94a259ull}},
+      {"1440/2222", {12, 0xa72f7c9edefba14bull}},
+      {"1440/3333", {16, 0xe8252ee97abd9597ull}},
+      {"1440/3456", {22, 0xd3e8293a0fd3c2e3ull}},
+      {"1440/4444", {20, 0x9489d2daac327b82ull}},
+      {"1440/4566", {25, 0xbb84435a87187815ull}},
+      {"1440/5555", {24, 0x13a99f76a6d5d100ull}},
+      {"1440/6666", {29, 0x6ea39e900dfe727eull}},
+      {"168/1111", {9, 0xddfaac9e419ada6cull}},
+      {"168/2222", {14, 0xfa7ee55665bed2faull}},
+      {"168/3333", {19, 0xbbf22538ffe86cdfull}},
+      {"168/3456", {26, 0x3c54b4613947e0a6ull}},
+      {"168/4444", {24, 0xc9bb0b7cfcb9e7d1ull}},
+      {"168/4566", {30, 0x00c0b9b87b4c16afull}},
+      {"168/5555", {29, 0xc2539de204dabf1eull}},
+      {"168/6666", {33, 0x47873081194be9c5ull}},
+      {"720/1111", {8, 0x5060bb8458c8a1dcull}},
+      {"720/2222", {12, 0xd98586314c81c806ull}},
+      {"720/3333", {17, 0xe2d82d2a9d610862ull}},
+      {"720/3456", {23, 0x85696e66cae37ce4ull}},
+      {"720/4444", {21, 0x3ca580dd14eeacb9ull}},
+      {"720/4566", {26, 0xd8915d1523fc07f5ull}},
+      {"720/5555", {25, 0x8a1b152adf9560d8ull}},
+      {"720/6666", {30, 0x1c5d9cb03db2bec1ull}},
+  };
+  // clang-format on
+  const std::map<std::string, SolvePin> actual = network_solve_pins();
+  ASSERT_EQ(actual.size(), expected.size());
+  for (const auto& [key, pin] : expected) {
+    const auto it = actual.find(key);
+    ASSERT_NE(it, actual.end()) << key;
+    EXPECT_EQ(it->second.iterations, pin.iterations) << key;
+    EXPECT_EQ(it->second.hash, pin.hash) << key;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Workspace reuse.
 // ---------------------------------------------------------------------------
 
@@ -393,6 +480,8 @@ TEST(StationarySolverWorkspace, ReusesTransposeAcrossSameStructureSolves) {
   EXPECT_TRUE(second.converged);
   EXPECT_EQ(solver.solve_count(), 2u);
   EXPECT_EQ(solver.transpose_rebuilds(), 1u) << "identical structure must hit the cache";
+  EXPECT_EQ(solver.identity_reuses(), 1u) << "the same matrix shares its structure object";
+  EXPECT_EQ(solver.content_reuses(), 0u);
   EXPECT_EQ(first.iterations, second.iterations);
   EXPECT_EQ(first.distribution, second.distribution);
 
@@ -405,15 +494,32 @@ TEST(StationarySolverWorkspace, ReusesTransposeAcrossSameStructureSolves) {
   const la::SteadyStateResult warm = solver.solve(q4_weekly);
   EXPECT_TRUE(warm.converged);
   EXPECT_EQ(solver.transpose_rebuilds(), 1u);
+  EXPECT_EQ(solver.content_reuses(), 1u) << "a separate exploration is compared by content";
   la::StationarySolver fresh;
   const la::SteadyStateResult cold = fresh.solve(q4_weekly);
   EXPECT_EQ(warm.iterations, cold.iterations);
   EXPECT_EQ(warm.distribution, cold.distribution);
 
+  // A re-rate of that exploration shares its structure: recognised by pointer.
+  const pt::ReachabilityGraph explored = pt::explore_for_rerate(net.model);
+  (void)solver.solve(explored.chain.generator());
+  EXPECT_EQ(solver.content_reuses(), 2u);
+  const av::NetworkSrn monthly =
+      av::build_network_srn(ent::RedundancyDesign{{4, 4, 4, 4}}, session.aggregated_rates());
+  const patchsec::ctmc::Ctmc rerated = pt::rerate(explored, monthly.model);
+  const la::SteadyStateResult by_identity = solver.solve(rerated.generator());
+  EXPECT_EQ(solver.identity_reuses(), 2u);
+  EXPECT_EQ(solver.content_reuses(), 2u);
+  EXPECT_EQ(solver.transpose_rebuilds(), 1u);
+  EXPECT_EQ(by_identity.iterations, first.iterations);
+  EXPECT_EQ(by_identity.distribution, first.distribution);
+
   // A different structure rebuilds.
   const la::CsrMatrix q3 = network_generator(session, 3);
   (void)solver.solve(q3);
   EXPECT_EQ(solver.transpose_rebuilds(), 2u);
+  EXPECT_EQ(solver.identity_reuses() + solver.content_reuses() + solver.transpose_rebuilds(),
+            solver.solve_count());
 
   // reset() drops the cache.
   solver.reset();
