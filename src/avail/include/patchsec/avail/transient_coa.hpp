@@ -71,9 +71,9 @@ struct CoaCurveEvaluation {
 
 /// Batched transient COA: evaluate the SAME network net (built by the caller
 /// with build_network_srn) and grid from B different patch-wave initial
-/// markings in ONE panel solve — the reachability graph, reward vector and
+/// markings in ONE solve — the reachability graph, reward vector and
 /// uniformized matrix are built once, and every uniformization expansion
-/// term costs one matrix sweep for all B waves
+/// term costs one matrix sweep per 8 waves
 /// (ctmc::TransientSolver::reward_curve_multi): COA dip curves for a whole
 /// patch campaign's wave plan in a single pass.
 ///

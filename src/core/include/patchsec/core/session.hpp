@@ -236,9 +236,9 @@ class Session {
   /// EngineOptions::initial_down-shaped map), ordered like `waves`, each as
   /// if evaluate_transient had run with that wave as the initial marking —
   /// at the scenario's first patch cadence.  Under the analytic non-lumped
-  /// backend the whole batch is ONE panel solve (avail::transient_coa_batch:
-  /// one reachability/matrix build, one matrix sweep per uniformization term
-  /// for ALL waves — see each report's transient_diagnostics.rhs_count);
+  /// backend the whole batch is ONE solve (avail::transient_coa_batch: one
+  /// reachability/matrix build, one matrix sweep per uniformization term
+  /// for every 8 waves — see each report's transient_diagnostics.rhs_count);
   /// the simulation and lumped backends evaluate the waves sequentially.
   /// Every backend verifies once per batch: no verification stage depends
   /// on the wave.  Throws std::invalid_argument on an empty wave list.

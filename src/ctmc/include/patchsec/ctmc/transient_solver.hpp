@@ -33,11 +33,17 @@
 ///    window over Lambda * t_j holds k, so a G-point curve costs exactly the
 ///    right_point(Lambda * t_G) sweeps of a one-point curve at t_G —
 ///    independent of G — and pi(t_j) is never materialized (an indicator
-///    reward reads off one state's probability pi_i(t)).
+///    reward reads off one state's probability pi_i(t));
+///  * every sweep runs linalg::SpmvKernel's one panel shape, 8 columns at a
+///    stride of 8 doubles: reward_curve() is column 0 of a zero-padded
+///    panel, and reward_curve_multi() runs B initials as ceil(B/8) padded
+///    panels.  A column's arithmetic does not depend on its panel, so every
+///    curve is bit-identical at every batch width.
 ///
 /// A TransientSolver is NOT thread-safe; hold one per thread
 /// (core::Session keeps one per worker thread, like StationarySolver).
 
+#include <array>
 #include <cstddef>
 #include <memory>
 #include <string>
@@ -63,12 +69,13 @@ struct TransientDiagnostics {
   double uniformization_rate = 0.0;  ///< Lambda.
   std::size_t left_point = 0;        ///< Fox-Glynn left truncation of the last window.
   std::size_t right_point = 0;       ///< right truncation of the last window.
-  /// Matrix SWEEPS since prepare().  A panel step advances rhs_count vectors
-  /// in ONE sweep and counts once — multiply by rhs_count for per-vector
-  /// work, so the counter stays an honest traffic metric.
+  /// Matrix SWEEPS since prepare().  A panel step advances up to 8 vectors
+  /// in ONE sweep and counts once (B initials take ceil(B/8) panels), so
+  /// the counter stays an honest traffic metric.
   std::size_t matvec_count = 0;
-  /// Widest panel advanced since prepare() (1 = single-vector evaluations
-  /// only; 0 = nothing evaluated yet).
+  /// Most initials asked for in one evaluation since prepare() (1 =
+  /// single-vector evaluations only; 0 = nothing evaluated yet).  The
+  /// zero padding of a panel does not count.
   std::size_t rhs_count = 0;
   /// Inner-loop id of the last evaluation: the dispatched linalg::SpmvKernel
   /// name ("panel-avx512" / "panel-avx2" / "panel-scalar").
@@ -97,19 +104,22 @@ class TransientSolver {
   /// expansion of the t_back window: every term's reward dot is weighted into
   /// each grid point whose own window holds it, so the sweep count does not
   /// grow with the grid.  `initial` is divided by its mass (throws
-  /// std::domain_error when that is not positive and finite).  This is the
-  /// width-1 panel of reward_curve_multi, bit for bit.
+  /// std::domain_error when that is not positive and finite).  This is
+  /// reward_curve_multi on the one initial: column 0 of a padded panel.
   double reward_curve(const std::vector<double>& initial, const std::vector<double>& rewards,
                       const std::vector<double>& time_points, std::vector<double>& values);
 
   /// reward_curve for B initial distributions AT ONCE over the same chain,
-  /// grid and reward vector: the iterates advance as one column-major panel,
-  /// so every expansion term costs ONE sweep over the matrix instead of B
-  /// (diagnostics().matvec_count counts sweeps; rhs_count records B).
+  /// grid and reward vector: the iterates advance as column-major panels of
+  /// the kernel's fixed width 8 (linalg::kPanelWidth), so every expansion
+  /// term costs one sweep per panel — ceil(B/8) sweeps instead of B.  A
+  /// panel with fewer than 8 initials is zero-padded; the padding never
+  /// reaches the mass check, the curves or the accumulated reward.
+  /// diagnostics().matvec_count counts sweeps and rhs_count records B.
   /// `curves[b][j]` receives r . pi_b(t_j); the return value is the per-b
-  /// accumulated reward.  Each column's arithmetic is independent of B, so a
-  /// column is bit-identical to its initial solved as a width-1 panel —
-  /// i.e. to reward_curve on that initial.
+  /// accumulated reward.  Each column's arithmetic is independent of B and
+  /// of its neighbours, so a column is bit-identical to its initial solved
+  /// alone — i.e. to reward_curve on that initial.
   std::vector<double> reward_curve_multi(const std::vector<std::vector<double>>& initials,
                                          const std::vector<double>& rewards,
                                          const std::vector<double>& time_points,
@@ -143,10 +153,11 @@ class TransientSolver {
   void poisson_window(double m);
 
   /// The single pass behind reward_curve (m = 1) and reward_curve_multi,
-  /// one SpmvKernel::step_panel per expansion term.  term_ holds the
-  /// column-major m-wide initial panel on entry; on return
-  /// curve_sums_[j*m + b] holds r . pi_b(t_j) and accumulated[0..m) the
-  /// per-column accumulated reward, both divided by the initial column mass.
+  /// one SpmvKernel::step_panel per expansion term.  term_ holds one 8-wide
+  /// initial panel on entry, its first m columns real and the rest zero; on
+  /// return curve_sums_[j*m + b] holds r . pi_b(t_j) and accumulated[0..m)
+  /// the per-column accumulated reward, both divided by the initial column
+  /// mass.
   void expand_curves(std::size_t m, const std::vector<double>& rewards,
                      const std::vector<double>& time_points, double* accumulated);
 
@@ -186,7 +197,7 @@ class TransientSolver {
   std::vector<GridWindow> grid_windows_;
   std::vector<double> grid_weights_;
   std::vector<double> curve_sums_;
-  std::vector<double> dots_;
+  std::array<double, linalg::kPanelWidth> dots_{};
   std::vector<double> column_mass_;
 
   // SIMD kernel workspace over P (compiled lazily on the first evaluation

@@ -5,12 +5,15 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 namespace patchsec::ctmc {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+constexpr std::size_t kWidth = linalg::kPanelWidth;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -189,10 +192,10 @@ void TransientSolver::expand_curves(std::size_t m, const std::vector<double>& re
                                     double* accumulated) {
   // Column masses of the initial panel: the zero-mass check, and the divisor
   // that makes the result a distribution's reward (exactly 1.0 — a no-op —
-  // for a delta initial).
+  // for a delta initial).  The zero padding columns are left out.
   column_mass_.assign(m, 0.0);
   for (std::size_t s = 0; s < states_; ++s) {
-    for (std::size_t b = 0; b < m; ++b) column_mass_[b] += term_[s * m + b];
+    for (std::size_t b = 0; b < m; ++b) column_mass_[b] += term_[s * kWidth + b];
   }
   for (const double mass : column_mass_) {
     if (!(mass > 0.0) || !std::isfinite(mass)) {
@@ -200,24 +203,9 @@ void TransientSolver::expand_curves(std::size_t m, const std::vector<double>& re
     }
   }
 
-  // Every grid point's Poisson window over Lambda * t_j, from 0.  The last
-  // one computed — t_G's, the widest — stays in weights_/left_/right_ and
-  // drives both the sweep count and the accumulated-reward survival.
   const std::size_t points = time_points.size();
-  grid_windows_.clear();
-  grid_weights_.clear();
-  for (const double t : time_points) {
-    poisson_window(lambda_ * t);
-    grid_windows_.push_back({left_, right_, grid_weights_.size()});
-    grid_weights_.insert(grid_weights_.end(), weights_.begin(), weights_.end());
-  }
-
-  ensure_kernel();
-  diagnostics_.kernel = kernel_.kernel_name();
-  diagnostics_.rhs_count = std::max(diagnostics_.rhs_count, m);
   curve_sums_.assign(points * m, 0.0);
-  dots_.resize(m);
-  next_.resize(states_ * m);
+  next_.resize(states_ * kWidth);
   std::fill_n(accumulated, m, 0.0);
   const double* r = rewards.data();
   double cumulative = 0.0;  // F_G(k): Poisson CDF over the t_G window
@@ -226,9 +214,9 @@ void TransientSolver::expand_curves(std::size_t m, const std::vector<double>& re
     // P^{k+1} (pi(t_j) is never materialized).
     const bool last = k >= right_;
     if (last) {
-      kernel_.reduce_panel(term_.data(), m, r, dots_.data());
+      kernel_.reduce_panel(term_.data(), r, dots_.data());
     } else {
-      kernel_.step_panel(term_.data(), next_.data(), m, r, dots_.data());
+      kernel_.step_panel(term_.data(), next_.data(), r, dots_.data());
     }
     // r . pi(t_j) = sum_k w_j(k) d_k over every window that holds k.
     for (std::size_t j = 0; j < points; ++j) {
@@ -274,21 +262,39 @@ std::vector<double> TransientSolver::reward_curve_multi(
   }
   check_grid(time_points);
 
-  const std::size_t m = initials.size();
-  std::vector<double> accumulated(m, 0.0);
-  curves.resize(m);
+  const std::size_t total = initials.size();
+  const std::size_t points = time_points.size();
+  std::vector<double> accumulated(total, 0.0);
+  curves.resize(total);
 
   const auto start = Clock::now();
-  // Interleave the initials into the column-major panel: element (b, s) at
-  // term_[s*m + b], so the kernel's per-entry FMA runs over contiguous RHSes.
-  term_.resize(states_ * m);
-  for (std::size_t b = 0; b < m; ++b) {
-    for (std::size_t s = 0; s < states_; ++s) term_[s * m + b] = initials[b][s];
+  // Every grid point's Poisson window over Lambda * t_j, from 0.  The last
+  // one computed — t_G's, the widest — stays in weights_/left_/right_ and
+  // drives both the sweep count and the accumulated-reward survival.
+  grid_windows_.clear();
+  grid_weights_.clear();
+  for (const double t : time_points) {
+    poisson_window(lambda_ * t);
+    grid_windows_.push_back({left_, right_, grid_weights_.size()});
+    grid_weights_.insert(grid_weights_.end(), weights_.begin(), weights_.end());
   }
-  expand_curves(m, rewards, time_points, accumulated.data());
-  for (std::size_t b = 0; b < m; ++b) {
-    curves[b].resize(time_points.size());
-    for (std::size_t j = 0; j < time_points.size(); ++j) curves[b][j] = curve_sums_[j * m + b];
+  ensure_kernel();
+  diagnostics_.kernel = kernel_.kernel_name();
+  diagnostics_.rhs_count = std::max(diagnostics_.rhs_count, total);
+  // ceil(total / 8) panels.  Each interleaves its initials column-major
+  // (element (b, s) at term_[s*8 + b]) and zero-pads the unused columns.
+  for (std::size_t first = 0; first < total; first += kWidth) {
+    const std::size_t m = std::min(kWidth, total - first);
+    term_.assign(states_ * kWidth, 0.0);
+    for (std::size_t b = 0; b < m; ++b) {
+      for (std::size_t s = 0; s < states_; ++s) term_[s * kWidth + b] = initials[first + b][s];
+    }
+    expand_curves(m, rewards, time_points, accumulated.data() + first);
+    for (std::size_t b = 0; b < m; ++b) {
+      std::vector<double>& curve = curves[first + b];
+      curve.resize(points);
+      for (std::size_t j = 0; j < points; ++j) curve[j] = curve_sums_[j * m + b];
+    }
   }
   diagnostics_.wall_time_seconds += seconds_since(start);
   return accumulated;
@@ -298,17 +304,9 @@ double TransientSolver::reward_curve(const std::vector<double>& initial,
                                      const std::vector<double>& rewards,
                                      const std::vector<double>& time_points,
                                      std::vector<double>& values) {
-  if (!prepared()) throw std::logic_error("TransientSolver: prepare() has not run");
-  if (initial.size() != states_ || rewards.size() != states_) {
-    throw std::invalid_argument("TransientSolver: initial/reward size mismatch");
-  }
-  check_grid(time_points);
-  const auto start = Clock::now();
-  term_.assign(initial.begin(), initial.end());  // a width-1 panel has the vector's layout
-  double accumulated = 0.0;
-  expand_curves(1, rewards, time_points, &accumulated);
-  values.assign(curve_sums_.begin(), curve_sums_.end());
-  diagnostics_.wall_time_seconds += seconds_since(start);
+  std::vector<std::vector<double>> curves;
+  const double accumulated = reward_curve_multi({initial}, rewards, time_points, curves).front();
+  values = std::move(curves.front());
   return accumulated;
 }
 

@@ -2,7 +2,7 @@
 /// \file spmv_kernel.hpp
 /// \brief SIMD sparse kernel workspace for the uniformization hot path: a
 /// square CSR matrix compiled once per sparsity structure into a 32-bit CSR
-/// of its TRANSPOSE, swept by one multi-RHS panel kernel.
+/// of its TRANSPOSE, swept by one fixed-width multi-RHS panel kernel.
 ///
 /// Why the transpose: the probability iterates of uniformization advance by
 /// y = x^T P (row-vector times matrix), which in CSR row order is a SCATTER
@@ -10,20 +10,23 @@
 /// the rows of P^T the same product is a GATHER (y[s] = sum_k v_k *
 /// x[col_k]).  Column indices are 32-bit, halving index traffic.
 ///
-/// The kernel advances m right-hand sides per sweep over the matrix: the
-/// panel is column-major in the RHS index (element (j, s) of the m x n panel
-/// lives at x[s*m + j]), so every matrix entry issues one CONTIGUOUS m-wide
-/// FMA — vectorization across the RHS dimension is structure-independent,
-/// and the matrix's index/value traffic is paid once per sweep instead of
-/// once per initial condition.  A single vector is the width-1 panel (the
-/// layouts coincide), so ctmc::TransientSolver::reward_curve and
-/// reward_curve_multi run the same code.
+/// Every panel is exactly kPanelWidth = 8 right-hand sides wide: element
+/// (j, s) lives at x[s*8 + j], so one state's 8 values are one aligned
+/// 64-byte line and every matrix entry issues one 8-wide FMA over it.  A
+/// caller with fewer columns pads with zeros; one with more runs several
+/// panels (ctmc::TransientSolver does both).  Each lane is an FMA chain in
+/// transpose-row order, independent of the other lanes, so a column's bits
+/// do not depend on what sits beside it.
 ///
-/// The inner loop is runtime-dispatched: an AVX-512F path (8 RHS per
-/// vector, masked tails), an AVX2+FMA path (4 RHS per vector, scalar tails)
-/// and a portable scalar pass (the always-available fallback; the oracle in
-/// tests is CsrMatrix::left_multiply).  Dispatch is decided once per process
-/// from CPUID, never per call.
+/// The inner loop is runtime-dispatched, one compile-time-stride body per
+/// ISA: AVX-512F (one vector per state), AVX2+FMA (two) and a portable
+/// scalar pass (the always-available fallback; plain multiply-add, so its
+/// bits differ from the FMA bodies by round-off; the oracle in tests is
+/// CsrMatrix::left_multiply).  The AVX bodies hold FMA intrinsics only, so a
+/// Debug and a Release build give the same bits, and AVX2 equals AVX-512
+/// bit for bit.  Dispatch is decided once per process from CPUID; a kernel
+/// may be pinned to a lower ISA at construction (tests run every variant
+/// the host supports).
 ///
 /// step_panel folds the reward reduction dots[j] = dot(X_j, r) of a
 /// uniformization term into the same traversal that forms the next power,
@@ -41,7 +44,13 @@
 
 namespace patchsec::linalg {
 
-/// Which inner loop CPUID dispatch selected (fixed per process).
+/// Right-hand sides per panel: one state's lanes fill one 64-byte line.
+inline constexpr std::size_t kPanelWidth = 8;
+/// Required alignment of step_panel()/reduce_panel() panels, in bytes.
+inline constexpr std::size_t kPanelAlignment = 64;
+
+/// Which inner loop a kernel runs (ordered: a host that runs one runs every
+/// lower one).
 enum class SpmvIsa : std::uint8_t { kScalar, kAvx2, kAvx512 };
 
 /// The dispatched ISA for this process ("panel-avx512" / "panel-avx2" /
@@ -49,14 +58,13 @@ enum class SpmvIsa : std::uint8_t { kScalar, kAvx2, kAvx512 };
 [[nodiscard]] SpmvIsa spmv_dispatched_isa() noexcept;
 [[nodiscard]] const char* spmv_isa_name(SpmvIsa isa) noexcept;
 
-/// Allocator of cache-line (64-byte) aligned storage for panels.  A width-8
-/// panel row is then exactly one line, so no SIMD load of a row block
-/// splits two; default std::vector storage is only 16-byte aligned, and a
-/// misaligned panel costs the width-8 sweep ~17% (measured on AVX-512).
+/// Allocator of cache-line (64-byte) aligned storage for panels, so a
+/// panel row is exactly one line and the kernel's aligned loads never split
+/// two (default std::vector storage is only 16-byte aligned).
 template <class T>
 struct CacheLineAllocator {
   using value_type = T;
-  static constexpr std::align_val_t kAlignment{64};
+  static constexpr std::align_val_t kAlignment{kPanelAlignment};
 
   CacheLineAllocator() = default;
   template <class U>
@@ -77,7 +85,9 @@ using PanelVector = std::vector<double, CacheLineAllocator<double>>;
 
 class SpmvKernel {
  public:
-  SpmvKernel() = default;
+  /// A kernel running `isa`'s inner loop (default: the dispatched one).
+  /// Throws std::invalid_argument for an ISA above the dispatched one.
+  explicit SpmvKernel(SpmvIsa isa = spmv_dispatched_isa());
 
   /// Compile (or, for an identical sparsity structure, value-refresh in
   /// place) the kernel layout from raw CSR arrays of a SQUARE matrix (the
@@ -91,13 +101,11 @@ class SpmvKernel {
                const std::vector<std::size_t>& col_indices, const std::vector<double>& values);
 
   [[nodiscard]] bool compiled() const noexcept { return n_ > 0; }
-  /// Order of the compiled square matrix (the x and y extent of a panel
-  /// column).
+  /// Order of the compiled square matrix (a panel spans size() * 8 doubles).
   [[nodiscard]] std::size_t size() const noexcept { return n_; }
   [[nodiscard]] std::size_t nnz() const noexcept { return nnz_; }
 
-  /// Name of the dispatched inner loop ("panel-avx512", "panel-avx2",
-  /// "panel-scalar").
+  /// Name of the inner loop ("panel-avx512", "panel-avx2", "panel-scalar").
   [[nodiscard]] const char* kernel_name() const noexcept { return spmv_isa_name(isa_); }
   [[nodiscard]] SpmvIsa isa() const noexcept { return isa_; }
 
@@ -107,21 +115,20 @@ class SpmvKernel {
   [[nodiscard]] std::size_t structure_builds() const noexcept { return builds_; }
   [[nodiscard]] std::size_t structure_reuses() const noexcept { return reuses_; }
 
-  /// One uniformization term over m interleaved right-hand sides
-  /// (column-major panel: element (j, s) at x[s*m + j]; x and y span
-  /// size()*m): Y = X^T A per column and, when r and dots are non-null,
-  /// dots[j] = dot(X_j, r) (overwritten, not accumulated) from the SAME
-  /// traversal.  With null r/dots it is the plain product.  Agreement with
-  /// CsrMatrix::left_multiply is round-off only (identical per-row
-  /// accumulation order, explicit FMA in the SIMD lanes).  Throws
-  /// std::logic_error when not compiled and std::invalid_argument on m = 0.
-  void step_panel(const double* x, double* y, std::size_t m, const double* r,
-                  double* dots) const;
+  /// One uniformization term over one 8-wide panel (element (j, s) at
+  /// x[s*8 + j]; x and y span size()*8 doubles and are 64-byte aligned, as
+  /// PanelVector storage is): Y = X^T A per column and, when r and dots are
+  /// non-null, dots[0..8) = dot(X_j, r) (overwritten, not accumulated) from
+  /// the SAME traversal.  With null r and dots it is the plain product.
+  /// Agreement with CsrMatrix::left_multiply is round-off only.  Throws
+  /// std::logic_error when not compiled and std::invalid_argument on a
+  /// misaligned panel or on exactly one of r/dots null.
+  void step_panel(const double* x, double* y, const double* r, double* dots) const;
 
   /// The reduction half of step_panel() alone (the final expansion term
-  /// needs the reward dots but no further power); r and dots must be
-  /// non-null.
-  void reduce_panel(const double* x, std::size_t m, const double* r, double* dots) const;
+  /// needs the reward dots but no further power).  Throws as step_panel()
+  /// does, and std::invalid_argument when r or dots is null.
+  void reduce_panel(const double* x, const double* r, double* dots) const;
 
   /// Drop the compiled layout (counters are kept).
   void reset();
@@ -132,8 +139,10 @@ class SpmvKernel {
                     const std::vector<double>& values);
   void refresh_values(const std::vector<std::size_t>& row_offsets,
                       const std::vector<double>& values);
+  /// The checked dispatch behind both entry points (null y: dots only).
+  void sweep(const double* x, double* y, const double* r, double* dots) const;
 
-  SpmvIsa isa_ = spmv_dispatched_isa();
+  SpmvIsa isa_;
 
   std::size_t n_ = 0;  ///< order of A.
   std::size_t nnz_ = 0;

@@ -1,9 +1,10 @@
 #include "patchsec/linalg/spmv_kernel.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 // The SIMD variants are compiled (and dispatched at runtime from CPUID) only
 // on x86-64 GCC/Clang; every other toolchain gets the portable scalar pass
@@ -21,7 +22,11 @@ namespace patchsec::linalg {
 
 namespace {
 
-/// Borrowed view of the 32-bit CSR of A^T handed to the ISA variants.
+constexpr std::size_t kW = kPanelWidth;
+
+/// Borrowed view of the 32-bit CSR of A^T handed to the ISA variants.  The
+/// bodies copy it into locals first: read through the reference, every
+/// panel store could alias it, and reloading it per row costs a sweep ~15%.
 struct TcsrView {
   const std::uint32_t* offsets;
   const std::uint32_t* cols;
@@ -29,148 +34,87 @@ struct TcsrView {
   std::size_t n;  // order of A
 };
 
-// ---------------------------------------------------------------------------
-// Scalar variants (always available; the portable fallback).
-// ---------------------------------------------------------------------------
+// One stride-8 sweep body per ISA.  Null y skips the product (the
+// reduction alone); null r skips the reward dots.
 
-void panel_step_scalar(const TcsrView& t, const double* x, double* y, std::size_t m,
-                       const double* r, double* dots) {
-  const bool do_dots = r != nullptr && dots != nullptr;
-  if (do_dots) std::memset(dots, 0, m * sizeof(double));
-  for (std::size_t s = 0; s < t.n; ++s) {
-    double* ys = y + s * m;
-    std::memset(ys, 0, m * sizeof(double));
-    for (std::uint32_t k = t.offsets[s]; k < t.offsets[s + 1]; ++k) {
-      const double v = t.vals[k];
-      const double* xc = x + std::size_t{t.cols[k]} * m;
-      for (std::size_t j = 0; j < m; ++j) ys[j] += v * xc[j];
-    }
-    if (do_dots) {
-      const double* xs = x + s * m;
-      const double rs = r[s];
-      for (std::size_t j = 0; j < m; ++j) dots[j] += rs * xs[j];
-    }
-  }
-}
-
-void panel_reduce_scalar(const double* x, std::size_t n, std::size_t m, const double* r,
-                         double* dots) {
-  std::memset(dots, 0, m * sizeof(double));
+// The scalar variant (always available; the portable fallback).  Plain
+// multiply-add, so on a host without FMA its bits differ from the SIMD
+// variants by round-off.
+void panel_sweep_scalar(const TcsrView& t, const double* x, double* y, const double* r,
+                        double* dots) {
+  const auto [offsets, cols, vals, n] = t;
+  double dacc[kW] = {};
   for (std::size_t s = 0; s < n; ++s) {
-    const double rs = r[s];
-    const double* xs = x + s * m;
-    for (std::size_t j = 0; j < m; ++j) dots[j] += rs * xs[j];
+    if (y != nullptr) {
+      double acc[kW] = {};
+      for (std::uint32_t k = offsets[s]; k < offsets[s + 1]; ++k) {
+        const double* xc = x + std::size_t{cols[k]} * kW;
+        for (std::size_t j = 0; j < kW; ++j) acc[j] += vals[k] * xc[j];
+      }
+      std::copy_n(acc, kW, y + s * kW);
+    }
+    if (r != nullptr) {
+      for (std::size_t j = 0; j < kW; ++j) dacc[j] += r[s] * x[s * kW + j];
+    }
   }
+  if (r != nullptr) std::copy_n(dacc, kW, dots);
 }
 
 #if PATCHSEC_X86_SIMD
 
-// ---------------------------------------------------------------------------
-// AVX2+FMA variants: 4 RHS per vector.  Full RHS blocks keep the dot
-// accumulator in a register; the tail block falls back to scalar code.
-// ---------------------------------------------------------------------------
-
-__attribute__((target("avx2,fma"))) void panel_step_avx2(const TcsrView& t, const double* x,
-                                                         double* y, std::size_t m,
-                                                         const double* r, double* dots) {
-  const bool do_dots = r != nullptr && dots != nullptr;
-  for (std::size_t jb = 0; jb < m; jb += 4) {
-    const std::size_t jw = std::min<std::size_t>(4, m - jb);
-    if (jw == 4) {
-      __m256d dacc = _mm256_setzero_pd();
-      for (std::size_t s = 0; s < t.n; ++s) {
-        __m256d acc = _mm256_setzero_pd();
-        for (std::uint32_t k = t.offsets[s]; k < t.offsets[s + 1]; ++k) {
-          const __m256d vv = _mm256_set1_pd(t.vals[k]);
-          acc = _mm256_fmadd_pd(vv, _mm256_loadu_pd(x + std::size_t{t.cols[k]} * m + jb), acc);
-        }
-        _mm256_storeu_pd(y + s * m + jb, acc);
-        if (do_dots) {
-          dacc = _mm256_fmadd_pd(_mm256_set1_pd(r[s]), _mm256_loadu_pd(x + s * m + jb), dacc);
-        }
+// AVX2+FMA: one state's 8 lanes as two 4-wide vectors.  Every lane runs the
+// same FMA chain as in the AVX-512 body, so the two are bit-identical.
+__attribute__((target("avx2,fma"))) void panel_sweep_avx2(const TcsrView& t, const double* x,
+                                                          double* y, const double* r,
+                                                          double* dots) {
+  const auto [offsets, cols, vals, n] = t;
+  __m256d dlo = _mm256_setzero_pd();
+  __m256d dhi = _mm256_setzero_pd();
+  for (std::size_t s = 0; s < n; ++s) {
+    if (y != nullptr) {
+      __m256d lo = _mm256_setzero_pd();
+      __m256d hi = _mm256_setzero_pd();
+      for (std::uint32_t k = offsets[s]; k < offsets[s + 1]; ++k) {
+        const __m256d vv = _mm256_broadcast_sd(vals + k);
+        const double* xc = x + std::size_t{cols[k]} * kW;
+        lo = _mm256_fmadd_pd(vv, _mm256_load_pd(xc), lo);
+        hi = _mm256_fmadd_pd(vv, _mm256_load_pd(xc + 4), hi);
       }
-      if (do_dots) _mm256_storeu_pd(dots + jb, dacc);
-    } else {
-      if (do_dots) {
-        for (std::size_t j = 0; j < jw; ++j) dots[jb + j] = 0.0;
-      }
-      for (std::size_t s = 0; s < t.n; ++s) {
-        double acc[3] = {0.0, 0.0, 0.0};
-        for (std::uint32_t k = t.offsets[s]; k < t.offsets[s + 1]; ++k) {
-          const double v = t.vals[k];
-          const double* xc = x + std::size_t{t.cols[k]} * m + jb;
-          for (std::size_t j = 0; j < jw; ++j) acc[j] += v * xc[j];
-        }
-        double* ys = y + s * m + jb;
-        for (std::size_t j = 0; j < jw; ++j) ys[j] = acc[j];
-        if (do_dots) {
-          const double* xs = x + s * m + jb;
-          for (std::size_t j = 0; j < jw; ++j) dots[jb + j] += r[s] * xs[j];
-        }
-      }
+      _mm256_store_pd(y + s * kW, lo);
+      _mm256_store_pd(y + s * kW + 4, hi);
     }
+    if (r != nullptr) {
+      const __m256d rv = _mm256_broadcast_sd(r + s);
+      dlo = _mm256_fmadd_pd(rv, _mm256_load_pd(x + s * kW), dlo);
+      dhi = _mm256_fmadd_pd(rv, _mm256_load_pd(x + s * kW + 4), dhi);
+    }
+  }
+  if (r != nullptr) {
+    _mm256_storeu_pd(dots, dlo);
+    _mm256_storeu_pd(dots + 4, dhi);
   }
 }
 
-__attribute__((target("avx2,fma"))) void panel_reduce_avx2(const double* x, std::size_t n,
-                                                           std::size_t m, const double* r,
+// AVX-512F: one state's 8 lanes as one vector, one cache line.
+__attribute__((target("avx512f"))) void panel_sweep_avx512(const TcsrView& t, const double* x,
+                                                           double* y, const double* r,
                                                            double* dots) {
-  std::memset(dots, 0, m * sizeof(double));
+  const auto [offsets, cols, vals, n] = t;
+  __m512d dacc = _mm512_setzero_pd();
   for (std::size_t s = 0; s < n; ++s) {
-    const __m256d rv = _mm256_set1_pd(r[s]);
-    const double* xs = x + s * m;
-    std::size_t j = 0;
-    for (; j + 4 <= m; j += 4) {
-      _mm256_storeu_pd(dots + j,
-                       _mm256_fmadd_pd(rv, _mm256_loadu_pd(xs + j), _mm256_loadu_pd(dots + j)));
-    }
-    for (; j < m; ++j) dots[j] += r[s] * xs[j];
-  }
-}
-
-// ---------------------------------------------------------------------------
-// AVX-512F variants: 8 RHS per vector, masked loads/stores on the tail block.
-// ---------------------------------------------------------------------------
-
-__attribute__((target("avx512f"))) void panel_step_avx512(const TcsrView& t, const double* x,
-                                                          double* y, std::size_t m,
-                                                          const double* r, double* dots) {
-  const bool do_dots = r != nullptr && dots != nullptr;
-  for (std::size_t jb = 0; jb < m; jb += 8) {
-    const std::size_t jw = std::min<std::size_t>(8, m - jb);
-    const __mmask8 mask = static_cast<__mmask8>((jw == 8) ? 0xffu : ((1u << jw) - 1u));
-    __m512d dacc = _mm512_setzero_pd();
-    for (std::size_t s = 0; s < t.n; ++s) {
+    if (y != nullptr) {
       __m512d acc = _mm512_setzero_pd();
-      for (std::uint32_t k = t.offsets[s]; k < t.offsets[s + 1]; ++k) {
-        const __m512d vv = _mm512_set1_pd(t.vals[k]);
-        const __m512d xv = _mm512_maskz_loadu_pd(mask, x + std::size_t{t.cols[k]} * m + jb);
-        acc = _mm512_fmadd_pd(vv, xv, acc);
+      for (std::uint32_t k = offsets[s]; k < offsets[s + 1]; ++k) {
+        acc = _mm512_fmadd_pd(_mm512_set1_pd(vals[k]),
+                              _mm512_load_pd(x + std::size_t{cols[k]} * kW), acc);
       }
-      _mm512_mask_storeu_pd(y + s * m + jb, mask, acc);
-      if (do_dots) {
-        const __m512d xv = _mm512_maskz_loadu_pd(mask, x + s * m + jb);
-        dacc = _mm512_fmadd_pd(_mm512_set1_pd(r[s]), xv, dacc);
-      }
+      _mm512_store_pd(y + s * kW, acc);
     }
-    if (do_dots) _mm512_mask_storeu_pd(dots + jb, mask, dacc);
-  }
-}
-
-__attribute__((target("avx512f"))) void panel_reduce_avx512(const double* x, std::size_t n,
-                                                            std::size_t m, const double* r,
-                                                            double* dots) {
-  std::memset(dots, 0, m * sizeof(double));
-  for (std::size_t s = 0; s < n; ++s) {
-    const __m512d rv = _mm512_set1_pd(r[s]);
-    const double* xs = x + s * m;
-    std::size_t j = 0;
-    for (; j + 8 <= m; j += 8) {
-      _mm512_storeu_pd(dots + j,
-                       _mm512_fmadd_pd(rv, _mm512_loadu_pd(xs + j), _mm512_loadu_pd(dots + j)));
+    if (r != nullptr) {
+      dacc = _mm512_fmadd_pd(_mm512_set1_pd(r[s]), _mm512_load_pd(x + s * kW), dacc);
     }
-    for (; j < m; ++j) dots[j] += r[s] * xs[j];
   }
+  if (r != nullptr) _mm512_storeu_pd(dots, dacc);
 }
 
 #endif  // PATCHSEC_X86_SIMD
@@ -182,6 +126,10 @@ SpmvIsa detect_isa() noexcept {
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) return SpmvIsa::kAvx2;
 #endif
   return SpmvIsa::kScalar;
+}
+
+bool line_aligned(const void* p) noexcept {
+  return reinterpret_cast<std::uintptr_t>(p) % kPanelAlignment == 0;
 }
 
 }  // namespace
@@ -201,6 +149,13 @@ const char* spmv_isa_name(SpmvIsa isa) noexcept {
       break;
   }
   return "panel-scalar";
+}
+
+SpmvKernel::SpmvKernel(SpmvIsa isa) : isa_(isa) {
+  if (isa > spmv_dispatched_isa()) {
+    throw std::invalid_argument(std::string("SpmvKernel: this host cannot run ") +
+                                spmv_isa_name(isa));
+  }
 }
 
 void SpmvKernel::compile(std::size_t rows, std::size_t cols,
@@ -280,41 +235,38 @@ void SpmvKernel::reset() {
   fill_cursor_.clear();
 }
 
-void SpmvKernel::step_panel(const double* x, double* y, std::size_t m, const double* r,
-                            double* dots) const {
+void SpmvKernel::step_panel(const double* x, double* y, const double* r, double* dots) const {
+  if ((r == nullptr) != (dots == nullptr)) {
+    throw std::invalid_argument("SpmvKernel: r and dots must both be set or both be null");
+  }
+  if (!line_aligned(y)) throw std::invalid_argument("SpmvKernel: panel is not cache-line aligned");
+  sweep(x, y, r, dots);
+}
+
+void SpmvKernel::reduce_panel(const double* x, const double* r, double* dots) const {
+  if (r == nullptr || dots == nullptr) {
+    throw std::invalid_argument("SpmvKernel: reduce_panel needs r and dots");
+  }
+  sweep(x, nullptr, r, dots);
+}
+
+void SpmvKernel::sweep(const double* x, double* y, const double* r, double* dots) const {
   if (!compiled()) throw std::logic_error("SpmvKernel: compile() has not run");
-  if (m == 0) throw std::invalid_argument("SpmvKernel: empty panel");
+  if (!line_aligned(x)) throw std::invalid_argument("SpmvKernel: panel is not cache-line aligned");
   const TcsrView view{t_row_offsets_.data(), t_col_indices_.data(), t_values_.data(), n_};
 #if PATCHSEC_X86_SIMD
   switch (isa_) {
     case SpmvIsa::kAvx512:
-      panel_step_avx512(view, x, y, m, r, dots);
+      panel_sweep_avx512(view, x, y, r, dots);
       return;
     case SpmvIsa::kAvx2:
-      panel_step_avx2(view, x, y, m, r, dots);
+      panel_sweep_avx2(view, x, y, r, dots);
       return;
     case SpmvIsa::kScalar:
       break;
   }
 #endif
-  panel_step_scalar(view, x, y, m, r, dots);
-}
-
-void SpmvKernel::reduce_panel(const double* x, std::size_t m, const double* r,
-                              double* dots) const {
-#if PATCHSEC_X86_SIMD
-  switch (isa_) {
-    case SpmvIsa::kAvx512:
-      panel_reduce_avx512(x, n_, m, r, dots);
-      return;
-    case SpmvIsa::kAvx2:
-      panel_reduce_avx2(x, n_, m, r, dots);
-      return;
-    case SpmvIsa::kScalar:
-      break;
-  }
-#endif
-  panel_reduce_scalar(x, n_, m, r, dots);
+  panel_sweep_scalar(view, x, y, r, dots);
 }
 
 }  // namespace patchsec::linalg

@@ -22,7 +22,8 @@
 ///     scans the queue for up to max_batch-1 more jobs with the same
 ///     structure (same design counts + cadence — hence the same CSR pattern
 ///     and kernel compile) and different waves, claims them, and solves the
-///     whole group through Session::evaluate_transient_batch as one panel.
+///     whole group through one Session::evaluate_transient_batch (8 waves
+///     per kernel panel, so the default 16 is two panels).
 ///     Steady jobs solve singly through Session::evaluate.
 ///  5. The worker inserts each result into the cache and fulfills every
 ///     pending waiter with per-request diagnostics (queue wait, solve time,
