@@ -4,20 +4,13 @@
 // (docs/ARCHITECTURE.md §11), at incidence-matrix cost.
 //
 // Usage:
-//   srn_lint                  lint the paper case study (every server net at
-//                             the monthly cadence + the network net of every
-//                             candidate design)
-//   srn_lint --seed <seed>    lint one generated scenario (the seed a
-//                             differential case logs), reproducing its nets
-//                             exactly
+//   srn_lint    lint the paper case study (every server net at the monthly
+//               cadence + the network net of every candidate design)
 //
 // Exit status: 0 when every net is clean, 1 when any finding was reported,
 // 2 on usage errors.
 
-#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -25,20 +18,10 @@
 #include "patchsec/avail/server_srn.hpp"
 #include "patchsec/core/session.hpp"
 #include "patchsec/petri/verify.hpp"
-#include "patchsec/testgen/scenario_generator.hpp"
 
 namespace {
 
 using namespace patchsec;
-
-int report_stages(const std::vector<core::StageVerification>& stages) {
-  int findings = 0;
-  for (const core::StageVerification& stage : stages) {
-    std::printf("%s\n%s", stage.stage.c_str(), petri::format(*stage.report).c_str());
-    findings += static_cast<int>(stage.report->findings.size());
-  }
-  return findings;
-}
 
 int lint_paper_case_study() {
   const core::Scenario scenario = core::Scenario::paper_case_study();
@@ -72,24 +55,10 @@ int lint_paper_case_study() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc == 1) {
-    std::printf("srn_lint: paper case study\n");
-    return lint_paper_case_study() == 0 ? 0 : 1;
+  if (argc != 1) {
+    std::fprintf(stderr, "usage: %s\n", argv[0]);
+    return 2;
   }
-  if (argc == 3 && std::strcmp(argv[1], "--seed") == 0) {
-    char* end = nullptr;
-    const std::uint64_t seed = std::strtoull(argv[2], &end, 10);
-    if (end == nullptr || *end != '\0') {
-      std::fprintf(stderr, "srn_lint: bad seed '%s'\n", argv[2]);
-      return 2;
-    }
-    testgen::GeneratorOptions options;
-    options.lint_generated = false;  // we ARE the lint; report, don't throw
-    const testgen::GeneratedScenario generated =
-        testgen::ScenarioGenerator::from_seed(seed, options);
-    std::printf("srn_lint: generated scenario %s\n", generated.label.c_str());
-    return report_stages(testgen::lint_scenario(generated)) == 0 ? 0 : 1;
-  }
-  std::fprintf(stderr, "usage: srn_lint [--seed <scenario_seed>]\n");
-  return 2;
+  std::printf("srn_lint: paper case study\n");
+  return lint_paper_case_study() == 0 ? 0 : 1;
 }

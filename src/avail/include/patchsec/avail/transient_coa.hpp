@@ -90,8 +90,9 @@ struct CoaCurveEvaluation {
 
 /// The patch-window entry marking of `net`: per role, `initial_down` servers
 /// (clamped to the tier size) moved from up to down.  Shared by the analytic
-/// path above and the simulation backend (which must start its replications
-/// from the same marking for the differential cross-check to be meaningful).
+/// path above and the test-side Monte-Carlo oracle (which must start its
+/// replications from the same marking for the differential cross-check to be
+/// meaningful).
 [[nodiscard]] petri::Marking patch_window_marking(
     const NetworkSrn& net, const std::map<enterprise::ServerRole, unsigned>& initial_down);
 

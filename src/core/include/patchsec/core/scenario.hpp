@@ -12,6 +12,7 @@
 /// worker.  Nothing is solved until a Session evaluates it.
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <stdexcept>
 #include <vector>
@@ -23,7 +24,6 @@
 #include "patchsec/linalg/steady_state.hpp"
 #include "patchsec/petri/reachability.hpp"
 #include "patchsec/petri/verify.hpp"
-#include "patchsec/sim/srn_simulator.hpp"
 
 namespace patchsec::core {
 
@@ -39,17 +39,6 @@ enum class VerifyMode : std::uint8_t {
   /// As kWarn, but any error-severity finding aborts the evaluation with
   /// std::runtime_error (petri::throw_on_verify_errors) before reachability.
   kStrict,
-};
-
-/// \brief How a Session turns the upper-layer (network) SRN into the
-/// capacity-oriented availability of an EvalReport.
-enum class EvalBackend : std::uint8_t {
-  /// Reachability graph + steady-state solve (the paper's pipeline).
-  kAnalytic,
-  /// Monte-Carlo independent replications (sim::SrnSimulator): the report's
-  /// COA is the replication mean and carries a 95% confidence half width —
-  /// the statistical oracle of the differential validation harness.
-  kSimulation,
 };
 
 /// \brief End-to-end numerical-engine configuration, threaded from the
@@ -74,25 +63,13 @@ struct EngineOptions {
   bool parallel = false;
   /// Worker count for parallel batches; 0 = std::thread::hardware_concurrency.
   unsigned threads = 0;
-  /// How the upper-layer availability measure is evaluated.  The lower-layer
-  /// aggregation (Table V rates) is analytic in both backends; kSimulation
-  /// replaces the network-SRN steady-state solve with Monte-Carlo
-  /// replications configured by `simulation`.
-  EvalBackend backend = EvalBackend::kAnalytic;
-  /// Evaluate the analytic backend's upper layer in closed form
-  /// (avail/lumped_coa.hpp): every server is an independent two-state chain,
-  /// so each tier's up-count is binomial and COA is a function of the
-  /// per-tier rates, at O(tiers) cost for any design size.  Exact for this
-  /// model class — steady-state and transient COA agree with the flat solve
-  /// within 1e-12 (the lumping test layer).  Off by default; ignored by the
-  /// simulation backend, which always runs the flat net.
+  /// Evaluate the upper layer in closed form (avail/lumped_coa.hpp): every
+  /// server is an independent two-state chain, so each tier's up-count is
+  /// binomial and COA is a function of the per-tier rates, at O(tiers) cost
+  /// for any design size.  Exact for this model class — steady-state and
+  /// transient COA agree with the flat solve within 1e-12 (the lumping test
+  /// layer).  Off by default.
   bool lumping = false;
-  /// Replication budget, seed and thread count of the simulation backend
-  /// (ignored by kAnalytic).  Under `parallel` batch evaluation the
-  /// per-evaluation replication fan-out is forced serial so the two thread
-  /// pools do not multiply; estimates are thread-count-invariant, so this
-  /// affects scheduling only.
-  sim::SimulationOptions simulation;
 
   // --- transient analysis (Session::evaluate_transient) --------------------
   /// Horizon of the transient window, in hours.  When `time_points` is empty
@@ -105,11 +82,9 @@ struct EngineOptions {
   /// Size of the derived uniform grid (>= 2).
   std::size_t transient_points = 16;
   /// Patch-window entry state: per role, how many servers start the window
-  /// down for patching (clamped to the tier size; empty = all up).  Applied
-  /// by BOTH transient backends, so the differential cross-check compares
-  /// like with like.
+  /// down for patching (clamped to the tier size; empty = all up).
   std::map<enterprise::ServerRole, unsigned> initial_down;
-  /// Truncation policy of the analytic transient engine (uniformization).
+  /// Truncation policy of the transient engine (uniformization).
   ctmc::TransientOptions uniformization;
 
   /// Attack-path enumeration cap of the HARM security side.  The simple-path

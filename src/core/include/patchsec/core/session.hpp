@@ -62,13 +62,11 @@ struct DesignEvaluation {
 };
 
 /// \brief Time-dependent COA payload of a Session::evaluate_transient
-/// report: coa(t) over the engine's time grid, plus the window integral.
-/// Under the simulation backend every point carries its own 95% confidence
-/// half width (empty vectors mean "no transient evaluation ran").
+/// report: coa(t) over the engine's time grid, plus the window integral
+/// (empty vectors mean "no transient evaluation ran").
 struct TransientCurve {
   std::vector<double> time_points_hours;  ///< the evaluated grid.
   std::vector<double> coa;                ///< coa(t_j), same length.
-  std::vector<double> half_width_95;      ///< per-point CI (simulation only).
   /// int_0^T coa(s) ds — capacity delivered over the window, in
   /// server-fraction hours.
   double accumulated_coa_hours = 0.0;
@@ -105,30 +103,19 @@ struct EvalReport {
   double coa = 0.0;                    ///< capacity-oriented availability.
   double patch_interval_hours = 720.0;  ///< cadence this report was evaluated at.
 
-  /// Which backend produced the COA (EngineOptions::backend at evaluation).
-  EvalBackend backend = EvalBackend::kAnalytic;
-  /// 95% confidence half width of `coa` when the simulation backend produced
-  /// it; 0 for the (deterministic) analytic backend.
-  double coa_half_width_95 = 0.0;
-  /// Replication counts, events fired and wall time of the simulation
-  /// backend; zeroed under kAnalytic.
-  sim::SimDiagnostics simulation_diagnostics;
-
   /// Time-dependent COA curve — filled only by Session::evaluate_transient
   /// (empty() for steady-state evaluations).  A transient report's `coa` is
   /// the time-averaged COA over the window, NOT the steady-state COA.
   TransientCurve transient;
-  /// Uniformization internals of the analytic transient engine (Lambda,
-  /// Fox-Glynn window, matvec count); zeroed under kSimulation and for
-  /// steady-state evaluations.
+  /// Uniformization internals of the transient engine (Lambda, Fox-Glynn
+  /// window, matvec count); zeroed for steady-state evaluations.
   ctmc::TransientDiagnostics transient_diagnostics;
 
   /// Lower-layer (server SRN, one per role with a spec) solve diagnostics.
   /// Memoized across reports sharing a (role, patch interval); wall times are
   /// those of the first computation.
   std::map<enterprise::ServerRole, petri::SolveDiagnostics> aggregation_diagnostics;
-  /// Upper-layer (network SRN) solve diagnostics for this design; default
-  /// under kSimulation (no analytic solve ran).
+  /// Upper-layer (network SRN) solve diagnostics for this design.
   petri::SolveDiagnostics availability_diagnostics;
   /// Wall time of this evaluate() call (HARM + upper layer + any lower-layer
   /// aggregation misses).
@@ -141,37 +128,8 @@ struct EvalReport {
   /// VerifyMode::kOff.
   std::vector<StageVerification> verification;
 
-  /// True iff every steady-state solve behind this report converged (the
-  /// upper-layer solve is exempt under kSimulation, which never runs it).
+  /// True iff every steady-state solve behind this report converged.
   [[nodiscard]] bool converged() const noexcept;
-  /// CI-aware cross-backend agreement on COA at z standard errors: the half
-  /// widths of both reports (0 for analytic ones) are rescaled from their
-  /// stored 95% level to z and combined in quadrature; two analytic reports
-  /// compare within round-off (1e-9).  agrees_with(other, 1.96) asks "does
-  /// the other backend's COA fall inside my 95% confidence interval" when
-  /// exactly one of the two reports is simulated — the differential
-  /// harness's acceptance test.
-  [[nodiscard]] bool agrees_with(const EvalReport& other, double z = 1.96) const noexcept;
-  /// Point-wise CI-band agreement of two transient curves, the transient
-  /// differential acceptance test: true iff both reports carry curves over
-  /// the SAME grid and at every grid point the COA values agree within the
-  /// quadrature-combined half widths rescaled from 95% to z.  The band is
-  /// floored at 3/replications when a simulated report is involved (COA is
-  /// a discrete reward, so a degenerate replication sample — every
-  /// replication saw the same value — collapses the t-interval to zero
-  /// while the true mean may differ by up to the rule-of-three bound) and
-  /// at round-off (1e-9) for two analytic curves.
-  /// transient_agrees_with(analytic, 1.96) on a simulated report asks "does
-  /// the analytic curve lie inside my 95% confidence band everywhere".
-  [[nodiscard]] bool transient_agrees_with(const EvalReport& other,
-                                           double z = 1.96) const noexcept;
-  /// The band check of ONE grid point, exactly as transient_agrees_with
-  /// applies it (quadrature-combined half widths, rule-of-three/round-off
-  /// floor) — exposed so reporting code (the differential runner's per-point
-  /// columns) can never drift from the verdict.  False when either curve
-  /// lacks index j.
-  [[nodiscard]] bool transient_point_agrees(const EvalReport& other, std::size_t j,
-                                            double z = 1.96) const noexcept;
   /// Total solver iterations across all stages (lower + upper layer).
   [[nodiscard]] std::size_t total_solver_iterations() const noexcept;
   /// True iff every verified stage came back with zero findings.  Vacuously
@@ -222,10 +180,9 @@ class Session {
   /// patch-window marking EngineOptions::initial_down describes, at the
   /// scenario's first patch cadence.  The lower-layer per-(role, interval)
   /// aggregations are memoized exactly like the steady-state path (both
-  /// paths share the cache).  Backend-dispatched like evaluate():
-  /// kAnalytic runs uniformization, kSimulation the finite-horizon
-  /// replicated estimator; the report's `transient` payload carries the
-  /// curve and its `coa` the time-averaged COA over the window.
+  /// paths share the cache).  The report's `transient` payload carries the
+  /// uniformization curve (the closed form under EngineOptions::lumping) and
+  /// its `coa` the time-averaged COA over the window.
   [[nodiscard]] EvalReport evaluate_transient(const enterprise::RedundancyDesign& design) const;
 
   /// Transient evaluation at an explicit patch cadence.
@@ -235,13 +192,14 @@ class Session {
   /// Batched transient evaluation: one report per patch wave (an
   /// EngineOptions::initial_down-shaped map), ordered like `waves`, each as
   /// if evaluate_transient had run with that wave as the initial marking —
-  /// at the scenario's first patch cadence.  Under the analytic non-lumped
-  /// backend the whole batch is ONE solve (avail::transient_coa_batch: one
-  /// reachability/matrix build, one matrix sweep per uniformization term
-  /// for every 8 waves — see each report's transient_diagnostics.rhs_count);
-  /// the simulation and lumped backends evaluate the waves sequentially.
-  /// Every backend verifies once per batch: no verification stage depends
-  /// on the wave.  Throws std::invalid_argument on an empty wave list.
+  /// at the scenario's first patch cadence.  Without lumping the whole batch
+  /// is ONE solve (avail::transient_coa_batch: one reachability/matrix
+  /// build, one matrix sweep per uniformization term for every 8 waves — see
+  /// each report's transient_diagnostics.rhs_count); under
+  /// EngineOptions::lumping the closed form evaluates the waves
+  /// sequentially.  Either way the batch verifies once: no verification
+  /// stage depends on the wave.  Throws std::invalid_argument on an empty
+  /// wave list.
   [[nodiscard]] std::vector<EvalReport> evaluate_transient_batch(
       const enterprise::RedundancyDesign& design,
       const std::vector<std::map<enterprise::ServerRole, unsigned>>& waves) const;
@@ -351,8 +309,8 @@ class Session {
   /// cadence's server stages plus the design's network stage.  Empty under
   /// VerifyMode::kOff.  No stage depends on the transient entry marking.
   /// A non-null `net` is the design's network net at agg.rates, already
-  /// built by the caller (every path that solves or simulates that net), and
-  /// is verified in place of a fresh build.
+  /// built by the caller (every path that solves that net), and is verified
+  /// in place of a fresh build.
   [[nodiscard]] std::vector<StageVerification> verification_for(
       const enterprise::RedundancyDesign& design, const IntervalAggregation& agg,
       const avail::NetworkSrn* net = nullptr) const;

@@ -192,9 +192,6 @@ void write_json(std::ostream& out, const std::vector<EvalReport>& reports) {
       out << ",\"transient\":{\"horizon_hours\":" << r.transient.horizon_hours();
       array_json("time_points_hours", r.transient.time_points_hours);
       array_json("coa", r.transient.coa);
-      if (!r.transient.half_width_95.empty()) {
-        array_json("half_width_95", r.transient.half_width_95);
-      }
       out << ",\"accumulated_coa_hours\":" << r.transient.accumulated_coa_hours
           << ",\"interval_coa\":" << r.transient.interval_coa()
           << ",\"uniformization\":{\"rate\":" << r.transient_diagnostics.uniformization_rate

@@ -22,8 +22,7 @@ std::vector<double> EngineOptions::transient_grid() const {
       }
       previous = t;
     }
-    // A zero-length window has no interval COA, and the two backends would
-    // disagree on what a {0.0} grid means — reject it here.
+    // A zero-length window has no interval COA — reject a {0.0} grid here.
     if (!(time_points.back() > 0.0)) {
       throw std::invalid_argument("EngineOptions: transient window must end after t = 0");
     }

@@ -29,53 +29,9 @@ using Job = std::pair<enterprise::RedundancyDesign, double>;
 }  // namespace
 
 bool EvalReport::converged() const noexcept {
-  if (backend == EvalBackend::kAnalytic && !availability_diagnostics.converged) return false;
+  if (!availability_diagnostics.converged) return false;
   for (const auto& [role, d] : aggregation_diagnostics) {
     if (!d.converged) return false;
-  }
-  return true;
-}
-
-bool EvalReport::agrees_with(const EvalReport& other, double z) const noexcept {
-  const double scale = z / 1.96;
-  const double hw_a = coa_half_width_95 * scale;
-  const double hw_b = other.coa_half_width_95 * scale;
-  double combined = std::sqrt(hw_a * hw_a + hw_b * hw_b);
-  if (combined == 0.0) combined = 1e-9;  // two analytic reports: round-off only
-  return std::abs(coa - other.coa) <= combined;
-}
-
-bool EvalReport::transient_point_agrees(const EvalReport& other, std::size_t j,
-                                        double z) const noexcept {
-  if (j >= transient.coa.size() || j >= other.transient.coa.size()) return false;
-  const double scale = z / 1.96;
-  // Replication-aware band floor.  COA(X_t) is a discrete reward, so a
-  // replication sample can be degenerate (every replication saw the same
-  // value), collapsing the t-interval to zero width even though the true
-  // mean differs from the observed value by up to ~3/n at 95% confidence
-  // (the rule of three for unobserved outcomes).  Floor the combined band at
-  // that resolution; two analytic curves keep the round-off-only floor.
-  const std::size_t replications =
-      std::max(simulation_diagnostics.replications, other.simulation_diagnostics.replications);
-  const double floor_hw = replications > 0 ? 3.0 / static_cast<double>(replications) : 1e-9;
-  const double hw_a =
-      (j < transient.half_width_95.size() ? transient.half_width_95[j] : 0.0) * scale;
-  const double hw_b =
-      (j < other.transient.half_width_95.size() ? other.transient.half_width_95[j] : 0.0) *
-      scale;
-  double combined = std::sqrt(hw_a * hw_a + hw_b * hw_b);
-  if (combined < floor_hw) combined = floor_hw;
-  return std::abs(transient.coa[j] - other.transient.coa[j]) <= combined;
-}
-
-bool EvalReport::transient_agrees_with(const EvalReport& other, double z) const noexcept {
-  if (transient.empty() || other.transient.empty()) return false;
-  const std::vector<double>& mine = transient.time_points_hours;
-  const std::vector<double>& theirs = other.transient.time_points_hours;
-  if (mine.size() != theirs.size()) return false;
-  for (std::size_t j = 0; j < mine.size(); ++j) {
-    if (std::abs(mine[j] - theirs[j]) > 1e-9) return false;  // different grids
-    if (!transient_point_agrees(other, j, z)) return false;
   }
   return true;
 }
@@ -370,25 +326,8 @@ EvalReport Session::evaluate_cell(const enterprise::RedundancyDesign& design,
   report.patch_interval_hours = patch_interval_hours;
   report.before_patch = security.before_patch;
   report.after_patch = security.after_patch;
-  report.backend = scenario_.engine().backend;
 
-  if (report.backend == EvalBackend::kSimulation) {
-    // One net build serves the verification and the simulator.
-    const avail::NetworkSrn net = avail::build_network_srn(design, agg.rates);
-    report.verification = verification_for(design, agg, &net);
-    const sim::SrnSimulator simulator(net.model);
-    // Parallel batches already saturate the machine with session workers;
-    // replications then run serially inside each worker so the two pools
-    // don't multiply (estimates are thread-count-invariant, so this changes
-    // nothing but the schedule).
-    sim::SimulationOptions sim_options = scenario_.engine().simulation;
-    if (scenario_.engine().parallel) sim_options.threads = 1;
-    const sim::SimulationEstimate est =
-        simulator.steady_state_reward_replicated(net.coa_reward(), sim_options);
-    report.coa = est.mean;
-    report.coa_half_width_95 = est.half_width_95;
-    report.simulation_diagnostics = est.diagnostics;
-  } else if (scenario_.engine().lumping) {
+  if (scenario_.engine().lumping) {
     report.verification = verification_for(design, agg);
     // Closed form over the per-tier binomials: no chain, no workspace.
     const avail::CoaEvaluation coa = avail::capacity_oriented_availability_lumped_detailed(
@@ -436,54 +375,32 @@ EvalReport Session::evaluate_transient_impl(
   report.patch_interval_hours = patch_interval_hours;
   report.before_patch = security.before_patch;
   report.after_patch = security.after_patch;
-  report.backend = engine.backend;
   report.transient.time_points_hours = grid;
 
-  if (report.backend == EvalBackend::kSimulation) {
-    // One net build serves the verification and the simulator.
-    const avail::NetworkSrn net = avail::build_network_srn(design, agg.rates);
+  avail::TransientCoaOptions options;
+  options.initial_down = initial_down;
+  options.uniformization = engine.uniformization;
+  options.reachability = engine.reachability;
+  avail::CoaCurveEvaluation eval;
+  if (engine.lumping) {
     report.verification =
-        verification != nullptr ? *verification : verification_for(design, agg, &net);
-    const petri::Marking window_start = avail::patch_window_marking(net, initial_down);
-    const sim::SrnSimulator simulator(net.model);
-    // Unlike evaluate(), no engine.parallel override here: transient
-    // evaluation is never dispatched by run_batch, so the replication
-    // fan-out is the only pool and may use its full thread budget.
-    const sim::TransientCurveEstimate est = simulator.transient_reward_curve(
-        net.coa_reward(), grid, engine.simulation, &window_start);
-    report.transient.coa = est.mean;
-    report.transient.half_width_95 = est.half_width_95;
-    // The interval mean integrates the same trajectories the curve sampled.
-    report.transient.accumulated_coa_hours = est.interval_mean * report.transient.horizon_hours();
-    report.coa = est.interval_mean;
-    report.coa_half_width_95 = est.interval_half_width_95;
-    report.simulation_diagnostics = est.diagnostics;
+        verification != nullptr ? *verification : verification_for(design, agg);
+    eval = avail::transient_coa_lumped_detailed(design, agg.rates, grid, options);
   } else {
-    avail::TransientCoaOptions options;
-    options.initial_down = initial_down;
-    options.uniformization = engine.uniformization;
-    options.reachability = engine.reachability;
-    avail::CoaCurveEvaluation eval;
-    if (engine.lumping) {
-      report.verification =
-          verification != nullptr ? *verification : verification_for(design, agg);
-      eval = avail::transient_coa_lumped_detailed(design, agg.rates, grid, options);
-    } else {
-      // One net build serves the verification and the solve.
-      const avail::NetworkSrn net = avail::build_network_srn(design, agg.rates);
-      report.verification = verification_for(design, agg, &net);
-      eval = std::move(avail::transient_coa_batch(net, grid, {initial_down}, options,
-                                                  &workspaces_for_this_thread().transient)
-                           .front());
-      ++network_exploration_count_;
-    }
-    report.transient.coa.reserve(eval.curve.size());
-    for (const avail::CoaPoint& point : eval.curve) report.transient.coa.push_back(point.coa);
-    report.transient.accumulated_coa_hours = eval.accumulated_coa_hours;
-    report.coa = report.transient.interval_coa();
-    report.availability_diagnostics = eval.diagnostics;
-    report.transient_diagnostics = eval.transient;
+    // One net build serves the verification and the solve.
+    const avail::NetworkSrn net = avail::build_network_srn(design, agg.rates);
+    report.verification = verification_for(design, agg, &net);
+    eval = std::move(avail::transient_coa_batch(net, grid, {initial_down}, options,
+                                                &workspaces_for_this_thread().transient)
+                         .front());
+    ++network_exploration_count_;
   }
+  report.transient.coa.reserve(eval.curve.size());
+  for (const avail::CoaPoint& point : eval.curve) report.transient.coa.push_back(point.coa);
+  report.transient.accumulated_coa_hours = eval.accumulated_coa_hours;
+  report.coa = report.transient.interval_coa();
+  report.availability_diagnostics = eval.diagnostics;
+  report.transient_diagnostics = eval.transient;
   report.aggregation_diagnostics = agg.diagnostics;
   report.wall_time_seconds = seconds_since(start);
   return report;
@@ -503,10 +420,10 @@ std::vector<EvalReport> Session::evaluate_transient_batch(
     throw std::invalid_argument("Session::evaluate_transient_batch: no waves");
   }
   const EngineOptions& engine = scenario_.engine();
-  if (engine.backend == EvalBackend::kSimulation || engine.lumping) {
-    // These backends have no panel mode (replications resp. a closed form
-    // per wave); the batch degenerates to the sequential contract, except
-    // that the wave-independent verification stages run once.
+  if (engine.lumping) {
+    // The closed form has no panel mode (one evaluation per wave); the batch
+    // degenerates to the sequential contract, except that the
+    // wave-independent verification stages run once.
     const std::vector<StageVerification> verification =
         verification_for(design, aggregation_for(patch_interval_hours));
     std::vector<EvalReport> reports;
@@ -542,7 +459,6 @@ std::vector<EvalReport> Session::evaluate_transient_batch(
     report.patch_interval_hours = patch_interval_hours;
     report.before_patch = security.before_patch;
     report.after_patch = security.after_patch;
-    report.backend = engine.backend;
     report.verification = verification;
     report.transient.time_points_hours = grid;
     report.transient.coa.reserve(eval.curve.size());

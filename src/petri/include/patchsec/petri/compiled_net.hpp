@@ -6,8 +6,8 @@
 /// are partitioned timed/immediate (immediates pre-sorted by priority).  All
 /// per-marking work is then branch-light array scanning with zero allocation.
 ///
-/// Shared by the reachability explorer (analytic path) and the Monte-Carlo
-/// event loop (simulation path): both compile the model once and then reuse
+/// Shared by the reachability explorer (analytic path) and the test-side
+/// Monte-Carlo event loop (tests/testgen): both compile the model once and then reuse
 /// caller-owned scratch vectors across millions of enabledness checks and
 /// firings.  A CompiledNet holds pointers into the SrnModel it was built
 /// from; the model must outlive it and must not be modified afterwards.

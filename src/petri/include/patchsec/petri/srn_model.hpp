@@ -42,8 +42,8 @@ struct Arc {
 };
 
 /// Declarative SRN.  Build places and transitions, then hand the model to the
-/// reachability generator (analytic path) or the simulator (Monte-Carlo
-/// path).  The model itself is immutable during analysis.
+/// reachability generator (analytic path) or the test-side simulator
+/// (Monte-Carlo oracle).  The model itself is immutable during analysis.
 class SrnModel {
  public:
   SrnModel() = default;

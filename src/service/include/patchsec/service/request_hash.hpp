@@ -20,12 +20,9 @@
 ///    EvalReport's payload is hashed.  The exclusions are scheduling-only
 ///    knobs, each proven result-invariant elsewhere in the tree:
 ///    EngineOptions::parallel / EngineOptions::threads (batch fan-out;
-///    parallel == serial is asserted in test_session) and
-///    SimulationOptions::threads (replication estimates are counter-seeded
-///    per replication and bit-identical across thread counts — asserted in
-///    test_sim and test_session), plus EngineOptions::uniformization
-///    whenever the engine does not read it: only the flat analytic
-///    transient engine does, so it is hashed only for kAnalytic without
+///    parallel == serial is asserted in test_session), plus
+///    EngineOptions::uniformization whenever the engine does not read it:
+///    only the flat transient engine does, so it is hashed only without
 ///    `lumping` (asserted in test_service).
 ///
 /// The policy hooks of a ReachabilityPolicy are opaque std::functions, so

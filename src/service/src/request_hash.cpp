@@ -107,16 +107,8 @@ void append_engine_options(HashStream& h, const core::EngineOptions& engine) {
   h.u64(engine.reachability.max_tangible_markings);
   h.u64(engine.reachability.max_vanishing_depth);
   h.u8(engine.throw_on_divergence ? 1 : 0);
-  // Backend selection (parallel/threads are scheduling-only — excluded).
-  h.u8(static_cast<std::uint8_t>(engine.backend));
+  // Upper-layer engine (parallel/threads are scheduling-only — excluded).
   h.u8(engine.lumping ? 1 : 0);
-  // Simulation backend (threads excluded: estimates are counter-seeded and
-  // thread-count-invariant).
-  h.u64(engine.simulation.seed);
-  h.f64(engine.simulation.warmup_hours);
-  h.u64(engine.simulation.replications);
-  h.f64(engine.simulation.horizon_hours);
-  h.u64(engine.simulation.max_vanishing_depth);
   // Transient window.
   h.f64(engine.horizon_hours);
   h.u64(engine.time_points.size());
@@ -127,9 +119,9 @@ void append_engine_options(HashStream& h, const core::EngineOptions& engine) {
     h.u8(static_cast<std::uint8_t>(role));
     h.u32(down);
   }
-  // Uniformization truncation: only the flat analytic transient engine reads
-  // it, so simulated and closed-form lumped scenarios share keys across it.
-  if (engine.backend == core::EvalBackend::kAnalytic && !engine.lumping) {
+  // Uniformization truncation: only the flat transient engine reads it, so
+  // closed-form lumped scenarios share keys across it.
+  if (!engine.lumping) {
     h.f64(engine.uniformization.epsilon);
     h.u64(engine.uniformization.max_terms);
   }

@@ -105,7 +105,6 @@ std::size_t ResultCache::report_footprint(const core::EvalReport& report) {
   std::size_t bytes = sizeof(core::EvalReport);
   bytes += vector_bytes(report.transient.time_points_hours);
   bytes += vector_bytes(report.transient.coa);
-  bytes += vector_bytes(report.transient.half_width_95);
   bytes += string_bytes(report.transient_diagnostics.kernel);
   bytes += report.aggregation_diagnostics.size() *
            (sizeof(std::pair<enterprise::ServerRole, petri::SolveDiagnostics>) + kNodeOverhead);

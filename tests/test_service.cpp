@@ -117,9 +117,6 @@ TEST(RequestHash, ResultAffectingKnobsChangeTheHash) {
   engine.lumping = true;
   EXPECT_NE(svc::hash_scenario(core::Scenario(base).with_engine(engine)), reference);
 
-  engine = base.engine();
-  engine.backend = core::EvalBackend::kSimulation;
-  EXPECT_NE(svc::hash_scenario(core::Scenario(base).with_engine(engine)), reference);
 
   // A schedule change and a spec change both reach the hash.
   EXPECT_NE(svc::hash_scenario(core::Scenario(base).with_patch_interval(168.0)), reference);
@@ -140,12 +137,11 @@ TEST(RequestHash, SchedulingOnlyKnobsDoNotChangeTheHash) {
   core::EngineOptions engine = base.engine();
   engine.parallel = true;
   engine.threads = 8;
-  engine.simulation.threads = 4;
   EXPECT_EQ(svc::hash_scenario(core::Scenario(base).with_engine(engine)), reference);
 }
 
 TEST(RequestHash, UniformizationKeysOnlyTheFlatTransientEngine) {
-  // Only the flat analytic transient engine reads EngineOptions::
+  // Only the flat transient engine reads EngineOptions::
   // uniformization.  Lumped scenarios that differ only in epsilon share a
   // key and reply with the same bytes; flat ones still differ.
   core::EngineOptions tight;
@@ -170,12 +166,6 @@ TEST(RequestHash, UniformizationKeysOnlyTheFlatTransientEngine) {
   EXPECT_EQ(a.key, b.key);
   EXPECT_TRUE(payload_bit_identical(a.report, b.report));
   EXPECT_TRUE(same_verification(a.report.verification, b.report.verification));
-
-  // The simulation backend ignores it too.
-  tight.lumping = loose.lumping = false;
-  tight.backend = loose.backend = core::EvalBackend::kSimulation;
-  EXPECT_EQ(svc::hash_scenario(core::Scenario(base).with_engine(tight)),
-            svc::hash_scenario(core::Scenario(base).with_engine(loose)));
 }
 
 TEST(RequestHash, NegativeZeroCanonicalizesAndNanThrows) {

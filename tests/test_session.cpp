@@ -548,190 +548,50 @@ TEST(SessionOverloads, EscalateStarvedSolvesInsteadOfUsingThem) {
                std::runtime_error);
 }
 
-// ---------------------------------------------------------------------------
-// EvalBackend::kSimulation: the Monte-Carlo evaluation path through Session.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-core::Scenario simulation_scenario(std::uint64_t seed, unsigned threads = 1) {
-  core::EngineOptions engine;
-  engine.backend = core::EvalBackend::kSimulation;
-  engine.simulation.seed = seed;
-  engine.simulation.replications = 16;
-  engine.simulation.warmup_hours = 1000.0;
-  engine.simulation.horizon_hours = 8000.0;
-  engine.simulation.threads = threads;
-  return core::Scenario::paper_case_study().with_engine(engine);
-}
-
-}  // namespace
-
-TEST(SessionBackend, SimulationBackendAgreesWithAnalytic) {
-  const ent::RedundancyDesign design{{1, 2, 2, 1}};
-  const core::Session analytic(core::Scenario::paper_case_study());
-  const core::EvalReport analytic_report = analytic.evaluate(design);
-  EXPECT_EQ(analytic_report.backend, core::EvalBackend::kAnalytic);
-  EXPECT_DOUBLE_EQ(analytic_report.coa_half_width_95, 0.0);
-
-  const core::Session simulated(simulation_scenario(4242));
-  const core::EvalReport sim_report = simulated.evaluate(design);
-  EXPECT_EQ(sim_report.backend, core::EvalBackend::kSimulation);
-  EXPECT_GT(sim_report.coa_half_width_95, 0.0);
-  EXPECT_GT(sim_report.simulation_diagnostics.events_fired, 0u);
-  EXPECT_EQ(sim_report.simulation_diagnostics.replications, 16u);
-  EXPECT_TRUE(sim_report.converged());  // lower layer analytic + no upper solve
-
-  // Cross-backend agreement at a generous 4-sigma (single fixed seed).
-  EXPECT_TRUE(sim_report.agrees_with(analytic_report, 4.0));
-  EXPECT_TRUE(analytic_report.agrees_with(sim_report, 4.0));
-  EXPECT_NEAR(sim_report.coa, analytic_report.coa, 0.01);
-
-  // The HARM (security) side is backend-independent.
-  EXPECT_DOUBLE_EQ(sim_report.before_patch.attack_impact,
-                   analytic_report.before_patch.attack_impact);
-  EXPECT_EQ(sim_report.after_patch.exploitable_vulnerabilities,
-            analytic_report.after_patch.exploitable_vulnerabilities);
-}
-
-TEST(SessionBackend, SimulationEstimatesAreThreadCountInvariant) {
-  const ent::RedundancyDesign design{{2, 2, 2, 2}};
-  const core::Session serial(simulation_scenario(99, 1));
-  const core::Session threaded(simulation_scenario(99, 6));
-  const core::EvalReport a = serial.evaluate(design);
-  const core::EvalReport b = threaded.evaluate(design);
-  EXPECT_DOUBLE_EQ(a.coa, b.coa);
-  EXPECT_DOUBLE_EQ(a.coa_half_width_95, b.coa_half_width_95);
-  EXPECT_EQ(a.simulation_diagnostics.events_fired, b.simulation_diagnostics.events_fired);
-}
-
-TEST(SessionBackend, AgreesWithSemantics) {
-  core::EvalReport a;
-  a.coa = 0.995;
-  core::EvalReport b;
-  b.coa = 0.995 + 1e-12;
-  // Two analytic reports: round-off tolerance only.
-  EXPECT_TRUE(a.agrees_with(b));
-  b.coa = 0.996;
-  EXPECT_FALSE(a.agrees_with(b));
-
-  // One simulated report: its CI decides, rescaled by z.
-  b.backend = core::EvalBackend::kSimulation;
-  b.coa_half_width_95 = 0.0015;
-  EXPECT_TRUE(a.agrees_with(b));
-  EXPECT_TRUE(b.agrees_with(a));
-  EXPECT_FALSE(a.agrees_with(b, 1.0));             // 1-sigma: 0.00077 < 0.001
-  EXPECT_TRUE(a.agrees_with(b, 1.31));             // just above the 0.001 gap
-  // Two simulated reports combine in quadrature.
-  a.backend = core::EvalBackend::kSimulation;
-  a.coa_half_width_95 = 0.0015;
-  EXPECT_TRUE(a.agrees_with(b, 1.0));  // sqrt(2)*0.00077 > 0.001
-}
-
-TEST(SessionBackend, SimulationOptionsAreValidatedAtEvaluate) {
-  core::EngineOptions engine;
-  engine.backend = core::EvalBackend::kSimulation;
-  engine.simulation.replications = 0;
-  const core::Session session(core::Scenario::paper_case_study().with_engine(engine));
-  EXPECT_THROW((void)session.evaluate(ent::RedundancyDesign{}), std::invalid_argument);
-}
-
-// ---------- memoization audit (backend / simulation-option aliasing) ---------
+// ---------- memoization audit (what a Session caches) -----------------------
 
 // The Session caches are keyed per (role, patch-interval) for Table V
 // aggregations and per design-counts for HARM metrics — deliberately WITHOUT
-// EngineOptions::backend or the simulation options in the key.  That is
-// sound for exactly one reason: both caches hold backend-INDEPENDENT inputs
-// (the lower-layer aggregation is analytic under either backend, and HARM
-// never touches the solver), and a Session's EngineOptions are immutable
-// after construction (the Scenario is copied in), so no entry computed under
-// one backend can ever be served to a request with different engine options
-// within the same Session, and nothing COA-valued (the backend-dependent
-// output) is cached at all.  This suite is the regression guard on that
-// audit: if someone starts caching per-evaluation results, or lets a
-// Session's engine mutate, the assertions below catch the aliasing.
-TEST(SessionMemoizationAudit, BackendsNeverShareCoaResultsOnlyAnalyticInputs) {
-  core::EngineOptions sim_engine;
-  sim_engine.backend = core::EvalBackend::kSimulation;
-  sim_engine.simulation.replications = 24;
-  sim_engine.simulation.warmup_hours = 500.0;
-  sim_engine.simulation.horizon_hours = 4000.0;
-  sim_engine.simulation.seed = 321;
-
+// the engine options in the key.  That is sound because a Session's
+// EngineOptions are immutable after construction (the Scenario is copied
+// in), and nothing COA-valued is cached at all: every evaluation solves its
+// upper layer again from the cached inputs.  This suite is the regression
+// guard on that audit: if someone starts caching per-evaluation results, or
+// lets a Session's engine mutate, the assertions below catch the aliasing.
+TEST(SessionMemoizationAudit, RepeatedEvaluationsSolveAgainFromCachedInputs) {
   const core::Session analytic(core::Scenario::paper_case_study());
-  const core::Session simulated(core::Scenario::paper_case_study().with_engine(sim_engine));
-
-  // Interleave evaluations across the two sessions; every report must carry
-  // its own session's backend signature regardless of evaluation order.
-  const core::EvalReport s1 = simulated.evaluate(ent::example_network_design());
   const core::EvalReport a1 = analytic.evaluate(ent::example_network_design());
-  const core::EvalReport s2 = simulated.evaluate(ent::example_network_design());
   const core::EvalReport a2 = analytic.evaluate(ent::example_network_design());
 
-  // Analytic reports: deterministic COA from a real upper-layer solve, no CI.
-  EXPECT_EQ(a1.backend, core::EvalBackend::kAnalytic);
+  // Deterministic COA from a real upper-layer solve, each time.
   EXPECT_DOUBLE_EQ(a1.coa, a2.coa);
-  EXPECT_EQ(a1.coa_half_width_95, 0.0);
   EXPECT_GT(a1.availability_diagnostics.tangible_states, 0u);
-  EXPECT_EQ(a1.simulation_diagnostics.replications, 0u);
-
-  // Simulated reports: replication estimate with a CI, NO analytic
-  // upper-layer solve; deterministic for the fixed seed.
-  EXPECT_EQ(s1.backend, core::EvalBackend::kSimulation);
-  EXPECT_DOUBLE_EQ(s1.coa, s2.coa);
-  EXPECT_GT(s1.coa_half_width_95, 0.0);
-  EXPECT_EQ(s1.availability_diagnostics.tangible_states, 0u);
-  EXPECT_EQ(s1.simulation_diagnostics.replications, 24u);
-
-  // The estimates genuinely differ (a cache serving one for the other would
-  // make them equal), while agreeing statistically.
-  EXPECT_NE(s1.coa, a1.coa);
-  EXPECT_TRUE(s1.agrees_with(a1, 4.0));
-
-  // What IS shared across backends is the backend-independent lower layer:
-  // identical Table V rates from both sessions' caches.
-  const auto& analytic_rates = analytic.aggregated_rates();
-  const auto& sim_rates = simulated.aggregated_rates();
-  for (const auto& [role, rate] : analytic_rates) {
-    EXPECT_DOUBLE_EQ(rate.lambda_eq, sim_rates.at(role).lambda_eq);
-    EXPECT_DOUBLE_EQ(rate.mu_eq, sim_rates.at(role).mu_eq);
-  }
+  EXPECT_GT(a2.availability_diagnostics.tangible_states, 0u);
 }
 
 TEST(SessionMemoizationAudit, TransientAndSteadyShareOnlyTheAggregationCache) {
   // Same invariant on the evaluate_transient path: the transient curve is
-  // computed fresh per call (only aggregations are memoized), so transient
-  // reports through different backends stay backend-true.
-  core::EngineOptions transient_sim;
-  transient_sim.backend = core::EvalBackend::kSimulation;
-  transient_sim.time_points = {0.0, 2.0, 12.0};
-  transient_sim.simulation.replications = 48;
-  transient_sim.simulation.seed = 9;
-
+  // computed fresh per call (only aggregations are memoized), so a steady
+  // evaluation on the same Session carries no curve and no uniformization.
   core::EngineOptions transient_analytic;
   transient_analytic.time_points = {0.0, 2.0, 12.0};
 
   const core::Session analytic(core::Scenario::paper_case_study().with_engine(transient_analytic));
-  const core::Session simulated(core::Scenario::paper_case_study().with_engine(transient_sim));
-  const core::EvalReport s = simulated.evaluate_transient(ent::example_network_design());
   const core::EvalReport a = analytic.evaluate_transient(ent::example_network_design());
+  const core::EvalReport s = analytic.evaluate(ent::example_network_design());
 
-  EXPECT_EQ(s.backend, core::EvalBackend::kSimulation);
-  EXPECT_EQ(a.backend, core::EvalBackend::kAnalytic);
-  EXPECT_FALSE(s.transient.half_width_95.empty());
-  EXPECT_TRUE(a.transient.half_width_95.empty());
-  EXPECT_GT(s.simulation_diagnostics.events_fired, 0u);
-  EXPECT_EQ(a.simulation_diagnostics.events_fired, 0u);
+  EXPECT_EQ(a.transient.coa.size(), 3u);
   EXPECT_GT(a.transient_diagnostics.matvec_count, 0u);
+  EXPECT_TRUE(s.transient.empty());
   EXPECT_EQ(s.transient_diagnostics.matvec_count, 0u);
 }
 
 TEST(SessionMemoizationAudit, LumpedAndFlatSessionsStayEngineTrue) {
-  // EngineOptions::lumping participates in per-session state the same way
-  // the backend does: interleaved lumped and flat sessions must each report
-  // their own engine's diagnostics (the closed form's tangible/flat_states
-  // split vs the ordinary flat solve) while sharing only the
-  // backend-independent lower-layer aggregation — and their COAs must agree
+  // EngineOptions::lumping participates in per-session state: interleaved
+  // lumped and flat sessions must each report their own engine's
+  // diagnostics (the closed form's tangible/flat_states split vs the
+  // ordinary flat solve) while sharing only the engine-independent
+  // lower-layer aggregation — and their COAs must agree
   // to solver tolerance, because the lumping is exact.
   core::EngineOptions lumped_engine;
   lumped_engine.lumping = true;

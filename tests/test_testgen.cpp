@@ -1,7 +1,8 @@
 // Scenario generator + differential runner units: determinism and
 // reproduction-from-seed contracts, scenario validity, degenerate-shape
-// coverage, and the JSON report shape.  The full 50-scenario differential
-// sweep lives in test_differential.cpp (ctest label `differential`).
+// coverage, the JSON report shape, and the CI-agreement checks behind every
+// verdict.  The full 50-scenario differential sweep lives in
+// test_differential.cpp (ctest label `differential`).
 
 #include <gtest/gtest.h>
 
@@ -173,4 +174,55 @@ TEST(DifferentialRunner, OptionValidation) {
   options = {};
   options.simulation.replications = 0;
   EXPECT_THROW(tg::DifferentialRunner{options}, std::invalid_argument);
+}
+
+// ---------- CI-agreement checks ----------------------------------------------
+
+TEST(DifferentialChecks, AgreesWithSemantics) {
+  tg::CoaEstimate a{0.995};
+  tg::CoaEstimate b{0.995 + 1e-12};
+  // Two exact values: round-off tolerance only.
+  EXPECT_TRUE(tg::agrees_with(a, b));
+  b.coa = 0.996;
+  EXPECT_FALSE(tg::agrees_with(a, b));
+
+  // One estimate: its CI decides, rescaled by z.
+  b.half_width_95 = 0.0015;
+  EXPECT_TRUE(tg::agrees_with(a, b));
+  EXPECT_TRUE(tg::agrees_with(b, a));
+  EXPECT_FALSE(tg::agrees_with(a, b, 1.0));  // 1-sigma: 0.00077 < 0.001
+  EXPECT_TRUE(tg::agrees_with(a, b, 1.31));  // just above the 0.001 gap
+  // Two estimates combine in quadrature.
+  a.half_width_95 = 0.0015;
+  EXPECT_TRUE(tg::agrees_with(a, b, 1.0));  // sqrt(2)*0.00077 > 0.001
+}
+
+TEST(DifferentialChecks, TransientBandRejectsMismatchedOrMissingCurves) {
+  patchsec::sim::TransientCurveEstimate simulated;
+  simulated.time_points = {0.0, 1.0, 4.0};
+  simulated.mean = {0.5, 0.9, 0.99};
+  simulated.half_width_95 = {0.0, 0.02, 0.01};
+  simulated.diagnostics.replications = 300;  // band floor 3/300 = 0.01
+
+  core::TransientCurve analytic;
+  analytic.time_points_hours = {0.0, 1.0, 4.0};
+  analytic.coa = {0.505, 0.915, 0.995};
+  EXPECT_TRUE(tg::transient_agrees_with(simulated, analytic));
+
+  // The band at j = 0 is the rule-of-three floor; at j = 1 the half width
+  // rescaled by z.
+  EXPECT_TRUE(tg::transient_point_agrees(simulated, analytic, 0));
+  analytic.coa[0] = 0.52;
+  EXPECT_FALSE(tg::transient_point_agrees(simulated, analytic, 0));
+  EXPECT_FALSE(tg::transient_agrees_with(simulated, analytic));
+  analytic.coa[0] = 0.505;
+  EXPECT_FALSE(tg::transient_point_agrees(simulated, analytic, 1, 1.0));  // 0.0102 < 0.015
+  EXPECT_FALSE(tg::transient_point_agrees(simulated, analytic, 3));       // no such point
+
+  const core::TransientCurve steady;  // no curve on the other side
+  EXPECT_FALSE(tg::transient_agrees_with(simulated, steady));
+
+  core::TransientCurve other_grid = analytic;  // different grids never compare
+  other_grid.time_points_hours = {0.0, 2.0, 4.0};
+  EXPECT_FALSE(tg::transient_agrees_with(simulated, other_grid));
 }

@@ -1,7 +1,7 @@
 // The transient evaluation path of the facade (Session::evaluate_transient):
-// grid resolution, both backends, curve shape against the avail-layer engine
-// and against steady state, cache sharing with the steady-state path, the
-// CI-band agreement check, and the JSON curve payload.
+// grid resolution, curve shape against the avail-layer engine and against
+// steady state, cache sharing with the steady-state path, the Monte-Carlo
+// oracle's CI band around the Session curve, and the JSON curve payload.
 
 #include <gtest/gtest.h>
 
@@ -15,10 +15,14 @@
 #include "patchsec/core/report.hpp"
 #include "patchsec/core/session.hpp"
 #include "patchsec/enterprise/network.hpp"
+#include "patchsec/sim/srn_simulator.hpp"
+#include "patchsec/testgen/differential_runner.hpp"
 
 namespace av = patchsec::avail;
 namespace core = patchsec::core;
 namespace ent = patchsec::enterprise;
+namespace sim = patchsec::sim;
+namespace tg = patchsec::testgen;
 
 namespace {
 
@@ -61,7 +65,7 @@ TEST(TransientGrid, ExplicitGridWinsAndIsValidated) {
   EXPECT_THROW((void)engine.transient_grid(), std::invalid_argument);
 }
 
-// ---------- analytic backend -------------------------------------------------
+// ---------- Session curve -----------------------------------------------------
 
 TEST(TransientEngine, AnalyticCurveHealsFromThePatchWindowDip) {
   core::EngineOptions engine;
@@ -72,8 +76,6 @@ TEST(TransientEngine, AnalyticCurveHealsFromThePatchWindowDip) {
 
   ASSERT_EQ(report.transient.time_points_hours.size(), 6u);
   ASSERT_EQ(report.transient.coa.size(), 6u);
-  EXPECT_TRUE(report.transient.half_width_95.empty());  // deterministic backend
-  EXPECT_EQ(report.backend, core::EvalBackend::kAnalytic);
   EXPECT_TRUE(report.converged());
 
   // t = 0: one of six servers down -> exactly 5/6.
@@ -222,7 +224,7 @@ TEST(TransientEngine, SingleEvaluationIsTheOneWaveBatch) {
 }
 
 TEST(TransientEngine, BatchFallsBackSequentiallyUnderLumping) {
-  // The lumped backend is a closed form with no panel mode; the batch
+  // The lumped engine is a closed form with no panel mode; the batch
   // contract degenerates to per-wave evaluation and must match it exactly
   // (same code path).
   core::EngineOptions engine;
@@ -252,87 +254,40 @@ TEST(TransientEngine, BatchFallsBackSequentiallyUnderLumping) {
   }
 }
 
-// ---------- simulation backend ----------------------------------------------
+// ---------- Monte-Carlo oracle ------------------------------------------------
 
-TEST(TransientEngine, SimulationBackendAgreesWithAnalyticCurve) {
-  core::EngineOptions analytic_engine;
-  analytic_engine.time_points = {0.0, 0.5, 1.0, 2.0, 6.0, 24.0};
-  analytic_engine.initial_down = {{ent::ServerRole::kApp, 1}, {ent::ServerRole::kWeb, 1}};
+TEST(TransientEngine, SimulatedCurveAgreesWithTheSessionCurve) {
+  core::EngineOptions engine;
+  engine.time_points = {0.0, 0.5, 1.0, 2.0, 6.0, 24.0};
+  engine.initial_down = {{ent::ServerRole::kApp, 1}, {ent::ServerRole::kWeb, 1}};
+  const core::Session session(transient_scenario(engine));
+  const core::EvalReport analytic = session.evaluate_transient(ent::example_network_design());
 
-  core::EngineOptions sim_engine = analytic_engine;
-  sim_engine.backend = core::EvalBackend::kSimulation;
-  sim_engine.simulation.seed = 20170626;
-  sim_engine.simulation.replications = 768;
+  // The oracle runs the same network net from the same patch-window marking.
+  const av::NetworkSrn net =
+      av::build_network_srn(ent::example_network_design(), session.aggregated_rates());
+  const patchsec::petri::Marking start = av::patch_window_marking(net, engine.initial_down);
+  sim::SimulationOptions options;
+  options.seed = 20170626;
+  options.replications = 768;
+  const sim::TransientCurveEstimate simulated = sim::SrnSimulator(net.model).transient_reward_curve(
+      net.coa_reward(), engine.time_points, options, &start);
+  ASSERT_EQ(simulated.mean.size(), 6u);
+  ASSERT_EQ(simulated.half_width_95.size(), 6u);
+  EXPECT_EQ(simulated.diagnostics.replications, 768u);
+  EXPECT_GT(simulated.diagnostics.events_fired, 0u);
 
-  const core::Session analytic_session(transient_scenario(analytic_engine));
-  const core::Session sim_session(transient_scenario(sim_engine));
-  const core::EvalReport analytic =
-      analytic_session.evaluate_transient(ent::example_network_design());
-  const core::EvalReport simulated =
-      sim_session.evaluate_transient(ent::example_network_design());
-
-  EXPECT_EQ(simulated.backend, core::EvalBackend::kSimulation);
-  ASSERT_EQ(simulated.transient.coa.size(), 6u);
-  ASSERT_EQ(simulated.transient.half_width_95.size(), 6u);
-  EXPECT_EQ(simulated.simulation_diagnostics.replications, 768u);
-  EXPECT_GT(simulated.simulation_diagnostics.events_fired, 0u);
-
-  // t = 0 is deterministic in both backends: two servers of six down (the
+  // t = 0 is deterministic on both sides: two servers of six down (the
   // half width is round-off dust — every replication recorded 4/6).
-  EXPECT_NEAR(simulated.transient.coa[0], 4.0 / 6.0, 1e-12);
-  EXPECT_LT(simulated.transient.half_width_95[0], 1e-12);
+  EXPECT_NEAR(simulated.mean[0], 4.0 / 6.0, 1e-12);
+  EXPECT_LT(simulated.half_width_95[0], 1e-12);
 
   // The committed seed agrees curve-wide at the default band; the scalar
-  // (interval) COA agrees through the steady-state-style check.
-  EXPECT_TRUE(simulated.transient_agrees_with(analytic, 1.96));
-  EXPECT_TRUE(simulated.agrees_with(analytic, 1.96));
-  EXPECT_GT(simulated.coa_half_width_95, 0.0);
-}
-
-TEST(TransientEngine, SimulationCurveIsThreadCountInvariant) {
-  core::EngineOptions engine;
-  engine.backend = core::EvalBackend::kSimulation;
-  engine.time_points = {0.0, 1.0, 6.0, 24.0};
-  engine.initial_down = {{ent::ServerRole::kDb, 1}};
-  engine.simulation.replications = 96;
-  engine.simulation.seed = 7;
-
-  engine.simulation.threads = 1;
-  const core::Session serial(transient_scenario(engine));
-  engine.simulation.threads = 4;
-  const core::Session threaded(transient_scenario(engine));
-
-  const core::EvalReport a = serial.evaluate_transient(ent::example_network_design());
-  const core::EvalReport b = threaded.evaluate_transient(ent::example_network_design());
-  ASSERT_EQ(a.transient.coa.size(), b.transient.coa.size());
-  for (std::size_t j = 0; j < a.transient.coa.size(); ++j) {
-    EXPECT_EQ(a.transient.coa[j], b.transient.coa[j]) << "j=" << j;  // bit-identical
-    EXPECT_EQ(a.transient.half_width_95[j], b.transient.half_width_95[j]) << "j=" << j;
-  }
-  EXPECT_EQ(a.coa, b.coa);
-  EXPECT_EQ(a.simulation_diagnostics.events_fired, b.simulation_diagnostics.events_fired);
-}
-
-// ---------- agreement semantics ----------------------------------------------
-
-TEST(TransientEngine, AgreementRejectsMismatchedOrMissingCurves) {
-  core::EngineOptions engine;
-  engine.time_points = {0.0, 1.0, 4.0};
-  const core::Session session(transient_scenario(engine));
-  const core::EvalReport curve = session.evaluate_transient(ent::example_network_design());
-  const core::EvalReport steady = session.evaluate(ent::example_network_design());
-  EXPECT_FALSE(curve.transient_agrees_with(steady));  // no curve on the other side
-  EXPECT_FALSE(steady.transient_agrees_with(curve));
-
-  core::EngineOptions other_grid = engine;
-  other_grid.time_points = {0.0, 2.0, 4.0};
-  const core::Session other_session(transient_scenario(other_grid));
-  const core::EvalReport other = other_session.evaluate_transient(ent::example_network_design());
-  EXPECT_FALSE(curve.transient_agrees_with(other));  // different grids never compare
-
-  // Identical analytic evaluations agree within round-off.
-  const core::EvalReport again = session.evaluate_transient(ent::example_network_design());
-  EXPECT_TRUE(curve.transient_agrees_with(again));
+  // (interval) COA agrees through the steady-state check.
+  EXPECT_TRUE(tg::transient_agrees_with(simulated, analytic.transient, 1.96));
+  EXPECT_TRUE(tg::agrees_with({simulated.interval_mean, simulated.interval_half_width_95},
+                              {analytic.coa}, 1.96));
+  EXPECT_GT(simulated.interval_half_width_95, 0.0);
 }
 
 // ---------- report payload ---------------------------------------------------

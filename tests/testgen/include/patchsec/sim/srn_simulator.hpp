@@ -1,10 +1,10 @@
 #pragma once
 /// \file srn_simulator.hpp
-/// \brief Discrete-event Monte-Carlo simulation of an SrnModel.  A
-/// first-class evaluation backend (core::EvalBackend::kSimulation) and the
-/// statistical oracle of the differential validation harness: the same net,
-/// executed by sampling exponential firings, must agree with the analytic
-/// (reachability + steady-state) pipeline within confidence bounds.
+/// \brief Discrete-event Monte-Carlo simulation of an SrnModel: the
+/// statistical oracle of the differential validation harness (test-only; no
+/// engine path runs it).  The same net, executed by sampling exponential
+/// firings, must agree with the analytic (reachability + steady-state)
+/// pipeline within confidence bounds.
 ///
 /// One estimator per measure:
 ///  * steady state — independent replications: many trajectories of warmup +
@@ -45,8 +45,7 @@ struct SimulationOptions {
   void validate() const;
 };
 
-/// Per-run execution counters, surfaced next to the estimate (and through
-/// core::EvalReport when the simulation backend produced the report).
+/// Per-run execution counters, surfaced next to the estimate.
 struct SimDiagnostics {
   std::size_t replications = 0;  ///< replications aggregated.
   double half_width_95 = 0.0;    ///< 95% CI half width of the estimate.
@@ -69,8 +68,8 @@ struct TransientCurveEstimate {
   SimDiagnostics diagnostics;
 };
 // Note: per-point band checks against this estimate live in ONE place,
-// core::EvalReport::transient_point_agrees — no convenience comparator here,
-// so verdict semantics (floors, quadrature combination) cannot fork.
+// testgen::transient_point_agrees — no convenience comparator here, so
+// verdict semantics (floors, band scaling) cannot fork.
 
 struct SimulationEstimate {
   double mean = 0.0;

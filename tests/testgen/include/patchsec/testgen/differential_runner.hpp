@@ -1,24 +1,60 @@
 #pragma once
 /// \file differential_runner.hpp
 /// \brief Differential validation of the analytic pipeline against the
-/// Monte-Carlo backend: sweep N generated scenarios, evaluate each through
-/// both core::EvalBackend paths, and check that every analytic
-/// capacity-oriented availability falls inside the simulation's confidence
-/// interval at z standard errors.  A small number of statistical misses is
-/// expected at 95% coverage; `DifferentialReport::passed` budgets them.
+/// Monte-Carlo oracle: sweep N generated scenarios, evaluate each through a
+/// core::Session and through sim::SrnSimulator on the same network net, and
+/// check that every analytic capacity-oriented availability falls inside the
+/// simulation's confidence interval at z standard errors.  A small number of
+/// statistical misses is expected at 95% coverage;
+/// `DifferentialReport::passed` budgets them.
 ///
 /// Reproduction: each case logs the generating `scenario_seed`; feed it to
-/// `DifferentialRunner::run_one` (or the `differential_runner --seed` CLI)
+/// `DifferentialRunner::run_one` (or the `differential_runner --repro` CLI)
 /// to replay exactly that scenario, estimates included.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "patchsec/core/session.hpp"
 #include "patchsec/sim/srn_simulator.hpp"
 #include "patchsec/testgen/scenario_generator.hpp"
 
 namespace patchsec::testgen {
+
+// --- CI-agreement checks -----------------------------------------------------
+
+/// A COA value with the 95% confidence half width of its estimate; 0 marks
+/// an exact (analytic) value.
+struct CoaEstimate {
+  double coa = 0.0;
+  double half_width_95 = 0.0;
+};
+
+/// CI-aware agreement of two COA values at z standard errors: both half
+/// widths are rescaled from their 95% level to z and combined in quadrature;
+/// two exact values compare within round-off (1e-9).  agrees_with(simulated,
+/// {analytic}, 1.96) asks "does the analytic COA fall inside the
+/// simulation's 95% confidence interval" — the steady-state verdict.
+[[nodiscard]] bool agrees_with(const CoaEstimate& a, const CoaEstimate& b,
+                               double z = 1.96) noexcept;
+
+/// The band check of ONE grid point j: |simulated.mean[j] - analytic[j]|
+/// within the simulated per-point half width rescaled from 95% to z, floored
+/// at 3/replications.  COA(X_t) is a discrete reward, so a degenerate
+/// replication sample (every replication saw the same value) collapses the
+/// t-interval to zero width while the true mean may differ by up to ~3/n
+/// at 95% confidence (the rule of three).  False when either curve lacks j.
+[[nodiscard]] bool transient_point_agrees(const sim::TransientCurveEstimate& simulated,
+                                          const core::TransientCurve& analytic, std::size_t j,
+                                          double z = 1.96) noexcept;
+
+/// Whole-curve band agreement, the transient verdict: true iff both curves
+/// are non-empty over the same grid (within 1e-9) and every grid point
+/// passes transient_point_agrees.
+[[nodiscard]] bool transient_agrees_with(const sim::TransientCurveEstimate& simulated,
+                                         const core::TransientCurve& analytic,
+                                         double z = 1.96) noexcept;
 
 /// Which measure the sweep cross-checks.
 enum class DifferentialMode : std::uint8_t {
@@ -28,11 +64,11 @@ enum class DifferentialMode : std::uint8_t {
   /// The transient coa(t) curve over `transient_grid`, starting from the
   /// patch-window marking (one server per deployed role down): the analytic
   /// curve must lie inside the finite-horizon estimator's CI band at EVERY
-  /// grid point (EvalReport::transient_agrees_with).  The band is
-  /// SIMULTANEOUS at level z: per-point intervals are Bonferroni-widened so
-  /// the whole-curve coverage matches z, because the verdict quantifies over
-  /// the grid (per-point 95% intervals would miss ~23% of correct curves on
-  /// a 5-point grid).
+  /// grid point (transient_agrees_with).  The band is SIMULTANEOUS at level
+  /// z: per-point intervals are Bonferroni-widened so the whole-curve
+  /// coverage matches z, because the verdict quantifies over the grid
+  /// (per-point 95% intervals would miss ~23% of correct curves on a 5-point
+  /// grid).
   kTransient,
   /// Three-way steady-state check adding the closed-form analytic engine
   /// (core::EngineOptions::lumping) as a third axis: every scenario is scored
@@ -69,7 +105,7 @@ struct DifferentialOptions {
   sim::SimulationOptions simulation;
 };
 
-/// One generated scenario, evaluated through both backends.  In transient
+/// One generated scenario, evaluated analytically and simulated.  In transient
 /// mode the COA columns hold the time-averaged (interval) COA over the
 /// window and the per-point verdict lives in the grid columns below.
 struct DifferentialCase {
@@ -84,10 +120,11 @@ struct DifferentialCase {
                                 ///< (transient mode: the whole curve inside
                                 ///< the band at every grid point).
   bool analytic_converged = true;  ///< every analytic solve converged.
-  /// Every verified net behind every backend came back with zero findings
-  /// (EvalReport::lint_clean across the evaluations).  A dirty case fails
-  /// `inside_ci` regardless of the statistics — numbers from a lint-dirty
-  /// net are not evidence.
+  /// Every verified net behind the analytic evaluations came back with zero
+  /// findings (EvalReport::lint_clean); the simulator runs the same network
+  /// net those evaluations verified.  A dirty case fails `inside_ci`
+  /// regardless of the statistics — numbers from a lint-dirty net are not
+  /// evidence.
   bool lint_clean = true;
 
   // --- transient mode only --------------------------------------------------
@@ -123,8 +160,8 @@ class DifferentialRunner {
 
   [[nodiscard]] const DifferentialOptions& options() const noexcept { return options_; }
 
-  /// Generate options().scenarios cases and evaluate each through both
-  /// backends.  Deterministic for a given generator seed, including the
+  /// Generate options().scenarios cases and evaluate each analytically and
+  /// by simulation.  Deterministic for a given generator seed, including the
   /// simulation estimates (counter-based replication streams), regardless of
   /// simulation thread count.
   [[nodiscard]] DifferentialReport run() const;

@@ -23,17 +23,59 @@
 //                  print its verdict and exit (0 = inside CI).
 //
 // Exit status: 0 when misses <= allowed_misses (or the repro case agrees),
-// 1 otherwise, 2 on usage errors.
+// 1 otherwise, 2 on usage errors: an unknown flag, a missing, malformed,
+// negative or out-of-range value, or options the runner rejects.  Usage
+// errors are reported before any scenario runs.
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "patchsec/testgen/differential_runner.hpp"
 
 namespace {
+
+const char* program = "differential_runner";
+
+[[noreturn]] void usage_error(const std::string& message) {
+  std::fprintf(stderr, "%s: %s\n", program, message.c_str());
+  std::fprintf(stderr,
+               "usage: %s [--scenarios N] [--seed S] [--z Z] [--allowed-misses M]\n"
+               "          [--threads T] [--quick] [--transient] [--lumped]\n"
+               "          [--replications N] [--repro SCENARIO_SEED] [--output PATH]\n",
+               program);
+  std::exit(2);
+}
+
+// The whole of `text` as a decimal unsigned integer no larger than `max`
+// (no sign, no whitespace, no trailing characters); a usage error otherwise.
+std::uint64_t parse_unsigned(const char* flag, const char* text,
+                             std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  const char* end = text + std::strlen(text);
+  std::uint64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc{} || ptr != end || value > max) {
+    usage_error(std::string(flag) + " needs a non-negative integer, got '" + text + "'");
+  }
+  return value;
+}
+
+// The whole of `text` as a finite, non-negative decimal number.
+double parse_non_negative(const char* flag, const char* text) {
+  const char* end = text + std::strlen(text);
+  double value = 0.0;
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(value) || value < 0.0) {
+    usage_error(std::string(flag) + " needs a finite non-negative number, got '" + text + "'");
+  }
+  return value;
+}
 
 void print_case(const patchsec::testgen::DifferentialCase& c,
                 patchsec::testgen::DifferentialMode mode) {
@@ -52,6 +94,7 @@ void print_case(const patchsec::testgen::DifferentialCase& c,
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (argc > 0) program = argv[0];
   patchsec::testgen::DifferentialOptions options;
   std::string output;
   bool repro = false;
@@ -59,48 +102,41 @@ int main(int argc, char** argv) {
   std::uint64_t repro_seed = 0;
 
   for (int i = 1; i < argc; ++i) {
-    const auto next_arg = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(2);
-      }
+    const char* flag = argv[i];
+    const auto value = [&]() -> const char* {
+      if (i + 1 >= argc) usage_error(std::string(flag) + " needs a value");
       return argv[++i];
     };
-    if (std::strcmp(argv[i], "--scenarios") == 0) {
-      options.scenarios = std::strtoull(next_arg("--scenarios"), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      options.generator.seed = std::strtoull(next_arg("--seed"), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--z") == 0) {
-      options.z = std::strtod(next_arg("--z"), nullptr);
-    } else if (std::strcmp(argv[i], "--allowed-misses") == 0) {
-      options.allowed_misses = std::strtoull(next_arg("--allowed-misses"), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      options.simulation.threads =
-          static_cast<unsigned>(std::strtoul(next_arg("--threads"), nullptr, 10));
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
+    if (std::strcmp(flag, "--scenarios") == 0) {
+      options.scenarios = parse_unsigned(flag, value());
+    } else if (std::strcmp(flag, "--seed") == 0) {
+      options.generator.seed = parse_unsigned(flag, value());
+    } else if (std::strcmp(flag, "--z") == 0) {
+      options.z = parse_non_negative(flag, value());
+    } else if (std::strcmp(flag, "--allowed-misses") == 0) {
+      options.allowed_misses = parse_unsigned(flag, value());
+    } else if (std::strcmp(flag, "--threads") == 0) {
+      options.simulation.threads = static_cast<unsigned>(
+          parse_unsigned(flag, value(), std::numeric_limits<unsigned>::max()));
+    } else if (std::strcmp(flag, "--quick") == 0) {
       options.simulation.replications = 16;
       options.simulation.warmup_hours = 1500.0;
       options.simulation.horizon_hours = 10000.0;
       replications_set = true;
-    } else if (std::strcmp(argv[i], "--transient") == 0) {
+    } else if (std::strcmp(flag, "--transient") == 0) {
       options.mode = patchsec::testgen::DifferentialMode::kTransient;
-    } else if (std::strcmp(argv[i], "--lumped") == 0) {
+    } else if (std::strcmp(flag, "--lumped") == 0) {
       options.mode = patchsec::testgen::DifferentialMode::kLumped;
-    } else if (std::strcmp(argv[i], "--replications") == 0) {
-      options.simulation.replications = std::strtoull(next_arg("--replications"), nullptr, 10);
+    } else if (std::strcmp(flag, "--replications") == 0) {
+      options.simulation.replications = parse_unsigned(flag, value());
       replications_set = true;
-    } else if (std::strcmp(argv[i], "--repro") == 0) {
+    } else if (std::strcmp(flag, "--repro") == 0) {
       repro = true;
-      repro_seed = std::strtoull(next_arg("--repro"), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--output") == 0) {
-      output = next_arg("--output");
+      repro_seed = parse_unsigned(flag, value());
+    } else if (std::strcmp(flag, "--output") == 0) {
+      output = value();
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--scenarios N] [--seed S] [--z Z] [--allowed-misses M]\n"
-                   "          [--threads T] [--quick] [--transient] [--lumped]\n"
-                   "          [--replications N] [--repro SCENARIO_SEED] [--output PATH]\n",
-                   argv[0]);
-      return 2;
+      usage_error(std::string("unknown argument '") + flag + "'");
     }
   }
 
@@ -110,13 +146,21 @@ int main(int argc, char** argv) {
     options.simulation.replications = 512;
   }
 
+  // The runner validates every option up front, for --repro too.
+  const patchsec::testgen::DifferentialRunner runner = [&] {
+    try {
+      return patchsec::testgen::DifferentialRunner(options);
+    } catch (const std::invalid_argument& error) {
+      usage_error(error.what());
+    }
+  }();
+
   if (repro) {
-    const auto c = patchsec::testgen::DifferentialRunner::run_one(repro_seed, options);
+    const auto c = patchsec::testgen::DifferentialRunner::run_one(repro_seed, runner.options());
     print_case(c, options.mode);
     return c.inside_ci ? 0 : 1;
   }
 
-  const patchsec::testgen::DifferentialRunner runner(options);
   const patchsec::testgen::DifferentialReport report = runner.run();
   for (const auto& c : report.cases) print_case(c, report.mode);
   std::printf("differential[%s]: %zu/%zu inside the %.2f-sigma CI (%zu misses, budget %zu)\n",

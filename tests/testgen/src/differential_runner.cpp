@@ -1,12 +1,14 @@
 #include "patchsec/testgen/differential_runner.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <iomanip>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
-#include "patchsec/core/session.hpp"
+#include "patchsec/avail/network_srn.hpp"
+#include "patchsec/avail/transient_coa.hpp"
 #include "patchsec/sim/seed_stream.hpp"
 
 namespace patchsec::testgen {
@@ -52,6 +54,15 @@ std::map<enterprise::ServerRole, unsigned> patch_wave(const enterprise::Redundan
   return down;
 }
 
+// The simulation options of one case: the configured budget with the
+// per-case seed derived from the scenario seed.
+sim::SimulationOptions case_simulation(const GeneratedScenario& generated,
+                                       const DifferentialOptions& options) {
+  sim::SimulationOptions simulation = options.simulation;
+  simulation.seed = sim::splitmix64(generated.scenario_seed ^ kSimulationSalt);
+  return simulation;
+}
+
 DifferentialCase run_case_transient(const GeneratedScenario& generated,
                                     const DifferentialOptions& options) {
   DifferentialCase result;
@@ -61,48 +72,45 @@ DifferentialCase run_case_transient(const GeneratedScenario& generated,
   result.patch_interval_hours = generated.scenario.patch_interval_hours();
   result.grid_points = options.transient_grid.size();
 
-  core::EngineOptions analytic_engine;
-  analytic_engine.backend = core::EvalBackend::kAnalytic;
-  analytic_engine.throw_on_divergence = false;
-  analytic_engine.time_points = options.transient_grid;
-  analytic_engine.initial_down = patch_wave(generated.design);
-  core::Scenario analytic = generated.scenario;
-  analytic.with_engine(analytic_engine);
-  const core::Session analytic_session(std::move(analytic));
-  const core::EvalReport analytic_report =
-      analytic_session.evaluate_transient(generated.design);
-  result.analytic_coa = analytic_report.coa;
-  result.analytic_converged = analytic_report.converged();
+  core::EngineOptions engine;
+  engine.throw_on_divergence = false;
+  engine.time_points = options.transient_grid;
+  engine.initial_down = patch_wave(generated.design);
+  core::Scenario scenario = generated.scenario;
+  scenario.with_engine(engine);
+  const core::Session session(std::move(scenario));
+  const core::EvalReport analytic = session.evaluate_transient(generated.design);
+  result.analytic_coa = analytic.coa;
+  result.analytic_converged = analytic.converged();
+  result.lint_clean = analytic.lint_clean();
 
-  core::EngineOptions sim_engine = analytic_engine;
-  sim_engine.backend = core::EvalBackend::kSimulation;
-  sim_engine.simulation = options.simulation;
-  sim_engine.simulation.seed = sim::splitmix64(generated.scenario_seed ^ kSimulationSalt);
-  core::Scenario simulated = generated.scenario;
-  simulated.with_engine(sim_engine);
-  const core::Session sim_session(std::move(simulated));
-  const core::EvalReport sim_report = sim_session.evaluate_transient(generated.design);
-  result.simulated_coa = sim_report.coa;
-  result.half_width_95 = sim_report.coa_half_width_95;
+  // The oracle runs the network net the Session verified and solved, from
+  // the same patch-window marking.
+  const avail::NetworkSrn net =
+      avail::build_network_srn(generated.design, session.aggregated_rates());
+  const petri::Marking window_start = avail::patch_window_marking(net, engine.initial_down);
+  const sim::TransientCurveEstimate simulated = sim::SrnSimulator(net.model).transient_reward_curve(
+      net.coa_reward(), analytic.transient.time_points_hours,
+      case_simulation(generated, options), &window_start);
+  result.simulated_coa = simulated.interval_mean;
+  result.half_width_95 = simulated.interval_half_width_95;
 
   const double z_point = simultaneous_z(options.z, options.transient_grid.size());
-  result.lint_clean = analytic_report.lint_clean() && sim_report.lint_clean();
   result.inside_ci =
-      sim_report.transient_agrees_with(analytic_report, z_point) && result.lint_clean;
+      transient_agrees_with(simulated, analytic.transient, z_point) && result.lint_clean;
   // Per-point deviations, for the report (the verdict above is the
   // authoritative band check).
-  for (std::size_t j = 0; j < sim_report.transient.coa.size(); ++j) {
-    const double deviation =
-        std::abs(sim_report.transient.coa[j] - analytic_report.transient.coa[j]);
+  for (std::size_t j = 0; j < simulated.mean.size(); ++j) {
+    const double deviation = std::abs(simulated.mean[j] - analytic.transient.coa[j]);
     if (deviation > result.worst_deviation) {
       result.worst_deviation = deviation;
-      result.worst_point_hours = sim_report.transient.time_points_hours[j];
+      result.worst_point_hours = analytic.transient.time_points_hours[j];
     }
   }
   if (!result.inside_ci) {
     // Count the failing points with exactly the band the verdict used.
-    for (std::size_t j = 0; j < sim_report.transient.coa.size(); ++j) {
-      if (!sim_report.transient_point_agrees(analytic_report, j, z_point)) {
+    for (std::size_t j = 0; j < simulated.mean.size(); ++j) {
+      if (!transient_point_agrees(simulated, analytic.transient, j, z_point)) {
         ++result.points_outside;
       }
     }
@@ -122,29 +130,26 @@ DifferentialCase run_case(const GeneratedScenario& generated, const Differential
 
   // Analytic pass.  Divergence is surfaced, not thrown: a non-converged
   // solve shows up as analytic_converged == false next to the CI verdict.
-  core::EngineOptions analytic_engine;
-  analytic_engine.backend = core::EvalBackend::kAnalytic;
-  analytic_engine.throw_on_divergence = false;
-  core::Scenario analytic = generated.scenario;
-  analytic.with_engine(analytic_engine);
-  const core::Session analytic_session(std::move(analytic));
-  const core::EvalReport analytic_report = analytic_session.evaluate(generated.design);
-  result.analytic_coa = analytic_report.coa;
-  result.analytic_converged = analytic_report.converged();
+  core::EngineOptions engine;
+  engine.throw_on_divergence = false;
+  core::Scenario scenario = generated.scenario;
+  scenario.with_engine(engine);
+  const core::Session session(std::move(scenario));
+  const core::EvalReport analytic = session.evaluate(generated.design);
+  result.analytic_coa = analytic.coa;
+  result.analytic_converged = analytic.converged();
+  result.lint_clean = analytic.lint_clean();
 
-  // Simulation pass: same scenario, Monte-Carlo oracle, per-case seed
-  // derived from the scenario seed.
-  core::EngineOptions sim_engine;
-  sim_engine.backend = core::EvalBackend::kSimulation;
-  sim_engine.simulation = options.simulation;
-  sim_engine.simulation.seed = sim::splitmix64(generated.scenario_seed ^ kSimulationSalt);
-  core::Scenario simulated = generated.scenario;
-  simulated.with_engine(sim_engine);
-  const core::Session sim_session(std::move(simulated));
-  const core::EvalReport sim_report = sim_session.evaluate(generated.design);
-  result.simulated_coa = sim_report.coa;
-  result.half_width_95 = sim_report.coa_half_width_95;
-  result.lint_clean = analytic_report.lint_clean() && sim_report.lint_clean();
+  // Simulation pass: the network net the Session verified and solved, run
+  // by the Monte-Carlo oracle with a per-case seed derived from the
+  // scenario seed.
+  const avail::NetworkSrn net =
+      avail::build_network_srn(generated.design, session.aggregated_rates());
+  const sim::SimulationEstimate simulated = sim::SrnSimulator(net.model)
+      .steady_state_reward_replicated(net.coa_reward(), case_simulation(generated, options));
+  result.simulated_coa = simulated.mean;
+  result.half_width_95 = simulated.half_width_95;
+  const CoaEstimate estimate{simulated.mean, simulated.half_width_95};
 
   // Third axis (kLumped): the same scenario through the closed-form
   // upper-layer engine.  The lumping is exact, so this is a deterministic check
@@ -152,7 +157,7 @@ DifferentialCase run_case(const GeneratedScenario& generated, const Differential
   // simulation oracle — a lumping bug shows up in the former even when the
   // CI is wide enough to hide it.
   if (options.mode == DifferentialMode::kLumped) {
-    core::EngineOptions lumped_engine = analytic_engine;
+    core::EngineOptions lumped_engine = engine;
     lumped_engine.lumping = true;
     core::Scenario lumped = generated.scenario;
     lumped.with_engine(lumped_engine);
@@ -163,17 +168,48 @@ DifferentialCase run_case(const GeneratedScenario& generated, const Differential
     result.lumped_matches_flat = result.flat_lumped_deviation <= options.lumped_tolerance;
     result.analytic_converged = result.analytic_converged && lumped_report.converged();
     result.lint_clean = result.lint_clean && lumped_report.lint_clean();
-    result.inside_ci = sim_report.agrees_with(analytic_report, options.z) &&
-                       sim_report.agrees_with(lumped_report, options.z) &&
+    result.inside_ci = agrees_with(estimate, {analytic.coa}, options.z) &&
+                       agrees_with(estimate, {lumped_report.coa}, options.z) &&
                        result.lumped_matches_flat && result.lint_clean;
     return result;
   }
 
-  result.inside_ci = sim_report.agrees_with(analytic_report, options.z) && result.lint_clean;
+  result.inside_ci = agrees_with(estimate, {analytic.coa}, options.z) && result.lint_clean;
   return result;
 }
 
 }  // namespace
+
+bool agrees_with(const CoaEstimate& a, const CoaEstimate& b, double z) noexcept {
+  const double scale = z / 1.96;
+  const double hw_a = a.half_width_95 * scale;
+  const double hw_b = b.half_width_95 * scale;
+  double combined = std::sqrt(hw_a * hw_a + hw_b * hw_b);
+  if (combined == 0.0) combined = 1e-9;  // two exact values: round-off only
+  return std::abs(a.coa - b.coa) <= combined;
+}
+
+bool transient_point_agrees(const sim::TransientCurveEstimate& simulated,
+                            const core::TransientCurve& analytic, std::size_t j,
+                            double z) noexcept {
+  if (j >= simulated.mean.size() || j >= analytic.coa.size()) return false;
+  const double half_width = j < simulated.half_width_95.size() ? simulated.half_width_95[j] : 0.0;
+  const double floor = 3.0 / static_cast<double>(std::max<std::size_t>(
+                                 simulated.diagnostics.replications, 1));
+  const double band = std::max(half_width * (z / 1.96), floor);
+  return std::abs(simulated.mean[j] - analytic.coa[j]) <= band;
+}
+
+bool transient_agrees_with(const sim::TransientCurveEstimate& simulated,
+                           const core::TransientCurve& analytic, double z) noexcept {
+  if (simulated.time_points.empty() || analytic.empty()) return false;
+  if (simulated.time_points.size() != analytic.time_points_hours.size()) return false;
+  for (std::size_t j = 0; j < simulated.time_points.size(); ++j) {
+    if (std::abs(simulated.time_points[j] - analytic.time_points_hours[j]) > 1e-9) return false;
+    if (!transient_point_agrees(simulated, analytic, j, z)) return false;
+  }
+  return true;
+}
 
 const char* to_string(DifferentialMode mode) noexcept {
   switch (mode) {
