@@ -12,8 +12,10 @@
 /// A cadence changes only the patch-clock rate, so each role's server net is
 /// explored once per Session and each design's network net once per batch;
 /// other cadences re-rate the exploration (petri::rerate).
-/// The cadence-independent HARM security metrics are likewise memoized per
-/// design, so a schedule sweep pays the security side once per design.
+/// The cadence-independent HARM security metrics and role-labelled attack-path
+/// classes are likewise memoized per design, from one HARM build, so a
+/// schedule sweep (or a game over the design grid) pays the security side
+/// once per design.
 /// Batch evaluation can fan out over threads (EngineOptions::parallel).
 
 #include <array>
@@ -32,6 +34,7 @@
 #include "patchsec/core/scenario.hpp"
 #include "patchsec/ctmc/transient_solver.hpp"
 #include "patchsec/harm/harm.hpp"
+#include "patchsec/harm/path_classes.hpp"
 #include "patchsec/linalg/stationary_solver.hpp"
 
 namespace patchsec::core {
@@ -223,6 +226,14 @@ class Session {
   [[nodiscard]] const std::map<enterprise::ServerRole, petri::SolveDiagnostics>&
   aggregation_diagnostics(double patch_interval_hours) const;
 
+  /// The design's attack-path classes under engine().harm_paths, labelled by
+  /// role (enterprise::role_label): the attacker's strategy set of the game
+  /// layer.  Served from the per-design security memo, which computes them
+  /// from the same HARM build as the report's before/after metrics; the
+  /// reference stays valid for the Session's lifetime.
+  [[nodiscard]] const std::vector<harm::PathClass>& path_classes(
+      const enterprise::RedundancyDesign& design) const;
+
   /// Warm-reuse counters summed over every per-thread workspace slot this
   /// Session has created.  The per-Session ownership contract (workspaces are
   /// never shared across Sessions, so interleaving two Sessions cannot thrash
@@ -255,6 +266,9 @@ class Session {
     std::size_t server_rerates = 0;
     std::size_t network_explorations = 0;
     std::size_t network_rerates = 0;
+    /// HARM builds of the per-design security memo (one per distinct design,
+    /// plus any a concurrent miss on the same design computed and discarded).
+    std::size_t harm_builds = 0;
   };
   [[nodiscard]] WorkspaceCounters workspace_counters() const;
 
@@ -280,9 +294,11 @@ class Session {
     /// VerifyMode::kOff).
     std::vector<StageVerification> verification;
   };
-  struct SecurityMetricsPair {
+  /// Everything the HARM layer yields for one design, from one build.
+  struct DesignSecurity {
     harm::SecurityMetrics before_patch;
     harm::SecurityMetrics after_patch;
+    std::vector<harm::PathClass> path_classes;  ///< before-patch, role-labelled.
   };
 
   /// Memoized lower-layer aggregation for one cadence (thread-safe).
@@ -315,10 +331,11 @@ class Session {
       const enterprise::RedundancyDesign& design, const IntervalAggregation& agg,
       const avail::NetworkSrn* net = nullptr) const;
 
-  /// Memoized HARM security metrics for one design (thread-safe).  The HARM
-  /// side is cadence-independent, so a schedule sweep pays it once per
-  /// design instead of once per (design, cadence).
-  const SecurityMetricsPair& security_for(const enterprise::RedundancyDesign& design) const;
+  /// Memoized HARM security metrics and path classes for one design
+  /// (thread-safe; counts a build on a miss).  The HARM side is
+  /// cadence-independent, so a schedule sweep pays it once per design
+  /// instead of once per (design, cadence).
+  const DesignSecurity& security_for(const enterprise::RedundancyDesign& design) const;
 
   /// Run a batch of (design, cadence) jobs, reports in job order.  Each
   /// design's cells run in a row on one thread (so its network net is explored
@@ -361,8 +378,13 @@ class Session {
   /// engine().harm_paths, so the patch cadence never reaches the HARM layer
   /// and the only EngineOptions field that does (the path-enumeration cap)
   /// is fixed for the Session's lifetime.  Pinned by
-  /// SessionMemoizationAudit.HarmMetricsDependOnDesignCountsAlone.
-  mutable std::map<std::array<unsigned, enterprise::kRoleCount>, SecurityMetricsPair> harm_cache_;
+  /// SessionMemoizationAudit.HarmMetricsDependOnDesignCountsAlone.  An entry
+  /// carries all three DesignSecurity values, computed eagerly from one
+  /// build, and is never modified after insertion: path_classes() and the
+  /// reports hand out references into it without the lock.  Guarded by
+  /// cache_mutex_ with harm_builds_.
+  mutable std::map<std::array<unsigned, enterprise::kRoleCount>, DesignSecurity> harm_cache_;
+  mutable std::size_t harm_builds_ = 0;
   /// Structure certificates keyed on the FULL petri::structure_key bytes (not
   /// a hash of them, so two structures can never share an entry).  Every
   /// (role, cadence) server net shares one entry and every cadence of a

@@ -84,6 +84,7 @@ Session::WorkspaceCounters Session::workspace_counters() const {
     const std::lock_guard<std::mutex> lock(cache_mutex_);
     counters.verify_structure_builds = structure_builds_;
     counters.verify_structure_reuses = structure_reuses_;
+    counters.harm_builds = harm_builds_;
   }
   counters.server_explorations = server_exploration_count_.load();
   counters.server_rerates = server_rerate_count_.load();
@@ -280,7 +281,7 @@ std::vector<EvalReport> Session::run_batch(const std::vector<Job>& jobs) const {
   return reports;
 }
 
-const Session::SecurityMetricsPair& Session::security_for(
+const Session::DesignSecurity& Session::security_for(
     const enterprise::RedundancyDesign& design) const {
   {
     const std::lock_guard<std::mutex> lock(cache_mutex_);
@@ -292,17 +293,28 @@ const Session::SecurityMetricsPair& Session::security_for(
   // same cold design both compute; try_emplace keeps the first result.
   const enterprise::NetworkModel network(design, scenario_.specs(), scenario_.policy());
   const harm::Harm before = network.build_harm();
-  SecurityMetricsPair metrics;
+  const harm::PathEnumerationOptions& paths = scenario_.engine().harm_paths;
+  DesignSecurity security;
   // build_harm declares one replica group per role, so evaluate walks the
   // role sequences (2 under the paper's policy) and counts each one's
   // instance paths exactly at any k.  The engine's cap policy bounds those
   // sequences; truncation, counted in SecurityMetrics::truncated_paths,
   // takes a policy with more role sequences than the cap.
-  metrics.before_patch = before.evaluate(scenario_.engine().harm_paths);
-  metrics.after_patch = before.after_critical_patch().evaluate(scenario_.engine().harm_paths);
+  security.before_patch = before.evaluate(paths);
+  security.after_patch = before.after_critical_patch().evaluate(paths);
+  security.path_classes = harm::aggregate_path_classes(
+      before,
+      [&before](harm::GraphNodeId id) { return enterprise::role_label(before.graph().name(id)); },
+      paths);
 
   const std::lock_guard<std::mutex> lock(cache_mutex_);
-  return harm_cache_.try_emplace(design.counts, std::move(metrics)).first->second;
+  ++harm_builds_;
+  return harm_cache_.try_emplace(design.counts, std::move(security)).first->second;
+}
+
+const std::vector<harm::PathClass>& Session::path_classes(
+    const enterprise::RedundancyDesign& design) const {
+  return security_for(design).path_classes;
 }
 
 EvalReport Session::evaluate(const enterprise::RedundancyDesign& design) const {
@@ -319,7 +331,7 @@ EvalReport Session::evaluate_cell(const enterprise::RedundancyDesign& design,
                                   std::shared_ptr<const petri::ReachabilityGraph>* explored) const {
   const auto start = Clock::now();
   const IntervalAggregation& agg = aggregation_for(patch_interval_hours);
-  const SecurityMetricsPair& security = security_for(design);
+  const DesignSecurity& security = security_for(design);
 
   EvalReport report;
   report.design = design;
@@ -368,7 +380,7 @@ EvalReport Session::evaluate_transient_impl(
   const EngineOptions& engine = scenario_.engine();
   const std::vector<double> grid = engine.transient_grid();
   const IntervalAggregation& agg = aggregation_for(patch_interval_hours);
-  const SecurityMetricsPair& security = security_for(design);
+  const DesignSecurity& security = security_for(design);
 
   EvalReport report;
   report.design = design;
@@ -437,7 +449,7 @@ std::vector<EvalReport> Session::evaluate_transient_batch(
   const auto start = Clock::now();
   const std::vector<double> grid = engine.transient_grid();
   const IntervalAggregation& agg = aggregation_for(patch_interval_hours);
-  const SecurityMetricsPair& security = security_for(design);
+  const DesignSecurity& security = security_for(design);
 
   // One net build serves the verification and the shared solve, and B report
   // shells wrap that solve, carrying the same (marking-independent) stages.

@@ -49,7 +49,7 @@ class NetworkModel {
   [[nodiscard]] std::size_t exploitable_vulnerability_count() const;
 
   /// Construct the two-layer HARM (Fig. 3 shape) with per-instance node
-  /// names "dns1", "web2", ...
+  /// names "dns1", "web2", ... (see role_label).
   [[nodiscard]] harm::Harm build_harm() const;
 
   /// Same network with a different redundancy design (identical specs).
@@ -60,6 +60,12 @@ class NetworkModel {
   std::map<ServerRole, ServerSpec> specs_;
   ReachabilityPolicy policy_;
 };
+
+/// "web2" -> "web": the role label of a NetworkModel::build_harm node, whose
+/// instances are named lower-cased role + 1-based index.  The labeler that
+/// groups a design's attack paths into role classes
+/// (harm::aggregate_path_classes).
+[[nodiscard]] std::string role_label(const std::string& node_name);
 
 /// The paper's case-study server specs built from the NVD snapshot: Windows
 /// 2012 R2 + Microsoft DNS, RHEL + Apache HTTP (with PHP/libxml2), Oracle

@@ -1,5 +1,6 @@
 #include "patchsec/enterprise/network.hpp"
 
+#include <cctype>
 #include <stdexcept>
 
 #include "patchsec/nvd/database.hpp"
@@ -91,6 +92,12 @@ harm::Harm NetworkModel::build_harm() const {
     if (!instances[role].empty()) model.attach_replicas(instances[role], spec(role).attack_tree);
   }
   return model;
+}
+
+std::string role_label(const std::string& node_name) {
+  std::size_t end = node_name.size();
+  while (end > 0 && std::isdigit(static_cast<unsigned char>(node_name[end - 1])) != 0) --end;
+  return node_name.substr(0, end);
 }
 
 NetworkModel NetworkModel::with_design(const RedundancyDesign& design) const {

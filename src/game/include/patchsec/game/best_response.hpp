@@ -142,8 +142,12 @@ struct EquilibriumResult {
 class BestResponseSolver {
  public:
   /// Validates the spec and builds the strategy spaces: per-design HARM path
-  /// classes under the scenario's enumeration cap, the canonical class
-  /// universe, deployment costs, and cadence window factors.
+  /// classes, read from the service Session's security memo
+  /// (core::Session::path_classes — role-labelled, under the scenario's
+  /// enumeration cap, from the same HARM build the grid sweep's reports
+  /// use), the canonical class universe, deployment costs, and cadence
+  /// window factors.  The solver builds no HARM of its own: a cold
+  /// constructor plus solve() builds one per design.
   explicit BestResponseSolver(GameSpec spec, service::ServiceOptions options = {});
 
   /// Sweep the grid, enumerate every pure equilibrium and certify each.

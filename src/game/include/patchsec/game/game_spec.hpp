@@ -91,8 +91,11 @@ struct GameSpec {
 
   /// Throws std::invalid_argument with a precise message when the spec is
   /// not solvable (delegates to Scenario::validate, then checks the game
-  /// knobs: at least one design, positive budgets/caps, impact_weight in
-  /// [0, 1], non-negative tie_epsilon, positive certificate_epsilon).
+  /// knobs: at least one design and one cadence, finite non-negative server
+  /// costs, positive cost budget and exposure bound (+inf, the default,
+  /// means unconstrained), finite positive effort budget and per-path cap,
+  /// impact_weight in [0, 1], finite non-negative tie_epsilon, finite
+  /// positive certificate_epsilon).
   void validate() const;
 };
 

@@ -1,15 +1,12 @@
 #include "patchsec/game/best_response.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <future>
 #include <map>
 #include <numeric>
 #include <set>
 #include <utility>
-
-#include "patchsec/enterprise/network.hpp"
 
 namespace patchsec::game {
 
@@ -25,14 +22,6 @@ constexpr double kMassEpsilon = 1e-12;
 const core::Scenario& validated_scenario(const GameSpec& spec) {
   spec.validate();
   return spec.scenario;
-}
-
-/// "web2" -> "web": the role label of an enterprise HARM node (NetworkModel
-/// names instances lower-cased role + 1-based index).
-std::string role_label(const std::string& node_name) {
-  std::size_t end = node_name.size();
-  while (end > 0 && std::isdigit(static_cast<unsigned char>(node_name[end - 1])) != 0) --end;
-  return node_name.substr(0, end);
 }
 
 std::string join_signature(const std::vector<std::string>& signature) {
@@ -69,18 +58,14 @@ BestResponseSolver::BestResponseSolver(GameSpec spec, service::ServiceOptions op
   // Attacker strategy space: the canonical class universe is the union of
   // every design's classes (identical across designs for any fixed policy,
   // but the union keeps degenerate designs — an empty tier removes a role
-  // sequence — well-defined), sorted by signature.
-  std::vector<std::vector<harm::PathClass>> per_design(num_designs_);
+  // sequence — well-defined), sorted by signature.  The classes come from
+  // the Session's security memo, so the sweep's cells reuse this HARM build.
+  const core::Session& session = service_.session();
+  std::vector<const std::vector<harm::PathClass>*> per_design(num_designs_);
   std::set<std::vector<std::string>> signatures;
   for (std::size_t i = 0; i < num_designs_; ++i) {
-    const harm::Harm model =
-        enterprise::NetworkModel(designs[i], spec_.scenario.specs(), spec_.scenario.policy())
-            .build_harm();
-    per_design[i] = harm::aggregate_path_classes(
-        model,
-        [&model](harm::GraphNodeId id) { return role_label(model.graph().name(id)); },
-        spec_.scenario.engine().harm_paths);
-    for (const harm::PathClass& cls : per_design[i]) signatures.insert(cls.signature);
+    per_design[i] = &session.path_classes(designs[i]);
+    for (const harm::PathClass& cls : *per_design[i]) signatures.insert(cls.signature);
   }
   std::map<std::vector<std::string>, std::size_t> index;
   for (const std::vector<std::string>& signature : signatures) {
@@ -91,7 +76,7 @@ BestResponseSolver::BestResponseSolver(GameSpec spec, service::ServiceOptions op
   const std::size_t num_classes = class_names_.size();
   impact_max_ = 0.0;
   for (std::size_t i = 0; i < num_designs_; ++i) {
-    for (const harm::PathClass& cls : per_design[i]) {
+    for (const harm::PathClass& cls : *per_design[i]) {
       impact_max_ = std::max(impact_max_, cls.max_impact);
     }
   }
@@ -99,7 +84,7 @@ BestResponseSolver::BestResponseSolver(GameSpec spec, service::ServiceOptions op
   util_base_.assign(num_designs_, std::vector<double>(num_classes, 0.0));
   const double alpha = spec_.payoff.impact_weight;
   for (std::size_t i = 0; i < num_designs_; ++i) {
-    for (const harm::PathClass& cls : per_design[i]) {
+    for (const harm::PathClass& cls : *per_design[i]) {
       const std::size_t c = index.at(cls.signature);
       success_[i][c] = cls.success_probability;
       const double impact_share = impact_max_ > 0.0 ? cls.max_impact / impact_max_ : 0.0;
@@ -113,7 +98,9 @@ void BestResponseSolver::sweep_grid() {
   const std::vector<enterprise::RedundancyDesign>& designs = spec_.scenario.designs();
   const std::vector<double>& cadences = spec_.scenario.patch_intervals();
   // Submit every cell, drain in submission order: the reply order (and with
-  // it every downstream number) is independent of the worker count.
+  // it every downstream number) is independent of the worker count.  Jobs
+  // run FIFO, so waiting for the last one first puts the caller to sleep
+  // once rather than once per cell.
   std::vector<std::future<service::ServiceReply>> futures;
   futures.reserve(scores_.size());
   for (std::size_t i = 0; i < num_designs_; ++i) {
@@ -125,6 +112,7 @@ void BestResponseSolver::sweep_grid() {
       futures.push_back(service_.submit(std::move(request)));
     }
   }
+  if (!futures.empty()) futures.back().wait();
   for (std::size_t cell = 0; cell < futures.size(); ++cell) {
     const service::ServiceReply reply = futures[cell].get();
     scores_[cell] = CellScore{reply.report.coa, reply.report.before_patch.attack_impact,

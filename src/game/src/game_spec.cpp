@@ -56,11 +56,13 @@ void GameSpec::validate() const {
   if (!(payoff.impact_weight >= 0.0 && payoff.impact_weight <= 1.0)) {
     throw std::invalid_argument("GameSpec: impact_weight must lie in [0, 1]");
   }
-  if (!(tie_epsilon >= 0.0)) {
-    throw std::invalid_argument("GameSpec: tie_epsilon must be >= 0");
+  // An infinite epsilon ties every COA pair and every utility pair, and lets
+  // every certificate check pass vacuously.
+  if (!(tie_epsilon >= 0.0) || !std::isfinite(tie_epsilon)) {
+    throw std::invalid_argument("GameSpec: tie_epsilon must be finite and >= 0");
   }
-  if (!(certificate_epsilon > 0.0)) {
-    throw std::invalid_argument("GameSpec: certificate_epsilon must be > 0");
+  if (!(certificate_epsilon > 0.0) || !std::isfinite(certificate_epsilon)) {
+    throw std::invalid_argument("GameSpec: certificate_epsilon must be finite and > 0");
   }
 }
 

@@ -4,16 +4,16 @@
 // randomized spec sweep, a brute-force oracle that enumerates the vertices of
 // the attacker's capped simplex and must reproduce the equilibrium set, the
 // per-cell reasons when no equilibrium exists, one memoized grid sweep per
-// solve, determinism across runs and service worker counts, and spec
-// validation.
+// solve, one HARM build per design, determinism across runs and service
+// worker counts, and spec validation.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -157,12 +157,6 @@ struct ClassTable {
   std::vector<std::vector<double>> base;     // [design][class], cadence-free utility
 };
 
-std::string role_of(const std::string& node_name) {
-  std::size_t end = node_name.size();
-  while (end > 0 && std::isdigit(static_cast<unsigned char>(node_name[end - 1])) != 0) --end;
-  return node_name.substr(0, end);
-}
-
 ClassTable class_table(const game::GameSpec& spec) {
   const core::Scenario& scenario = spec.scenario;
   const std::size_t designs = scenario.designs().size();
@@ -173,7 +167,7 @@ ClassTable class_table(const game::GameSpec& spec) {
     const harm::Harm model =
         ent::NetworkModel(design, scenario.specs(), scenario.policy()).build_harm();
     per_design.push_back(harm::aggregate_path_classes(
-        model, [&model](harm::GraphNodeId id) { return role_of(model.graph().name(id)); },
+        model, [&model](harm::GraphNodeId id) { return ent::role_label(model.graph().name(id)); },
         scenario.engine().harm_paths));
     for (const harm::PathClass& cls : per_design.back()) {
       index.emplace(cls.signature, 0);
@@ -606,6 +600,32 @@ TEST(Game, BestResponseSweepsAreMemoizedNotResolved) {
   }
 }
 
+TEST(Game, ColdSolveBuildsOneHarmPerDesign) {
+  // The constructor's path classes and the sweep's security metrics come
+  // from one HARM build per design (the Session's security memo), and a warm
+  // re-solve builds none.  The third spec has the benchmark's game shape:
+  // lumped k = 2, 4, ..., 12 against 4 cadences on one service worker.
+  game::GameSpec grid = k6_game_spec();
+  std::vector<ent::RedundancyDesign> even;
+  for (unsigned k = 2; k <= 12; k += 2) even.push_back(ent::RedundancyDesign{{k, k, k, k}});
+  grid.scenario.with_designs(even).with_patch_schedule({168.0, 336.0, 720.0, 1440.0});
+  grid.defender.cost_budget = 32.0;
+  grid.defender.exposure_bound = 0.5;
+  svc::ServiceOptions solo;
+  solo.workers = 1;
+  for (const game::GameSpec& spec : {game::GameSpec::paper_case_study(), k6_game_spec(), grid}) {
+    const std::size_t designs = spec.scenario.designs().size();
+    SCOPED_TRACE(spec.scenario.designs().back().name());
+    game::BestResponseSolver solver(spec, solo);
+    const core::Session& session = solver.service().session();
+    EXPECT_EQ(session.workspace_counters().harm_builds, designs);  // the constructor's.
+    EXPECT_TRUE(solver.solve().certificate.verified);
+    EXPECT_EQ(session.workspace_counters().harm_builds, designs);
+    (void)solver.solve();
+    EXPECT_EQ(session.workspace_counters().harm_builds, designs);
+  }
+}
+
 TEST(Game, DeterministicAcrossRunsAndWorkerCounts) {
   svc::ServiceOptions solo;
   solo.workers = 1;
@@ -675,6 +695,16 @@ TEST(Game, SpecValidationRejectsBadKnobs) {
 
   spec = good;
   spec.certificate_epsilon = 0.0;
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+
+  // An infinite epsilon would tie every cell (tie_epsilon) or pass every
+  // certificate check vacuously (certificate_epsilon).
+  spec = good;
+  spec.tie_epsilon = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+
+  spec = good;
+  spec.certificate_epsilon = std::numeric_limits<double>::infinity();
   EXPECT_THROW(spec.validate(), std::invalid_argument);
 
   spec = good;

@@ -493,12 +493,6 @@ hm::Harm random_replicated_harm(std::uint64_t& state, std::vector<std::string>& 
   return model;
 }
 
-std::string role_label(const std::string& node_name) {
-  std::size_t end = node_name.size();
-  while (end > 0 && node_name[end - 1] >= '0' && node_name[end - 1] <= '9') --end;
-  return node_name.substr(0, end);
-}
-
 hm::Harm uniform_enterprise_harm(unsigned k) {
   ent::RedundancyDesign design;
   design.counts = {k, k, k, k};
@@ -590,7 +584,7 @@ TEST(HarmPaths, PaperPolicyDesignsMatchTheOracle) {
     const hm::Harm after = before.after_critical_patch();
     for (const hm::Harm* model : {&before, &after}) {
       const Label label = [model](hm::GraphNodeId id) {
-        return role_label(model->graph().name(id));
+        return ent::role_label(model->graph().name(id));
       };
       const std::string where = "k=" + std::to_string(k) + (model == &after ? " after" : "");
       expect_quotient_matches_oracle(*model, label, where);
@@ -630,7 +624,7 @@ TEST(HarmPaths, RoleCyclePolicyRevisitsGroupsWithFallingFactorials) {
     const std::string where = design.name();
     for (const hm::Harm* model : {&before, &after}) {
       const Label label = [model](hm::GraphNodeId id) {
-        return role_label(model->graph().name(id));
+        return ent::role_label(model->graph().name(id));
       };
       expect_quotient_matches_oracle(*model, label, where + (model == &after ? " after" : ""));
     }
@@ -697,7 +691,7 @@ TEST(HarmPaths, LabelThatDiffersInsideAGroupSplitsIt) {
   const hm::Harm model = uniform_enterprise_harm(3);
   const hm::AttackGraph& g = model.graph();
   const Label label = [&g](hm::GraphNodeId id) {
-    return g.name(id) == "web3" ? std::string("webx") : role_label(g.name(id));
+    return g.name(id) == "web3" ? std::string("webx") : ent::role_label(g.name(id));
   };
   expect_quotient_matches_oracle(model, label, "split web");
   const std::vector<hm::PathClass> classes = hm::aggregate_path_classes(model, label);
@@ -797,7 +791,7 @@ TEST(HarmPaths, ClassLabelsAreComputedOncePerNode) {
   std::size_t calls = 0;
   const auto label = [&model, &calls](hm::GraphNodeId id) {
     ++calls;
-    return role_label(model.graph().name(id));
+    return ent::role_label(model.graph().name(id));
   };
   const std::vector<hm::PathClass> classes = hm::aggregate_path_classes(model, label);
   ASSERT_EQ(classes.size(), 2u);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <map>
@@ -18,6 +19,7 @@
 #include "patchsec/core/report.hpp"
 #include "patchsec/core/sensitivity.hpp"
 #include "patchsec/core/session.hpp"
+#include "patchsec/enterprise/network.hpp"
 
 namespace core = patchsec::core;
 namespace ent = patchsec::enterprise;
@@ -720,6 +722,79 @@ TEST(SessionMemoizationAudit, HarmMetricsDependOnDesignCountsAlone) {
               monthly.before_patch.entry_points != other.before_patch.entry_points ||
               !audit_same_bits(monthly.before_patch.attack_impact,
                                other.before_patch.attack_impact));
+}
+
+namespace {
+
+bool same_security(const patchsec::harm::SecurityMetrics& a,
+                   const patchsec::harm::SecurityMetrics& b) {
+  return audit_same_bits(a.attack_impact, b.attack_impact) &&
+         audit_same_bits(a.attack_success_probability, b.attack_success_probability) &&
+         a.exploitable_vulnerabilities == b.exploitable_vulnerabilities &&
+         a.attack_paths == b.attack_paths && a.entry_points == b.entry_points &&
+         a.truncated_paths == b.truncated_paths;
+}
+
+bool same_classes(const std::vector<patchsec::harm::PathClass>& a,
+                  const std::vector<patchsec::harm::PathClass>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t c = 0; c < a.size(); ++c) {
+    if (a[c].signature != b[c].signature || a[c].instance_paths != b[c].instance_paths ||
+        !audit_same_bits(a[c].max_impact, b[c].max_impact) ||
+        !audit_same_bits(a[c].success_probability, b[c].success_probability) ||
+        !audit_same_bits(a[c].total_risk, b[c].total_risk)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+TEST(SessionMemoizationAudit, PathClassesComeFromTheSecurityMemo) {
+  // path_classes(d) is the role-labelled aggregate_path_classes of a fresh
+  // build_harm(), bit for bit, and it shares the design's one HARM build
+  // with the report's security metrics: asking for the classes first leaves
+  // every report bit-identical to a Session that never asked.  Designs: the
+  // five paper designs, uniform k = 2..12, and an empty DNS tier (which
+  // drops the dns-led role sequence).
+  std::vector<ent::RedundancyDesign> designs = ent::paper_designs();
+  for (unsigned k = 2; k <= 12; ++k) designs.push_back(ent::RedundancyDesign{{k, k, k, k}});
+  designs.push_back(ent::RedundancyDesign{{0, 1, 1, 1}});
+  core::EngineOptions engine;
+  engine.lumping = true;  // the HARM side is engine-independent; keep k = 12 cheap.
+  const core::Scenario scenario = core::Scenario::paper_case_study().with_engine(engine);
+  const core::Session asked(scenario);
+  const core::Session plain(scenario);
+
+  std::set<std::array<unsigned, ent::kRoleCount>> distinct;
+  for (const ent::RedundancyDesign& design : designs) {
+    SCOPED_TRACE(design.name());
+    distinct.insert(design.counts);
+    const patchsec::harm::Harm model =
+        ent::NetworkModel(design, scenario.specs(), scenario.policy()).build_harm();
+    const std::vector<patchsec::harm::PathClass> fresh = patchsec::harm::aggregate_path_classes(
+        model,
+        [&model](patchsec::harm::GraphNodeId id) { return ent::role_label(model.graph().name(id)); },
+        scenario.engine().harm_paths);
+    ASSERT_FALSE(fresh.empty());
+    const std::vector<patchsec::harm::PathClass>& memo = asked.path_classes(design);
+    EXPECT_TRUE(same_classes(memo, fresh));
+    EXPECT_EQ(&memo, &asked.path_classes(design));  // served from the memo.
+    EXPECT_EQ(asked.workspace_counters().harm_builds, distinct.size());
+
+    const core::EvalReport a = asked.evaluate(design);
+    const core::EvalReport b = plain.evaluate(design);
+    EXPECT_EQ(asked.workspace_counters().harm_builds, distinct.size());
+    EXPECT_EQ(plain.workspace_counters().harm_builds, distinct.size());
+    EXPECT_TRUE(same_security(a.before_patch, b.before_patch));
+    EXPECT_TRUE(same_security(a.after_patch, b.after_patch));
+    EXPECT_TRUE(audit_same_bits(a.coa, b.coa));
+    EXPECT_TRUE(same_classes(plain.path_classes(design), fresh));
+  }
+  // The empty tier removes the dns-led class.
+  EXPECT_LT(asked.path_classes(designs.back()).size(),
+            asked.path_classes(designs.front()).size());
 }
 
 TEST(SessionMemoizationAudit, InterleavedSessionsKeepTheirWarmStructures) {
