@@ -2,19 +2,15 @@
 // severity-banded 3-month patch campaign — how the security metrics ratchet
 // down month by month and what each month's patch load does to COA.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "patchsec/core/campaign.hpp"
 #include "patchsec/core/session.hpp"
 
-namespace {
-
 namespace core = patchsec::core;
 namespace ent = patchsec::enterprise;
 
-void print_campaign() {
+int main() {
   const auto specs = ent::paper_server_specs();
   const auto policy = ent::ReachabilityPolicy::three_tier();
   const auto design = ent::example_network_design();
@@ -38,24 +34,5 @@ void print_campaign() {
   std::printf("\nReading: month 1 (critical) reproduces the paper's patch (AIM 42.2, COA\n"
               "0.99707); months 2-3 finish the attack surface off with lighter windows\n"
               "and correspondingly higher monthly COA.\n\n");
-}
-
-void BM_ThreeMonthCampaign(benchmark::State& state) {
-  const auto specs = ent::paper_server_specs();
-  const auto policy = ent::ReachabilityPolicy::three_tier();
-  const auto stages = core::severity_banded_campaign();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::evaluate_campaign(ent::example_network_design(), specs, policy, stages));
-  }
-}
-BENCHMARK(BM_ThreeMonthCampaign);
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  print_campaign();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -2,9 +2,8 @@
 // of the redundancy designs under client load, composing the availability
 // model with M/M/c queueing per tier.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
+#include <map>
 
 #include "patchsec/perf/performability.hpp"
 #include "patchsec/enterprise/network.hpp"
@@ -34,7 +33,9 @@ pf::Workload workload(double requests_per_second) {
   return w;
 }
 
-void print_performability() {
+}  // namespace
+
+int main() {
   const auto rates = aggregate_all();
 
   std::printf("=== Mean response time (ms) vs load, per redundancy design ===\n");
@@ -56,29 +57,5 @@ void print_performability() {
       "\nReading: at 13 r/s a single app server (capacity 15 r/s) saturates whenever\n"
       "its peer is being patched — the 2-APP design keeps both response time and\n"
       "outage probability down, reinforcing the paper's COA-based recommendation.\n\n");
-}
-
-void BM_Performability(benchmark::State& state) {
-  const auto rates = aggregate_all();
-  const pf::Workload w = workload(10.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        pf::evaluate_performability(ent::example_network_design(), rates, w));
-  }
-}
-BENCHMARK(BM_Performability);
-
-void BM_MmcSolve(benchmark::State& state) {
-  const pf::MmcParameters params{36000.0, 54000.0, 2};
-  for (auto _ : state) benchmark::DoNotOptimize(pf::solve_mmc(params));
-}
-BENCHMARK(BM_MmcSolve);
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  print_performability();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

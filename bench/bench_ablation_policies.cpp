@@ -4,9 +4,9 @@
 //  (b) heterogeneous versus identical redundant servers;
 //  (c) cheapest design under different cost regimes (Sec. V economics).
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
+#include <map>
+#include <vector>
 
 #include "patchsec/avail/heterogeneous_coa.hpp"
 #include "patchsec/core/economics.hpp"
@@ -26,7 +26,9 @@ std::map<ent::ServerRole, av::AggregatedRates> aggregate_all() {
   return rates;
 }
 
-void print_policies() {
+}  // namespace
+
+int main() {
   const auto rates = aggregate_all();
 
   std::printf("=== (a) Independent patch clocks vs synchronized maintenance windows ===\n");
@@ -83,41 +85,5 @@ void print_policies() {
                 cost.downtime, cost.breach_risk, cost.patching);
   }
   std::printf("\n");
-}
-
-void BM_SynchronizedCoa(benchmark::State& state) {
-  const auto rates = aggregate_all();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(av::capacity_oriented_availability_synchronized(
-        ent::example_network_design(), rates));
-  }
-}
-BENCHMARK(BM_SynchronizedCoa);
-
-void BM_HeterogeneousCoa(benchmark::State& state) {
-  const auto rates = aggregate_all();
-  const std::vector<av::InstanceRates> instances = {
-      {ent::ServerRole::kWeb, rates.at(ent::ServerRole::kWeb)},
-      {ent::ServerRole::kWeb, rates.at(ent::ServerRole::kWeb)},
-      {ent::ServerRole::kApp, rates.at(ent::ServerRole::kApp)},
-      {ent::ServerRole::kApp, rates.at(ent::ServerRole::kApp)},
-      {ent::ServerRole::kDb, rates.at(ent::ServerRole::kDb)}};
-  for (auto _ : state) benchmark::DoNotOptimize(av::heterogeneous_coa(instances));
-}
-BENCHMARK(BM_HeterogeneousCoa);
-
-void BM_CheapestDesign(benchmark::State& state) {
-  const auto evals = core::Session(core::Scenario::paper_case_study()).evaluate_all();
-  const core::CostModel model;
-  for (auto _ : state) benchmark::DoNotOptimize(core::cheapest_design(evals, model));
-}
-BENCHMARK(BM_CheapestDesign);
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  print_policies();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

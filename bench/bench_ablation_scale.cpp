@@ -2,22 +2,18 @@
 // network grows — larger redundancy counts inflate both the attack-path
 // population (HARM side) and the upper-layer state space (SRN side).
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "patchsec/avail/network_srn.hpp"
 #include "patchsec/core/session.hpp"
 #include "patchsec/petri/reachability.hpp"
 
-namespace {
-
 namespace av = patchsec::avail;
 namespace core = patchsec::core;
 namespace ent = patchsec::enterprise;
 namespace pt = patchsec::petri;
 
-void print_scale_table() {
+int main() {
   const core::Session session(core::Scenario::paper_case_study());
 
   std::printf("=== Scalability: uniform k-redundancy (k DNS + k WEB + k APP + k DB) ===\n");
@@ -34,46 +30,5 @@ void print_scale_table() {
   }
   std::printf("\nNoAP grows as k^3 + k^4 (direct + dns-first paths); the upper-layer SRN\n"
               "state space grows as (k+1)^4; both stay tractable for realistic k.\n\n");
-}
-
-void BM_EvaluateUniformRedundancy(benchmark::State& state) {
-  // Fresh session per iteration (aggregation pre-warmed outside the timed
-  // region) so the memoized HARM metrics don't hollow out the measurement.
-  const unsigned k = static_cast<unsigned>(state.range(0));
-  const ent::RedundancyDesign design{{k, k, k, k}};
-  for (auto _ : state) {
-    state.PauseTiming();
-    const core::Session session(core::Scenario::paper_case_study());
-    (void)session.aggregated_rates();
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(session.evaluate(design));
-  }
-  state.SetComplexityN(k);
-}
-BENCHMARK(BM_EvaluateUniformRedundancy)->DenseRange(1, 6)->Complexity();
-
-void BM_HarmPathsOnly(benchmark::State& state) {
-  const unsigned k = static_cast<unsigned>(state.range(0));
-  const auto network = ent::paper_network(ent::RedundancyDesign{{k, k, k, k}});
-  const auto harm = network.build_harm();
-  for (auto _ : state) benchmark::DoNotOptimize(harm.evaluate());
-}
-BENCHMARK(BM_HarmPathsOnly)->DenseRange(1, 6);
-
-void BM_UpperSrnStateSpace(benchmark::State& state) {
-  const core::Session session(core::Scenario::paper_case_study());
-  const unsigned k = static_cast<unsigned>(state.range(0));
-  const av::NetworkSrn net =
-      av::build_network_srn(ent::RedundancyDesign{{k, k, k, k}}, session.aggregated_rates());
-  for (auto _ : state) benchmark::DoNotOptimize(pt::build_reachability_graph(net.model));
-}
-BENCHMARK(BM_UpperSrnStateSpace)->DenseRange(1, 6);
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  print_scale_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -2,20 +2,16 @@
 // capacity-oriented availability and per-server patch-downtime probability.
 // The paper fixes a monthly schedule; here we sweep weekly .. quarterly.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
+#include <map>
 
 #include "patchsec/avail/network_srn.hpp"
 #include "patchsec/core/session.hpp"
 
-namespace {
-
 namespace av = patchsec::avail;
-namespace core = patchsec::core;
 namespace ent = patchsec::enterprise;
 
-void print_schedule_sweep() {
+int main() {
   struct Schedule {
     const char* name;
     double hours;
@@ -56,24 +52,5 @@ void print_schedule_sweep() {
     std::printf("%-12s %16.3f\n", s.name, (redundant - base) * 1e4);
   }
   std::printf("\nReading: the value of redundancy grows as patching becomes more frequent.\n\n");
-}
-
-void BM_ScheduleSweep(benchmark::State& state) {
-  const auto specs = ent::paper_server_specs();
-  for (auto _ : state) {
-    for (double interval : {168.0, 720.0, 2160.0}) {
-      benchmark::DoNotOptimize(
-          av::capacity_oriented_availability(ent::example_network_design(), specs, interval));
-    }
-  }
-}
-BENCHMARK(BM_ScheduleSweep);
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  print_schedule_sweep();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -2,9 +2,8 @@
 // availability the most, per design.  Tells the administrator where one
 // minute of saved patch time buys the most availability.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
+#include <map>
 
 #include "patchsec/core/sensitivity.hpp"
 #include "patchsec/enterprise/network.hpp"
@@ -23,7 +22,9 @@ std::map<ent::ServerRole, av::AggregatedRates> aggregate_all() {
   return rates;
 }
 
-void print_sensitivity() {
+}  // namespace
+
+int main() {
   const auto rates = aggregate_all();
   std::printf("=== COA elasticities w.r.t. aggregated rates ===\n");
   for (const auto& design :
@@ -37,21 +38,5 @@ void print_sensitivity() {
   std::printf("\nReading: in the example network the single-server DB and DNS tiers\n"
               "dominate — shaving their patch windows (raising mu_eq) pays off most;\n"
               "the doubled web/app tiers are an order of magnitude less sensitive.\n\n");
-}
-
-void BM_Sensitivity(benchmark::State& state) {
-  const auto rates = aggregate_all();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::coa_sensitivity(ent::example_network_design(), rates));
-  }
-}
-BENCHMARK(BM_Sensitivity);
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  print_sensitivity();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -2,9 +2,9 @@
 // fast each redundancy design heals.  The steady-state COA of the paper
 // averages this out; the curve shows what an operator sees on patch day.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
+#include <map>
+#include <vector>
 
 #include "patchsec/avail/transient_coa.hpp"
 #include "patchsec/enterprise/network.hpp"
@@ -22,7 +22,9 @@ std::map<ent::ServerRole, av::AggregatedRates> aggregate_all() {
   return rates;
 }
 
-void print_transient() {
+}  // namespace
+
+int main() {
   const auto rates = aggregate_all();
   const std::vector<double> times = {0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0};
 
@@ -50,34 +52,5 @@ void print_transient() {
   }
   std::printf("\nReading: without redundancy the dip goes to zero service; with a second\n"
               "app server it is a ~17%% capacity reduction healing at rate mu_app ~= 1/h.\n\n");
-}
-
-void BM_TransientCurve(benchmark::State& state) {
-  const auto rates = aggregate_all();
-  const std::map<ent::ServerRole, unsigned> one_app{{ent::ServerRole::kApp, 1}};
-  const std::vector<double> times = {0.0, 0.5, 1.0, 4.0};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        av::transient_coa_curve(ent::example_network_design(), rates, one_app, times));
-  }
-}
-BENCHMARK(BM_TransientCurve);
-
-void BM_DipShortfall(benchmark::State& state) {
-  const auto rates = aggregate_all();
-  const std::map<ent::ServerRole, unsigned> one_app{{ent::ServerRole::kApp, 1}};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        av::patch_dip_shortfall(ent::example_network_design(), rates, one_app, 24.0));
-  }
-}
-BENCHMARK(BM_DipShortfall);
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  print_transient();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

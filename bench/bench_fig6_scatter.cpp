@@ -1,8 +1,6 @@
 // Reproduces Fig. 6: the ASP-vs-COA scatter of the five redundancy designs
 // before (a) and after (b) the security patch, plus the two decision regions
-// of Sec. IV-A (Eq. 3).  Benchmarks the full design-space evaluation.
-
-#include <benchmark/benchmark.h>
+// of Sec. IV-A (Eq. 3).
 
 #include <cstdio>
 #include <sstream>
@@ -11,12 +9,9 @@
 #include "patchsec/core/session.hpp"
 #include "patchsec/core/report.hpp"
 
-namespace {
-
 namespace core = patchsec::core;
-namespace ent = patchsec::enterprise;
 
-void print_fig6() {
+int main() {
   const core::Session session(core::Scenario::paper_case_study());
   const auto evals = session.evaluate_all();
 
@@ -49,38 +44,5 @@ void print_fig6() {
   std::ostringstream csv;
   core::write_scatter_csv(csv, evals);
   std::printf("\nCSV (for plotting):\n%s\n", csv.str().c_str());
-}
-
-void BM_EvaluateFiveDesigns(benchmark::State& state) {
-  // Fresh session per iteration (aggregation pre-warmed outside the timed
-  // region): the Session memoizes per-design HARM metrics, so reusing one
-  // session would time only the COA solves after the first iteration.
-  const auto designs = ent::paper_designs();
-  for (auto _ : state) {
-    state.PauseTiming();
-    const core::Session session(core::Scenario::paper_case_study());
-    (void)session.aggregated_rates();
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(session.evaluate_all(designs));
-  }
-}
-BENCHMARK(BM_EvaluateFiveDesigns);
-
-void BM_SessionConstruction(benchmark::State& state) {
-  // Session construction is cheap (lazy aggregation); force the lower layer
-  // so the benchmark times construction plus the per-role aggregation.
-  for (auto _ : state) {
-    const core::Session session(core::Scenario::paper_case_study());
-    benchmark::DoNotOptimize(session.aggregated_rates());
-  }
-}
-BENCHMARK(BM_SessionConstruction);
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  print_fig6();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

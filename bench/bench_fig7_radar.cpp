@@ -2,10 +2,9 @@
 // NoEV, NoAP) of the five designs before (a) and after (b) patch, plus the
 // multi-metric decision regions of Sec. IV-B (Eq. 4).
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <sstream>
+#include <vector>
 
 #include "patchsec/core/decision.hpp"
 #include "patchsec/core/session.hpp"
@@ -14,7 +13,6 @@
 namespace {
 
 namespace core = patchsec::core;
-namespace ent = patchsec::enterprise;
 
 void print_phase(const char* title, const std::vector<core::EvalReport>& evals,
                  bool after) {
@@ -29,7 +27,9 @@ void print_phase(const char* title, const std::vector<core::EvalReport>& evals,
   }
 }
 
-void print_fig7() {
+}  // namespace
+
+int main() {
   const core::Session session(core::Scenario::paper_case_study());
   const auto evals = session.evaluate_all();
 
@@ -54,39 +54,5 @@ void print_fig7() {
   std::ostringstream csv;
   core::write_radar_csv(csv, evals);
   std::printf("\nCSV (for plotting):\n%s\n", csv.str().c_str());
-}
-
-void BM_RadarPipeline(benchmark::State& state) {
-  // Fresh session per iteration (aggregation pre-warmed outside the timed
-  // region) so the memoized HARM metrics don't hollow out the measurement.
-  const auto designs = ent::paper_designs();
-  for (auto _ : state) {
-    state.PauseTiming();
-    const core::Session session(core::Scenario::paper_case_study());
-    (void)session.aggregated_rates();
-    state.ResumeTiming();
-    const auto evals = session.evaluate_all(designs);
-    std::ostringstream csv;
-    core::write_radar_csv(csv, evals);
-    benchmark::DoNotOptimize(csv.str());
-  }
-}
-BENCHMARK(BM_RadarPipeline);
-
-void BM_DecisionFilter(benchmark::State& state) {
-  const core::Session session(core::Scenario::paper_case_study());
-  const auto evals = session.evaluate_all();
-  const core::MultiMetricBounds bounds{
-      .asp_upper = 0.2, .noev_upper = 9, .noap_upper = 2, .noep_upper = 1, .coa_lower = 0.9962};
-  for (auto _ : state) benchmark::DoNotOptimize(core::filter_designs(evals, bounds));
-}
-BENCHMARK(BM_DecisionFilter);
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  print_fig7();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,17 +1,12 @@
 // Reproduces Table I: vulnerability information of the example network —
 // CVE id, attack impact and attack success probability per server — from the
-// offline NVD snapshot and the CVSS v2 scoring engine.  Then benchmarks the
-// scoring pipeline.
-
-#include <benchmark/benchmark.h>
+// offline NVD snapshot and the CVSS v2 scoring engine.
 
 #include <cstdio>
 
 #include "patchsec/nvd/database.hpp"
 
-namespace {
-
-void print_table1() {
+int main() {
   using patchsec::nvd::VulnerabilityDatabase;
   const VulnerabilityDatabase db = patchsec::nvd::make_paper_database();
 
@@ -30,37 +25,5 @@ void print_table1() {
     std::printf("%-22s %-42s %9.1f\n", v.cve_id.c_str(), v.product.c_str(), v.base_score());
   }
   std::printf("\nPaper reference: 16 exploitable rows; impact/probability match Table I.\n\n");
-}
-
-void BM_DatabaseConstruction(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(patchsec::nvd::make_paper_database());
-  }
-}
-BENCHMARK(BM_DatabaseConstruction);
-
-void BM_CvssScoring(benchmark::State& state) {
-  const auto v = patchsec::cvss::CvssV2Vector::parse("AV:N/AC:M/Au:S/C:P/I:P/A:C");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(v.base_score());
-    benchmark::DoNotOptimize(v.impact_subscore());
-    benchmark::DoNotOptimize(v.exploitability_subscore());
-  }
-}
-BENCHMARK(BM_CvssScoring);
-
-void BM_CvssParse(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(patchsec::cvss::CvssV2Vector::parse("AV:L/AC:H/Au:M/C:C/I:P/A:N"));
-  }
-}
-BENCHMARK(BM_CvssParse);
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  print_table1();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

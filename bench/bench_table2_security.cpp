@@ -1,10 +1,8 @@
 // Reproduces Table II: HARM security metrics of the example network before
 // and after the critical-vulnerability patch, plus the Sec. III-C worked
-// example (node impacts and aim_ap1 = 52.2).  Benchmarks HARM construction
-// and evaluation.
+// example (node impacts and aim_ap1 = 52.2).
 
-#include <benchmark/benchmark.h>
-
+#include <algorithm>
 #include <cstdio>
 
 #include "patchsec/enterprise/network.hpp"
@@ -12,8 +10,6 @@
 
 namespace {
 
-using patchsec::enterprise::example_network;
-using patchsec::harm::Harm;
 using patchsec::harm::SecurityMetrics;
 
 void print_metrics(const char* phase, const SecurityMetrics& m, const char* paper) {
@@ -22,8 +18,11 @@ void print_metrics(const char* phase, const SecurityMetrics& m, const char* pape
               m.attack_paths, m.entry_points, paper);
 }
 
-void print_table2() {
-  const auto network = example_network();
+}  // namespace
+
+int main() {
+  using patchsec::harm::Harm;
+  const auto network = patchsec::enterprise::example_network();
   const Harm before = network.build_harm();
   const Harm after = before.after_critical_patch();
 
@@ -44,31 +43,5 @@ void print_table2() {
                 "AIM 42.2, ASP 0.265*, NoEV 11, NoAP 4, NoEP 2");
   std::printf("* documented deviations: NoEV before (26 vs 25, Table I arithmetic) and the\n"
               "  network-level ASP formula (see DESIGN.md / EXPERIMENTS.md).\n\n");
-}
-
-void BM_BuildHarm(benchmark::State& state) {
-  const auto network = example_network();
-  for (auto _ : state) benchmark::DoNotOptimize(network.build_harm());
-}
-BENCHMARK(BM_BuildHarm);
-
-void BM_EvaluateHarm(benchmark::State& state) {
-  const Harm harm = example_network().build_harm();
-  for (auto _ : state) benchmark::DoNotOptimize(harm.evaluate());
-}
-BENCHMARK(BM_EvaluateHarm);
-
-void BM_PatchTransform(benchmark::State& state) {
-  const Harm harm = example_network().build_harm();
-  for (auto _ : state) benchmark::DoNotOptimize(harm.after_critical_patch());
-}
-BENCHMARK(BM_PatchTransform);
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  print_table2();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,9 +1,6 @@
 // Reproduces Table III (guard functions, structurally) and Table IV (input
-// parameters of the SRN sub-models for the DNS server), prints state-space
-// statistics of the lower-layer server SRN, and benchmarks reachability
-// generation and steady-state solving.
-
-#include <benchmark/benchmark.h>
+// parameters of the SRN sub-models for the DNS server), plus the state-space
+// and reachability statistics of the lower-layer server SRN.
 
 #include <cstdio>
 
@@ -11,13 +8,11 @@
 #include "patchsec/enterprise/network.hpp"
 #include "patchsec/petri/reachability.hpp"
 
-namespace {
-
 namespace av = patchsec::avail;
 namespace ent = patchsec::enterprise;
 namespace pt = patchsec::petri;
 
-void print_table4() {
+int main() {
   const auto specs = ent::paper_server_specs();
   const auto& dns = specs.at(ent::ServerRole::kDns);
   const av::ServerSrnParameters p = av::server_srn_parameters(dns);
@@ -62,34 +57,5 @@ void print_table4() {
                 g.chain.transition_count());
   }
   std::printf("\n");
-}
-
-void BM_BuildServerSrn(benchmark::State& state) {
-  const auto spec = ent::paper_server_specs().at(ent::ServerRole::kApp);
-  for (auto _ : state) benchmark::DoNotOptimize(av::build_server_srn(spec));
-}
-BENCHMARK(BM_BuildServerSrn);
-
-void BM_Reachability(benchmark::State& state) {
-  const auto spec = ent::paper_server_specs().at(ent::ServerRole::kApp);
-  const av::ServerSrn srn = av::build_server_srn(spec);
-  for (auto _ : state) benchmark::DoNotOptimize(pt::build_reachability_graph(srn.model));
-}
-BENCHMARK(BM_Reachability);
-
-void BM_SteadyStateSolve(benchmark::State& state) {
-  const auto spec = ent::paper_server_specs().at(ent::ServerRole::kApp);
-  const av::ServerSrn srn = av::build_server_srn(spec);
-  const pt::ReachabilityGraph g = pt::build_reachability_graph(srn.model);
-  for (auto _ : state) benchmark::DoNotOptimize(g.chain.steady_state());
-}
-BENCHMARK(BM_SteadyStateSolve);
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  print_table4();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

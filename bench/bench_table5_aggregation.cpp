@@ -1,8 +1,5 @@
 // Reproduces Table V: aggregated patch/recovery rates, MTTP and MTTR per
 // service, from the lower-layer SRN steady state via Eqs. (1)-(2).
-// Benchmarks the full aggregation pipeline.
-
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 
@@ -19,7 +16,9 @@ struct PaperRow {
   double mttp, patch_rate, mttr, recovery_rate;
 };
 
-void print_table5() {
+}  // namespace
+
+int main() {
   const auto specs = ent::paper_server_specs();
   const PaperRow paper[] = {
       {"DNS", 720.0, 0.00139, 0.6667, 1.49992},
@@ -50,27 +49,5 @@ void print_table5() {
                 av::mu_eq_closed_form(specs.at(order[i])));
   }
   std::printf("\n");
-}
-
-void BM_AggregateServer(benchmark::State& state) {
-  const auto spec = ent::paper_server_specs().at(ent::ServerRole::kDb);
-  for (auto _ : state) benchmark::DoNotOptimize(av::aggregate_server(spec));
-}
-BENCHMARK(BM_AggregateServer);
-
-void BM_AggregateAllRoles(benchmark::State& state) {
-  const auto specs = ent::paper_server_specs();
-  for (auto _ : state) {
-    for (const auto& [role, spec] : specs) benchmark::DoNotOptimize(av::aggregate_server(spec));
-  }
-}
-BENCHMARK(BM_AggregateAllRoles);
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  print_table5();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

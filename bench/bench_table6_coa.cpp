@@ -1,10 +1,9 @@
 // Reproduces Table VI: the COA reward function of the upper-layer network
 // SRN and the resulting capacity-oriented availability of the example
-// network (paper: ~0.99707).  Benchmarks the COA computation.
-
-#include <benchmark/benchmark.h>
+// network (paper: ~0.99707).
 
 #include <cstdio>
+#include <map>
 
 #include "patchsec/avail/lumped_coa.hpp"
 #include "patchsec/avail/network_srn.hpp"
@@ -25,7 +24,9 @@ std::map<ent::ServerRole, av::AggregatedRates> aggregate_all() {
   return rates;
 }
 
-void print_table6() {
+}  // namespace
+
+int main() {
   const auto rates = aggregate_all();
   const av::NetworkSrn net = av::build_network_srn(ent::example_network_design(), rates);
   const auto reward = net.coa_reward();
@@ -53,40 +54,5 @@ void print_table6() {
       av::capacity_oriented_availability_lumped_detailed(ent::example_network_design(), rates).coa;
   std::printf("\nCOA(example network) = %.5f  closed form = %.5f  (paper ~ 0.99707)\n\n", coa,
               closed);
-}
-
-void BM_CoaEndToEnd(benchmark::State& state) {
-  const auto specs = ent::paper_server_specs();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        av::capacity_oriented_availability(ent::example_network_design(), specs, 720.0));
-  }
-}
-BENCHMARK(BM_CoaEndToEnd);
-
-void BM_CoaFromCachedRates(benchmark::State& state) {
-  const auto rates = aggregate_all();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        av::capacity_oriented_availability(ent::example_network_design(), rates));
-  }
-}
-BENCHMARK(BM_CoaFromCachedRates);
-
-void BM_CoaClosedForm(benchmark::State& state) {
-  const auto rates = aggregate_all();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        av::capacity_oriented_availability_lumped_detailed(ent::example_network_design(), rates));
-  }
-}
-BENCHMARK(BM_CoaClosedForm);
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  print_table6();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

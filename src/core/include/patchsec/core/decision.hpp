@@ -2,8 +2,7 @@
 /// \file decision.hpp
 /// \brief Decision functions of Sec. IV: compare after-patch metric values
 /// against administrator-chosen bounds and keep the designs satisfying all of
-/// them.  Overloads are provided for both the rich Session results
-/// (EvalReport) and the legacy DesignEvaluation payload.
+/// them.
 
 #include <cstdint>
 #include <vector>
@@ -18,7 +17,6 @@ struct TwoMetricBounds {
   double coa_lower = 0.0;  ///< psi
 };
 
-[[nodiscard]] bool satisfies(const DesignEvaluation& eval, const TwoMetricBounds& bounds);
 [[nodiscard]] bool satisfies(const EvalReport& report, const TwoMetricBounds& bounds);
 
 /// \brief Eq. (4): additionally bounds NoEV (xi), NoAP (omega) and NoEP
@@ -32,14 +30,9 @@ struct MultiMetricBounds {
   double coa_lower = 0.0;            ///< psi
 };
 
-[[nodiscard]] bool satisfies(const DesignEvaluation& eval, const MultiMetricBounds& bounds);
 [[nodiscard]] bool satisfies(const EvalReport& report, const MultiMetricBounds& bounds);
 
 /// \brief Filter helpers returning the satisfying designs in input order.
-[[nodiscard]] std::vector<DesignEvaluation> filter_designs(
-    const std::vector<DesignEvaluation>& evals, const TwoMetricBounds& bounds);
-[[nodiscard]] std::vector<DesignEvaluation> filter_designs(
-    const std::vector<DesignEvaluation>& evals, const MultiMetricBounds& bounds);
 [[nodiscard]] std::vector<EvalReport> filter_designs(const std::vector<EvalReport>& reports,
                                                      const TwoMetricBounds& bounds);
 [[nodiscard]] std::vector<EvalReport> filter_designs(const std::vector<EvalReport>& reports,

@@ -42,13 +42,10 @@ struct CostBreakdown {
 /// \brief Annual cost of a design given its joint evaluation.
 /// \throws std::invalid_argument when annual_attack_probability is outside
 ///         [0, 1].
-[[nodiscard]] CostBreakdown annual_cost(const DesignEvaluation& eval, const CostModel& model);
 [[nodiscard]] CostBreakdown annual_cost(const EvalReport& report, const CostModel& model);
 
 /// \brief The evaluated design with the lowest total annual cost.
 /// \throws std::invalid_argument on an empty candidate list.
-[[nodiscard]] const DesignEvaluation& cheapest_design(const std::vector<DesignEvaluation>& evals,
-                                                      const CostModel& model);
 [[nodiscard]] const EvalReport& cheapest_design(const std::vector<EvalReport>& reports,
                                                 const CostModel& model);
 

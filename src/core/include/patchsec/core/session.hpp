@@ -54,16 +54,6 @@ struct SolverWorkspaces {
   ctmc::TransientSolver transient;
 };
 
-/// \brief Joint security/availability result for one redundancy design (the
-/// bare metric payload; EvalReport carries one).
-struct DesignEvaluation {
-  enterprise::RedundancyDesign design;
-  harm::SecurityMetrics before_patch;  ///< HARM metrics with all vulnerabilities.
-  harm::SecurityMetrics after_patch;   ///< HARM metrics after the critical patch.
-  double coa = 0.0;                    ///< capacity-oriented availability under the
-                                       ///< patch schedule (Table VI measure).
-};
-
 /// \brief Time-dependent COA payload of a Session::evaluate_transient
 /// report: coa(t) over the engine's time grid, plus the window integral
 /// (empty vectors mean "no transient evaluation ran").
@@ -138,9 +128,6 @@ struct EvalReport {
   /// True iff every verified stage came back with zero findings.  Vacuously
   /// true under VerifyMode::kOff (nothing was verified).
   [[nodiscard]] bool lint_clean() const noexcept;
-  /// The metric payload alone, for APIs that take bare metrics (decision
-  /// bounds, economics, report emitters).
-  [[nodiscard]] DesignEvaluation metrics() const;
 };
 
 /// \brief Evaluates redundancy designs for one Scenario, owning the memoized
@@ -188,7 +175,8 @@ class Session {
   /// its `coa` the time-averaged COA over the window.
   [[nodiscard]] EvalReport evaluate_transient(const enterprise::RedundancyDesign& design) const;
 
-  /// Transient evaluation at an explicit patch cadence.
+  /// Transient evaluation at an explicit patch cadence: the one-wave
+  /// evaluate_transient_batch of EngineOptions::initial_down.
   [[nodiscard]] EvalReport evaluate_transient(const enterprise::RedundancyDesign& design,
                                               double patch_interval_hours) const;
 
@@ -350,15 +338,6 @@ class Session {
   [[nodiscard]] EvalReport evaluate_cell(
       const enterprise::RedundancyDesign& design, double patch_interval_hours,
       std::shared_ptr<const petri::ReachabilityGraph>* explored) const;
-
-  /// evaluate_transient with an explicit initial marking (the public
-  /// overloads pass EngineOptions::initial_down; evaluate_transient_batch's
-  /// sequential fallback passes each wave, with the batch's verification
-  /// stages computed once in `verification`; null computes them here).
-  [[nodiscard]] EvalReport evaluate_transient_impl(
-      const enterprise::RedundancyDesign& design, double patch_interval_hours,
-      const std::map<enterprise::ServerRole, unsigned>& initial_down,
-      const std::vector<StageVerification>* verification = nullptr) const;
 
   /// The SolverWorkspaces of the calling thread, created on first use.  Each
   /// (Session, thread) pair owns its own slot, so two Sessions interleaving

@@ -4,46 +4,28 @@ namespace patchsec::core {
 
 namespace {
 
-template <typename Eval, typename Bounds>
-std::vector<Eval> filter(const std::vector<Eval>& evals, const Bounds& bounds) {
-  std::vector<Eval> out;
-  for (const Eval& e : evals) {
-    if (satisfies(e, bounds)) out.push_back(e);
+template <typename Bounds>
+std::vector<EvalReport> filter(const std::vector<EvalReport>& reports, const Bounds& bounds) {
+  std::vector<EvalReport> out;
+  for (const EvalReport& r : reports) {
+    if (satisfies(r, bounds)) out.push_back(r);
   }
   return out;
 }
 
 }  // namespace
 
-bool satisfies(const DesignEvaluation& eval, const TwoMetricBounds& bounds) {
-  return eval.after_patch.attack_success_probability <= bounds.asp_upper &&
-         eval.coa >= bounds.coa_lower;
-}
-
 bool satisfies(const EvalReport& report, const TwoMetricBounds& bounds) {
-  return satisfies(report.metrics(), bounds);
-}
-
-bool satisfies(const DesignEvaluation& eval, const MultiMetricBounds& bounds) {
-  const harm::SecurityMetrics& m = eval.after_patch;
-  return m.attack_success_probability <= bounds.asp_upper &&
-         m.exploitable_vulnerabilities <= bounds.noev_upper &&
-         m.attack_paths <= bounds.noap_upper && m.entry_points <= bounds.noep_upper &&
-         eval.coa >= bounds.coa_lower;
+  return report.after_patch.attack_success_probability <= bounds.asp_upper &&
+         report.coa >= bounds.coa_lower;
 }
 
 bool satisfies(const EvalReport& report, const MultiMetricBounds& bounds) {
-  return satisfies(report.metrics(), bounds);
-}
-
-std::vector<DesignEvaluation> filter_designs(const std::vector<DesignEvaluation>& evals,
-                                             const TwoMetricBounds& bounds) {
-  return filter(evals, bounds);
-}
-
-std::vector<DesignEvaluation> filter_designs(const std::vector<DesignEvaluation>& evals,
-                                             const MultiMetricBounds& bounds) {
-  return filter(evals, bounds);
+  const harm::SecurityMetrics& m = report.after_patch;
+  return m.attack_success_probability <= bounds.asp_upper &&
+         m.exploitable_vulnerabilities <= bounds.noev_upper &&
+         m.attack_paths <= bounds.noap_upper && m.entry_points <= bounds.noep_upper &&
+         report.coa >= bounds.coa_lower;
 }
 
 std::vector<EvalReport> filter_designs(const std::vector<EvalReport>& reports,

@@ -8,112 +8,68 @@ namespace patchsec::core {
 
 namespace {
 
-/// The EvalReport emitters reuse the DesignEvaluation formatting verbatim.
-std::vector<DesignEvaluation> strip_diagnostics(const std::vector<EvalReport>& reports) {
-  std::vector<DesignEvaluation> evals;
-  evals.reserve(reports.size());
-  for (const EvalReport& r : reports) evals.push_back(r.metrics());
-  return evals;
-}
-
-/// One "{aim,asp,noev,noap,noep}" JSON object — shared by both write_json
-/// overloads so the two outputs cannot drift apart.
+/// One "{aim,asp,noev,noap,noep}" JSON object (the before and after blocks).
 void metrics_json(std::ostream& out, const harm::SecurityMetrics& m) {
   out << "{\"aim\":" << m.attack_impact << ",\"asp\":" << m.attack_success_probability
       << ",\"noev\":" << m.exploitable_vulnerabilities << ",\"noap\":" << m.attack_paths
       << ",\"noep\":" << m.entry_points << "}";
 }
 
-/// The common per-design JSON prefix: {"design":...,"servers":N,...,
-/// "before":{...},"after":{...},"coa":C — the caller closes the object.
-void design_json_prefix(std::ostream& out, const DesignEvaluation& e) {
-  out << "{\"design\":\"" << e.design.name() << "\",\"servers\":" << e.design.total_servers()
-      << ",\"before\":";
-  metrics_json(out, e.before_patch);
-  out << ",\"after\":";
-  metrics_json(out, e.after_patch);
-  out << ",\"coa\":" << e.coa;
-}
-
 }  // namespace
 
-void write_scatter_csv(std::ostream& out, const std::vector<DesignEvaluation>& evals) {
-  out << "design,asp_before,asp_after,coa\n";
-  for (const DesignEvaluation& e : evals) {
-    out << e.design.name() << ',' << e.before_patch.attack_success_probability << ','
-        << e.after_patch.attack_success_probability << ',' << std::setprecision(10) << e.coa
-        << '\n';
-  }
-}
-
-void write_radar_csv(std::ostream& out, const std::vector<DesignEvaluation>& evals) {
-  out << "design,phase,aim,asp,noev,noap,noep,coa\n";
-  for (const DesignEvaluation& e : evals) {
-    const auto row = [&](const char* phase, const harm::SecurityMetrics& m) {
-      out << e.design.name() << ',' << phase << ',' << m.attack_impact << ','
-          << m.attack_success_probability << ',' << m.exploitable_vulnerabilities << ','
-          << m.attack_paths << ',' << m.entry_points << ',' << std::setprecision(10) << e.coa
-          << '\n';
-    };
-    row("before", e.before_patch);
-    row("after", e.after_patch);
-  }
-}
-
-void write_table(std::ostream& out, const std::vector<DesignEvaluation>& evals) {
-  out << std::left << std::setw(28) << "design" << std::right << std::setw(7) << "phase"
-      << std::setw(8) << "AIM" << std::setw(9) << "ASP" << std::setw(6) << "NoEV" << std::setw(6)
-      << "NoAP" << std::setw(6) << "NoEP" << std::setw(11) << "COA" << '\n';
-  for (const DesignEvaluation& e : evals) {
-    const auto row = [&](const char* phase, const harm::SecurityMetrics& m) {
-      out << std::left << std::setw(28) << e.design.name() << std::right << std::setw(7) << phase
-          << std::setw(8) << std::fixed << std::setprecision(1) << m.attack_impact << std::setw(9)
-          << std::setprecision(4) << m.attack_success_probability << std::setw(6)
-          << m.exploitable_vulnerabilities << std::setw(6) << m.attack_paths << std::setw(6)
-          << m.entry_points << std::setw(11) << std::setprecision(5) << e.coa << '\n';
-      out.unsetf(std::ios::fixed);
-    };
-    row("before", e.before_patch);
-    row("after", e.after_patch);
-  }
-}
-
-void write_json(std::ostream& out, const std::vector<DesignEvaluation>& evals) {
-  // Uniform precision for every element; restored afterwards so the caller's
-  // stream state is untouched.
+void write_scatter_csv(std::ostream& out, const std::vector<EvalReport>& reports) {
   const std::streamsize old_precision = out.precision(10);
-  out << "[";
-  for (std::size_t i = 0; i < evals.size(); ++i) {
-    if (i != 0) out << ",";
-    out << "\n  ";
-    design_json_prefix(out, evals[i]);
-    out << "}";
+  out << "design,asp_before,asp_after,coa\n";
+  for (const EvalReport& r : reports) {
+    out << r.design.name() << ',' << r.before_patch.attack_success_probability << ','
+        << r.after_patch.attack_success_probability << ',' << r.coa << '\n';
   }
-  out << "\n]\n";
   out.precision(old_precision);
 }
 
-std::string summary_line(const DesignEvaluation& eval) {
-  std::ostringstream out;
-  out << eval.design.name() << ": ASP(after)=" << std::setprecision(4)
-      << eval.after_patch.attack_success_probability << ", COA=" << std::setprecision(6)
-      << eval.coa;
-  return out.str();
-}
-
-void write_scatter_csv(std::ostream& out, const std::vector<EvalReport>& reports) {
-  write_scatter_csv(out, strip_diagnostics(reports));
-}
-
 void write_radar_csv(std::ostream& out, const std::vector<EvalReport>& reports) {
-  write_radar_csv(out, strip_diagnostics(reports));
+  const std::streamsize old_precision = out.precision(10);
+  out << "design,phase,aim,asp,noev,noap,noep,coa\n";
+  for (const EvalReport& r : reports) {
+    const auto row = [&](const char* phase, const harm::SecurityMetrics& m) {
+      out << r.design.name() << ',' << phase << ',' << m.attack_impact << ','
+          << m.attack_success_probability << ',' << m.exploitable_vulnerabilities << ','
+          << m.attack_paths << ',' << m.entry_points << ',' << r.coa << '\n';
+    };
+    row("before", r.before_patch);
+    row("after", r.after_patch);
+  }
+  out.precision(old_precision);
 }
 
 void write_table(std::ostream& out, const std::vector<EvalReport>& reports) {
-  write_table(out, strip_diagnostics(reports));
+  const std::streamsize old_precision = out.precision();
+  const std::ios::fmtflags old_flags = out.flags();
+  out << std::left << std::setw(28) << "design" << std::right << std::setw(7) << "phase"
+      << std::setw(8) << "AIM" << std::setw(9) << "ASP" << std::setw(6) << "NoEV" << std::setw(6)
+      << "NoAP" << std::setw(6) << "NoEP" << std::setw(11) << "COA" << '\n';
+  for (const EvalReport& r : reports) {
+    const auto row = [&](const char* phase, const harm::SecurityMetrics& m) {
+      out << std::left << std::setw(28) << r.design.name() << std::right << std::setw(7) << phase
+          << std::setw(8) << std::fixed << std::setprecision(1) << m.attack_impact << std::setw(9)
+          << std::setprecision(4) << m.attack_success_probability << std::setw(6)
+          << m.exploitable_vulnerabilities << std::setw(6) << m.attack_paths << std::setw(6)
+          << m.entry_points << std::setw(11) << std::setprecision(5) << r.coa << '\n';
+    };
+    row("before", r.before_patch);
+    row("after", r.after_patch);
+  }
+  out.precision(old_precision);
+  out.flags(old_flags);
 }
 
-std::string summary_line(const EvalReport& report) { return summary_line(report.metrics()); }
+std::string summary_line(const EvalReport& report) {
+  std::ostringstream out;
+  out << report.design.name() << ": ASP(after)=" << std::setprecision(4)
+      << report.after_patch.attack_success_probability << ", COA=" << std::setprecision(6)
+      << report.coa;
+  return out.str();
+}
 
 void write_json(std::ostream& out, const std::vector<EvalReport>& reports) {
   // Uniform precision for every element; restored afterwards so the caller's
@@ -131,9 +87,12 @@ void write_json(std::ostream& out, const std::vector<EvalReport>& reports) {
   for (std::size_t i = 0; i < reports.size(); ++i) {
     const EvalReport& r = reports[i];
     if (i != 0) out << ",";
-    out << "\n  ";
-    design_json_prefix(out, r.metrics());
-    out << ",\"patch_interval_hours\":" << r.patch_interval_hours;
+    out << "\n  {\"design\":\"" << r.design.name() << "\",\"servers\":" << r.design.total_servers()
+        << ",\"before\":";
+    metrics_json(out, r.before_patch);
+    out << ",\"after\":";
+    metrics_json(out, r.after_patch);
+    out << ",\"coa\":" << r.coa << ",\"patch_interval_hours\":" << r.patch_interval_hours;
     out << ",\"diagnostics\":{\"converged\":" << (r.converged() ? "true" : "false")
         << ",\"total_iterations\":" << r.total_solver_iterations()
         << ",\"wall_s\":" << r.wall_time_seconds << ",\"availability\":";

@@ -49,10 +49,6 @@ std::size_t EvalReport::total_solver_iterations() const noexcept {
   return total;
 }
 
-DesignEvaluation EvalReport::metrics() const {
-  return DesignEvaluation{design, before_patch, after_patch, coa};
-}
-
 Session::Session(Scenario scenario) : scenario_(std::move(scenario)) { scenario_.validate(); }
 
 double Session::canonical_interval(double patch_interval_hours) {
@@ -369,53 +365,8 @@ EvalReport Session::evaluate_transient(const enterprise::RedundancyDesign& desig
 
 EvalReport Session::evaluate_transient(const enterprise::RedundancyDesign& design,
                                        double patch_interval_hours) const {
-  return evaluate_transient_impl(design, patch_interval_hours, scenario_.engine().initial_down);
-}
-
-EvalReport Session::evaluate_transient_impl(
-    const enterprise::RedundancyDesign& design, double patch_interval_hours,
-    const std::map<enterprise::ServerRole, unsigned>& initial_down,
-    const std::vector<StageVerification>* verification) const {
-  const auto start = Clock::now();
-  const EngineOptions& engine = scenario_.engine();
-  const std::vector<double> grid = engine.transient_grid();
-  const IntervalAggregation& agg = aggregation_for(patch_interval_hours);
-  const DesignSecurity& security = security_for(design);
-
-  EvalReport report;
-  report.design = design;
-  report.patch_interval_hours = patch_interval_hours;
-  report.before_patch = security.before_patch;
-  report.after_patch = security.after_patch;
-  report.transient.time_points_hours = grid;
-
-  avail::TransientCoaOptions options;
-  options.initial_down = initial_down;
-  options.uniformization = engine.uniformization;
-  options.reachability = engine.reachability;
-  avail::CoaCurveEvaluation eval;
-  if (engine.lumping) {
-    report.verification =
-        verification != nullptr ? *verification : verification_for(design, agg);
-    eval = avail::transient_coa_lumped_detailed(design, agg.rates, grid, options);
-  } else {
-    // One net build serves the verification and the solve.
-    const avail::NetworkSrn net = avail::build_network_srn(design, agg.rates);
-    report.verification = verification_for(design, agg, &net);
-    eval = std::move(avail::transient_coa_batch(net, grid, {initial_down}, options,
-                                                &workspaces_for_this_thread().transient)
-                         .front());
-    ++network_exploration_count_;
-  }
-  report.transient.coa.reserve(eval.curve.size());
-  for (const avail::CoaPoint& point : eval.curve) report.transient.coa.push_back(point.coa);
-  report.transient.accumulated_coa_hours = eval.accumulated_coa_hours;
-  report.coa = report.transient.interval_coa();
-  report.availability_diagnostics = eval.diagnostics;
-  report.transient_diagnostics = eval.transient;
-  report.aggregation_diagnostics = agg.diagnostics;
-  report.wall_time_seconds = seconds_since(start);
-  return report;
+  return evaluate_transient_batch(design, {scenario_.engine().initial_down}, patch_interval_hours)
+      .front();
 }
 
 std::vector<EvalReport> Session::evaluate_transient_batch(
@@ -433,15 +384,39 @@ std::vector<EvalReport> Session::evaluate_transient_batch(
   }
   const EngineOptions& engine = scenario_.engine();
   if (engine.lumping) {
-    // The closed form has no panel mode (one evaluation per wave); the batch
-    // degenerates to the sequential contract, except that the
-    // wave-independent verification stages run once.
-    const std::vector<StageVerification> verification =
-        verification_for(design, aggregation_for(patch_interval_hours));
+    // The closed form has no panel mode: one evaluation per wave, sharing the
+    // wave-independent grid, aggregation, security metrics and verification
+    // stages.
+    const std::vector<double> grid = engine.transient_grid();
+    const IntervalAggregation& agg = aggregation_for(patch_interval_hours);
+    const std::vector<StageVerification> verification = verification_for(design, agg);
+    const DesignSecurity& security = security_for(design);
+    avail::TransientCoaOptions options;
+    options.uniformization = engine.uniformization;
+    options.reachability = engine.reachability;
     std::vector<EvalReport> reports;
     reports.reserve(waves.size());
     for (const auto& wave : waves) {
-      reports.push_back(evaluate_transient_impl(design, patch_interval_hours, wave, &verification));
+      const auto start = Clock::now();
+      options.initial_down = wave;
+      const avail::CoaCurveEvaluation eval =
+          avail::transient_coa_lumped_detailed(design, agg.rates, grid, options);
+      EvalReport report;
+      report.design = design;
+      report.patch_interval_hours = patch_interval_hours;
+      report.before_patch = security.before_patch;
+      report.after_patch = security.after_patch;
+      report.verification = verification;
+      report.transient.time_points_hours = grid;
+      report.transient.coa.reserve(eval.curve.size());
+      for (const avail::CoaPoint& point : eval.curve) report.transient.coa.push_back(point.coa);
+      report.transient.accumulated_coa_hours = eval.accumulated_coa_hours;
+      report.coa = report.transient.interval_coa();
+      report.availability_diagnostics = eval.diagnostics;
+      report.transient_diagnostics = eval.transient;
+      report.aggregation_diagnostics = agg.diagnostics;
+      report.wall_time_seconds = seconds_since(start);
+      reports.push_back(std::move(report));
     }
     return reports;
   }

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "patchsec/core/decision.hpp"
 #include "patchsec/core/report.hpp"
@@ -209,6 +212,67 @@ TEST(Report, TableContainsAllDesigns) {
   const std::string table = out.str();
   for (const auto& e : five_designs()) {
     EXPECT_NE(table.find(e.design.name()), std::string::npos);
+  }
+}
+
+namespace {
+
+using Emitter = void (*)(std::ostream&, const std::vector<core::EvalReport>&);
+
+const std::pair<const char*, Emitter> kEmitters[] = {{"scatter", core::write_scatter_csv},
+                                                     {"radar", core::write_radar_csv},
+                                                     {"table", core::write_table},
+                                                     {"json", core::write_json}};
+
+/// A report whose metrics carry more significant digits than a stream's
+/// default precision (6), so any precision an emitter leaks shows in them.
+core::EvalReport many_digit_report() {
+  core::EvalReport r = five_designs()[0];
+  r.before_patch.attack_impact = 52.123456789;
+  r.before_patch.attack_success_probability = 0.123456789;
+  r.after_patch.attack_impact = 42.123456789;
+  r.after_patch.attack_success_probability = 0.2653316695;
+  r.coa = 0.9970654321;
+  return r;
+}
+
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+}  // namespace
+
+TEST(Report, EmittersRestoreTheCallersPrecision) {
+  for (const auto& [name, emit] : kEmitters) {
+    std::ostringstream out;
+    out.precision(3);
+    emit(out, {many_digit_report()});
+    EXPECT_EQ(out.precision(), 3) << name;
+  }
+}
+
+TEST(Report, EmittingTheSameReportTwiceGivesIdenticalRows) {
+  const core::EvalReport r = many_digit_report();
+  for (const auto& [name, emit] : kEmitters) {
+    // Two calls on one stream write the same text twice.
+    std::ostringstream out;
+    emit(out, {r});
+    const std::string once = out.str();
+    emit(out, {r});
+    EXPECT_EQ(out.str(), once + once) << name;
+  }
+  // One call over two copies: the second copy's rows equal the first's.
+  for (const auto& [name, emit] : kEmitters) {
+    if (std::string(name) == "json") continue;  // one array, not rows
+    std::ostringstream out;
+    emit(out, {r, r});
+    const std::vector<std::string> lines = lines_of(out.str());
+    const std::size_t rows = (lines.size() - 1) / 2;  // per copy, after the header
+    ASSERT_EQ(lines.size(), 1 + 2 * rows) << name;
+    for (std::size_t i = 1; i <= rows; ++i) EXPECT_EQ(lines[i], lines[i + rows]) << name;
   }
 }
 

@@ -164,17 +164,14 @@ TEST(Sensitivity, StepValidation) {
 
 TEST(JsonReport, WellFormedAndComplete) {
   const core::Session session(core::Scenario::paper_case_study());
-  const std::vector<core::DesignEvaluation> evals = [&] {
-    std::vector<core::DesignEvaluation> out;
-    for (const core::EvalReport& r : session.evaluate_all()) out.push_back(r.metrics());
-    return out;
-  }();
   std::ostringstream out;
-  core::write_json(out, evals);
+  core::write_json(out, session.evaluate_all());
   const std::string json = out.str();
   EXPECT_EQ(json.front(), '[');
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            5 * 3);  // design + before + after per design
+  // Per design: design + before + after, the diagnostics block (itself,
+  // availability, aggregation and its 4 roles) and the verify block (itself
+  // and its 5 clean stages: 4 server nets + the network net).
+  EXPECT_EQ(std::count(json.begin(), json.end(), '{'), 5 * (3 + 7 + 6));
   EXPECT_NE(json.find("\"design\":\"1 DNS + 1 WEB + 2 APP + 1 DB\""), std::string::npos);
   EXPECT_NE(json.find("\"coa\":0.99"), std::string::npos);
   EXPECT_NE(json.find("\"noev\":"), std::string::npos);
