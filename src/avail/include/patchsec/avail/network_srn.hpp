@@ -41,8 +41,8 @@ struct NetworkSrn {
 /// The aggregated rates of a deployed role: the one rate check shared by the
 /// flat net and the closed form (avail/lumped_coa.hpp), run before either
 /// builds or evaluates anything.  Throws std::invalid_argument when `rates`
-/// has no entry for `role`, or when lambda_eq or mu_eq is not a finite
-/// positive number or their sum overflows.
+/// has no entry for `role`, or when lambda_eq or mu_eq is not a valid
+/// per-token rate (petri::valid_rate), as the net's construction does.
 [[nodiscard]] const AggregatedRates& tier_rates(
     const std::map<enterprise::ServerRole, AggregatedRates>& rates, enterprise::ServerRole role);
 
@@ -51,6 +51,11 @@ struct NetworkSrn {
 [[nodiscard]] NetworkSrn build_network_srn(
     const enterprise::RedundancyDesign& design,
     const std::map<enterprise::ServerRole, AggregatedRates>& rates);
+
+/// Re-rate a net of build_network_srn (or _synchronized) in place to `rates`,
+/// checked by tier_rates: the net the builder would build from them.
+void set_tier_rates(NetworkSrn& net,
+                    const std::map<enterprise::ServerRole, AggregatedRates>& rates);
 
 /// Capacity-oriented availability of a design: lower-layer aggregation per
 /// role followed by the upper-layer steady-state reward.  This is the

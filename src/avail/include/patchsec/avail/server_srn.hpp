@@ -37,6 +37,9 @@ struct ServerSrn {
       svc_ready_to_reboot;
   // patch clock
   petri::PlaceId clock_idle, clock_armed, clock_triggered;
+  /// Tinterval, rate 1 / patch_interval_hours: the only rate a cadence
+  /// changes, so set_rate on it gives another cadence's net.
+  petri::TransitionId patch_clock;
 
   /// True when the marking is inside the patch window (any patch-phase place
   /// occupied); hardware and software failures are suppressed here.

@@ -1,7 +1,6 @@
 #include "patchsec/avail/network_srn.hpp"
 
 #include <array>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -26,14 +25,13 @@ const AggregatedRates& tier_rates(const std::map<enterprise::ServerRole, Aggrega
     throw std::invalid_argument(std::string("missing aggregated rates for role ") +
                                 enterprise::to_string(role));
   }
-  const double lambda = it->second.lambda_eq;
-  const double mu = it->second.mu_eq;
-  // Negated comparisons so NaN is refused too.
-  if (!(lambda > 0.0) || !(mu > 0.0) || !std::isfinite(lambda + mu)) {
+  const AggregatedRates& tier = it->second;
+  // The net's own check on its per-token rates lambda * #Pup and mu * #Ppd.
+  if (!petri::valid_rate(tier.lambda_eq, true) || !petri::valid_rate(tier.mu_eq, true)) {
     throw std::invalid_argument(std::string("aggregated rates for role ") +
                                 enterprise::to_string(role) + " must be finite and positive");
   }
-  return it->second;
+  return tier;
 }
 
 petri::RewardFunction NetworkSrn::coa_reward() const {
@@ -65,36 +63,40 @@ NetworkSrn build_network_srn(const enterprise::RedundancyDesign& design,
     const unsigned n = design.count(role);
     if (n == 0) continue;
     const AggregatedRates& tier = tier_rates(rates, role);
-    const double lambda = tier.lambda_eq;
-    const double mu = tier.mu_eq;
     std::string base = enterprise::to_string(role);
     const petri::PlaceId up = net.model.add_place("P" + base + "up", n);
     const petri::PlaceId down = net.model.add_place("P" + base + "pd", 0);
     net.up_places.emplace(role, up);
     net.down_places.emplace(role, down);
 
-    // Patch: marking-dependent rate lambda * #Pup (paper Sec. III-D2).
-    net.model.add_timed_transition("T" + base + "d", [lambda, up](const petri::Marking& m) {
-      return lambda * static_cast<double>(m[up]);
-    });
-    const petri::TransitionId td = net.model.transition("T" + base + "d");
+    // Patch: marking-dependent rate lambda * #Pup (paper Sec. III-D2).  The
+    // guards repeat the input arcs' enabling condition.
+    const petri::TransitionId td =
+        net.model.add_timed_transition("T" + base + "d", tier.lambda_eq, up);
     net.model.add_input_arc(td, up);
     net.model.add_output_arc(td, down);
-    // Guard keeps the rate function positive: disabled at #Pup == 0 anyway
-    // through the input arc, but the rate function must not be evaluated at 0.
     net.model.set_guard(td, [up](const petri::Marking& m) { return m[up] > 0; });
 
     // Recovery: each patched server recovers independently (mu * #Ppd).
-    net.model.add_timed_transition("T" + base + "up", [mu, down](const petri::Marking& m) {
-      return mu * static_cast<double>(m[down]);
-    });
-    const petri::TransitionId tu = net.model.transition("T" + base + "up");
+    const petri::TransitionId tu =
+        net.model.add_timed_transition("T" + base + "up", tier.mu_eq, down);
     net.model.add_input_arc(tu, down);
     net.model.add_output_arc(tu, up);
     net.model.set_guard(tu, [down](const petri::Marking& m) { return m[down] > 0; });
   }
   if (net.up_places.empty()) throw std::invalid_argument("design deploys no servers");
   return net;
+}
+
+void set_tier_rates(NetworkSrn& net,
+                    const std::map<enterprise::ServerRole, AggregatedRates>& rates) {
+  // Both builders add the i-th deployed tier's T<role>d, T<role>up as 2i, 2i + 1.
+  petri::TransitionId t = 0;
+  for (const auto& [role, up] : net.up_places) {
+    const AggregatedRates& tier = tier_rates(rates, role);
+    net.model.set_rate(t++, tier.lambda_eq);
+    net.model.set_rate(t++, tier.mu_eq);
+  }
 }
 
 double capacity_oriented_availability(

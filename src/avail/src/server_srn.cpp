@@ -252,11 +252,11 @@ ServerSrn build_server_srn(const enterprise::ServerSpec& spec, const ServerSrnOp
 
   // ---- patch clock (Fig. 5d) -------------------------------------------------
   {
-    const auto tinterval = net.add_timed_transition(
+    s.patch_clock = net.add_timed_transition(
         "Tinterval", rate_from_mean_hours(p.patch_interval, "patch interval"));
-    net.add_input_arc(tinterval, s.clock_idle);
-    net.add_output_arc(tinterval, s.clock_armed);
-    net.set_guard(tinterval, [ids](const petri::Marking& m) {  // ginterval
+    net.add_input_arc(s.patch_clock, s.clock_idle);
+    net.add_output_arc(s.patch_clock, s.clock_armed);
+    net.set_guard(s.patch_clock, [ids](const petri::Marking& m) {  // ginterval
       return m[ids.svc_up] == 1 || m[ids.svc_down] == 1 || m[ids.svc_failed] == 1;
     });
 

@@ -9,9 +9,10 @@
 /// Construction is cheap; the expensive per-(role, patch-interval) server-SRN
 /// aggregations (paper Table V) are computed lazily on first use and cached,
 /// so sweeping a design space or a patch schedule pays the lower layer once.
-/// A cadence changes only the patch-clock rate, so each role's server net is
-/// explored once per Session and each design's network net once per batch;
-/// other cadences re-rate the exploration (petri::rerate).
+/// A cadence changes only rates, which no verification finding reads, so each
+/// role's server net is built, verified and explored once per Session and
+/// re-rated (petri::rerate), each design's network net likewise once per
+/// batch, and each lumped design's counting net verified once per Session.
 /// The cadence-independent HARM security metrics and role-labelled attack-path
 /// classes are likewise memoized per design, from one HARM build, so a
 /// schedule sweep (or a game over the design grid) pays the security side
@@ -24,6 +25,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -31,6 +33,7 @@
 
 #include "patchsec/avail/aggregation.hpp"
 #include "patchsec/avail/network_srn.hpp"
+#include "patchsec/avail/server_srn.hpp"
 #include "patchsec/core/scenario.hpp"
 #include "patchsec/ctmc/transient_solver.hpp"
 #include "patchsec/harm/harm.hpp"
@@ -115,9 +118,9 @@ struct EvalReport {
   double wall_time_seconds = 0.0;
 
   /// Static verification reports (EngineOptions::verify != kOff): one entry
-  /// per solved net — every lower-layer "server:<role>" stage this cadence
-  /// uses (shared by every report of the cadence) plus the upper-layer
-  /// "network" stage (shared by every copy of this report).  Empty under
+  /// per solved net — every lower-layer "server:<role>" stage (one object
+  /// per role and Session) plus the upper-layer "network" stage (one object
+  /// per design and batch; per design and Session when lumped).  Empty under
   /// VerifyMode::kOff.
   std::vector<StageVerification> verification;
 
@@ -277,10 +280,21 @@ class Session {
   struct IntervalAggregation {
     std::map<enterprise::ServerRole, avail::AggregatedRates> rates;
     std::map<enterprise::ServerRole, petri::SolveDiagnostics> diagnostics;
-    /// Static verification of each role's server net (computed once with the
-    /// aggregation, on the net the aggregation solves; empty under
-    /// VerifyMode::kOff).
-    std::vector<StageVerification> verification;
+    std::vector<StageVerification> verification;  ///< each RoleNet's stage.
+  };
+  /// One role's server net at its first cadence, with its stage (null under
+  /// kOff) and exploration; other cadences re-rate a copy's patch_clock.
+  struct RoleNet {
+    avail::ServerSrn srn;
+    StageVerification verification;
+    std::shared_ptr<const petri::ReachabilityGraph> explored;
+  };
+  /// A design's network net carried between a batch's cells: the first
+  /// builds, verifies and explores it, the others re-rate it.
+  struct DesignNet {
+    std::optional<avail::NetworkSrn> net;
+    StageVerification verification;
+    std::shared_ptr<const petri::ReachabilityGraph> explored;
   };
   /// Everything the HARM layer yields for one design, from one build.
   struct DesignSecurity {
@@ -300,7 +314,7 @@ class Session {
 
   /// Static verification of one net as stage `stage`: the memoized
   /// structure certificate plus this instance's probes (petri::verify_values),
-  /// thrown on under VerifyMode::kStrict.
+  /// thrown on under VerifyMode::kStrict; a null report under kOff.
   [[nodiscard]] StageVerification verify_stage(
       std::string stage, const petri::SrnModel& model,
       const std::vector<std::pair<std::string, petri::RewardFunction>>& rewards) const;
@@ -309,15 +323,18 @@ class Session {
   /// linted.
   [[nodiscard]] StageVerification verify_network_stage(const avail::NetworkSrn& net) const;
 
+  /// The lumped path's network stage of `design` (thread-safe memo): a miss
+  /// verifies the counting net at `rates`.  A hit builds no net; the closed
+  /// form's avail::tier_rates is the construction's check of the rates.
+  [[nodiscard]] StageVerification counting_net_stage(
+      const enterprise::RedundancyDesign& design,
+      const std::map<enterprise::ServerRole, avail::AggregatedRates>& rates) const;
+
   /// Every verification stage of one (design, cadence) evaluation: the
-  /// cadence's server stages plus the design's network stage.  Empty under
+  /// cadence's server stages plus the design's `network` stage.  Empty under
   /// VerifyMode::kOff.  No stage depends on the transient entry marking.
-  /// A non-null `net` is the design's network net at agg.rates, already
-  /// built by the caller (every path that solves that net), and is verified
-  /// in place of a fresh build.
   [[nodiscard]] std::vector<StageVerification> verification_for(
-      const enterprise::RedundancyDesign& design, const IntervalAggregation& agg,
-      const avail::NetworkSrn* net = nullptr) const;
+      const IntervalAggregation& agg, StageVerification network) const;
 
   /// Memoized HARM security metrics and path classes for one design
   /// (thread-safe; counts a build on a miss).  The HARM side is
@@ -331,13 +348,10 @@ class Session {
   [[nodiscard]] std::vector<EvalReport> run_batch(
       const std::vector<std::pair<enterprise::RedundancyDesign, double>>& jobs) const;
 
-  /// evaluate(design, hours).  A non-null `explored` carries the design's
-  /// network exploration between a batch's cells: re-rated when set, else
-  /// explored with its firing record and stored there.  Null explores
-  /// without a record.
-  [[nodiscard]] EvalReport evaluate_cell(
-      const enterprise::RedundancyDesign& design, double patch_interval_hours,
-      std::shared_ptr<const petri::ReachabilityGraph>* explored) const;
+  /// evaluate(design, hours), carrying the design's net between a batch's
+  /// cells in a non-null `carried`; null explores without a firing record.
+  [[nodiscard]] EvalReport evaluate_cell(const enterprise::RedundancyDesign& design,
+                                         double patch_interval_hours, DesignNet* carried) const;
 
   /// The SolverWorkspaces of the calling thread, created on first use.  Each
   /// (Session, thread) pair owns its own slot, so two Sessions interleaving
@@ -365,17 +379,17 @@ class Session {
   mutable std::map<std::array<unsigned, enterprise::kRoleCount>, DesignSecurity> harm_cache_;
   mutable std::size_t harm_builds_ = 0;
   /// Structure certificates keyed on the FULL petri::structure_key bytes (not
-  /// a hash of them, so two structures can never share an entry).  Every
-  /// (role, cadence) server net shares one entry and every cadence of a
-  /// design's network net another: only rates differ between them.  Guarded
-  /// by cache_mutex_ with the two counters.
+  /// a hash of them, so two structures can never share an entry): the four
+  /// roles' server nets share one.  Guarded by cache_mutex_ with the two
+  /// counters.
   mutable std::map<std::string, petri::StructureCertificate> structure_cache_;
   mutable std::size_t structure_builds_ = 0;
   mutable std::size_t structure_reuses_ = 0;
-  /// Per role: the server net's first exploration, which every later cadence
-  /// re-rates.  Bounded by the role count; guarded by cache_mutex_.
-  mutable std::map<enterprise::ServerRole, std::shared_ptr<const petri::ReachabilityGraph>>
-      server_explorations_;
+  /// Per role and per lumped design; entries are never modified after
+  /// insertion, so they are read without the lock; guarded by cache_mutex_.
+  mutable std::map<enterprise::ServerRole, RoleNet> role_nets_;
+  mutable std::map<std::array<unsigned, enterprise::kRoleCount>, StageVerification>
+      counting_stages_;
   mutable std::atomic<std::size_t> server_exploration_count_{0};
   mutable std::atomic<std::size_t> server_rerate_count_{0};
   mutable std::atomic<std::size_t> network_exploration_count_{0};

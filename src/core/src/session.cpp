@@ -1,7 +1,6 @@
 #include "patchsec/core/session.hpp"
 
 #include "patchsec/avail/lumped_coa.hpp"
-#include "patchsec/avail/server_srn.hpp"
 #include "patchsec/avail/transient_coa.hpp"
 
 #include <atomic>
@@ -25,6 +24,15 @@ double seconds_since(Clock::time_point start) {
 }
 
 using Job = std::pair<enterprise::RedundancyDesign, double>;
+
+/// The entry of `key` in `memo`, looked up under `mutex`, or null.  Memo
+/// entries are never modified after insertion, so it is read unlocked.
+template <typename Map, typename Key>
+const typename Map::mapped_type* find_locked(std::mutex& mutex, const Map& memo, const Key& key) {
+  const std::lock_guard<std::mutex> lock(mutex);
+  const auto it = memo.find(key);
+  return it != memo.end() ? &it->second : nullptr;
+}
 
 }  // namespace
 
@@ -126,6 +134,7 @@ StageVerification Session::verify_stage(
     std::string stage, const petri::SrnModel& model,
     const std::vector<std::pair<std::string, petri::RewardFunction>>& rewards) const {
   const EngineOptions& engine = scenario_.engine();
+  if (engine.verify == VerifyMode::kOff) return {};
   auto report = std::make_shared<const petri::VerifyReport>(
       petri::verify_values(structure_for(model), model, rewards, engine.verify_options));
   if (engine.verify == VerifyMode::kStrict) petri::throw_on_verify_errors(*report, stage);
@@ -138,61 +147,57 @@ StageVerification Session::verify_network_stage(const avail::NetworkSrn& net) co
   return verify_stage("network", net.model, rewards);
 }
 
-std::vector<StageVerification> Session::verification_for(
-    const enterprise::RedundancyDesign& design, const IntervalAggregation& agg,
-    const avail::NetworkSrn* net) const {
+StageVerification Session::counting_net_stage(
+    const enterprise::RedundancyDesign& design,
+    const std::map<enterprise::ServerRole, avail::AggregatedRates>& rates) const {
+  if (scenario_.engine().verify == VerifyMode::kOff) return {};
+  if (const auto* hit = find_locked(cache_mutex_, counting_stages_, design.counts)) return *hit;
+  StageVerification stage = verify_network_stage(avail::build_network_srn(design, rates));
+  const std::lock_guard<std::mutex> lock(cache_mutex_);
+  return counting_stages_.try_emplace(design.counts, std::move(stage)).first->second;
+}
+
+std::vector<StageVerification> Session::verification_for(const IntervalAggregation& agg,
+                                                          StageVerification network) const {
   if (scenario_.engine().verify == VerifyMode::kOff) return {};
   std::vector<StageVerification> verification = agg.verification;
-  if (net != nullptr) {
-    verification.push_back(verify_network_stage(*net));
-  } else {
-    // The lumped path never builds the net otherwise, so this build plus its
-    // reward verification is the largest per-cell cost left there; the
-    // structure certificate itself is memoized (structure_for).
-    verification.push_back(verify_network_stage(avail::build_network_srn(design, agg.rates)));
-  }
+  verification.push_back(std::move(network));
   return verification;
 }
 
 const Session::IntervalAggregation& Session::aggregation_for(double patch_interval_hours) const {
   patch_interval_hours = canonical_interval(patch_interval_hours);
-  {
-    const std::lock_guard<std::mutex> lock(cache_mutex_);
-    const auto it = cache_.find(patch_interval_hours);
-    if (it != cache_.end()) return it->second;
-  }
+  if (const auto* hit = find_locked(cache_mutex_, cache_, patch_interval_hours)) return *hit;
 
   // Solve outside the lock so concurrent callers on different cadences
-  // proceed in parallel.  Two threads racing on the same cold cadence both
-  // compute; try_emplace keeps the first result and discards the duplicate
-  // (acceptable: the computation is pure).
+  // proceed in parallel.  Two threads racing on the same cold cadence or role
+  // both compute; try_emplace keeps the first result and discards the
+  // duplicate (acceptable: the computation is pure).
   IntervalAggregation agg;
   avail::ServerSrnOptions srn_options;
   srn_options.patch_interval_hours = patch_interval_hours;
   const petri::AnalyzerOptions engine = scenario_.engine().analyzer_options();
-  const VerifyMode verify = scenario_.engine().verify;
   for (const auto& [role, spec] : scenario_.specs()) {
-    const avail::ServerSrn srn = avail::build_server_srn(spec, srn_options);
-    if (verify != VerifyMode::kOff) {
-      // Static pre-flight on the server net before the reachability-based
-      // aggregation solve touches it.
-      agg.verification.push_back(
-          verify_stage(std::string("server:") + enterprise::to_string(role), srn.model, {}));
-    }
-    std::shared_ptr<const petri::ReachabilityGraph> explored;
-    {
+    const RoleNet* base = find_locked(cache_mutex_, role_nets_, role);
+    ++(base != nullptr ? server_rerate_count_ : server_exploration_count_);
+    auto* workspace = &workspaces_for_this_thread().aggregation;
+    avail::ServerAggregation server;
+    if (base == nullptr) {
+      RoleNet built{avail::build_server_srn(spec, srn_options), {}, nullptr};
+      // Static pre-flight before the aggregation solve touches the net.
+      built.verification =
+          verify_stage(std::string("server:") + enterprise::to_string(role), built.srn.model, {});
+      server = avail::aggregate_server_srn(built.srn, spec, srn_options, engine, workspace,
+                                           &built.explored);
       const std::lock_guard<std::mutex> lock(cache_mutex_);
-      const auto it = server_explorations_.find(role);
-      if (it != server_explorations_.end()) explored = it->second;
+      base = &role_nets_.try_emplace(role, std::move(built)).first->second;
+    } else {
+      avail::ServerSrn srn = base->srn;
+      srn.model.set_rate(srn.patch_clock, 1.0 / patch_interval_hours);
+      std::shared_ptr<const petri::ReachabilityGraph> explored = base->explored;
+      server = avail::aggregate_server_srn(srn, spec, srn_options, engine, workspace, &explored);
     }
-    const bool rerate = explored != nullptr;
-    ++(rerate ? server_rerate_count_ : server_exploration_count_);
-    const avail::ServerAggregation server = avail::aggregate_server_srn(
-        srn, spec, srn_options, engine, &workspaces_for_this_thread().aggregation, &explored);
-    if (!rerate) {
-      const std::lock_guard<std::mutex> lock(cache_mutex_);
-      server_explorations_.try_emplace(role, std::move(explored));
-    }
+    if (base->verification.report != nullptr) agg.verification.push_back(base->verification);
     agg.rates.emplace(role, server.rates);
     agg.diagnostics.emplace(role, server.diagnostics);
   }
@@ -205,8 +210,9 @@ std::vector<EvalReport> Session::run_batch(const std::vector<Job>& jobs) const {
   std::vector<EvalReport> reports(jobs.size());
   const EngineOptions& engine = scenario_.engine();
 
-  // Each design's cells, in job order: the first explores the design's network
-  // net, the others re-rate it, and the exploration dies with the design.  A
+  // Each design's cells, in job order: the first builds, verifies and
+  // explores the design's network net, the others re-rate the net and its
+  // exploration and share its stage, and all of it dies with the design.  A
   // design with one cell explores without a firing record.
   std::vector<std::vector<std::size_t>> cells;
   std::map<std::array<unsigned, enterprise::kRoleCount>, std::size_t> design_index;
@@ -216,11 +222,10 @@ std::vector<EvalReport> Session::run_batch(const std::vector<Job>& jobs) const {
     cells[it->second].push_back(i);
   }
   const auto run_design = [&](std::size_t d) {
-    std::shared_ptr<const petri::ReachabilityGraph> explored;
-    std::shared_ptr<const petri::ReachabilityGraph>* exploration =
-        cells[d].size() > 1 ? &explored : nullptr;
+    DesignNet net;
+    DesignNet* const carried = cells[d].size() > 1 ? &net : nullptr;
     for (const std::size_t i : cells[d]) {
-      reports[i] = evaluate_cell(jobs[i].first, jobs[i].second, exploration);
+      reports[i] = evaluate_cell(jobs[i].first, jobs[i].second, carried);
     }
   };
 
@@ -279,11 +284,7 @@ std::vector<EvalReport> Session::run_batch(const std::vector<Job>& jobs) const {
 
 const Session::DesignSecurity& Session::security_for(
     const enterprise::RedundancyDesign& design) const {
-  {
-    const std::lock_guard<std::mutex> lock(cache_mutex_);
-    const auto it = harm_cache_.find(design.counts);
-    if (it != harm_cache_.end()) return it->second;
-  }
+  if (const auto* hit = find_locked(cache_mutex_, harm_cache_, design.counts)) return *hit;
 
   // Same lock-free-compute pattern as aggregation_for: racing threads on the
   // same cold design both compute; try_emplace keeps the first result.
@@ -323,8 +324,7 @@ EvalReport Session::evaluate(const enterprise::RedundancyDesign& design,
 }
 
 EvalReport Session::evaluate_cell(const enterprise::RedundancyDesign& design,
-                                  double patch_interval_hours,
-                                  std::shared_ptr<const petri::ReachabilityGraph>* explored) const {
+                                  double patch_interval_hours, DesignNet* carried) const {
   const auto start = Clock::now();
   const IntervalAggregation& agg = aggregation_for(patch_interval_hours);
   const DesignSecurity& security = security_for(design);
@@ -336,21 +336,32 @@ EvalReport Session::evaluate_cell(const enterprise::RedundancyDesign& design,
   report.after_patch = security.after_patch;
 
   if (scenario_.engine().lumping) {
-    report.verification = verification_for(design, agg);
+    report.verification = verification_for(agg, counting_net_stage(design, agg.rates));
     // Closed form over the per-tier binomials: no chain, no workspace.
     const avail::CoaEvaluation coa = avail::capacity_oriented_availability_lumped_detailed(
         design, agg.rates, scenario_.engine().analyzer_options());
     report.coa = coa.coa;
     report.availability_diagnostics = coa.diagnostics;
   } else {
-    // One net build serves the verification and the solve.
-    const avail::NetworkSrn net = avail::build_network_srn(design, agg.rates);
-    report.verification = verification_for(design, agg, &net);
+    // One net serves the verification and the solve: built here, or the
+    // batch's net of the design re-rated.
+    DesignNet local;
+    DesignNet& state = carried != nullptr ? *carried : local;
+    if (state.net) {
+      avail::set_tier_rates(*state.net, agg.rates);
+    } else {
+      avail::NetworkSrn net = avail::build_network_srn(design, agg.rates);
+      state.verification = verify_network_stage(net);
+      state.net = std::move(net);
+    }
+    report.verification = verification_for(agg, state.verification);
+    std::shared_ptr<const petri::ReachabilityGraph>* explored =
+        carried != nullptr ? &state.explored : nullptr;
     const bool rerate = explored != nullptr && *explored != nullptr;
     ++(rerate ? network_rerate_count_ : network_exploration_count_);
     const avail::CoaEvaluation coa = avail::capacity_oriented_availability_detailed(
-        net, scenario_.engine().analyzer_options(), &workspaces_for_this_thread().availability,
-        explored);
+        *state.net, scenario_.engine().analyzer_options(),
+        &workspaces_for_this_thread().availability, explored);
     report.coa = coa.coa;
     report.availability_diagnostics = coa.diagnostics;
   }
@@ -383,65 +394,42 @@ std::vector<EvalReport> Session::evaluate_transient_batch(
     throw std::invalid_argument("Session::evaluate_transient_batch: no waves");
   }
   const EngineOptions& engine = scenario_.engine();
-  if (engine.lumping) {
-    // The closed form has no panel mode: one evaluation per wave, sharing the
-    // wave-independent grid, aggregation, security metrics and verification
-    // stages.
-    const std::vector<double> grid = engine.transient_grid();
-    const IntervalAggregation& agg = aggregation_for(patch_interval_hours);
-    const std::vector<StageVerification> verification = verification_for(design, agg);
-    const DesignSecurity& security = security_for(design);
-    avail::TransientCoaOptions options;
-    options.uniformization = engine.uniformization;
-    options.reachability = engine.reachability;
-    std::vector<EvalReport> reports;
-    reports.reserve(waves.size());
-    for (const auto& wave : waves) {
-      const auto start = Clock::now();
-      options.initial_down = wave;
-      const avail::CoaCurveEvaluation eval =
-          avail::transient_coa_lumped_detailed(design, agg.rates, grid, options);
-      EvalReport report;
-      report.design = design;
-      report.patch_interval_hours = patch_interval_hours;
-      report.before_patch = security.before_patch;
-      report.after_patch = security.after_patch;
-      report.verification = verification;
-      report.transient.time_points_hours = grid;
-      report.transient.coa.reserve(eval.curve.size());
-      for (const avail::CoaPoint& point : eval.curve) report.transient.coa.push_back(point.coa);
-      report.transient.accumulated_coa_hours = eval.accumulated_coa_hours;
-      report.coa = report.transient.interval_coa();
-      report.availability_diagnostics = eval.diagnostics;
-      report.transient_diagnostics = eval.transient;
-      report.aggregation_diagnostics = agg.diagnostics;
-      report.wall_time_seconds = seconds_since(start);
-      reports.push_back(std::move(report));
-    }
-    return reports;
-  }
-
   const auto start = Clock::now();
   const std::vector<double> grid = engine.transient_grid();
   const IntervalAggregation& agg = aggregation_for(patch_interval_hours);
   const DesignSecurity& security = security_for(design);
-
-  // One net build serves the verification and the shared solve, and B report
-  // shells wrap that solve, carrying the same (marking-independent) stages.
-  const avail::NetworkSrn net = avail::build_network_srn(design, agg.rates);
-  const std::vector<StageVerification> verification = verification_for(design, agg, &net);
   avail::TransientCoaOptions options;
   options.uniformization = engine.uniformization;
   options.reachability = engine.reachability;
-  const std::vector<avail::CoaCurveEvaluation> evals = avail::transient_coa_batch(
-      net, grid, waves, options, &workspaces_for_this_thread().transient);
-  ++network_exploration_count_;
-  const double wall = seconds_since(start);
 
-  std::vector<EvalReport> reports;
-  reports.reserve(waves.size());
-  for (const avail::CoaCurveEvaluation& eval : evals) {
-    EvalReport report;
+  // B report shells share the wave-independent grid, aggregation, security
+  // metrics and verification stages.  The flat backend builds one net for
+  // the verification and ONE solve of every wave; the closed form has no
+  // panel mode and evaluates the waves one by one.
+  std::vector<StageVerification> verification;
+  std::vector<avail::CoaCurveEvaluation> evals;
+  std::vector<double> walls;
+  if (engine.lumping) {
+    verification = verification_for(agg, counting_net_stage(design, agg.rates));
+    for (const auto& wave : waves) {
+      const auto wave_start = Clock::now();
+      options.initial_down = wave;
+      evals.push_back(avail::transient_coa_lumped_detailed(design, agg.rates, grid, options));
+      walls.push_back(seconds_since(wave_start));
+    }
+  } else {
+    const avail::NetworkSrn net = avail::build_network_srn(design, agg.rates);
+    verification = verification_for(agg, verify_network_stage(net));
+    evals = avail::transient_coa_batch(net, grid, waves, options,
+                                       &workspaces_for_this_thread().transient);
+    ++network_exploration_count_;
+    walls.assign(evals.size(), seconds_since(start));
+  }
+
+  std::vector<EvalReport> reports(evals.size());
+  for (std::size_t b = 0; b < evals.size(); ++b) {
+    const avail::CoaCurveEvaluation& eval = evals[b];
+    EvalReport& report = reports[b];
     report.design = design;
     report.patch_interval_hours = patch_interval_hours;
     report.before_patch = security.before_patch;
@@ -455,8 +443,7 @@ std::vector<EvalReport> Session::evaluate_transient_batch(
     report.availability_diagnostics = eval.diagnostics;
     report.transient_diagnostics = eval.transient;
     report.aggregation_diagnostics = agg.diagnostics;
-    report.wall_time_seconds = wall;
-    reports.push_back(std::move(report));
+    report.wall_time_seconds = walls[b];
   }
   return reports;
 }

@@ -9,11 +9,11 @@
 /// Shared by the reachability explorer (analytic path) and the test-side
 /// Monte-Carlo event loop (tests/testgen): both compile the model once and then reuse
 /// caller-owned scratch vectors across millions of enabledness checks and
-/// firings.  A CompiledNet holds pointers into the SrnModel it was built
-/// from; the model must outlive it and must not be modified afterwards.
+/// firings.  A CompiledNet copies the model's rates and holds pointers into
+/// its guards; the model must outlive it and must not be modified afterwards.
 /// All member functions are const and touch no mutable state, so one
 /// CompiledNet may serve concurrent readers (threaded simulation
-/// replications) provided the model's guard/rate closures are pure.
+/// replications) provided the model's guard closures are pure.
 
 #include <cstdint>
 #include <limits>
@@ -41,7 +41,7 @@ struct CompiledTransition {
   std::uint32_t inh_begin = 0, inh_end = 0;      // inhibitor arcs
   std::uint32_t delta_begin = 0, delta_end = 0;  // net firing effect
   const Guard* guard = nullptr;                  // nullptr when unguarded
-  const RateFunction* rate = nullptr;            // timed transitions only
+  Rate rate;                                     // timed transitions only
   double weight = 0.0;                           // immediates only
   unsigned priority = 0;                         // immediates only
 };
@@ -107,8 +107,8 @@ class CompiledNet {
 
   [[nodiscard]] bool has_immediates() const noexcept { return !immediates_.empty(); }
 
-  /// Rate of a timed transition in m, validated (throws std::domain_error on
-  /// a non-positive or non-finite value, naming the offending transition).
+  /// Rate of a timed transition in m, validated as SrnModel::rate does
+  /// (std::domain_error, with its message, when it is 0).
   [[nodiscard]] double checked_rate(const CompiledTransition& t, const Marking& m) const;
 
  private:

@@ -141,13 +141,14 @@ struct ReachabilityGraph {
 
 /// The chain build_reachability_graph(model) would assemble, bit for bit,
 /// without exploring: the recorded rates are re-evaluated on `model` in
-/// exploration order, through exploration's check (so a bad rate throws the
-/// same std::domain_error), and filled into the recorded pattern; the chain
-/// shares graph.chain's generator structure.  `graph` must come from
-/// explore_for_rerate() and `model` must be its net with only rate functions
-/// changed (std::invalid_argument when the graph kept no record or the place
-/// or timed transition count differs; guards cannot be compared).  The
-/// markings and initial distribution stay graph's.
+/// exploration order, through exploration's check (so a c * #p rate at an
+/// empty place throws the same std::domain_error), and filled into the
+/// recorded pattern; the chain shares graph.chain's generator structure.
+/// `graph` must come from explore_for_rerate() and `model` must be its net
+/// with only rates changed, e.g. by SrnModel::set_rate (std::invalid_argument
+/// when the graph kept no record or the place or timed transition count
+/// differs; guards cannot be compared).  The markings and initial
+/// distribution stay graph's.
 [[nodiscard]] ctmc::Ctmc rerate(const ReachabilityGraph& graph, const SrnModel& model);
 
 /// Convenience analyzer: builds the graph once, solves the steady state once

@@ -4,8 +4,8 @@
 //
 // Supported features, matching what the paper's models need:
 //  * timed transitions with exponentially distributed firing times whose
-//    rates may depend on the current marking (marking-dependent rates such
-//    as  lambda * #Psvcup);
+//    rates are data: a constant c, or c * #p (marking-dependent rates such
+//    as  lambda * #Pup), re-rated in place by set_rate();
 //  * immediate transitions with priorities and probabilistic weights;
 //  * guard functions (enabling predicates over the marking, Table III);
 //  * input / output / inhibitor arcs with multiplicities;
@@ -27,9 +27,6 @@ using TransitionId = std::size_t;
 /// Enabling predicate over a marking (a "guard" in SPNP terminology).
 using Guard = std::function<bool(const Marking&)>;
 
-/// Marking-dependent firing rate of a timed transition.
-using RateFunction = std::function<double(const Marking&)>;
-
 /// Rate reward assigned to tangible markings.
 using RewardFunction = std::function<double(const Marking&)>;
 
@@ -40,6 +37,21 @@ struct Arc {
   PlaceId place = 0;
   TokenCount multiplicity = 1;
 };
+
+/// A timed transition's rate: `scale`, or `scale * #place` when `place` is
+/// set.  Only a valid_rate() is accepted, so only c * #p at #p = 0 is 0.
+struct Rate {
+  double scale = 0.0;
+  std::optional<PlaceId> place;
+
+  [[nodiscard]] double at(const Marking& m) const {
+    return place ? scale * static_cast<double>(m[*place]) : scale;
+  }
+};
+
+/// True when `scale` is a rate SrnModel accepts: finite and > 0 and, for a
+/// per-token rate, scale * #p finite for every TokenCount.
+[[nodiscard]] bool valid_rate(double scale, bool per_token) noexcept;
 
 /// Declarative SRN.  Build places and transitions, then hand the model to the
 /// reachability generator (analytic path) or the test-side simulator
@@ -56,8 +68,13 @@ class SrnModel {
   /// Add a timed transition with a constant rate.
   TransitionId add_timed_transition(std::string name, double rate);
 
-  /// Add a timed transition with a marking-dependent rate.
-  TransitionId add_timed_transition(std::string name, RateFunction rate);
+  /// Add a timed transition with the marking-dependent rate per token * #place.
+  TransitionId add_timed_transition(std::string name, double rate_per_token, PlaceId place);
+
+  /// Re-rate timed transition t to `scale`, keeping the rate's shape: throws
+  /// std::invalid_argument with add_timed_transition's message unless `scale`
+  /// is a valid_rate() of that shape, std::logic_error for immediates.
+  void set_rate(TransitionId t, double scale);
 
   /// Add an immediate transition.  Among simultaneously enabled immediates,
   /// the highest priority fires; ties are resolved probabilistically by
@@ -99,17 +116,9 @@ class SrnModel {
   /// The guard itself (empty std::function when none) — lets analysis code
   /// compile the net into flat arrays without re-wrapping the model.
   [[nodiscard]] const Guard& guard(TransitionId t) const;
-  /// The rate function of a timed transition (throws std::logic_error for
-  /// immediates).  Callers doing their own evaluation must apply the same
-  /// positivity/finiteness validation rate() performs.
-  [[nodiscard]] const RateFunction& rate_function(TransitionId t) const;
-  /// The constant rate of a timed transition built via the `double` overload
-  /// of add_timed_transition, or std::nullopt when the rate is a general
-  /// marking-dependent function.  Structural passes (the verifier's rate
-  /// probes) need this because std::function is opaque: only a rate that is
-  /// provably marking-independent can skip per-marking validation.  Throws
-  /// std::logic_error for immediates.
-  [[nodiscard]] std::optional<double> constant_rate(TransitionId t) const;
+  /// A timed transition's rate as data (std::logic_error for immediates);
+  /// callers evaluating it must refuse a 0 as rate() does.
+  [[nodiscard]] const Rate& timed_rate(TransitionId t) const;
 
   [[nodiscard]] Marking initial_marking() const;
 
@@ -120,7 +129,8 @@ class SrnModel {
   [[nodiscard]] bool is_enabled(TransitionId t, const Marking& m) const;
 
   /// Firing rate of a timed transition in marking m (only meaningful when
-  /// enabled).  Throws std::logic_error for immediate transitions.
+  /// enabled).  Throws std::logic_error for immediate transitions and
+  /// std::domain_error when it is 0 (a per-token rate at an empty place).
   [[nodiscard]] double rate(TransitionId t, const Marking& m) const;
 
   /// Weight/priority of an immediate transition.
@@ -143,13 +153,6 @@ class SrnModel {
   /// All enabled timed transitions in m.
   [[nodiscard]] std::vector<TransitionId> enabled_timed(const Marking& m) const;
 
-  /// Allocation-free enumeration: `out` is cleared and filled (capacity
-  /// reused across calls).  Same contents and order as the returning
-  /// overloads; these are the hot-path forms used by the reachability
-  /// explorer and the simulator.
-  void enabled_immediates_into(const Marking& m, std::vector<TransitionId>& out) const;
-  void enabled_timed_into(const Marking& m, std::vector<TransitionId>& out) const;
-
   /// A marking is vanishing when at least one immediate transition is
   /// enabled (immediates preempt timed transitions).
   [[nodiscard]] bool is_vanishing(const Marking& m) const {
@@ -164,8 +167,7 @@ class SrnModel {
   struct Transition {
     std::string name;
     TransitionKind kind = TransitionKind::kTimed;
-    RateFunction rate;                  // timed only
-    std::optional<double> fixed_rate;   // timed only; set by the constant-rate overload
+    Rate rate;              // timed only
     double weight = 1.0;    // immediate only
     unsigned priority = 1;  // immediate only
     std::vector<Arc> inputs;
@@ -174,6 +176,8 @@ class SrnModel {
     Guard guard;  // optional
   };
 
+  TransitionId add_transition(std::string name, TransitionKind kind, Rate rate,
+                              double weight = 1.0, unsigned priority = 1);
   void check_place(PlaceId p) const;
   void check_transition(TransitionId t) const;
 

@@ -11,12 +11,11 @@
 /// The pass is split in two.  certify_structure() computes everything that
 /// depends only on the net's structure (arcs, kinds, priorities, guard
 /// presence, initial marking, names): the certificates below and the
-/// STRUCT/ERGO/BOUND/CERT findings.  verify_values() adds the findings that
-/// need the net's closures (V-GUARD/V-RATE/V-REWARD probes).  Nets that
-/// differ only in rates share one certificate, so core::Session certifies
-/// each structure_key() once and probes every instance — e.g. the server
-/// SRN of every (role, patch cadence) shares one certificate.  verify_model()
-/// is the two halves composed.
+/// STRUCT/ERGO/BOUND/CERT findings.  verify_values() adds the probe findings
+/// (V-GUARD/V-RATE/V-REWARD).  No finding reads a rate's value, so nets that
+/// differ only in rates have equal reports and core::Session verifies each
+/// net once whatever the cadence; nets of one structure_key() share one
+/// certificate.  verify_model() is the two halves composed.
 ///
 /// The structural pass reads the incidence as column-compressed entries, and
 /// the Farkas eliminations (nearly all of its cost) keep their rows in flat
@@ -42,9 +41,9 @@
 /// kWarning findings are strong smells that can in principle be intended,
 /// kInfo findings report verifier limitations (truncated certificates).
 ///
-///   V-RATE-001  error    marking-dependent rate non-positive/non-finite at
-///                        an enabled probe marking
-///   V-RATE-002  error    rate function throws at an enabled probe marking
+///   V-RATE-001  error    per-token rate c * #p is 0 at an enabled probe
+///                        marking (p empty); the only invalid rate, since
+///                        SrnModel refuses any other at construction
 ///   V-GUARD-001 error    guard throws on a probe marking (e.g. references a
 ///                        nonexistent place via Marking::at)
 ///   V-STRUCT-001 error   structurally dead transition: an input arc demands
@@ -73,8 +72,8 @@
 ///                        a coefficient overflowed 64 bits);
 ///                        coverage-based rules were skipped
 ///
-/// All probes evaluate the model's opaque guard/rate/reward std::functions on
-/// synthetic markings of the correct arity; out-of-range *unchecked* reads
+/// The guard and reward probes evaluate opaque std::functions on synthetic
+/// markings of the correct arity; out-of-range *unchecked* reads
 /// (operator[] past the marking) are undefined behaviour and cannot be
 /// caught — write guards with Marking::at or model-captured PlaceIds.
 
@@ -133,9 +132,9 @@ struct VerifyOptions {
   /// minimal-support pruning keeps realistic nets tiny; the cap guards
   /// against adversarial arc structures with exponential semiflow counts).
   std::size_t max_intermediate_rows = 4096;
-  /// Evaluate guards/rates/rewards on probe markings (initial marking plus
-  /// single-place perturbations within structural bounds).  Disable for
-  /// models whose closures are not total functions of the marking.
+  /// Probe guards, per-token rates and rewards on probe markings (initial
+  /// marking plus single-place perturbations within structural bounds).
+  /// Disable for models whose closures are not total functions of marking.
   bool probe_functions = true;
 };
 

@@ -1,7 +1,6 @@
 #include "patchsec/petri/compiled_net.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace patchsec::petri {
@@ -38,7 +37,7 @@ CompiledNet::CompiledNet(const SrnModel& model) : model_(&model) {
 
     if (model.has_guard(t)) ct.guard = &model.guard(t);
     if (model.transition_kind(t) == TransitionKind::kTimed) {
-      ct.rate = &model.rate_function(t);
+      ct.rate = model.timed_rate(t);
       timed_.push_back(ct);
     } else {
       ct.weight = model.weight(t);
@@ -55,12 +54,9 @@ CompiledNet::CompiledNet(const SrnModel& model) : model_(&model) {
 }
 
 double CompiledNet::checked_rate(const CompiledTransition& t, const Marking& m) const {
-  const double r = (*t.rate)(m);
-  if (!(r > 0.0) || !std::isfinite(r)) {
-    throw std::domain_error("rate function of " + model_->transition_name(t.id) +
-                            " returned non-positive value");
-  }
-  return r;
+  const double r = t.rate.at(m);
+  // Only a per-token rate at an empty place is 0: the model throws its error.
+  return r != 0.0 ? r : model_->rate(t.id, m);
 }
 
 void CompiledNet::throw_overflow(const CompiledTransition& t, PlaceId place,

@@ -17,43 +17,58 @@ PlaceId SrnModel::add_place(std::string name, TokenCount initial_tokens) {
   return places_.size() - 1;
 }
 
-TransitionId SrnModel::add_timed_transition(std::string name, double rate) {
-  if (!(rate > 0.0) || !std::isfinite(rate)) {
-    throw std::invalid_argument("add_timed_transition: rate must be positive: " + name);
-  }
-  const TransitionId t =
-      add_timed_transition(std::move(name), [rate](const Marking&) { return rate; });
-  transitions_[t].fixed_rate = rate;
-  return t;
+bool valid_rate(double scale, bool per_token) noexcept {
+  const double ceiling =
+      per_token ? scale * static_cast<double>(std::numeric_limits<TokenCount>::max()) : scale;
+  return scale > 0.0 && std::isfinite(ceiling);
 }
 
-TransitionId SrnModel::add_timed_transition(std::string name, RateFunction rate) {
-  if (name.empty()) throw std::invalid_argument("add_timed_transition: empty name");
-  if (!rate) throw std::invalid_argument("add_timed_transition: null rate function");
-  for (const Transition& t : transitions_) {
-    if (t.name == name) throw std::invalid_argument("duplicate transition name " + name);
+namespace {
+
+void check_rate(const std::string& name, const Rate& rate) {
+  if (!valid_rate(rate.scale, rate.place.has_value())) {
+    throw std::invalid_argument("rate of " + name + " must be finite and > 0 at every marking");
   }
-  Transition t;
-  t.name = std::move(name);
-  t.kind = TransitionKind::kTimed;
-  t.rate = std::move(rate);
-  transitions_.push_back(std::move(t));
-  return transitions_.size() - 1;
+}
+
+}  // namespace
+
+TransitionId SrnModel::add_timed_transition(std::string name, double rate) {
+  return add_transition(std::move(name), TransitionKind::kTimed, {rate, std::nullopt});
+}
+
+TransitionId SrnModel::add_timed_transition(std::string name, double rate_per_token,
+                                            PlaceId place) {
+  check_place(place);
+  return add_transition(std::move(name), TransitionKind::kTimed, {rate_per_token, place});
+}
+
+void SrnModel::set_rate(TransitionId t, double scale) {
+  (void)timed_rate(t);  // checks t and its kind
+  Transition& tr = transitions_[t];
+  check_rate(tr.name, {scale, tr.rate.place});
+  tr.rate.scale = scale;
 }
 
 TransitionId SrnModel::add_immediate_transition(std::string name, double weight,
                                                 unsigned priority) {
-  if (name.empty()) throw std::invalid_argument("add_immediate_transition: empty name");
   if (!(weight > 0.0)) throw std::invalid_argument("immediate weight must be positive: " + name);
-  for (const Transition& t : transitions_) {
-    if (t.name == name) throw std::invalid_argument("duplicate transition name " + name);
+  return add_transition(std::move(name), TransitionKind::kImmediate, {}, weight, priority);
+}
+
+TransitionId SrnModel::add_transition(std::string name, TransitionKind kind, Rate rate,
+                                      double weight, unsigned priority) {
+  if (name.empty()) throw std::invalid_argument("add_transition: empty name");
+  if (kind == TransitionKind::kTimed) check_rate(name, rate);
+  for (const Transition& other : transitions_) {
+    if (other.name == name) throw std::invalid_argument("duplicate transition name " + name);
   }
-  Transition t;
+  Transition& t = transitions_.emplace_back();
   t.name = std::move(name);
-  t.kind = TransitionKind::kImmediate;
+  t.kind = kind;
+  t.rate = rate;
   t.weight = weight;
   t.priority = priority;
-  transitions_.push_back(std::move(t));
   return transitions_.size() - 1;
 }
 
@@ -155,22 +170,12 @@ const Guard& SrnModel::guard(TransitionId t) const {
   return transitions_[t].guard;
 }
 
-const RateFunction& SrnModel::rate_function(TransitionId t) const {
+const Rate& SrnModel::timed_rate(TransitionId t) const {
   check_transition(t);
   if (transitions_[t].kind != TransitionKind::kTimed) {
-    throw std::logic_error("rate_function() called on immediate transition " +
-                           transitions_[t].name);
+    throw std::logic_error("timed_rate() called on immediate transition " + transitions_[t].name);
   }
   return transitions_[t].rate;
-}
-
-std::optional<double> SrnModel::constant_rate(TransitionId t) const {
-  check_transition(t);
-  if (transitions_[t].kind != TransitionKind::kTimed) {
-    throw std::logic_error("constant_rate() called on immediate transition " +
-                           transitions_[t].name);
-  }
-  return transitions_[t].fixed_rate;
 }
 
 Marking SrnModel::initial_marking() const {
@@ -199,9 +204,10 @@ double SrnModel::rate(TransitionId t, const Marking& m) const {
   if (tr.kind != TransitionKind::kTimed) {
     throw std::logic_error("rate() called on immediate transition " + tr.name);
   }
-  const double r = tr.rate(m);
-  if (!(r > 0.0) || !std::isfinite(r)) {
-    throw std::domain_error("rate function of " + tr.name + " returned non-positive value");
+  const double r = tr.rate.at(m);
+  if (r == 0.0) {  // only a per-token rate at an empty place
+    throw std::domain_error("rate of " + tr.name + " is 0 in " + petri::to_string(m) +
+                            ": its place " + places_[*tr.rate.place].name + " is empty");
   }
   return r;
 }
@@ -250,19 +256,7 @@ void SrnModel::fire_into(TransitionId t, const Marking& m, Marking& out) const {
 }
 
 std::vector<TransitionId> SrnModel::enabled_immediates(const Marking& m) const {
-  std::vector<TransitionId> enabled;
-  enabled_immediates_into(m, enabled);
-  return enabled;
-}
-
-std::vector<TransitionId> SrnModel::enabled_timed(const Marking& m) const {
-  std::vector<TransitionId> enabled;
-  enabled_timed_into(m, enabled);
-  return enabled;
-}
-
-void SrnModel::enabled_immediates_into(const Marking& m, std::vector<TransitionId>& out) const {
-  out.clear();
+  std::vector<TransitionId> out;
   unsigned best_priority = 0;
   for (TransitionId t = 0; t < transitions_.size(); ++t) {
     if (transitions_[t].kind != TransitionKind::kImmediate) continue;
@@ -273,14 +267,15 @@ void SrnModel::enabled_immediates_into(const Marking& m, std::vector<TransitionI
     }
     if (transitions_[t].priority == best_priority) out.push_back(t);
   }
+  return out;
 }
 
-void SrnModel::enabled_timed_into(const Marking& m, std::vector<TransitionId>& out) const {
-  out.clear();
+std::vector<TransitionId> SrnModel::enabled_timed(const Marking& m) const {
+  std::vector<TransitionId> out;
   for (TransitionId t = 0; t < transitions_.size(); ++t) {
-    if (transitions_[t].kind != TransitionKind::kTimed) continue;
-    if (is_enabled(t, m)) out.push_back(t);
+    if (transitions_[t].kind == TransitionKind::kTimed && is_enabled(t, m)) out.push_back(t);
   }
+  return out;
 }
 
 void SrnModel::check_place(PlaceId p) const {

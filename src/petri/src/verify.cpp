@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -677,28 +678,18 @@ VerifyReport verify_values(const StructureCertificate& cert, const SrnModel& mod
     });
   }
 
-  // V-RATE-001/-002: marking-dependent rates probed at markings where the
-  // transition is enabled (the only markings the engine evaluates them at).
-  // Constant rates are validated at construction.
+  // V-RATE-001: rates are data, checked at construction, so a rate is 0
+  // only as a per-token rate whose place is empty at a marking where the
+  // transition is enabled (the only markings the engine evaluates it at).
   for (TransitionId t = 0; t < n_t; ++t) {
-    if (model.transition_kind(t) != TransitionKind::kTimed) continue;
-    if (model.constant_rate(t).has_value() || guard_broken[t]) continue;
-    const RateFunction& rate = model.rate_function(t);
+    if (model.transition_kind(t) != TransitionKind::kTimed || guard_broken[t]) continue;
+    const std::optional<PlaceId> place = model.timed_rate(t).place;
+    if (!place) continue;
     for_each_probe(cert, probe, [&](const Marking& m) {
-      if (!model.is_enabled(t, m)) return false;
-      try {
-        const double r = rate(m);
-        if (r > 0.0 && std::isfinite(r)) return false;
-        add_finding(findings, "V-RATE-001", VerifySeverity::kError, model.transition_name(t),
-                    "rate evaluated to " + std::to_string(r) + " at an enabled probe marking " +
-                        petri::to_string(m));
-      } catch (const std::exception& e) {
-        add_finding(findings, "V-RATE-002", VerifySeverity::kError, model.transition_name(t),
-                    std::string("rate function threw at an enabled probe marking: ") + e.what());
-      } catch (...) {
-        add_finding(findings, "V-RATE-002", VerifySeverity::kError, model.transition_name(t),
-                    "rate function threw a non-std exception at an enabled probe marking");
-      }
+      if (m[*place] != 0 || !model.is_enabled(t, m)) return false;
+      add_finding(findings, "V-RATE-001", VerifySeverity::kError, model.transition_name(t),
+                  "rate per token of " + model.place_name(*place) +
+                      " is 0 at an enabled probe marking " + petri::to_string(m));
       return true;
     });
   }
@@ -733,7 +724,10 @@ VerifyReport verify_values(const StructureCertificate& cert, const SrnModel& mod
     for (const auto& [name, reward] : rewards) {
       if (!reward) continue;
       try {
-        if (reward(cert.initial) != reward(probe)) {
+        // A non-finite value is V-REWARD-002's finding, not a dependence.
+        const double before = reward(cert.initial);
+        const double after = reward(probe);
+        if (std::isfinite(before) && std::isfinite(after) && before != after) {
           add_finding(findings, "V-REWARD-001", VerifySeverity::kWarning, name,
                       "depends on place " + model.place_name(p) +
                           " which can never be marked (0 initial tokens, no producer)");

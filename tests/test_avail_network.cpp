@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <limits>
+#include <stdexcept>
 
 #include "closed_form_oracle.hpp"
+#include "patchsec/avail/lumped_coa.hpp"
 #include "patchsec/avail/network_srn.hpp"
 #include "patchsec/enterprise/network.hpp"
 #include "patchsec/petri/reachability.hpp"
@@ -168,6 +171,29 @@ TEST(NetworkSrn, MissingRatesRejected) {
   partial.emplace(ent::ServerRole::kDns, rates().at(ent::ServerRole::kDns));
   EXPECT_THROW((void)av::build_network_srn(ent::RedundancyDesign{{1, 1, 1, 1}}, partial),
                std::invalid_argument);
+}
+
+TEST(NetworkSrn, InvalidTierRatesRejected) {
+  // lambda_eq and mu_eq are the per-token rates lambda * #Pup and mu * #Ppd:
+  // zero, negative, non-finite, or too large to stay finite at every token
+  // count.  The builder, an in-place re-rate and the closed form (which
+  // shares tier_rates) all refuse them.
+  const ent::RedundancyDesign design = ent::example_network_design();
+  const double huge = std::numeric_limits<double>::max() / 2.0;
+  for (const double bad : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), huge}) {
+    for (const bool recovery : {false, true}) {
+      std::map<ent::ServerRole, av::AggregatedRates> broken = rates();
+      av::AggregatedRates& web = broken.at(ent::ServerRole::kWeb);
+      (recovery ? web.mu_eq : web.lambda_eq) = bad;
+      EXPECT_THROW((void)av::build_network_srn(design, broken), std::invalid_argument) << bad;
+      av::NetworkSrn net = av::build_network_srn(design, rates());
+      EXPECT_THROW(av::set_tier_rates(net, broken), std::invalid_argument) << bad;
+      EXPECT_THROW((void)av::capacity_oriented_availability_lumped_detailed(design, broken),
+                   std::invalid_argument)
+          << bad;
+    }
+  }
 }
 
 TEST(NetworkSrn, EmptyDesignRejected) {

@@ -106,8 +106,7 @@ TEST(PetriEdge, MultiTokenMarkingDependentChain) {
   constexpr pt::TokenCount kTokens = 5;
   pt::SrnModel net;
   const auto p = net.add_place("p", kTokens);
-  const auto t = net.add_timed_transition(
-      "t", [p](const pt::Marking& m) { return static_cast<double>(m[p]); });
+  const auto t = net.add_timed_transition("t", 1.0, p);
   net.add_input_arc(t, p);
   const auto graph = pt::build_reachability_graph(net);
   EXPECT_EQ(graph.tangible_count(), kTokens + 1u);

@@ -8,7 +8,9 @@
 // to 720 h and 1440 h: re-rating must reproduce a fresh exploration bit for
 // bit while sharing the explored generator's structure arrays, and refuse
 // every rate exploration refuses with the same error, and any exploration
-// that kept no firing record.
+// that kept no firing record.  They also hold for a net built at 168 h whose
+// rates are set in place (SrnModel::set_rate, avail::set_tier_rates) and
+// explored fresh.
 //
 // Also the reachability work counter: ReachabilityGraph::firings must equal
 // the timed firings the lowering resolves, one per (state, enabled timed
@@ -95,6 +97,29 @@ std::map<std::string, pt::SrnModel> pinned_models(double cadence) {
   return models;
 }
 
+/// pinned_models(cadence), built at 168 h and re-rated in place.
+std::map<std::string, pt::SrnModel> rerated_models(double cadence) {
+  std::map<std::string, pt::SrnModel> models;
+  std::map<ent::ServerRole, av::AggregatedRates> weekly;
+  std::map<ent::ServerRole, av::AggregatedRates> rates;
+  for (const auto& [role, spec] : ent::paper_server_specs()) {
+    av::ServerSrn srn = av::build_server_srn(spec, {.patch_interval_hours = 168.0});
+    srn.model.set_rate(srn.patch_clock, 1.0 / cadence);
+    models.emplace(std::string("server/") + ent::to_string(role), std::move(srn.model));
+    weekly.emplace(role, av::aggregate_server(spec, {.patch_interval_hours = 168.0}));
+    rates.emplace(role, av::aggregate_server(spec, {.patch_interval_hours = cadence}));
+  }
+  for (const ent::RedundancyDesign& d : pinned_designs()) {
+    av::NetworkSrn network = av::build_network_srn(d, weekly);
+    av::set_tier_rates(network, rates);
+    models.emplace("network/" + design_key(d), std::move(network.model));
+    av::NetworkSrn synchronized = av::build_network_srn_synchronized(d, weekly);
+    av::set_tier_rates(synchronized, rates);
+    models.emplace("synchronized/" + design_key(d), std::move(synchronized.model));
+  }
+  return models;
+}
+
 std::string cadence_prefix(double cadence) {
   return std::to_string(static_cast<int>(cadence)) + "/";
 }
@@ -174,13 +199,14 @@ const std::map<std::string, std::uint64_t>& pinned_hashes() {
 }
 
 /// A two-state net whose failure rate is `rate`, as fresh exploration and a
-/// re-rate both see it.
-pt::SrnModel up_down(double rate) {
+/// re-rate both see it; per token of the down place when `per_down`, so 0
+/// wherever it can fire.
+pt::SrnModel up_down(double rate, bool per_down = false) {
   pt::SrnModel net;
   const pt::PlaceId up = net.add_place("up", 1);
   const pt::PlaceId down = net.add_place("down", 0);
-  const pt::TransitionId fail =
-      net.add_timed_transition("Tfail", [rate](const pt::Marking&) { return rate; });
+  const pt::TransitionId fail = per_down ? net.add_timed_transition("Tfail", rate, down)
+                                         : net.add_timed_transition("Tfail", rate);
   net.add_input_arc(fail, up);
   net.add_output_arc(fail, down);
   const pt::TransitionId repair = net.add_timed_transition("Trepair", 2.0);
@@ -243,24 +269,49 @@ TEST(LoweringPin, RerateFromTheWeeklyExplorationHitsThePins) {
   }
 }
 
+TEST(LoweringPin, RatesSetInPlaceExploreOntoThePins) {
+#if defined(__FMA__)
+  GTEST_SKIP() << "FMA contraction may move rate bits; pins hold for portable builds";
+#endif
+  // Each pinned net built at 168 h, its rates set to another pinned cadence's
+  // and explored fresh: the cadence's pins, bit for bit.
+  std::size_t checked = 0;
+  for (const double cadence : {720.0, 1440.0}) {
+    for (const auto& [name, model] : rerated_models(cadence)) {
+      const std::string key = cadence_prefix(cadence) + name;
+      EXPECT_EQ(lowering_hash(model), pinned_hashes().at(key)) << key;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 2 * pinned_hashes().size() / 3);
+}
+
 TEST(LoweringRerate, RefusesEveryRateExplorationRefuses) {
   const pt::ReachabilityGraph graph = pt::explore_for_rerate(up_down(0.5));
+  // An invalid constant is refused before any exploration: it can be
+  // neither built nor set.
   for (const double bad : {0.0, -1.0, std::nan(""), std::numeric_limits<double>::infinity()}) {
-    std::string fresh;
-    std::string rerated;
-    try {
-      (void)pt::build_reachability_graph(up_down(bad));
-    } catch (const std::domain_error& e) {
-      fresh = e.what();
-    }
-    try {
-      (void)pt::rerate(graph, up_down(bad));
-    } catch (const std::domain_error& e) {
-      rerated = e.what();
-    }
-    EXPECT_NE(fresh.find("Tfail"), std::string::npos) << bad;
-    EXPECT_EQ(rerated, fresh) << bad;
+    EXPECT_THROW((void)up_down(bad), std::invalid_argument) << bad;
+    pt::SrnModel net = up_down(0.5);
+    EXPECT_THROW(net.set_rate(net.transition("Tfail"), bad), std::invalid_argument) << bad;
   }
+  // What is left to refuse at run time is a per-token rate at an empty
+  // place: both explorers refuse it with the same error.
+  std::string fresh;
+  std::string rerated;
+  try {
+    (void)pt::build_reachability_graph(up_down(0.5, true));
+  } catch (const std::domain_error& e) {
+    fresh = e.what();
+  }
+  try {
+    (void)pt::rerate(graph, up_down(0.5, true));
+  } catch (const std::domain_error& e) {
+    rerated = e.what();
+  }
+  EXPECT_NE(fresh.find("Tfail"), std::string::npos);
+  EXPECT_NE(fresh.find("down"), std::string::npos);
+  EXPECT_EQ(rerated, fresh);
   // A net of another shape is not a re-rate of this exploration.
   pt::SrnModel wider = up_down(0.5);
   (void)wider.add_place("spare", 0);
@@ -269,9 +320,9 @@ TEST(LoweringRerate, RefusesEveryRateExplorationRefuses) {
   (void)busier.add_timed_transition("Textra", 1.0);
   EXPECT_THROW((void)pt::rerate(graph, busier), std::invalid_argument);
   // Same shape, new rate: the chain a fresh exploration assembles.
-  const pt::ReachabilityGraph fresh = pt::build_reachability_graph(up_down(0.25));
+  const pt::ReachabilityGraph explored = pt::build_reachability_graph(up_down(0.25));
   EXPECT_EQ(lowering_hash(graph, pt::rerate(graph, up_down(0.25))),
-            lowering_hash(fresh, fresh.chain));
+            lowering_hash(explored, explored.chain));
 }
 
 TEST(LoweringRerate, RefusesAnExplorationWithoutARecord) {

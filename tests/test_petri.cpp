@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -39,6 +41,71 @@ TEST(SrnModel, InvalidRatesAndWeightsRejected) {
   EXPECT_THROW(net.add_timed_transition("T0", 0.0), std::invalid_argument);
   EXPECT_THROW(net.add_timed_transition("T1", -1.0), std::invalid_argument);
   EXPECT_THROW(net.add_immediate_transition("T2", 0.0), std::invalid_argument);
+}
+
+TEST(SrnModel, SetRateRefusesWhatConstructionRefuses) {
+  pt::SrnModel net;
+  const auto p = net.add_place("P", 2);
+  const auto fixed = net.add_timed_transition("Tfixed", 1.0);
+  const auto per_token = net.add_timed_transition("Tper", 0.5, p);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {0.0, -1.0, std::nan(""), inf, -inf}) {
+    for (const pt::TransitionId t : {fixed, per_token}) {
+      std::string built;
+      std::string rerated;
+      try {
+        pt::SrnModel other;
+        const auto q = other.add_place("P", 2);
+        (void)(t == fixed ? other.add_timed_transition("Tfixed", bad)
+                          : other.add_timed_transition("Tper", bad, q));
+      } catch (const std::invalid_argument& e) {
+        built = e.what();
+      }
+      try {
+        net.set_rate(t, bad);
+      } catch (const std::invalid_argument& e) {
+        rerated = e.what();
+      }
+      EXPECT_NE(built.find(net.transition_name(t)), std::string::npos) << bad;
+      EXPECT_EQ(rerated, built) << bad;
+    }
+  }
+  // A refused rate leaves the transition as it was.
+  EXPECT_EQ(net.timed_rate(fixed).scale, 1.0);
+  EXPECT_EQ(net.timed_rate(per_token).scale, 0.5);
+  // A per-token rate must stay finite at every token count; a constant need not.
+  const double huge = std::numeric_limits<double>::max() / 2.0;
+  EXPECT_THROW(net.set_rate(per_token, huge), std::invalid_argument);
+  EXPECT_THROW((void)net.add_timed_transition("Thuge", huge, p), std::invalid_argument);
+  EXPECT_NO_THROW(net.set_rate(fixed, huge));
+  EXPECT_THROW((void)net.add_timed_transition("Tnowhere", 1.0, 7), std::out_of_range);
+}
+
+TEST(SrnModel, SetRateKeepsTheRateShape) {
+  pt::SrnModel net;
+  const auto p = net.add_place("P", 3);
+  const auto fixed = net.add_timed_transition("Tfixed", 1.0);
+  const auto per_token = net.add_timed_transition("Tper", 0.5, p);
+  net.set_rate(fixed, 4.0);
+  net.set_rate(per_token, 0.25);
+  EXPECT_FALSE(net.timed_rate(fixed).place.has_value());
+  EXPECT_EQ(net.rate(fixed, net.initial_marking()), 4.0);
+  EXPECT_EQ(net.timed_rate(per_token).place, p);
+  EXPECT_EQ(net.rate(per_token, net.initial_marking()), 0.75);
+
+  // Immediates have no rate: std::logic_error, and not the value check's
+  // std::invalid_argument (a logic_error too), whatever the value.
+  const auto immediate = net.add_immediate_transition("Timm");
+  for (const double value : {1.0, 0.0}) {
+    try {
+      net.set_rate(immediate, value);
+      ADD_FAILURE() << "set_rate accepted an immediate transition";
+    } catch (const std::invalid_argument&) {
+      ADD_FAILURE() << "set_rate checked a value for an immediate transition";
+    } catch (const std::logic_error&) {
+    }
+  }
+  EXPECT_THROW((void)net.timed_rate(immediate), std::logic_error);
 }
 
 TEST(SrnModel, EnablingRequiresInputTokens) {
@@ -160,18 +227,17 @@ TEST(Reachability, TokenOverflowThrowsInsteadOfWrapping) {
 TEST(SrnModel, MarkingDependentRate) {
   pt::SrnModel net;
   const auto p = net.add_place("P", 3);
-  const auto t = net.add_timed_transition(
-      "T", [p](const pt::Marking& m) { return 0.5 * static_cast<double>(m[p]); });
+  const auto t = net.add_timed_transition("T", 0.5, p);
   net.add_input_arc(t, p);
   EXPECT_DOUBLE_EQ(net.rate(t, net.initial_marking()), 1.5);
+  EXPECT_EQ(net.timed_rate(t).place, p);
+  EXPECT_EQ(net.timed_rate(t).scale, 0.5);
 }
 
 TEST(SrnModel, NonPositiveRateEvaluationThrows) {
   pt::SrnModel net;
   const auto p = net.add_place("P", 0);
-  const auto t = net.add_timed_transition("T", [p](const pt::Marking& m) {
-    return static_cast<double>(m[p]);  // 0 in the initial marking
-  });
+  const auto t = net.add_timed_transition("T", 1.0, p);  // 0 in the initial marking
   net.add_output_arc(t, p);
   EXPECT_THROW((void)net.rate(t, net.initial_marking()), std::domain_error);
 }
@@ -391,8 +457,7 @@ TEST(Reachability, MarkingDependentRatesEnterChain) {
   // with rates 2 and 1.
   pt::SrnModel net;
   const auto p = net.add_place("P", 2);
-  const auto t = net.add_timed_transition(
-      "T", [p](const pt::Marking& m) { return static_cast<double>(m[p]); });
+  const auto t = net.add_timed_transition("T", 1.0, p);
   net.add_input_arc(t, p);
 
   const auto graph = pt::build_reachability_graph(net);

@@ -174,8 +174,7 @@ FuzzNet random_net(std::mt19937_64& rng, bool with_immediates) {
   // path sees every enabling feature: shortcut m1 -> m0, rate growing with
   // the bank, guarded off until the pump has started draining the feeder,
   // inhibited once the feeder is empty.
-  const auto shortcut = net.add_timed_transition(
-      "shortcut", [](const pt::Marking& m) { return 0.5 + 0.001 * static_cast<double>(m[0]); });
+  const auto shortcut = net.add_timed_transition("shortcut", 0.001, bank);
   net.add_input_arc(shortcut, m1);
   net.add_output_arc(shortcut, m0);
   net.add_inhibitor_arc(shortcut, feeder, 4);  // feeder <= 3 everywhere: never blocks

@@ -371,6 +371,12 @@ TEST(SessionRerate, ASixCadenceSweepExploresEachRoleAndEachDesignOnce) {
   EXPECT_EQ(counters.aggregation_transpose_rebuilds, 1u);
   EXPECT_EQ(counters.aggregation_identity_reuses, 0u);
   EXPECT_EQ(counters.aggregation_content_reuses, 23u);
+  // Rates change no verification finding: each role's server net and each
+  // design's network net is verified once (4 + 8), not once per cell
+  // (24 + 48).  The four server nets share one structure certificate.
+  EXPECT_EQ(counters.verify_structure_builds + counters.verify_structure_reuses,
+            scenario.specs().size() + 8u);
+  EXPECT_EQ(counters.verify_structure_builds, 1u + 8u);
 
   // Every re-rated cell is what a fresh Session, which explores both layers
   // at that cadence, reports.
@@ -422,8 +428,10 @@ TEST(SessionRerate, ParallelSweepIsBitIdenticalToTheSerialSweep) {
 
 // ---------- shared verification stages ------------------------------------------
 
-TEST(SessionSharing, EveryReportOfACadenceSharesItsServerStageReports) {
+TEST(SessionSharing, EveryReportSharesOneServerStagePerRole) {
   // Parallel over two cadences: the stage objects cross worker threads.
+  // Rates change no finding, so each role's server net is verified once
+  // for both cadences, and each design's network net once for its batch.
   core::EngineOptions parallel;
   parallel.parallel = true;
   parallel.threads = 4;
@@ -434,27 +442,66 @@ TEST(SessionSharing, EveryReportOfACadenceSharesItsServerStageReports) {
   const auto reports = session.evaluate_all();
   ASSERT_EQ(reports.size(), 2 * session.scenario().designs().size());
 
-  std::map<double, const core::EvalReport*> first_of_cadence;
-  std::set<const patchsec::petri::VerifyReport*> network_stages;
+  std::map<std::array<unsigned, ent::kRoleCount>, const patchsec::petri::VerifyReport*>
+      network_stages;
+  std::set<const patchsec::petri::VerifyReport*> distinct_networks;
+  std::set<double> cadences;
   for (const core::EvalReport& report : reports) {
     ASSERT_EQ(report.verification.size(), servers + 1);
     for (const core::StageVerification& stage : report.verification) {
       ASSERT_NE(stage.report, nullptr) << stage.stage;
     }
-    const core::EvalReport*& first = first_of_cadence[report.patch_interval_hours];
-    if (first == nullptr) first = &report;
+    cadences.insert(report.patch_interval_hours);
     for (std::size_t s = 0; s < servers; ++s) {
-      EXPECT_EQ(report.verification[s].report.get(), first->verification[s].report.get())
+      EXPECT_EQ(report.verification[s].report.get(), reports[0].verification[s].report.get())
           << report.verification[s].stage;
     }
-    // The network stage is one object per cell.
-    EXPECT_TRUE(network_stages.insert(report.verification.back().report.get()).second);
+    // The network stage is one object per design.
+    const patchsec::petri::VerifyReport* network = report.verification.back().report.get();
+    EXPECT_EQ(network_stages.try_emplace(report.design.counts, network).first->second, network)
+        << report.design.name();
+    distinct_networks.insert(network);
   }
-  // Each cadence verified its own server nets.
-  ASSERT_EQ(first_of_cadence.size(), 2u);
-  for (std::size_t s = 0; s < servers; ++s) {
-    EXPECT_NE(first_of_cadence.at(720.0)->verification[s].report.get(),
-              first_of_cadence.at(168.0)->verification[s].report.get());
+  EXPECT_EQ(cadences.size(), 2u);
+  EXPECT_EQ(distinct_networks.size(), session.scenario().designs().size());
+}
+
+TEST(SessionSharing, ParallelLumpedGridIsBitIdenticalToTheSerialGrid) {
+  // The game's grid: lumped uniform designs k = 2..12 under 4 cadences.
+  // Runs under ASan and TSan: every worker thread shares the role nets and
+  // the per-design counting-net stages.
+  std::vector<ent::RedundancyDesign> designs;
+  for (unsigned k = 2; k <= 12; k += 2) designs.push_back(ent::RedundancyDesign{{k, k, k, k}});
+  core::EngineOptions engine;
+  engine.lumping = true;
+  engine.parallel = false;
+  const core::Scenario scenario = core::Scenario::paper_case_study()
+                                      .with_designs(designs)
+                                      .with_patch_schedule({168.0, 336.0, 720.0, 1440.0})
+                                      .with_engine(engine);
+  core::EngineOptions threads = engine;
+  threads.parallel = true;
+  threads.threads = 4;
+  const core::Session serial(scenario);
+  const core::Session threaded(core::Scenario(scenario).with_engine(threads));
+  const std::vector<core::EvalReport> a = serial.evaluate_all();
+  const std::vector<core::EvalReport> b = threaded.evaluate_all();
+  ASSERT_EQ(a.size(), 24u);
+  ASSERT_EQ(b.size(), a.size());
+  std::map<std::array<unsigned, ent::kRoleCount>, const patchsec::petri::VerifyReport*> stages;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_TRUE(same_cell(a[i], b[i])) << i;
+    ASSERT_EQ(b[i].verification.size(), a[i].verification.size());
+    for (std::size_t s = 0; s + 1 < b[i].verification.size(); ++s) {
+      EXPECT_EQ(b[i].verification[s].report.get(), b[0].verification[s].report.get()) << i;
+    }
+    const patchsec::petri::VerifyReport* network = b[i].verification.back().report.get();
+    EXPECT_EQ(stages.try_emplace(b[i].design.counts, network).first->second, network) << i;
+  }
+  for (const core::Session* session : {&serial, &threaded}) {
+    const core::Session::WorkspaceCounters counters = session->workspace_counters();
+    EXPECT_EQ(counters.verify_structure_builds + counters.verify_structure_reuses,
+              scenario.specs().size() + designs.size());
   }
 }
 

@@ -23,6 +23,7 @@
 #include "patchsec/avail/server_srn.hpp"
 #include "patchsec/core/report.hpp"
 #include "patchsec/core/session.hpp"
+#include "patchsec/petri/reachability.hpp"
 #include "patchsec/petri/verify.hpp"
 #include "patchsec/testgen/scenario_generator.hpp"
 #include "structural_oracle.hpp"
@@ -356,31 +357,58 @@ TEST(VerifyOracle, StructurallyDeadTransitionAgreesWithOracle) {
 
 TEST(VerifyDefects, NonPositiveMarkingDependentRate) {
   pt::SrnModel net = token_ring();
-  const auto bad = net.add_timed_transition(
-      "bad", [](const pt::Marking& m) { return static_cast<double>(m[1]); });  // 0 when B empty
+  // 0.5 * #B while enabled by A: 0 at the initial marking, where B is empty.
+  const auto bad = net.add_timed_transition("bad", 0.5, net.place("B"));
   net.add_input_arc(bad, net.place("A"));
   net.add_output_arc(bad, net.place("A"));
   const pt::VerifyReport report = pt::verify_model(net);
   EXPECT_TRUE(has_finding(report, "V-RATE-001"));
   EXPECT_TRUE(report.has_errors());
+  EXPECT_THROW((void)pt::build_reachability_graph(net), std::domain_error);
 }
 
-TEST(VerifyDefects, NanRateFlagged) {
+TEST(VerifyDefects, PerTokenRateOfAnInputPlaceIsClean) {
+  // 0.5 * #A while A's input arc enables it: never 0 where it can fire.
   pt::SrnModel net = token_ring();
-  const auto bad = net.add_timed_transition(
-      "bad", [](const pt::Marking&) { return std::numeric_limits<double>::quiet_NaN(); });
-  net.add_input_arc(bad, net.place("A"));
-  net.add_output_arc(bad, net.place("A"));
-  EXPECT_TRUE(has_finding(pt::verify_model(net), "V-RATE-001"));
+  const auto good = net.add_timed_transition("good", 0.5, net.place("A"));
+  net.add_input_arc(good, net.place("A"));
+  net.add_output_arc(good, net.place("A"));
+  EXPECT_FALSE(has_finding(pt::verify_model(net), "V-RATE-001"));
 }
 
-TEST(VerifyDefects, ThrowingRateFlagged) {
+TEST(VerifyDefects, InvalidRatesAreRefusedAtConstruction) {
+  // What V-RATE-001 flagged of a closure, and the retired V-RATE-002 (a
+  // throwing rate), cannot be built: a rate is data, checked when added.
   pt::SrnModel net = token_ring();
-  const auto bad = net.add_timed_transition(
-      "bad", [](const pt::Marking& m) { return static_cast<double>(m.at(99)); });
-  net.add_input_arc(bad, net.place("A"));
-  net.add_output_arc(bad, net.place("A"));
-  EXPECT_TRUE(has_finding(pt::verify_model(net), "V-RATE-002"));
+  EXPECT_THROW((void)net.add_timed_transition("nan", std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW((void)net.add_timed_transition("inf", std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW((void)net.add_timed_transition("nowhere", 1.0, 99), std::out_of_range);
+  EXPECT_EQ(net.transition_count(), 2u);
+}
+
+TEST(VerifyDefects, ConstantNanRewardIsNotADependence) {
+  // A reward that is NaN everywhere is V-REWARD-002's finding; NaN != NaN
+  // must not also read as a dependence on every unmarkable place.
+  pt::SrnModel net;
+  const auto a = net.add_place("A", 1);
+  const auto b = net.add_place("B", 0);
+  (void)net.add_place("Ghost", 0);
+  const auto fwd = net.add_timed_transition("fwd", 1.0);
+  net.add_input_arc(fwd, a);
+  net.add_output_arc(fwd, b);
+  const auto back = net.add_timed_transition("back", 2.0);
+  net.add_input_arc(back, b);
+  net.add_output_arc(back, a);
+  std::vector<std::pair<std::string, pt::RewardFunction>> rewards;
+  rewards.emplace_back("nan", [](const pt::Marking&) {
+    return std::numeric_limits<double>::quiet_NaN();
+  });
+  const pt::VerifyReport report = pt::verify_model(net, rewards);
+  EXPECT_TRUE(has_finding(report, "V-REWARD-002"));
+  EXPECT_FALSE(has_finding(report, "V-REWARD-001"));
+  EXPECT_FALSE(has_finding(verify_oracle::verify_model(net, rewards, {}), "V-REWARD-001"));
 }
 
 TEST(VerifyDefects, GuardReferencingNonexistentPlace) {
@@ -716,14 +744,7 @@ std::vector<CorpusNet> defect_corpus() {
   };
   add("clean ring", [](pt::SrnModel&) {});
   add("V-RATE-001", [](pt::SrnModel& net) {
-    const auto bad = net.add_timed_transition(
-        "bad", [](const pt::Marking& m) { return static_cast<double>(m[1]); });
-    net.add_input_arc(bad, net.place("A"));
-    net.add_output_arc(bad, net.place("A"));
-  });
-  add("V-RATE-002", [](pt::SrnModel& net) {
-    const auto bad = net.add_timed_transition(
-        "bad", [](const pt::Marking& m) { return static_cast<double>(m.at(99)); });
+    const auto bad = net.add_timed_transition("bad", 1.0, net.place("B"));
     net.add_input_arc(bad, net.place("A"));
     net.add_output_arc(bad, net.place("A"));
   });
@@ -803,6 +824,12 @@ std::vector<CorpusNet> defect_corpus() {
     return std::numeric_limits<double>::infinity();
   });
   add("V-REWARD-002", [](pt::SrnModel&) {}, bad_rewards);
+  Rewards nan_reward;
+  nan_reward.emplace_back("nan", [](const pt::Marking&) {
+    return std::numeric_limits<double>::quiet_NaN();
+  });
+  add("V-REWARD-002 beside a ghost", [](pt::SrnModel& net) { net.add_place("Ghost", 0); },
+      nan_reward);
   pt::VerifyOptions truncated;
   truncated.max_intermediate_rows = 0;
   add("V-CERT-001 truncated", [](pt::SrnModel&) {}, {}, truncated);
@@ -1056,8 +1083,10 @@ TEST(VerifyWork, FarkasCombinationsCountRowPairs) {
 
 TEST(VerifyWiring, SessionCertifiesEachStructureOnce) {
   // One cold serial game-grid-shaped solve: uniform designs k = 2..12 under
-  // 4 cadences, lumped.  16 server-net and 24 network-net verifications
-  // share 7 structures (one server net, one network net per design).
+  // 4 cadences, lumped.  Rates change no finding, so the Session verifies
+  // 4 server nets (one per role) and 6 counting nets (one per design), 10
+  // verifications sharing 7 structures, where each cell once verified its
+  // own 4 + 1 nets (40 in all).
   std::vector<ent::RedundancyDesign> designs;
   for (unsigned k = 2; k <= 12; k += 2) designs.push_back(ent::RedundancyDesign{{k, k, k, k}});
   const std::vector<double> cadences = {168.0, 336.0, 720.0, 1440.0};
@@ -1075,7 +1104,6 @@ TEST(VerifyWiring, SessionCertifiesEachStructureOnce) {
   // Count the structures independently, and check every report's stages
   // against a direct verify_model of the same net.
   std::set<std::string> keys;
-  std::size_t verifications = 0;
   std::size_t next_report = 0;
   for (const double cadence : cadences) {
     av::ServerSrnOptions srn_options;
@@ -1085,12 +1113,10 @@ TEST(VerifyWiring, SessionCertifiesEachStructureOnce) {
       const pt::SrnModel net = av::build_server_srn(entry.second, srn_options).model;
       keys.insert(pt::structure_key(net, engine.verify_options));
       servers.push_back(pt::verify_model(net, engine.verify_options));
-      ++verifications;
     }
     for (const ent::RedundancyDesign& design : designs) {
       const av::NetworkSrn net = av::build_network_srn(design, session.aggregated_rates(cadence));
       keys.insert(pt::structure_key(net.model, engine.verify_options));
-      ++verifications;
       Rewards rewards;
       rewards.emplace_back("coa", net.coa_reward());
       const core::EvalReport& report = reports.at(next_report++);
@@ -1107,9 +1133,55 @@ TEST(VerifyWiring, SessionCertifiesEachStructureOnce) {
     }
   }
   EXPECT_EQ(keys.size(), 7u);
-  EXPECT_EQ(verifications, 40u);
+  const std::size_t verifications = scenario.specs().size() + designs.size();
+  EXPECT_EQ(verifications, 10u);
   EXPECT_EQ(counters.verify_structure_builds, keys.size());
   EXPECT_EQ(counters.verify_structure_reuses, verifications - keys.size());
+}
+
+TEST(VerifyValues, ReportsDoNotDependOnRateValues) {
+  // Rates are data that no finding reads: a net's report is the same at any
+  // valid rates, and so is a copy re-rated in place.
+  for (const auto& [role, spec] : ent::paper_server_specs()) {
+    SCOPED_TRACE(ent::to_string(role));
+    const pt::SrnModel weekly = av::build_server_srn(spec, {.patch_interval_hours = 168.0}).model;
+    const pt::VerifyReport expected = pt::verify_model(weekly);
+    for (const double cadence : {720.0, 1440.0}) {
+      const av::ServerSrn fresh = av::build_server_srn(spec, {.patch_interval_hours = cadence});
+      av::ServerSrn rerated = av::build_server_srn(spec, {.patch_interval_hours = 168.0});
+      rerated.model.set_rate(rerated.patch_clock, 1.0 / cadence);
+      for (const pt::SrnModel* net : {&fresh.model, static_cast<const pt::SrnModel*>(&rerated.model)}) {
+        const pt::VerifyReport report = pt::verify_model(*net);
+        expect_same_certificates(report.certificates, expected.certificates);
+        expect_same_findings(report.findings, expected.findings);
+      }
+    }
+  }
+  std::map<ent::ServerRole, av::AggregatedRates> slow;
+  std::map<ent::ServerRole, av::AggregatedRates> fast;
+  double scale = 1.0;
+  for (const auto& [role, spec] : ent::paper_server_specs()) {
+    slow.emplace(role, av::AggregatedRates{.lambda_eq = 1.0 / 1440.0, .mu_eq = 0.5 * scale});
+    fast.emplace(role, av::AggregatedRates{.lambda_eq = 1.0 / 168.0, .mu_eq = 3.0 / scale});
+    scale *= 1.7;
+  }
+  for (unsigned k = 1; k <= 8; ++k) {
+    const ent::RedundancyDesign design{{k, k, k, k}};
+    SCOPED_TRACE(design.name());
+    const av::NetworkSrn net = av::build_network_srn(design, slow);
+    Rewards rewards;
+    rewards.emplace_back("coa", net.coa_reward());
+    const pt::VerifyReport expected = pt::verify_model(net.model, rewards);
+    const av::NetworkSrn fresh = av::build_network_srn(design, fast);
+    av::NetworkSrn rerated = av::build_network_srn(design, slow);
+    av::set_tier_rates(rerated, fast);
+    for (const pt::SrnModel* other :
+         {&fresh.model, static_cast<const pt::SrnModel*>(&rerated.model)}) {
+      const pt::VerifyReport report = pt::verify_model(*other, rewards);
+      expect_same_certificates(report.certificates, expected.certificates);
+      expect_same_findings(report.findings, expected.findings);
+    }
+  }
 }
 
 TEST(VerifyWiring, LumpedTransientBatchVerifiesOncePerBatch) {

@@ -88,7 +88,7 @@ struct SimulationEstimate {
 
 /// Executes net trajectories and estimates time-averaged rewards.  The model
 /// must outlive the simulator.  All methods are const; concurrent calls on
-/// one simulator are safe when the model's guard/rate closures are pure.
+/// one simulator are safe when the model's guard closures are pure.
 class SrnSimulator {
  public:
   explicit SrnSimulator(const petri::SrnModel& model);

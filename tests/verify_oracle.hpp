@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -24,7 +25,6 @@ using patchsec::petri::Arc;
 using patchsec::petri::Guard;
 using patchsec::petri::Marking;
 using patchsec::petri::PlaceId;
-using patchsec::petri::RateFunction;
 using patchsec::petri::RewardFunction;
 using patchsec::petri::SrnModel;
 using patchsec::petri::TokenCount;
@@ -517,34 +517,19 @@ inline VerifyReport verify_model(const SrnModel& model,
       }
     }
 
-    // V-RATE-001/-002: marking-dependent rates probed at markings where the
-    // transition is enabled (the only markings the engine evaluates them
-    // at).  Constant rates are validated at construction.
+    // V-RATE-001: a per-token rate whose place is empty at a probe marking
+    // where the transition is enabled.  Rates are data checked at
+    // construction, so this is the only way a rate can be invalid.
     for (TransitionId t = 0; t < n_t; ++t) {
       if (model.transition_kind(t) != TransitionKind::kTimed) continue;
-      if (model.constant_rate(t).has_value() || guard_broken[t]) continue;
-      const RateFunction& rate = model.rate_function(t);
-      bool flagged = false;
+      const std::optional<PlaceId> place = model.timed_rate(t).place;
+      if (!place || guard_broken[t]) continue;
       for (const Marking& probe : probes) {
-        if (!model.is_enabled(t, probe)) continue;
-        try {
-          const double r = rate(probe);
-          if (!(r > 0.0) || !std::isfinite(r)) {
-            add_finding(report, "V-RATE-001", VerifySeverity::kError, model.transition_name(t),
-                        "rate evaluated to " + std::to_string(r) +
-                            " at an enabled probe marking " + patchsec::petri::to_string(probe));
-            flagged = true;
-          }
-        } catch (const std::exception& e) {
-          add_finding(report, "V-RATE-002", VerifySeverity::kError, model.transition_name(t),
-                      std::string("rate function threw at an enabled probe marking: ") + e.what());
-          flagged = true;
-        } catch (...) {
-          add_finding(report, "V-RATE-002", VerifySeverity::kError, model.transition_name(t),
-                      "rate function threw a non-std exception at an enabled probe marking");
-          flagged = true;
-        }
-        if (flagged) break;
+        if (!model.is_enabled(t, probe) || probe[*place] != 0) continue;
+        add_finding(report, "V-RATE-001", VerifySeverity::kError, model.transition_name(t),
+                    "rate per token of " + model.place_name(*place) +
+                        " is 0 at an enabled probe marking " + patchsec::petri::to_string(probe));
+        break;
       }
     }
 
@@ -584,7 +569,9 @@ inline VerifyReport verify_model(const SrnModel& model,
       for (const auto& [name, reward] : rewards) {
         if (!reward) continue;
         try {
-          if (reward(s.initial) != reward(toggled)) {
+          const double before = reward(s.initial);
+          const double after = reward(toggled);
+          if (std::isfinite(before) && std::isfinite(after) && before != after) {
             add_finding(report, "V-REWARD-001", VerifySeverity::kWarning, name,
                         "depends on place " + model.place_name(p) +
                             " which can never be marked (0 initial tokens, no producer)");
